@@ -24,15 +24,16 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     ConfigurationError,
     EScoresError,
     InvalidInputError,
     InvalidSplitError,
-    Prompt,
     ResponseSetSizeError,
 )
-from .estimation import FTransform, build_calibration_summary
+from .estimation import FTransform
 from .evaluation import (
     EvaluationReport,
     PreparedDataset,
@@ -41,31 +42,31 @@ from .evaluation import (
     StrategyGrid,
     evaluate_dataset,
     run_equivalence_trials,
+    score_prompts,
 )
 from .io import (
     DatasetParseError,
     DatasetValidationError,
-    RunConfig,
     emit_csv,
     emit_svg_curves,
     parse_dataset,
     parse_grid,
     write_dataset,
 )
-from .response_sets import (
-    IDENTITY_POLICY,
-    PermutationMode,
-    PermutationPolicy,
-    build_permutation_set,
-    label_response_set,
-)
-from .scoring import ALL_SCORE_KINDS, ScoreFamily, ScoreKind, score_response_set
+from .response_sets import IDENTITY_POLICY, PermutationMode, PermutationPolicy
+from .scoring import ALL_SCORE_KINDS, ScoreKind
 from .synthetic import (
     SyntheticConfig,
     generate_dataset,
     mc_evariable_check,
     require_trial_count,
 )
+
+# Not called here any more, but kept as module attributes: the traced
+# benchmark run (perfbench/tracing.py) rebinds these names by module.
+from .estimation import build_calibration_summary  # noqa: F401
+from .response_sets import build_permutation_set, label_response_set  # noqa: F401
+from .scoring import score_response_set  # noqa: F401
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -96,17 +97,13 @@ def _parse_kinds(text: str) -> tuple[ScoreKind, ...]:
 def _parse_policy(
     permutations: str, permutation_file: "str | None"
 ) -> PermutationPolicy:
-    if permutations == "identity":
+    if permutations != "file":
         if permutation_file is not None:
             raise InvalidInputError(
                 "--permutation-file only applies with --permutations file"
             )
-        return IDENTITY_POLICY
-    if permutations == "all":
-        if permutation_file is not None:
-            raise InvalidInputError(
-                "--permutation-file only applies with --permutations file"
-            )
+        if permutations == "identity":
+            return IDENTITY_POLICY
         return PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)
     if permutation_file is None:
         raise InvalidInputError("--permutations file needs --permutation-file")
@@ -140,70 +137,43 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _calibration_summaries(cal_prep: PreparedDataset):
-    return {
-        t: build_calibration_summary(
-            (float(v) for v in cal_prep.fstar[t]), transform=t
-        )
-        for t in FTransform
-    }
-
-
 def _cmd_score(args: argparse.Namespace) -> int:
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
     test_instances = parse_dataset(args.path, args.schema)
-    cal_instances = parse_dataset(args.calibration, args.schema)
-    summaries = _calibration_summaries(PreparedDataset(cal_instances, policy))
+    cal = PreparedDataset(parse_dataset(args.calibration, args.schema), policy)
+    test = PreparedDataset(test_instances, policy)
+    del test_instances
+    shared = sorted(set(test.prompt_ids).intersection(cal.prompt_ids))
+    if shared:
+        print(
+            f"warning: {len(shared)} prompt id(s) in both the test and the calibration "
+            f"file (first {shared[0]!r}); this breaks the exchangeability that the "
+            "scores' guarantee assumes",
+            file=sys.stderr,
+        )
 
-    def cal_for(kind: ScoreKind):
-        if kind.family is ScoreFamily.NAIVE:
-            return None
-        if kind.family is ScoreFamily.E_SCORE_COMBINED:
-            return summaries
-        if kind.family is ScoreFamily.E_SCORE:
-            return summaries[kind.transform]
-        return summaries[FTransform.IDENTITY]
+    scores = score_prompts(
+        test, np.arange(test.n_prompts), kinds, cal.fstar, master_seed=args.seed
+    )
 
     table: list[tuple[str, ...]] = []
-    for instance in test_instances:
-        responses = build_permutation_set(instance.generated, policy)
-        labeled = label_response_set(instance.generated, responses)
-        per_kind = {
-            kind.name: score_response_set(
-                Prompt(instance.prompt_id),
-                responses,
-                instance.estimates,
-                kind,
-                cal_for(kind),
-                master_seed=args.seed,
-            )
-            for kind in kinds
-        }
+    for i, (pid, responses) in enumerate(zip(test.prompt_ids, test.responses)):
+        lo, hi = test.offsets[i], test.offsets[i + 1]
+        labels = test.labels_flat[lo:hi].tolist()
+        per_kind = {name: values[lo:hi].tolist() for name, values in scores.items()}
         if args.jsonl:
             record = {
-                "id": instance.prompt_id,
+                "id": pid,
                 "responses": [list(r.indices) for r in responses],
-                "labels": list(labeled.labels),
-                "scores": {
-                    name: [s for _, s in scored.entries]
-                    for name, scored in per_kind.items()
-                },
+                "labels": labels,
+                "scores": per_kind,
             }
             print(json.dumps(record))
-        else:
-            for row, (response, label) in enumerate(labeled.entries):
-                table.append(
-                    (
-                        instance.prompt_id,
-                        ",".join(str(i) for i in response.indices),
-                        "correct" if label == 1 else "error",
-                        *(
-                            _fmt_score(per_kind[kind.name].entries[row][1])
-                            for kind in kinds
-                        ),
-                    )
-                )
+            continue
+        for response, label, *row in zip(responses, labels, *per_kind.values()):
+            indices = ",".join(str(j) for j in response.indices)
+            table.append((pid, indices, "correct" if label == 1 else "error", *map(_fmt_score, row)))
 
     if not args.jsonl:
         header = ("prompt", "response", "label", *(k.name for k in kinds))
@@ -232,36 +202,21 @@ def _print_report(report: EvaluationReport) -> None:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
-    strategy = Strategy(args.strategy)
-    grid = parse_grid(args.grid)
-    config = RunConfig(
-        input_path=Path(args.path),
-        schema=args.schema,
-        score_kinds=kinds,
-        strategy_grids=(StrategyGrid(strategy=strategy, parameters=grid),),
-        plan=SplitPlan(
-            seed=args.seed, n_splits=args.splits, test_fraction=args.test_fraction
-        ),
+    grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
+    plan = SplitPlan(seed=args.seed, n_splits=args.splits, test_fraction=args.test_fraction)
+    report = evaluate_dataset(
+        parse_dataset(args.path, args.schema),
+        kinds,
+        (grid,),
+        plan,
         permutation_policy=policy,
-        csv_path=Path(args.csv) if args.csv else None,
-        svg_dir=Path(args.svg_dir) if args.svg_dir else None,
         master_seed=args.seed,
     )
-
-    instances = parse_dataset(config.input_path, config.schema)
-    report = evaluate_dataset(
-        instances,
-        config.score_kinds,
-        config.strategy_grids,
-        config.plan,
-        permutation_policy=config.permutation_policy,
-        master_seed=config.master_seed,
-    )
     _print_report(report)
-    if config.csv_path is not None:
-        print(f"wrote {emit_csv(report, config.csv_path)}")
-    if config.svg_dir is not None:
-        for path in emit_svg_curves(report, config.svg_dir):
+    if args.csv:
+        print(f"wrote {emit_csv(report, args.csv)}")
+    if args.svg_dir:
+        for path in emit_svg_curves(report, args.svg_dir):
             print(f"wrote {path}")
     return EXIT_OK
 

@@ -65,7 +65,7 @@ def as_ext_real(value: float, what: str = "value") -> float:
         raise InvalidInputError(f"{what} must not be NaN")
     if out < 0.0:
         raise InvalidInputError(f"{what} must be >= 0, got {out!r}")
-    return out
+    return abs(out)  # -0.0 becomes 0.0, whose reciprocal is +inf
 
 
 def ext_add(a: float, b: float) -> float:

@@ -23,13 +23,14 @@ import types
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .core import (
     CalibrationSummary,
     InvalidInputError,
     LabeledResponseSet,
     Response,
     as_unit_interval,
-    ext_div,
     ext_sum,
 )
 from .response_sets import GeneratedResponse
@@ -140,16 +141,40 @@ def aggregate_conditionals(source: EstimateSource, response: Response) -> float:
     return product
 
 
+def transform_values(estimates: np.ndarray, transform: FTransform) -> np.ndarray:
+    """Apply one of the three monotone transforms to an array of estimates.
+
+    Estimates must already lie in [0, 1], so 1 - o is never negative and
+    an estimate of exactly 1 maps to +inf under the two nonidentity
+    transforms.  The identity transform returns its input, uncopied.
+    """
+    if transform is FTransform.IDENTITY:
+        return estimates
+    with np.errstate(divide="ignore"):
+        if transform is FTransform.INVERSE_COMPLEMENT:
+            return 1.0 / (1.0 - estimates)
+        if transform is FTransform.ODDS:
+            return estimates / (1.0 - estimates)
+    raise InvalidInputError(f"unknown transform {transform!r}")
+
+
 def transform_estimate(estimate: float, transform: FTransform) -> float:
     """Apply one of the three monotone transforms to an estimate in [0, 1]."""
-    estimate = as_unit_interval(estimate)
-    if transform is FTransform.IDENTITY:
-        return estimate
-    if transform is FTransform.INVERSE_COMPLEMENT:
-        return ext_div(1.0, 1.0 - estimate)
-    if transform is FTransform.ODDS:
-        return ext_div(estimate, 1.0 - estimate)
-    raise InvalidInputError(f"unknown transform {transform!r}")
+    return float(transform_values(np.float64(as_unit_interval(estimate)), transform))
+
+
+def masked_f_star(
+    values: np.ndarray, incorrect: np.ndarray, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Maximum of the nonnegative ``values`` over ``incorrect`` entries, 0 where none.
+
+    One prompt per row of the last axis or, given ``starts``, per flat
+    segment from ``starts[i]`` to the next start (each nonempty).
+    """
+    masked = np.where(incorrect, values, 0.0)
+    if starts is None:
+        return masked.max(axis=-1, initial=0.0)
+    return np.maximum.reduceat(masked, starts)
 
 
 def calibration_f_star(
@@ -160,13 +185,11 @@ def calibration_f_star(
     Every labeled response must have a value.  The result does not
     depend on the order of the labeled set.
     """
-    incorrect = labeled.incorrect_responses()
     for resp in labeled.responses:
         if resp not in values:
             raise InvalidInputError(f"no value supplied for response {resp.indices}")
-    if not incorrect:
-        return 0.0
-    return max(values[resp] for resp in incorrect)
+    row = np.asarray([values[resp] for resp in labeled.responses], dtype=np.float64)
+    return float(masked_f_star(row, np.asarray(labeled.labels) == 0))
 
 
 def build_calibration_summary(

@@ -4,9 +4,10 @@ The instance-level accounting is defined by object-level operations
 (``instance_metrics``, ``worst_case_distortion``) over one prompt's
 scored and labeled responses.  ``evaluate_split`` applies the same
 arithmetic to a whole calibration/test split at once with flat numpy
-arrays so that hundred-split sweeps stay fast; the array path mirrors
-the scalar scoring and filtering formulas operation for operation and
-is held to them by tests.
+arrays so that hundred-split sweeps stay fast.  Its scores come from
+``scoring.kind_scores``, the code the per-response scores call too; its
+filtering and metrics mirror the scalar formulas operation for
+operation and are held to them by tests.
 
 Size distortion for an instance is the error indicator divided by the
 tolerance actually used, under extended-real division (no error at zero
@@ -24,8 +25,10 @@ value, for any alpha in [1/(n+1), 1].
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -49,12 +52,16 @@ from .estimation import (
     PromptInstance,
     aggregate_conditionals,
     build_calibration_summary,
-    calibration_f_star,
-    transform_estimate,
+    masked_f_star,
+    transform_values,
 )
 from .filtering import FilterOutcome
 from .response_sets import IDENTITY_POLICY, PermutationPolicy, build_permutation_set, label_response_set
-from .scoring import ScoreFamily, ScoreKind, uniform_block
+from .scoring import ScoreFamily, ScoreKind, kind_scores, uniform_block
+
+# Not called here any more, but kept as module attributes: the traced
+# benchmark run (perfbench/tracing.py) rebinds these names by module.
+from .estimation import calibration_f_star, transform_estimate  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +243,13 @@ class StrategyGrid:
             raise InvalidInputError("a strategy grid needs at least one parameter")
         if self.strategy is Strategy.FRACTION and any(p.value > 1 for p in params):
             raise InvalidInputError("inclusion fractions cannot exceed 1")
+        for param in params:
+            if param.value > 1:
+                warnings.warn(
+                    f"strategy parameter {param.label} exceeds 1; "
+                    "rank-based scores never do, so they would retain everything",
+                    stacklevel=3,
+                )
 
 
 @dataclass(frozen=True)
@@ -298,12 +312,13 @@ class EvaluationReport:
 
 
 class PreparedDataset:
-    """Response sets, labels, estimates, and transformed values, flattened.
+    """Response sets, labels, estimates, transformed values and maxima, flattened.
 
-    Construction runs the object-level pipeline once per prompt (build
-    the response set, label it, aggregate estimates, transform, take the
-    incorrect maxima) and stores the results in flat arrays indexed by
-    prompt.  Everything split-dependent is left to ``evaluate_split``.
+    Construction builds and labels each prompt's response set and chains
+    its estimates, then transforms every estimate and takes every
+    prompt's incorrect maxima in whole-array operations.  Responses are
+    stored prompt after prompt: prompt i owns ``offsets[i]:offsets[i+1]``.
+    Everything split-dependent is left to ``evaluate_split``.
     """
 
     def __init__(
@@ -311,116 +326,85 @@ class PreparedDataset:
         instances: Iterable[PromptInstance],
         permutation_policy: PermutationPolicy | None = None,
     ) -> None:
-        self.instances: tuple[PromptInstance, ...] = tuple(instances)
-        if not self.instances:
-            raise InvalidInputError("cannot prepare an empty dataset")
         policy = permutation_policy if permutation_policy is not None else IDENTITY_POLICY
-
         self.prompt_ids: list[str] = []
         self.responses: list[list[Response]] = []
-        self.labeled: list[LabeledResponseSet] = []
-        labels_parts: list[np.ndarray] = []
-        est_parts: list[np.ndarray] = []
-        f_parts: dict[FTransform, list[np.ndarray]] = {t: [] for t in FTransform}
-        fstar_rows: dict[FTransform, list[float]] = {t: [] for t in FTransform}
-
+        labels: list[int] = []
+        estimates: list[float] = []
         seen_ids: set[str] = set()
-        for inst in self.instances:
+        for inst in instances:
             pid = inst.prompt_id
             if pid in seen_ids:
                 raise InvalidInputError(f"duplicate prompt id {pid!r} in dataset")
             seen_ids.add(pid)
             responses = build_permutation_set(inst.generated, policy)
-            labeled = label_response_set(inst.generated, responses)
-            estimates = [aggregate_conditionals(inst.estimates, r) for r in responses]
+            labels.extend(label_response_set(inst.generated, responses).labels)
+            estimates.extend(aggregate_conditionals(inst.estimates, r) for r in responses)
             self.prompt_ids.append(pid)
             self.responses.append(responses)
-            self.labeled.append(labeled)
-            labels_parts.append(np.asarray(labeled.labels, dtype=np.int8))
-            est_parts.append(np.asarray(estimates, dtype=np.float64))
-            for t in FTransform:
-                values = [transform_estimate(o, t) for o in estimates]
-                f_parts[t].append(np.asarray(values, dtype=np.float64))
-                fstar_rows[t].append(calibration_f_star(labeled, dict(zip(responses, values))))
+        if not self.prompt_ids:
+            raise InvalidInputError("cannot prepare an empty dataset")
 
-        self.n_prompts = len(self.instances)
+        self.n_prompts = len(self.prompt_ids)
         self.counts = np.asarray([len(r) for r in self.responses], dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
-        self.labels_flat = np.concatenate(labels_parts)
-        self.estimates_flat = np.concatenate(est_parts)
-        self.f_flat = {t: np.concatenate(f_parts[t]) for t in FTransform}
-        self.fstar = {t: np.asarray(fstar_rows[t], dtype=np.float64) for t in FTransform}
-        self.correct_totals = np.asarray(
-            [labeled.correct_count() for labeled in self.labeled], dtype=np.int64
-        )
+        starts = self.offsets[:-1]
+        self.labels_flat = np.asarray(labels, dtype=np.int8)
+        self.estimates_flat = np.asarray(estimates, dtype=np.float64)
+        self.f_flat = {t: transform_values(self.estimates_flat, t) for t in FTransform}
+        incorrect = self.labels_flat == 0
+        self.fstar = {t: masked_f_star(self.f_flat[t], incorrect, starts) for t in FTransform}
+        self.correct_totals = np.add.reduceat(self.labels_flat, starts, dtype=np.int64)
+
+    def gather(self, prompts: np.ndarray) -> np.ndarray:
+        """Flat indices of the responses of ``prompts``, prompt after prompt."""
+        counts = self.counts[prompts]
+        starts = np.cumsum(counts) - counts
+        return np.repeat(self.offsets[prompts] - starts, counts) + np.arange(int(counts.sum()))
 
 
 def _needed_transforms(kinds: Sequence[ScoreKind]) -> set[FTransform]:
+    """The transforms whose values ``kinds`` read (naive and p kinds: the estimates)."""
     needed: set[FTransform] = set()
     for kind in kinds:
-        if kind.family is ScoreFamily.E_SCORE:
-            assert kind.transform is not None
-            needed.add(kind.transform)
-        elif kind.family is ScoreFamily.E_SCORE_COMBINED:
+        if kind.family is ScoreFamily.E_SCORE_COMBINED:
             needed.update(FTransform)
-        elif kind.family in (ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED):
-            needed.add(FTransform.IDENTITY)
+        else:
+            needed.add(kind.transform if kind.family is ScoreFamily.E_SCORE else FTransform.IDENTITY)
     return needed
 
 
-def _e_score_vec(f: np.ndarray, fstar_sum: float, n: int) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = f / (f + fstar_sum)
-        ratio = np.where(np.isnan(ratio), np.where(np.isinf(f), 1.0, 0.0), ratio)
-        e_value = (n + 1) * ratio
-        return 1.0 / e_value
-
-
-def _kind_scores(
+def score_prompts(
     prep: PreparedDataset,
-    kind: ScoreKind,
-    gather: np.ndarray,
-    summaries: Mapping[FTransform, CalibrationSummary],
-    sorted_identity: np.ndarray | None,
-    n: int,
-    u_flat: np.ndarray | None,
-) -> np.ndarray:
-    if kind.family is ScoreFamily.NAIVE:
-        assert kind.transform is not None
-        o = prep.estimates_flat[gather]
-        with np.errstate(divide="ignore"):
-            if kind.transform is FTransform.IDENTITY:
-                return 1.0 / o
-            if kind.transform is FTransform.INVERSE_COMPLEMENT:
-                return 1.0 - o
-            return (1.0 - o) / o
+    prompts: np.ndarray,
+    kinds: Sequence[ScoreKind],
+    cal_fstar: Mapping[FTransform, np.ndarray],
+    *,
+    master_seed: int = 0,
+    split_index: int = 0,
+) -> dict[str, np.ndarray]:
+    """Score every response of ``prompts`` under each kind, prompt after prompt.
 
-    if kind.family is ScoreFamily.E_SCORE:
-        assert kind.transform is not None
-        summary = summaries[kind.transform]
-        return _e_score_vec(prep.f_flat[kind.transform][gather], summary.fstar_sum, n)
-
-    if kind.family is ScoreFamily.E_SCORE_COMBINED:
-        per_option = [
-            _e_score_vec(prep.f_flat[t][gather], summaries[t].fstar_sum, n) for t in FTransform
-        ]
-        with np.errstate(divide="ignore"):
-            reciprocals = [1.0 / s for s in per_option]
-            mean_recip = (reciprocals[0] + reciprocals[1] + reciprocals[2]) / 3.0
-            return 1.0 / mean_recip
-
-    assert sorted_identity is not None
-    values = prep.f_flat[FTransform.IDENTITY][gather]
-    left = np.searchsorted(sorted_identity, values, side="left")
-    if kind.family is ScoreFamily.P_SCORE:
-        at_least = n - left
-        return (1 + at_least) / (n + 1)
-
-    right = np.searchsorted(sorted_identity, values, side="right")
-    ties = right - left
-    strictly_above = n - right
-    assert u_flat is not None
-    return (u_flat * (1 + ties) + strictly_above) / (n + 1)
+    ``cal_fstar[t]`` holds the calibration prompts' maxima under
+    transform t.  Randomized p-scores draw from the (master_seed,
+    split_index, prompt id) streams of ``uniform_block``.
+    """
+    needed = _needed_transforms(kinds)
+    summaries = {
+        t: build_calibration_summary((float(v) for v in cal_fstar[t]), t) for t in needed
+    }
+    gather = prep.gather(prompts)
+    values = {t: prep.f_flat[t][gather] for t in needed}
+    u = None
+    if any(kind.family is ScoreFamily.P_SCORE_RANDOMIZED for kind in kinds):
+        u = np.concatenate(
+            [
+                uniform_block(master_seed, split_index, prep.prompt_ids[p], int(prep.counts[p]))
+                for p in prompts
+            ]
+        )
+    sorted_cal = np.sort(cal_fstar[FTransform.IDENTITY])
+    return {kind.name: kind_scores(kind, values, summaries, sorted_cal, u) for kind in kinds}
 
 
 def evaluate_split(
@@ -455,44 +439,23 @@ def evaluate_split(
         raise InvalidInputError("split halves overlap or repeat indices")
 
     n = int(cal_idx.size)
-    needed = _needed_transforms(kinds)
-    summaries = {
-        t: build_calibration_summary((float(v) for v in prep.fstar[t][cal_idx]), t)
-        for t in needed
-    }
-    rank_needed = any(
-        k.family in (ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED) for k in kinds
-    )
-    sorted_identity = (
-        np.sort(prep.fstar[FTransform.IDENTITY][cal_idx]) if rank_needed else None
+    cal_fstar = {t: prep.fstar[t][cal_idx] for t in FTransform}
+    scores_of = score_prompts(
+        prep, test_idx, kinds, cal_fstar, master_seed=master_seed, split_index=split_index
     )
 
     # flat view of every test response, grouped by test prompt
     counts_t = prep.counts[test_idx]
-    total = int(counts_t.sum())
-    seg_ends = np.cumsum(counts_t)
-    starts = np.concatenate(([0], seg_ends[:-1]))
-    base = np.repeat(prep.offsets[test_idx], counts_t)
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_ends - counts_t, counts_t)
-    gather = base + within
-    labels_t = prep.labels_flat[gather]
-    correct_t = labels_t.astype(bool)
+    starts = np.cumsum(counts_t) - counts_t
+    within = np.arange(int(counts_t.sum())) - np.repeat(starts, counts_t)
+    correct_t = prep.labels_flat[prep.gather(test_idx)].astype(bool)
     ct = prep.correct_totals[test_idx].astype(np.float64)
     n_test = int(test_idx.size)
-
-    u_flat = None
-    if any(k.family is ScoreFamily.P_SCORE_RANDOMIZED for k in kinds):
-        u_flat = np.concatenate(
-            [
-                uniform_block(master_seed, split_index, prep.prompt_ids[int(p)], int(c))
-                for p, c in zip(test_idx, counts_t)
-            ]
-        )
 
     rows: list[ReportRow] = []
     wc: list[tuple[str, float]] = []
     for kind in kinds:
-        scores = _kind_scores(prep, kind, gather, summaries, sorted_identity, n, u_flat)
+        scores = scores_of[kind.name]
 
         incorrect_scores = np.where(correct_t, np.inf, scores)
         m0 = np.minimum.reduceat(incorrect_scores, starts)
@@ -683,8 +646,7 @@ def threshold_equivalence_check(
     values = sorted(cal.per_prompt_fstar)
     lo = Fraction(1, n + 1)
     tests = [as_ext_real(f, "test value") for f in f_test_values]
-    # Rank counts use the exact comparisons the p-score uses.
-    at_least = [sum(1 for v in cal.per_prompt_fstar if f <= v) for f in tests]
+    at_least = [n - bisect.bisect_left(values, f) for f in tests]  # #{v >= f}, exactly
 
     for alpha in alpha_grid:
         exact = _exact_alpha(alpha)

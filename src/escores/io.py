@@ -1,4 +1,4 @@
-"""Dataset files, report files, and run configuration.
+"""Dataset files and report files.
 
 Datasets are JSON Lines.  Two record shapes are understood:
 
@@ -26,17 +26,15 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import EScoresError, InvalidInputError
 from .estimation import EstimateSource, PromptInstance
-from .evaluation import EvaluationReport, Parameter, SplitPlan, StrategyGrid
-from .response_sets import GeneratedResponse, PermutationPolicy
-from .scoring import ScoreKind
+from .evaluation import EvaluationReport, Parameter
+from .response_sets import GeneratedResponse
 from .svg import Series, render_panel, slugify
 
 
@@ -465,36 +463,3 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
             raise InvalidInputError(f"empty entry in grid list {text!r}")
         values.append(Parameter.of(piece))
     return tuple(values)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one evaluation run needs, validated up front."""
-
-    input_path: Path
-    schema: str
-    score_kinds: tuple[ScoreKind, ...]
-    strategy_grids: tuple[StrategyGrid, ...]
-    plan: SplitPlan
-    permutation_policy: "PermutationPolicy | None" = None
-    csv_path: "Path | None" = None
-    svg_dir: "Path | None" = None
-    master_seed: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if not self.input_path.exists():
-            raise InvalidInputError(f"input path {self.input_path} does not exist")
-        if self.schema not in _SCHEMAS:
-            raise InvalidInputError(
-                f"schema must be one of {_SCHEMAS}, got {self.schema!r}"
-            )
-        if not self.score_kinds:
-            raise InvalidInputError("at least one score kind is required")
-        for grid in self.strategy_grids:
-            for parameter in grid.parameters:
-                if parameter.value > 1:
-                    warnings.warn(
-                        f"strategy parameter {parameter.label} exceeds 1; "
-                        "rank-based scores never do, so they would retain everything",
-                        stacklevel=2,
-                    )

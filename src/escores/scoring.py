@@ -7,10 +7,10 @@ the e-value
 
     (n + 1) * f / (f + S),
 
-computed under extended-real rules so that f = +inf attains the minimal
-e-score 1/(n+1), f = 0 yields +inf, and an infinite calibration sum
-sends every finite-f score to +inf.  The e-score of a response whose
-value ties the calibration maxima still certifies the advertised error
+computed under the extended-real rules that ``kind_scores`` states, the
+one array implementation of every score here; the per-response
+functions validate their input and call it.  The e-score of a response
+whose value ties the calibration maxima still certifies the advertised error
 rate, which is what makes post-hoc tolerance selection sound.
 
 The combined e-score averages the reciprocals of the per-transform
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -38,12 +37,14 @@ from .core import (
     Prompt,
     Response,
     ScoredResponseSet,
+    as_ext_real,
     as_unit_interval,
-    ext_add,
-    ext_div,
-    ext_recip,
 )
-from .estimation import EstimateSource, FTransform, aggregate_conditionals, transform_estimate
+from .estimation import EstimateSource, FTransform, aggregate_conditionals, transform_values
+
+# Not called here any more, but kept as module attributes: the traced
+# benchmark run (perfbench/tracing.py) rebinds these names by module.
+from .estimation import transform_estimate  # noqa: F401
 
 
 class ScoreFamily(enum.Enum):
@@ -158,6 +159,72 @@ def uniform_draw(
 # ---------------------------------------------------------------------------
 
 
+def kind_scores(
+    kind: ScoreKind,
+    values: Mapping[FTransform, np.ndarray],
+    summaries: Mapping[FTransform, CalibrationSummary],
+    sorted_cal: np.ndarray | None = None,
+    u: np.ndarray | None = None,
+    *,
+    rank_transform: FTransform = FTransform.IDENTITY,
+) -> np.ndarray:
+    """Score an array of responses under one kind; every score formula lives here.
+
+    ``values[t]`` holds the responses' values under transform t, so
+    ``values[IDENTITY]`` holds their estimates, which the naive kinds
+    read.  An e kind reads only the sum and count of ``summaries[t]``.
+    The p kinds rank ``values[rank_transform]`` against ``sorted_cal``,
+    the calibration maxima in ascending order; the randomized one breaks
+    ties with ``u``, one uniform per response.
+
+    Arithmetic is IEEE on the extended nonnegative reals, under the
+    conventions of ``core``: a/0 = +inf for a > 0, 0/0 = 0,
+    finite/inf = 0 and inf/inf = 1.  So f = +inf attains the floor
+    1/(n+1), f = 0 scores +inf, an infinite calibration sum sends every
+    finite f to +inf, and a zero component sends the combined score to 0.
+    """
+    if kind.family is ScoreFamily.NAIVE:
+        assert kind.transform is not None
+        return _naive_scores(values[FTransform.IDENTITY], kind.transform)
+    if kind.family is ScoreFamily.E_SCORE:
+        assert kind.transform is not None
+        return _e_scores(values[kind.transform], summaries[kind.transform])
+    if kind.family is ScoreFamily.E_SCORE_COMBINED:
+        return _combined_scores([_e_scores(values[t], summaries[t]) for t in FTransform])
+    assert sorted_cal is not None
+    f = values[rank_transform]
+    n = sorted_cal.size
+    left = np.searchsorted(sorted_cal, f, side="left")
+    if kind.family is ScoreFamily.P_SCORE:
+        return (1 + (n - left)) / (n + 1)
+    assert u is not None
+    right = np.searchsorted(sorted_cal, f, side="right")
+    return (u * (1 + (right - left)) + (n - right)) / (n + 1)
+
+
+def _e_scores(f: np.ndarray, cal: CalibrationSummary) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        ratio = f / (f + cal.fstar_sum)
+        ratio = np.where(np.isnan(ratio), np.where(np.isinf(f), 1.0, 0.0), ratio)
+        return 1.0 / ((cal.n + 1) * ratio)
+
+
+def _combined_scores(components: Sequence[np.ndarray]) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        return 1.0 / (sum(1.0 / s for s in components) / len(components))
+
+
+def _naive_scores(estimates: np.ndarray, transform: FTransform) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        if transform is FTransform.IDENTITY:
+            return 1.0 / estimates
+        if transform is FTransform.INVERSE_COMPLEMENT:
+            return 1.0 - estimates
+        if transform is FTransform.ODDS:
+            return (1.0 - estimates) / estimates
+    raise InvalidInputError(f"unknown transform {transform!r}")
+
+
 def e_score(f_test: float, cal: CalibrationSummary) -> float:
     """Reciprocal e-value of a test response's transformed value.
 
@@ -165,8 +232,7 @@ def e_score(f_test: float, cal: CalibrationSummary) -> float:
     per-prompt list, so each call is O(1) once the summary exists.
     Monotone nonincreasing in f_test, with range [1/(n+1), +inf].
     """
-    e_value = (cal.n + 1) * ext_div(f_test, ext_add(f_test, cal.fstar_sum))
-    return ext_recip(e_value)
+    return float(_e_scores(np.float64(as_ext_real(f_test, "test value")), cal))
 
 
 def combined_e_score(components: Sequence[float]) -> float:
@@ -179,10 +245,7 @@ def combined_e_score(components: Sequence[float]) -> float:
     """
     if len(components) == 0:
         raise InvalidInputError("cannot combine zero e-scores")
-    total = 0.0
-    for s in components:
-        total = ext_add(total, ext_recip(s))
-    return ext_recip(ext_div(total, float(len(components))))
+    return float(_combined_scores(np.asarray([as_ext_real(s, "e-score") for s in components])))
 
 
 def p_score(f_test: float, cal: CalibrationSummary) -> float:
@@ -190,16 +253,17 @@ def p_score(f_test: float, cal: CalibrationSummary) -> float:
 
     Counts weak exceedances with exact float comparison (ties at +inf
     count), so each call walks the full per-prompt list: Theta(n).
-    Range [1/(n+1), 1].
+    Range [1/(n+1), 1].  ``kind_scores`` computes the same counts for
+    many responses at once by binary search in the sorted maxima.
     """
-    f_test = _checked_value(f_test)
+    f_test = as_ext_real(f_test, "test value")
     count = sum(1 for v in cal.per_prompt_fstar if f_test <= v)
     return (1 + count) / (cal.n + 1)
 
 
 def p_score_randomized(f_test: float, cal: CalibrationSummary, draw: RandomDraw) -> float:
     """Tie-randomized p-score; u = 1 recovers the plain p-score exactly."""
-    f_test = _checked_value(f_test)
+    f_test = as_ext_real(f_test, "test value")
     ties = 0
     below = 0
     for v in cal.per_prompt_fstar:
@@ -212,21 +276,7 @@ def p_score_randomized(f_test: float, cal: CalibrationSummary, draw: RandomDraw)
 
 def naive_score(estimate: float, transform: FTransform) -> float:
     """Reciprocal transformed estimate, with no calibration correction."""
-    estimate = as_unit_interval(estimate)
-    if transform is FTransform.IDENTITY:
-        return ext_div(1.0, estimate)
-    if transform is FTransform.INVERSE_COMPLEMENT:
-        return 1.0 - estimate
-    if transform is FTransform.ODDS:
-        return ext_div(1.0 - estimate, estimate)
-    raise InvalidInputError(f"unknown transform {transform!r}")
-
-
-def _checked_value(f_test: float) -> float:
-    value = float(f_test)
-    if math.isnan(value) or value < 0.0:
-        raise InvalidInputError(f"test value must be an extended nonnegative real, got {f_test!r}")
-    return value
+    return float(_naive_scores(np.float64(as_unit_interval(estimate)), transform))
 
 
 def _require_summary(
@@ -244,6 +294,20 @@ def _require_summary(
     return cal
 
 
+def _summaries_for(kind: ScoreKind, cal: object) -> dict[FTransform, CalibrationSummary]:
+    """The validated summaries ``kind`` reads from ``cal``, keyed by transform."""
+    if kind.family is ScoreFamily.NAIVE:
+        return {}
+    if kind.family is not ScoreFamily.E_SCORE_COMBINED:
+        summary = _require_summary(cal, kind.transform, kind)
+        return {kind.transform or summary.transform or FTransform.IDENTITY: summary}
+    if not isinstance(cal, Mapping) or any(t not in cal for t in FTransform):
+        raise ConfigurationError(
+            "the combined e-score needs a mapping of all three transforms to summaries"
+        )
+    return {t: _require_summary(cal[t], t, kind) for t in FTransform}
+
+
 def score_response_set(
     prompt: Prompt,
     responses: Sequence[Response],
@@ -258,59 +322,21 @@ def score_response_set(
 
     ``cal`` is a single summary for e/p kinds, a mapping from all three
     transforms to summaries for the combined kind, and unused for naive
-    kinds.  Randomized p-scores draw their uniform per response ordinal
-    from (master_seed, split_index, prompt id).
+    kinds.  p kinds rank the values under the summary's own transform
+    (identity when untagged).  Randomized p-scores draw their uniform per
+    response ordinal from (master_seed, split_index, prompt id).
     """
-    estimate_of = [aggregate_conditionals(estimates, resp) for resp in responses]
-
-    if kind.family is ScoreFamily.NAIVE:
-        assert kind.transform is not None
-        scores = [naive_score(o, kind.transform) for o in estimate_of]
-
-    elif kind.family is ScoreFamily.E_SCORE:
-        assert kind.transform is not None
-        summary = _require_summary(cal, kind.transform, kind)
-        scores = [
-            e_score(transform_estimate(o, kind.transform), summary) for o in estimate_of
-        ]
-
-    elif kind.family is ScoreFamily.E_SCORE_COMBINED:
-        if not isinstance(cal, Mapping):
-            raise ConfigurationError(
-                "the combined e-score needs a mapping of all three transforms to summaries"
-            )
-        summaries = {}
-        for transform in FTransform:
-            if transform not in cal:
-                raise ConfigurationError(f"missing calibration summary for {transform.name}")
-            summaries[transform] = _require_summary(cal[transform], transform, kind)
-        scores = [
-            combined_e_score(
-                [
-                    e_score(transform_estimate(o, t), summaries[t])
-                    for t in FTransform
-                ]
-            )
-            for o in estimate_of
-        ]
-
-    elif kind.family in (ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED):
-        summary = _require_summary(cal, None, kind)
-        value_transform = summary.transform or FTransform.IDENTITY
-        values = [transform_estimate(o, value_transform) for o in estimate_of]
-        if kind.family is ScoreFamily.P_SCORE:
-            scores = [p_score(v, summary) for v in values]
-        else:
-            block = uniform_block(master_seed, split_index, prompt.id, len(values))
-            scores = [
-                p_score_randomized(
-                    v,
-                    summary,
-                    RandomDraw(float(block[j]), (master_seed, split_index, _prompt_key(prompt.id), j)),
-                )
-                for j, v in enumerate(values)
-            ]
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigurationError(f"unknown score family {kind.family!r}")
-
-    return ScoredResponseSet(tuple(zip(tuple(responses), scores)))
+    summaries = _summaries_for(kind, cal)
+    estimate_of = np.asarray(
+        [aggregate_conditionals(estimates, resp) for resp in responses], dtype=np.float64
+    )
+    values = {t: transform_values(estimate_of, t) for t in FTransform}
+    sorted_cal = u = None
+    rank_transform = FTransform.IDENTITY
+    if kind.family in (ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED):
+        ((rank_transform, summary),) = summaries.items()
+        sorted_cal = np.sort(np.asarray(summary.per_prompt_fstar, dtype=np.float64))
+    if kind.family is ScoreFamily.P_SCORE_RANDOMIZED:
+        u = uniform_block(master_seed, split_index, prompt.id, len(responses))
+    scores = kind_scores(kind, values, summaries, sorted_cal, u, rank_transform=rank_transform)
+    return ScoredResponseSet(tuple(zip(tuple(responses), scores.tolist())))

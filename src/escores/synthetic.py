@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import InvalidInputError, ext_div, ext_sum
-from .estimation import EstimateSource, FTransform, PromptInstance
+from .estimation import EstimateSource, FTransform, PromptInstance, masked_f_star, transform_values
 from .response_sets import GeneratedResponse
 
 
@@ -155,23 +155,14 @@ def mc_evariable_check(
     steps, first_error, conditionals = _sample_arrays(rng, cfg, rows)
 
     # Prefix estimate of length j is the product of the first j conditionals.
-    prefix = np.cumprod(conditionals, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if transform is FTransform.IDENTITY:
-            values = prefix
-        elif transform is FTransform.INVERSE_COMPLEMENT:
-            values = 1.0 / (1.0 - prefix)
-        else:
-            values = prefix / (1.0 - prefix)
+    values = transform_values(np.cumprod(conditionals, axis=1), transform)
     step_index = np.arange(1, cfg.max_steps + 1)[None, :]
     is_incorrect_prefix = (
         (first_error[:, None] > 0)
         & (step_index >= first_error[:, None])
         & (step_index <= steps[:, None])
     )
-    masked = np.where(is_incorrect_prefix, values, -np.inf)
-    fstar = masked.max(axis=1)
-    fstar = np.where(np.isneginf(fstar), 0.0, fstar)
+    fstar = masked_f_star(values, is_incorrect_prefix)
 
     groups = fstar.reshape(n_trials, cfg.n_prompts)
     totals = groups.sum(axis=1)

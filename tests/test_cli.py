@@ -30,17 +30,26 @@ import oracles
 from helpers import make_instance
 
 
+def six_prompts(prefix: str) -> list:
+    return [
+        make_instance(f"{prefix}-1", [0.9, 0.7], first_error_index=None),
+        make_instance(f"{prefix}-2", [0.6, 0.2], first_error_index=2),
+        make_instance(f"{prefix}-3", [0.8], first_error_index=1),
+        make_instance(f"{prefix}-4", [0.95, 0.9, 0.85], first_error_index=None),
+        make_instance(f"{prefix}-5", [0.5, 0.45], first_error_index=1),
+        make_instance(f"{prefix}-6", [0.85, 0.8], first_error_index=None),
+    ]
+
+
 @pytest.fixture()
 def dataset(tmp_path: Path) -> Path:
-    instances = [
-        make_instance("a-1", [0.9, 0.7], first_error_index=None),
-        make_instance("a-2", [0.6, 0.2], first_error_index=2),
-        make_instance("a-3", [0.8], first_error_index=1),
-        make_instance("a-4", [0.95, 0.9, 0.85], first_error_index=None),
-        make_instance("a-5", [0.5, 0.45], first_error_index=1),
-        make_instance("a-6", [0.85, 0.8], first_error_index=None),
-    ]
-    return write_dataset(instances, tmp_path / "data.jsonl")
+    return write_dataset(six_prompts("a"), tmp_path / "data.jsonl")
+
+
+@pytest.fixture()
+def calibration(tmp_path: Path) -> Path:
+    """The same six prompts as ``dataset`` under ids of their own."""
+    return write_dataset(six_prompts("c"), tmp_path / "cal.jsonl")
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -74,13 +83,13 @@ def test_ingest_rejects_bad_records(tmp_path: Path, capsys) -> None:
     assert "usage error:" in err
 
 
-def test_score_table_output(dataset: Path, capsys) -> None:
+def test_score_table_output(dataset: Path, calibration: Path, capsys) -> None:
     code, out, err = run(
         capsys,
         "score",
         str(dataset),
         "--calibration",
-        str(dataset),
+        str(calibration),
         "--scores",
         "e-combined,p,naive1",
     )
@@ -96,12 +105,12 @@ def test_score_table_output(dataset: Path, capsys) -> None:
     assert any(row.split()[2] == "error" for row in lines[1:])
 
 
-def test_score_jsonl_output_and_determinism(dataset: Path, capsys) -> None:
+def test_score_jsonl_output_and_determinism(dataset: Path, calibration: Path, capsys) -> None:
     argv = (
         "score",
         str(dataset),
         "--calibration",
-        str(dataset),
+        str(calibration),
         "--scores",
         "all",
         "--jsonl",
@@ -124,6 +133,23 @@ def test_score_jsonl_output_and_determinism(dataset: Path, capsys) -> None:
     assert code2 == EXIT_OK and out2 == out
     _, moved, _ = run(capsys, *argv[:-1], "6")
     assert moved != out  # the seed moves the randomized draws
+
+
+def test_score_warns_on_prompt_ids_shared_with_calibration(
+    dataset: Path, calibration: Path, capsys
+) -> None:
+    argv = ("score", str(dataset), "--scores", "all", "--jsonl", "--calibration")
+    code, out, err = run(capsys, *argv, str(dataset))
+    assert code == EXIT_OK
+    assert err == (
+        "warning: 6 prompt id(s) in both the test and the calibration file "
+        "(first 'a-1'); this breaks the exchangeability that the scores' "
+        "guarantee assumes\n"
+    )
+    # same calibration content under other ids: the same scores, no warning
+    code, disjoint_out, err = run(capsys, *argv, str(calibration))
+    assert code == EXIT_OK and err == ""
+    assert out == disjoint_out
 
 
 def test_score_rejects_duplicate_kinds(dataset: Path, capsys) -> None:
@@ -343,6 +369,7 @@ def test_score_dies_quietly_when_stdout_closes_early(tmp_path: Path) -> None:
         generate_dataset(SyntheticConfig(n_prompts=2000, seed=4)),
         tmp_path / "big.jsonl",
     )
+    cal = write_dataset(six_prompts("c"), tmp_path / "cal.jsonl")
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -351,7 +378,7 @@ def test_score_dies_quietly_when_stdout_closes_early(tmp_path: Path) -> None:
             "score",
             str(big),
             "--calibration",
-            str(big),
+            str(cal),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -20,8 +21,8 @@ from escores import (
     Parameter,
     PromptInstance,
     ReportRow,
-    RunConfig,
     ScoreKind,
+    SplitAssignment,
     SplitPlan,
     Strategy,
     StrategyGrid,
@@ -29,11 +30,13 @@ from escores import (
     emit_csv,
     emit_svg_curves,
     evaluate_dataset,
+    evaluate_split,
     parse_dataset,
     parse_grid,
     write_dataset,
 )
 
+from escores.cli import run_command
 from helpers import make_generated, make_instance
 
 
@@ -361,41 +364,20 @@ def test_parse_grid_rejects_bad_input() -> None:
             parse_grid(bad)
 
 
-def test_run_config_validation(tmp_path: Path) -> None:
+def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:
+    """Each check once made up front for an evaluation run, at its owner."""
     data = write_lines(tmp_path / "d.jsonl", PREFIX_RECORD)
-    config = RunConfig(
-        input_path=data,
-        schema="auto",
-        score_kinds=(ScoreKind.parse("e1"),),
-        strategy_grids=(StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.1"),)),),
-        plan=SplitPlan(),
-    )
-    assert config.master_seed == 0
-    with pytest.raises(InvalidInputError, match="does not exist"):
-        RunConfig(
-            input_path=tmp_path / "nope.jsonl",
-            schema="auto",
-            score_kinds=(ScoreKind.parse("e1"),),
-            strategy_grids=(),
-            plan=SplitPlan(),
-        )
+    # a missing input is a usage error of the command
+    assert run_command(["evaluate", str(tmp_path / "nope.jsonl")]) == 2
+    assert "usage error:" in capsys.readouterr().err
     with pytest.raises(InvalidInputError, match="schema"):
-        RunConfig(
-            input_path=data,
-            schema="yaml",
-            score_kinds=(ScoreKind.parse("e1"),),
-            strategy_grids=(),
-            plan=SplitPlan(),
-        )
+        parse_dataset(data, schema="yaml")
+    split = SplitAssignment(calibration=(0,), test=(1,))
+    two = [make_instance("v-1", [0.5]), make_instance("v-2", [0.7])]
     with pytest.raises(InvalidInputError, match="score kind"):
-        RunConfig(
-            input_path=data, schema="auto", score_kinds=(), strategy_grids=(), plan=SplitPlan()
-        )
+        evaluate_split(two, split, ())
     with pytest.warns(UserWarning, match="exceeds 1"):
-        RunConfig(
-            input_path=data,
-            schema="auto",
-            score_kinds=(ScoreKind.parse("e1"),),
-            strategy_grids=(StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("2"),)),),
-            plan=SplitPlan(),
-        )
+        StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.1"), Parameter.of("2")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.1"), Parameter.of("1")))

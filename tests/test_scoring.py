@@ -354,6 +354,17 @@ def test_driver_naive_needs_no_calibration() -> None:
     assert scored.scores[1] == pytest.approx(2.5, rel=1e-12)
 
 
+def test_driver_reads_negative_zero_as_zero() -> None:
+    """An estimate of -0.0 is 0: its reciprocal scores are +inf, never -inf."""
+    estimates = EstimateSource(conditionals={1: -0.0})
+    cal = build_calibration_summary([0.5], FTransform.IDENTITY)
+    for name in ("naive1", "naive3", "e1"):
+        scored = score_response_set(
+            Prompt("z"), [Response((1,))], estimates, ScoreKind.parse(name), cal
+        )
+        assert scored.scores == (math.inf,), name
+
+
 def test_driver_scores_fall_as_estimates_rise() -> None:
     """Across a family of prompts, a higher estimate never scores worse."""
     cal = build_calibration_summary([0.2, 0.5, 0.7], FTransform.IDENTITY)
