@@ -143,7 +143,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     test_instances = parse_dataset(args.path, args.schema)
     cal = PreparedDataset(parse_dataset(args.calibration, args.schema), policy)
     test = PreparedDataset(test_instances, policy)
-    del test_instances
+    del test_instances  # only the prepared arrays are used below; keeps peak memory down
     shared = sorted(set(test.prompt_ids).intersection(cal.prompt_ids))
     if shared:
         print(

@@ -35,8 +35,8 @@ from escores import (
     parse_grid,
     write_dataset,
 )
+from escores.cli import EXIT_USAGE, run_command
 
-from escores.cli import run_command
 from helpers import make_generated, make_instance
 
 
@@ -368,7 +368,7 @@ def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:
     """Each check once made up front for an evaluation run, at its owner."""
     data = write_lines(tmp_path / "d.jsonl", PREFIX_RECORD)
     # a missing input is a usage error of the command
-    assert run_command(["evaluate", str(tmp_path / "nope.jsonl")]) == 2
+    assert run_command(["evaluate", str(tmp_path / "nope.jsonl")]) == EXIT_USAGE
     assert "usage error:" in capsys.readouterr().err
     with pytest.raises(InvalidInputError, match="schema"):
         parse_dataset(data, schema="yaml")

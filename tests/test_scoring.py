@@ -354,7 +354,7 @@ def test_driver_naive_needs_no_calibration() -> None:
     assert scored.scores[1] == pytest.approx(2.5, rel=1e-12)
 
 
-def test_driver_reads_negative_zero_as_zero() -> None:
+def test_score_response_set_reads_negative_zero_as_zero() -> None:
     """An estimate of -0.0 is 0: its reciprocal scores are +inf, never -inf."""
     estimates = EstimateSource(conditionals={1: -0.0})
     cal = build_calibration_summary([0.5], FTransform.IDENTITY)
