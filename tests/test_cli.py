@@ -12,13 +12,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from escores import (
-    IDENTITY_POLICY,
     FTransform,
-    PermutationMode,
-    PermutationPolicy,
     PreparedDataset,
     parse_dataset,
     uniform_block,
@@ -27,7 +23,14 @@ from escores import (
 from escores.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run_command
 
 import oracles
-from helpers import make_instance
+from helpers import (
+    POLICIES,
+    make_instance,
+    oracle_fstars,
+    oracle_prompt,
+    oracle_scores,
+    split_records,
+)
 
 
 def six_prompts(prefix: str) -> list:
@@ -413,61 +416,13 @@ def test_help_exits_cleanly(capsys) -> None:
 # the whole score pipeline against the rational oracles
 # ---------------------------------------------------------------------------
 
-# Dyadic conditionals force ties and exact 0/1 estimates (so infinite
-# maxima under transforms 2 and 3); one free float per dataset, used at
-# most once per prompt, keeps every float product exact.
-DYADIC = (0.0, 0.25, 0.5, 1.0)
-POLICIES = {
-    "identity": (IDENTITY_POLICY, oracles.prefix_set),
-    "all": (PermutationPolicy(PermutationMode.ALL_PERMUTATIONS), oracles.permutation_set),
-}
-
-
-@st.composite
-def prompt_records(draw, prefix: str, free: float) -> list[dict]:
-    records = []
-    for i in range(draw(st.integers(1, 3))):
-        k = draw(st.integers(1, 4))
-        conditionals = draw(st.lists(st.sampled_from(DYADIC), min_size=k, max_size=k))
-        if draw(st.booleans()):
-            conditionals[draw(st.integers(0, k - 1))] = free
-        records.append(
-            {
-                "id": f"{prefix}{i}",
-                "sub_responses": [f"s{j}" for j in range(k)],
-                "first_error_index": draw(st.one_of(st.none(), st.integers(1, k))),
-                "oracle_conditionals": conditionals,
-            }
-        )
-    return records
-
-
-@st.composite
-def score_inputs(draw) -> tuple[list[dict], list[dict], int]:
-    free = draw(st.floats(min_value=0.01, max_value=0.99))
-    return (
-        draw(prompt_records("t", free)),
-        draw(prompt_records("c", free)),
-        draw(st.integers(0, 2**16)),
-    )
-
-
-def _oracle_prompt(record: dict, enumerate_set) -> tuple[list, list, list]:
-    """Responses, labels and exact estimates of one record, by enumeration."""
-    k = len(record["sub_responses"])
-    responses = enumerate_set(k)
-    labels = oracles.labels_for(responses, record["first_error_index"])
-    conditionals = record["oracle_conditionals"]
-    estimates = [oracles.aggregate([conditionals[i - 1] for i in r]) for r in responses]
-    return responses, labels, estimates
-
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
 @settings(max_examples=25, deadline=None)
-@given(score_inputs())
+@given(split_records())
 def test_score_matches_oracle_composition(inputs) -> None:
     test_records, cal_records, seed = inputs
     with tempfile.TemporaryDirectory() as tmp:
@@ -475,15 +430,9 @@ def test_score_matches_oracle_composition(inputs) -> None:
         _write_jsonl(test_path, test_records)
         _write_jsonl(cal_path, cal_records)
         for mode, (policy, enumerate_set) in POLICIES.items():
-            fstars = {t: [] for t in (1, 2, 3)}
-            for record in cal_records:
-                _, labels, estimates = _oracle_prompt(record, enumerate_set)
-                for t in fstars:
-                    values = [oracles.transform(o, t) for o in estimates]
-                    fstars[t].append(oracles.f_star(list(zip(values, labels))))
-
+            fstars = oracle_fstars(cal_records, enumerate_set)
             prep = PreparedDataset(parse_dataset(cal_path), policy)
-            flat = [o for record in cal_records for o in _oracle_prompt(record, enumerate_set)[2]]
+            flat = [o for record in cal_records for o in oracle_prompt(record, enumerate_set)[2]]
             for transform in FTransform:
                 assert len(prep.f_flat[transform]) == len(flat)
                 for got, o in zip(prep.f_flat[transform], flat):
@@ -502,24 +451,11 @@ def test_score_matches_oracle_composition(inputs) -> None:
             assert len(lines) == len(test_records)
             for line, record in zip(lines, test_records):
                 got = json.loads(line)
-                responses, labels, estimates = _oracle_prompt(record, enumerate_set)
+                responses, labels, estimates = oracle_prompt(record, enumerate_set)
                 assert got["id"] == record["id"]
                 assert [tuple(r) for r in got["responses"]] == responses
                 assert got["labels"] == labels
                 u = uniform_block(seed, 0, record["id"], len(responses))
                 for j, o in enumerate(estimates):
-                    f = {t: oracles.transform(o, t) for t in (1, 2, 3)}
-                    e = {t: oracles.e_score(f[t], fstars[t]) for t in (1, 2, 3)}
-                    want = {
-                        "e1": e[1],
-                        "e2": e[2],
-                        "e3": e[3],
-                        "e-combined": oracles.combined_e_score([e[1], e[2], e[3]]),
-                        "p": oracles.p_score(f[1], fstars[1]),
-                        "p-randomized": oracles.p_score_randomized(f[1], fstars[1], float(u[j])),
-                        "naive1": oracles.naive_score(o, 1),
-                        "naive2": oracles.naive_score(o, 2),
-                        "naive3": oracles.naive_score(o, 3),
-                    }
-                    for kind, value in want.items():
+                    for kind, value in oracle_scores(o, fstars, float(u[j])).items():
                         assert oracles.matches(got["scores"][kind][j], value), (mode, kind, j)

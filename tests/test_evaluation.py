@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escores import (
     ConfigurationError,
@@ -39,11 +43,23 @@ from escores import (
     score_response_set,
     threshold_equivalence_check,
     transform_estimate,
+    uniform_block,
     worst_case_distortion,
 )
 
 import oracles
-from helpers import make_instance, make_labeled, make_scored
+from escores.evaluation import score_prompts
+from helpers import (
+    POLICIES,
+    instance_of,
+    make_instance,
+    make_labeled,
+    make_scored,
+    oracle_fstars,
+    oracle_prompt,
+    oracle_scores,
+    split_records,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +445,116 @@ def test_prepared_dataset_rejects_duplicates_and_empty() -> None:
     inst = make_instance("dup", [0.5])
     with pytest.raises(InvalidInputError):
         PreparedDataset([inst, make_instance("dup", [0.7])])
+
+
+# ---------------------------------------------------------------------------
+# the split engine against a composition of the rational oracles alone
+# ---------------------------------------------------------------------------
+
+
+def _exact_mean(values) -> "Fraction | float":
+    return oracles.x_div(oracles.x_sum(values), Fraction(len(values)))
+
+
+def _oracle_rows(labels, scores, grid: StrategyGrid) -> dict[str, list]:
+    """Exact means of (size distortion, error, alpha_used, precision, recall) per label.
+
+    ``labels`` and ``scores`` hold one list per test prompt.  Filtering
+    and instance metrics come from the oracles only; alpha-max filters at
+    the float the engine compares against.
+    """
+    out = {}
+    # many parameters keep the same responses, so cache by what is kept
+    metrics: dict = {}
+    means: dict = {}
+    for param in grid.parameters:
+        keys = []
+        for i, (lab, sc) in enumerate(zip(labels, scores)):
+            if grid.strategy is Strategy.ALPHA_MAX:
+                included, alpha_used = oracles.max_constrained(sc, float(param.value))
+            else:
+                included, alpha_used = oracles.fractional(sc, param.value)
+            key = (i, tuple(included), alpha_used)
+            if key not in metrics:
+                error, sd, _, precision, recall = oracles.instance(lab, sc, included, alpha_used)
+                metrics[key] = (sd, error, alpha_used, precision, recall)
+            keys.append(key)
+        keys = tuple(keys)
+        if keys not in means:
+            means[keys] = [_exact_mean(column) for column in zip(*(metrics[k] for k in keys))]
+        out[param.label] = means[keys]
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    split_records(),
+    st.sets(st.fractions(min_value=0, max_value=1, max_denominator=12), max_size=4),
+    st.integers(0, 3),
+)
+def test_evaluate_split_matches_oracle_composition(inputs, fractions, split_index) -> None:
+    test_records, cal_records, seed = inputs
+    instances = [instance_of(r) for r in test_records + cal_records]
+    n_test = len(test_records)
+    split = SplitAssignment(
+        calibration=tuple(range(n_test, len(instances))), test=tuple(range(n_test))
+    )
+    fraction_grid = StrategyGrid(
+        Strategy.FRACTION, tuple(Parameter.of(v) for v in sorted({Fraction(0), Fraction(1), *fractions}))
+    )
+    metrics = ("size_distortion", "error", "alpha", "precision", "recall")
+    for mode, (policy, enumerate_set) in POLICIES.items():
+        prep = PreparedDataset(instances, policy)
+        fstars = oracle_fstars(cal_records, enumerate_set)
+        cal_fstar = {t: prep.fstar[t][n_test:] for t in FTransform}
+        scores = score_prompts(
+            prep, np.arange(n_test), ALL_SCORE_KINDS, cal_fstar,
+            master_seed=seed, split_index=split_index,
+        )
+        # test prompts come first, so their flat offsets are the dataset's
+        labels, per_kind = [], {kind.name: [] for kind in ALL_SCORE_KINDS}
+        for i, record in enumerate(test_records):
+            _, lab, estimates = oracle_prompt(record, enumerate_set)
+            labels.append(lab)
+            lo, hi = int(prep.offsets[i]), int(prep.offsets[i + 1])
+            u = uniform_block(seed, split_index, record["id"], len(estimates))
+            for j, o in enumerate(estimates):
+                for name, want in oracle_scores(o, fstars, float(u[j])).items():
+                    assert oracles.matches(float(scores[name][lo + j]), want), (mode, name, j)
+            for name, values in per_kind.items():
+                values.append(scores[name][lo:hi].tolist())
+
+        for kind in ALL_SCORE_KINDS:
+            sc = per_kind[kind.name]
+            finite = {s for prompt in sc for s in prompt if s != math.inf}
+            alphas = {0.0, 1.0} | {
+                float(a)
+                for s in finite
+                for a in (np.nextafter(s, -math.inf), s, np.nextafter(s, math.inf))
+                if a >= 0
+            }
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # alpha-max parameters above 1
+                grids = (
+                    StrategyGrid(Strategy.ALPHA_MAX, tuple(Parameter.of(a) for a in sorted(alphas))),
+                    fraction_grid,
+                )
+                result = evaluate_split(
+                    prep, split, (kind,), grids, master_seed=seed, split_index=split_index
+                )
+            rows = {(row.strategy, row.parameter): row for row in result.rows}
+            assert len(rows) == sum(len(grid.parameters) for grid in grids)
+            for grid in grids:
+                for label, want in _oracle_rows(labels, sc, grid).items():
+                    row = rows[(grid.strategy.value, label)]
+                    got = (
+                        row.mean_size_distortion, row.mean_error, row.mean_alpha,
+                        row.mean_precision, row.mean_recall,
+                    )
+                    for g, w, what in zip(got, want, metrics):
+                        assert oracles.matches(g, w), (mode, kind.name, label, what, g, w)
+            worst = _exact_mean([oracles.instance(lab, s, [], 0)[2] for lab, s in zip(labels, sc)])
+            assert oracles.matches(dict(result.worst_case)[kind.name], worst), (mode, kind.name)
 
 
 # ---------------------------------------------------------------------------
