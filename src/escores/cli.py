@@ -153,6 +153,17 @@ def _cmd_score(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
+    infinite = int(np.count_nonzero(np.isinf(cal.fstar[FTransform.INVERSE_COMPLEMENT])))
+    if infinite and {"e2", "e3", "e-combined"}.intersection(kind.name for kind in kinds):
+        print(
+            f"warning: {infinite} calibration prompt(s) have an incorrect response with "
+            "estimate 1, so their maxima under transforms 2 and 3 are infinite; every "
+            "e2 and e3 score of a test response with estimate below 1 is then +inf, "
+            "and e-combined reduces to 3 x e1",
+            file=sys.stderr,
+        )
+
     scores = score_prompts(
         test, np.arange(test.n_prompts), kinds, cal.fstar, master_seed=args.seed
     )

@@ -126,33 +126,33 @@ def as_unit_interval(value: float, what: str = "estimate") -> float:
     return out
 
 
-def as_tolerance(value: float, what: str = "tolerance") -> float:
-    """Validate an error tolerance: any extended nonnegative real."""
-    return as_ext_real(value, what)
+def as_exact(value: "float | str | int | Fraction", what: str = "value") -> Fraction:
+    """Coerce a number or a decimal string to the exact rational it spells.
+
+    Strings are parsed as exact decimals or ratios ("0.1" -> 1/10,
+    "1/3").  Floats go through their shortest round-trip decimal
+    representation, so 0.1 also means exactly 1/10 rather than the
+    underlying binary value.  Bools are refused.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"{what} must be a decimal string, got {value!r}") from exc
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise InvalidInputError(f"{what} must be finite, got {value!r}")
+        return Fraction(repr(float(value)))
+    raise InvalidInputError(f"{what} must be a number or decimal string, got {value!r}")
 
 
 def as_unit_fraction(value: "float | str | Fraction", what: str = "fraction") -> Fraction:
-    """Coerce an inclusion fraction to an exact rational in [0, 1].
-
-    Strings are parsed as exact decimals ("0.1" -> 1/10).  Floats go
-    through their shortest round-trip decimal representation, so 0.1
-    also means exactly 1/10 rather than the underlying binary value.
-    """
-    if isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, str):
-        try:
-            frac = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"{what} must be a decimal string, got {value!r}") from exc
-    elif isinstance(value, int):
-        frac = Fraction(value)
-    elif isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise InvalidInputError(f"{what} must be finite, got {value!r}")
-        frac = Fraction(repr(value))
-    else:
-        raise InvalidInputError(f"{what} must be a number or decimal string, got {value!r}")
+    """Coerce an inclusion fraction to an exact rational in [0, 1] (see ``as_exact``)."""
+    frac = as_exact(value, what)
     if not (0 <= frac <= 1):
         raise InvalidInputError(f"{what} must lie in [0, 1], got {frac}")
     return frac

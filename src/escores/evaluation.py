@@ -2,12 +2,14 @@
 
 The instance-level accounting is defined by object-level operations
 (``instance_metrics``, ``worst_case_distortion``) over one prompt's
-scored and labeled responses.  ``evaluate_split`` applies the same
-arithmetic to a whole calibration/test split at once with flat numpy
-arrays so that hundred-split sweeps stay fast.  Its scores come from
-``scoring.kind_scores``, the code the per-response scores call too; its
-filtering and metrics mirror the scalar formulas operation for
-operation and are held to them by tests.
+scored and labeled responses.  ``evaluate_split`` does the same for a
+whole calibration/test split at once with flat numpy arrays, so that
+hundred-split sweeps stay fast.  Its scores come from
+``scoring.kind_scores``, the code the per-response scores call too.  It
+sorts each test prompt's responses once by (score, position); a
+filtering strategy then only picks how many of them each prompt keeps,
+and every metric follows from that count.  Tests hold it to the exact
+rational oracles.
 
 Size distortion for an instance is the error indicator divided by the
 tolerance actually used, under extended-real division (no error at zero
@@ -43,6 +45,7 @@ from .core import (
     LabeledResponseSet,
     Response,
     ScoredResponseSet,
+    as_exact,
     as_ext_real,
     ext_div,
     ext_recip,
@@ -55,7 +58,7 @@ from .estimation import (
     masked_f_star,
     transform_values,
 )
-from .filtering import FilterOutcome
+from .filtering import FilterOutcome, inclusion_target
 from .response_sets import IDENTITY_POLICY, PermutationPolicy, build_permutation_set, label_response_set
 from .scoring import ScoreFamily, ScoreKind, kind_scores, uniform_block
 
@@ -211,22 +214,11 @@ class Parameter:
 
     @classmethod
     def of(cls, value: "float | str | int | Fraction") -> "Parameter":
+        """Exact value by ``core.as_exact``; the label is the value as written."""
         if isinstance(value, Parameter):
             return value
-        if isinstance(value, str):
-            try:
-                return cls(value.strip(), Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidInputError(f"not a decimal parameter: {value!r}") from exc
-        if isinstance(value, Fraction):
-            return cls(str(value), value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return cls(str(value), Fraction(value))
-        if isinstance(value, float):
-            if math.isnan(value) or math.isinf(value):
-                raise InvalidInputError(f"parameter must be finite, got {value!r}")
-            return cls(repr(value), Fraction(repr(value)))
-        raise InvalidInputError(f"cannot interpret parameter {value!r}")
+        exact = as_exact(value, "parameter")
+        return cls(value.strip() if isinstance(value, str) else str(value), exact)
 
 
 @dataclass(frozen=True)
@@ -447,91 +439,63 @@ def evaluate_split(
     # flat view of every test response, grouped by test prompt
     counts_t = prep.counts[test_idx]
     starts = np.cumsum(counts_t) - counts_t
-    within = np.arange(int(counts_t.sum())) - np.repeat(starts, counts_t)
+    n_test = int(test_idx.size)
+    prompt_of = np.repeat(np.arange(n_test), counts_t)
     correct_t = prep.labels_flat[prep.gather(test_idx)].astype(bool)
     ct = prep.correct_totals[test_idx].astype(np.float64)
-    n_test = int(test_idx.size)
+    sizes, size_of = np.unique(counts_t, return_inverse=True)
 
     rows: list[ReportRow] = []
     wc: list[tuple[str, float]] = []
     for kind in kinds:
         scores = scores_of[kind.name]
 
-        incorrect_scores = np.where(correct_t, np.inf, scores)
-        m0 = np.minimum.reduceat(incorrect_scores, starts)
         with np.errstate(divide="ignore"):
-            wc_values = 1.0 / m0
+            wc_values = 1.0 / np.minimum.reduceat(np.where(correct_t, np.inf, scores), starts)
         wc.append((kind.name, float(np.mean(wc_values))))
 
+        # Each prompt's responses by (score, position), as lexsort is
+        # stable; a strategy only picks how many leading ones each prompt
+        # keeps.  With a leading 0, cum[ends] - cum[starts] counts them.
+        order = np.lexsort((scores, prompt_of))
+        sorted_scores = scores[order]
+        sorted_correct = correct_t[order]
+        incorrect_cum = np.concatenate(([0], np.cumsum(~sorted_correct)))
+        correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
         for grid in strategy_grids:
-            if grid.strategy is Strategy.ALPHA_MAX:
-                for param in grid.parameters:
-                    alpha = float(param.value)
-                    incl = scores <= alpha
-                    ni = np.add.reduceat(incl.astype(np.int64), starts)
-                    cc = np.add.reduceat((incl & correct_t).astype(np.int64), starts)
-                    masked = np.where(incl, scores, -np.inf)
-                    alpha_used = np.where(ni > 0, np.maximum.reduceat(masked, starts), 0.0)
-                    err = m0 <= alpha
-                    with np.errstate(divide="ignore"):
-                        sd = np.where(err, 1.0 / alpha_used, 0.0)
-                    precision = np.where(ni > 0, cc / np.maximum(ni, 1), 1.0)
-                    recall = np.where(ct > 0, cc / np.maximum(ct, 1.0), 1.0)
-                    rows.append(
-                        _split_row(kind, grid, param, sd, err, alpha_used, precision, recall, n_test, n)
+            for param in grid.parameters:
+                if grid.strategy is Strategy.ALPHA_MAX:
+                    # ties at alpha sit together, so the kept ones are a prefix
+                    kept = np.add.reduceat(
+                        (sorted_scores <= float(param.value)).astype(np.int64), starts
                     )
-            else:
-                order = np.lexsort((within, scores, np.repeat(np.arange(n_test), counts_t)))
-                ss = scores[order]
-                sl = correct_t[order]
-                inc_cum = np.cumsum(~sl)
-                cor_cum = np.cumsum(sl)
-                base_inc = np.where(starts > 0, inc_cum[starts - 1], 0)
-                base_cor = np.where(starts > 0, cor_cum[starts - 1], 0)
-                for param in grid.parameters:
-                    lam = param.value
-                    target = (lam.numerator * counts_t + lam.denominator - 1) // lam.denominator
-                    has = target > 0
-                    idx = starts + np.maximum(target, 1) - 1
-                    alpha_used = np.where(has, ss[idx], 0.0)
-                    err = np.where(has, (inc_cum[idx] - base_inc) > 0, False)
-                    cc = np.where(has, cor_cum[idx] - base_cor, 0)
-                    with np.errstate(divide="ignore"):
-                        sd = np.where(err, 1.0 / alpha_used, 0.0)
-                    precision = np.where(has, cc / np.maximum(target, 1), 1.0)
-                    recall = np.where(ct > 0, cc / np.maximum(ct, 1.0), 1.0)
-                    rows.append(
-                        _split_row(kind, grid, param, sd, err, alpha_used, precision, recall, n_test, n)
+                else:
+                    kept = np.asarray([inclusion_target(param.value, int(k)) for k in sizes])[size_of]
+                ends = starts + kept
+                alpha_used = np.where(kept > 0, sorted_scores[ends - 1], 0.0)
+                err = incorrect_cum[ends] > incorrect_cum[starts]
+                cc = correct_cum[ends] - correct_cum[starts]
+                with np.errstate(divide="ignore"):
+                    sd = np.where(err, 1.0 / alpha_used, 0.0)
+                precision = np.where(kept > 0, cc / np.maximum(kept, 1), 1.0)
+                recall = np.where(ct > 0, cc / np.maximum(ct, 1.0), 1.0)
+                rows.append(
+                    ReportRow(
+                        score_kind=kind.name,
+                        strategy=grid.strategy.value,
+                        parameter=param.label,
+                        mean_size_distortion=float(np.mean(sd)),
+                        mean_error=float(np.mean(err)),
+                        mean_alpha=float(np.mean(alpha_used)),
+                        mean_precision=float(np.mean(precision)),
+                        mean_recall=float(np.mean(recall)),
+                        n_test=n_test,
+                        n_cal=n,
+                        n_splits=1,
                     )
+                )
 
     return SplitResult(rows=tuple(rows), worst_case=tuple(wc), n_test=n_test, n_cal=n)
-
-
-def _split_row(
-    kind: ScoreKind,
-    grid: StrategyGrid,
-    param: Parameter,
-    sd: np.ndarray,
-    err: np.ndarray,
-    alpha_used: np.ndarray,
-    precision: np.ndarray,
-    recall: np.ndarray,
-    n_test: int,
-    n_cal: int,
-) -> ReportRow:
-    return ReportRow(
-        score_kind=kind.name,
-        strategy=grid.strategy.value,
-        parameter=param.label,
-        mean_size_distortion=float(np.mean(sd)),
-        mean_error=float(np.mean(err)),
-        mean_alpha=float(np.mean(alpha_used)),
-        mean_precision=float(np.mean(precision)),
-        mean_recall=float(np.mean(recall)),
-        n_test=n_test,
-        n_cal=n_cal,
-        n_splits=1,
-    )
 
 
 def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:

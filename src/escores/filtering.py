@@ -14,12 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    InvalidInputError,
-    ScoredResponseSet,
-    as_tolerance,
-    as_unit_fraction,
-)
+from .core import InvalidInputError, ScoredResponseSet, as_ext_real, as_unit_fraction
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,7 @@ class FilterOutcome:
     excluded: ScoredResponseSet
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_used", as_tolerance(self.alpha_used, "alpha_used"))
+        object.__setattr__(self, "alpha_used", as_ext_real(self.alpha_used, "alpha_used"))
         for _, score in self.included:
             if score > self.alpha_used:
                 raise InvalidInputError(
@@ -41,7 +36,7 @@ class FilterOutcome:
 
 def filter_at_alpha(scored: ScoredResponseSet, alpha: float) -> FilterOutcome:
     """Keep exactly the responses scoring <= alpha, in stable order."""
-    alpha = as_tolerance(alpha, "alpha")
+    alpha = as_ext_real(alpha, "alpha")
     included = tuple(entry for entry in scored if entry[1] <= alpha)
     excluded = tuple(entry for entry in scored if entry[1] > alpha)
     return FilterOutcome(
@@ -60,7 +55,7 @@ def max_constrained_alpha(scored: ScoredResponseSet, alpha_max: float) -> Filter
     nothing.  Budgets outside [0, 1] are unusual enough to warn about,
     yet allowed so that parameter sweeps can run unattended.
     """
-    alpha_max = as_tolerance(alpha_max, "alpha_max")
+    alpha_max = as_ext_real(alpha_max, "alpha_max")
     if alpha_max > 1.0:
         warnings.warn(
             f"alpha_max={alpha_max!r} lies outside [0, 1]; proceeding anyway",
@@ -74,6 +69,11 @@ def max_constrained_alpha(scored: ScoredResponseSet, alpha_max: float) -> Filter
             excluded=ScoredResponseSet(tuple(scored)),
         )
     return filter_at_alpha(scored, max(eligible))
+
+
+def inclusion_target(fraction: Fraction, size: int) -> int:
+    """ceil(fraction * size), the count the fractional strategy keeps, in exact integers."""
+    return -(-fraction.numerator * size // fraction.denominator)
 
 
 def fractional_inclusion_alpha(
@@ -92,8 +92,7 @@ def fractional_inclusion_alpha(
     size = len(scored)
     if size == 0:
         raise InvalidInputError("cannot filter an empty scored set")
-    scaled = fraction * size
-    target = -(-scaled.numerator // scaled.denominator)  # exact ceiling
+    target = inclusion_target(fraction, size)
     order = sorted(range(size), key=lambda i: (scored.entries[i][1], i))
     chosen = set(order[:target])
     included = tuple(entry for i, entry in enumerate(scored.entries) if i in chosen)

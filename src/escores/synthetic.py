@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, ext_div, ext_sum
+from .core import InvalidInputError, as_ext_real
 from .estimation import EstimateSource, FTransform, PromptInstance, masked_f_star, transform_values
 from .response_sets import GeneratedResponse
 
@@ -108,6 +108,16 @@ def generate_dataset(cfg: SyntheticConfig) -> tuple[PromptInstance, ...]:
     return tuple(instances)
 
 
+def _evariable_rows(groups: np.ndarray) -> np.ndarray:
+    """``evariable_statistic`` of each row of a (groups x m) array, without copying it."""
+    m = groups.shape[1]
+    totals = groups.sum(axis=1)
+    last = groups[:, -1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        raw = np.where(totals == 0.0, 0.0, (m * last) / totals)
+    return np.where(np.isinf(last), float(m), raw)
+
+
 def evariable_statistic(per_prompt_maxima: Sequence[float]) -> float:
     """m * last / sum for a group of per-prompt maxima, extended-real safe.
 
@@ -115,13 +125,10 @@ def evariable_statistic(per_prompt_maxima: Sequence[float]) -> float:
     an infinite last entry yields the limit value m (the sum is then
     infinite as well, and m*f/(f + c) tends to m as f grows).
     """
-    values = tuple(per_prompt_maxima)
+    values = [as_ext_real(v, "per-prompt maximum") for v in per_prompt_maxima]
     if not values:
         raise InvalidInputError("the statistic needs at least one value")
-    total = ext_sum(values)
-    if math.isinf(values[-1]):
-        return float(len(values))
-    return ext_div(len(values) * values[-1], total)
+    return float(_evariable_rows(np.asarray([values]))[0])
 
 
 @dataclass(frozen=True)
@@ -164,13 +171,7 @@ def mc_evariable_check(
     )
     fstar = masked_f_star(values, is_incorrect_prefix)
 
-    groups = fstar.reshape(n_trials, cfg.n_prompts)
-    totals = groups.sum(axis=1)
-    last = groups[:, -1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        raw = (cfg.n_prompts * last) / totals
-    raw = np.where(totals == 0.0, 0.0, raw)
-    stats = np.where(np.isinf(last), float(cfg.n_prompts), raw)
+    stats = _evariable_rows(fstar.reshape(n_trials, cfg.n_prompts))
     mean = float(np.mean(stats))
     std_error = float(np.std(stats, ddof=1) / math.sqrt(n_trials))
     return MCEstimate(mean=mean, std_error=std_error, n_trials=n_trials)

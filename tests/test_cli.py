@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -153,6 +154,33 @@ def test_score_warns_on_prompt_ids_shared_with_calibration(
     code, disjoint_out, err = run(capsys, *argv, str(calibration))
     assert code == EXIT_OK and err == ""
     assert out == disjoint_out
+
+
+def test_score_warns_on_infinite_calibration_maxima(
+    dataset: Path, tmp_path: Path, capsys
+) -> None:
+    # c-1's incorrect first prefix has estimate exactly 1: f* = +inf under transforms 2, 3
+    cal = write_dataset(
+        [make_instance("c-1", [1.0, 0.5], first_error_index=1), make_instance("c-2", [0.9])],
+        tmp_path / "cal-inf.jsonl",
+    )
+    argv = ("score", str(dataset), "--calibration", str(cal), "--jsonl", "--scores")
+    code, out, err = run(capsys, *argv, "e1,e2,e-combined")
+    assert code == EXIT_OK
+    assert err == (
+        "warning: 1 calibration prompt(s) have an incorrect response with estimate 1, "
+        "so their maxima under transforms 2 and 3 are infinite; every e2 and e3 score "
+        "of a test response with estimate below 1 is then +inf, and e-combined reduces "
+        "to 3 x e1\n"
+    )
+    for record in map(json.loads, out.splitlines()):
+        scores = record["scores"]
+        assert all(e2 == math.inf for e2 in scores["e2"])
+        assert scores["e-combined"] == pytest.approx([3 * e1 for e1 in scores["e1"]], rel=1e-12)
+
+    # kinds that never read transforms 2 or 3 have nothing to warn about
+    code, _, err = run(capsys, *argv, "p,naive1")
+    assert code == EXIT_OK and err == ""
 
 
 def test_score_rejects_duplicate_kinds(dataset: Path, capsys) -> None:

@@ -94,6 +94,8 @@ def test_scalar_validators() -> None:
         as_unit_fraction("7/5")
     with pytest.raises(InvalidInputError):
         as_unit_fraction(float("inf"))
+    with pytest.raises(InvalidInputError):
+        as_unit_fraction(True)
 
 
 def test_prompt_and_subresponse_validation() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import warnings
@@ -439,6 +440,20 @@ def test_engine_matches_composition_under_permutation_policy() -> None:
         assert row.mean_error == pytest.approx(expected["err"], rel=1e-9, abs=1e-12)
 
 
+def test_fraction_targets_near_one_are_exact() -> None:
+    # lambda * k overflows int64 for these numerators; ceil(lambda * k) = k regardless
+    instances = [
+        make_instance(f"p-{i}", [0.9, 0.5, 0.8, 0.25][: 3 + i % 2], first_error_index=i % 3 or None)
+        for i in range(6)
+    ]
+    prep = PreparedDataset(instances, PermutationPolicy(PermutationMode.ALL_PERMUTATIONS))
+    split = SplitAssignment(calibration=(0, 1, 2), test=(3, 4, 5))
+    for near_one in ("0.999999999999999999", "0.9999999999999999999"):
+        grid = StrategyGrid(Strategy.FRACTION, (Parameter.of(near_one), Parameter.of(1)))
+        near, one = evaluate_split(prep, split, (ScoreKind.parse("e-combined"),), (grid,)).rows
+        assert dataclasses.replace(near, parameter="1") == one
+
+
 def test_prepared_dataset_rejects_duplicates_and_empty() -> None:
     with pytest.raises(InvalidInputError):
         PreparedDataset([])
@@ -499,9 +514,8 @@ def test_evaluate_split_matches_oracle_composition(inputs, fractions, split_inde
     split = SplitAssignment(
         calibration=tuple(range(n_test, len(instances))), test=tuple(range(n_test))
     )
-    fraction_grid = StrategyGrid(
-        Strategy.FRACTION, tuple(Parameter.of(v) for v in sorted({Fraction(0), Fraction(1), *fractions}))
-    )
+    lambdas = sorted({Fraction(0), Fraction(1), *fractions})
+    fraction_grid = StrategyGrid(Strategy.FRACTION, tuple(Parameter.of(v) for v in lambdas))
     metrics = ("size_distortion", "error", "alpha", "precision", "recall")
     for mode, (policy, enumerate_set) in POLICIES.items():
         prep = PreparedDataset(instances, policy)
