@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import tempfile
@@ -487,3 +489,77 @@ def test_score_matches_oracle_composition(inputs) -> None:
                 for j, o in enumerate(estimates):
                     for kind, value in oracle_scores(o, fstars, float(u[j])).items():
                         assert oracles.matches(got["scores"][kind][j], value), (mode, kind, j)
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: seeded CLI runs pinned byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _golden_instances(prefix: str, n_prompts: int, rnd: random.Random) -> list:
+    """Prompts of 1-4 steps, with repeated and zero conditionals among random ones.
+
+    No conditional is 1: an incorrect response with estimate 1 has naive2
+    and naive3 score 0, so some split's worst-case mean is infinite, and
+    ``aggregate_splits`` then prints its quartiles as nan.  That fault is
+    not what this test pins.
+    """
+    instances = []
+    for i in range(n_prompts):
+        k = rnd.randint(1, 4)
+        conditionals = [
+            rnd.choice([0.0, 0.5, 0.5, round(rnd.uniform(0.01, 0.99), 3)]) for _ in range(k)
+        ]
+        first_error = rnd.choice([None, None, *range(1, k + 1)])
+        instances.append(make_instance(f"{prefix}-{i}", conditionals, first_error))
+    return instances
+
+
+# sha256 of stdout (temporary paths replaced by TMP), of each CSV and of
+# each SVG directory; only output printed at six significant digits is pinned
+GOLDEN = {
+    "alpha-max.out": "03363fb215ff3fb3dc68cd64078177df65120a6f34aadcc72087b7ade11f984d",
+    "fraction.out": "06bf024a0382f6fd3aa2bfab94410129e898666ee596ef2c094cdfa986ed8610",
+    "permutations.out": "dfcfa31054107c91a70b07a277d56edc1160dc3d795d3d52e8c1eccee54e6635",
+    "score.out": "571bdcac7bf7b88c9c0907cc1e53d0809da19fefe953ddd7146ccaf8edd5bdfa",
+    "alpha-max.csv": "0e7580a19183571275590c61c27e8482d4e06acd79f7cf43eff7e6d51f2adfbd",
+    "fraction.csv": "7dc248360d5014d40f606c99315e5a77567cd47c6aa03c0d87df264a3b270616",
+    "permutations.csv": "84a4244198ebda738f33adf8ee123457fdbbe399524027fcc8e5b43f39e398b3",
+    "svg-alpha-max": "444c9c590126b4e570a333f0a01e8262adabdd3d6eda8e2ad879a0a3d30a2023",
+    "svg-fraction": "df1c6850dcfd0b69228d456853414ee6e152f59417b9b9e67a14aaf17073424b",
+}
+
+
+def test_cli_outputs_match_golden_hashes(tmp_path: Path, capsys) -> None:
+    rnd = random.Random(20261018)
+    data = write_dataset(_golden_instances("g", 60, rnd), tmp_path / "data.jsonl")
+    cal = write_dataset(_golden_instances("c", 40, rnd), tmp_path / "cal.jsonl")
+    evaluate = ("evaluate", str(data), "--seed", "3", "--csv")
+    commands = {
+        "alpha-max": (
+            *evaluate, str(tmp_path / "alpha-max.csv"), "--scores", "all",
+            "--grid", "0:1:0.05", "--splits", "3", "--svg-dir", str(tmp_path / "svg-alpha-max"),
+        ),
+        "fraction": (
+            *evaluate, str(tmp_path / "fraction.csv"), "--scores", "all", "--strategy",
+            "fraction", "--grid", "0:1:0.1", "--splits", "3", "--svg-dir",
+            str(tmp_path / "svg-fraction"),
+        ),
+        "permutations": (
+            *evaluate, str(tmp_path / "permutations.csv"), "--permutations", "all",
+            "--scores", "e-combined,p", "--strategy", "fraction", "--grid", "0:1:0.1",
+            "--splits", "2",
+        ),
+        "score": ("score", str(data), "--calibration", str(cal), "--scores", "all", "--seed", "3"),
+    }
+    got = {}
+    for name, argv in commands.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK, name
+        got[f"{name}.out"] = out.replace(str(tmp_path), "TMP")
+    for path in sorted(tmp_path.glob("*.csv")):
+        got[path.name] = path.read_text(encoding="utf-8")
+    for svg_dir in sorted(tmp_path.glob("svg-*")):  # each directory's files, concatenated by name
+        got[svg_dir.name] = "".join(p.read_text(encoding="utf-8") for p in sorted(svg_dir.iterdir()))
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in got.items()}
+    assert digests == GOLDEN
