@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -146,22 +147,20 @@ def _cmd_score(args: argparse.Namespace) -> int:
     del test_instances  # only the prepared arrays are used below; keeps peak memory down
     shared = sorted(set(test.prompt_ids).intersection(cal.prompt_ids))
     if shared:
-        print(
-            f"warning: {len(shared)} prompt id(s) in both the test and the calibration "
+        warnings.warn(
+            f"{len(shared)} prompt id(s) in both the test and the calibration "
             f"file (first {shared[0]!r}); this breaks the exchangeability that the "
-            "scores' guarantee assumes",
-            file=sys.stderr,
+            "scores' guarantee assumes"
         )
 
     # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
     infinite = int(np.count_nonzero(np.isinf(cal.fstar[FTransform.INVERSE_COMPLEMENT])))
     if infinite and {"e2", "e3", "e-combined"}.intersection(kind.name for kind in kinds):
-        print(
-            f"warning: {infinite} calibration prompt(s) have an incorrect response with "
+        warnings.warn(
+            f"{infinite} calibration prompt(s) have an incorrect response with "
             "estimate 1, so their maxima under transforms 2 and 3 are infinite; every "
             "e2 and e3 score of a test response with estimate below 1 is then +inf, "
-            "and e-combined reduces to 3 x e1",
-            file=sys.stderr,
+            "and e-combined reduces to 3 x e1"
         )
 
     scores = score_prompts(
@@ -216,12 +215,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
     plan = SplitPlan(seed=args.seed, n_splits=args.splits, test_fraction=args.test_fraction)
     report = evaluate_dataset(
-        parse_dataset(args.path, args.schema),
-        kinds,
-        (grid,),
-        plan,
-        permutation_policy=policy,
-        master_seed=args.seed,
+        PreparedDataset(parse_dataset(args.path, args.schema), policy), kinds, (grid,), plan
     )
     _print_report(report)
     if args.csv:
@@ -438,8 +432,14 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
     except SystemExit as exc:  # argparse reports usage problems itself
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
+    def show(message, category, filename, lineno, file=None, line=None) -> None:
+        print(f"warning: {message}", file=sys.stderr)
+
+    # every warning the filters let through prints as one line, at once
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = show
+            return args.handler(args)
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,23 +1,24 @@
 """Split-based evaluation: size distortion, precision/recall, equivalences.
 
-The instance-level accounting is defined by object-level operations
-(``instance_metrics``, ``worst_case_distortion``) over one prompt's
-scored and labeled responses.  ``evaluate_split`` does the same for a
-whole calibration/test split at once with flat numpy arrays, so that
-hundred-split sweeps stay fast.  Its scores come from
-``scoring.kind_scores``, the code the per-response scores call too.  It
-sorts each test prompt's responses once by (score, position); a
-filtering strategy then only picks how many of them each prompt keeps,
-and every metric follows from that count.  Tests hold it to the exact
-rational oracles.
+``evaluate_split`` scores a whole calibration/test split at once with
+flat numpy arrays, so that hundred-split sweeps stay fast.  Its scores
+come from ``scoring.kind_scores``, the code the per-response scores call
+too.  The instance accounting is written once, in ``sweep`` and
+``worst_cases``, and ``evaluate_split`` only averages what they return
+over test prompts.  ``sweep`` sorts each prompt's responses once by
+(score, position); a filtering strategy then only picks how many of them
+each prompt keeps, and every metric follows from that count.  Tests hold
+both to the exact rational oracles.
 
 Size distortion for an instance is the error indicator divided by the
 tolerance actually used, under extended-real division (no error at zero
 tolerance costs nothing; an error at zero tolerance is an infinite
-violation).  The worst-case distortion of a score kind on an instance
-is the reciprocal of the smallest score among its incorrect responses:
-the distortion an adversary could realize by tuning the tolerance, and
-0 when the instance has no incorrect response.
+violation).  Precision is the correct share of what was kept (1 for an
+empty selection); recall is the kept share of what was correct (1 when
+nothing was correct to begin with).  The worst-case distortion of a
+score kind on an instance is the reciprocal of the smallest score among
+its incorrect responses: the distortion an adversary could realize by
+tuning the tolerance, and 0 when the instance has no incorrect response.
 
 ``threshold_equivalence_check`` verifies, in exact rational arithmetic,
 that filtering by p-score at level alpha keeps precisely the responses
@@ -33,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,13 +43,9 @@ from .core import (
     ConfigurationError,
     InvalidInputError,
     InvalidSplitError,
-    LabeledResponseSet,
     Response,
-    ScoredResponseSet,
     as_exact,
     as_ext_real,
-    ext_div,
-    ext_recip,
 )
 from .estimation import (
     FTransform,
@@ -58,78 +55,13 @@ from .estimation import (
     masked_f_star,
     transform_values,
 )
-from .filtering import FilterOutcome, inclusion_target
+from .filtering import inclusion_target
 from .response_sets import IDENTITY_POLICY, PermutationPolicy, build_permutation_set, label_response_set
 from .scoring import ScoreFamily, ScoreKind, kind_scores, uniform_block
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
 from .estimation import calibration_f_star, transform_estimate  # noqa: F401
-
-
-# ---------------------------------------------------------------------------
-# instance-level accounting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InstanceResult:
-    """Per-instance outcome of one score kind under one filtering choice."""
-
-    error: int
-    alpha_used: float
-    size_distortion: float
-    worst_case_distortion: float
-    precision: float
-    recall: float
-
-
-def worst_case_distortion(labeled: LabeledResponseSet, scores: ScoredResponseSet) -> float:
-    """Reciprocal of the smallest incorrect-response score; 0 when none."""
-    score_of = dict(scores.entries)
-    for resp in labeled.responses:
-        if resp not in score_of:
-            raise InvalidInputError(f"no score supplied for response {resp.indices}")
-    if set(score_of) != set(labeled.responses):
-        raise InvalidInputError("scored set and labeled set cover different responses")
-    incorrect = labeled.incorrect_responses()
-    if not incorrect:
-        return 0.0
-    return ext_recip(min(score_of[resp] for resp in incorrect))
-
-
-def instance_metrics(
-    labeled: LabeledResponseSet,
-    outcome: FilterOutcome,
-    full_scores: ScoredResponseSet,
-) -> InstanceResult:
-    """Error, distortion, precision, and recall for one filtered instance.
-
-    Precision is the correct share of what was kept (1 for an empty
-    selection); recall is the kept share of what was correct (1 when
-    nothing was correct to begin with).
-    """
-    label_of = dict(labeled.entries)
-    if set(label_of) != set(full_scores.responses):
-        raise InvalidInputError("labeled set and scored set cover different responses")
-    outcome_responses = set(outcome.included.responses) | set(outcome.excluded.responses)
-    if outcome_responses != set(label_of) or len(outcome.included) + len(outcome.excluded) != len(
-        full_scores
-    ):
-        raise InvalidInputError("filter outcome does not partition the scored set")
-
-    error = 1 if any(label_of[resp] == 0 for resp, _ in outcome.included) else 0
-    included_count = len(outcome.included)
-    correct_included = sum(label_of[resp] for resp, _ in outcome.included)
-    total_correct = labeled.correct_count()
-    return InstanceResult(
-        error=error,
-        alpha_used=outcome.alpha_used,
-        size_distortion=ext_div(float(error), outcome.alpha_used),
-        worst_case_distortion=worst_case_distortion(labeled, full_scores),
-        precision=(correct_included / included_count) if included_count else 1.0,
-        recall=(correct_included / total_correct) if total_correct else 1.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +278,6 @@ class PreparedDataset:
         self.f_flat = {t: transform_values(self.estimates_flat, t) for t in FTransform}
         incorrect = self.labels_flat == 0
         self.fstar = {t: masked_f_star(self.f_flat[t], incorrect, starts) for t in FTransform}
-        self.correct_totals = np.add.reduceat(self.labels_flat, starts, dtype=np.int64)
 
     def gather(self, prompts: np.ndarray) -> np.ndarray:
         """Flat indices of the responses of ``prompts``, prompt after prompt."""
@@ -399,6 +330,64 @@ def score_prompts(
     return {kind.name: kind_scores(kind, values, summaries, sorted_cal, u) for kind in kinds}
 
 
+def worst_cases(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per prompt, 1 over its smallest incorrect score, or 0 when it has none.
+
+    ``scores`` and ``correct`` (bool) hold every response, prompt after
+    prompt; prompt i owns the next ``counts[i]`` of them.
+    """
+    starts = np.cumsum(counts) - counts
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.minimum.reduceat(np.where(correct, np.inf, scores), starts)
+
+
+def sweep(
+    scores: np.ndarray,
+    correct: np.ndarray,
+    counts: np.ndarray,
+    strategy_grids: Sequence[StrategyGrid],
+) -> Iterator[tuple[StrategyGrid, Parameter, tuple[np.ndarray, ...]]]:
+    """Filter every prompt at every grid point, one point at a time.
+
+    Takes the flat layout of ``worst_cases``.  Yields ``(grid, parameter,
+    (size_distortion, error, alpha_used, precision, recall))``, each an
+    array with one entry per prompt.  Alpha-max keeps the responses
+    scoring at most the parameter and charges the largest of them;
+    fraction keeps the ceil(parameter * size) lowest by (score,
+    position) and charges the largest kept score; keeping nothing
+    charges 0.
+    """
+    starts = np.cumsum(counts) - counts
+    # Each prompt's responses by (score, position), as lexsort is stable;
+    # a strategy only picks how many leading ones each prompt keeps.
+    # With a leading 0, cum[ends] - cum[starts] counts them.
+    order = np.lexsort((scores, np.repeat(np.arange(counts.size), counts)))
+    sorted_scores = scores[order]
+    sorted_correct = correct[order]
+    incorrect_cum = np.concatenate(([0], np.cumsum(~sorted_correct)))
+    correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
+    correct_total = correct_cum[starts + counts] - correct_cum[starts]
+    sizes, size_of = np.unique(counts, return_inverse=True)
+    for grid in strategy_grids:
+        for param in grid.parameters:
+            if grid.strategy is Strategy.ALPHA_MAX:
+                # ties at alpha sit together, so the kept ones are a prefix
+                kept = np.add.reduceat(
+                    (sorted_scores <= float(param.value)).astype(np.int64), starts
+                )
+            else:
+                kept = np.asarray([inclusion_target(param.value, int(k)) for k in sizes])[size_of]
+            ends = starts + kept
+            alpha_used = np.where(kept > 0, sorted_scores[ends - 1], 0.0)
+            error = incorrect_cum[ends] > incorrect_cum[starts]
+            correct_kept = correct_cum[ends] - correct_cum[starts]
+            with np.errstate(divide="ignore"):
+                size_distortion = np.where(error, 1.0 / alpha_used, 0.0)
+            precision = np.where(kept > 0, correct_kept / np.maximum(kept, 1), 1.0)
+            recall = np.where(correct_total > 0, correct_kept / np.maximum(correct_total, 1), 1.0)
+            yield grid, param, (size_distortion, error, alpha_used, precision, recall)
+
+
 def evaluate_split(
     dataset: "PreparedDataset | Sequence[PromptInstance]",
     split: SplitAssignment,
@@ -411,10 +400,10 @@ def evaluate_split(
     """Score and filter every test prompt against the calibration half.
 
     Builds one calibration summary per needed transform, scores each
-    test prompt's full response set under every requested kind, applies
-    every strategy grid point, and averages the instance metrics over
-    test prompts.  Also reports the per-kind mean worst-case distortion,
-    which needs no strategy at all.
+    test prompt's full response set under every requested kind, and
+    averages the instance metrics of ``sweep`` at every strategy grid
+    point over test prompts.  Also reports the per-kind mean of
+    ``worst_cases``, which needs no strategy at all.
     """
     prep = dataset if isinstance(dataset, PreparedDataset) else PreparedDataset(dataset)
     kinds = tuple(kinds)
@@ -436,64 +425,19 @@ def evaluate_split(
         prep, test_idx, kinds, cal_fstar, master_seed=master_seed, split_index=split_index
     )
 
-    # flat view of every test response, grouped by test prompt
-    counts_t = prep.counts[test_idx]
-    starts = np.cumsum(counts_t) - counts_t
+    counts = prep.counts[test_idx]
+    correct = prep.labels_flat[prep.gather(test_idx)].astype(bool)
     n_test = int(test_idx.size)
-    prompt_of = np.repeat(np.arange(n_test), counts_t)
-    correct_t = prep.labels_flat[prep.gather(test_idx)].astype(bool)
-    ct = prep.correct_totals[test_idx].astype(np.float64)
-    sizes, size_of = np.unique(counts_t, return_inverse=True)
-
     rows: list[ReportRow] = []
     wc: list[tuple[str, float]] = []
     for kind in kinds:
         scores = scores_of[kind.name]
-
-        with np.errstate(divide="ignore"):
-            wc_values = 1.0 / np.minimum.reduceat(np.where(correct_t, np.inf, scores), starts)
-        wc.append((kind.name, float(np.mean(wc_values))))
-
-        # Each prompt's responses by (score, position), as lexsort is
-        # stable; a strategy only picks how many leading ones each prompt
-        # keeps.  With a leading 0, cum[ends] - cum[starts] counts them.
-        order = np.lexsort((scores, prompt_of))
-        sorted_scores = scores[order]
-        sorted_correct = correct_t[order]
-        incorrect_cum = np.concatenate(([0], np.cumsum(~sorted_correct)))
-        correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
-        for grid in strategy_grids:
-            for param in grid.parameters:
-                if grid.strategy is Strategy.ALPHA_MAX:
-                    # ties at alpha sit together, so the kept ones are a prefix
-                    kept = np.add.reduceat(
-                        (sorted_scores <= float(param.value)).astype(np.int64), starts
-                    )
-                else:
-                    kept = np.asarray([inclusion_target(param.value, int(k)) for k in sizes])[size_of]
-                ends = starts + kept
-                alpha_used = np.where(kept > 0, sorted_scores[ends - 1], 0.0)
-                err = incorrect_cum[ends] > incorrect_cum[starts]
-                cc = correct_cum[ends] - correct_cum[starts]
-                with np.errstate(divide="ignore"):
-                    sd = np.where(err, 1.0 / alpha_used, 0.0)
-                precision = np.where(kept > 0, cc / np.maximum(kept, 1), 1.0)
-                recall = np.where(ct > 0, cc / np.maximum(ct, 1.0), 1.0)
-                rows.append(
-                    ReportRow(
-                        score_kind=kind.name,
-                        strategy=grid.strategy.value,
-                        parameter=param.label,
-                        mean_size_distortion=float(np.mean(sd)),
-                        mean_error=float(np.mean(err)),
-                        mean_alpha=float(np.mean(alpha_used)),
-                        mean_precision=float(np.mean(precision)),
-                        mean_recall=float(np.mean(recall)),
-                        n_test=n_test,
-                        n_cal=n,
-                        n_splits=1,
-                    )
-                )
+        wc.append((kind.name, float(np.mean(worst_cases(scores, correct, counts)))))
+        for grid, param, metrics in sweep(scores, correct, counts, strategy_grids):
+            means = (float(np.mean(m)) for m in metrics)  # in ReportRow's field order
+            rows.append(
+                ReportRow(kind.name, grid.strategy.value, param.label, *means, n_test, n, 1)
+            )
 
     return SplitResult(rows=tuple(rows), worst_case=tuple(wc), n_test=n_test, n_cal=n)
 
@@ -553,25 +497,42 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
     return EvaluationReport(rows=tuple(rows), worst_case=tuple(wc_rows), n_splits=n_splits)
 
 
+_FLOORED_FAMILIES = (ScoreFamily.E_SCORE, ScoreFamily.E_SCORE_COMBINED, ScoreFamily.P_SCORE)
+
+
 def evaluate_dataset(
     dataset: "PreparedDataset | Sequence[PromptInstance]",
     kinds: Sequence[ScoreKind],
     strategy_grids: Sequence[StrategyGrid] = (),
     plan: SplitPlan = SplitPlan(),
-    *,
-    permutation_policy: PermutationPolicy | None = None,
-    master_seed: int | None = None,
 ) -> EvaluationReport:
-    """Run every planned split and aggregate; fully determined by the seeds."""
-    prep = (
-        dataset
-        if isinstance(dataset, PreparedDataset)
-        else PreparedDataset(dataset, permutation_policy)
-    )
+    """Run every planned split and aggregate; fully determined by the seeds.
+
+    No e-score or p-score can go below 1/(n_cal + 1), so those kinds keep
+    nothing at an alpha-max grid point under that floor; such points
+    draw one warning.
+    """
+    prep = dataset if isinstance(dataset, PreparedDataset) else PreparedDataset(dataset)
+    kinds = tuple(kinds)
     splits = plan_splits(plan, prep.n_prompts)
-    seed = plan.seed if master_seed is None else master_seed
+    n_cal = len(splits[0].calibration)
+    floored = [kind.name for kind in kinds if kind.family in _FLOORED_FAMILIES]
+    below = [
+        param
+        for grid in strategy_grids
+        if grid.strategy is Strategy.ALPHA_MAX
+        for param in grid.parameters
+        if param.value < Fraction(1, n_cal + 1)
+    ]
+    if floored and below:
+        warnings.warn(
+            f"{len(below)} alpha-max grid point(s) lie below 1/{n_cal + 1}, the smallest "
+            f"score that {', '.join(floored)} can take with {n_cal} calibration prompts; "
+            "these kinds keep nothing there",
+            stacklevel=2,
+        )
     results = [
-        evaluate_split(prep, split, kinds, strategy_grids, master_seed=seed, split_index=i)
+        evaluate_split(prep, split, kinds, strategy_grids, master_seed=plan.seed, split_index=i)
         for i, split in enumerate(splits)
     ]
     return aggregate_splits(results)

@@ -46,6 +46,22 @@ def filter_at_alpha(scored: ScoredResponseSet, alpha: float) -> FilterOutcome:
     )
 
 
+def _keep_lowest(scored: ScoredResponseSet, kept: int) -> FilterOutcome:
+    """Keep the ``kept`` lowest responses by (score, position), in stable order.
+
+    The tolerance charged is the largest kept score, or 0 when none is kept.
+    """
+    order = sorted(range(len(scored)), key=lambda i: (scored.entries[i][1], i))
+    chosen = set(order[:kept])
+    included = tuple(entry for i, entry in enumerate(scored.entries) if i in chosen)
+    excluded = tuple(entry for i, entry in enumerate(scored.entries) if i not in chosen)
+    return FilterOutcome(
+        alpha_used=max((score for _, score in included), default=0.0),
+        included=ScoredResponseSet(included),
+        excluded=ScoredResponseSet(excluded),
+    )
+
+
 def max_constrained_alpha(scored: ScoredResponseSet, alpha_max: float) -> FilterOutcome:
     """Largest realized score within the budget becomes the tolerance.
 
@@ -61,14 +77,7 @@ def max_constrained_alpha(scored: ScoredResponseSet, alpha_max: float) -> Filter
             f"alpha_max={alpha_max!r} lies outside [0, 1]; proceeding anyway",
             stacklevel=2,
         )
-    eligible = [score for _, score in scored if score <= alpha_max]
-    if not eligible:
-        return FilterOutcome(
-            alpha_used=0.0,
-            included=ScoredResponseSet(()),
-            excluded=ScoredResponseSet(tuple(scored)),
-        )
-    return filter_at_alpha(scored, max(eligible))
+    return _keep_lowest(scored, sum(1 for _, score in scored if score <= alpha_max))
 
 
 def inclusion_target(fraction: Fraction, size: int) -> int:
@@ -92,14 +101,4 @@ def fractional_inclusion_alpha(
     size = len(scored)
     if size == 0:
         raise InvalidInputError("cannot filter an empty scored set")
-    target = inclusion_target(fraction, size)
-    order = sorted(range(size), key=lambda i: (scored.entries[i][1], i))
-    chosen = set(order[:target])
-    included = tuple(entry for i, entry in enumerate(scored.entries) if i in chosen)
-    excluded = tuple(entry for i, entry in enumerate(scored.entries) if i not in chosen)
-    alpha_used = max((score for _, score in included), default=0.0)
-    return FilterOutcome(
-        alpha_used=alpha_used,
-        included=ScoredResponseSet(included),
-        excluded=ScoredResponseSet(excluded),
-    )
+    return _keep_lowest(scored, inclusion_target(fraction, size))

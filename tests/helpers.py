@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from escores import (
@@ -9,12 +10,16 @@ from escores import (
     EstimateSource,
     GeneratedResponse,
     LabeledResponseSet,
+    Parameter,
     PermutationMode,
     PermutationPolicy,
     PromptInstance,
     Response,
     ScoredResponseSet,
+    Strategy,
+    StrategyGrid,
 )
+from escores.evaluation import sweep, worst_cases
 
 import oracles
 
@@ -31,6 +36,24 @@ def make_labeled(labels) -> LabeledResponseSet:
     return LabeledResponseSet(
         tuple((Response((i + 1,)), int(lab)) for i, lab in enumerate(labels))
     )
+
+
+def alpha_max_instance(labels, scores, alpha) -> tuple:
+    """``sweep``'s (size distortion, error, alpha_used, precision, recall) of one prompt."""
+    grid = StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of(alpha),))
+    [(_, _, metrics)] = sweep(
+        np.asarray(scores, dtype=np.float64),
+        np.asarray(labels, dtype=bool),
+        np.asarray([len(labels)]),
+        (grid,),
+    )
+    return tuple(m[0].item() for m in metrics)
+
+
+def worst_case(labels, scores) -> float:
+    """``worst_cases`` of one prompt."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return worst_cases(scores, np.asarray(labels, dtype=bool), np.asarray([len(labels)]))[0].item()
 
 
 def make_generated(prompt_id: str, k: int, first_error_index=None) -> GeneratedResponse:

@@ -58,7 +58,6 @@ from escores import (
     filter_at_alpha,
     fractional_inclusion_alpha,
     generate_dataset,
-    instance_metrics,
     label_response_set,
     max_constrained_alpha,
     naive_score,
@@ -70,12 +69,18 @@ from escores import (
     run_equivalence_trials,
     threshold_equivalence_check,
     transform_estimate,
-    worst_case_distortion,
     write_dataset,
 )
 from escores.cli import run_command
 from escores.core import Response
-from helpers import make_generated, make_instance, make_labeled, make_scored
+from helpers import (
+    alpha_max_instance,
+    make_generated,
+    make_instance,
+    make_labeled,
+    make_scored,
+    worst_case,
+)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -366,40 +371,36 @@ def _battery(tmp_path) -> list[tuple[str, bool]]:
     error, distortion, worst, precision, recall = oracles.instance(
         labels, raw_scores, [0, 1], Fraction("0.01")
     )
-    labeled = make_labeled(labels)
-    scored = make_scored([0.005, 0.01, 4.0, 2.0])
-    result = instance_metrics(labeled, filter_at_alpha(scored, 0.01), scored)
+    scores = [0.005, 0.01, 4.0, 2.0]
+    got = alpha_max_instance(labels, scores, 0.01)
+    got_distortion, got_error, _, got_precision, got_recall = got
     add(
         "clean instance accounting",
         (error, distortion, precision, recall) == (0, 0, 1, Fraction(2, 3))
-        and result.error == 0
-        and result.size_distortion == 0.0
-        and result.precision == 1.0
-        and oracles.matches(result.recall, recall)
+        and got_error == 0
+        and got_distortion == 0.0
+        and got_precision == 1.0
+        and oracles.matches(got_recall, recall)
         and worst == Fraction(1, 4)
-        and oracles.matches(worst_case_distortion(labeled, scored), worst),
+        and oracles.matches(worst_case(labels, scores), worst),
     )
     error, distortion, _, _, _ = oracles.instance(
         [1, 0], [Fraction("0.4"), Fraction("0.5")], [0, 1], Fraction(1, 2)
     )
-    labeled = make_labeled([1, 0])
-    scored = make_scored([0.4, 0.5])
-    result = instance_metrics(labeled, filter_at_alpha(scored, 0.5), scored)
+    got_distortion, got_error, _, _, _ = alpha_max_instance([1, 0], [0.4, 0.5], 0.5)
     add(
         "unit error at tolerance one-half distorts by two",
         error == 1
         and distortion == 2
-        and result.error == 1
-        and oracles.matches(result.size_distortion, distortion),
+        and got_error == 1
+        and oracles.matches(got_distortion, distortion),
     )
     incorrect = [Fraction(4.95), Fraction(6.01), Fraction(6.28)]
     oracle = oracles.x_recip(min(incorrect))
-    labeled = make_labeled([0, 0, 0])
-    scored = make_scored([4.95, 6.01, 6.28])
     add(
         "worst case is the reciprocal minimum",
         oracle == 1 / Fraction(4.95)
-        and oracles.matches(worst_case_distortion(labeled, scored), oracle),
+        and oracles.matches(worst_case([0, 0, 0], [4.95, 6.01, 6.28]), oracle),
     )
 
     # Threshold equivalence, brute-forced on both sides.

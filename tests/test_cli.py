@@ -185,6 +185,50 @@ def test_score_warns_on_infinite_calibration_maxima(
     assert code == EXIT_OK and err == ""
 
 
+def test_library_warnings_print_as_one_line(dataset: Path, tmp_path: Path, capsys) -> None:
+    extra = tmp_path / "extra.jsonl"
+    extra.write_text(
+        '{"id": "x", "sub_responses": ["a"], "first_error_index": null, '
+        '"oracle_conditionals": [0.5], "model": "m"}\n',
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "ingest", str(extra))
+    assert code == EXIT_OK
+    assert err == (
+        "warning: extra.jsonl:1: ignoring unknown field 'model' (reported once per field)\n"
+    )
+
+    code, _, err = run(capsys, "evaluate", str(dataset), "--grid", "0,2", "--splits", "2")
+    assert code == EXIT_OK
+    assert err == (
+        "warning: strategy parameter 2 exceeds 1; rank-based scores never do, so they "
+        "would retain everything\n"
+        "warning: 1 alpha-max grid point(s) lie below 1/4, the smallest score that e1, "
+        "e2, e3, e-combined, p can take with 3 calibration prompts; these kinds keep "
+        "nothing there\n"
+    )
+
+
+def test_evaluate_warns_on_grid_points_below_the_score_floor(dataset: Path, capsys) -> None:
+    # three calibration prompts: no e-score or p-score goes below 1/4
+    argv = ("evaluate", str(dataset), "--splits", "2", "--grid")
+    kinds = "e1,e-combined,p,p-randomized,naive2"
+    code, _, err = run(capsys, *argv, "0,0.1,0.2,0.5", "--scores", kinds)
+    assert code == EXIT_OK
+    assert err == (
+        "warning: 3 alpha-max grid point(s) lie below 1/4, the smallest score that e1, "
+        "e-combined, p can take with 3 calibration prompts; these kinds keep nothing there\n"
+    )
+    # kinds without the floor, the fraction strategy, and a grid that starts at the floor
+    for args in (
+        ("0,0.1,0.2,0.5", "--scores", "naive1,p-randomized"),
+        ("0,0.1,0.2,0.5", "--strategy", "fraction"),
+        ("0.25,0.5", "--scores", "e1,e-combined,p"),
+    ):
+        code, _, err = run(capsys, *argv, *args)
+        assert code == EXIT_OK and err == "", args
+
+
 def test_score_rejects_duplicate_kinds(dataset: Path, capsys) -> None:
     code, _, err = run(
         capsys, "score", str(dataset), "--calibration", str(dataset), "--scores", "p,p"
@@ -560,6 +604,7 @@ def test_cli_outputs_match_golden_hashes(tmp_path: Path, capsys) -> None:
     for path in sorted(tmp_path.glob("*.csv")):
         got[path.name] = path.read_text(encoding="utf-8")
     for svg_dir in sorted(tmp_path.glob("svg-*")):  # each directory's files, concatenated by name
-        got[svg_dir.name] = "".join(p.read_text(encoding="utf-8") for p in sorted(svg_dir.iterdir()))
+        files = sorted(svg_dir.iterdir())
+        got[svg_dir.name] = "".join(p.read_text(encoding="utf-8") for p in files)
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in got.items()}
     assert digests == GOLDEN

@@ -1,4 +1,4 @@
-"""Instance metrics, repeated splits, the array engine, and equivalence checks."""
+"""Instance accounting, repeated splits, the array engine, and equivalence checks."""
 
 from __future__ import annotations
 
@@ -34,9 +34,7 @@ from escores import (
     calibration_f_star,
     evaluate_dataset,
     evaluate_split,
-    filter_at_alpha,
     fractional_inclusion_alpha,
-    instance_metrics,
     label_response_set,
     max_constrained_alpha,
     plan_splits,
@@ -45,21 +43,20 @@ from escores import (
     threshold_equivalence_check,
     transform_estimate,
     uniform_block,
-    worst_case_distortion,
 )
 
 import oracles
-from escores.evaluation import score_prompts
+from escores.evaluation import score_prompts, worst_cases
 from helpers import (
     POLICIES,
+    alpha_max_instance,
     instance_of,
     make_instance,
-    make_labeled,
-    make_scored,
     oracle_fstars,
     oracle_prompt,
     oracle_scores,
     split_records,
+    worst_case,
 )
 
 
@@ -68,28 +65,26 @@ from helpers import (
 # ---------------------------------------------------------------------------
 
 
-def test_worst_case_distortion_examples() -> None:
+def test_worst_cases_examples() -> None:
     # oracle: incorrect scores {4.95, 6.01, 6.28} -> 1/4.95
     _, _, worst, _, _ = oracles.instance(
         [0, 0, 0], [4.95, 6.01, 6.28], [], Fraction(1)
     )
     assert worst == Fraction(1) / Fraction(4.95)
 
-    labeled = make_labeled([0, 0, 0])
-    scored = make_scored([4.95, 6.01, 6.28])
-    assert worst_case_distortion(labeled, scored) == pytest.approx(1 / 4.95, rel=1e-12)
-    # no incorrect responses: nothing to distort
-    assert worst_case_distortion(make_labeled([1, 1]), make_scored([0.1, 0.2])) == 0.0
-    # an incorrect response with score 0 blows up
-    assert worst_case_distortion(make_labeled([0]), make_scored([0.0])) == math.inf
+    # three prompts in the flat layout: the example above, no incorrect
+    # response (nothing to distort), an incorrect response with score 0
+    got = worst_cases(
+        np.asarray([4.95, 6.01, 6.28, 0.1, 0.2, 0.0]),
+        np.asarray([0, 0, 0, 1, 1, 0], dtype=bool),
+        np.asarray([3, 2, 1]),
+    )
+    assert got[0] == pytest.approx(1 / 4.95, rel=1e-12)
+    assert got[1] == 0.0
+    assert got[2] == math.inf
 
 
-def test_worst_case_distortion_requires_matching_sets() -> None:
-    with pytest.raises(InvalidInputError):
-        worst_case_distortion(make_labeled([0, 1]), make_scored([0.5]))
-
-
-def test_instance_metrics_worked_example() -> None:
+def test_sweep_worked_example() -> None:
     # two correct responses included at tolerance 0.01, one excluded correct
     labels = [1, 1, 0, 1]
     scores = [0.005, 0.01, 4.0, 2.0]
@@ -99,53 +94,40 @@ def test_instance_metrics_worked_example() -> None:
     assert expected[3] == Fraction(1)
     assert expected[4] == Fraction(2, 3)
 
-    labeled = make_labeled(labels)
-    scored = make_scored(scores)
-    got = instance_metrics(labeled, filter_at_alpha(scored, 0.01), scored)
-    assert got.error == 0
-    assert got.size_distortion == 0.0
-    assert got.alpha_used == 0.01
-    assert got.worst_case_distortion == pytest.approx(0.25, rel=1e-12)
-    assert got.precision == 1.0
-    assert got.recall == pytest.approx(2.0 / 3.0, rel=1e-12)
+    size_distortion, error, alpha_used, precision, recall = alpha_max_instance(labels, scores, 0.01)
+    assert error == 0
+    assert size_distortion == 0.0
+    assert alpha_used == 0.01
+    assert worst_case(labels, scores) == pytest.approx(0.25, rel=1e-12)
+    assert precision == 1.0
+    assert recall == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
-def test_instance_metrics_error_case() -> None:
+def test_sweep_error_case() -> None:
     # oracle: an included incorrect response at tolerance 1/2 costs 2
     expected = oracles.instance([1, 0], [0.1, 0.5], [0, 1], Fraction(1, 2))
     assert expected[0] == 1 and expected[1] == 2
 
-    labeled = make_labeled([1, 0])
-    scored = make_scored([0.1, 0.5])
-    got = instance_metrics(labeled, filter_at_alpha(scored, 0.5), scored)
-    assert got.error == 1
-    assert got.size_distortion == pytest.approx(2.0)
-    assert got.precision == 0.5
-    assert got.recall == 1.0
+    size_distortion, error, _, precision, recall = alpha_max_instance([1, 0], [0.1, 0.5], 0.5)
+    assert error == 1
+    assert size_distortion == pytest.approx(2.0)
+    assert precision == 0.5
+    assert recall == 1.0
 
 
-def test_instance_metrics_edge_conventions() -> None:
-    labeled = make_labeled([0, 0])
-    scored = make_scored([3.0, 4.0])
-    got = instance_metrics(labeled, filter_at_alpha(scored, 0.5), scored)
-    assert got.error == 0
-    assert got.precision == 1.0  # empty selection
-    assert got.recall == 1.0  # nothing correct to recall
-    assert got.size_distortion == 0.0
+def test_sweep_edge_conventions() -> None:
+    size_distortion, error, _, precision, recall = alpha_max_instance([0, 0], [3.0, 4.0], 0.5)
+    assert error == 0
+    assert precision == 1.0  # empty selection
+    assert recall == 1.0  # nothing correct to recall
+    assert size_distortion == 0.0
+    with pytest.warns(UserWarning, match="exceeds 1"):
+        size_distortion, error, _, _, _ = alpha_max_instance([0, 0], [3.0, 4.0], 3)
+    assert error == 1
+    assert size_distortion == pytest.approx(1 / 3.0)
     # an error at tolerance 0 is infinitely distorted
-    bad = instance_metrics(labeled, filter_at_alpha(scored, 3.0), scored)
-    assert bad.error == 1
-    assert bad.size_distortion == pytest.approx(1 / 3.0)
-
-
-def test_instance_metrics_rejects_mismatched_partition() -> None:
-    labeled = make_labeled([1, 1])
-    scored = make_scored([0.1, 0.2])
-    foreign = filter_at_alpha(make_scored([0.1, 0.2, 0.3]), 0.15)
-    with pytest.raises(InvalidInputError):
-        instance_metrics(labeled, foreign, scored)
-    with pytest.raises(InvalidInputError):
-        instance_metrics(make_labeled([1, 1, 1]), filter_at_alpha(scored, 0.15), scored)
+    size_distortion, error, alpha_used, _, _ = alpha_max_instance([0], [0.0], 0)
+    assert (error, alpha_used, size_distortion) == (1, 0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +309,8 @@ def random_dataset(seed: int, n_prompts: int = 8):
 
 
 def compose_split_by_hand(instances, split, kinds, grids, master_seed, split_index, policy=None):
-    """The same evaluation via the one-prompt-at-a-time public pieces."""
+    """The same evaluation one prompt at a time: the public scoring and
+    filtering pieces, with the instance accounting of ``oracles.instance``."""
     from escores import IDENTITY_POLICY, build_permutation_set
 
     policy = policy or IDENTITY_POLICY
@@ -370,26 +353,31 @@ def compose_split_by_hand(instances, split, kinds, grids, master_seed, split_ind
             )
             for i in split.test
         ]
+        # labels and scores in scored order, for the oracle accounting
+        prompts = []
+        for i, scored in zip(split.test, scored_sets):
+            label_of = dict(labeled[i].entries)
+            prompts.append(([label_of[r] for r, _ in scored], [s for _, s in scored]))
         worst[kind.name] = sum(
-            worst_case_distortion(labeled[i], scored)
-            for i, scored in zip(split.test, scored_sets)
-        ) / len(split.test)
+            float(oracles.instance(lab, sc, [], 0)[2]) for lab, sc in prompts
+        ) / len(prompts)
         for grid in grids:
             for param in grid.parameters:
                 metrics = []
-                for i, scored in zip(split.test, scored_sets):
+                for (lab, sc), scored in zip(prompts, scored_sets):
                     if grid.strategy is Strategy.ALPHA_MAX:
                         outcome = max_constrained_alpha(scored, float(param.value))
                     else:
                         outcome = fractional_inclusion_alpha(scored, param.value)
-                    metrics.append(instance_metrics(labeled[i], outcome, scored))
-                rows[(kind.name, grid.strategy.value, param.label)] = {
-                    "sd": sum(m.size_distortion for m in metrics) / len(metrics),
-                    "err": sum(m.error for m in metrics) / len(metrics),
-                    "alpha": sum(m.alpha_used for m in metrics) / len(metrics),
-                    "prec": sum(m.precision for m in metrics) / len(metrics),
-                    "rec": sum(m.recall for m in metrics) / len(metrics),
-                }
+                    kept = set(outcome.included.responses)
+                    included = [j for j, (r, _) in enumerate(scored) if r in kept]
+                    alpha_used = outcome.alpha_used
+                    error, sd, _, prec, rec = oracles.instance(lab, sc, included, alpha_used)
+                    metrics.append((sd, error, alpha_used, prec, rec))
+                means = [sum(float(v) for v in column) / len(metrics) for column in zip(*metrics)]
+                rows[(kind.name, grid.strategy.value, param.label)] = dict(
+                    zip(("sd", "err", "alpha", "prec", "rec"), means)
+                )
     return rows, worst
 
 
