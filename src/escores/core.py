@@ -44,7 +44,7 @@ class InvalidSplitError(EScoresError):
 
 
 class ResponseSetSizeError(EScoresError):
-    """An uncapped permutation response set would be combinatorially huge."""
+    """An all-permutation response set would be combinatorially huge."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +211,6 @@ class Response:
     def __len__(self) -> int:
         return len(self.indices)
 
-    @staticmethod
-    def prefix(length: int) -> "Response":
-        """The identity-order response of the first ``length`` sub-responses."""
-        if length < 1:
-            raise InvalidInputError("prefix length must be >= 1")
-        return Response(tuple(range(1, length + 1)))
-
 
 @dataclass(frozen=True)
 class LabeledResponseSet:
@@ -293,27 +286,20 @@ class ScoredResponseSet:
 class CalibrationSummary:
     """Per-prompt maxima of transformed incorrect-response values, plus their sum.
 
-    ``fstar_sum`` is computed once at build time; scoring a test response
-    against the summary then costs O(1) for e-scores, while rank-based
-    p-scores walk ``per_prompt_fstar`` in full.  The optional ``transform``
-    tag records which value transform produced the entries so that
-    mismatched score requests can be rejected.
+    ``n`` and ``fstar_sum`` are computed once at construction; scoring a
+    test response against the summary then costs O(1) for e-scores,
+    while rank-based p-scores walk ``per_prompt_fstar`` in full.  The
+    optional ``transform`` tag records which value transform produced the
+    entries so that mismatched score requests can be rejected.
     """
 
     per_prompt_fstar: tuple[float, ...]
-    fstar_sum: float
-    n: int
     transform: "FTransform | None" = field(default=None)
+    fstar_sum: float = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         values = tuple(as_ext_real(v, "calibration value") for v in self.per_prompt_fstar)
         object.__setattr__(self, "per_prompt_fstar", values)
-        if self.n != len(values):
-            raise InvalidInputError(
-                f"summary n={self.n} disagrees with {len(values)} stored values"
-            )
-        expected = ext_sum(values)
-        if expected != as_ext_real(self.fstar_sum, "fstar_sum"):
-            raise InvalidInputError(
-                f"fstar_sum={self.fstar_sum!r} disagrees with recomputed sum {expected!r}"
-            )
+        object.__setattr__(self, "fstar_sum", ext_sum(values))
+        object.__setattr__(self, "n", len(values))

@@ -31,7 +31,6 @@ from .core import (
     LabeledResponseSet,
     Response,
     as_unit_interval,
-    ext_sum,
 )
 from .response_sets import GeneratedResponse
 
@@ -53,11 +52,6 @@ class FTransform(enum.Enum):
             return cls(option)
         except ValueError:
             raise InvalidInputError(f"transform option must be 1, 2, or 3, got {option!r}") from None
-
-
-class EstimateLevel(enum.Enum):
-    RESPONSE = "response"
-    SUB_RESPONSE = "sub_response"
 
 
 @dataclass(frozen=True)
@@ -90,12 +84,6 @@ class EstimateSource:
                 as_unit_interval(self.response_estimate, "response estimate"),
             )
 
-    @property
-    def level(self) -> EstimateLevel:
-        if self.response_estimate is not None:
-            return EstimateLevel.RESPONSE
-        return EstimateLevel.SUB_RESPONSE
-
 
 @dataclass(frozen=True)
 class PromptInstance:
@@ -105,7 +93,7 @@ class PromptInstance:
     estimates: EstimateSource
 
     def __post_init__(self) -> None:
-        if self.estimates.level is EstimateLevel.SUB_RESPONSE:
+        if self.estimates.response_estimate is None:
             assert self.estimates.conditionals is not None
             missing = [
                 i for i in range(1, len(self.generated) + 1)
@@ -195,11 +183,5 @@ def calibration_f_star(
 def build_calibration_summary(
     per_prompt_fstar: Iterable[float], transform: FTransform | None = None
 ) -> CalibrationSummary:
-    """Freeze per-prompt maxima into a summary, computing their sum once."""
-    values = tuple(per_prompt_fstar)
-    return CalibrationSummary(
-        per_prompt_fstar=values,
-        fstar_sum=ext_sum(values),
-        n=len(values),
-        transform=transform,
-    )
+    """Freeze per-prompt maxima into a summary, which computes their sum once."""
+    return CalibrationSummary(tuple(per_prompt_fstar), transform)

@@ -238,11 +238,14 @@ class EvaluationReport:
 class PreparedDataset:
     """Response sets, labels, estimates, transformed values and maxima, flattened.
 
-    Construction builds and labels each prompt's response set and chains
-    its estimates, then transforms every estimate and takes every
-    prompt's incorrect maxima in whole-array operations.  Responses are
-    stored prompt after prompt: prompt i owns ``offsets[i]:offsets[i+1]``.
-    Everything split-dependent is left to ``evaluate_split``.
+    A response set depends only on the step count k and the policy, so
+    construction builds it once per distinct k and labels it once per
+    (k, first-error step); prompts of the same size share one tuple of
+    responses.  It chains every prompt's estimates, then transforms every
+    estimate and takes every prompt's incorrect maxima in whole-array
+    operations.  Responses are stored prompt after prompt: prompt i owns
+    ``offsets[i]:offsets[i+1]``.  Everything split-dependent is left to
+    ``evaluate_split``.
     """
 
     def __init__(
@@ -252,7 +255,9 @@ class PreparedDataset:
     ) -> None:
         policy = permutation_policy if permutation_policy is not None else IDENTITY_POLICY
         self.prompt_ids: list[str] = []
-        self.responses: list[list[Response]] = []
+        self.responses: list[tuple[Response, ...]] = []
+        sets: dict[int, tuple[Response, ...]] = {}
+        labels_of: dict[tuple[int, int | None], tuple[int, ...]] = {}
         labels: list[int] = []
         estimates: list[float] = []
         seen_ids: set[str] = set()
@@ -261,8 +266,15 @@ class PreparedDataset:
             if pid in seen_ids:
                 raise InvalidInputError(f"duplicate prompt id {pid!r} in dataset")
             seen_ids.add(pid)
-            responses = build_permutation_set(inst.generated, policy)
-            labels.extend(label_response_set(inst.generated, responses).labels)
+            generated = inst.generated
+            k = len(generated)
+            if k not in sets:
+                sets[k] = tuple(build_permutation_set(generated, policy))
+            responses = sets[k]
+            key = (k, generated.first_error_index)
+            if key not in labels_of:
+                labels_of[key] = label_response_set(generated, responses).labels
+            labels.extend(labels_of[key])
             estimates.extend(aggregate_conditionals(inst.estimates, r) for r in responses)
             self.prompt_ids.append(pid)
             self.responses.append(responses)
@@ -389,7 +401,7 @@ def sweep(
 
 
 def evaluate_split(
-    dataset: "PreparedDataset | Sequence[PromptInstance]",
+    dataset: PreparedDataset,
     split: SplitAssignment,
     kinds: Sequence[ScoreKind],
     strategy_grids: Sequence[StrategyGrid] = (),
@@ -405,7 +417,6 @@ def evaluate_split(
     point over test prompts.  Also reports the per-kind mean of
     ``worst_cases``, which needs no strategy at all.
     """
-    prep = dataset if isinstance(dataset, PreparedDataset) else PreparedDataset(dataset)
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidInputError("need at least one score kind")
@@ -414,19 +425,19 @@ def evaluate_split(
     if cal_idx.size == 0 or test_idx.size == 0:
         raise InvalidSplitError("both split halves must be nonempty")
     all_idx = np.concatenate([cal_idx, test_idx])
-    if all_idx.min() < 0 or all_idx.max() >= prep.n_prompts:
+    if all_idx.min() < 0 or all_idx.max() >= dataset.n_prompts:
         raise InvalidInputError("split indices out of range for this dataset")
     if np.unique(all_idx).size != all_idx.size:
         raise InvalidInputError("split halves overlap or repeat indices")
 
     n = int(cal_idx.size)
-    cal_fstar = {t: prep.fstar[t][cal_idx] for t in FTransform}
+    cal_fstar = {t: dataset.fstar[t][cal_idx] for t in FTransform}
     scores_of = score_prompts(
-        prep, test_idx, kinds, cal_fstar, master_seed=master_seed, split_index=split_index
+        dataset, test_idx, kinds, cal_fstar, master_seed=master_seed, split_index=split_index
     )
 
-    counts = prep.counts[test_idx]
-    correct = prep.labels_flat[prep.gather(test_idx)].astype(bool)
+    counts = dataset.counts[test_idx]
+    correct = dataset.labels_flat[dataset.gather(test_idx)].astype(bool)
     n_test = int(test_idx.size)
     rows: list[ReportRow] = []
     wc: list[tuple[str, float]] = []
@@ -440,6 +451,22 @@ def evaluate_split(
             )
 
     return SplitResult(rows=tuple(rows), worst_case=tuple(wc), n_test=n_test, n_cal=n)
+
+
+def _ext_percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile`` of extended nonnegative reals, never ``inf - inf``.
+
+    Numpy interpolates linearly between the two neighbours of the
+    virtual index and reads nan when the upper one is +inf.  A weight of
+    0 takes the lower neighbour, and an infinite upper neighbour with a
+    positive weight gives +inf; between finite neighbours numpy's value
+    stands.
+    """
+    lower = np.percentile(values, q, method="lower")
+    higher = np.percentile(values, q, method="higher")
+    if lower == higher or math.isinf(higher):
+        return float(higher)
+    return float(np.percentile(values, q))
 
 
 def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
@@ -489,8 +516,8 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
             WorstCaseRow(
                 score_kind=name,
                 mean=float(np.mean(means)),
-                q25=float(np.percentile(means, 25)),
-                q75=float(np.percentile(means, 75)),
+                q25=_ext_percentile(means, 25),
+                q75=_ext_percentile(means, 75),
                 n_splits=n_splits,
             )
         )
@@ -501,7 +528,7 @@ _FLOORED_FAMILIES = (ScoreFamily.E_SCORE, ScoreFamily.E_SCORE_COMBINED, ScoreFam
 
 
 def evaluate_dataset(
-    dataset: "PreparedDataset | Sequence[PromptInstance]",
+    dataset: PreparedDataset,
     kinds: Sequence[ScoreKind],
     strategy_grids: Sequence[StrategyGrid] = (),
     plan: SplitPlan = SplitPlan(),
@@ -512,9 +539,8 @@ def evaluate_dataset(
     nothing at an alpha-max grid point under that floor; such points
     draw one warning.
     """
-    prep = dataset if isinstance(dataset, PreparedDataset) else PreparedDataset(dataset)
     kinds = tuple(kinds)
-    splits = plan_splits(plan, prep.n_prompts)
+    splits = plan_splits(plan, dataset.n_prompts)
     n_cal = len(splits[0].calibration)
     floored = [kind.name for kind in kinds if kind.family in _FLOORED_FAMILIES]
     below = [
@@ -532,7 +558,7 @@ def evaluate_dataset(
             stacklevel=2,
         )
     results = [
-        evaluate_split(prep, split, kinds, strategy_grids, master_seed=plan.seed, split_index=i)
+        evaluate_split(dataset, split, kinds, strategy_grids, master_seed=plan.seed, split_index=i)
         for i, split in enumerate(splits)
     ]
     return aggregate_splits(results)

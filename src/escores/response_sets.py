@@ -25,7 +25,7 @@ from .core import (
     SubResponse,
 )
 
-# Uncapped enumeration of all permutations is refused beyond this many steps.
+# Enumerating all permutations is refused beyond this many steps.
 MAX_UNCAPPED_PERMUTATION_STEPS = 8
 
 
@@ -72,10 +72,9 @@ class GeneratedResponse:
         prompt_id: str,
         texts: "list[str] | tuple[str, ...]",
         first_error_index: int | None = None,
-        prompt_text: str | None = None,
     ) -> "GeneratedResponse":
         subs = tuple(SubResponse(i, t) for i, t in enumerate(texts, start=1))
-        return GeneratedResponse(Prompt(prompt_id, prompt_text), subs, first_error_index)
+        return GeneratedResponse(Prompt(prompt_id), subs, first_error_index)
 
 
 class PermutationMode(enum.Enum):
@@ -89,14 +88,12 @@ class PermutationPolicy:
     """How to expand a generated response into candidate orderings.
 
     ``explicit`` must be given exactly for EXPLICIT_LIST mode, as a tuple
-    of 1-based index permutations.  ``cap`` bounds how many responses the
-    expansion may produce; ALL_PERMUTATIONS on more than
-    MAX_UNCAPPED_PERMUTATION_STEPS steps is refused unless a cap is set.
+    of 1-based index permutations.  ALL_PERMUTATIONS on more than
+    MAX_UNCAPPED_PERMUTATION_STEPS steps is refused.
     """
 
     mode: PermutationMode
     explicit: tuple[tuple[int, ...], ...] | None = None
-    cap: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, PermutationMode):
@@ -113,8 +110,6 @@ class PermutationPolicy:
                     not isinstance(i, int) or isinstance(i, bool) or i < 1 for i in perm
                 ):
                     raise InvalidInputError(f"not a valid permutation of 1..k: {perm}")
-        if self.cap is not None and (not isinstance(self.cap, int) or self.cap < 1):
-            raise InvalidInputError(f"cap must be a positive int or None, got {self.cap!r}")
 
 
 IDENTITY_POLICY = PermutationPolicy(PermutationMode.IDENTITY_ONLY)
@@ -127,10 +122,7 @@ def build_prefix_set(generated: GeneratedResponse) -> list[Response]:
     order, so the result has exactly len(generated) pairwise-distinct
     responses and the full generation comes last.
     """
-    k = len(generated)
-    if k == 0:
-        raise InvalidInputError("cannot build a response set from an empty generation")
-    return [Response.prefix(i) for i in range(1, k + 1)]
+    return build_permutation_set(generated)
 
 
 def _check_bijection(perm: tuple[int, ...], k: int) -> None:
@@ -144,32 +136,26 @@ def build_permutation_set(
     """Union of prefix sets over the policy's orderings, deduplicated.
 
     Responses are identified by their ordered index tuples; the first
-    occurrence in enumeration order is kept.  IDENTITY_ONLY reproduces
-    ``build_prefix_set`` exactly.  ALL_PERMUTATIONS enumerates orderings
-    lexicographically and yields sum over i of k!/(k-i)! responses when
-    uncapped; beyond MAX_UNCAPPED_PERMUTATION_STEPS steps a cap is
-    required.
+    occurrence in enumeration order is kept.  IDENTITY_ONLY is the single
+    ordering (1, ..., k), so it yields the k prefixes, shortest first.
+    ALL_PERMUTATIONS enumerates orderings lexicographically and yields
+    sum over i of k!/(k-i)! responses; beyond
+    MAX_UNCAPPED_PERMUTATION_STEPS steps it is refused.
     """
     k = len(generated)
-    if k == 0:
-        raise InvalidInputError("cannot build a response set from an empty generation")
-
     if policy.mode is PermutationMode.IDENTITY_ONLY:
-        responses = build_prefix_set(generated)
-        return responses[: policy.cap] if policy.cap is not None else responses
-
-    if policy.mode is PermutationMode.EXPLICIT_LIST:
+        orderings = [tuple(range(1, k + 1))]
+    elif policy.mode is PermutationMode.EXPLICIT_LIST:
         assert policy.explicit is not None
-        orderings: "itertools.chain[tuple[int, ...]] | list[tuple[int, ...]]" = []
         for perm in policy.explicit:
             _check_bijection(perm, k)
-        orderings = list(policy.explicit)
+        orderings = policy.explicit
     else:
-        if k > MAX_UNCAPPED_PERMUTATION_STEPS and policy.cap is None:
+        if k > MAX_UNCAPPED_PERMUTATION_STEPS:
             raise ResponseSetSizeError(
                 f"all permutations of {k} steps would produce "
                 f"{sum(math.factorial(k) // math.factorial(k - i) for i in range(1, k + 1))} "
-                f"responses; set a cap or use at most {MAX_UNCAPPED_PERMUTATION_STEPS} steps"
+                f"responses; use at most {MAX_UNCAPPED_PERMUTATION_STEPS} steps"
             )
         orderings = itertools.permutations(range(1, k + 1))  # lexicographic
 
@@ -181,8 +167,6 @@ def build_permutation_set(
             if key not in seen:
                 seen.add(key)
                 out.append(Response(key))
-                if policy.cap is not None and len(out) == policy.cap:
-                    return out
     return out
 
 

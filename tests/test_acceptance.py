@@ -452,7 +452,7 @@ def _battery(tmp_path) -> list[tuple[str, bool]]:
     grid_params = parse_grid("0:1:0.01")
     expected_lines = 1 + sum(1 for _ in grid_params)
     report = evaluate_dataset(
-        instances,
+        PreparedDataset(instances),
         (ScoreKind.parse("p"),),
         (StrategyGrid(Strategy.ALPHA_MAX, grid_params),),
         SplitPlan(seed=0, n_splits=2),

@@ -486,6 +486,40 @@ def test_help_exits_cleanly(capsys) -> None:
     assert "ingest" in out and "simulate" in out
 
 
+def test_benchmark_tracing_finds_every_name_it_rebinds(
+    dataset: Path, capsys, monkeypatch
+) -> None:
+    """The traced benchmark run wraps package names; a refactor must keep them."""
+    import escores.evaluation as evaluation
+    import escores.io as escores_io
+    import escores.scoring as scoring
+    from escores import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    modules = (cli, evaluation, escores_io, scoring)
+    before = [dict(vars(module)) for module in modules]
+    init = evaluation.PreparedDataset.__init__
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        code, _, err = run(
+            capsys, "evaluate", str(dataset), "--permutations", "all", "--splits", "2",
+            "--scores", "e-combined,p", "--grid", "0.5,1",
+        )
+    finally:
+        tracer.restore()
+    assert code == EXIT_OK, err
+    assert {"evaluation.PreparedDataset", "response_sets.build_permutation_set"} <= {
+        span.name for span in tracer.spans
+    }
+    assert tracer.counts["response_sets.build_permutation_set.calls"] == 3  # steps 1, 2, 3
+    for module, names in zip(modules, before):
+        assert all(vars(module)[name] is value for name, value in names.items()), module
+    assert evaluation.PreparedDataset.__init__ is init
+
+
 # ---------------------------------------------------------------------------
 # the whole score pipeline against the rational oracles
 # ---------------------------------------------------------------------------
@@ -543,10 +577,8 @@ def test_score_matches_oracle_composition(inputs) -> None:
 def _golden_instances(prefix: str, n_prompts: int, rnd: random.Random) -> list:
     """Prompts of 1-4 steps, with repeated and zero conditionals among random ones.
 
-    No conditional is 1: an incorrect response with estimate 1 has naive2
-    and naive3 score 0, so some split's worst-case mean is infinite, and
-    ``aggregate_splits`` then prints its quartiles as nan.  That fault is
-    not what this test pins.
+    No conditional is 1, so no naive2 or naive3 score is 0 and every
+    worst-case mean is finite; the hashes below were pinned on this data.
     """
     instances = []
     for i in range(n_prompts):

@@ -110,7 +110,6 @@ def test_response_identity_and_validation() -> None:
     assert Response((1, 2)) == Response((1, 2))
     assert Response((1, 2)) != Response((2, 1))  # order is identity
     assert len(Response((3, 1))) == 2
-    assert Response.prefix(3).indices == (1, 2, 3)
     with pytest.raises(InvalidInputError):
         Response(())
     with pytest.raises(InvalidInputError):
@@ -142,11 +141,9 @@ def test_scored_set_rejects_bad_scores() -> None:
 
 
 def test_calibration_summary_checks_its_own_sum() -> None:
-    summary = CalibrationSummary(per_prompt_fstar=(2.0, 4.0), fstar_sum=6.0, n=2)
-    assert summary.fstar_sum == 6.0
+    summary = CalibrationSummary(per_prompt_fstar=(2.0, 4.0))
+    assert summary.fstar_sum == 6.0 and summary.n == 2
+    inf_summary = CalibrationSummary((1.0, INF))
+    assert inf_summary.fstar_sum == INF and inf_summary.n == 2
     with pytest.raises(InvalidInputError):
-        CalibrationSummary(per_prompt_fstar=(2.0, 4.0), fstar_sum=5.0, n=2)
-    with pytest.raises(InvalidInputError):
-        CalibrationSummary(per_prompt_fstar=(2.0, 4.0), fstar_sum=6.0, n=3)
-    inf_summary = CalibrationSummary((1.0, INF), INF, 2)
-    assert inf_summary.fstar_sum == INF
+        CalibrationSummary((1.0, -2.0))

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from escores import (
-    CalibrationSummary,
     EstimateSource,
     FTransform,
     InvalidInputError,
@@ -179,13 +178,6 @@ def test_summary_carries_transform_tag() -> None:
 def test_summary_with_infinite_entry() -> None:
     summary = build_calibration_summary([1.0, math.inf])
     assert summary.fstar_sum == math.inf
-
-
-def test_summary_rejects_inconsistent_sum() -> None:
-    with pytest.raises(InvalidInputError):
-        CalibrationSummary(per_prompt_fstar=(2.0, 4.0), fstar_sum=5.0, n=2)
-    with pytest.raises(InvalidInputError):
-        CalibrationSummary(per_prompt_fstar=(2.0, 4.0), fstar_sum=6.0, n=3)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=20))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escores import (
+    IDENTITY_POLICY,
     ConfigurationError,
     FTransform,
     InvalidInputError,
@@ -26,11 +27,13 @@ from escores import (
     ALL_SCORE_KINDS,
     SplitAssignment,
     SplitPlan,
+    SplitResult,
     Strategy,
     StrategyGrid,
     aggregate_conditionals,
     aggregate_splits,
     build_calibration_summary,
+    build_permutation_set,
     calibration_f_star,
     evaluate_dataset,
     evaluate_split,
@@ -204,7 +207,7 @@ def test_strategy_grid_validation() -> None:
 def two_prompt_dataset():
     errorful = make_instance("p-err", [0.6, 0.5], first_error_index=2)
     clean = make_instance("p-ok", [0.8, 0.25])
-    return [errorful, clean]
+    return PreparedDataset([errorful, clean])
 
 
 def test_evaluate_split_two_prompts_clean_test_half() -> None:
@@ -390,7 +393,7 @@ def test_engine_matches_per_prompt_composition(seed: int) -> None:
         StrategyGrid(Strategy.FRACTION, tuple(Parameter.of(v) for v in ("0", "0.3", "1"))),
     )
     result = evaluate_split(
-        instances, split, ALL_SCORE_KINDS, grids, master_seed=seed, split_index=2
+        PreparedDataset(instances), split, ALL_SCORE_KINDS, grids, master_seed=seed, split_index=2
     )
     rows, worst = compose_split_by_hand(
         instances, split, ALL_SCORE_KINDS, grids, master_seed=seed, split_index=2
@@ -440,6 +443,46 @@ def test_fraction_targets_near_one_are_exact() -> None:
         grid = StrategyGrid(Strategy.FRACTION, (Parameter.of(near_one), Parameter.of(1)))
         near, one = evaluate_split(prep, split, (ScoreKind.parse("e-combined"),), (grid,)).rows
         assert dataclasses.replace(near, parameter="1") == one
+
+
+@pytest.mark.parametrize("policy", [None, PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)])
+def test_prepared_dataset_builds_each_response_set_once_per_size(monkeypatch, policy) -> None:
+    import escores.evaluation as evaluation
+
+    calls = {"build": 0, "label": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        evaluation, "build_permutation_set", counted("build", evaluation.build_permutation_set)
+    )
+    monkeypatch.setattr(
+        evaluation, "label_response_set", counted("label", evaluation.label_response_set)
+    )
+    shapes = [(1, None), (2, None), (2, 1), (3, 2), (3, 2), (1, None), (3, None), (2, 1), (1, 1)]
+    instances = [
+        make_instance(f"p-{i}", [0.9, 0.5, 0.8][:k], first_error_index=fei)
+        for i, (k, fei) in enumerate(shapes)
+    ]
+    prep = PreparedDataset(instances, policy)
+    assert calls == {"build": 3, "label": len(set(shapes))}
+    # prompts of one size share one response set; labels and estimates stay per prompt
+    assert prep.responses[0] is prep.responses[5] and isinstance(prep.responses[0], tuple)
+    for i, inst in enumerate(instances):
+        lo, hi = prep.offsets[i], prep.offsets[i + 1]
+        fresh = build_permutation_set(inst.generated, policy or IDENTITY_POLICY)
+        assert list(prep.responses[i]) == fresh
+        assert prep.labels_flat[lo:hi].tolist() == list(
+            label_response_set(inst.generated, fresh).labels
+        )
+        assert prep.estimates_flat[lo:hi].tolist() == [
+            aggregate_conditionals(inst.estimates, r) for r in fresh
+        ]
 
 
 def test_prepared_dataset_rejects_duplicates_and_empty() -> None:
@@ -589,6 +632,23 @@ def test_aggregate_splits_averages_rows() -> None:
     assert report.find_rows("e1", "alpha-max") == (row,)
 
 
+@pytest.mark.parametrize(
+    "means, q25, q75",
+    [
+        # 3 splits: both quartiles fall between two means (weight 1/2)
+        ((1.0, 2.0, math.inf), 1.5, math.inf),
+        # 5 splits: both quartiles fall on a mean (weight 0)
+        ((1.0, 2.0, 3.0, 4.0, math.inf), 2.0, 4.0),
+        ((math.inf,) * 3, math.inf, math.inf),
+    ],
+)
+def test_worst_case_quartiles_of_infinite_means(means, q25, q75) -> None:
+    # an incorrect response scoring 0 makes a split's worst-case mean +inf
+    results = [SplitResult(rows=(), worst_case=(("naive2", m),), n_test=1, n_cal=1) for m in means]
+    row = aggregate_splits(results).find_worst_case("naive2")
+    assert (row.mean, row.q25, row.q75) == (math.inf, q25, q75)
+
+
 def test_aggregate_splits_rejects_mismatched_grids() -> None:
     dataset = two_prompt_dataset()
     grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),)),)
@@ -601,26 +661,26 @@ def test_aggregate_splits_rejects_mismatched_grids() -> None:
 
 
 def test_aggregate_splits_rejects_mismatched_half_sizes() -> None:
-    instances = random_dataset(5, n_prompts=3)
+    dataset = PreparedDataset(random_dataset(5, n_prompts=3))
     kinds = (ScoreKind.parse("naive1"),)
-    a = evaluate_split(instances, SplitAssignment((0, 1), (2,)), kinds)
-    b = evaluate_split(instances, SplitAssignment((0,), (1, 2)), kinds)
+    a = evaluate_split(dataset, SplitAssignment((0, 1), (2,)), kinds)
+    b = evaluate_split(dataset, SplitAssignment((0,), (1, 2)), kinds)
     with pytest.raises(ConfigurationError):
         aggregate_splits([a, b])
 
 
 def test_evaluate_dataset_end_to_end_determinism() -> None:
-    instances = random_dataset(9, n_prompts=6)
+    dataset = PreparedDataset(random_dataset(9, n_prompts=6))
     kinds = (ScoreKind.parse("e-combined"), ScoreKind.parse("p-randomized"))
     grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.3"),)),)
     plan = SplitPlan(seed=2, n_splits=5)
-    first = evaluate_dataset(instances, kinds, grids, plan)
-    second = evaluate_dataset(instances, kinds, grids, plan)
+    first = evaluate_dataset(dataset, kinds, grids, plan)
+    second = evaluate_dataset(dataset, kinds, grids, plan)
     assert first == second
     assert first.n_splits == 5
     assert {row.score_kind for row in first.rows} == {"e-combined", "p-randomized"}
     assert all(row.n_test == 3 and row.n_cal == 3 for row in first.rows)
-    shifted = evaluate_dataset(instances, kinds, grids, SplitPlan(seed=3, n_splits=5))
+    shifted = evaluate_dataset(dataset, kinds, grids, SplitPlan(seed=3, n_splits=5))
     assert shifted != first
 
 

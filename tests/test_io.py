@@ -19,6 +19,7 @@ from escores import (
     EvaluationReport,
     InvalidInputError,
     Parameter,
+    PreparedDataset,
     PromptInstance,
     ReportRow,
     ScoreKind,
@@ -290,7 +291,7 @@ def test_emit_csv_one_line_per_grid_point(tmp_path: Path) -> None:
     ]
     grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.01"))
     report = evaluate_dataset(
-        instances, (ScoreKind.parse("p"),), (grid,), SplitPlan(seed=0, n_splits=2)
+        PreparedDataset(instances), (ScoreKind.parse("p"),), (grid,), SplitPlan(seed=0, n_splits=2)
     )
     path = emit_csv(report, tmp_path / "grid.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -373,7 +374,7 @@ def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:
     with pytest.raises(InvalidInputError, match="schema"):
         parse_dataset(data, schema="yaml")
     split = SplitAssignment(calibration=(0,), test=(1,))
-    two = [make_instance("v-1", [0.5]), make_instance("v-2", [0.7])]
+    two = PreparedDataset([make_instance("v-1", [0.5]), make_instance("v-2", [0.7])])
     with pytest.raises(InvalidInputError, match="score kind"):
         evaluate_split(two, split, ())
     with pytest.warns(UserWarning, match="exceeds 1"):

@@ -79,15 +79,11 @@ def test_permutation_set_size_formula(k: int) -> None:
     assert len(set(indices(got))) == len(got)
 
 
-def test_permutation_set_blowup_guard_and_cap() -> None:
+def test_permutation_set_blowup_guard() -> None:
     big = make_generated("p", MAX_UNCAPPED_PERMUTATION_STEPS + 1)
-    with pytest.raises(ResponseSetSizeError):
+    with pytest.raises(ResponseSetSizeError, match="use at most 8 steps$"):
         build_permutation_set(big, ALL)
-    capped = build_permutation_set(
-        big, PermutationPolicy(PermutationMode.ALL_PERMUTATIONS, cap=10)
-    )
-    assert len(capped) == 10
-    # at the boundary the uncapped enumeration is allowed
+    # below the limit every permutation prefix is enumerated
     ok = build_permutation_set(make_generated("p", 5), ALL)
     assert len(ok) == oracles.permutation_set_size(5)
 
