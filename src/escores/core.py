@@ -68,40 +68,12 @@ def as_ext_real(value: float, what: str = "value") -> float:
     return abs(out)  # -0.0 becomes 0.0, whose reciprocal is +inf
 
 
-def ext_add(a: float, b: float) -> float:
-    """Sum of two extended nonnegative reals; +inf absorbs."""
-    return as_ext_real(a, "left addend") + as_ext_real(b, "right addend")
-
-
 def ext_sum(values: Iterable[float]) -> float:
     """Exactly rounded sum of extended nonnegative reals (0.0 for empty)."""
     checked = [as_ext_real(v, "summand") for v in values]
     if any(math.isinf(v) for v in checked):
         return INF
     return math.fsum(checked)
-
-
-def ext_div(a: float, b: float) -> float:
-    """Divide on [0, +inf] with total semantics.
-
-    a/0 is 0 when a = 0 and +inf otherwise; finite/inf is 0; inf/finite
-    is +inf; inf/inf is 1 (the limit rule described in the module
-    docstring).  Never returns NaN or a negative value.
-    """
-    a = as_ext_real(a, "numerator")
-    b = as_ext_real(b, "denominator")
-    if b == 0.0:
-        return 0.0 if a == 0.0 else INF
-    if math.isinf(b):
-        return 1.0 if math.isinf(a) else 0.0
-    if math.isinf(a):
-        return INF
-    return a / b
-
-
-def ext_recip(a: float) -> float:
-    """Reciprocal on [0, +inf]: recip(0) = +inf and recip(+inf) = 0 exactly."""
-    return ext_div(1.0, a)
 
 
 # ---------------------------------------------------------------------------

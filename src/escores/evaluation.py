@@ -4,11 +4,17 @@
 flat numpy arrays, so that hundred-split sweeps stay fast.  Its scores
 come from ``scoring.kind_scores``, the code the per-response scores call
 too.  The instance accounting is written once, in ``sweep`` and
-``worst_cases``, and ``evaluate_split`` only averages what they return
-over test prompts.  ``sweep`` sorts each prompt's responses once by
-(score, position); a filtering strategy then only picks how many of them
-each prompt keeps, and every metric follows from that count.  Tests hold
-both to the exact rational oracles.
+``worst_cases``; ``evaluate_split`` averages the worst cases over test
+prompts, and ``sweep`` yields its means over test prompts itself.  Tests
+hold both to the exact rational oracles.
+
+``sweep`` sorts each prompt's responses once by (score, position), so a
+filtering strategy only picks how many of them each prompt keeps.  Per
+strategy grid it builds one table of the five metrics for every count a
+strategy can reach, and a grid point costs one column pick per prompt
+and one mean over the picked columns, not a pass over every response.
+The means are bit-identical to ``np.mean`` over per-prompt arrays; the
+``sweep`` docstring gives the rule that keeps them so.
 
 Size distortion for an instance is the error indicator divided by the
 tolerance actually used, under extended-real division (no error at zero
@@ -358,46 +364,113 @@ def sweep(
     correct: np.ndarray,
     counts: np.ndarray,
     strategy_grids: Sequence[StrategyGrid],
-) -> Iterator[tuple[StrategyGrid, Parameter, tuple[np.ndarray, ...]]]:
-    """Filter every prompt at every grid point, one point at a time.
+) -> Iterator[tuple[StrategyGrid, Parameter, tuple[float, ...]]]:
+    """Filter every prompt at every grid point; yield the means over prompts.
 
     Takes the flat layout of ``worst_cases``.  Yields ``(grid, parameter,
-    (size_distortion, error, alpha_used, precision, recall))``, each an
-    array with one entry per prompt.  Alpha-max keeps the responses
+    (size_distortion, error, alpha_used, precision, recall))``, each the
+    mean over prompts, in grid order.  Alpha-max keeps the responses
     scoring at most the parameter and charges the largest of them;
     fraction keeps the ceil(parameter * size) lowest by (score,
     position) and charges the largest kept score; keeping nothing
     charges 0.
+
+    The table is float64 of shape (5, columns): a column holds the five
+    metrics of keeping one prompt's sorted responses up to some count,
+    computed with the per-prompt expressions, and each prompt owns a run
+    of columns led by its keep-nothing column.  Alpha-max stops only
+    after the last response of a tie group, so those are its columns;
+    walking the grid upward by score, each response passed moves its
+    prompt one column on.  Fraction keeps ``inclusion_target(v, k)``,
+    which depends only on the set size k, so its columns are the ranks
+    some grid value asks for at each k.  A grid point's means are
+    ``np.take(table, cols, axis=1).mean(axis=1)``: that gather is
+    C-contiguous, so each row mean is the pairwise sum ``np.mean`` takes
+    of a 1-D row.  ``table[:, cols]`` is laid out column-major and sums
+    in another order, which moves last bits.
     """
+    n = counts.size
     starts = np.cumsum(counts) - counts
-    # Each prompt's responses by (score, position), as lexsort is stable;
-    # a strategy only picks how many leading ones each prompt keeps.
-    # With a leading 0, cum[ends] - cum[starts] counts them.
-    order = np.lexsort((scores, np.repeat(np.arange(counts.size), counts)))
+    # Each prompt's responses by (score, position), as lexsort is stable.
+    # With a leading 0, correct_cum[end] - correct_cum[start] counts the
+    # correct ones among the sorted responses start:end.
+    order = np.lexsort((scores, np.repeat(np.arange(n), counts)))
     sorted_scores = scores[order]
     sorted_correct = correct[order]
-    incorrect_cum = np.concatenate(([0], np.cumsum(~sorted_correct)))
+    del order
     correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
     correct_total = correct_cum[starts + counts] - correct_cum[starts]
-    sizes, size_of = np.unique(counts, return_inverse=True)
+
+    def metric_table(widths: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Metrics of keeping sorted responses up to ``ends``; prompt i owns ``widths[i]``."""
+        table = np.empty((5, ends.size))
+        size_distortion, error, alpha_used, precision, recall = table
+        # Each row is written as soon as it can be, so few temporaries live at once.
+        first = np.repeat(starts, widths)
+        kept = ends - first
+        correct_kept = correct_cum[ends] - correct_cum[first]
+        del first
+        error[:] = kept > correct_kept  # an incorrect response is kept
+        alpha_used[:] = np.where(kept > 0, sorted_scores[ends - 1], 0.0)
+        with np.errstate(divide="ignore"):
+            size_distortion[:] = np.where(error, 1.0 / alpha_used, 0.0)
+        precision[:] = np.where(kept > 0, correct_kept / np.maximum(kept, 1), 1.0)
+        del kept
+        total = np.repeat(correct_total, widths)
+        recall[:] = np.where(total > 0, correct_kept / np.maximum(total, 1), 1.0)
+        return table
+
+    def mean_of(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return np.take(table, cols, axis=1).mean(axis=1)  # not table[:, cols]: see above
+
     for grid in strategy_grids:
-        for param in grid.parameters:
-            if grid.strategy is Strategy.ALPHA_MAX:
-                # ties at alpha sit together, so the kept ones are a prefix
-                kept = np.add.reduceat(
-                    (sorted_scores <= float(param.value)).astype(np.int64), starts
-                )
-            else:
-                kept = np.asarray([inclusion_target(param.value, int(k)) for k in sizes])[size_of]
-            ends = starts + kept
-            alpha_used = np.where(kept > 0, sorted_scores[ends - 1], 0.0)
-            error = incorrect_cum[ends] > incorrect_cum[starts]
-            correct_kept = correct_cum[ends] - correct_cum[starts]
-            with np.errstate(divide="ignore"):
-                size_distortion = np.where(error, 1.0 / alpha_used, 0.0)
-            precision = np.where(kept > 0, correct_kept / np.maximum(kept, 1), 1.0)
-            recall = np.where(correct_total > 0, correct_kept / np.maximum(correct_total, 1), 1.0)
-            yield grid, param, (size_distortion, error, alpha_used, precision, recall)
+        means = np.empty((len(grid.parameters), 5))
+        if grid.strategy is Strategy.ALPHA_MAX:
+            # Alpha-max keeps a whole tie group or none of it, so it only
+            # stops after the last sorted response of a tie group.
+            last = np.ones(sorted_scores.size, dtype=bool)
+            last[:-1] = sorted_scores[1:] != sorted_scores[:-1]
+            last[starts[1:] - 1] = True
+            event = np.flatnonzero(last)
+            owner = np.searchsorted(starts, event, side="right") - 1
+            widths = 1 + np.bincount(owner, minlength=n)
+            base = np.cumsum(widths) - widths
+            ends = np.repeat(starts, widths)
+            ends[owner + np.arange(event.size) + 1] = event + 1
+            table = metric_table(widths, ends)
+            # Walk the grid upward through the events by score: passing
+            # one moves its prompt to its next column.  bincount, since
+            # cols[owner] = ... leaves repeated owners' winner unspecified.
+            by_score = np.argsort(sorted_scores[event], kind="stable")
+            event_scores, owner = sorted_scores[event][by_score], owner[by_score]
+            values = np.asarray([float(p.value) for p in grid.parameters])
+            walk = np.argsort(values, kind="stable")
+            passed = np.searchsorted(event_scores, values[walk], side="right")
+            cols, done = base, 0
+            for i, upto in zip(walk, passed):
+                cols = cols + np.bincount(owner[done:upto], minlength=n)
+                done = upto
+                means[i] = mean_of(table, cols)
+        else:
+            # The target depends only on the size: per distinct size, the
+            # ranks some grid point keeps, after rank 0 (keep nothing).
+            sizes, size_of = np.unique(counts, return_inverse=True)
+            targets = [[inclusion_target(p.value, int(k)) for k in sizes] for p in grid.parameters]
+            ranks = [sorted({row[s] for row in targets} | {0}) for s in range(sizes.size)]
+            span = np.asarray([len(r) for r in ranks])
+            widths = span[size_of]
+            base = np.cumsum(widths) - widths
+            rank_at = np.concatenate([np.asarray(r, dtype=np.int64) for r in ranks])
+            at = np.repeat((np.cumsum(span) - span)[size_of] - base, widths)
+            at += np.arange(at.size)
+            ends = np.repeat(starts, widths) + rank_at[at]
+            del at
+            table = metric_table(widths, ends)
+            for i, row in enumerate(targets):
+                col_of = np.asarray([ranks[s].index(t) for s, t in enumerate(row)])
+                means[i] = mean_of(table, base + col_of[size_of])
+        for param, row in zip(grid.parameters, means.tolist()):
+            yield grid, param, tuple(row)
 
 
 def evaluate_split(
@@ -413,8 +486,8 @@ def evaluate_split(
 
     Builds one calibration summary per needed transform, scores each
     test prompt's full response set under every requested kind, and
-    averages the instance metrics of ``sweep`` at every strategy grid
-    point over test prompts.  Also reports the per-kind mean of
+    reports the means over test prompts that ``sweep`` yields at every
+    strategy grid point.  Also reports the per-kind mean of
     ``worst_cases``, which needs no strategy at all.
     """
     kinds = tuple(kinds)
@@ -444,8 +517,7 @@ def evaluate_split(
     for kind in kinds:
         scores = scores_of[kind.name]
         wc.append((kind.name, float(np.mean(worst_cases(scores, correct, counts)))))
-        for grid, param, metrics in sweep(scores, correct, counts, strategy_grids):
-            means = (float(np.mean(m)) for m in metrics)  # in ReportRow's field order
+        for grid, param, means in sweep(scores, correct, counts, strategy_grids):
             rows.append(
                 ReportRow(kind.name, grid.strategy.value, param.label, *means, n_test, n, 1)
             )
@@ -467,6 +539,9 @@ def _ext_percentile(values: np.ndarray, q: float) -> float:
     if lower == higher or math.isinf(higher):
         return float(higher)
     return float(np.percentile(values, q))
+
+
+_MEAN_FIELDS = ("mean_size_distortion", "mean_error", "mean_alpha", "mean_precision", "mean_recall")
 
 
 def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
@@ -491,24 +566,17 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
             raise ConfigurationError("split results have inconsistent half sizes")
 
     n_splits = len(results)
-    rows = []
-    for pos, (kind_name, strategy, parameter) in enumerate(key):
-        stack = [res.rows[pos] for res in results]
-        rows.append(
-            ReportRow(
-                score_kind=kind_name,
-                strategy=strategy,
-                parameter=parameter,
-                mean_size_distortion=float(np.mean([r.mean_size_distortion for r in stack])),
-                mean_error=float(np.mean([r.mean_error for r in stack])),
-                mean_alpha=float(np.mean([r.mean_alpha for r in stack])),
-                mean_precision=float(np.mean([r.mean_precision for r in stack])),
-                mean_recall=float(np.mean([r.mean_recall for r in stack])),
-                n_test=first.n_test,
-                n_cal=first.n_cal,
-                n_splits=n_splits,
-            )
-        )
+    field_means = np.empty((len(key), 5))
+    for f, name in enumerate(_MEAN_FIELDS):
+        per_split = np.asarray([[getattr(r, name) for r in res.rows] for res in results])
+        # Along the last axis of a C-contiguous (rows, splits) array, the
+        # mean is the field's np.mean over splits, bit for bit.
+        per_row = np.ascontiguousarray(per_split.reshape(n_splits, len(key)).T)
+        field_means[:, f] = per_row.mean(axis=1)
+    rows = [
+        ReportRow(kind_name, strategy, parameter, *row, first.n_test, first.n_cal, n_splits)
+        for (kind_name, strategy, parameter), row in zip(key, field_means.tolist())
+    ]
     wc_rows = []
     for pos, name in enumerate(wc_key):
         means = np.asarray([res.worst_case[pos][1] for res in results], dtype=np.float64)

@@ -41,13 +41,13 @@ def make_labeled(labels) -> LabeledResponseSet:
 def alpha_max_instance(labels, scores, alpha) -> tuple:
     """``sweep``'s (size distortion, error, alpha_used, precision, recall) of one prompt."""
     grid = StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of(alpha),))
-    [(_, _, metrics)] = sweep(
+    [(_, _, means)] = sweep(
         np.asarray(scores, dtype=np.float64),
         np.asarray(labels, dtype=bool),
         np.asarray([len(labels)]),
         (grid,),
     )
-    return tuple(m[0].item() for m in metrics)
+    return means
 
 
 def worst_case(labels, scores) -> float:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from escores import (
     CalibrationSummary,
@@ -15,9 +13,6 @@ from escores import (
     Response,
     ScoredResponseSet,
     SubResponse,
-    ext_add,
-    ext_div,
-    ext_recip,
     ext_sum,
 )
 from escores.core import as_ext_real, as_label, as_unit_fraction, as_unit_interval
@@ -26,32 +21,8 @@ from helpers import make_labeled, make_scored
 
 INF = math.inf
 
-ext_reals = st.one_of(
-    st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
-    st.just(INF),
-    st.just(0.0),
-)
-
-
-def test_ext_div_convention() -> None:
-    assert ext_div(0.0, 0.0) == 0.0
-    assert ext_div(1.0, 0.0) == INF
-    assert ext_div(3.0, 4.0) == 0.75
-    assert ext_div(INF, 2.0) == INF
-    assert ext_div(2.0, INF) == 0.0
-    assert ext_div(INF, INF) == 1.0
-    assert ext_div(0.0, INF) == 0.0
-
-
-def test_ext_recip_exact_endpoints() -> None:
-    assert ext_recip(0.0) == INF
-    assert ext_recip(INF) == 0.0
-    assert ext_recip(4.0) == 0.25
-
 
 def test_ext_add_and_sum() -> None:
-    assert ext_add(1.0, INF) == INF
-    assert ext_add(2.0, 3.0) == 5.0
     assert ext_sum([]) == 0.0
     assert ext_sum([2.0, 4.0]) == 6.0
     assert ext_sum([1.0, INF]) == INF
@@ -59,24 +30,11 @@ def test_ext_add_and_sum() -> None:
 
 def test_ext_inputs_validated() -> None:
     with pytest.raises(InvalidInputError):
-        ext_div(-1.0, 2.0)
+        ext_sum([-1.0, 2.0])
     with pytest.raises(InvalidInputError):
-        ext_div(1.0, float("nan"))
+        ext_sum([1.0, float("nan")])
     with pytest.raises(InvalidInputError):
         as_ext_real("not a number")
-
-
-@given(a=ext_reals, b=ext_reals)
-def test_ext_arithmetic_closed(a: float, b: float) -> None:
-    """Every add/div/recip of valid values is valid: nonnegative, never NaN."""
-    for out in (ext_add(a, b), ext_div(a, b), ext_recip(a)):
-        assert not math.isnan(out)
-        assert out >= 0.0
-
-
-@given(a=st.floats(min_value=1e-12, max_value=1e12, allow_nan=False))
-def test_recip_involution_on_finite_positives(a: float) -> None:
-    assert math.isclose(ext_recip(ext_recip(a)), a, rel_tol=1e-15)
 
 
 def test_scalar_validators() -> None:

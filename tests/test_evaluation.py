@@ -49,7 +49,7 @@ from escores import (
 )
 
 import oracles
-from escores.evaluation import score_prompts, worst_cases
+from escores.evaluation import score_prompts, sweep, worst_cases
 from helpers import (
     POLICIES,
     alpha_max_instance,
@@ -131,6 +131,50 @@ def test_sweep_edge_conventions() -> None:
     # an error at tolerance 0 is infinitely distorted
     size_distortion, error, alpha_used, _, _ = alpha_max_instance([0], [0.0], 0)
     assert (error, alpha_used, size_distortion) == (1, 0.0, math.inf)
+
+
+# Scores with ties, 0 and +inf; thirds make sums that round, so a change
+# of summation order shows in the last bit.
+SWEEP_SCORES = (0.0, 0.1, 1 / 3, 0.5, 2 / 3, 1.0, 1.5, math.inf)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    prompts=st.lists(
+        st.lists(st.tuples(st.sampled_from(SWEEP_SCORES), st.booleans()), min_size=1, max_size=6),
+        min_size=64,
+        max_size=100,
+    ),
+    alphas=st.lists(st.sampled_from((0.0, 0.1, 0.3, 0.5, 1.0)), min_size=1, max_size=6),
+    above_one=st.sampled_from((1.5, 2.0, 1e300)),
+    fractions=st.lists(st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.7, 1.0)), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_sweep_means_equal_np_mean_of_one_prompt_sweeps(
+    prompts, alphas, above_one, fractions, data
+) -> None:
+    """Each row of a many-prompt sweep is np.mean over prompts of one-prompt sweeps, bit for bit."""
+    # unsorted grids that repeat a value; alpha-max also passes every finite score
+    alphas = data.draw(st.permutations(alphas + alphas[:1] + [above_one]))
+    fractions = data.draw(st.permutations(fractions + fractions[:1]))
+    with pytest.warns(UserWarning, match="exceeds 1"):
+        alpha_grid = StrategyGrid(Strategy.ALPHA_MAX, tuple(Parameter.of(a) for a in alphas))
+    grids = (alpha_grid, StrategyGrid(Strategy.FRACTION, tuple(Parameter.of(f) for f in fractions)))
+
+    flat = [entry for prompt in prompts for entry in prompt]
+    scores = np.asarray([s for s, _ in flat])
+    correct = np.asarray([c for _, c in flat])
+    counts = np.asarray([len(prompt) for prompt in prompts])
+    rows = list(sweep(scores, correct, counts, grids))
+
+    per_prompt = [
+        [means for _, _, means in sweep(scores[a:b], correct[a:b], np.asarray([b - a]), grids)]
+        for a, b in zip(np.cumsum(counts) - counts, np.cumsum(counts))
+    ]
+    assert [(g, p) for g, p, _ in rows] == [(g, p) for g in grids for p in g.parameters]
+    for j, (_, _, means) in enumerate(rows):
+        expected = tuple(float(np.mean([one[j][m] for one in per_prompt])) for m in range(5))
+        assert means == expected
 
 
 # ---------------------------------------------------------------------------
