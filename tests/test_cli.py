@@ -592,12 +592,14 @@ def _golden_instances(prefix: str, n_prompts: int, rnd: random.Random) -> list:
 
 
 # sha256 of stdout (temporary paths replaced by TMP), of each CSV and of
-# each SVG directory; only output printed at six significant digits is pinned
+# each SVG directory; all of it is printed at six significant digits except
+# score.jsonl.out, whose scores are full float reprs
 GOLDEN = {
     "alpha-max.out": "03363fb215ff3fb3dc68cd64078177df65120a6f34aadcc72087b7ade11f984d",
     "fraction.out": "06bf024a0382f6fd3aa2bfab94410129e898666ee596ef2c094cdfa986ed8610",
     "permutations.out": "dfcfa31054107c91a70b07a277d56edc1160dc3d795d3d52e8c1eccee54e6635",
     "score.out": "571bdcac7bf7b88c9c0907cc1e53d0809da19fefe953ddd7146ccaf8edd5bdfa",
+    "score.jsonl.out": "e3f613dc73f80b02ddb7a821580f65a6d84657eebc552b2b403f9206e5f228f9",
     "alpha-max.csv": "0e7580a19183571275590c61c27e8482d4e06acd79f7cf43eff7e6d51f2adfbd",
     "fraction.csv": "7dc248360d5014d40f606c99315e5a77567cd47c6aa03c0d87df264a3b270616",
     "permutations.csv": "84a4244198ebda738f33adf8ee123457fdbbe399524027fcc8e5b43f39e398b3",
@@ -627,6 +629,10 @@ def test_cli_outputs_match_golden_hashes(tmp_path: Path, capsys) -> None:
             "--splits", "2",
         ),
         "score": ("score", str(data), "--calibration", str(cal), "--scores", "all", "--seed", "3"),
+        "score.jsonl": (
+            "score", str(data), "--calibration", str(cal), "--scores", "all", "--seed", "3",
+            "--jsonl",
+        ),
     }
     got = {}
     for name, argv in commands.items():
