@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -48,6 +47,7 @@ from .evaluation import (
 from .io import (
     DatasetParseError,
     DatasetValidationError,
+    _fmt_score,
     emit_csv,
     emit_svg_curves,
     parse_dataset,
@@ -72,12 +72,6 @@ from .scoring import score_response_set  # noqa: F401
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-def _fmt_score(value: float) -> str:
-    if value == math.inf:
-        return "inf"
-    return format(value, ".6g")
 
 
 def _parse_kinds(text: str) -> tuple[ScoreKind, ...]:

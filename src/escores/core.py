@@ -272,6 +272,7 @@ class CalibrationSummary:
 
     def __post_init__(self) -> None:
         values = tuple(as_ext_real(v, "calibration value") for v in self.per_prompt_fstar)
+        total = INF if any(math.isinf(v) for v in values) else math.fsum(values)  # ext_sum's rule
         object.__setattr__(self, "per_prompt_fstar", values)
-        object.__setattr__(self, "fstar_sum", ext_sum(values))
+        object.__setattr__(self, "fstar_sum", total)
         object.__setattr__(self, "n", len(values))

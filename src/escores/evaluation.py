@@ -34,7 +34,6 @@ value, for any alpha in [1/(n+1), 1].
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 import warnings
@@ -63,7 +62,7 @@ from .estimation import (
 )
 from .filtering import inclusion_target
 from .response_sets import IDENTITY_POLICY, PermutationPolicy, build_permutation_set, label_response_set
-from .scoring import ScoreFamily, ScoreKind, kind_scores, uniform_block
+from .scoring import ScoreFamily, ScoreKind, _exceedances, kind_scores, uniform_block
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
@@ -304,17 +303,6 @@ class PreparedDataset:
         return np.repeat(self.offsets[prompts] - starts, counts) + np.arange(int(counts.sum()))
 
 
-def _needed_transforms(kinds: Sequence[ScoreKind]) -> set[FTransform]:
-    """The transforms whose values ``kinds`` read (naive and p kinds: the estimates)."""
-    needed: set[FTransform] = set()
-    for kind in kinds:
-        if kind.family is ScoreFamily.E_SCORE_COMBINED:
-            needed.update(FTransform)
-        else:
-            needed.add(kind.transform if kind.family is ScoreFamily.E_SCORE else FTransform.IDENTITY)
-    return needed
-
-
 def score_prompts(
     prep: PreparedDataset,
     prompts: np.ndarray,
@@ -327,15 +315,14 @@ def score_prompts(
     """Score every response of ``prompts`` under each kind, prompt after prompt.
 
     ``cal_fstar[t]`` holds the calibration prompts' maxima under
-    transform t.  Randomized p-scores draw from the (master_seed,
-    split_index, prompt id) streams of ``uniform_block``.
+    transform t; each transform's maxima become one ``CalibrationSummary``,
+    the only thing ``kind_scores`` reads of the calibration half (p kinds
+    rank against the identity one).  Randomized p-scores draw from the
+    (master_seed, split_index, prompt id) streams of ``uniform_block``.
     """
-    needed = _needed_transforms(kinds)
-    summaries = {
-        t: build_calibration_summary((float(v) for v in cal_fstar[t]), t) for t in needed
-    }
+    summaries = {t: build_calibration_summary(cal_fstar[t].tolist(), t) for t in FTransform}
     gather = prep.gather(prompts)
-    values = {t: prep.f_flat[t][gather] for t in needed}
+    values = {t: prep.f_flat[t][gather] for t in FTransform}
     u = None
     if any(kind.family is ScoreFamily.P_SCORE_RANDOMIZED for kind in kinds):
         u = np.concatenate(
@@ -344,8 +331,7 @@ def score_prompts(
                 for p in prompts
             ]
         )
-    sorted_cal = np.sort(cal_fstar[FTransform.IDENTITY])
-    return {kind.name: kind_scores(kind, values, summaries, sorted_cal, u) for kind in kinds}
+    return {kind.name: kind_scores(kind, values, summaries, u) for kind in kinds}
 
 
 def worst_cases(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -637,17 +623,6 @@ def evaluate_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _exact_alpha(alpha: "float | Fraction") -> Fraction:
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int) and not isinstance(alpha, bool):
-        return Fraction(alpha)
-    value = float(alpha)
-    if math.isnan(value) or math.isinf(value):
-        raise InvalidInputError(f"alpha must be finite, got {alpha!r}")
-    return Fraction(value)
-
-
 def threshold_equivalence_check(
     f_test_values: Sequence[float],
     cal: CalibrationSummary,
@@ -658,24 +633,28 @@ def threshold_equivalence_check(
     For each alpha, inclusion by p-score (p <= alpha, compared in exact
     rational arithmetic) must equal inclusion by value (f strictly above
     the ceil((1-alpha)(n+1))-th smallest calibration value, or above
-    nothing when that index is 0).  Alphas below 1/(n+1) cannot include
-    anything under the p-score rule and are rejected as out of range.
+    nothing when that index is 0).  The p side takes #{v >= f} from
+    ``scoring._exceedances``, the rank count the p kinds score with, and
+    the threshold side reads the same sorted maxima.  Each alpha goes
+    through ``core.as_exact``, so floats mean their shortest decimal.
+    Alphas below 1/(n+1) cannot include anything under the p-score rule
+    and are rejected as out of range.
     """
     n = cal.n
-    values = sorted(cal.per_prompt_fstar)
+    ordered = np.sort(np.asarray(cal.per_prompt_fstar, dtype=np.float64))
     lo = Fraction(1, n + 1)
     tests = [as_ext_real(f, "test value") for f in f_test_values]
-    at_least = [n - bisect.bisect_left(values, f) for f in tests]  # #{v >= f}, exactly
+    at_least = _exceedances(ordered, np.asarray(tests, dtype=np.float64))[0].tolist()
 
     for alpha in alpha_grid:
-        exact = _exact_alpha(alpha)
+        exact = as_exact(alpha, "alpha")
         if not lo <= exact <= 1:
             raise InvalidInputError(
                 f"alpha {alpha!r} outside [1/(n+1), 1] = [{lo}, 1] for n={n}"
             )
         scaled = (1 - exact) * (n + 1)
         k = -(-scaled.numerator // scaled.denominator)
-        tau = values[k - 1] if k >= 1 else None
+        tau = ordered[k - 1] if k >= 1 else None
         for f, count in zip(tests, at_least):
             by_p = Fraction(1 + count, n + 1) <= exact
             by_threshold = True if tau is None else f > tau

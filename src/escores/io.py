@@ -302,7 +302,8 @@ CSV_HEADER = (
 )
 
 
-def _csv_number(value: float) -> str:
+def _fmt_score(value: float) -> str:
+    """Six significant digits, +inf as "inf": CSV cells and the CLI's tables."""
     if value == float("inf"):
         return "inf"
     return format(value, ".6g")
@@ -322,11 +323,11 @@ def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
                     row.score_kind,
                     row.strategy,
                     row.parameter,
-                    _csv_number(row.mean_size_distortion),
-                    _csv_number(row.mean_error),
-                    _csv_number(row.mean_alpha),
-                    _csv_number(row.mean_precision),
-                    _csv_number(row.mean_recall),
+                    _fmt_score(row.mean_size_distortion),
+                    _fmt_score(row.mean_error),
+                    _fmt_score(row.mean_alpha),
+                    _fmt_score(row.mean_precision),
+                    _fmt_score(row.mean_recall),
                     row.n_test,
                     row.n_cal,
                     row.n_splits,

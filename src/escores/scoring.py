@@ -163,7 +163,6 @@ def kind_scores(
     kind: ScoreKind,
     values: Mapping[FTransform, np.ndarray],
     summaries: Mapping[FTransform, CalibrationSummary],
-    sorted_cal: np.ndarray | None = None,
     u: np.ndarray | None = None,
     *,
     rank_transform: FTransform = FTransform.IDENTITY,
@@ -173,9 +172,9 @@ def kind_scores(
     ``values[t]`` holds the responses' values under transform t, so
     ``values[IDENTITY]`` holds their estimates, which the naive kinds
     read.  An e kind reads only the sum and count of ``summaries[t]``.
-    The p kinds rank ``values[rank_transform]`` against ``sorted_cal``,
-    the calibration maxima in ascending order; the randomized one breaks
-    ties with ``u``, one uniform per response.
+    The p kinds rank ``values[rank_transform]`` against the maxima of
+    ``summaries[rank_transform]`` through ``_exceedances``; the
+    randomized one breaks ties with ``u``, one uniform per response.
 
     Arithmetic is IEEE on the extended nonnegative reals, under the
     conventions of ``core``: a/0 = +inf for a > 0, 0/0 = 0,
@@ -191,15 +190,26 @@ def kind_scores(
         return _e_scores(values[kind.transform], summaries[kind.transform])
     if kind.family is ScoreFamily.E_SCORE_COMBINED:
         return _combined_scores([_e_scores(values[t], summaries[t]) for t in FTransform])
-    assert sorted_cal is not None
-    f = values[rank_transform]
-    n = sorted_cal.size
-    left = np.searchsorted(sorted_cal, f, side="left")
+    cal = summaries[rank_transform]
+    ordered = np.sort(np.asarray(cal.per_prompt_fstar, dtype=np.float64))
+    at_least, above = _exceedances(ordered, values[rank_transform])
     if kind.family is ScoreFamily.P_SCORE:
-        return (1 + (n - left)) / (n + 1)
+        return (1 + at_least) / (cal.n + 1)
     assert u is not None
-    right = np.searchsorted(sorted_cal, f, side="right")
-    return (u * (1 + (right - left)) + (n - right)) / (n + 1)
+    return (u * (1 + at_least - above) + above) / (cal.n + 1)
+
+
+def _exceedances(ordered: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """#{v >= f} and #{v > f} for each entry of ``f``, over ``ordered`` (ascending).
+
+    The one rank count of the package: the p kinds of ``kind_scores`` and
+    ``evaluation.threshold_equivalence_check`` both read it.
+    """
+    n = ordered.size
+    return (
+        n - np.searchsorted(ordered, f, side="left"),
+        n - np.searchsorted(ordered, f, side="right"),
+    )
 
 
 def _e_scores(f: np.ndarray, cal: CalibrationSummary) -> np.ndarray:
@@ -331,12 +341,11 @@ def score_response_set(
         [aggregate_conditionals(estimates, resp) for resp in responses], dtype=np.float64
     )
     values = {t: transform_values(estimate_of, t) for t in FTransform}
-    sorted_cal = u = None
+    u = None
     rank_transform = FTransform.IDENTITY
     if kind.family in (ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED):
-        ((rank_transform, summary),) = summaries.items()
-        sorted_cal = np.sort(np.asarray(summary.per_prompt_fstar, dtype=np.float64))
+        (rank_transform,) = summaries
     if kind.family is ScoreFamily.P_SCORE_RANDOMIZED:
         u = uniform_block(master_seed, split_index, prompt.id, len(responses))
-    scores = kind_scores(kind, values, summaries, sorted_cal, u, rank_transform=rank_transform)
+    scores = kind_scores(kind, values, summaries, u, rank_transform=rank_transform)
     return ScoredResponseSet(tuple(zip(tuple(responses), scores.tolist())))

@@ -768,6 +768,27 @@ def test_threshold_equivalence_rejects_out_of_range_alpha() -> None:
         threshold_equivalence_check([0.5], cal, [Fraction(5, 4)])
     with pytest.raises(InvalidInputError):
         threshold_equivalence_check([0.5], cal, [math.nan])
+    with pytest.raises(InvalidInputError):  # core.as_exact refuses bools
+        threshold_equivalence_check([0.5], cal, [True])
+
+
+def test_equivalence_trials_catch_a_wrong_rank_count(monkeypatch) -> None:
+    """The check reads the p kinds' own rank count, so a fault there shows.
+
+    Counting #{v > f} where #{v >= f} is meant drops the ties from every
+    p-score; the trials, which force ties, must then report failures.
+    """
+    import escores.evaluation
+    import escores.scoring
+
+    def above_only(ordered, f):
+        n = ordered.size
+        right = n - np.searchsorted(ordered, f, side="right")
+        return right, right
+
+    for module in (escores.scoring, escores.evaluation):
+        monkeypatch.setattr(module, "_exceedances", above_only)
+    assert run_equivalence_trials(300, seed=0).failures > 0
 
 
 def test_run_equivalence_trials_small_batch() -> None:
