@@ -62,11 +62,12 @@ from .estimation import (
 )
 from .filtering import inclusion_target
 from .response_sets import IDENTITY_POLICY, PermutationPolicy, build_permutation_set, label_response_set
-from .scoring import ScoreFamily, ScoreKind, _exceedances, kind_scores, uniform_block
+from .scoring import ScoreFamily, ScoreKind, _exceedances, _prompt_key, _uniforms, kind_scores
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
 from .estimation import calibration_f_star, transform_estimate  # noqa: F401
+from .scoring import uniform_block  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,9 @@ class PreparedDataset:
     responses.  It chains every prompt's estimates, then transforms every
     estimate and takes every prompt's incorrect maxima in whole-array
     operations.  Responses are stored prompt after prompt: prompt i owns
-    ``offsets[i]:offsets[i+1]``.  Everything split-dependent is left to
-    ``evaluate_split``.
+    ``offsets[i]:offsets[i+1]``.  Each prompt id is hashed once into
+    ``prompt_keys`` (uint64), the key of its uniform stream.  Everything
+    split-dependent is left to ``evaluate_split``.
     """
 
     def __init__(
@@ -287,6 +289,7 @@ class PreparedDataset:
             raise InvalidInputError("cannot prepare an empty dataset")
 
         self.n_prompts = len(self.prompt_ids)
+        self.prompt_keys = np.asarray([_prompt_key(pid) for pid in self.prompt_ids], dtype=np.uint64)
         self.counts = np.asarray([len(r) for r in self.responses], dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
         starts = self.offsets[:-1]
@@ -317,20 +320,17 @@ def score_prompts(
     ``cal_fstar[t]`` holds the calibration prompts' maxima under
     transform t; each transform's maxima become one ``CalibrationSummary``,
     the only thing ``kind_scores`` reads of the calibration half (p kinds
-    rank against the identity one).  Randomized p-scores draw from the
-    (master_seed, split_index, prompt id) streams of ``uniform_block``.
+    rank against the identity one).  Randomized p-scores take one uniform
+    per response from a single ``scoring._uniforms`` call over the
+    prompts' keys, so each prompt's draws equal its own ``uniform_block``
+    whatever prompts are scored with it and in whatever order.
     """
     summaries = {t: build_calibration_summary(cal_fstar[t].tolist(), t) for t in FTransform}
     gather = prep.gather(prompts)
     values = {t: prep.f_flat[t][gather] for t in FTransform}
     u = None
     if any(kind.family is ScoreFamily.P_SCORE_RANDOMIZED for kind in kinds):
-        u = np.concatenate(
-            [
-                uniform_block(master_seed, split_index, prep.prompt_ids[p], int(prep.counts[p]))
-                for p in prompts
-            ]
-        )
+        u = _uniforms(master_seed, split_index, prep.prompt_keys[prompts], prep.counts[prompts])
     return {kind.name: kind_scores(kind, values, summaries, u) for kind in kinds}
 
 

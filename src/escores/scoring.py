@@ -128,17 +128,71 @@ def _prompt_key(prompt_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def uniform_block(master_seed: int, split_index: int, prompt_id: str, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of the (seed, split, prompt) stream.
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-gamma state
+# increment and the two multipliers of its finalizer.
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
-    A pure function of its arguments: the stream is derived from the
-    master seed through a spawn key, so draws never depend on evaluation
-    order across prompts or splits.
+
+def _mix_int(z: int) -> int:
+    """The SplitMix64 finalizer on a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer on a uint64 array; products wrap mod 2**64.
+
+    Every operand is uint64: a numpy uint64 scalar warns on overflow, and
+    a uint64 mixed with an int64 promotes to float64.
+    """
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _absorb(state: int, value: int) -> int:
+    """Mix ``value``'s 64-bit words into ``state``, low word first (at least one)."""
+    while True:
+        state = _mix_int(state ^ (value & _MASK64))
+        value >>= 64
+        if not value:
+            return state
+
+
+def _uniforms(master_seed: int, split_index: int, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[i]`` uniforms of prompt i's stream, prompt after prompt.
+
+    ``keys`` holds the prompts' ``_prompt_key``s as uint64.  Draw j of a
+    prompt is output j of a SplitMix64 generator seeded with
+    ``mix(key ^ mix(mix(seed) ^ split))``, that is ``mix(state + (j+1) *
+    gamma)``, whose top 53 bits make a float in [0, 1).  Each draw is a
+    pure function of (seed, split, key, j), so draws depend neither on
+    which prompts are drawn together nor on their order.
     """
     if master_seed < 0 or split_index < 0:
         raise InvalidInputError("master seed and split index must be >= 0")
-    seq = np.random.SeedSequence(master_seed, spawn_key=(1, split_index, _prompt_key(prompt_id)))
-    return np.random.default_rng(seq).random(count)
+    base = np.uint64(_absorb(_absorb(0, master_seed), split_index))
+    counts = np.asarray(counts, dtype=np.int64)
+    states = np.repeat(_mix(np.asarray(keys, dtype=np.uint64) ^ base), counts)
+    firsts = np.repeat(np.cumsum(counts) - counts, counts)
+    ordinals = (np.arange(states.size, dtype=np.int64) - firsts + 1).astype(np.uint64)
+    bits = _mix(states + ordinals * np.uint64(_GAMMA)) >> np.uint64(11)
+    return bits.astype(np.float64) * 2.0**-53
+
+
+def uniform_block(master_seed: int, split_index: int, prompt_id: str, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of the (seed, split, prompt) stream.
+
+    The one-prompt view of ``_uniforms``: a pure function of its
+    arguments, so draws never depend on evaluation order across prompts
+    or splits, and a shorter block is a prefix of a longer one.
+    """
+    keys = np.asarray([_prompt_key(prompt_id)], dtype=np.uint64)
+    return _uniforms(master_seed, split_index, keys, np.asarray([count]))
 
 
 def uniform_draw(

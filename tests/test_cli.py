@@ -593,18 +593,19 @@ def _golden_instances(prefix: str, n_prompts: int, rnd: random.Random) -> list:
 
 # sha256 of stdout (temporary paths replaced by TMP), of each CSV and of
 # each SVG directory; all of it is printed at six significant digits except
-# score.jsonl.out, whose scores are full float reprs
+# score.jsonl.out, whose scores are full float reprs.  Every digest but the
+# two permutations ones covers p-randomized, so it moves with the uniform stream.
 GOLDEN = {
-    "alpha-max.out": "03363fb215ff3fb3dc68cd64078177df65120a6f34aadcc72087b7ade11f984d",
-    "fraction.out": "06bf024a0382f6fd3aa2bfab94410129e898666ee596ef2c094cdfa986ed8610",
+    "alpha-max.out": "1b38b444b0fcaca76615aa3578d6338112646c94571534a10a2fe9d554cd953e",
+    "fraction.out": "ab29a48ea71ce1ed7bac00ab198af12b5ba58081c5fff5117f27e864caed8091",
     "permutations.out": "dfcfa31054107c91a70b07a277d56edc1160dc3d795d3d52e8c1eccee54e6635",
-    "score.out": "571bdcac7bf7b88c9c0907cc1e53d0809da19fefe953ddd7146ccaf8edd5bdfa",
-    "score.jsonl.out": "e3f613dc73f80b02ddb7a821580f65a6d84657eebc552b2b403f9206e5f228f9",
-    "alpha-max.csv": "0e7580a19183571275590c61c27e8482d4e06acd79f7cf43eff7e6d51f2adfbd",
-    "fraction.csv": "7dc248360d5014d40f606c99315e5a77567cd47c6aa03c0d87df264a3b270616",
+    "score.out": "650590b452f3cbd42a2898b6d25fb6de0084896525b52ceba9b97495c1682897",
+    "score.jsonl.out": "9bd91547f35f4e3db297ec9b052e2417f25f1d41c3908c17ee39c374603969aa",
+    "alpha-max.csv": "825201554b46a4bec42da0385228499ad65d0d62c81a2ea247201282b8816402",
+    "fraction.csv": "a31272bb7bf4e7218e8301484268625c035017b99bddd340f2ecf9e51b92e2da",
     "permutations.csv": "84a4244198ebda738f33adf8ee123457fdbbe399524027fcc8e5b43f39e398b3",
-    "svg-alpha-max": "444c9c590126b4e570a333f0a01e8262adabdd3d6eda8e2ad879a0a3d30a2023",
-    "svg-fraction": "df1c6850dcfd0b69228d456853414ee6e152f59417b9b9e67a14aaf17073424b",
+    "svg-alpha-max": "8822530ea717a68e5ae15d3980ff74e6056d7800a30dab4ac7e3c2eb4ac30ab8",
+    "svg-fraction": "d8e26c4e976b0be843635d355ff7e62341024624f3fcb22119137f832123ea87",
 }
 
 
