@@ -166,12 +166,13 @@ def _absorb(state: int, value: int) -> int:
 def _uniforms(master_seed: int, split_index: int, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The first ``counts[i]`` uniforms of prompt i's stream, prompt after prompt.
 
-    ``keys`` holds the prompts' ``_prompt_key``s as uint64.  Draw j of a
-    prompt is output j of a SplitMix64 generator seeded with
-    ``mix(key ^ mix(mix(seed) ^ split))``, that is ``mix(state + (j+1) *
-    gamma)``, whose top 53 bits make a float in [0, 1).  Each draw is a
-    pure function of (seed, split, key, j), so draws depend neither on
-    which prompts are drawn together nor on their order.
+    ``keys`` holds the prompts' ``_prompt_key``s as uint64.  A prompt's
+    SplitMix64 generator starts at state ``mix(key ^ mix(mix(seed) ^
+    split))`` (a seed or split of 2**64 or more is absorbed 64 bits at a
+    time), and draw j is its output j, ``mix(state + (j+1) * gamma)``,
+    whose top 53 bits make a float in [0, 1).  Each draw is a pure
+    function of (seed, split, key, j), so draws depend neither on which
+    prompts are drawn together nor on their order.
     """
     if master_seed < 0 or split_index < 0:
         raise InvalidInputError("master seed and split index must be >= 0")

@@ -12,6 +12,7 @@ Values are Fractions or math.inf; no package code is imported.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -214,6 +215,47 @@ def threshold_includes(f, fstars, alpha: Fraction) -> bool:
         return True
     tau = sorted(fstars)[k - 1]
     return f > tau
+
+
+# --- keyed uniform draws -----------------------------------------------------
+
+_TWO64 = 2**64
+
+
+def _splitmix_finalize(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % _TWO64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % _TWO64
+    return z ^ (z >> 31)
+
+
+def _words(n: int) -> list[int]:
+    """64-bit words of a nonnegative int, least significant first; 0 has one."""
+    words = []
+    while True:
+        n, word = divmod(n, _TWO64)
+        words.append(word)
+        if n == 0:
+            return words
+
+
+def uniform(seed: int, split: int, prompt_id: str, ordinal: int) -> Fraction:
+    """Draw ``ordinal`` of the (seed, split, prompt) stream, exactly.
+
+    The seed's words, then the split's, are folded in by h = finalize(h ^ w)
+    from h = 0; the prompt's key (first 8 bytes of its sha256, big-endian)
+    gives the generator state finalize(key ^ h).  The generator is stepped
+    ordinal + 1 times by the golden gamma, one at a time, and its last
+    output's top 53 bits are the draw.
+    """
+    h = 0
+    for word in _words(seed) + _words(split):
+        h = _splitmix_finalize(h ^ word)
+    key = int(hashlib.sha256(prompt_id.encode("utf-8")).hexdigest()[:16], 16)
+    state = _splitmix_finalize(key ^ h)
+    for _ in range(ordinal + 1):
+        state = (state + 0x9E3779B97F4A7C15) % _TWO64
+        out = _splitmix_finalize(state)
+    return Fraction(out // 2**11, 2**53)
 
 
 # --- comparisons --------------------------------------------------------------

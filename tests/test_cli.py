@@ -139,6 +139,8 @@ def test_score_jsonl_output_and_determinism(dataset: Path, calibration: Path, ca
     assert code2 == EXIT_OK and out2 == out
     _, moved, _ = run(capsys, *argv[:-1], "6")
     assert moved != out  # the seed moves the randomized draws
+    code3, wide, _ = run(capsys, *argv[:-1], str(2**64 + 5))
+    assert code3 == EXIT_OK and wide != out  # a seed's words above 64 bits count too
 
 
 def test_score_warns_on_prompt_ids_shared_with_calibration(

@@ -7,6 +7,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from escores import (
 )
 
 import oracles
+from escores import evaluation
 from escores.evaluation import score_prompts, sweep, worst_cases
 from helpers import (
     POLICIES,
@@ -644,6 +646,37 @@ def test_evaluate_split_matches_oracle_composition(inputs, fractions, split_inde
                         assert oracles.matches(g, w), (mode, kind.name, label, what, g, w)
             worst = _exact_mean([oracles.instance(lab, s, [], 0)[2] for lab, s in zip(labels, sc)])
             assert oracles.matches(dict(result.worst_case)[kind.name], worst), (mode, kind.name)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.tuples(st.text(min_size=1, max_size=8), st.integers(1, 4)), min_size=1, max_size=6,
+             unique_by=lambda item: item[0]),
+    st.integers(0, 2**130),
+    st.integers(0, 2**70),
+    st.data(),
+)
+def test_uniform_draws_match_oracle_and_ignore_order_and_subset(
+    prompts, seed, split_index, data
+) -> None:
+    """Each draw is the oracle's exact value, and ``score_prompts`` draws
+    each prompt's own ``uniform_block`` whichever prompts it scores, in
+    whatever order."""
+    prep = PreparedDataset([make_instance(pid, [0.5] * k) for pid, k in prompts])
+    for pid, k in prompts:
+        want = [oracles.uniform(seed, split_index, pid, j) for j in range(k)]
+        assert uniform_block(seed, split_index, pid, k).tolist() == want
+    chosen = data.draw(st.permutations(range(len(prompts))))
+    chosen = np.asarray(chosen[: data.draw(st.integers(1, len(prompts)))])
+    cal_fstar = {t: np.asarray([0.25, 0.75]) for t in FTransform}
+    with mock.patch.object(evaluation, "kind_scores", wraps=evaluation.kind_scores) as spy:
+        score_prompts(
+            prep, chosen, [ScoreKind.parse("p-randomized")], cal_fstar,
+            master_seed=seed, split_index=split_index,
+        )
+    (kind, values, summaries, u), _ = spy.call_args
+    own = [uniform_block(seed, split_index, prompts[p][0], prompts[p][1]) for p in chosen]
+    assert u.tolist() == np.concatenate(own).tolist()
 
 
 # ---------------------------------------------------------------------------
