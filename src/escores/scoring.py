@@ -178,7 +178,7 @@ def _uniforms(master_seed: int, split_index: int, keys: np.ndarray, counts: np.n
         raise InvalidInputError("master seed and split index must be >= 0")
     base = np.uint64(_absorb(_absorb(0, master_seed), split_index))
     counts = np.asarray(counts, dtype=np.int64)
-    states = np.repeat(_mix(np.asarray(keys, dtype=np.uint64) ^ base), counts)
+    states = np.repeat(_mix(keys ^ base), counts)
     firsts = np.repeat(np.cumsum(counts) - counts, counts)
     ordinals = (np.arange(states.size, dtype=np.int64) - firsts + 1).astype(np.uint64)
     bits = _mix(states + ordinals * np.uint64(_GAMMA)) >> np.uint64(11)

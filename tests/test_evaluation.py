@@ -674,8 +674,8 @@ def test_uniform_draws_match_oracle_and_ignore_order_and_subset(
             prep, chosen, [ScoreKind.parse("p-randomized")], cal_fstar,
             master_seed=seed, split_index=split_index,
         )
-    (kind, values, summaries, u), _ = spy.call_args
-    own = [uniform_block(seed, split_index, prompts[p][0], prompts[p][1]) for p in chosen]
+    u = spy.call_args.args[3]  # kind_scores(kind, values, summaries, u)
+    own = [uniform_block(seed, split_index, *prompts[p]) for p in chosen]
     assert u.tolist() == np.concatenate(own).tolist()
 
 
