@@ -596,7 +596,9 @@ def _golden_instances(prefix: str, n_prompts: int, rnd: random.Random) -> list:
 # sha256 of stdout (temporary paths replaced by TMP), of each CSV and of
 # each SVG directory; all of it is printed at six significant digits except
 # score.jsonl.out, whose scores are full float reprs.  Every digest but the
-# two permutations ones covers p-randomized, so it moves with the uniform stream.
+# two permutations ones and the dataset ones covers p-randomized, so it
+# moves with the uniform stream.  The *.jsonl digests pin the dataset
+# files that write_dataset, simulate --emit and a singular round trip write.
 GOLDEN = {
     "alpha-max.out": "1b38b444b0fcaca76615aa3578d6338112646c94571534a10a2fe9d554cd953e",
     "fraction.out": "ab29a48ea71ce1ed7bac00ab198af12b5ba58081c5fff5117f27e864caed8091",
@@ -608,7 +610,20 @@ GOLDEN = {
     "permutations.csv": "84a4244198ebda738f33adf8ee123457fdbbe399524027fcc8e5b43f39e398b3",
     "svg-alpha-max": "8822530ea717a68e5ae15d3980ff74e6056d7800a30dab4ac7e3c2eb4ac30ab8",
     "svg-fraction": "d8e26c4e976b0be843635d355ff7e62341024624f3fcb22119137f832123ea87",
+    "ingest.out": "44b88601a67c60e6c6361d8d8afcd672cf4f8ca2f66354bf4ae06459efda68c7",
+    "simulate.out": "78462d83dc98bba72a38cf734c7b504de6b63bed2131576d6f55fb591649d4b2",
+    "data.jsonl": "34e9f32b3d420bdf8837caa9229c7c4a51de92c5f8aff10ad1c5f035f745cd18",
+    "cal.jsonl": "dc4d569fb574ce52bca0b4ac923077035937f3d32e5c0d1e96e279da0b865702",
+    "simulate.jsonl": "8f0f657bef3f32b495659dd7700aa4849fbc9c4ae126aa067fb8b249f72a6cf3",
+    "singular.jsonl": "c814ce160bf885195c838d47a670a9c6750330c45617f1d8526384b2fa898b43",
 }
+
+SINGULAR_RECORDS = (
+    '{"id": "s-1", "response": "Paris is in France.", "correct": true, '
+    '"oracle_estimate": 0.875}\n'
+    '{"id": "s-2", "response": "Lyon is the capital.", "correct": false, '
+    '"oracle_estimate": 0.3}\n'
+)
 
 
 def test_cli_outputs_match_golden_hashes(tmp_path: Path, capsys) -> None:
@@ -636,13 +651,21 @@ def test_cli_outputs_match_golden_hashes(tmp_path: Path, capsys) -> None:
             "score", str(data), "--calibration", str(cal), "--scores", "all", "--seed", "3",
             "--jsonl",
         ),
+        "ingest": ("ingest", str(data)),
+        "simulate": (
+            "simulate", "--prompts", "30", "--steps", "4", "--trials", "100", "--seed", "5",
+            "--emit", str(tmp_path / "simulate.jsonl"),
+        ),
     }
+    singular_in = tmp_path / "singular-in.txt"
+    singular_in.write_text(SINGULAR_RECORDS, encoding="utf-8")
+    write_dataset(parse_dataset(singular_in), tmp_path / "singular.jsonl", "singular")
     got = {}
     for name, argv in commands.items():
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK, name
         got[f"{name}.out"] = out.replace(str(tmp_path), "TMP")
-    for path in sorted(tmp_path.glob("*.csv")):
+    for path in sorted([*tmp_path.glob("*.csv"), *tmp_path.glob("*.jsonl")]):
         got[path.name] = path.read_text(encoding="utf-8")
     for svg_dir in sorted(tmp_path.glob("svg-*")):  # each directory's files, concatenated by name
         files = sorted(svg_dir.iterdir())
