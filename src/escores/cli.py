@@ -121,8 +121,8 @@ def _dataset_shape(instances) -> str:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    instances = parse_dataset(args.path, args.schema)
-    steps = [len(inst.generated.sub_responses) for inst in instances]
+    instances = parse_dataset(args.path)
+    steps = [len(inst.generated) for inst in instances]
     with_errors = sum(
         1 for inst in instances if inst.generated.first_error_index is not None
     )
@@ -135,8 +135,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
-    test_instances = parse_dataset(args.path, args.schema)
-    cal = PreparedDataset(parse_dataset(args.calibration, args.schema), policy)
+    test_instances = parse_dataset(args.path)
+    cal = PreparedDataset(parse_dataset(args.calibration), policy)
     test = PreparedDataset(test_instances, policy)
     del test_instances  # only the prepared arrays are used below; keeps peak memory down
     shared = sorted(set(test.prompt_ids).intersection(cal.prompt_ids))
@@ -209,7 +209,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
     plan = SplitPlan(seed=args.seed, n_splits=args.splits, test_fraction=args.test_fraction)
     report = evaluate_dataset(
-        PreparedDataset(parse_dataset(args.path, args.schema), policy), kinds, (grid,), plan
+        PreparedDataset(parse_dataset(args.path), policy), kinds, (grid,), plan
     )
     _print_report(report)
     if args.csv:
@@ -281,13 +281,7 @@ def _cmd_equivalence(args: argparse.Namespace) -> int:
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("path", help="JSONL dataset")
-    parser.add_argument(
-        "--schema",
-        choices=("auto", "prefix", "singular"),
-        default="auto",
-        help="record shape to expect (default: detect from the first record)",
-    )
+    parser.add_argument("path", help="JSONL dataset (its first record fixes its shape)")
 
 
 def _add_permutation_args(parser: argparse.ArgumentParser) -> None:

@@ -137,26 +137,13 @@ def as_unit_fraction(value: "float | str | Fraction", what: str = "fraction") ->
 
 @dataclass(frozen=True)
 class Prompt:
-    """A prompt identity; text is optional and never used for computation."""
+    """A prompt identity: a nonempty id string."""
 
     id: str
-    text: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise InvalidInputError("prompt id must be a nonempty string")
-
-
-@dataclass(frozen=True)
-class SubResponse:
-    """One generation step, identified by its original 1-based position."""
-
-    index: int
-    text: str | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 1:
-            raise InvalidInputError(f"sub-response index must be an int >= 1, got {self.index!r}")
 
 
 @dataclass(frozen=True)

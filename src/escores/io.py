@@ -16,7 +16,8 @@ Datasets are JSON Lines.  Two record shapes are understood:
       {"id": "p-1", "response": "...", "correct": false,
        "oracle_estimate": 0.35}
 
-A file must stick to one shape; mixing them raises.  Reports are
+A file's first record fixes its shape; a later record of the other
+shape raises.  Reports are
 written as CSV (one row per score kind / strategy / parameter) and,
 optionally, as SVG curve panels.
 """
@@ -31,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .core import EScoresError, InvalidInputError
+from .core import EScoresError, InvalidInputError, Prompt
 from .estimation import EstimateSource, PromptInstance
 from .evaluation import EvaluationReport, Parameter
 from .response_sets import GeneratedResponse
@@ -45,8 +46,6 @@ class DatasetParseError(EScoresError):
 class DatasetValidationError(EScoresError):
     """A dataset record is structurally valid JSON but semantically wrong."""
 
-
-_SCHEMAS = ("auto", "prefix", "singular")
 
 _PREFIX_KNOWN = {"id", "sub_responses", "first_error_index", "oracle_conditionals"}
 _SINGULAR_KNOWN = {"id", "response", "correct", "oracle_estimate"}
@@ -136,9 +135,7 @@ def _parse_prefix_record(record: dict, where: str, warned: set) -> PromptInstanc
     ]
 
     try:
-        generated = GeneratedResponse.from_texts(
-            prompt_id, texts, first_error_index=first_error
-        )
+        generated = GeneratedResponse(Prompt(prompt_id), tuple(texts), first_error)
         source = EstimateSource(
             conditionals={i + 1: v for i, v in enumerate(values)}
         )
@@ -164,31 +161,24 @@ def _parse_singular_record(record: dict, where: str, warned: set) -> PromptInsta
     )
 
     try:
-        generated = GeneratedResponse.from_texts(
-            prompt_id, [text], first_error_index=None if correct else 1
-        )
+        generated = GeneratedResponse(Prompt(prompt_id), (text,), None if correct else 1)
         source = EstimateSource(response_estimate=estimate)
         return PromptInstance(generated=generated, estimates=source)
     except InvalidInputError as exc:
         raise DatasetValidationError(f"{where}: {exc}") from exc
 
 
-def parse_dataset(path: "str | Path", schema: str = "auto") -> tuple[PromptInstance, ...]:
+def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
     """Read a JSONL dataset into prompt instances.
 
-    ``schema`` is ``"prefix"``, ``"singular"``, or ``"auto"`` to accept
-    whichever shape the first record has.  Blank lines are skipped.
-    Raises :class:`DatasetParseError` for malformed JSON and
-    :class:`DatasetValidationError` for bad records (with line numbers),
-    duplicate ids, mixed schemas, or an empty file.
+    The first record's shape, prefix or singular, is the file's.  Blank
+    lines are skipped.  Raises :class:`DatasetParseError` for malformed
+    JSON and :class:`DatasetValidationError` for bad records (with line
+    numbers), duplicate ids, mixed shapes, or an empty file.
     """
-    if schema not in _SCHEMAS:
-        raise InvalidInputError(
-            f"schema must be one of {_SCHEMAS}, got {schema!r}"
-        )
     path = Path(path)
     source = path.name
-    expected = None if schema == "auto" else schema
+    expected = None
 
     instances: list[PromptInstance] = []
     seen: dict[str, int] = {}
@@ -257,7 +247,7 @@ def write_dataset(
                 )
             record = {
                 "id": instance.prompt_id,
-                "sub_responses": [s.text or "" for s in generated.sub_responses],
+                "sub_responses": list(generated.sub_responses),
                 "first_error_index": generated.first_error_index,
                 "oracle_conditionals": [
                     instance.estimates.conditionals[i + 1]
@@ -278,7 +268,7 @@ def write_dataset(
                 )
             record = {
                 "id": instance.prompt_id,
-                "response": generated.sub_responses[0].text or "",
+                "response": generated.sub_responses[0],
                 "correct": generated.first_error_index is None,
                 "oracle_estimate": instance.estimates.response_estimate,
             }

@@ -22,7 +22,6 @@ from .core import (
     Prompt,
     Response,
     ResponseSetSizeError,
-    SubResponse,
 )
 
 # Enumerating all permutations is refused beyond this many steps.
@@ -31,8 +30,10 @@ MAX_UNCAPPED_PERMUTATION_STEPS = 8
 
 @dataclass(frozen=True)
 class GeneratedResponse:
-    """One model generation: prompt, ordered steps, first erroneous step.
+    """One model generation: prompt, ordered step texts, first erroneous step.
 
+    Step i is ``sub_responses[i - 1]``: a step is identified by its
+    1-based position, and its text is never used for computation.
     ``first_error_index`` is the 1-based position of the first incorrect
     sub-response, or None when the whole generation is correct.  Steps
     after the first error are not individually judged; containment of
@@ -40,21 +41,13 @@ class GeneratedResponse:
     """
 
     prompt: Prompt
-    sub_responses: tuple[SubResponse, ...]
+    sub_responses: tuple[str, ...]
     first_error_index: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sub_responses", tuple(self.sub_responses))
         if not self.sub_responses:
             raise InvalidInputError("a generated response needs at least one sub-response")
-        for position, sub in enumerate(self.sub_responses, start=1):
-            if not isinstance(sub, SubResponse):
-                raise InvalidInputError(f"expected SubResponse, got {sub!r}")
-            if sub.index != position:
-                raise InvalidInputError(
-                    f"sub-responses must be indexed 1..k in order; "
-                    f"position {position} holds index {sub.index}"
-                )
         fei = self.first_error_index
         if fei is not None:
             if not isinstance(fei, int) or isinstance(fei, bool):
@@ -66,15 +59,6 @@ class GeneratedResponse:
 
     def __len__(self) -> int:
         return len(self.sub_responses)
-
-    @staticmethod
-    def from_texts(
-        prompt_id: str,
-        texts: "list[str] | tuple[str, ...]",
-        first_error_index: int | None = None,
-    ) -> "GeneratedResponse":
-        subs = tuple(SubResponse(i, t) for i, t in enumerate(texts, start=1))
-        return GeneratedResponse(Prompt(prompt_id), subs, first_error_index)
 
 
 class PermutationMode(enum.Enum):

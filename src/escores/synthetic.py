@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, as_ext_real
+from .core import InvalidInputError, Prompt, as_ext_real
 from .estimation import EstimateSource, FTransform, PromptInstance, masked_f_star, transform_values
 from .response_sets import GeneratedResponse
 
@@ -96,10 +96,8 @@ def generate_dataset(cfg: SyntheticConfig) -> tuple[PromptInstance, ...]:
     for i in range(cfg.n_prompts):
         k = int(steps[i])
         fei = int(first_error[i]) or None
-        generated = GeneratedResponse.from_texts(
-            prompt_id=f"synthetic-{i:06d}",
-            texts=[f"step {j}" for j in range(1, k + 1)],
-            first_error_index=fei,
+        generated = GeneratedResponse(
+            Prompt(f"synthetic-{i:06d}"), tuple(f"step {j}" for j in range(1, k + 1)), fei
         )
         source = EstimateSource(
             conditionals={j: float(conditionals[i, j - 1]) for j in range(1, k + 1)}

@@ -13,6 +13,7 @@ from escores import (
     Parameter,
     PermutationMode,
     PermutationPolicy,
+    Prompt,
     PromptInstance,
     Response,
     ScoredResponseSet,
@@ -57,8 +58,8 @@ def worst_case(labels, scores) -> float:
 
 
 def make_generated(prompt_id: str, k: int, first_error_index=None) -> GeneratedResponse:
-    return GeneratedResponse.from_texts(
-        prompt_id, [f"s{j}" for j in range(1, k + 1)], first_error_index=first_error_index
+    return GeneratedResponse(
+        Prompt(prompt_id), tuple(f"s{j}" for j in range(1, k + 1)), first_error_index
     )
 
 

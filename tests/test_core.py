@@ -12,7 +12,6 @@ from escores import (
     Prompt,
     Response,
     ScoredResponseSet,
-    SubResponse,
     ext_sum,
 )
 from escores.core import as_ext_real, as_label, as_unit_fraction, as_unit_interval
@@ -56,12 +55,10 @@ def test_scalar_validators() -> None:
         as_unit_fraction(True)
 
 
-def test_prompt_and_subresponse_validation() -> None:
-    assert Prompt("p-1").text is None
+def test_prompt_validation() -> None:
+    assert Prompt("p-1").id == "p-1"
     with pytest.raises(InvalidInputError):
         Prompt("")
-    with pytest.raises(InvalidInputError):
-        SubResponse(0)
 
 
 def test_response_identity_and_validation() -> None:

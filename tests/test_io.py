@@ -82,7 +82,7 @@ def test_parse_singular_records(tmp_path: Path) -> None:
         '{"id": "s-1", "response": "four", "correct": true, "oracle_estimate": 0.9}',
         '{"id": "s-2", "response": "five", "correct": false, "oracle_estimate": 0.2}',
     )
-    instances = parse_dataset(path, schema="singular")
+    instances = parse_dataset(path)
     assert [inst.prompt_id for inst in instances] == ["s-1", "s-2"]
     assert instances[0].generated.first_error_index is None
     assert instances[1].generated.first_error_index == 1
@@ -124,9 +124,14 @@ def test_parse_rejects_mixed_schemas(tmp_path: Path) -> None:
     )
     with pytest.raises(DatasetValidationError, match=r"mixed\.jsonl:2.*mixed schemas"):
         parse_dataset(path)
-    # forcing a schema rejects the other shape on line 1
-    with pytest.raises(DatasetValidationError, match="expected a singular record"):
-        parse_dataset(write_lines(tmp_path / "forced.jsonl", PREFIX_RECORD), schema="singular")
+    # the first record fixes the shape, whichever it is
+    flipped = write_lines(
+        tmp_path / "flipped.jsonl",
+        '{"id": "s-1", "response": "four", "correct": true, "oracle_estimate": 0.9}',
+        PREFIX_RECORD,
+    )
+    with pytest.raises(DatasetValidationError, match="expected a singular record, found a prefix"):
+        parse_dataset(flipped)
     both = (
         '{"id": "b", "sub_responses": ["a"], "response": "a", '
         '"first_error_index": null, "oracle_conditionals": [0.5], '
@@ -142,13 +147,11 @@ def test_parse_rejects_duplicate_ids(tmp_path: Path) -> None:
         parse_dataset(path)
 
 
-def test_parse_rejects_empty_and_bad_schema(tmp_path: Path) -> None:
+def test_parse_rejects_empty_and_missing_files(tmp_path: Path) -> None:
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n\n", encoding="utf-8")
     with pytest.raises(DatasetValidationError, match="no records"):
         parse_dataset(empty)
-    with pytest.raises(InvalidInputError):
-        parse_dataset(empty, schema="bogus")
     with pytest.raises(FileNotFoundError):
         parse_dataset(tmp_path / "missing.jsonl")
 
@@ -218,7 +221,7 @@ def test_singular_round_trip(tmp_path: Path) -> None:
         ),
     )
     path = write_dataset(instances, tmp_path / "out.jsonl", schema="singular")
-    assert parse_dataset(path, schema="singular") == instances
+    assert parse_dataset(path) == instances
 
 
 def test_write_rejects_unrepresentable_instances(tmp_path: Path) -> None:
@@ -367,12 +370,9 @@ def test_parse_grid_rejects_bad_input() -> None:
 
 def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:
     """Each check once made up front for an evaluation run, at its owner."""
-    data = write_lines(tmp_path / "d.jsonl", PREFIX_RECORD)
     # a missing input is a usage error of the command
     assert run_command(["evaluate", str(tmp_path / "nope.jsonl")]) == EXIT_USAGE
     assert "usage error:" in capsys.readouterr().err
-    with pytest.raises(InvalidInputError, match="schema"):
-        parse_dataset(data, schema="yaml")
     split = SplitAssignment(calibration=(0,), test=(1,))
     two = PreparedDataset([make_instance("v-1", [0.5]), make_instance("v-2", [0.7])])
     with pytest.raises(InvalidInputError, match="score kind"):

@@ -13,6 +13,7 @@ from escores import (
     InvalidInputError,
     PermutationMode,
     PermutationPolicy,
+    Prompt,
     Response,
     ResponseSetSizeError,
     build_permutation_set,
@@ -39,7 +40,7 @@ def test_generated_response_validation() -> None:
     with pytest.raises(InvalidInputError):
         make_generated("p", 3, first_error_index=0)
     with pytest.raises(InvalidInputError):
-        GeneratedResponse.from_texts("p", [])
+        GeneratedResponse(Prompt("p"), ())
 
 
 def test_prefix_set_matches_enumeration() -> None:
