@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .estimation import FTransform
@@ -68,12 +68,14 @@ def as_ext_real(value: float, what: str = "value") -> float:
     return abs(out)  # -0.0 becomes 0.0, whose reciprocal is +inf
 
 
+def _sum_checked(values: Sequence[float]) -> float:
+    """``ext_sum`` of values that ``as_ext_real`` has already validated."""
+    return INF if any(math.isinf(v) for v in values) else math.fsum(values)
+
+
 def ext_sum(values: Iterable[float]) -> float:
     """Exactly rounded sum of extended nonnegative reals (0.0 for empty)."""
-    checked = [as_ext_real(v, "summand") for v in values]
-    if any(math.isinf(v) for v in checked):
-        return INF
-    return math.fsum(checked)
+    return _sum_checked([as_ext_real(v, "summand") for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,6 @@ class CalibrationSummary:
 
     def __post_init__(self) -> None:
         values = tuple(as_ext_real(v, "calibration value") for v in self.per_prompt_fstar)
-        total = INF if any(math.isinf(v) for v in values) else math.fsum(values)  # ext_sum's rule
         object.__setattr__(self, "per_prompt_fstar", values)
-        object.__setattr__(self, "fstar_sum", total)
+        object.__setattr__(self, "fstar_sum", _sum_checked(values))
         object.__setattr__(self, "n", len(values))

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import escores.core
 from escores import (
     CalibrationSummary,
     InvalidInputError,
@@ -102,3 +103,17 @@ def test_calibration_summary_checks_its_own_sum() -> None:
     assert inf_summary.fstar_sum == INF and inf_summary.n == 2
     with pytest.raises(InvalidInputError):
         CalibrationSummary((1.0, -2.0))
+
+
+def test_extended_sums_validate_each_value_once(monkeypatch) -> None:
+    calls = []
+
+    def counting(value, what="value"):
+        calls.append(value)
+        return as_ext_real(value, what)
+
+    monkeypatch.setattr(escores.core, "as_ext_real", counting)
+    assert CalibrationSummary((1.0, 2.0, INF)).fstar_sum == INF
+    assert len(calls) == 3
+    assert ext_sum([1.0, 2.0, 0.5]) == 3.5
+    assert len(calls) == 6
