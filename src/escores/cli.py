@@ -136,9 +136,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
     test_instances = parse_dataset(args.path)
-    cal = PreparedDataset(parse_dataset(args.calibration), policy)
+    cal_instances = parse_dataset(args.calibration)
+    test_shape, cal_shape = _dataset_shape(test_instances), _dataset_shape(cal_instances)
+    if test_shape != cal_shape:
+        warnings.warn(
+            f"the test file holds {test_shape} records and the calibration file "
+            f"{cal_shape} records; this breaks the exchangeability that the scores' "
+            "guarantee assumes"
+        )
+    cal = PreparedDataset(cal_instances, policy)
+    del cal_instances  # only the prepared arrays are used below; keeps peak memory down
     test = PreparedDataset(test_instances, policy)
-    del test_instances  # only the prepared arrays are used below; keeps peak memory down
+    del test_instances
     shared = sorted(set(test.prompt_ids).intersection(cal.prompt_ids))
     if shared:
         warnings.warn(

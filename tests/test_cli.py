@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,33 @@ def test_score_warns_on_prompt_ids_shared_with_calibration(
     code, disjoint_out, err = run(capsys, *argv, str(calibration))
     assert code == EXIT_OK and err == ""
     assert out == disjoint_out
+
+
+def test_score_warns_on_test_and_calibration_files_of_different_shapes(
+    dataset: Path, tmp_path: Path, capsys
+) -> None:
+    singular = tmp_path / "singular.jsonl"
+    singular.write_text(
+        '{"id": "s-1", "response": "a", "correct": false, "oracle_estimate": 0.4}\n'
+        '{"id": "s-2", "response": "b", "correct": true, "oracle_estimate": 0.9}\n',
+        encoding="utf-8",
+    )
+    argv = ("score", str(dataset), "--calibration", str(singular), "--scores", "all", "--jsonl")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert err == (
+        "warning: the test file holds prefix records and the calibration file singular "
+        "records; this breaks the exchangeability that the scores' guarantee assumes\n"
+    )
+    # the warning is all that the mismatch adds: silenced, the run is the same
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(capsys, *argv) == (code, out, "")
+    # files of one shape, singular here, have nothing to warn about
+    other = tmp_path / "other.jsonl"
+    other.write_text(singular.read_text(encoding="utf-8").replace('"s-', '"t-'), encoding="utf-8")
+    code, out, err = run(capsys, "score", str(other), "--calibration", str(singular))
+    assert code == EXIT_OK and out.count("\nt-") == 2 and err == ""
 
 
 def test_score_warns_on_infinite_calibration_maxima(
