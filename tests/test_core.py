@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import escores
 import escores.core
 from escores import (
     CalibrationSummary,
@@ -20,6 +21,17 @@ from escores.core import as_ext_real, as_label, as_unit_fraction, as_unit_interv
 from helpers import make_labeled, make_scored
 
 INF = math.inf
+
+
+def test_public_surface() -> None:
+    assert [name for name in escores.__all__ if not hasattr(escores, name)] == []
+    namespace: dict = {}
+    exec("from escores import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(escores.__all__)
+    assert len(set(escores.__all__)) == len(escores.__all__)
+    # retired names stay retired
+    assert not hasattr(escores, "SubResponse")
+    assert not hasattr(escores.core, "SubResponse")
 
 
 def test_ext_add_and_sum() -> None:
