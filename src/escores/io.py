@@ -16,8 +16,7 @@ Datasets are JSON Lines.  Two record shapes are understood:
       {"id": "p-1", "response": "...", "correct": false,
        "oracle_estimate": 0.35}
 
-A file's first record fixes its shape; a later record of the other
-shape raises.  Reports are
+A file's first record fixes its shape; mixing shapes raises.  Reports are
 written as CSV (one row per score kind / strategy / parameter) and,
 optionally, as SVG curve panels.
 """
@@ -49,10 +48,6 @@ class DatasetValidationError(EScoresError):
 
 _PREFIX_KNOWN = {"id", "sub_responses", "first_error_index", "oracle_conditionals"}
 _SINGULAR_KNOWN = {"id", "response", "correct", "oracle_estimate"}
-
-
-def _where(source: str, lineno: int) -> str:
-    return f"{source}:{lineno}"
 
 
 def _detect_schema(record: dict, where: str) -> str:
@@ -187,7 +182,7 @@ def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            where = _where(source, lineno)
+            where = f"{source}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -196,18 +191,14 @@ def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
                 raise DatasetParseError(f"{where}: each line must be a JSON object")
 
             found = _detect_schema(record, where)
-            if expected is None:
-                expected = found
-            elif found != expected:
+            expected = expected or found
+            if found != expected:
                 raise DatasetValidationError(
                     f"{where}: mixed schemas: expected a {expected} record, "
                     f"found a {found} record"
                 )
-
-            if expected == "prefix":
-                instance = _parse_prefix_record(record, where, warned)
-            else:
-                instance = _parse_singular_record(record, where, warned)
+            parse_record = _parse_prefix_record if found == "prefix" else _parse_singular_record
+            instance = parse_record(record, where, warned)
 
             if instance.prompt_id in seen:
                 raise DatasetValidationError(
