@@ -45,7 +45,13 @@ class GeneratedResponse:
     first_error_index: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sub_responses", tuple(self.sub_responses))
+        texts = tuple(self.sub_responses)
+        # a bare string would otherwise pass as one step per character
+        if isinstance(self.sub_responses, str) or not all(isinstance(t, str) for t in texts):
+            raise InvalidInputError(
+                f"sub_responses must be a sequence of step texts, got {self.sub_responses!r}"
+            )
+        object.__setattr__(self, "sub_responses", texts)
         if not self.sub_responses:
             raise InvalidInputError("a generated response needs at least one sub-response")
         fei = self.first_error_index

@@ -41,6 +41,9 @@ def test_generated_response_validation() -> None:
         make_generated("p", 3, first_error_index=0)
     with pytest.raises(InvalidInputError):
         GeneratedResponse(Prompt("p"), ())
+    for not_texts in ("abc", ["a", 2]):
+        with pytest.raises(InvalidInputError, match="step texts"):
+            GeneratedResponse(Prompt("p"), not_texts)
 
 
 def test_prefix_set_matches_enumeration() -> None:
