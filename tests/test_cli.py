@@ -623,10 +623,11 @@ def _golden_instances(prefix: str, n_prompts: int, rnd: random.Random) -> list:
 
 # sha256 of stdout (temporary paths replaced by TMP), of each CSV and of
 # each SVG directory; all of it is printed at six significant digits except
-# score.jsonl.out, whose scores are full float reprs.  Every digest but the
-# two permutations ones and the dataset ones covers p-randomized, so it
-# moves with the uniform stream.  The *.jsonl digests pin the dataset
-# files that write_dataset, simulate --emit and a singular round trip write.
+# score.jsonl.out, whose scores are full float reprs.  Every score and
+# evaluate digest but the two permutations ones covers p-randomized, so it
+# moves with the uniform stream.  ingest.out, simulate.out and the *.jsonl
+# digests pin the generate, parse and write paths: the dataset files that
+# write_dataset, simulate --emit and a singular round trip write.
 GOLDEN = {
     "alpha-max.out": "1b38b444b0fcaca76615aa3578d6338112646c94571534a10a2fe9d554cd953e",
     "fraction.out": "ab29a48ea71ce1ed7bac00ab198af12b5ba58081c5fff5117f27e864caed8091",
