@@ -13,7 +13,9 @@ no matter how it continues.
 ``mc_evariable_check`` estimates the mean of the exchangeable-rank
 statistic m * last / sum over freshly sampled groups of per-prompt
 maxima; its expectation never exceeds 1, which is the soundness
-property everything downstream leans on.
+property everything downstream leans on.  It works through the trials
+in fixed blocks of whole trials, each drawn from a stream of its own,
+so its memory is bounded by the block and not by the trial count.
 """
 
 from __future__ import annotations
@@ -138,9 +140,17 @@ class MCEstimate:
 
 def require_trial_count(n_trials: int) -> int:
     """Reject Monte Carlo trial counts too small for a stable mean."""
-    if n_trials < 100:
-        raise InvalidInputError(f"need at least 100 trials for a stable mean, got {n_trials}")
+    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 100:
+        raise InvalidInputError(
+            f"n_trials must be an int >= 100 (at least 100 trials for a stable mean), "
+            f"got {n_trials!r}"
+        )
     return n_trials
+
+
+# Monte Carlo rows drawn at once.  A block holds about six (rows x max_steps)
+# float64 working arrays: some 8 MB at five steps.
+_BLOCK_ROWS = 1 << 15
 
 
 def mc_evariable_check(
@@ -151,25 +161,31 @@ def mc_evariable_check(
     Each trial draws cfg.n_prompts synthetic prompts, computes the
     per-prompt maximum transformed prefix value over incorrect prefixes
     (0 when the prompt is fully correct), and evaluates
-    ``evariable_statistic``.  Sampling is vectorized across trials but
-    uses the same distributions as ``generate_dataset``.
+    ``evariable_statistic``.  Trials run in blocks of whole trials, about
+    ``_BLOCK_ROWS`` prompts each (one trial when a trial is larger), and
+    block b draws from child b of ``SeedSequence(cfg.seed, spawn_key=(1,))``
+    with the same distributions as ``generate_dataset``.  Memory is
+    bounded by the block; only the per-trial statistics span all trials.
     """
     n_trials = require_trial_count(n_trials)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    rows = n_trials * cfg.n_prompts
-    steps, first_error, conditionals = _sample_arrays(rng, cfg, rows)
-
-    # Prefix estimate of length j is the product of the first j conditionals.
-    values = transform_values(np.cumprod(conditionals, axis=1), transform)
+    block_trials = max(1, _BLOCK_ROWS // cfg.n_prompts)
     step_index = np.arange(1, cfg.max_steps + 1)[None, :]
-    is_incorrect_prefix = (
-        (first_error[:, None] > 0)
-        & (step_index >= first_error[:, None])
-        & (step_index <= steps[:, None])
-    )
-    fstar = masked_f_star(values, is_incorrect_prefix)
+    stats = np.empty(n_trials)
+    for b, start in enumerate(range(0, n_trials, block_trials)):
+        trials = min(block_trials, n_trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, b)))
+        steps, first_error, conditionals = _sample_arrays(rng, cfg, trials * cfg.n_prompts)
 
-    stats = _evariable_rows(fstar.reshape(n_trials, cfg.n_prompts))
+        # Prefix estimate of length j is the product of the first j conditionals.
+        values = transform_values(np.cumprod(conditionals, axis=1), transform)
+        is_incorrect_prefix = (
+            (first_error[:, None] > 0)
+            & (step_index >= first_error[:, None])
+            & (step_index <= steps[:, None])
+        )
+        fstar = masked_f_star(values, is_incorrect_prefix)
+        stats[start:start + trials] = _evariable_rows(fstar.reshape(trials, cfg.n_prompts))
+
     mean = float(np.mean(stats))
     std_error = float(np.std(stats, ddof=1) / math.sqrt(n_trials))
     return MCEstimate(mean=mean, std_error=std_error, n_trials=n_trials)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import statistics
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import escores.synthetic as synthetic
 from escores import (
     FTransform,
     InvalidInputError,
@@ -20,6 +24,7 @@ from escores import (
     evariable_statistic,
     generate_dataset,
     mc_evariable_check,
+    transform_estimate,
 )
 
 import oracles
@@ -122,8 +127,9 @@ def test_mc_check_stays_near_or_below_one() -> None:
     assert est.n_trials == 400
     assert est.std_error > 0.0
     assert est.mean <= 1.0 + 3.0 * est.std_error
-    with pytest.raises(InvalidInputError):
-        mc_evariable_check(cfg, FTransform.IDENTITY, n_trials=50)
+    for bad in (50, 150.0, "150", True):
+        with pytest.raises(InvalidInputError):
+            mc_evariable_check(cfg, FTransform.IDENTITY, n_trials=bad)
 
 
 def test_mc_check_is_deterministic_per_seed() -> None:
@@ -131,3 +137,64 @@ def test_mc_check_is_deterministic_per_seed() -> None:
     a = mc_evariable_check(cfg, FTransform.ODDS, n_trials=150)
     b = mc_evariable_check(cfg, FTransform.ODDS, n_trials=150)
     assert a == b
+
+
+def test_mc_check_memory_is_bounded_by_the_block() -> None:
+    """A million Monte Carlo rows never hold more than a block's arrays at once."""
+    cfg = SyntheticConfig(n_prompts=100, seed=1)
+    tracemalloc.start()
+    try:
+        mc_evariable_check(cfg, FTransform.ODDS, 10000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def _reference_mc(cfg: SyntheticConfig, transform: FTransform, n_trials: int, block_trials: int):
+    """Mean and SE from block b's spawned stream, a per-prompt f* loop and the scalar statistic."""
+    n_blocks = -(-n_trials // block_trials)
+    streams = np.random.SeedSequence(cfg.seed, spawn_key=(1,)).spawn(n_blocks)
+    stats = []
+    for b, stream in enumerate(streams):
+        trials = min(block_trials, n_trials - b * block_trials)
+        steps, first_error, conditionals = synthetic._sample_arrays(
+            np.random.default_rng(stream), cfg, trials * cfg.n_prompts
+        )
+        maxima = []
+        for row in range(trials * cfg.n_prompts):
+            fstar, estimate = 0.0, 1.0
+            for j in range(1, int(steps[row]) + 1):
+                estimate *= float(conditionals[row, j - 1])
+                if 0 < first_error[row] <= j:
+                    fstar = max(fstar, transform_estimate(estimate, transform))
+            maxima.append(fstar)
+        for t in range(trials):
+            stats.append(evariable_statistic(maxima[t * cfg.n_prompts:(t + 1) * cfg.n_prompts]))
+    assert len(stats) == n_trials
+    return math.fsum(stats) / n_trials, statistics.stdev(stats) / math.sqrt(n_trials)
+
+
+@pytest.mark.parametrize(
+    ("block_rows", "n_prompts", "n_trials", "block_trials", "correct_prob"),
+    [
+        (10, 3, 101, 3, 0.3),  # several trials per block, a partial last block of 2
+        (16, 4, 100, 4, 0.3),  # several trials per block, 25 full blocks
+        # a trial larger than a block: one trial per block; no prompt is fully
+        # correct, so no statistic is 0 and a swapped stream shows in the mean
+        (4, 9, 100, 1, 0.0),
+    ],
+)
+@pytest.mark.parametrize("transform", [FTransform.IDENTITY, FTransform.ODDS])
+def test_mc_check_blocks_match_scalar_reference(
+    monkeypatch, block_rows, n_prompts, n_trials, block_trials, correct_prob, transform
+) -> None:
+    monkeypatch.setattr(synthetic, "_BLOCK_ROWS", block_rows)
+    cfg = SyntheticConfig(
+        n_prompts=n_prompts, max_steps=4, seed=13, fully_correct_prob=correct_prob
+    )
+    est = mc_evariable_check(cfg, transform, n_trials)
+    mean, se = _reference_mc(cfg, transform, n_trials, block_trials)
+    assert est.n_trials == n_trials
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-9)
