@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import escores.synthetic as synthetic
 from escores import (
@@ -119,6 +121,18 @@ def test_evariable_statistic_values() -> None:
     assert evariable_statistic([math.inf, 1.0]) == 0.0  # finite last, infinite sum
     with pytest.raises(InvalidInputError):
         evariable_statistic([])
+
+
+row_values = st.one_of(
+    st.just(0.0), st.just(math.inf), st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+)
+
+
+@given(row=st.lists(row_values, min_size=2, max_size=8))
+def test_evariable_statistic_is_the_e_value_of_the_last_entry(row: list[float]) -> None:
+    """The statistic is 1 / e-score of the last entry against the others, to the oracle."""
+    expected = oracles.x_recip(oracles.e_score(row[-1], row[:-1]))
+    assert oracles.matches(evariable_statistic(row), expected)
 
 
 def test_mc_check_stays_near_or_below_one() -> None:
