@@ -267,11 +267,22 @@ def _exceedances(ordered: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
+def _e_values(f: np.ndarray, others_sum: "float | np.ndarray", n: "int | np.ndarray") -> np.ndarray:
+    """The e-value (n + 1) * f / (f + others_sum) of f against n others summing to others_sum.
+
+    The one e-value formula of the package: ``_e_scores`` inverts it and
+    ``synthetic``'s Monte Carlo check takes it of each group's last entry
+    against the rest.  Extended-real rules as in ``kind_scores``.
+    """
+    with np.errstate(all="ignore"):
+        ratio = f / (f + others_sum)
+        ratio = np.where(np.isnan(ratio), np.where(np.isinf(f), 1.0, 0.0), ratio)
+        return (n + 1) * ratio
+
+
 def _e_scores(f: np.ndarray, cal: CalibrationSummary) -> np.ndarray:
     with np.errstate(all="ignore"):
-        ratio = f / (f + cal.fstar_sum)
-        ratio = np.where(np.isnan(ratio), np.where(np.isinf(f), 1.0, 0.0), ratio)
-        return 1.0 / ((cal.n + 1) * ratio)
+        return 1.0 / _e_values(f, cal.fstar_sum, cal.n)
 
 
 def _combined_scores(components: Sequence[np.ndarray]) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 from .core import InvalidInputError, Prompt, as_ext_real
 from .estimation import EstimateSource, FTransform, PromptInstance, masked_f_star, transform_values
 from .response_sets import GeneratedResponse
+from .scoring import _e_values
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,8 @@ def generate_dataset(cfg: SyntheticConfig) -> tuple[PromptInstance, ...]:
 
 def _evariable_rows(groups: np.ndarray) -> np.ndarray:
     """``evariable_statistic`` of each row of a (groups x m) array, without copying it."""
-    m = groups.shape[1]
-    totals = groups.sum(axis=1)
-    last = groups[:, -1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        raw = np.where(totals == 0.0, 0.0, (m * last) / totals)
-    return np.where(np.isinf(last), float(m), raw)
+    others = groups[:, :-1]
+    return _e_values(groups[:, -1], others.sum(axis=1), others.shape[1])
 
 
 def evariable_statistic(per_prompt_maxima: Sequence[float]) -> float:

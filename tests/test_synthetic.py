@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import escores.scoring as scoring
 import escores.synthetic as synthetic
 from escores import (
     FTransform,
@@ -22,6 +23,8 @@ from escores import (
     Strategy,
     StrategyGrid,
     SyntheticConfig,
+    build_calibration_summary,
+    e_score,
     evaluate_split,
     evariable_statistic,
     generate_dataset,
@@ -144,6 +147,27 @@ def test_mc_check_stays_near_or_below_one() -> None:
     for bad in (50, 150.0, "150", True):
         with pytest.raises(InvalidInputError):
             mc_evariable_check(cfg, FTransform.IDENTITY, n_trials=bad)
+
+
+def test_mc_check_catches_a_wrong_e_value(monkeypatch) -> None:
+    """The check reads the scores' own e-value formula, so a fault there shows.
+
+    Writing (n + 2) where (n + 1) is meant inflates every e-value by
+    (n + 2)/(n + 1), 11/10 at ten prompts; the Monte Carlo mean must then
+    break the bound.
+    """
+    correct = scoring._e_values
+    cal = build_calibration_summary([2.0, 4.0])
+    before = e_score(2.0, cal)
+
+    def one_too_many(f, others_sum, n, *rest):
+        return correct(f, others_sum, n + 1, *rest)
+
+    for module in (scoring, synthetic):
+        monkeypatch.setattr(module, "_e_values", one_too_many)
+    assert e_score(2.0, cal) != before
+    est = mc_evariable_check(SyntheticConfig(n_prompts=10, seed=1), FTransform.IDENTITY, 2000)
+    assert est.mean > 1.0 + 3.0 * est.std_error
 
 
 def test_mc_check_is_deterministic_per_seed() -> None:
