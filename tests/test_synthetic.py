@@ -138,6 +138,25 @@ def test_evariable_statistic_is_the_e_value_of_the_last_entry(row: list[float]) 
     assert oracles.matches(evariable_statistic(row), expected)
 
 
+def test_infinite_maxima_keep_the_e_value_mean_at_most_one() -> None:
+    """Exchangeable groups with infinite maxima: the e-value's mean stays at most 1.
+
+    Each of a group's 21 maxima is +inf with probability 0.1.  Both the
+    scores' reciprocal and the Monte Carlo statistic of the last entry
+    against the other 20 must average at most 1, up to three standard
+    errors.
+    """
+    rng = np.random.default_rng(0)
+    groups = rng.random((20000, 21))
+    groups[rng.random(groups.shape) < 0.1] = math.inf
+    rows = groups.tolist()
+    from_scores = [1.0 / e_score(row[-1], build_calibration_summary(row[:-1])) for row in rows]
+    from_check = [evariable_statistic(row) for row in rows]
+    for values in (from_scores, from_check):
+        se = statistics.stdev(values) / math.sqrt(len(values))
+        assert statistics.fmean(values) <= 1.0 + 3.0 * se, (statistics.fmean(values), se)
+
+
 def test_mc_check_stays_near_or_below_one() -> None:
     cfg = SyntheticConfig(n_prompts=20, seed=0, fully_correct_prob=0.0)
     est = mc_evariable_check(cfg, FTransform.IDENTITY, n_trials=400)
