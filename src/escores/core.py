@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .estimation import FTransform
@@ -68,14 +68,10 @@ def as_ext_real(value: float, what: str = "value") -> float:
     return abs(out)  # -0.0 becomes 0.0, whose reciprocal is +inf
 
 
-def _sum_checked(values: Sequence[float]) -> float:
-    """``ext_sum`` of values that ``as_ext_real`` has already validated."""
-    return INF if any(math.isinf(v) for v in values) else math.fsum(values)
-
-
 def ext_sum(values: Iterable[float]) -> float:
     """Exactly rounded sum of extended nonnegative reals (0.0 for empty)."""
-    return _sum_checked([as_ext_real(v, "summand") for v in values])
+    checked = [as_ext_real(v, "summand") for v in values]
+    return INF if any(map(math.isinf, checked)) else math.fsum(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +254,12 @@ class CalibrationSummary:
     transform: "FTransform | None" = field(default=None)
     fstar_sum: float = field(init=False)
     n: int = field(init=False)
+    _n_infinite: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = tuple(as_ext_real(v, "calibration value") for v in self.per_prompt_fstar)
+        infinite = sum(map(math.isinf, values))
         object.__setattr__(self, "per_prompt_fstar", values)
-        object.__setattr__(self, "fstar_sum", _sum_checked(values))
+        object.__setattr__(self, "fstar_sum", INF if infinite else math.fsum(values))
         object.__setattr__(self, "n", len(values))
+        object.__setattr__(self, "_n_infinite", infinite)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -267,22 +268,33 @@ def _exceedances(ordered: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
-def _e_values(f: np.ndarray, others_sum: "float | np.ndarray", n: "int | np.ndarray") -> np.ndarray:
+def _e_values(
+    f: np.ndarray,
+    others_sum: "float | np.ndarray",
+    n: "int | np.ndarray",
+    infinite_others: "int | np.ndarray" = 0,
+) -> np.ndarray:
     """The e-value (n + 1) * f / (f + others_sum) of f against n others summing to others_sum.
 
     The one e-value formula of the package: ``_e_scores`` inverts it and
     ``synthetic``'s Monte Carlo check takes it of each group's last entry
-    against the rest.  Extended-real rules as in ``kind_scores``.
+    against the rest.  Extended-real rules as in ``kind_scores``; an
+    infinite f against ``infinite_others`` infinite others has ratio
+    1/(infinite_others + 1).
     """
     with np.errstate(all="ignore"):
         ratio = f / (f + others_sum)
-        ratio = np.where(np.isnan(ratio), np.where(np.isinf(f), 1.0, 0.0), ratio)
-        return (n + 1) * ratio
+        limit = np.where(np.isinf(f), 1.0 / (infinite_others + 1), 0.0)
+        return (n + 1) * np.where(np.isnan(ratio), limit, ratio)
 
 
 def _e_scores(f: np.ndarray, cal: CalibrationSummary) -> np.ndarray:
+    total = cal.fstar_sum
+    # the count is read only where the limit needs it, so a finite
+    # e-score reads just the sum and n
+    infinite = cal._n_infinite if math.isinf(total) and np.isinf(f).any() else 0
     with np.errstate(all="ignore"):
-        return 1.0 / _e_values(f, cal.fstar_sum, cal.n)
+        return 1.0 / _e_values(f, total, cal.n, infinite)
 
 
 def _combined_scores(components: Sequence[np.ndarray]) -> np.ndarray:

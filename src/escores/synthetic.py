@@ -112,7 +112,7 @@ def generate_dataset(cfg: SyntheticConfig) -> tuple[PromptInstance, ...]:
 def _evariable_rows(groups: np.ndarray) -> np.ndarray:
     """``evariable_statistic`` of each row of a (groups x m) array, without copying it."""
     others = groups[:, :-1]
-    return _e_values(groups[:, -1], others.sum(axis=1), others.shape[1])
+    return _e_values(groups[:, -1], others.sum(axis=1), others.shape[1], np.isinf(others).sum(axis=1))
 
 
 def evariable_statistic(per_prompt_maxima: Sequence[float]) -> float:

@@ -92,7 +92,12 @@ def e_score(f, fstars):
     f = x_of(f)
     fstars = [x_of(v) for v in fstars]
     n = len(fstars)
-    ratio = x_div(f, x_add(f, x_sum(fstars)))
+    if is_inf(f):
+        # scale every infinite value to M and let M grow: with k infinite
+        # maxima, f/(f + sum) tends to M/((k + 1)M + finite) -> 1/(k + 1)
+        ratio = Fraction(1, 1 + sum(1 for v in fstars if is_inf(v)))
+    else:
+        ratio = x_div(f, x_add(f, x_sum(fstars)))
     return x_recip((n + 1) * ratio)
 
 

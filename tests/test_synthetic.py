@@ -121,6 +121,8 @@ def test_evariable_statistic_values() -> None:
     assert evariable_statistic([2.0, 0.0]) == 0.0  # last value zero
     assert evariable_statistic([0.5, 1.5]) == pytest.approx(1.5, rel=1e-12)
     assert evariable_statistic([1.0, math.inf]) == 2.0
+    # an infinite last entry shares the limit with the other infinite one: m / 2
+    assert evariable_statistic([math.inf, 1.0, math.inf]) == 1.5
     assert evariable_statistic([math.inf, 1.0]) == 0.0  # finite last, infinite sum
     with pytest.raises(InvalidInputError):
         evariable_statistic([])
