@@ -89,8 +89,10 @@ def test_e_score_endpoints() -> None:
     assert e_score(math.inf, cal) == pytest.approx(1.0 / 3.0, rel=1e-12)
     # infinite calibration mass drowns any finite test value
     assert e_score(5.0, summary_of(math.inf, 1.0)) == math.inf
-    # but an infinite test value still attains the floor against it
-    assert e_score(math.inf, summary_of(math.inf, 1.0)) == pytest.approx(1.0 / 3.0)
+    # an infinite test value against k = 1 infinite maximum: scale both to M,
+    # so f/(f + S) = M/(2M + 1) -> 1/(k + 1) = 1/2 and the score is
+    # (k + 1)/(n + 1) = 2/3, the p-score of +inf, not the floor 1/3
+    assert e_score(math.inf, summary_of(math.inf, 1.0)) == pytest.approx(2.0 / 3.0)
 
 
 def test_e_score_all_zero_calibration() -> None:
