@@ -5,9 +5,13 @@ a finite float >= 0 or +inf, never NaN and never negative.  Division
 follows the convention a/0 = 0 when a = 0 and +inf otherwise, so the
 reciprocal of 0 is +inf and the reciprocal of +inf is 0.  The remaining
 corner, inf/inf, is defined as 1: it is the limit of f/(f + c) as f
-grows with c held finite, which keeps the score of an infinitely
-confident response at its minimal attainable value instead of leaving
-the ratio undefined.
+grows with c held finite.  The e-value ratio f/(f + S) refines it: when
+f = +inf and k of the calibration maxima in S are +inf too, every
+infinite value grows together and the ratio tends to 1/(k + 1), which is
+1 again for k = 0.  Taking 1 for every k would give each of K infinite
+maxima among n + 1 exchangeable ones the e-value n + 1, a mean of K
+where the guarantee needs at most 1.  The count k is taken once, when a
+``CalibrationSummary`` is built.
 
 Container types are frozen dataclasses over tuples.  They validate
 their invariants at construction time and are immutable afterwards, so
@@ -243,7 +247,8 @@ class ScoredResponseSet:
 class CalibrationSummary:
     """Per-prompt maxima of transformed incorrect-response values, plus their sum.
 
-    ``n`` and ``fstar_sum`` are computed once at construction; scoring a
+    ``n``, ``fstar_sum`` and the count of infinite maxima are computed
+    once at construction; scoring a
     test response against the summary then costs O(1) for e-scores,
     while rank-based p-scores walk ``per_prompt_fstar`` in full.  The
     optional ``transform`` tag records which value transform produced the

@@ -234,8 +234,10 @@ def kind_scores(
 
     Arithmetic is IEEE on the extended nonnegative reals, under the
     conventions of ``core``: a/0 = +inf for a > 0, 0/0 = 0,
-    finite/inf = 0 and inf/inf = 1.  So f = +inf attains the floor
-    1/(n+1), f = 0 scores +inf, an infinite calibration sum sends every
+    finite/inf = 0 and inf/inf = 1, except that the e-value ratio of
+    f = +inf against k infinite calibration maxima is 1/(k + 1).  So
+    f = +inf scores (k + 1)/(n + 1), the floor 1/(n+1) when no maximum is
+    infinite; f = 0 scores +inf, an infinite calibration sum sends every
     finite f to +inf, and a zero component sends the combined score to 0.
     """
     if kind.family is ScoreFamily.NAIVE:

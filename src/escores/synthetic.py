@@ -10,10 +10,13 @@ estimators.  Once an error occurs, every later step counts as erroneous
 for estimate purposes: a response containing the first error is wrong
 no matter how it continues.
 
-``mc_evariable_check`` estimates the mean of the exchangeable-rank
-statistic m * last / sum over freshly sampled groups of per-prompt
-maxima; its expectation never exceeds 1, which is the soundness
-property everything downstream leans on.  It works through the trials
+``mc_evariable_check`` estimates, over freshly sampled groups of m
+per-prompt maxima, the mean of the e-value m * last / sum of each
+group's last entry against the others.  Its expectation never exceeds
+1, which is the soundness property everything downstream leans on.  The
+statistic is the scores' own e-value: it is computed by the function
+that ``e_score`` inverts, so a fault in that formula shows here as a
+failed check.  It works through the trials
 in fixed blocks of whole trials, each drawn from a stream of its own,
 so its memory is bounded by the block and not by the trial count.
 """
@@ -116,11 +119,14 @@ def _evariable_rows(groups: np.ndarray) -> np.ndarray:
 
 
 def evariable_statistic(per_prompt_maxima: Sequence[float]) -> float:
-    """m * last / sum for a group of per-prompt maxima, extended-real safe.
+    """m * last / sum for a group of m per-prompt maxima, extended-real safe.
 
-    The last entry plays the test role.  An all-zero group yields 0, and
-    an infinite last entry yields the limit value m (the sum is then
-    infinite as well, and m*f/(f + c) tends to m as f grows).
+    The last entry plays the test role: the result is the reciprocal of
+    its ``e_score`` against a summary of the others, by the same
+    function.  An all-zero group yields 0, and an infinite last entry
+    yields m/(k + 1), with k the other entries that are infinite: every
+    infinite entry grows together, so the last one's share of the sum
+    tends to 1/(k + 1).
     """
     values = [as_ext_real(v, "per-prompt maximum") for v in per_prompt_maxima]
     if not values:
@@ -153,7 +159,7 @@ _BLOCK_ROWS = 1 << 15
 def mc_evariable_check(
     cfg: SyntheticConfig, transform: FTransform, n_trials: int
 ) -> MCEstimate:
-    """Monte Carlo mean of the exchangeable-rank statistic over fresh groups.
+    """Monte Carlo mean of the e-value statistic over fresh groups.
 
     Each trial draws cfg.n_prompts synthetic prompts, computes the
     per-prompt maximum transformed prefix value over incorrect prefixes
