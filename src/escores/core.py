@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .estimation import FTransform
@@ -72,10 +72,15 @@ def as_ext_real(value: float, what: str = "value") -> float:
     return abs(out)  # -0.0 becomes 0.0, whose reciprocal is +inf
 
 
+def _sum_checked(values: Sequence[float]) -> tuple[float, int]:
+    """``ext_sum`` of values that ``as_ext_real`` has already validated, and how many are +inf."""
+    infinite = sum(map(math.isinf, values))
+    return (INF if infinite else math.fsum(values)), infinite
+
+
 def ext_sum(values: Iterable[float]) -> float:
     """Exactly rounded sum of extended nonnegative reals (0.0 for empty)."""
-    checked = [as_ext_real(v, "summand") for v in values]
-    return INF if any(map(math.isinf, checked)) else math.fsum(checked)
+    return _sum_checked([as_ext_real(v, "summand") for v in values])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +253,11 @@ class CalibrationSummary:
     """Per-prompt maxima of transformed incorrect-response values, plus their sum.
 
     ``n``, ``fstar_sum`` and the count of infinite maxima are computed
-    once at construction; scoring a
-    test response against the summary then costs O(1) for e-scores,
-    while rank-based p-scores walk ``per_prompt_fstar`` in full.  The
-    optional ``transform`` tag records which value transform produced the
-    entries so that mismatched score requests can be rejected.
+    once at construction; scoring a test response against the summary
+    then costs O(1) for e-scores, while rank-based p-scores walk
+    ``per_prompt_fstar`` in full.  The optional ``transform`` tag records
+    which value transform produced the entries so that mismatched score
+    requests can be rejected.
     """
 
     per_prompt_fstar: tuple[float, ...]
@@ -263,8 +268,8 @@ class CalibrationSummary:
 
     def __post_init__(self) -> None:
         values = tuple(as_ext_real(v, "calibration value") for v in self.per_prompt_fstar)
-        infinite = sum(map(math.isinf, values))
+        total, infinite = _sum_checked(values)
         object.__setattr__(self, "per_prompt_fstar", values)
-        object.__setattr__(self, "fstar_sum", INF if infinite else math.fsum(values))
+        object.__setattr__(self, "fstar_sum", total)
         object.__setattr__(self, "n", len(values))
         object.__setattr__(self, "_n_infinite", infinite)

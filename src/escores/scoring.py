@@ -276,7 +276,7 @@ def _e_values(
     n: "int | np.ndarray",
     infinite_others: "int | np.ndarray" = 0,
 ) -> np.ndarray:
-    """The e-value (n + 1) * f / (f + others_sum) of f against n others summing to others_sum.
+    """The e-value (n + 1) * f / (f + others_sum) of f against n others.
 
     The one e-value formula of the package: ``_e_scores`` inverts it and
     ``synthetic``'s Monte Carlo check takes it of each group's last entry
