@@ -70,7 +70,12 @@ class SyntheticConfig:
 def _sample_arrays(
     rng: np.random.Generator, cfg: SyntheticConfig, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized draws: step counts, first-error positions (0 = none), conditionals."""
+    """Vectorized draws: step counts, first-error positions (0 = none), conditionals.
+
+    Only the cells a row reads (j <= its step count) get a Beta draw: the
+    correct cells in one draw, then the erroneous ones in another, each in
+    row-major order.  Cells past a row's step count hold exactly 1.0.
+    """
     steps = rng.integers(1, cfg.max_steps + 1, size=n_rows)
     fully_correct = rng.random(n_rows) < cfg.fully_correct_prob
 
@@ -85,12 +90,13 @@ def _sample_arrays(
         positions = np.clip(positions, 1, steps)
     first_error = np.where(fully_correct, 0, positions)
 
-    shape = (n_rows, cfg.max_steps)
-    conditionals_correct = rng.beta(cfg.beta_correct[0], cfg.beta_correct[1], size=shape)
-    conditionals_incorrect = rng.beta(cfg.beta_incorrect[0], cfg.beta_incorrect[1], size=shape)
     step_index = np.arange(1, cfg.max_steps + 1)[None, :]
-    erroneous = (first_error[:, None] > 0) & (step_index >= first_error[:, None])
-    conditionals = np.where(erroneous, conditionals_incorrect, conditionals_correct)
+    read = step_index <= steps[:, None]
+    erroneous = read & (first_error[:, None] > 0) & (step_index >= first_error[:, None])
+    correct = read & ~erroneous
+    conditionals = np.ones((n_rows, cfg.max_steps))
+    conditionals[correct] = rng.beta(*cfg.beta_correct, size=np.count_nonzero(correct))
+    conditionals[erroneous] = rng.beta(*cfg.beta_incorrect, size=np.count_nonzero(erroneous))
     return steps, first_error, conditionals
 
 
@@ -177,15 +183,13 @@ def mc_evariable_check(
     for b, start in enumerate(range(0, n_trials, block_trials)):
         trials = min(block_trials, n_trials - start)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, b)))
-        steps, first_error, conditionals = _sample_arrays(rng, cfg, trials * cfg.n_prompts)
+        _, first_error, conditionals = _sample_arrays(rng, cfg, trials * cfg.n_prompts)
 
         # Prefix estimate of length j is the product of the first j conditionals.
         values = transform_values(np.cumprod(conditionals, axis=1), transform)
-        is_incorrect_prefix = (
-            (first_error[:, None] > 0)
-            & (step_index >= first_error[:, None])
-            & (step_index <= steps[:, None])
-        )
+        # Cells past a row's step count are 1, so those prefixes repeat the
+        # full response's value and leave each maximum unchanged.
+        is_incorrect_prefix = (first_error[:, None] > 0) & (step_index >= first_error[:, None])
         fstar = masked_f_star(values, is_incorrect_prefix)
         stats[start:start + trials] = _evariable_rows(fstar.reshape(trials, cfg.n_prompts))
 
