@@ -640,10 +640,10 @@ GOLDEN = {
     "svg-alpha-max": "8822530ea717a68e5ae15d3980ff74e6056d7800a30dab4ac7e3c2eb4ac30ab8",
     "svg-fraction": "d8e26c4e976b0be843635d355ff7e62341024624f3fcb22119137f832123ea87",
     "ingest.out": "44b88601a67c60e6c6361d8d8afcd672cf4f8ca2f66354bf4ae06459efda68c7",
-    "simulate.out": "f9c71dced72c14c3c9b55dc91a9aa1c2eacb9bfaf80e6ccb31926c49e762ad16",
+    "simulate.out": "150fff28cf8894e172fd609a5b2280a42c127e9864fd189a26f0938b781266c3",
     "data.jsonl": "34e9f32b3d420bdf8837caa9229c7c4a51de92c5f8aff10ad1c5f035f745cd18",
     "cal.jsonl": "dc4d569fb574ce52bca0b4ac923077035937f3d32e5c0d1e96e279da0b865702",
-    "simulate.jsonl": "8f0f657bef3f32b495659dd7700aa4849fbc9c4ae126aa067fb8b249f72a6cf3",
+    "simulate.jsonl": "28819555b9f20aa28e1f34cde349f69b54ac826933d452cc55e0995b02abc3bc",
     "singular.jsonl": "c814ce160bf885195c838d47a670a9c6750330c45617f1d8526384b2fa898b43",
 }
 
