@@ -95,6 +95,57 @@ def test_error_positions_spread_over_steps() -> None:
     assert any(p >= 4 for p in positions)
 
 
+def test_sampler_draws_only_the_cells_a_row_reads() -> None:
+    """Cells past a row's step count are 1; read cells follow their Beta law.
+
+    The correct and the erroneous cells have distinct Beta means, so a
+    cell given the other law's draw moves a sample mean by far more than
+    the 4 standard errors allowed.
+    """
+    cfg = SyntheticConfig(max_steps=6, beta_correct=(3.0, 1.5), beta_incorrect=(1.0, 4.0))
+    steps, first_error, conditionals = synthetic._sample_arrays(
+        np.random.default_rng(3), cfg, 20000
+    )
+    step_index = np.arange(1, cfg.max_steps + 1)[None, :]
+    read = step_index <= steps[:, None]
+    assert np.all(conditionals[~read] == 1.0)
+    erroneous = read & (first_error[:, None] > 0) & (step_index >= first_error[:, None])
+    for cells, (a, b) in ((read & ~erroneous, cfg.beta_correct), (erroneous, cfg.beta_incorrect)):
+        values = conditionals[cells]
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - a / (a + b)) <= 4.0 * se, (values.mean(), a / (a + b), se)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"max_steps": 1},
+        {"error_position_p": 1.0},
+        {"fully_correct_prob": 0.0},
+        {"fully_correct_prob": 1.0},  # no erroneous cell: an empty Beta draw
+    ],
+)
+def test_degenerate_configs_run_through_both_callers_of_the_sampler(knobs) -> None:
+    cfg = SyntheticConfig(n_prompts=20, seed=2, **knobs)
+    instances = generate_dataset(cfg)
+    assert len(instances) == 20
+    for inst in instances:
+        assert all(0.0 <= v <= 1.0 for v in inst.estimates.conditionals.values())
+    errors = {inst.generated.first_error_index for inst in instances}
+    if cfg.error_position_p == 1.0 or cfg.max_steps == 1:
+        assert errors <= {None, 1}
+    if cfg.fully_correct_prob == 0.0:
+        assert None not in errors
+    if cfg.fully_correct_prob == 1.0:
+        assert errors == {None}
+    for transform in FTransform:
+        est = mc_evariable_check(cfg, transform, 100)
+        assert est.mean <= 1.0 + 3.0 * est.std_error
+        if cfg.fully_correct_prob == 1.0:  # every maximum is 0, so is every statistic
+            assert est == synthetic.MCEstimate(mean=0.0, std_error=0.0, n_trials=100)
+
+
 def test_near_oracle_estimator_separates_cleanly() -> None:
     """With almost-perfect estimates, filtering keeps correct responses only."""
     cfg = SyntheticConfig(
