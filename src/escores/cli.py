@@ -120,6 +120,21 @@ def _dataset_shape(instances) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _warn_infinite_maxima(cal: PreparedDataset, kinds: Sequence[ScoreKind]) -> None:
+    """Warn when a kind reads transforms 2 or 3 and some calibration maximum is infinite."""
+    if not {"e2", "e3", "e-combined"}.intersection(kind.name for kind in kinds):
+        return
+    # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
+    infinite = int(np.count_nonzero(np.isinf(cal.fstar[FTransform.INVERSE_COMPLEMENT])))
+    if infinite:
+        warnings.warn(
+            f"{infinite} calibration prompt(s) have an incorrect response with "
+            "estimate 1, so their maxima under transforms 2 and 3 are infinite; every "
+            "e2 and e3 score of a test response with estimate below 1 is then +inf, "
+            "and e-combined reduces to 3 x e1"
+        )
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     instances = parse_dataset(args.path)
     steps = [len(inst.generated) for inst in instances]
@@ -156,15 +171,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             "scores' guarantee assumes"
         )
 
-    # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
-    infinite = int(np.count_nonzero(np.isinf(cal.fstar[FTransform.INVERSE_COMPLEMENT])))
-    if infinite and {"e2", "e3", "e-combined"}.intersection(kind.name for kind in kinds):
-        warnings.warn(
-            f"{infinite} calibration prompt(s) have an incorrect response with "
-            "estimate 1, so their maxima under transforms 2 and 3 are infinite; every "
-            "e2 and e3 score of a test response with estimate below 1 is then +inf, "
-            "and e-combined reduces to 3 x e1"
-        )
+    _warn_infinite_maxima(cal, kinds)
 
     scores = score_prompts(
         test, np.arange(test.n_prompts), kinds, cal.fstar, master_seed=args.seed
@@ -217,9 +224,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     policy = _parse_policy(args.permutations, args.permutation_file)
     grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
     plan = SplitPlan(seed=args.seed, n_splits=args.splits, test_fraction=args.test_fraction)
-    report = evaluate_dataset(
-        PreparedDataset(parse_dataset(args.path), policy), kinds, (grid,), plan
-    )
+    prepared = PreparedDataset(parse_dataset(args.path), policy)
+    # every prompt serves as calibration in some split
+    _warn_infinite_maxima(prepared, kinds)
+    report = evaluate_dataset(prepared, kinds, (grid,), plan)
     _print_report(report)
     if args.csv:
         print(f"wrote {emit_csv(report, args.csv)}")

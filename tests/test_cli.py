@@ -215,6 +215,36 @@ def test_score_warns_on_infinite_calibration_maxima(
     assert code == EXIT_OK and err == ""
 
 
+def test_evaluate_warns_on_infinite_calibration_maxima(tmp_path: Path, capsys) -> None:
+    """30 incorrect prompts whose every conditional is 1: evaluate warns as score does."""
+    from escores import SyntheticConfig, generate_dataset
+
+    instances = list(generate_dataset(SyntheticConfig(n_prompts=400, seed=2)))
+    incorrect = [i for i, inst in enumerate(instances) if inst.generated.first_error_index][:30]
+    for i in incorrect:
+        inst = instances[i]
+        instances[i] = make_instance(
+            inst.prompt_id, [1.0] * len(inst.generated), inst.generated.first_error_index
+        )
+    data = write_dataset(instances, tmp_path / "data-inf.jsonl")
+    argv = ("evaluate", str(data), "--splits", "3", "--grid", "0.25,0.5", "--scores")
+    code, out, err = run(capsys, *argv, "e1,e2,e-combined")
+    assert code == EXIT_OK
+    assert err == (
+        "warning: 30 calibration prompt(s) have an incorrect response with estimate 1, "
+        "so their maxima under transforms 2 and 3 are infinite; every e2 and e3 score "
+        "of a test response with estimate below 1 is then +inf, and e-combined reduces "
+        "to 3 x e1\n"
+    )
+    # the warning is all that it adds: silenced, the run is the same
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(capsys, *argv, "e1,e2,e-combined") == (code, out, "")
+    # kinds that never read transforms 2 or 3 have nothing to warn about
+    code, _, err = run(capsys, *argv, "e1,p")
+    assert code == EXIT_OK and err == ""
+
+
 def test_library_warnings_print_as_one_line(dataset: Path, tmp_path: Path, capsys) -> None:
     extra = tmp_path / "extra.jsonl"
     extra.write_text(
