@@ -8,7 +8,9 @@ truly-correct steps and steps at or after the first error, so the same
 machinery produces anything from near-oracle to uninformative
 estimators.  Once an error occurs, every later step counts as erroneous
 for estimate purposes: a response containing the first error is wrong
-no matter how it continues.
+no matter how it continues.  Only the steps a prompt has are drawn: in
+the sampler's (prompts x max_steps) array the cells past a prompt's last
+step hold 1, so a prefix product there repeats the full response's.
 
 ``mc_evariable_check`` estimates, over freshly sampled groups of m
 per-prompt maxima, the mean of the e-value m * last / sum of each
@@ -18,7 +20,9 @@ statistic is the scores' own e-value: it is computed by the function
 that ``e_score`` inverts, so a fault in that formula shows here as a
 failed check.  It works through the trials
 in fixed blocks of whole trials, each drawn from a stream of its own,
-so its memory is bounded by the block and not by the trial count.
+so its memory is bounded by the block and not by the trial count: a
+block's conditionals, their prefix products and its masked prefix values are
+(rows x max_steps) arrays for about 32,000 prompts.
 """
 
 from __future__ import annotations
@@ -157,8 +161,10 @@ def require_trial_count(n_trials: int) -> int:
     return n_trials
 
 
-# Monte Carlo rows drawn at once.  A block holds about six (rows x max_steps)
-# float64 working arrays: some 8 MB at five steps.
+# Monte Carlo rows drawn at once.  At five steps a block's working memory
+# peaks at about 7.5 MB (tracemalloc): the conditionals, their prefix
+# products and the masked prefix values, 1.25 MB of float64 each, with
+# the Beta draws of the cells read and the temporaries between them.
 _BLOCK_ROWS = 1 << 15
 
 
