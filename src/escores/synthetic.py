@@ -18,11 +18,11 @@ group's last entry against the others.  Its expectation never exceeds
 1, which is the soundness property everything downstream leans on.  The
 statistic is the scores' own e-value: it is computed by the function
 that ``e_score`` inverts, so a fault in that formula shows here as a
-failed check.  It works through the trials
-in fixed blocks of whole trials, each drawn from a stream of its own,
-so its memory is bounded by the block and not by the trial count: a
-block's conditionals, their prefix products and its masked prefix values are
-(rows x max_steps) arrays for about 32,000 prompts.
+failed check.  It works through the trials in fixed blocks of whole
+trials, each drawn from a stream of its own, so its memory is bounded by
+the block and not by the trial count: a block's conditionals, their
+prefix products and its masked prefix values are (rows x max_steps)
+arrays for about 32,000 prompts.
 """
 
 from __future__ import annotations
