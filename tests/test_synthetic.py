@@ -31,6 +31,7 @@ from escores import (
     mc_evariable_check,
     transform_estimate,
 )
+from escores.estimation import masked_f_star, transform_values
 
 import oracles
 
@@ -259,6 +260,38 @@ def test_mc_check_memory_is_bounded_by_the_block() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+unit_values = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def chains(draw):
+    """A (rows x max_steps) block of conditionals in [0, 1] and each row's first error (0 = none)."""
+    max_steps = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(unit_values, min_size=max_steps, max_size=max_steps), min_size=1, max_size=8))
+    first_error = draw(st.lists(st.integers(0, max_steps), min_size=len(rows), max_size=len(rows)))
+    return np.asarray(rows, dtype=np.float64), np.asarray(first_error, dtype=np.int64)
+
+
+@given(block=chains(), transform=st.sampled_from(FTransform))
+def test_f_star_is_the_transformed_product_through_the_first_error(block, transform) -> None:
+    """The maximum over a chain's incorrect prefixes is its value at the first error, bit for bit.
+
+    The prefix rule masks j >= first error over the transformed cumprod;
+    the row rule sets the cells past the first error to 1 and takes one
+    row product.  Estimates never grow along a chain of conditionals in
+    [0, 1] and every transform is increasing, so both give the same f*.
+    """
+    conditionals, first_error = block
+    step_index = np.arange(1, conditionals.shape[1] + 1)[None, :]
+    incorrect = (first_error[:, None] > 0) & (step_index >= first_error[:, None])
+    by_prefix = masked_f_star(transform_values(np.cumprod(conditionals, axis=1), transform), incorrect)
+
+    through_first_error = np.where(step_index <= first_error[:, None], conditionals, 1.0)
+    values = transform_values(through_first_error.prod(axis=1), transform)
+    by_row = masked_f_star(values[:, None], (first_error > 0)[:, None])
+    assert by_row.view(np.uint64).tolist() == by_prefix.view(np.uint64).tolist()
 
 
 def _reference_mc(cfg: SyntheticConfig, transform: FTransform, n_trials: int, block_trials: int):
