@@ -71,43 +71,48 @@ class SyntheticConfig:
                 raise InvalidInputError(f"{name} must be two positive shape parameters, got {pair!r}")
 
 
-def _sample_arrays(
+def _sample_errors(
     rng: np.random.Generator, cfg: SyntheticConfig, n_rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized draws: step counts, first-error positions (0 = none), conditionals.
-
-    Only the cells a row reads (j <= its step count) get a Beta draw: the
-    correct cells in one draw, then the erroneous ones in another, each in
-    row-major order.  Cells past a row's step count hold exactly 1.0.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized draws of step counts and first-error positions (0 = none)."""
     steps = rng.integers(1, cfg.max_steps + 1, size=n_rows)
     fully_correct = rng.random(n_rows) < cfg.fully_correct_prob
 
     # Truncated geometric on {1..steps} by inverse CDF, per-row truncation.
+    # log1p and expm1 keep a tiny p from rounding 1 - p to 1 (0/0 then).
     if cfg.error_position_p >= 1.0:
         positions = np.ones(n_rows, dtype=np.int64)
     else:
-        q = 1.0 - cfg.error_position_p
+        lq = math.log1p(-cfg.error_position_p)
         u = rng.random(n_rows)
-        mass = 1.0 - q ** steps
-        positions = np.ceil(np.log(1.0 - u * mass) / math.log(q)).astype(np.int64)
+        positions = np.ceil(np.log1p(u * np.expm1(steps * lq)) / lq).astype(np.int64)
         positions = np.clip(positions, 1, steps)
-    first_error = np.where(fully_correct, 0, positions)
+    return steps, np.where(fully_correct, 0, positions)
 
+
+def _sample_conditionals(
+    rng: np.random.Generator, cfg: SyntheticConfig, first_error: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """Beta conditionals for the cells j <= ``last`` of each row; every other cell holds 1.0.
+
+    The correct cells come in one draw, then the erroneous ones (at or
+    after the first error) in another, each in row-major order.
+    """
     step_index = np.arange(1, cfg.max_steps + 1)[None, :]
-    read = step_index <= steps[:, None]
-    erroneous = read & (first_error[:, None] > 0) & (step_index >= first_error[:, None])
-    correct = read & ~erroneous
-    conditionals = np.ones((n_rows, cfg.max_steps))
+    drawn = step_index <= last[:, None]
+    erroneous = drawn & (first_error[:, None] > 0) & (step_index >= first_error[:, None])
+    correct = drawn & ~erroneous
+    conditionals = np.ones((first_error.size, cfg.max_steps))
     conditionals[correct] = rng.beta(*cfg.beta_correct, size=np.count_nonzero(correct))
     conditionals[erroneous] = rng.beta(*cfg.beta_incorrect, size=np.count_nonzero(erroneous))
-    return steps, first_error, conditionals
+    return conditionals
 
 
 def generate_dataset(cfg: SyntheticConfig) -> tuple[PromptInstance, ...]:
     """Draw a full synthetic dataset of prompt instances, deterministically."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    steps, first_error, conditionals = _sample_arrays(rng, cfg, cfg.n_prompts)
+    steps, first_error = _sample_errors(rng, cfg, cfg.n_prompts)
+    conditionals = _sample_conditionals(rng, cfg, first_error, steps)
     instances = []
     for i in range(cfg.n_prompts):
         k = int(steps[i])
@@ -184,19 +189,17 @@ def mc_evariable_check(
     """
     n_trials = require_trial_count(n_trials)
     block_trials = max(1, _BLOCK_ROWS // cfg.n_prompts)
-    step_index = np.arange(1, cfg.max_steps + 1)[None, :]
     stats = np.empty(n_trials)
     for b, start in enumerate(range(0, n_trials, block_trials)):
         trials = min(block_trials, n_trials - start)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, b)))
-        _, first_error, conditionals = _sample_arrays(rng, cfg, trials * cfg.n_prompts)
-
-        # Prefix estimate of length j is the product of the first j conditionals.
-        values = transform_values(np.cumprod(conditionals, axis=1), transform)
-        # Cells past a row's step count are 1, so those prefixes repeat the
-        # full response's value and leave each maximum unchanged.
-        is_incorrect_prefix = (first_error[:, None] > 0) & (step_index >= first_error[:, None])
-        fstar = masked_f_star(values, is_incorrect_prefix)
+        _, first_error = _sample_errors(rng, cfg, trials * cfg.n_prompts)
+        # Estimates never grow along a chain and every transform is
+        # increasing, so the maximum over incorrect prefixes is the value
+        # at the first error: the row product once later cells hold 1.
+        conditionals = _sample_conditionals(rng, cfg, first_error, first_error)
+        values = transform_values(conditionals.prod(axis=1), transform)
+        fstar = masked_f_star(values[:, None], (first_error > 0)[:, None])
         stats[start:start + trials] = _evariable_rows(fstar.reshape(trials, cfg.n_prompts))
 
     mean = float(np.mean(stats))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,25 +98,51 @@ def test_error_positions_spread_over_steps() -> None:
 
 
 def test_sampler_draws_only_the_cells_a_row_reads() -> None:
-    """Cells past a row's step count are 1; read cells follow their Beta law.
+    """Cells past ``last`` are 1; the cells drawn follow their Beta law.
 
-    The correct and the erroneous cells have distinct Beta means, so a
-    cell given the other law's draw moves a sample mean by far more than
-    the 4 standard errors allowed.
+    ``generate_dataset`` draws through each row's step count and the
+    Monte Carlo check through its first error, so a fully correct row
+    draws nothing there.  The correct and the erroneous cells have
+    distinct Beta means, so a cell given the other law's draw moves a
+    sample mean by far more than the 4 standard errors allowed.
     """
     cfg = SyntheticConfig(max_steps=6, beta_correct=(3.0, 1.5), beta_incorrect=(1.0, 4.0))
-    steps, first_error, conditionals = synthetic._sample_arrays(
-        np.random.default_rng(3), cfg, 20000
-    )
     step_index = np.arange(1, cfg.max_steps + 1)[None, :]
-    read = step_index <= steps[:, None]
-    assert np.all(conditionals[~read] == 1.0)
-    erroneous = read & (first_error[:, None] > 0) & (step_index >= first_error[:, None])
-    for cells, (a, b) in ((read & ~erroneous, cfg.beta_correct), (erroneous, cfg.beta_incorrect)):
-        values = conditionals[cells]
-        assert np.all((values >= 0.0) & (values <= 1.0))
-        se = values.std(ddof=1) / math.sqrt(values.size)
-        assert abs(values.mean() - a / (a + b)) <= 4.0 * se, (values.mean(), a / (a + b), se)
+    for through_first_error in (False, True):
+        rng = np.random.default_rng(3)
+        steps, first_error = synthetic._sample_errors(rng, cfg, 20000)
+        last = first_error if through_first_error else steps
+        conditionals = synthetic._sample_conditionals(rng, cfg, first_error, last)
+        drawn = step_index <= last[:, None]
+        assert np.all(conditionals[~drawn] == 1.0)
+        if through_first_error:
+            assert np.all(conditionals[first_error == 0] == 1.0)
+            assert np.count_nonzero(drawn) == first_error.sum()
+        erroneous = drawn & (first_error[:, None] > 0) & (step_index >= first_error[:, None])
+        for cells, (a, b) in ((drawn & ~erroneous, cfg.beta_correct), (erroneous, cfg.beta_incorrect)):
+            values = conditionals[cells]
+            assert np.all((values >= 0.0) & (values <= 1.0))
+            se = values.std(ddof=1) / math.sqrt(values.size)
+            assert abs(values.mean() - a / (a + b)) <= 4.0 * se, (values.mean(), a / (a + b), se)
+
+
+def test_tiny_error_position_p_spreads_errors_near_uniformly() -> None:
+    """At p = 1e-17, 1 - p rounds to 1: the positions must still be near uniform over 1..steps.
+
+    The truncated geometric tends to the uniform law as p tends to 0, so
+    for every step count s each position 1..s takes about 1/s of the
+    rows, within 4 standard errors, and the draw warns of nothing.
+    """
+    cfg = SyntheticConfig(max_steps=5, error_position_p=1e-17, fully_correct_prob=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps, first_error = synthetic._sample_errors(np.random.default_rng(4), cfg, 40000)
+    assert np.all((first_error >= 1) & (first_error <= steps))
+    for s in range(1, cfg.max_steps + 1):
+        counts = np.bincount(first_error[steps == s], minlength=s + 1)[1:]
+        n = counts.sum()
+        se = math.sqrt(n * (1 / s) * (1 - 1 / s))
+        assert np.all(np.abs(counts - n / s) <= 4.0 * se + 1e-9), (s, counts)
 
 
 @pytest.mark.parametrize(
@@ -295,15 +322,19 @@ def test_f_star_is_the_transformed_product_through_the_first_error(block, transf
 
 
 def _reference_mc(cfg: SyntheticConfig, transform: FTransform, n_trials: int, block_trials: int):
-    """Mean and SE from block b's spawned stream, a per-prompt f* loop and the scalar statistic."""
+    """Mean and SE from block b's spawned stream, a per-prompt f* loop and the scalar statistic.
+
+    The stream is drawn as the check draws it, through each first error,
+    so every cell past it holds 1; the loop still walks every step.
+    """
     n_blocks = -(-n_trials // block_trials)
     streams = np.random.SeedSequence(cfg.seed, spawn_key=(1,)).spawn(n_blocks)
     stats = []
     for b, stream in enumerate(streams):
         trials = min(block_trials, n_trials - b * block_trials)
-        steps, first_error, conditionals = synthetic._sample_arrays(
-            np.random.default_rng(stream), cfg, trials * cfg.n_prompts
-        )
+        rng = np.random.default_rng(stream)
+        steps, first_error = synthetic._sample_errors(rng, cfg, trials * cfg.n_prompts)
+        conditionals = synthetic._sample_conditionals(rng, cfg, first_error, first_error)
         maxima = []
         for row in range(trials * cfg.n_prompts):
             fstar, estimate = 0.0, 1.0
