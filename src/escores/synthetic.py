@@ -8,9 +8,11 @@ truly-correct steps and steps at or after the first error, so the same
 machinery produces anything from near-oracle to uninformative
 estimators.  Once an error occurs, every later step counts as erroneous
 for estimate purposes: a response containing the first error is wrong
-no matter how it continues.  Only the steps a prompt has are drawn: in
-the sampler's (prompts x max_steps) array the cells past a prompt's last
-step hold 1, so a prefix product there repeats the full response's.
+no matter how it continues.  The sampler draws the step counts and
+first errors first, then Beta conditionals only for the cells up to a
+given last step of each row; every other cell of its (prompts x
+max_steps) array holds 1.  ``generate_dataset`` draws through each
+prompt's step count.
 
 ``mc_evariable_check`` estimates, over freshly sampled groups of m
 per-prompt maxima, the mean of the e-value m * last / sum of each
@@ -18,11 +20,13 @@ group's last entry against the others.  Its expectation never exceeds
 1, which is the soundness property everything downstream leans on.  The
 statistic is the scores' own e-value: it is computed by the function
 that ``e_score`` inverts, so a fault in that formula shows here as a
-failed check.  It works through the trials in fixed blocks of whole
-trials, each drawn from a stream of its own, so its memory is bounded by
-the block and not by the trial count: a block's conditionals, their
-prefix products and its masked prefix values are (rows x max_steps)
-arrays for about 32,000 prompts.
+failed check.  A prompt's maximum over its incorrect prefixes is its
+value at the first error, so the check draws each chain only through
+its first error (a fully correct prompt draws no conditional) and takes
+the transformed row product.  It works through the trials in fixed
+blocks of whole trials, each drawn from a stream of its own, so its
+memory is bounded by the block and not by the trial count: a block's
+conditionals are a (rows x max_steps) array for about 32,000 prompts.
 """
 
 from __future__ import annotations
@@ -167,9 +171,9 @@ def require_trial_count(n_trials: int) -> int:
 
 
 # Monte Carlo rows drawn at once.  At five steps a block's working memory
-# peaks at about 7.5 MB (tracemalloc): the conditionals, their prefix
-# products and the masked prefix values, 1.25 MB of float64 each, with
-# the Beta draws of the cells read and the temporaries between them.
+# peaks at about 4.2 MB (tracemalloc, odds transform): the conditionals,
+# 1.25 MB of float64, with the per-row draws, the cell masks and the
+# temporaries between them.
 _BLOCK_ROWS = 1 << 15
 
 
