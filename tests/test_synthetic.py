@@ -119,7 +119,8 @@ def test_sampler_draws_only_the_cells_a_row_reads() -> None:
             assert np.all(conditionals[first_error == 0] == 1.0)
             assert np.count_nonzero(drawn) == first_error.sum()
         erroneous = drawn & (first_error[:, None] > 0) & (step_index >= first_error[:, None])
-        for cells, (a, b) in ((drawn & ~erroneous, cfg.beta_correct), (erroneous, cfg.beta_incorrect)):
+        laws = ((drawn & ~erroneous, cfg.beta_correct), (erroneous, cfg.beta_incorrect))
+        for cells, (a, b) in laws:
             values = conditionals[cells]
             assert np.all((values >= 0.0) & (values <= 1.0))
             se = values.std(ddof=1) / math.sqrt(values.size)
@@ -142,7 +143,7 @@ def test_tiny_error_position_p_spreads_errors_near_uniformly() -> None:
         counts = np.bincount(first_error[steps == s], minlength=s + 1)[1:]
         n = counts.sum()
         se = math.sqrt(n * (1 / s) * (1 - 1 / s))
-        assert np.all(np.abs(counts - n / s) <= 4.0 * se + 1e-9), (s, counts)
+        assert np.all(np.abs(counts - n / s) <= 4.0 * se), (s, counts)
 
 
 @pytest.mark.parametrize(
@@ -296,7 +297,8 @@ unit_values = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max
 def chains(draw):
     """A (rows x max_steps) block of conditionals in [0, 1] and each row's first error (0 = none)."""
     max_steps = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(unit_values, min_size=max_steps, max_size=max_steps), min_size=1, max_size=8))
+    row = st.lists(unit_values, min_size=max_steps, max_size=max_steps)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
     first_error = draw(st.lists(st.integers(0, max_steps), min_size=len(rows), max_size=len(rows)))
     return np.asarray(rows, dtype=np.float64), np.asarray(first_error, dtype=np.int64)
 
