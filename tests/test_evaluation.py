@@ -140,12 +140,22 @@ def test_sweep_edge_conventions() -> None:
 SWEEP_SCORES = (0.0, 0.1, 1 / 3, 0.5, 2 / 3, 1.0, 1.5, math.inf)
 
 
+# A prompt is up to 5 runs of one score, each of up to 8 responses whose
+# correctness is the run's bit mask: up to 40 responses, more than the
+# fraction grid has values, and tie groups as long as a prompt.
+SWEEP_RUNS = st.tuples(st.sampled_from(SWEEP_SCORES), st.integers(1, 8), st.integers(0, 255))
+
+
+def responses_of_runs(runs) -> list[tuple[float, bool]]:
+    return [(score, bool(mask >> i & 1)) for score, n, mask in runs for i in range(n)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     prompts=st.lists(
-        st.lists(st.tuples(st.sampled_from(SWEEP_SCORES), st.booleans()), min_size=1, max_size=6),
-        min_size=64,
-        max_size=100,
+        st.lists(SWEEP_RUNS, min_size=1, max_size=5).map(responses_of_runs),
+        min_size=48,
+        max_size=80,
     ),
     alphas=st.lists(st.sampled_from((0.0, 0.1, 0.3, 0.5, 1.0)), min_size=1, max_size=6),
     above_one=st.sampled_from((1.5, 2.0, 1e300)),
@@ -174,9 +184,14 @@ def test_sweep_means_equal_np_mean_of_one_prompt_sweeps(
         for a, b in zip(np.cumsum(counts) - counts, np.cumsum(counts))
     ]
     assert [(g, p) for g, p, _ in rows] == [(g, p) for g in grids for p in g.parameters]
-    for j, (_, _, means) in enumerate(rows):
+    labels = [[int(c) for _, c in prompt] for prompt in prompts]
+    by_score = [[s for s, _ in prompt] for prompt in prompts]
+    exact = {grid: _oracle_rows(labels, by_score, grid) for grid in grids}
+    for j, (grid, param, means) in enumerate(rows):
         expected = tuple(float(np.mean([one[j][m] for one in per_prompt])) for m in range(5))
         assert means == expected
+        want = exact[grid][param.label]
+        assert all(oracles.matches(g, w) for g, w in zip(means, want)), (param, means, want)
 
 
 # ---------------------------------------------------------------------------
