@@ -98,30 +98,27 @@ def test_error_positions_spread_over_steps() -> None:
 
 
 def test_sampler_draws_only_the_cells_a_row_reads() -> None:
-    """Cells past ``last`` are 1; the cells drawn follow their Beta law.
+    """Row i owns its ``last[i]`` cells, one row after another; the cells follow their Beta law.
 
     ``generate_dataset`` draws through each row's step count and the
     Monte Carlo check through its first error, so a fully correct row
     draws nothing there.  The correct and the erroneous cells have
-    distinct Beta means, so a cell given the other law's draw moves a
-    sample mean by far more than the 4 standard errors allowed.
+    distinct Beta means, so a cell given the other law's draw, or a run
+    shifted off its row, moves a sample mean by far more than the 4
+    standard errors allowed.
     """
     cfg = SyntheticConfig(max_steps=6, beta_correct=(3.0, 1.5), beta_incorrect=(1.0, 4.0))
-    step_index = np.arange(1, cfg.max_steps + 1)[None, :]
     for through_first_error in (False, True):
         rng = np.random.default_rng(3)
         steps, first_error = synthetic._sample_errors(rng, cfg, 20000)
         last = first_error if through_first_error else steps
-        conditionals = synthetic._sample_conditionals(rng, cfg, first_error, last)
-        drawn = step_index <= last[:, None]
-        assert np.all(conditionals[~drawn] == 1.0)
-        if through_first_error:
-            assert np.all(conditionals[first_error == 0] == 1.0)
-            assert np.count_nonzero(drawn) == first_error.sum()
-        erroneous = drawn & (first_error[:, None] > 0) & (step_index >= first_error[:, None])
-        laws = ((drawn & ~erroneous, cfg.beta_correct), (erroneous, cfg.beta_incorrect))
-        for cells, (a, b) in laws:
-            values = conditionals[cells]
+        cells = synthetic._sample_conditionals(rng, cfg, first_error, last)
+        assert cells.shape == (last.sum(),)
+        row = np.repeat(np.arange(last.size), last)
+        step = np.arange(cells.size) - (np.cumsum(last) - last)[row] + 1
+        erroneous = (first_error[row] > 0) & (step >= first_error[row])
+        laws = ((cells[~erroneous], cfg.beta_correct), (cells[erroneous], cfg.beta_incorrect))
+        for values, (a, b) in laws:
             assert np.all((values >= 0.0) & (values <= 1.0))
             se = values.std(ddof=1) / math.sqrt(values.size)
             assert abs(values.mean() - a / (a + b)) <= 4.0 * se, (values.mean(), a / (a + b), se)
@@ -290,6 +287,18 @@ def test_mc_check_memory_is_bounded_by_the_block() -> None:
     assert peak < 32 * 2**20
 
 
+def test_mc_check_memory_does_not_grow_with_max_steps() -> None:
+    """A chain is drawn only through its first error, so long chains cost no more memory."""
+    cfg = SyntheticConfig(n_prompts=100, max_steps=200, seed=1)
+    tracemalloc.start()
+    try:
+        mc_evariable_check(cfg, FTransform.ODDS, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 unit_values = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
 
 
@@ -308,26 +317,26 @@ def test_f_star_is_the_transformed_product_through_the_first_error(block, transf
     """The maximum over a chain's incorrect prefixes is its value at the first error, bit for bit.
 
     The prefix rule masks j >= first error over the transformed cumprod;
-    the row rule sets the cells past the first error to 1 and takes one
-    row product.  Estimates never grow along a chain of conditionals in
-    [0, 1] and every transform is increasing, so both give the same f*.
+    the check's rule takes each erring row's product of its cells through
+    the first error, flat, with one reduceat.  Estimates never grow along
+    a chain of conditionals in [0, 1] and every transform is increasing,
+    so both give the same f*.
     """
     conditionals, first_error = block
     step_index = np.arange(1, conditionals.shape[1] + 1)[None, :]
     incorrect = (first_error[:, None] > 0) & (step_index >= first_error[:, None])
     by_prefix = masked_f_star(transform_values(np.cumprod(conditionals, axis=1), transform), incorrect)
 
-    through_first_error = np.where(step_index <= first_error[:, None], conditionals, 1.0)
-    values = transform_values(through_first_error.prod(axis=1), transform)
-    by_row = masked_f_star(values[:, None], (first_error > 0)[:, None])
+    cells = conditionals[step_index <= first_error[:, None]]  # row-major: each row's run in turn
+    by_row = synthetic._f_star_through_first_error(cells, first_error, transform)
     assert by_row.view(np.uint64).tolist() == by_prefix.view(np.uint64).tolist()
 
 
 def _reference_mc(cfg: SyntheticConfig, transform: FTransform, n_trials: int, block_trials: int):
     """Mean and SE from block b's spawned stream, a per-prompt f* loop and the scalar statistic.
 
-    The stream is drawn as the check draws it, through each first error,
-    so every cell past it holds 1; the loop still walks every step.
+    The stream is drawn as the check draws it, through each first error;
+    the loop still walks every step and reads a cell past it as 1.
     """
     n_blocks = -(-n_trials // block_trials)
     streams = np.random.SeedSequence(cfg.seed, spawn_key=(1,)).spawn(n_blocks)
@@ -336,12 +345,13 @@ def _reference_mc(cfg: SyntheticConfig, transform: FTransform, n_trials: int, bl
         trials = min(block_trials, n_trials - b * block_trials)
         rng = np.random.default_rng(stream)
         steps, first_error = synthetic._sample_errors(rng, cfg, trials * cfg.n_prompts)
-        conditionals = synthetic._sample_conditionals(rng, cfg, first_error, first_error)
+        cells = synthetic._sample_conditionals(rng, cfg, first_error, first_error)
+        offsets = np.cumsum(first_error) - first_error
         maxima = []
         for row in range(trials * cfg.n_prompts):
             fstar, estimate = 0.0, 1.0
             for j in range(1, int(steps[row]) + 1):
-                estimate *= float(conditionals[row, j - 1])
+                estimate *= float(cells[offsets[row] + j - 1]) if j <= first_error[row] else 1.0
                 if 0 < first_error[row] <= j:
                     fstar = max(fstar, transform_estimate(estimate, transform))
             maxima.append(fstar)
