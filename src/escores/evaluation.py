@@ -364,10 +364,10 @@ def sweep(
     The table is float64 of shape (5, columns): a column holds the five
     metrics of keeping one prompt's sorted responses up to some count,
     computed with the per-prompt expressions, and each prompt owns a run
-    of columns led by its keep-nothing column.  Alpha-max stops only
-    after the last response of a tie group, so those are its columns;
-    walking the grid upward by score, each response passed moves its
-    prompt one column on.  Fraction keeps ``inclusion_target(v, k)``,
+    of columns led by its keep-nothing column.  Alpha-max has a column
+    for every count 0..k; walking the grid upward by score, each
+    response passed moves its prompt one column on, so a tie group
+    passes whole.  Fraction keeps ``inclusion_target(v, k)``,
     which depends only on the set size k, so its columns are the ranks
     some grid value asks for at each k.  A grid point's means are
     ``np.take(table, cols, axis=1).mean(axis=1)``: that gather is
@@ -412,26 +412,19 @@ def sweep(
     for grid in strategy_grids:
         means = np.empty((len(grid.parameters), 5))
         if grid.strategy is Strategy.ALPHA_MAX:
-            # Alpha-max keeps a whole tie group or none of it, so it only
-            # stops after the last sorted response of a tie group.
-            last = np.ones(sorted_scores.size, dtype=bool)
-            last[:-1] = sorted_scores[1:] != sorted_scores[:-1]
-            last[starts[1:] - 1] = True
-            event = np.flatnonzero(last)
-            owner = np.searchsorted(starts, event, side="right") - 1
-            widths = 1 + np.bincount(owner, minlength=n)
-            base = np.cumsum(widths) - widths
-            ends = np.repeat(starts, widths)
-            ends[owner + np.arange(event.size) + 1] = event + 1
-            table = metric_table(widths, ends)
-            # Walk the grid upward through the events by score: passing
-            # one moves its prompt to its next column.  bincount, since
-            # cols[owner] = ... leaves repeated owners' winner unspecified.
-            by_score = np.argsort(sorted_scores[event], kind="stable")
-            event_scores, owner = sorted_scores[event][by_score], owner[by_score]
+            # A column for every keep count 0..k, prompt i's from base[i] =
+            # starts[i] + i on.  Walking the grid upward by score, each
+            # sorted response passed moves its prompt one column on, so a
+            # tie group passes whole.  bincount, since cols[owner] = ...
+            # leaves repeated owners' winner unspecified.
+            widths = counts + 1
+            base = starts + np.arange(n)
+            table = metric_table(widths, np.arange(widths.sum()) - np.repeat(np.arange(n), widths))
+            by_score = np.argsort(sorted_scores, kind="stable")
+            owner = np.repeat(np.arange(n), counts)[by_score]
             values = np.asarray([float(p.value) for p in grid.parameters])
             walk = np.argsort(values, kind="stable")
-            passed = np.searchsorted(event_scores, values[walk], side="right")
+            passed = np.searchsorted(sorted_scores[by_score], values[walk], side="right")
             cols, done = base, 0
             for i, upto in zip(walk, passed):
                 cols = cols + np.bincount(owner[done:upto], minlength=n)
