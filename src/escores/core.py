@@ -97,6 +97,13 @@ def as_label(value: int, what: str = "label") -> int:
     return value
 
 
+def _require_seed(seed: int) -> int:
+    """Validate a random seed: a nonnegative int."""
+    if not isinstance(seed, int) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative int, got {seed!r}")
+    return seed
+
+
 def as_unit_interval(value: float, what: str = "estimate") -> float:
     """Validate a finite float in [0, 1] (oracle estimates, uniform draws)."""
     out = as_ext_real(value, what)

@@ -49,6 +49,7 @@ from .core import (
     InvalidInputError,
     InvalidSplitError,
     Response,
+    _require_seed,
     as_exact,
     as_ext_real,
 )
@@ -84,8 +85,7 @@ class SplitPlan:
     test_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidInputError(f"seed must be a nonnegative int, got {self.seed!r}")
+        _require_seed(self.seed)
         if not isinstance(self.n_splits, int) or self.n_splits < 1:
             raise InvalidInputError(f"n_splits must be >= 1, got {self.n_splits!r}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -325,6 +325,7 @@ def score_prompts(
     prompts' keys, so each prompt's draws equal its own ``uniform_block``
     whatever prompts are scored with it and in whatever order.
     """
+    _require_seed(master_seed)
     summaries = {t: build_calibration_summary(cal_fstar[t].tolist(), t) for t in FTransform}
     gather = prep.gather(prompts)
     values = {t: prep.f_flat[t][gather] for t in FTransform}
@@ -685,7 +686,7 @@ def run_equivalence_trials(
     """
     if n_instances < 1 or grid_points < 4 or n_max < 1:
         raise InvalidInputError("need n_instances >= 1, grid_points >= 4, n_max >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+    rng = np.random.default_rng(np.random.SeedSequence(_require_seed(seed), spawn_key=(2,)))
     failures = 0
     for i in range(n_instances):
         n = int(rng.integers(1, n_max + 1))

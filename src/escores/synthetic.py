@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, Prompt, as_ext_real
+from .core import InvalidInputError, Prompt, _require_seed, as_ext_real
 from .estimation import EstimateSource, FTransform, PromptInstance, masked_f_star, transform_values
 from .response_sets import GeneratedResponse
 from .scoring import _e_values
@@ -60,8 +60,7 @@ class SyntheticConfig:
             raise InvalidInputError(f"n_prompts must be >= 1, got {self.n_prompts!r}")
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise InvalidInputError(f"max_steps must be >= 1, got {self.max_steps!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidInputError(f"seed must be a nonnegative int, got {self.seed!r}")
+        _require_seed(self.seed)
         if not 0.0 < self.error_position_p <= 1.0:
             raise InvalidInputError(
                 f"error_position_p must lie in (0, 1], got {self.error_position_p!r}"

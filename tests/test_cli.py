@@ -349,6 +349,26 @@ def test_evaluate_fraction_strategy(dataset: Path, capsys) -> None:
     assert "2 splits, 3 grid rows" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "{data}", "--calibration", "{cal}", "--scores", "e1"],
+        ["score", "{data}", "--calibration", "{cal}", "--scores", "p-randomized"],
+        ["evaluate", "{data}", "--splits", "2"],
+        ["simulate", "--trials", "100"],
+        ["equivalence", "--instances", "5"],
+    ],
+    ids=["score-e1", "score-p-randomized", "evaluate", "simulate", "equivalence"],
+)
+def test_negative_seed_is_a_validation_error(argv, dataset: Path, calibration: Path, capsys) -> None:
+    """Every seeded command refuses --seed -1 alike, whatever it would draw."""
+    argv = [a.format(data=dataset, cal=calibration) for a in argv]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, out, err) == (
+        EXIT_USAGE, "", "validation error: seed must be a nonnegative int, got -1\n"
+    )
+
+
 def test_evaluate_usage_failures(dataset: Path, tmp_path: Path, capsys) -> None:
     # a fraction grid above 1 is impossible, not just unusual
     code, _, err = run(
