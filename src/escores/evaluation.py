@@ -413,8 +413,8 @@ def sweep(
     for grid in strategy_grids:
         means = np.empty((len(grid.parameters), 5))
         if grid.strategy is Strategy.ALPHA_MAX:
-            # A column for every keep count 0..k, prompt i's from base[i] =
-            # starts[i] + i on.  Walking the grid upward by score, each
+            # A column for every keep count 0..k; prompt i's run starts at
+            # column starts[i] + i.  Walking the grid upward by score, each
             # sorted response passed moves its prompt one column on, so a
             # tie group passes whole.  bincount, since cols[owner] = ...
             # leaves repeated owners' winner unspecified.
