@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from escores import (
     IDENTITY_POLICY,
     ConfigurationError,
+    EstimateSource,
     FTransform,
     InvalidInputError,
     InvalidSplitError,
@@ -24,6 +27,7 @@ from escores import (
     PermutationMode,
     PermutationPolicy,
     PreparedDataset,
+    PromptInstance,
     ScoreKind,
     ALL_SCORE_KINDS,
     SplitAssignment,
@@ -56,6 +60,7 @@ from helpers import (
     POLICIES,
     alpha_max_instance,
     instance_of,
+    make_generated,
     make_instance,
     oracle_fstars,
     oracle_prompt,
@@ -552,6 +557,72 @@ def test_prepared_dataset_rejects_duplicates_and_empty() -> None:
     inst = make_instance("dup", [0.5])
     with pytest.raises(InvalidInputError):
         PreparedDataset([inst, make_instance("dup", [0.7])])
+
+
+# Exact 0 and 1, the smallest subnormal and a larger one, next to arbitrary values.
+_CONDITIONAL = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.5e-310, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def _chained_datasets(draw) -> tuple:
+    """Prompts of 1..6 steps and a policy that applies to every one of them.
+
+    A prompt carries conditionals, a response estimate (singular: one
+    step), or both.  An explicit list of orderings must be a bijection
+    on each prompt's steps, so under it every prompt has the same k.
+    """
+    mode = draw(st.sampled_from(["identity", "all", "explicit"]))
+    shared_k = draw(st.integers(1, 6)) if mode == "explicit" else None
+    instances = []
+    for i in range(draw(st.integers(1, 6))):
+        k = shared_k or draw(st.integers(1, 6 if mode == "identity" else 5))
+        shape = draw(st.sampled_from(["conditionals", "singular", "both"]))
+        if shape == "singular" and k != 1:
+            shape = "conditionals"
+        conds = draw(st.lists(_CONDITIONAL, min_size=k, max_size=k))
+        estimate = draw(_CONDITIONAL)
+        source = EstimateSource(
+            conditionals=None if shape == "singular" else dict(enumerate(conds, start=1)),
+            response_estimate=None if shape == "conditionals" else estimate,
+        )
+        fei = draw(st.one_of(st.none(), st.integers(1, k)))
+        instances.append(PromptInstance(make_generated(f"p-{i}", k, fei), source))
+    if mode == "identity":
+        policy = IDENTITY_POLICY
+    elif mode == "all":
+        policy = PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)
+    else:
+        orderings = st.permutations(list(range(1, shared_k + 1))).map(tuple)
+        policy = PermutationPolicy(
+            PermutationMode.EXPLICIT_LIST,
+            explicit=tuple(draw(st.lists(orderings, min_size=1, max_size=4))),
+        )
+    return instances, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chained_datasets())
+def test_prepared_estimates_are_the_left_to_right_product(dataset) -> None:
+    """Every response's estimate is reduce(mul, its conditionals, 1.0), bit for bit.
+
+    A response estimate, when the source has one, stands for every
+    response of the prompt instead.
+    """
+    instances, policy = dataset
+    prep = PreparedDataset(instances, policy)
+    expected = []
+    for inst in instances:
+        source = inst.estimates
+        for response in build_permutation_set(inst.generated, policy):
+            if source.response_estimate is not None:
+                expected.append(source.response_estimate)
+            else:
+                conds = [source.conditionals[i] for i in response.indices]
+                expected.append(functools.reduce(operator.mul, conds, 1.0))
+    assert [x.hex() for x in prep.estimates_flat.tolist()] == [x.hex() for x in expected]
 
 
 # ---------------------------------------------------------------------------
