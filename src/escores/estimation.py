@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import types
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -115,18 +115,54 @@ def aggregate_conditionals(source: EstimateSource, response: Response) -> float:
 
     Response-level sources return their stored estimate directly.
     Sub-response conditionals multiply along the response's own ordering,
-    mirroring a chain rule over its steps.
+    mirroring a chain rule over its steps.  This is the one-response call
+    of the array code that prepares whole datasets.
     """
-    if source.response_estimate is not None:
-        return source.response_estimate
-    assert source.conditionals is not None
-    product = 1.0
-    for idx in response.indices:
-        try:
-            product *= source.conditionals[idx]
-        except KeyError:
-            raise InvalidInputError(f"no conditional estimate for step {idx}") from None
-    return product
+    return float(_chained_estimates((source,), (response,))[0, 0])
+
+
+def _chained_estimates(
+    sources: Sequence[EstimateSource], responses: Sequence[Response]
+) -> np.ndarray:
+    """Every source's estimate of every response, shape (sources, responses).
+
+    A source's response-level estimate stands for all of its responses.
+    Otherwise the estimate of a response is the product of the
+    conditionals of its steps, left to right along its own ordering from
+    1.0.  The conditionals of the steps any response reads are gathered
+    once into a (sources, steps) table.  The responses of one length m
+    then cost m column gathers and m - 1 elementwise products over every
+    source at once, each product the float multiply of the scalar chain
+    in the scalar chain's order, so the results are bit-identical to it.
+    """
+    steps = list(dict.fromkeys(i for response in responses for i in response.indices))
+    column = {step: j for j, step in enumerate(steps)}
+    try:
+        # a source with a response estimate gets a row of 1.0, overwritten below
+        table = np.array(
+            [
+                1.0 if source.response_estimate is not None else source.conditionals[step]  # type: ignore[index]
+                for source in sources
+                for step in steps
+            ],
+            dtype=np.float64,
+        ).reshape(len(sources), len(steps))
+    except KeyError as exc:
+        raise InvalidInputError(f"no conditional estimate for step {exc.args[0]}") from None
+    out = np.empty((len(sources), len(responses)))
+    by_length: dict[int, list[int]] = {}
+    for position, response in enumerate(responses):
+        by_length.setdefault(len(response.indices), []).append(position)
+    for positions in by_length.values():
+        cols = np.array([[column[i] for i in responses[p].indices] for p in positions])
+        product = table[:, cols[:, 0]]
+        for j in range(1, cols.shape[1]):
+            product *= table[:, cols[:, j]]
+        out[:, positions] = product
+    fixed = [i for i, source in enumerate(sources) if source.response_estimate is not None]
+    if fixed:
+        out[fixed] = np.array([[sources[i].response_estimate] for i in fixed])
+    return out
 
 
 def transform_values(estimates: np.ndarray, transform: FTransform) -> np.ndarray:

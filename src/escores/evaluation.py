@@ -54,9 +54,10 @@ from .core import (
     as_ext_real,
 )
 from .estimation import (
+    EstimateSource,
     FTransform,
     PromptInstance,
-    aggregate_conditionals,
+    _chained_estimates,
     build_calibration_summary,
     masked_f_star,
     transform_values,
@@ -67,7 +68,7 @@ from .scoring import ScoreFamily, ScoreKind, _exceedances, _prompt_key, _uniform
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
-from .estimation import calibration_f_star, transform_estimate  # noqa: F401
+from .estimation import aggregate_conditionals, calibration_f_star, transform_estimate  # noqa: F401
 from .scoring import uniform_block  # noqa: F401
 
 
@@ -247,9 +248,10 @@ class PreparedDataset:
     A response set depends only on the step count k and the policy, so
     construction builds it once per distinct k and labels it once per
     (k, first-error step); prompts of the same size share one tuple of
-    responses.  It chains every prompt's estimates, then transforms every
-    estimate and takes every prompt's incorrect maxima in whole-array
-    operations.  Responses are stored prompt after prompt: prompt i owns
+    responses.  It chains the estimates of all prompts of one k at once
+    (``estimation._chained_estimates``), then transforms every estimate
+    and takes every prompt's incorrect maxima in whole-array operations.
+    Responses are stored prompt after prompt: prompt i owns
     ``offsets[i]:offsets[i+1]``.  Each prompt id is hashed once into
     ``prompt_keys`` (uint64), the key of its uniform stream.  Everything
     split-dependent is left to ``evaluate_split``.
@@ -264,9 +266,10 @@ class PreparedDataset:
         self.prompt_ids: list[str] = []
         self.responses: list[tuple[Response, ...]] = []
         sets: dict[int, tuple[Response, ...]] = {}
+        members: dict[int, list[int]] = {}  # k -> its prompts' positions
         labels_of: dict[tuple[int, int | None], tuple[int, ...]] = {}
-        labels: list[int] = []
-        estimates: list[float] = []
+        sources: list[EstimateSource] = []
+        first_errors: list[int] = []  # 0 for a fully correct prompt
         seen_ids: set[str] = set()
         for inst in instances:
             pid = inst.prompt_id
@@ -277,14 +280,15 @@ class PreparedDataset:
             k = len(generated)
             if k not in sets:
                 sets[k] = tuple(build_permutation_set(generated, policy))
-            responses = sets[k]
+                members[k] = []
             key = (k, generated.first_error_index)
             if key not in labels_of:
-                labels_of[key] = label_response_set(generated, responses).labels
-            labels.extend(labels_of[key])
-            estimates.extend(aggregate_conditionals(inst.estimates, r) for r in responses)
+                labels_of[key] = label_response_set(generated, sets[k]).labels
+            members[k].append(len(self.prompt_ids))
+            sources.append(inst.estimates)
+            first_errors.append(generated.first_error_index or 0)
             self.prompt_ids.append(pid)
-            self.responses.append(responses)
+            self.responses.append(sets[k])
         if not self.prompt_ids:
             raise InvalidInputError("cannot prepare an empty dataset")
 
@@ -293,8 +297,18 @@ class PreparedDataset:
         self.counts = np.asarray([len(r) for r in self.responses], dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
         starts = self.offsets[:-1]
-        self.labels_flat = np.asarray(labels, dtype=np.int8)
-        self.estimates_flat = np.asarray(estimates, dtype=np.float64)
+        self.labels_flat = np.empty(self.offsets[-1], dtype=np.int8)
+        self.estimates_flat = np.empty(self.offsets[-1], dtype=np.float64)
+        first_error = np.asarray(first_errors)
+        for k, responses in sets.items():
+            rows = np.asarray(members[k])
+            flat = starts[rows][:, None] + np.arange(len(responses))
+            self.estimates_flat[flat] = _chained_estimates([sources[i] for i in rows], responses)
+            by_first_error = np.zeros((k + 1, len(responses)), dtype=np.int8)
+            for (size, fei), labels in labels_of.items():
+                if size == k:
+                    by_first_error[fei or 0] = labels
+            self.labels_flat[flat] = by_first_error[first_error[rows]]
         self.f_flat = {t: transform_values(self.estimates_flat, t) for t in FTransform}
         incorrect = self.labels_flat == 0
         self.fstar = {t: masked_f_star(self.f_flat[t], incorrect, starts) for t in FTransform}

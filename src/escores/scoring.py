@@ -41,11 +41,11 @@ from .core import (
     as_ext_real,
     as_unit_interval,
 )
-from .estimation import EstimateSource, FTransform, aggregate_conditionals, transform_values
+from .estimation import EstimateSource, FTransform, _chained_estimates, transform_values
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
-from .estimation import transform_estimate  # noqa: F401
+from .estimation import aggregate_conditionals, transform_estimate  # noqa: F401
 
 
 class ScoreFamily(enum.Enum):
@@ -417,9 +417,7 @@ def score_response_set(
     response ordinal from (master_seed, split_index, prompt id).
     """
     summaries = _summaries_for(kind, cal)
-    estimate_of = np.asarray(
-        [aggregate_conditionals(estimates, resp) for resp in responses], dtype=np.float64
-    )
+    estimate_of = _chained_estimates((estimates,), responses)[0]
     values = {t: transform_values(estimate_of, t) for t in FTransform}
     u = None
     rank_transform = FTransform.IDENTITY
