@@ -48,6 +48,7 @@ from .io import (
     DatasetParseError,
     DatasetValidationError,
     _fmt_score,
+    _load_json,
     emit_csv,
     emit_svg_curves,
     parse_dataset,
@@ -102,7 +103,8 @@ def _parse_policy(
         return PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)
     if permutation_file is None:
         raise InvalidInputError("--permutations file needs --permutation-file")
-    raw = json.loads(Path(permutation_file).read_text(encoding="utf-8"))
+    path = Path(permutation_file)
+    raw = _load_json(path.read_text(encoding="utf-8", errors="surrogateescape"), path.name)
     if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
         raise InvalidInputError(
             f"{permutation_file}: expected a JSON array of index arrays"
@@ -455,7 +457,6 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
         ConfigurationError,
         InvalidSplitError,
         ResponseSetSizeError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_USAGE

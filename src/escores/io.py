@@ -94,7 +94,34 @@ def _warn_unknown(record: dict, known: set, where: str, warned: set) -> None:
 def _as_number(value: object, what: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DatasetValidationError(f"{where}: {what} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DatasetValidationError(f"{where}: {what} is too large for a float") from None
+
+
+def _load_json(text: str, where: str) -> object:
+    """Parse one JSON document from text read with ``errors="surrogateescape"``.
+
+    Those errors decode a byte that is not UTF-8 to a lone surrogate,
+    which strict UTF-8 never yields, so the byte is refused here, at the
+    line it is on.  Every failure is a ``DatasetParseError`` led by
+    ``where``.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(text[exc.start]) - 0xDC00
+            raise DatasetParseError(
+                f"{where}: not valid UTF-8: byte 0x{byte:02x} at character {exc.start + 1}"
+            ) from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DatasetParseError(f"{where}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise DatasetParseError(f"{where}: {exc}") from exc
 
 
 def _parse_prefix_record(record: dict, where: str, warned: set) -> PromptInstance:
@@ -167,8 +194,8 @@ def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
     """Read a JSONL dataset into prompt instances.
 
     The first record's shape, prefix or singular, is the file's.  Blank
-    lines are skipped.  Raises :class:`DatasetParseError` for malformed
-    JSON and :class:`DatasetValidationError` for bad records (with line
+    lines are skipped.  Raises :class:`DatasetParseError` for bytes that
+    are not UTF-8 or malformed JSON and :class:`DatasetValidationError` for bad records (with line
     numbers), duplicate ids, mixed shapes, or an empty file.
     """
     path = Path(path)
@@ -178,15 +205,12 @@ def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
     instances: list[PromptInstance] = []
     seen: dict[str, int] = {}
     warned: set = set()
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             where = f"{source}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetParseError(f"{where}: invalid JSON: {exc}") from exc
+            record = _load_json(line, where)
             if not isinstance(record, dict):
                 raise DatasetParseError(f"{where}: each line must be a JSON object")
 

@@ -90,6 +90,98 @@ def test_ingest_rejects_bad_records(tmp_path: Path, capsys) -> None:
     assert "usage error:" in err
 
 
+_VALID_LINE = (
+    b'{"id": "v", "sub_responses": ["a"], "first_error_index": null, '
+    b'"oracle_conditionals": [0.5]}\n'
+)
+_TOO_LARGE = b"1" + b"0" * 400  # an integer no float can hold
+_TOO_LONG = b"1" + b"0" * 4400  # more digits than Python converts by default
+
+
+def error_line(capsys, *argv: str) -> str:
+    """The stderr of a command that must fail with one validation error line."""
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["ingest", "score", "evaluate"])
+def test_non_utf8_dataset_is_one_validation_error(
+    command: str, dataset: Path, tmp_path: Path, capsys
+) -> None:
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(_VALID_LINE + b"\xff\xfe\n" + _VALID_LINE)
+    argv = {
+        "ingest": ["ingest", str(bad)],
+        "score": ["score", str(dataset), "--calibration", str(bad)],
+        "evaluate": ["evaluate", str(bad)],
+    }[command]
+    err = error_line(capsys, *argv)
+    assert err == "validation error: bad.jsonl:2: not valid UTF-8: byte 0xff at character 1\n"
+
+
+def test_non_utf8_or_malformed_permutation_file_names_the_file(
+    dataset: Path, tmp_path: Path, capsys
+) -> None:
+    perms = tmp_path / "perms.json"
+    argv = ("evaluate", str(dataset), "--permutations", "file", "--permutation-file", str(perms))
+    perms.write_bytes(b"[[1, 2]]\xff")
+    err = error_line(capsys, *argv)
+    assert err == "validation error: perms.json: not valid UTF-8: byte 0xff at character 9\n"
+    perms.write_bytes(b"[[1, 2]\n[2, 1]]")
+    err = error_line(capsys, *argv)
+    assert err.startswith("validation error: perms.json: invalid JSON: Expecting ',' delimiter")
+    perms.write_bytes(b"[[" + _TOO_LONG + b"]]")
+    err = error_line(capsys, *argv)
+    assert err.startswith("validation error: perms.json: ")
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        (
+            b'{"id": "b", "sub_responses": ["a", "b"], "first_error_index": null, '
+            b'"oracle_conditionals": [0.5, ' + _TOO_LARGE + b"]}\n",
+            "big.jsonl:2: 'oracle_conditionals[1]' is too large for a float",
+        ),
+        (
+            b'{"id": "b", "sub_responses": ["a"], "first_error_index": '
+            + _TOO_LONG
+            + b', "oracle_conditionals": [0.5]}\n',
+            "big.jsonl:2: ",
+        ),
+        (
+            b'{"id": "b", "sub_responses": ["a"], "first_error_index": null, '
+            b'"oracle_conditionals": [0.5], "extra": ' + _TOO_LONG + b"}\n",
+            "big.jsonl:2: ",
+        ),
+    ],
+    ids=["conditional-too-large", "first-error-too-long", "unknown-field-too-long"],
+)
+def test_huge_integer_literals_are_one_validation_error(
+    bad_line: bytes, message: str, tmp_path: Path, capsys
+) -> None:
+    big = tmp_path / "big.jsonl"
+    big.write_bytes(_VALID_LINE + bad_line + b"\xff\n")
+    err = error_line(capsys, "ingest", str(big))
+    assert err.startswith(f"validation error: {message}"), err
+    # with the faults the other way round, the first in file order is still reported
+    big.write_bytes(_VALID_LINE + b"\xff\n" + bad_line)
+    err = error_line(capsys, "ingest", str(big))
+    assert err.startswith("validation error: big.jsonl:2: not valid UTF-8"), err
+
+
+def test_huge_singular_estimate_is_one_validation_error(tmp_path: Path, capsys) -> None:
+    big = tmp_path / "big.jsonl"
+    big.write_bytes(
+        b'{"id": "s", "response": "a", "correct": true, "oracle_estimate": 0.5}\n'
+        b'{"id": "b", "response": "a", "correct": true, "oracle_estimate": ' + _TOO_LARGE + b"}\n"
+    )
+    err = error_line(capsys, "ingest", str(big))
+    assert err == "validation error: big.jsonl:2: 'oracle_estimate' is too large for a float\n"
+
+
 def test_score_table_output(dataset: Path, calibration: Path, capsys) -> None:
     code, out, err = run(
         capsys,
