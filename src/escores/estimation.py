@@ -141,7 +141,7 @@ def _chained_estimates(
         # a source with a response estimate gets a row of 1.0, overwritten below
         table = np.array(
             [
-                1.0 if source.response_estimate is not None else source.conditionals[step]  # type: ignore[index]
+                1.0 if source.response_estimate is not None else source.conditionals[step]
                 for source in sources
                 for step in steps
             ],

@@ -195,8 +195,9 @@ def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
 
     The first record's shape, prefix or singular, is the file's.  Blank
     lines are skipped.  Raises :class:`DatasetParseError` for bytes that
-    are not UTF-8 or malformed JSON and :class:`DatasetValidationError` for bad records (with line
-    numbers), duplicate ids, mixed shapes, or an empty file.
+    are not UTF-8 or malformed JSON and :class:`DatasetValidationError`
+    for bad records (with line numbers), duplicate ids, mixed shapes, or
+    an empty file.
     """
     path = Path(path)
     source = path.name
