@@ -120,7 +120,8 @@ def _load_json(text: str, where: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"{where}: invalid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the interpreter's digit limit, or nesting past its depth
         raise DatasetParseError(f"{where}: {exc}") from exc
 
 

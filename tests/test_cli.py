@@ -172,6 +172,13 @@ def test_huge_integer_literals_are_one_validation_error(
     assert err.startswith("validation error: big.jsonl:2: not valid UTF-8"), err
 
 
+def test_deeply_nested_json_is_one_validation_error(tmp_path: Path, capsys) -> None:
+    deep = tmp_path / "deep.jsonl"
+    deep.write_bytes(_VALID_LINE + b"[" * 100_000 + b"]" * 100_000 + b"\n")
+    err = error_line(capsys, "ingest", str(deep))
+    assert err.startswith("validation error: deep.jsonl:2: maximum recursion depth exceeded")
+
+
 def test_huge_singular_estimate_is_one_validation_error(tmp_path: Path, capsys) -> None:
     big = tmp_path / "big.jsonl"
     big.write_bytes(
