@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import warnings
 import xml.etree.ElementTree as ET
@@ -329,6 +330,34 @@ def test_emit_svg_is_byte_deterministic(tmp_path: Path) -> None:
     second = emit_svg_curves(small_report(), tmp_path / "b")
     for left, right in zip(first, second):
         assert left.read_bytes() == right.read_bytes()
+
+
+def test_emit_svg_two_strategy_panels_match_golden_hash(tmp_path: Path) -> None:
+    # every panel draws one series per strategy; pinned so that a change to
+    # the panel layout shows here, not only in the single-strategy goldens
+    instances = []
+    for i in range(24):
+        k = 1 + i % 3
+        conditionals = [0.95 - 0.1 * (i % 5), 0.6 + 0.05 * (i % 7), 0.3 + 0.1 * (i % 4)][:k]
+        first_error = None if i % 4 == 0 else 1 + i % k
+        instances.append(make_instance(f"s-{i}", conditionals, first_error_index=first_error))
+    grids = (
+        StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.125")),
+        StrategyGrid(Strategy.FRACTION, parse_grid("0,1/3,0.5,0.9,1")),
+    )
+    kinds = (ScoreKind.parse("e-combined"), ScoreKind.parse("p"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the p floor at alpha-max 0
+        report = evaluate_dataset(
+            PreparedDataset(instances), kinds, grids, SplitPlan(seed=3, n_splits=4)
+        )
+    assert {row.strategy for row in report.rows} == {"alpha-max", "fraction"}
+    paths = sorted(emit_svg_curves(report, tmp_path / "plots"))
+    assert len(paths) == 6
+    text = "".join(p.read_text(encoding="utf-8") for p in paths)
+    assert text.count(">alpha-max</text>") == text.count(">fraction</text>") == 6
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c038b32428418dc46256bffd76f4742a3c10623a84119921160abf429aa20f5d"
 
 
 def test_emit_svg_refuses_empty_report(tmp_path: Path) -> None:

@@ -199,6 +199,23 @@ def test_p_score_randomized_never_exceeds_plain(f: float, values: list[float], u
     )
 
 
+# a small pool of tie-prone values, signed zeros and +inf among them
+tie_values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf]), finite_values)
+
+
+@given(
+    f=tie_values,
+    values=st.lists(tie_values, max_size=12),
+    u=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_scalar_p_scores_match_the_oracles(f: float, values: list[float], u: float) -> None:
+    cal = summary_of(*values)
+    assert oracles.matches(p_score(f, cal), oracles.p_score(f, values))
+    assert oracles.matches(
+        p_score_randomized(f, cal, RandomDraw(u)), oracles.p_score_randomized(f, values, u)
+    )
+
+
 def test_scores_reject_nan_and_negative_inputs() -> None:
     cal = summary_of(1.0)
     for bad in (math.nan, -1.0):
