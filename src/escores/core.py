@@ -261,8 +261,8 @@ class CalibrationSummary:
 
     ``n``, ``fstar_sum`` and the count of infinite maxima are computed
     once at construction; scoring a test response against the summary
-    then costs O(1) for e-scores, while rank-based p-scores walk
-    ``per_prompt_fstar`` in full.  The optional ``transform`` tag records
+    then costs O(1) for e-scores, while rank-based p-scores read each
+    entry of ``per_prompt_fstar`` once.  The optional ``transform`` tag records
     which value transform produced the entries so that mismatched score
     requests can be rejected.
     """

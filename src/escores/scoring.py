@@ -248,19 +248,16 @@ def kind_scores(
         return _e_scores(values[kind.transform], summaries[kind.transform])
     if kind.family is ScoreFamily.E_SCORE_COMBINED:
         return _combined_scores([_e_scores(values[t], summaries[t]) for t in FTransform])
-    cal = summaries[rank_transform]
-    ordered = np.sort(np.asarray(cal.per_prompt_fstar, dtype=np.float64))
-    at_least, above = _exceedances(ordered, values[rank_transform])
     if kind.family is ScoreFamily.P_SCORE:
-        return (1 + at_least) / (cal.n + 1)
+        return _p_scores(values[rank_transform], summaries[rank_transform])
     assert u is not None
-    return (u * (1 + at_least - above) + above) / (cal.n + 1)
+    return _p_scores(values[rank_transform], summaries[rank_transform], u)
 
 
 def _exceedances(ordered: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """#{v >= f} and #{v > f} for each entry of ``f``, over ``ordered`` (ascending).
 
-    The one rank count of the package: the p kinds of ``kind_scores`` and
+    The one rank count of the package: ``_p_scores`` and
     ``evaluation.threshold_equivalence_check`` both read it.
     """
     n = ordered.size
@@ -268,6 +265,23 @@ def _exceedances(ordered: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
         n - np.searchsorted(ordered, f, side="left"),
         n - np.searchsorted(ordered, f, side="right"),
     )
+
+
+def _p_scores(
+    f: np.ndarray, cal: CalibrationSummary, u: "np.ndarray | float | None" = None
+) -> np.ndarray:
+    """The p-score of each entry of ``f``, or its tie-randomized form given ``u``.
+
+    The one p formula of the package.  It reads each of the summary's n
+    maxima once, sorts them and ranks ``f`` through ``_exceedances``: p
+    is (1 + #{v >= f}) / (n + 1), and p-randomized is
+    (u * (1 + #{v == f}) + #{v > f}) / (n + 1), which is p at u = 1.
+    """
+    ordered = np.sort(np.fromiter(cal.per_prompt_fstar, np.float64, cal.n))
+    at_least, above = _exceedances(ordered, f)
+    if u is None:
+        return (1 + at_least) / (cal.n + 1)
+    return (u * (1 + at_least - above) + above) / (cal.n + 1)
 
 
 def _e_values(
@@ -342,26 +356,16 @@ def p_score(f_test: float, cal: CalibrationSummary) -> float:
     """Rank of f_test among the calibration maxima, as a conformal p-value.
 
     Counts weak exceedances with exact float comparison (ties at +inf
-    count), so each call walks the full per-prompt list: Theta(n).
-    Range [1/(n+1), 1].  ``kind_scores`` computes the same counts for
-    many responses at once by binary search in the sorted maxima.
+    count), reading each per-prompt maximum once: Theta(n) per call.
+    Range [1/(n+1), 1].  ``kind_scores`` reads the maxima once for many
+    responses at a time.
     """
-    f_test = as_ext_real(f_test, "test value")
-    count = sum(1 for v in cal.per_prompt_fstar if f_test <= v)
-    return (1 + count) / (cal.n + 1)
+    return float(_p_scores(np.float64(as_ext_real(f_test, "test value")), cal))
 
 
 def p_score_randomized(f_test: float, cal: CalibrationSummary, draw: RandomDraw) -> float:
     """Tie-randomized p-score; u = 1 recovers the plain p-score exactly."""
-    f_test = as_ext_real(f_test, "test value")
-    ties = 0
-    below = 0
-    for v in cal.per_prompt_fstar:
-        if f_test == v:
-            ties += 1
-        elif f_test < v:
-            below += 1
-    return (draw.u * (1 + ties) + below) / (cal.n + 1)
+    return float(_p_scores(np.float64(as_ext_real(f_test, "test value")), cal, draw.u))
 
 
 def naive_score(estimate: float, transform: FTransform) -> float:
