@@ -11,7 +11,7 @@ which is what the size-distortion accounting downstream divides by.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import InvalidInputError, ScoredResponseSet, as_ext_real, as_unit_fraction
@@ -77,7 +77,8 @@ def max_constrained_alpha(scored: ScoredResponseSet, alpha_max: float) -> Filter
             f"alpha_max={alpha_max!r} lies outside [0, 1]; proceeding anyway",
             stacklevel=2,
         )
-    return _keep_lowest(scored, sum(1 for _, score in scored if score <= alpha_max))
+    kept = filter_at_alpha(scored, alpha_max)
+    return replace(kept, alpha_used=max(kept.included.scores, default=0.0))
 
 
 def inclusion_target(fraction: Fraction, size: int) -> int:
