@@ -343,79 +343,52 @@ def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
     return path
 
 
+# The panels drawn per score kind: file suffix, title, x and y axis
+# labels, the x and y of a report row, and the reference geometry.
+_PANELS = (
+    (
+        "size_distortion", "size distortion", "parameter", "mean size distortion",
+        lambda r: float(Fraction(r.parameter)), lambda r: r.mean_size_distortion,
+        {"reference_y": 1.0},
+    ),
+    (
+        "error_vs_alpha", "realized error", "mean level used", "mean error",
+        lambda r: r.mean_alpha, lambda r: r.mean_error,
+        {"identity_line": True},
+    ),
+    (
+        "precision_recall", "precision vs recall", "mean recall", "mean precision",
+        lambda r: r.mean_recall, lambda r: r.mean_precision,
+        {"fixed_range": (-0.02, 1.02, -0.02, 1.02)},
+    ),
+)
+
+
 def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Path]:
     """Render three SVG panels per score kind in the report.
 
     For each score kind: retained-set size distortion against the
     strategy parameter (with a reference line at 1), realized error
     against the mean level actually used (with the identity diagonal),
-    and precision against recall.  Returns the written paths.
+    and precision against recall, one series per strategy.  Returns the
+    written paths.
     """
     if not report.rows:
         raise InvalidInputError("report has no rows to plot")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    kinds: list[str] = []
-    for row in report.rows:
-        if row.score_kind not in kinds:
-            kinds.append(row.score_kind)
-
     written: list[Path] = []
-    for kind in kinds:
+    for kind in dict.fromkeys(row.score_kind for row in report.rows):
         rows = [r for r in report.rows if r.score_kind == kind]
-        strategies: list[str] = []
-        for row in rows:
-            if row.strategy not in strategies:
-                strategies.append(row.strategy)
-
-        def series_for(x_of, y_of) -> list[Series]:
-            built = []
-            for strategy in strategies:
-                pts = tuple(
-                    (x_of(r), y_of(r)) for r in rows if r.strategy == strategy
-                )
-                built.append(Series(name=strategy, points=pts))
-            return built
-
-        slug = slugify(kind)
-        panels = (
-            (
-                f"{slug}_size_distortion.svg",
-                render_panel(
-                    f"{kind}: size distortion",
-                    series_for(
-                        lambda r: float(Fraction(r.parameter)),
-                        lambda r: r.mean_size_distortion,
-                    ),
-                    "parameter",
-                    "mean size distortion",
-                    reference_y=1.0,
-                ),
-            ),
-            (
-                f"{slug}_error_vs_alpha.svg",
-                render_panel(
-                    f"{kind}: realized error",
-                    series_for(lambda r: r.mean_alpha, lambda r: r.mean_error),
-                    "mean level used",
-                    "mean error",
-                    identity_line=True,
-                ),
-            ),
-            (
-                f"{slug}_precision_recall.svg",
-                render_panel(
-                    f"{kind}: precision vs recall",
-                    series_for(lambda r: r.mean_recall, lambda r: r.mean_precision),
-                    "mean recall",
-                    "mean precision",
-                    fixed_range=(-0.02, 1.02, -0.02, 1.02),
-                ),
-            ),
-        )
-        for name, content in panels:
-            target = out / name
+        strategies = dict.fromkeys(r.strategy for r in rows)
+        for suffix, title, x_label, y_label, x_of, y_of, reference in _PANELS:
+            series = [
+                Series(s, tuple((x_of(r), y_of(r)) for r in rows if r.strategy == s))
+                for s in strategies
+            ]
+            target = out / f"{slugify(kind)}_{suffix}.svg"
+            content = render_panel(f"{kind}: {title}", series, x_label, y_label, **reference)
             target.write_text(content, encoding="utf-8")
             written.append(target)
     return written
