@@ -63,6 +63,8 @@ def as_ext_real(value: float, what: str = "value") -> float:
     """
     try:
         out = float(value)
+    except OverflowError:  # an int or Fraction beyond float range; its digits are not echoed
+        raise InvalidInputError(f"{what} is too large for a float") from None
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{what} must be a number, got {value!r}") from exc
     if math.isnan(out):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,13 @@ def test_ext_inputs_validated() -> None:
         ext_sum([1.0, float("nan")])
     with pytest.raises(InvalidInputError):
         as_ext_real("not a number")
+
+
+def test_ext_inputs_beyond_float_range_are_invalid_input() -> None:
+    with pytest.raises(InvalidInputError, match=r"^response estimate is too large for a float$"):
+        escores.EstimateSource(response_estimate=10**400)
+    with pytest.raises(InvalidInputError, match=r"^summand is too large for a float$"):
+        ext_sum([1.0, Fraction(10**400, 3)])
 
 
 def test_scalar_validators() -> None:
