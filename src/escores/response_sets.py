@@ -59,8 +59,9 @@ class GeneratedResponse:
             if not isinstance(fei, int) or isinstance(fei, bool):
                 raise InvalidInputError(f"first_error_index must be int or None, got {fei!r}")
             if not 1 <= fei <= len(self.sub_responses):
+                shown = f" {fei}" if abs(fei) < 10**9 else ""  # a long integer is not echoed
                 raise InvalidInputError(
-                    f"first_error_index {fei} out of range 1..{len(self.sub_responses)}"
+                    f"first_error_index{shown} out of range 1..{len(self.sub_responses)}"
                 )
 
     def __len__(self) -> int:

@@ -110,6 +110,21 @@ def test_parse_reports_line_numbers(tmp_path: Path) -> None:
         parse_dataset(second_line)
 
 
+def test_out_of_range_first_error_index_is_echoed_only_when_short(tmp_path: Path) -> None:
+    record = (
+        '{"id": "p-1", "sub_responses": ["a", "b"], "first_error_index": %s, '
+        '"oracle_conditionals": [0.9, 0.4]}'
+    )
+    short = write_lines(tmp_path / "short.jsonl", record % 3)
+    with pytest.raises(DatasetValidationError) as caught:
+        parse_dataset(short)
+    assert str(caught.value).endswith("short.jsonl:1: first_error_index 3 out of range 1..2")
+    long = write_lines(tmp_path / "long.jsonl", record % ("1" + "0" * 4000))
+    with pytest.raises(DatasetValidationError) as caught:
+        parse_dataset(long)
+    assert str(caught.value).endswith("long.jsonl:1: first_error_index out of range 1..2")
+
+
 def test_parse_rejects_malformed_json(tmp_path: Path) -> None:
     with pytest.raises(DatasetParseError, match=r"broken\.jsonl:1"):
         parse_dataset(write_lines(tmp_path / "broken.jsonl", "{not json"))
