@@ -272,8 +272,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"identity (|mean - 1| <= 3*se): {'PASS' if identity_ok else 'FAIL'}")
     if upper_ok and identity_ok:
         return EXIT_OK
-    print("runtime error: Monte Carlo estimate violates the e-variable bound",
-          file=sys.stderr)
+    checks = (
+        ("violates the e-variable bound", upper_ok),
+        ("fails the identity check", identity_ok),
+    )
+    failed = " and ".join(check for check, ok in checks if not ok)
+    print(f"runtime error: Monte Carlo estimate {failed}", file=sys.stderr)
     return EXIT_RUNTIME
 
 

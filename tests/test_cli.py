@@ -578,6 +578,16 @@ def test_simulate_reports_bound(capsys) -> None:
     assert "identity (|mean - 1| <= 3*se): PASS" in out
 
 
+def test_simulate_names_the_check_that_failed(capsys) -> None:
+    code, out, err = run(
+        capsys, "simulate", "--prompts", "2000", "--trials", "100", "--seed", "7", "--steps", "8"
+    )
+    assert code == EXIT_RUNTIME
+    assert "e-variable bound (mean <= 1 + 3*se): PASS" in out
+    assert "identity (|mean - 1| <= 3*se): FAIL" in out
+    assert err == "runtime error: Monte Carlo estimate fails the identity check\n"
+
+
 def test_simulate_emits_parseable_dataset(tmp_path: Path, capsys) -> None:
     emitted = tmp_path / "synthetic.jsonl"
     code, out, err = run(
