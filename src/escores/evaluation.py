@@ -63,12 +63,13 @@ from .estimation import (
     transform_values,
 )
 from .filtering import inclusion_target
-from .response_sets import IDENTITY_POLICY, PermutationPolicy, build_permutation_set, label_response_set
+from .response_sets import IDENTITY_POLICY, PermutationPolicy, _label_table, build_permutation_set
 from .scoring import ScoreFamily, ScoreKind, _exceedances, _prompt_key, _uniforms, kind_scores
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
 from .estimation import aggregate_conditionals, calibration_f_star, transform_estimate  # noqa: F401
+from .response_sets import label_response_set  # noqa: F401
 from .scoring import uniform_block  # noqa: F401
 
 
@@ -246,9 +247,9 @@ class PreparedDataset:
     """Response sets, labels, estimates, transformed values and maxima, flattened.
 
     A response set depends only on the step count k and the policy, so
-    construction builds it once per distinct k and labels it once per
-    (k, first-error step); prompts of the same size share one tuple of
-    responses.  It chains the estimates of all prompts of one k at once
+    construction builds it once per distinct k and labels it once per k
+    for every first-error step (``response_sets._label_table``); prompts
+    of the same size share one tuple of responses.  It chains the estimates of all prompts of one k at once
     (``estimation._chained_estimates``), then transforms every estimate
     and takes every prompt's incorrect maxima in whole-array operations.
     Responses are stored prompt after prompt: prompt i owns
@@ -267,7 +268,6 @@ class PreparedDataset:
         self.responses: list[tuple[Response, ...]] = []
         sets: dict[int, tuple[Response, ...]] = {}
         members: dict[int, list[int]] = {}  # k -> its prompts' positions
-        labels_of: dict[tuple[int, int | None], tuple[int, ...]] = {}
         sources: list[EstimateSource] = []
         first_errors: list[int] = []  # 0 for a fully correct prompt
         seen_ids: set[str] = set()
@@ -281,9 +281,6 @@ class PreparedDataset:
             if k not in sets:
                 sets[k] = tuple(build_permutation_set(generated, policy))
                 members[k] = []
-            key = (k, generated.first_error_index)
-            if key not in labels_of:
-                labels_of[key] = label_response_set(generated, sets[k]).labels
             members[k].append(len(self.prompt_ids))
             sources.append(inst.estimates)
             first_errors.append(generated.first_error_index or 0)
@@ -304,11 +301,7 @@ class PreparedDataset:
             rows = np.asarray(members[k])
             flat = starts[rows][:, None] + np.arange(len(responses))
             self.estimates_flat[flat] = _chained_estimates([sources[i] for i in rows], responses)
-            by_first_error = np.zeros((k + 1, len(responses)), dtype=np.int8)
-            for (size, fei), labels in labels_of.items():
-                if size == k:
-                    by_first_error[fei or 0] = labels
-            self.labels_flat[flat] = by_first_error[first_error[rows]]
+            self.labels_flat[flat] = _label_table(responses, k)[first_error[rows]]
         self.f_flat = {t: transform_values(self.estimates_flat, t) for t in FTransform}
         incorrect = self.labels_flat == 0
         self.fstar = {t: masked_f_star(self.f_flat[t], incorrect, starts) for t in FTransform}

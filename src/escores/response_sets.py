@@ -16,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     InvalidInputError,
     LabeledResponseSet,
@@ -161,22 +163,35 @@ def build_permutation_set(
     return out
 
 
+def _label_table(responses: "tuple[Response, ...]", k: int) -> np.ndarray:
+    """Labels of ``responses`` under every first-error step of a k-step generation.
+
+    Row f of the (k + 1, len(responses)) int8 table labels a generation
+    whose first error is step f: 0 for each response that contains step
+    f, 1 for the rest, so row 0 (no error) is all 1.
+    """
+    steps = np.asarray([i for response in responses for i in response.indices], dtype=np.int64)
+    owners = np.repeat(np.arange(len(responses)), [len(response) for response in responses])
+    beyond = np.flatnonzero(steps > k)
+    if beyond.size:
+        raise InvalidInputError(
+            f"response {responses[owners[beyond[0]]].indices} references steps "
+            f"beyond the {k}-step generation"
+        )
+    table = np.ones((k + 1, len(responses)), dtype=np.int8)
+    table[steps, owners] = 0
+    return table
+
+
 def label_response_set(
     generated: GeneratedResponse, responses: "list[Response] | tuple[Response, ...]"
 ) -> LabeledResponseSet:
     """Label each response 0 (incorrect) iff it contains the first-error step.
 
     A fully correct generation labels everything 1.  Responses must draw
-    their indices from the generation's steps.
+    their indices from the generation's steps.  The one-row call of
+    ``_label_table``.
     """
-    k = len(generated)
-    fei = generated.first_error_index
-    entries = []
-    for resp in responses:
-        if any(i > k for i in resp.indices):
-            raise InvalidInputError(
-                f"response {resp.indices} references steps beyond the {k}-step generation"
-            )
-        label = 0 if (fei is not None and fei in resp.indices) else 1
-        entries.append((resp, label))
-    return LabeledResponseSet(tuple(entries))
+    responses = tuple(responses)
+    labels = _label_table(responses, len(generated))[generated.first_error_index or 0]
+    return LabeledResponseSet(tuple(zip(responses, labels.tolist())))

@@ -527,16 +527,14 @@ def test_prepared_dataset_builds_each_response_set_once_per_size(monkeypatch, po
     monkeypatch.setattr(
         evaluation, "build_permutation_set", counted("build", evaluation.build_permutation_set)
     )
-    monkeypatch.setattr(
-        evaluation, "label_response_set", counted("label", evaluation.label_response_set)
-    )
+    monkeypatch.setattr(evaluation, "_label_table", counted("label", evaluation._label_table))
     shapes = [(1, None), (2, None), (2, 1), (3, 2), (3, 2), (1, None), (3, None), (2, 1), (1, 1)]
     instances = [
         make_instance(f"p-{i}", [0.9, 0.5, 0.8][:k], first_error_index=fei)
         for i, (k, fei) in enumerate(shapes)
     ]
     prep = PreparedDataset(instances, policy)
-    assert calls == {"build": 3, "label": len(set(shapes))}
+    assert calls == {"build": 3, "label": 3}  # one label table per size, every first error
     # prompts of one size share one response set; labels and estimates stay per prompt
     assert prep.responses[0] is prep.responses[5] and isinstance(prep.responses[0], tuple)
     for i, inst in enumerate(instances):
