@@ -229,7 +229,7 @@ def kind_scores(
     ``values[IDENTITY]`` holds their estimates, which the naive kinds
     read.  An e kind reads only the sum and count of ``summaries[t]``.
     The p kinds rank ``values[rank_transform]`` against the maxima of
-    ``summaries[rank_transform]`` through ``_exceedances``; the
+    ``summaries[rank_transform]`` through ``_p_scores``; the
     randomized one breaks ties with ``u``, one uniform per response.
 
     Arithmetic is IEEE on the extended nonnegative reals, under the
@@ -267,15 +267,11 @@ def _exceedances(ordered: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
-def _p_scores(
-    f: np.ndarray, cal: CalibrationSummary, u: "np.ndarray | float | None" = None
-) -> np.ndarray:
-    """The p-score of each entry of ``f``, or its tie-randomized form given ``u``.
+def _p_scores(f: np.ndarray, cal: CalibrationSummary, u: "np.ndarray | None" = None) -> np.ndarray:
+    """The p-score of each entry of ``f``, tie-randomized by ``u`` when given.
 
-    The one p formula of the package.  It reads each of the summary's n
-    maxima once, sorts them and ranks ``f`` through ``_exceedances``: p
-    is (1 + #{v >= f}) / (n + 1), and p-randomized is
-    (u * (1 + #{v == f}) + #{v > f}) / (n + 1), which is p at u = 1.
+    The one p formula of the package: it reads each of the summary's n
+    maxima once and ranks ``f`` among them through ``_exceedances``.
     """
     ordered = np.sort(np.fromiter(cal.per_prompt_fstar, np.float64, cal.n))
     at_least, above = _exceedances(ordered, f)
@@ -365,7 +361,7 @@ def p_score(f_test: float, cal: CalibrationSummary) -> float:
 
 def p_score_randomized(f_test: float, cal: CalibrationSummary, draw: RandomDraw) -> float:
     """Tie-randomized p-score; u = 1 recovers the plain p-score exactly."""
-    return float(_p_scores(np.float64(as_ext_real(f_test, "test value")), cal, draw.u))
+    return float(_p_scores(np.float64(as_ext_real(f_test, "test value")), cal, np.float64(draw.u)))
 
 
 def naive_score(estimate: float, transform: FTransform) -> float:
