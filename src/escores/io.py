@@ -24,6 +24,7 @@ optionally, as SVG curve panels.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import warnings
 from decimal import Decimal, InvalidOperation
@@ -33,7 +34,7 @@ from typing import Iterable
 
 from .core import EScoresError, InvalidInputError, Prompt
 from .estimation import EstimateSource, PromptInstance
-from .evaluation import EvaluationReport, Parameter
+from .evaluation import EvaluationReport, Parameter, ReportRow
 from .response_sets import GeneratedResponse
 from .svg import Series, render_panel, slugify
 
@@ -294,19 +295,8 @@ def write_dataset(
     return path
 
 
-CSV_HEADER = (
-    "score_kind",
-    "strategy",
-    "parameter",
-    "mean_size_distortion",
-    "mean_error",
-    "mean_alpha",
-    "mean_precision",
-    "mean_recall",
-    "n_test",
-    "n_cal",
-    "n_splits",
-)
+#: The CSV columns: one per ``ReportRow`` field, in field order.
+CSV_HEADER = tuple(field.name for field in dataclasses.fields(ReportRow))
 
 
 def _fmt_score(value: float) -> str:
@@ -326,19 +316,8 @@ def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
         writer.writerow(CSV_HEADER)
         for row in report.rows:
             writer.writerow(
-                (
-                    row.score_kind,
-                    row.strategy,
-                    row.parameter,
-                    _fmt_score(row.mean_size_distortion),
-                    _fmt_score(row.mean_error),
-                    _fmt_score(row.mean_alpha),
-                    _fmt_score(row.mean_precision),
-                    _fmt_score(row.mean_recall),
-                    row.n_test,
-                    row.n_cal,
-                    row.n_splits,
-                )
+                _fmt_score(getattr(row, name)) if name.startswith("mean_") else getattr(row, name)
+                for name in CSV_HEADER
             )
     return path
 
@@ -346,21 +325,14 @@ def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
 # The panels drawn per score kind: file suffix, title, x and y axis
 # labels, the x and y of a report row, and the reference geometry.
 _PANELS = (
-    (
-        "size_distortion", "size distortion", "parameter", "mean size distortion",
-        lambda r: float(Fraction(r.parameter)), lambda r: r.mean_size_distortion,
-        {"reference_y": 1.0},
-    ),
-    (
-        "error_vs_alpha", "realized error", "mean level used", "mean error",
-        lambda r: r.mean_alpha, lambda r: r.mean_error,
-        {"identity_line": True},
-    ),
-    (
-        "precision_recall", "precision vs recall", "mean recall", "mean precision",
-        lambda r: r.mean_recall, lambda r: r.mean_precision,
-        {"fixed_range": (-0.02, 1.02, -0.02, 1.02)},
-    ),
+    ("size_distortion", "size distortion", "parameter", "mean size distortion",
+     lambda r: float(Fraction(r.parameter)), lambda r: r.mean_size_distortion,
+     {"reference_y": 1.0}),
+    ("error_vs_alpha", "realized error", "mean level used", "mean error",
+     lambda r: r.mean_alpha, lambda r: r.mean_error, {"identity_line": True}),
+    ("precision_recall", "precision vs recall", "mean recall", "mean precision",
+     lambda r: r.mean_recall, lambda r: r.mean_precision,
+     {"fixed_range": (-0.02, 1.02, -0.02, 1.02)}),
 )
 
 
@@ -370,8 +342,8 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     For each score kind: retained-set size distortion against the
     strategy parameter (with a reference line at 1), realized error
     against the mean level actually used (with the identity diagonal),
-    and precision against recall, one series per strategy.  Returns the
-    written paths.
+    and precision against recall, one series per strategy.  Returns
+    the written paths.
     """
     if not report.rows:
         raise InvalidInputError("report has no rows to plot")
