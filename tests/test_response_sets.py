@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from escores import (
 )
 
 import oracles
+from escores.response_sets import _label_table
 from helpers import make_generated
 
 ALL = PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)
@@ -131,6 +133,18 @@ def test_labeling_rejects_out_of_range_response() -> None:
     g = make_generated("p", 2, first_error_index=1)
     with pytest.raises(InvalidInputError):
         label_response_set(g, [Response((3,))])
+    # the first response that reads a missing step is named
+    with pytest.raises(InvalidInputError, match=r"^response \(2, 3\) references steps beyond"):
+        label_response_set(g, [Response((1,)), Response((2, 3)), Response((4,))])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_label_table_matches_the_oracle_for_every_first_error(k: int) -> None:
+    responses = tuple(build_permutation_set(make_generated("p", k), ALL))
+    table = _label_table(responses, k)
+    assert table.dtype == np.int8 and table.shape == (k + 1, len(responses))
+    for fei in range(k + 1):
+        assert table[fei].tolist() == oracles.labels_for(indices(responses), fei or None)
 
 
 @given(
