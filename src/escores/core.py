@@ -264,9 +264,9 @@ class CalibrationSummary:
     ``n``, ``fstar_sum`` and the count of infinite maxima are computed
     once at construction; scoring a test response against the summary
     then costs O(1) for e-scores, while rank-based p-scores read each
-    entry of ``per_prompt_fstar`` once.  The optional ``transform`` tag records
-    which value transform produced the entries so that mismatched score
-    requests can be rejected.
+    entry of ``per_prompt_fstar`` once.  The optional ``transform`` tag
+    records which value transform produced the entries so that
+    mismatched score requests can be rejected.
     """
 
     per_prompt_fstar: tuple[float, ...]

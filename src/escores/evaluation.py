@@ -249,7 +249,8 @@ class PreparedDataset:
     A response set depends only on the step count k and the policy, so
     construction builds it once per distinct k and labels it once per k
     for every first-error step (``response_sets._label_table``); prompts
-    of the same size share one tuple of responses.  It chains the estimates of all prompts of one k at once
+    of the same size share one tuple of responses.  It chains the
+    estimates of all prompts of one k at once
     (``estimation._chained_estimates``), then transforms every estimate
     and takes every prompt's incorrect maxima in whole-array operations.
     Responses are stored prompt after prompt: prompt i owns
