@@ -12,9 +12,12 @@ hold both to the exact rational oracles.
 filtering strategy only picks how many of them each prompt keeps.  Per
 strategy grid it builds one table of the five metrics for every count a
 strategy can reach, and a grid point costs one column pick per prompt
-and one mean over the picked columns, not a pass over every response.
-The means are bit-identical to ``np.mean`` over per-prompt arrays; the
-``sweep`` docstring gives the rule that keeps them so.
+and one mean over the picked columns, not a pass over every response;
+the picks and means run a bounded block of grid points at a time.
+What depends only on the grid and the set sizes is planned once per
+split for every kind.  The means are bit-identical to ``np.mean`` over
+per-prompt arrays; the ``sweep`` docstring gives the rule that keeps
+them so.
 
 Size distortion for an instance is the error indicator divided by the
 tolerance actually used, under extended-real division (no error at zero
@@ -354,6 +357,170 @@ def worst_cases(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> 
         return 1.0 / np.minimum.reduceat(np.where(correct, np.inf, scores), starts)
 
 
+# A sweep gathers the metrics of a block of grid points at a time, at
+# most this many (point, prompt) cells, so that its memory does not grow
+# with the grid: a block is a 64 KB int64 index and a 320 KB gather.
+# Twice this ran no faster and raised evaluate-perm's peak RSS.
+_BLOCK_CELLS = 1 << 13
+
+
+def _sort_within_prompts(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat positions of each prompt's responses by (score, position).
+
+    The order of ``np.lexsort((scores, owner))``, from one stable
+    row-wise argsort per set size over the prompts of that size, laid
+    out as a (prompts, size) matrix.
+    """
+    starts = np.cumsum(counts) - counts
+    order = np.empty(scores.size, dtype=np.int64)
+    for k in np.unique(counts).tolist():
+        first = starts[counts == k][:, None]
+        flat = first + np.arange(k)
+        order[flat] = first + np.argsort(scores[flat], axis=1, kind="stable")
+    return order
+
+
+class _GridPlan:
+    """What sweeping one grid needs that the scores do not change.
+
+    Prompt i owns the table columns ``base[i]:base[i] + widths[i]``, led
+    by its keep-nothing column.  Alpha-max has a column for every keep
+    count 0..k and walks the grid in the order ``walk``; ``lookup``
+    holds the float values in that order.  Fraction has no walk: the
+    j-th column of prompt i keeps ``ranks[rank_start[i] + j]``, and
+    ``lookup[p, s]`` is the column, within a prompt's run, of grid
+    point p at the s-th distinct set size.  (A plain class: a dataclass
+    costs every command about a millisecond of import.)
+    """
+
+    def __init__(
+        self,
+        grid: StrategyGrid,
+        widths: np.ndarray,
+        walk: np.ndarray | None,
+        lookup: np.ndarray,
+        ranks: np.ndarray | None = None,
+        rank_start: np.ndarray | None = None,
+    ) -> None:
+        self.grid = grid
+        self.widths = widths
+        self.base = np.cumsum(widths) - widths
+        self.walk = walk
+        self.lookup = lookup
+        self.ranks = ranks
+        self.rank_start = rank_start
+
+    def keep(self) -> np.ndarray:
+        """Every column's keep count."""
+        at = np.arange(self.widths.sum()) - np.repeat(self.base, self.widths)
+        if self.ranks is None:
+            return at
+        at += np.repeat(self.rank_start, self.widths)
+        return self.ranks[at]
+
+
+def _grid_plans(
+    counts: np.ndarray, strategy_grids: Sequence[StrategyGrid]
+) -> tuple[np.ndarray, list[_GridPlan]]:
+    """Each prompt's position among the distinct set sizes, and each grid's plan."""
+    sizes, size_of = np.unique(counts, return_inverse=True)
+    plans = []
+    for grid in strategy_grids:
+        if grid.strategy is Strategy.ALPHA_MAX:
+            values = np.asarray([float(p.value) for p in grid.parameters])
+            walk = np.argsort(values, kind="stable")
+            plans.append(_GridPlan(grid, counts + 1, walk, values[walk]))
+        else:
+            # The target depends only on the size: per distinct size, the
+            # ranks some grid point keeps, after rank 0 (keep nothing).
+            targets = [
+                np.fromiter((inclusion_target(p.value, k) for p in grid.parameters), np.int64)
+                for k in sizes.tolist()
+            ]
+            ranks = [np.union1d(t, 0) for t in targets]
+            lookup = np.stack([np.searchsorted(r, t) for r, t in zip(ranks, targets)], axis=1)
+            span = np.asarray([r.size for r in ranks])
+            rank_start = (np.cumsum(span) - span)[size_of]
+            ranks_flat = np.concatenate(ranks)
+            plans.append(_GridPlan(grid, span[size_of], None, lookup, ranks_flat, rank_start))
+    return size_of, plans
+
+
+def _sweep(
+    scores: np.ndarray,
+    correct: np.ndarray,
+    counts: np.ndarray,
+    size_of: np.ndarray,
+    plans: Sequence[_GridPlan],
+) -> Iterator[tuple[StrategyGrid, np.ndarray]]:
+    """``sweep`` over ``_grid_plans(counts, ...)``: each grid with its (points, 5) means."""
+    n = counts.size
+    starts = np.cumsum(counts) - counts
+    # With a leading 0, correct_cum[end] - correct_cum[start] counts the
+    # correct ones among the sorted responses start:end.
+    order = _sort_within_prompts(scores, counts)
+    sorted_scores = scores[order]
+    sorted_correct = correct[order]
+    del order
+    correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
+    correct_total = correct_cum[starts + counts] - correct_cum[starts]
+    per_block = max(1, _BLOCK_CELLS // n)
+
+    def metric_table(plan: _GridPlan) -> np.ndarray:
+        """Metrics of keeping each column's count of its prompt's sorted responses."""
+        kept = plan.keep()
+        table = np.empty((5, kept.size))
+        size_distortion, error, alpha_used, precision, recall = table
+        # Each row is written as soon as it can be, so few temporaries live at once.
+        first = np.repeat(starts, plan.widths)
+        ends = first + kept
+        correct_kept = correct_cum[ends] - correct_cum[first]
+        del first
+        error[:] = kept > correct_kept  # an incorrect response is kept
+        alpha_used[:] = np.where(kept > 0, sorted_scores[ends - 1], 0.0)
+        del ends
+        with np.errstate(divide="ignore"):
+            size_distortion[:] = np.where(error, 1.0 / alpha_used, 0.0)
+        precision[:] = np.where(kept > 0, correct_kept / np.maximum(kept, 1), 1.0)
+        del kept
+        total = np.repeat(correct_total, plan.widths)
+        recall[:] = np.where(total > 0, correct_kept / np.maximum(total, 1), 1.0)
+        return table
+
+    def means_of(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # per row of cols, the bits of np.mean over the prompts: see sweep's docstring
+        return (np.take(table, cols, axis=1).sum(axis=2) / n).T
+
+    for plan in plans:
+        points = len(plan.grid.parameters)
+        means = np.empty((points, 5))
+        table = metric_table(plan)
+        if plan.walk is not None:
+            # Walk step i passes the responses scoring at most lookup[i],
+            # and moves each prompt's column on by as many as it passes
+            # of that prompt's, so a tie group passes whole.  Keys sorted
+            # by (step, prompt) count the passes of a block of steps with
+            # one bincount; a response no step passes has step = points.
+            steps = np.searchsorted(plan.lookup, scores, side="left")
+            keys = np.sort(steps * n + np.repeat(np.arange(n), counts))
+            del steps
+            cols = plan.base
+            for b in range(0, points, per_block):
+                e = min(b + per_block, points)
+                lo, hi = np.searchsorted(keys, (b * n, e * n))
+                passed = np.bincount(keys[lo:hi] - b * n, minlength=(e - b) * n)
+                block = passed.reshape(e - b, n)
+                for row in block:  # running sums down the block; np.cumsum(axis=0) is slower
+                    row += cols
+                    cols = row
+                means[plan.walk[b:e]] = means_of(table, block)
+        else:
+            for b in range(0, points, per_block):
+                block = plan.base + np.take(plan.lookup[b : b + per_block], size_of, axis=1)
+                means[b : b + per_block] = means_of(table, block)
+        yield plan.grid, means
+
+
 def sweep(
     scores: np.ndarray,
     correct: np.ndarray,
@@ -374,89 +541,25 @@ def sweep(
     metrics of keeping one prompt's sorted responses up to some count,
     computed with the per-prompt expressions, and each prompt owns a run
     of columns led by its keep-nothing column.  Alpha-max has a column
-    for every count 0..k; walking the grid upward by score, each
+    for every count 0..k; walking the grid upward by value, each
     response passed moves its prompt one column on, so a tie group
-    passes whole.  Fraction keeps ``inclusion_target(v, k)``,
-    which depends only on the set size k, so its columns are the ranks
-    some grid value asks for at each k.  A grid point's means are
-    ``np.take(table, cols, axis=1).mean(axis=1)``: that gather is
-    C-contiguous, so each row mean is the pairwise sum ``np.mean`` takes
-    of a 1-D row.  ``table[:, cols]`` is laid out column-major and sums
-    in another order, which moves last bits.
+    passes whole.  Fraction keeps ``inclusion_target(v, k)``, which
+    depends only on the set size k, so its columns are the ranks some
+    grid value asks for at each k.
+
+    Grid points are taken in blocks of at most ``_BLOCK_CELLS`` (point,
+    prompt) cells, so memory does not grow with the grid.  A block's
+    columns form a (points, prompts) index, and its means are
+    ``np.take(table, cols, axis=1).sum(axis=2) / n``.  The gather must be
+    C-contiguous along the prompt axis: each of its rows is then summed
+    pairwise, as ``np.mean`` sums a 1-D array before dividing by the
+    count, so every mean is bit-identical to ``np.mean`` over the
+    prompts.  ``np.take`` returns C order whatever the index's layout,
+    but fancy indexing such as ``table[m][cols]`` follows the index, and
+    a column-major index such as ``lookup[b:e][:, size_of]`` then sums
+    each mean in another order, which moves last bits.
     """
-    n = counts.size
-    starts = np.cumsum(counts) - counts
-    # Each prompt's responses by (score, position), as lexsort is stable.
-    # With a leading 0, correct_cum[end] - correct_cum[start] counts the
-    # correct ones among the sorted responses start:end.
-    order = np.lexsort((scores, np.repeat(np.arange(n), counts)))
-    sorted_scores = scores[order]
-    sorted_correct = correct[order]
-    del order
-    correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
-    correct_total = correct_cum[starts + counts] - correct_cum[starts]
-
-    def metric_table(widths: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Metrics of keeping sorted responses up to ``ends``; prompt i owns ``widths[i]``."""
-        table = np.empty((5, ends.size))
-        size_distortion, error, alpha_used, precision, recall = table
-        # Each row is written as soon as it can be, so few temporaries live at once.
-        first = np.repeat(starts, widths)
-        kept = ends - first
-        correct_kept = correct_cum[ends] - correct_cum[first]
-        del first
-        error[:] = kept > correct_kept  # an incorrect response is kept
-        alpha_used[:] = np.where(kept > 0, sorted_scores[ends - 1], 0.0)
-        with np.errstate(divide="ignore"):
-            size_distortion[:] = np.where(error, 1.0 / alpha_used, 0.0)
-        precision[:] = np.where(kept > 0, correct_kept / np.maximum(kept, 1), 1.0)
-        del kept
-        total = np.repeat(correct_total, widths)
-        recall[:] = np.where(total > 0, correct_kept / np.maximum(total, 1), 1.0)
-        return table
-
-    def mean_of(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return np.take(table, cols, axis=1).mean(axis=1)  # not table[:, cols]: see above
-
-    for grid in strategy_grids:
-        means = np.empty((len(grid.parameters), 5))
-        if grid.strategy is Strategy.ALPHA_MAX:
-            # A column for every keep count 0..k; prompt i's run starts at
-            # column starts[i] + i.  Walking the grid upward by score, each
-            # sorted response passed moves its prompt one column on, so a
-            # tie group passes whole.  bincount, since cols[owner] = ...
-            # leaves repeated owners' winner unspecified.
-            widths = counts + 1
-            base = starts + np.arange(n)
-            table = metric_table(widths, np.arange(widths.sum()) - np.repeat(np.arange(n), widths))
-            by_score = np.argsort(sorted_scores, kind="stable")
-            owner = np.repeat(np.arange(n), counts)[by_score]
-            values = np.asarray([float(p.value) for p in grid.parameters])
-            walk = np.argsort(values, kind="stable")
-            passed = np.searchsorted(sorted_scores[by_score], values[walk], side="right")
-            cols, done = base, 0
-            for i, upto in zip(walk, passed):
-                cols = cols + np.bincount(owner[done:upto], minlength=n)
-                done = upto
-                means[i] = mean_of(table, cols)
-        else:
-            # The target depends only on the size: per distinct size, the
-            # ranks some grid point keeps, after rank 0 (keep nothing).
-            sizes, size_of = np.unique(counts, return_inverse=True)
-            targets = [[inclusion_target(p.value, int(k)) for k in sizes] for p in grid.parameters]
-            ranks = [sorted({row[s] for row in targets} | {0}) for s in range(sizes.size)]
-            span = np.asarray([len(r) for r in ranks])
-            widths = span[size_of]
-            base = np.cumsum(widths) - widths
-            rank_at = np.concatenate([np.asarray(r, dtype=np.int64) for r in ranks])
-            at = np.repeat((np.cumsum(span) - span)[size_of] - base, widths)
-            at += np.arange(at.size)
-            ends = np.repeat(starts, widths) + rank_at[at]
-            del at
-            table = metric_table(widths, ends)
-            for i, row in enumerate(targets):
-                col_of = np.asarray([ranks[s].index(t) for s, t in enumerate(row)])
-                means[i] = mean_of(table, base + col_of[size_of])
+    for grid, means in _sweep(scores, correct, counts, *_grid_plans(counts, strategy_grids)):
         for param, row in zip(grid.parameters, means.tolist()):
             yield grid, param, tuple(row)
 
@@ -500,14 +603,18 @@ def evaluate_split(
     counts = dataset.counts[test_idx]
     correct = dataset.labels_flat[dataset.gather(test_idx)].astype(bool)
     n_test = int(test_idx.size)
+    size_of, plans = _grid_plans(counts, strategy_grids)
     rows: list[ReportRow] = []
     wc: list[tuple[str, float]] = []
     for kind in kinds:
-        scores = scores_of[kind.name]
-        wc.append((kind.name, float(np.mean(worst_cases(scores, correct, counts)))))
-        for grid, param, means in sweep(scores, correct, counts, strategy_grids):
-            rows.append(
-                ReportRow(kind.name, grid.strategy.value, param.label, *means, n_test, n, 1)
+        name = kind.name
+        scores = scores_of[name]
+        wc.append((name, float(np.mean(worst_cases(scores, correct, counts)))))
+        for grid, means in _sweep(scores, correct, counts, size_of, plans):
+            strategy = grid.strategy.value
+            rows.extend(
+                ReportRow(name, strategy, param.label, *row, n_test, n, 1)
+                for param, row in zip(grid.parameters, means.tolist())
             )
 
     return SplitResult(rows=tuple(rows), worst_case=tuple(wc), n_test=n_test, n_cal=n)

@@ -7,6 +7,7 @@ import functools
 import math
 import operator
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from escores import (
     IDENTITY_POLICY,
@@ -56,6 +58,7 @@ from escores import (
 import oracles
 from escores import evaluation
 from escores.evaluation import score_prompts, sweep, worst_cases
+from escores.io import parse_grid
 from helpers import (
     POLICIES,
     alpha_max_instance,
@@ -197,6 +200,84 @@ def test_sweep_means_equal_np_mean_of_one_prompt_sweeps(
         assert means == expected
         want = exact[grid][param.label]
         assert all(oracles.matches(g, w) for g, w in zip(means, want)), (param, means, want)
+
+
+# Heavy ties, both zeros and +inf; set sizes of prefix sets and of
+# all-permutation sets (325 responses at five steps), mixed in one input.
+ORDER_SCORES = (0.0, -0.0, 0.25, 1 / 3, 0.5, 1.0, math.inf)
+ORDER_SIZES = st.one_of(st.sampled_from((1, 2, 3, 4, 5, 15, 64, 325)), st.integers(1, 325))
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(ORDER_SIZES, min_size=1, max_size=24), data=st.data())
+def test_within_prompt_order_is_lexsort(counts, data) -> None:
+    counts = np.asarray(counts)
+    scores = data.draw(
+        hnp.arrays(
+            np.float64,
+            int(counts.sum()),
+            elements=st.sampled_from(ORDER_SCORES),
+            fill=st.sampled_from(ORDER_SCORES),
+        )
+    )
+    owner = np.repeat(np.arange(counts.size), counts)
+    got = evaluation._sort_within_prompts(scores, counts)
+    assert np.array_equal(got, np.lexsort((scores, owner)))
+
+
+def _sweep_case(seed: int, n_prompts: int, max_size: int):
+    """Seeded prompts of 1..max_size responses over ``SWEEP_SCORES``, some of them correct."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, max_size + 1, n_prompts)
+    scores = np.asarray(SWEEP_SCORES)[rng.integers(0, len(SWEEP_SCORES), counts.sum())]
+    return scores, rng.random(counts.sum()) < 0.6, counts
+
+
+def test_sweep_across_gather_blocks_equals_np_mean_and_the_oracles() -> None:
+    """101-point grids over 200 prompts: several gather blocks, pairwise sums past 128."""
+    scores, correct, counts = _sweep_case(17, 200, 6)
+    points = parse_grid("0:1:0.01")
+    assert len(counts) * len(points) >= 2 * evaluation._BLOCK_CELLS
+    # an unsorted alpha-max grid, so the walk order crosses blocks too
+    shuffled = tuple(points[i] for i in np.random.default_rng(3).permutation(len(points)))
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, shuffled), StrategyGrid(Strategy.FRACTION, points))
+    rows = list(sweep(scores, correct, counts, grids))
+
+    bounds = list(zip(np.cumsum(counts) - counts, np.cumsum(counts)))
+    per_prompt = [
+        [means for _, _, means in sweep(scores[a:b], correct[a:b], np.asarray([b - a]), grids)]
+        for a, b in bounds
+    ]
+    assert [(g, p) for g, p, _ in rows] == [(g, p) for g in grids for p in g.parameters]
+    labels = [[int(c) for c in correct[a:b]] for a, b in bounds]
+    by_score = [scores[a:b].tolist() for a, b in bounds]
+    exact = {grid: _oracle_rows(labels, by_score, grid) for grid in grids}
+    for j, (grid, param, means) in enumerate(rows):
+        expected = tuple(float(np.mean([one[j][m] for one in per_prompt])) for m in range(5))
+        assert means == expected, (grid.strategy, param)
+        want = exact[grid][param.label]
+        assert all(oracles.matches(g, w) for g, w in zip(means, want)), (param, means, want)
+
+
+def test_sweep_memory_does_not_grow_with_the_grid() -> None:
+    """A 10,001-point grid over 400 prompts never holds a (points, prompts) array.
+
+    What a sweep holds grows with the grid only by a few numbers per
+    point; the (point, prompt) work goes through bounded gather blocks.
+    """
+    scores, correct, counts = _sweep_case(5, 400, 5)
+    points = parse_grid("0:1:0.0001")
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, points), StrategyGrid(Strategy.FRACTION, points))
+    one_array = len(points) * len(counts) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in sweep(scores, correct, counts, grids):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < one_array / 4, (peak, one_array)
 
 
 # ---------------------------------------------------------------------------
