@@ -358,9 +358,10 @@ def worst_cases(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> 
 
 
 # A sweep gathers the metrics of a block of grid points at a time, at
-# most this many (point, prompt) cells, so that its memory does not grow
-# with the grid: a block is a 64 KB int64 index and a 320 KB gather.
-# Twice this ran no faster and raised evaluate-perm's peak RSS.
+# most this many (point, prompt) cells (one point when there are more
+# prompts), so that its memory does not grow with the grid: a full block
+# is a 64 KB int64 index and a 320 KB gather.  Twice this ran no faster
+# and raised evaluate-perm's peak RSS.
 _BLOCK_CELLS = 1 << 13
 
 
@@ -373,7 +374,7 @@ def _sort_within_prompts(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     starts = np.cumsum(counts) - counts
     order = np.empty(scores.size, dtype=np.int64)
-    for k in np.unique(counts).tolist():
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
         first = starts[counts == k][:, None]
         flat = first + np.arange(k)
         order[flat] = first + np.argsort(scores[flat], axis=1, kind="stable")
@@ -388,9 +389,10 @@ class _GridPlan:
     count 0..k and walks the grid in the order ``walk``; ``lookup``
     holds the float values in that order.  Fraction has no walk: the
     j-th column of prompt i keeps ``ranks[rank_start[i] + j]``, and
-    ``lookup[p, s]`` is the column, within a prompt's run, of grid
-    point p at the s-th distinct set size.  (A plain class: a dataclass
-    costs every command about a millisecond of import.)
+    ``lookup[p, size_of[i]]`` is the column, within prompt i's run, of
+    grid point p; ``size_of[i]`` numbers prompt i's set size among the
+    distinct ones.  (A plain class: a dataclass costs every command
+    about a millisecond of import.)
     """
 
     def __init__(
@@ -401,6 +403,7 @@ class _GridPlan:
         lookup: np.ndarray,
         ranks: np.ndarray | None = None,
         rank_start: np.ndarray | None = None,
+        size_of: np.ndarray | None = None,
     ) -> None:
         self.grid = grid
         self.widths = widths
@@ -409,6 +412,7 @@ class _GridPlan:
         self.lookup = lookup
         self.ranks = ranks
         self.rank_start = rank_start
+        self.size_of = size_of
 
     def keep(self) -> np.ndarray:
         """Every column's keep count."""
@@ -419,11 +423,12 @@ class _GridPlan:
         return self.ranks[at]
 
 
-def _grid_plans(
-    counts: np.ndarray, strategy_grids: Sequence[StrategyGrid]
-) -> tuple[np.ndarray, list[_GridPlan]]:
-    """Each prompt's position among the distinct set sizes, and each grid's plan."""
-    sizes, size_of = np.unique(counts, return_inverse=True)
+def _grid_plans(counts: np.ndarray, strategy_grids: Sequence[StrategyGrid]) -> list[_GridPlan]:
+    """Each grid's plan for prompts of these sizes."""
+    # bincount and set, not np.unique: its first call, hashed or sorted,
+    # adds up to 0.9 MB of peak RSS to a run that has no other use for it
+    sizes = np.flatnonzero(np.bincount(counts))
+    size_of = np.searchsorted(sizes, counts)
     plans = []
     for grid in strategy_grids:
         if grid.strategy is Strategy.ALPHA_MAX:
@@ -437,20 +442,21 @@ def _grid_plans(
                 np.fromiter((inclusion_target(p.value, k) for p in grid.parameters), np.int64)
                 for k in sizes.tolist()
             ]
-            ranks = [np.union1d(t, 0) for t in targets]
+            ranks = [np.asarray(sorted({0, *t.tolist()})) for t in targets]
             lookup = np.stack([np.searchsorted(r, t) for r, t in zip(ranks, targets)], axis=1)
             span = np.asarray([r.size for r in ranks])
             rank_start = (np.cumsum(span) - span)[size_of]
             ranks_flat = np.concatenate(ranks)
-            plans.append(_GridPlan(grid, span[size_of], None, lookup, ranks_flat, rank_start))
-    return size_of, plans
+            plans.append(
+                _GridPlan(grid, span[size_of], None, lookup, ranks_flat, rank_start, size_of)
+            )
+    return plans
 
 
 def _sweep(
     scores: np.ndarray,
     correct: np.ndarray,
     counts: np.ndarray,
-    size_of: np.ndarray,
     plans: Sequence[_GridPlan],
 ) -> Iterator[tuple[StrategyGrid, np.ndarray]]:
     """``sweep`` over ``_grid_plans(counts, ...)``: each grid with its (points, 5) means."""
@@ -516,7 +522,7 @@ def _sweep(
                 means[plan.walk[b:e]] = means_of(table, block)
         else:
             for b in range(0, points, per_block):
-                block = plan.base + np.take(plan.lookup[b : b + per_block], size_of, axis=1)
+                block = plan.base + np.take(plan.lookup[b : b + per_block], plan.size_of, axis=1)
                 means[b : b + per_block] = means_of(table, block)
         yield plan.grid, means
 
@@ -548,8 +554,9 @@ def sweep(
     grid value asks for at each k.
 
     Grid points are taken in blocks of at most ``_BLOCK_CELLS`` (point,
-    prompt) cells, so memory does not grow with the grid.  A block's
-    columns form a (points, prompts) index, and its means are
+    prompt) cells, or of one point when there are more prompts, so
+    memory does not grow with the grid.  A block's columns form a
+    (points, prompts) index, and its means are
     ``np.take(table, cols, axis=1).sum(axis=2) / n``.  The gather must be
     C-contiguous along the prompt axis: each of its rows is then summed
     pairwise, as ``np.mean`` sums a 1-D array before dividing by the
@@ -559,7 +566,7 @@ def sweep(
     a column-major index such as ``lookup[b:e][:, size_of]`` then sums
     each mean in another order, which moves last bits.
     """
-    for grid, means in _sweep(scores, correct, counts, *_grid_plans(counts, strategy_grids)):
+    for grid, means in _sweep(scores, correct, counts, _grid_plans(counts, strategy_grids)):
         for param, row in zip(grid.parameters, means.tolist()):
             yield grid, param, tuple(row)
 
@@ -603,14 +610,14 @@ def evaluate_split(
     counts = dataset.counts[test_idx]
     correct = dataset.labels_flat[dataset.gather(test_idx)].astype(bool)
     n_test = int(test_idx.size)
-    size_of, plans = _grid_plans(counts, strategy_grids)
+    plans = _grid_plans(counts, strategy_grids)
     rows: list[ReportRow] = []
     wc: list[tuple[str, float]] = []
     for kind in kinds:
         name = kind.name
         scores = scores_of[name]
         wc.append((name, float(np.mean(worst_cases(scores, correct, counts)))))
-        for grid, means in _sweep(scores, correct, counts, size_of, plans):
+        for grid, means in _sweep(scores, correct, counts, plans):
             strategy = grid.strategy.value
             rows.extend(
                 ReportRow(name, strategy, param.label, *row, n_test, n, 1)
