@@ -19,6 +19,13 @@ split for every kind.  The means are bit-identical to ``np.mean`` over
 per-prompt arrays; the ``sweep`` docstring gives the rule that keeps
 them so.
 
+A split's result stays in arrays until the report: ``SplitResult``
+holds one key per row and one read-only (rows, 5) float64 array of
+means, in ``_MEAN_FIELDS`` order, and its ``rows`` are a view built on
+demand.  ``aggregate_splits`` stacks the splits' arrays with the split
+axis last and C-contiguous, so each mean over splits has ``np.mean``'s
+bits, and builds the report's ``ReportRow``s once.
+
 Size distortion for an instance is the error indicator divided by the
 tolerance actually used, under extended-real division (no error at zero
 tolerance costs nothing; an error at zero tolerance is an infinite
@@ -38,6 +45,7 @@ value, for any alpha in [1/(n+1), 1].
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -127,8 +135,7 @@ def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
         perm = rng.permutation(n_prompts)
         out.append(
             SplitAssignment(
-                calibration=tuple(int(x) for x in perm[n_test:]),
-                test=tuple(int(x) for x in perm[:n_test]),
+                calibration=tuple(perm[n_test:].tolist()), test=tuple(perm[:n_test].tolist())
             )
         )
     return tuple(out)
@@ -213,12 +220,54 @@ class WorstCaseRow:
     n_splits: int
 
 
-@dataclass(frozen=True)
+_MEAN_FIELDS = ("mean_size_distortion", "mean_error", "mean_alpha", "mean_precision", "mean_recall")
+
+
+@dataclass(frozen=True, eq=False)
 class SplitResult:
-    rows: tuple[ReportRow, ...]
+    """One split's means over its test prompts, one row per grid point.
+
+    Row j is the grid point ``keys[j]``, a ``(score_kind, strategy,
+    parameter label)``, and ``means[j]`` holds its five means in
+    ``_MEAN_FIELDS`` order: ``means`` is a read-only (len(keys), 5)
+    float64 array.  ``rows`` is a view of the two as ``ReportRow``s with
+    ``n_splits=1``, built on each access.  ``worst_case`` pairs each
+    score kind with its mean worst-case distortion.
+    """
+
+    keys: tuple[tuple[str, str, str], ...]
+    means: np.ndarray
     worst_case: tuple[tuple[str, float], ...]
     n_test: int
     n_cal: int
+
+    def __post_init__(self) -> None:
+        means = np.array(self.means, dtype=np.float64)
+        if means.shape != (len(self.keys), len(_MEAN_FIELDS)):
+            raise InvalidInputError(
+                f"means of shape {means.shape} do not fit {len(self.keys)} keys"
+            )
+        means.flags.writeable = False
+        object.__setattr__(self, "means", means)
+
+    @property
+    def rows(self) -> tuple[ReportRow, ...]:
+        """``keys`` and ``means`` as ``ReportRow``s of one split."""
+        return tuple(
+            ReportRow(*key, *row, self.n_test, self.n_cal, 1)
+            for key, row in zip(self.keys, self.means.tolist())
+        )
+
+    def __eq__(self, other: object) -> bool:
+        # not the dataclass one: its == of two arrays has no single truth value
+        if not isinstance(other, SplitResult):
+            return NotImplemented
+        return (
+            self.keys == other.keys
+            and np.array_equal(self.means, other.means)
+            and self.worst_case == other.worst_case
+            and (self.n_test, self.n_cal) == (other.n_test, other.n_cal)
+        )
 
 
 @dataclass(frozen=True)
@@ -598,7 +647,7 @@ def evaluate_split(
     all_idx = np.concatenate([cal_idx, test_idx])
     if all_idx.min() < 0 or all_idx.max() >= dataset.n_prompts:
         raise InvalidInputError("split indices out of range for this dataset")
-    if np.unique(all_idx).size != all_idx.size:
+    if np.bincount(all_idx).max() > 1:  # after the range check: bincount refuses negatives
         raise InvalidInputError("split halves overlap or repeat indices")
 
     n = int(cal_idx.size)
@@ -611,20 +660,33 @@ def evaluate_split(
     correct = dataset.labels_flat[dataset.gather(test_idx)].astype(bool)
     n_test = int(test_idx.size)
     plans = _grid_plans(counts, strategy_grids)
-    rows: list[ReportRow] = []
+    blocks = [np.empty((0, len(_MEAN_FIELDS)))]  # without grids, no rows
     wc: list[tuple[str, float]] = []
     for kind in kinds:
-        name = kind.name
-        scores = scores_of[name]
-        wc.append((name, float(np.mean(worst_cases(scores, correct, counts)))))
-        for grid, means in _sweep(scores, correct, counts, plans):
-            strategy = grid.strategy.value
-            rows.extend(
-                ReportRow(name, strategy, param.label, *row, n_test, n, 1)
-                for param, row in zip(grid.parameters, means.tolist())
-            )
+        scores = scores_of[kind.name]
+        wc.append((kind.name, float(np.mean(worst_cases(scores, correct, counts)))))
+        blocks.extend(means for _, means in _sweep(scores, correct, counts, plans))
+    keys = _row_keys(
+        tuple(kind.name for kind in kinds),
+        tuple((g.strategy.value, tuple(p.label for p in g.parameters)) for g in strategy_grids),
+    )
+    return SplitResult(
+        keys=keys, means=np.concatenate(blocks), worst_case=tuple(wc), n_test=n_test, n_cal=n
+    )
 
-    return SplitResult(rows=tuple(rows), worst_case=tuple(wc), n_test=n_test, n_cal=n)
+
+@functools.lru_cache(maxsize=8)
+def _row_keys(
+    names: tuple[str, ...], grids: tuple[tuple[str, tuple[str, ...]], ...]
+) -> tuple[tuple[str, str, str], ...]:
+    """``(score_kind, strategy, parameter label)`` per row, kinds outermost.
+
+    Cached, so that the splits of a run share one tuple: a tuple of
+    tuples per split would weigh more than the split's means.
+    """
+    return tuple(
+        (name, strategy, label) for name in names for strategy, labels in grids for label in labels
+    )
 
 
 def _ext_percentile(values: np.ndarray, q: float) -> float:
@@ -643,13 +705,10 @@ def _ext_percentile(values: np.ndarray, q: float) -> float:
     return float(np.percentile(values, q))
 
 
-_MEAN_FIELDS = ("mean_size_distortion", "mean_error", "mean_alpha", "mean_precision", "mean_recall")
-
-
 def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
-    """Average per-split rows position by position; summarize worst cases.
+    """Average the splits' means row by row; summarize worst cases.
 
-    All splits must share the same row grid (same kinds, strategies, and
+    All splits must share the same keys (same kinds, strategies, and
     parameters in the same order).  Worst-case rows carry the mean and
     the 25th/75th percentiles of the per-split means.
     """
@@ -657,10 +716,9 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
     if not results:
         raise InvalidInputError("cannot aggregate zero split results")
     first = results[0]
-    key = [(r.score_kind, r.strategy, r.parameter) for r in first.rows]
     wc_key = [name for name, _ in first.worst_case]
     for res in results[1:]:
-        if [(r.score_kind, r.strategy, r.parameter) for r in res.rows] != key:
+        if res.keys != first.keys:
             raise ConfigurationError("split results were computed over different grids")
         if [name for name, _ in res.worst_case] != wc_key:
             raise ConfigurationError("split results cover different score kinds")
@@ -668,16 +726,21 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
             raise ConfigurationError("split results have inconsistent half sizes")
 
     n_splits = len(results)
-    field_means = np.empty((len(key), 5))
-    for f, name in enumerate(_MEAN_FIELDS):
-        per_split = np.asarray([[getattr(r, name) for r in res.rows] for res in results])
-        # Along the last axis of a C-contiguous (rows, splits) array, the
-        # mean is the field's np.mean over splits, bit for bit.
-        per_row = np.ascontiguousarray(per_split.reshape(n_splits, len(key)).T)
-        field_means[:, f] = per_row.mean(axis=1)
+    n_rows = len(first.keys)
+    row_means = np.empty((n_rows, len(_MEAN_FIELDS)))
+    # Stacked a block of rows at a time, so that aggregating holds a
+    # bounded copy of the splits' means.  Along the last axis of a
+    # C-contiguous (rows, 5, splits) block, the mean is each field's
+    # np.mean over splits, bit for bit.
+    per_block = max(1, _BLOCK_CELLS // (len(_MEAN_FIELDS) * n_splits))
+    for b in range(0, n_rows, per_block):
+        e = min(b + per_block, n_rows)
+        block = np.empty((e - b, len(_MEAN_FIELDS), n_splits))
+        stacked = np.stack([res.means[b:e] for res in results], axis=-1, out=block)
+        row_means[b:e] = stacked.mean(axis=-1)
     rows = [
-        ReportRow(kind_name, strategy, parameter, *row, first.n_test, first.n_cal, n_splits)
-        for (kind_name, strategy, parameter), row in zip(key, field_means.tolist())
+        ReportRow(*key, *row, first.n_test, first.n_cal, n_splits)
+        for key, row in zip(first.keys, row_means.tolist())
     ]
     wc_rows = []
     for pos, name in enumerate(wc_key):

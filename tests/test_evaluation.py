@@ -424,7 +424,9 @@ def test_evaluate_split_validates_split_indices() -> None:
         evaluate_split(dataset, SplitAssignment((), (0, 1)), kinds)
     with pytest.raises(InvalidInputError):
         evaluate_split(dataset, SplitAssignment((0,), (2,)), kinds)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="out of range"):
+        evaluate_split(dataset, SplitAssignment((-1,), (1,)), kinds)  # np.bincount would refuse it
+    with pytest.raises(InvalidInputError, match="^split halves overlap or repeat indices$"):
         evaluate_split(dataset, SplitAssignment((0,), (0,)), kinds)
     with pytest.raises(InvalidInputError):
         evaluate_split(dataset, split=SplitAssignment((0,), (1,)), kinds=())
@@ -874,6 +876,41 @@ def test_aggregate_splits_averages_rows() -> None:
     assert report.find_rows("e1", "alpha-max") == (row,)
 
 
+_MEAN_FIELDS = ("mean_size_distortion", "mean_error", "mean_alpha", "mean_precision", "mean_recall")
+
+
+def _aggregate_rows_by_field(results):
+    """Per row and field, ``np.mean`` over splits of ``getattr`` on each split's rows."""
+    per_split = [res.rows for res in results]
+    return tuple(
+        dataclasses.replace(
+            first,
+            n_splits=len(results),
+            **{f: float(np.mean([getattr(rows[j], f) for rows in per_split])) for f in _MEAN_FIELDS},
+        )
+        for j, first in enumerate(per_split[0])
+    )
+
+
+@pytest.mark.parametrize("seed", [100, 102, 105])
+@pytest.mark.parametrize("n_splits", [1, 3, 7, 12])
+def test_aggregate_splits_equals_field_by_field_np_mean(seed: int, n_splits: int) -> None:
+    """Bit for bit, +inf included: 12 splits take np.mean's unrolled pairwise sum."""
+    prep = PreparedDataset(random_dataset(seed, n_prompts=24))
+    kinds = tuple(ScoreKind.parse(k) for k in ("e1", "e-combined", "p", "p-randomized", "naive2"))
+    points = parse_grid("0:1:0.05")
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, points), StrategyGrid(Strategy.FRACTION, points))
+    results = [
+        evaluate_split(prep, split, kinds, grids, master_seed=seed, split_index=i)
+        for i, split in enumerate(plan_splits(SplitPlan(seed=seed, n_splits=n_splits), 24))
+    ]
+    report = aggregate_splits(results)
+    assert report.n_splits == n_splits
+    assert report.rows == _aggregate_rows_by_field(results)
+    # conditionals of 1 score some incorrect responses 0, an error at alpha 0
+    assert any(math.isinf(row.mean_size_distortion) for row in report.rows)
+
+
 @pytest.mark.parametrize(
     "means, q25, q75",
     [
@@ -886,9 +923,26 @@ def test_aggregate_splits_averages_rows() -> None:
 )
 def test_worst_case_quartiles_of_infinite_means(means, q25, q75) -> None:
     # an incorrect response scoring 0 makes a split's worst-case mean +inf
-    results = [SplitResult(rows=(), worst_case=(("naive2", m),), n_test=1, n_cal=1) for m in means]
+    results = [
+        SplitResult(keys=(), means=np.empty((0, 5)), worst_case=(("naive2", m),), n_test=1, n_cal=1)
+        for m in means
+    ]
     row = aggregate_splits(results).find_worst_case("naive2")
     assert (row.mean, row.q25, row.q75) == (math.inf, q25, q75)
+
+
+def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> None:
+    keys = (("e1", "alpha-max", "0.5"), ("e1", "alpha-max", "1"))
+    source = np.asarray([[math.inf, 1.0, 0.0, 1.0, 0.5], [0.5, 1.0, 1.0, 0.5, 1.0]])
+    result = SplitResult(keys=keys, means=source, worst_case=(("e1", 2.0),), n_test=2, n_cal=3)
+    source[0, 0] = 0.0
+    assert result.means[0, 0] == math.inf and not result.means.flags.writeable
+    assert result.rows[0].mean_size_distortion == math.inf and result.rows[1].n_splits == 1
+    same = SplitResult(keys=keys, means=result.means, worst_case=(("e1", 2.0),), n_test=2, n_cal=3)
+    assert same == result and source.tolist() != result.means.tolist()
+    assert SplitResult(keys=keys, means=source, worst_case=(("e1", 2.0),), n_test=2, n_cal=3) != result
+    with pytest.raises(InvalidInputError, match="do not fit"):
+        SplitResult(keys=keys[:1], means=source, worst_case=(), n_test=2, n_cal=3)
 
 
 def test_aggregate_splits_rejects_mismatched_grids() -> None:
@@ -924,6 +978,34 @@ def test_evaluate_dataset_end_to_end_determinism() -> None:
     assert all(row.n_test == 3 and row.n_cal == 3 for row in first.rows)
     shifted = evaluate_dataset(dataset, kinds, grids, SplitPlan(seed=3, n_splits=5))
     assert shifted != first
+
+
+def test_evaluate_dataset_memory_per_split_is_its_means() -> None:
+    """Each split adds about one (rows, 5) float64 array, held and then stacked.
+
+    So 30 more splits raise the traced peak by under twice 30 such
+    arrays.  A ``ReportRow`` per (row, split) would take several times
+    that.
+    """
+    prep = PreparedDataset(random_dataset(7, n_prompts=40))
+    kinds = tuple(ScoreKind.parse(k) for k in ("e1", "e-combined", "p"))
+    points = parse_grid("0:1:0.01")
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, points), StrategyGrid(Strategy.FRACTION, points))
+    rows = len(kinds) * 2 * len(points)
+
+    def peak(n_splits: int) -> int:
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # grid points below 1/(n_cal + 1)
+                evaluate_dataset(prep, kinds, grids, SplitPlan(seed=1, n_splits=n_splits))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first calls import lazily (np.percentile: numpy.ma), which no split holds
+    growth = peak(40) - peak(10)
+    assert growth < 2 * 30 * rows * 5 * 8, (growth, rows)
 
 
 # ---------------------------------------------------------------------------
