@@ -12,6 +12,7 @@ import escores.core
 from escores import (
     CalibrationSummary,
     InvalidInputError,
+    LabeledResponseSet,
     Prompt,
     Response,
     ScoredResponseSet,
@@ -114,6 +115,23 @@ def test_scored_set_rejects_bad_scores() -> None:
         make_scored([float("nan")])
     with pytest.raises(InvalidInputError):
         ScoredResponseSet(((Response((1,)), 1.0), (Response((1,)), 2.0)))
+
+
+def test_response_sets_name_their_entry_faults() -> None:
+    one = Response((1,))
+    with pytest.raises(InvalidInputError, match=r"^duplicate response in labeled set: \(1,\)$"):
+        LabeledResponseSet(((one, 1), (Response((1,)), 0)))
+    with pytest.raises(InvalidInputError, match=r"^duplicate response in scored set: \(1,\)$"):
+        ScoredResponseSet(((one, 1.0), (Response((1,)), 2.0)))
+    with pytest.raises(InvalidInputError, match=r"^expected Response, got \(1, 2\)$"):
+        LabeledResponseSet((((1, 2), 0),))
+    with pytest.raises(InvalidInputError, match=r"^expected Response, got 'r'$"):
+        ScoredResponseSet(((one, 0.5), ("r", 0.5)))
+    # the value is checked before the response: a bad label or score names itself
+    with pytest.raises(InvalidInputError, match=r"^label must be 0 or 1, got 2$"):
+        LabeledResponseSet((("r", 2),))
+    with pytest.raises(InvalidInputError, match=r"^score must be >= 0, got -1\.0$"):
+        ScoredResponseSet((("r", -1.0),))
 
 
 def test_calibration_summary_checks_its_own_sum() -> None:
