@@ -118,13 +118,15 @@ class SplitAssignment:
 def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
     """Seeded shuffles of the prompt indices, one per split.
 
-    The test half takes floor(test_fraction * n) prompts, so at the
-    default even split an odd prompt goes to calibration.  Either half
-    ending up empty is an error.
+    The test half takes floor(test_fraction * n) prompts, with the
+    fraction read by ``core.as_exact`` as the decimal it spells, as grid
+    parameters and inclusion fractions are: 0.29 of 100 prompts is 29.
+    At the default even split an odd prompt goes to calibration.  Either
+    half ending up empty is an error.
     """
     if n_prompts < 2:
         raise InvalidSplitError(f"need at least 2 prompts to split, got {n_prompts}")
-    n_test = math.floor(plan.test_fraction * n_prompts)
+    n_test = math.floor(as_exact(plan.test_fraction, "test_fraction") * n_prompts)
     if not 1 <= n_test <= n_prompts - 1:
         raise InvalidSplitError(
             f"test_fraction={plan.test_fraction} on {n_prompts} prompts leaves an empty half"

@@ -318,6 +318,16 @@ def test_plan_splits_refuses_degenerate_halves() -> None:
         plan_splits(SplitPlan(test_fraction=0.1), 5)  # floor(0.5) = 0 test prompts
 
 
+def test_plan_splits_size_the_test_half_by_the_exact_decimal() -> None:
+    # in binary floating point, 0.29 * 100 is 28.999999999999996
+    for split in plan_splits(SplitPlan(test_fraction=0.29), 100):
+        assert (len(split.test), len(split.calibration)) == (29, 71)
+    # products just below an integer (0.57, 0.58) and just above (0.07, 0.14)
+    for fraction, n in [(0.57, 100), (0.58, 200), (0.07, 100), (0.14, 1500)]:
+        (split,) = plan_splits(SplitPlan(n_splits=1, test_fraction=fraction), n)
+        assert len(split.test) == Fraction(str(fraction)) * n
+
+
 # ---------------------------------------------------------------------------
 # grids and report plumbing
 # ---------------------------------------------------------------------------
