@@ -15,7 +15,9 @@ where the guarantee needs at most 1.  The count k is taken once, when a
 
 Container types are frozen dataclasses over tuples.  They validate
 their invariants at construction time and are immutable afterwards, so
-instances can be shared freely across threads.
+instances can be shared freely across threads.  The labeled and scored
+response sets share one checked entry container, ``_ResponseEntries``;
+each supplies only its value check and its name for the messages.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .estimation import FTransform
@@ -187,32 +189,50 @@ class Response:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class LabeledResponseSet:
-    """Pairwise-distinct responses, each tagged 1 (correct) or 0 (incorrect)."""
+class _ResponseEntries:
+    """Pairwise-distinct responses, each paired with a value.
 
-    entries: tuple[tuple[Response, int], ...]
+    The one entry check of the response-set containers: each value goes
+    through the subclass's ``_check``, then every response must be a
+    ``Response`` and appear once in the set that ``_set_name`` names.
+    """
+
+    entries: tuple
+    _set_name: ClassVar[str]
 
     def __post_init__(self) -> None:
-        entries = tuple((resp, as_label(lab)) for resp, lab in self.entries)
+        entries = tuple((resp, self._check(value)) for resp, value in self.entries)
         object.__setattr__(self, "entries", entries)
         seen = set()
         for resp, _ in entries:
             if not isinstance(resp, Response):
                 raise InvalidInputError(f"expected Response, got {resp!r}")
             if resp in seen:
-                raise InvalidInputError(f"duplicate response in labeled set: {resp.indices}")
+                raise InvalidInputError(
+                    f"duplicate response in {self._set_name} set: {resp.indices}"
+                )
             seen.add(resp)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[tuple[Response, int]]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
 
     @property
     def responses(self) -> tuple[Response, ...]:
         return tuple(resp for resp, _ in self.entries)
+
+
+@dataclass(frozen=True)
+class LabeledResponseSet(_ResponseEntries):
+    """Pairwise-distinct responses, each tagged 1 (correct) or 0 (incorrect)."""
+
+    entries: tuple[tuple[Response, int], ...]
+    _set_name: ClassVar[str] = "labeled"
+
+    def _check(self, value: int) -> int:
+        return as_label(value)
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -226,31 +246,14 @@ class LabeledResponseSet:
 
 
 @dataclass(frozen=True)
-class ScoredResponseSet:
+class ScoredResponseSet(_ResponseEntries):
     """Pairwise-distinct responses, each carrying an extended-real score."""
 
     entries: tuple[tuple[Response, float], ...]
+    _set_name: ClassVar[str] = "scored"
 
-    def __post_init__(self) -> None:
-        entries = tuple((resp, as_ext_real(score, "score")) for resp, score in self.entries)
-        object.__setattr__(self, "entries", entries)
-        seen = set()
-        for resp, _ in entries:
-            if not isinstance(resp, Response):
-                raise InvalidInputError(f"expected Response, got {resp!r}")
-            if resp in seen:
-                raise InvalidInputError(f"duplicate response in scored set: {resp.indices}")
-            seen.add(resp)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[Response, float]]:
-        return iter(self.entries)
-
-    @property
-    def responses(self) -> tuple[Response, ...]:
-        return tuple(resp for resp, _ in self.entries)
+    def _check(self, value: float) -> float:
+        return as_ext_real(value, "score")
 
     @property
     def scores(self) -> tuple[float, ...]:

@@ -48,7 +48,7 @@ import enum
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -222,7 +222,7 @@ class WorstCaseRow:
     n_splits: int
 
 
-_MEAN_FIELDS = ("mean_size_distortion", "mean_error", "mean_alpha", "mean_precision", "mean_recall")
+_MEAN_FIELDS = tuple(f.name for f in fields(ReportRow) if f.name.startswith("mean_"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,14 +436,15 @@ class _GridPlan:
     """What sweeping one grid needs that the scores do not change.
 
     Prompt i owns the table columns ``base[i]:base[i] + widths[i]``, led
-    by its keep-nothing column.  Alpha-max has a column for every keep
-    count 0..k and walks the grid in the order ``walk``; ``lookup``
-    holds the float values in that order.  Fraction has no walk: the
-    j-th column of prompt i keeps ``ranks[rank_start[i] + j]``, and
-    ``lookup[p, size_of[i]]`` is the column, within prompt i's run, of
-    grid point p; ``size_of[i]`` numbers prompt i's set size among the
-    distinct ones.  (A plain class: a dataclass costs every command
-    about a millisecond of import.)
+    by its keep-nothing column, and ``kept`` holds every column's keep
+    count.  Alpha-max has a column for every keep count 0..k and walks
+    the grid in the order ``walk``; ``lookup`` holds the float values in
+    that order.  Fraction has no walk: the j-th column of prompt i keeps
+    ``ranks[rank_start[i] + j]``, and ``lookup[p, size_of[i]]`` is the
+    column, within prompt i's run, of grid point p; ``size_of[i]``
+    numbers prompt i's set size among the distinct ones.  (A plain
+    class: a dataclass costs every command about a millisecond of
+    import.)
     """
 
     def __init__(
@@ -461,17 +462,9 @@ class _GridPlan:
         self.base = np.cumsum(widths) - widths
         self.walk = walk
         self.lookup = lookup
-        self.ranks = ranks
-        self.rank_start = rank_start
         self.size_of = size_of
-
-    def keep(self) -> np.ndarray:
-        """Every column's keep count."""
-        at = np.arange(self.widths.sum()) - np.repeat(self.base, self.widths)
-        if self.ranks is None:
-            return at
-        at += np.repeat(self.rank_start, self.widths)
-        return self.ranks[at]
+        at = np.arange(widths.sum()) - np.repeat(self.base, widths)
+        self.kept = at if ranks is None else ranks[at + np.repeat(rank_start, widths)]
 
 
 def _grid_plans(counts: np.ndarray, strategy_grids: Sequence[StrategyGrid]) -> list[_GridPlan]:
@@ -525,7 +518,7 @@ def _sweep(
 
     def metric_table(plan: _GridPlan) -> np.ndarray:
         """Metrics of keeping each column's count of its prompt's sorted responses."""
-        kept = plan.keep()
+        kept = plan.kept
         table = np.empty((5, kept.size))
         size_distortion, error, alpha_used, precision, recall = table
         # Each row is written as soon as it can be, so few temporaries live at once.
@@ -539,7 +532,6 @@ def _sweep(
         with np.errstate(divide="ignore"):
             size_distortion[:] = np.where(error, 1.0 / alpha_used, 0.0)
         precision[:] = np.where(kept > 0, correct_kept / np.maximum(kept, 1), 1.0)
-        del kept
         total = np.repeat(correct_total, plan.widths)
         recall[:] = np.where(total > 0, correct_kept / np.maximum(total, 1), 1.0)
         return table
@@ -833,8 +825,7 @@ def threshold_equivalence_check(
             raise InvalidInputError(
                 f"alpha {alpha!r} outside [1/(n+1), 1] = [{lo}, 1] for n={n}"
             )
-        scaled = (1 - exact) * (n + 1)
-        k = -(-scaled.numerator // scaled.denominator)
+        k = inclusion_target(1 - exact, n + 1)
         tau = ordered[k - 1] if k >= 1 else None
         for f, count in zip(tests, at_least):
             by_p = Fraction(1 + count, n + 1) <= exact

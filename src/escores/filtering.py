@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Sequence
 
 from .core import InvalidInputError, ScoredResponseSet, as_ext_real, as_unit_fraction
 
@@ -34,16 +35,21 @@ class FilterOutcome:
                 )
 
 
+def _partition(
+    scored: ScoredResponseSet, keep: Sequence[bool], alpha_used: float
+) -> FilterOutcome:
+    """Split ``scored`` into the entries ``keep`` marks and the rest, in stable order."""
+    return FilterOutcome(
+        alpha_used=alpha_used,
+        included=ScoredResponseSet(tuple(e for e, k in zip(scored, keep) if k)),
+        excluded=ScoredResponseSet(tuple(e for e, k in zip(scored, keep) if not k)),
+    )
+
+
 def filter_at_alpha(scored: ScoredResponseSet, alpha: float) -> FilterOutcome:
     """Keep exactly the responses scoring <= alpha, in stable order."""
     alpha = as_ext_real(alpha, "alpha")
-    included = tuple(entry for entry in scored if entry[1] <= alpha)
-    excluded = tuple(entry for entry in scored if entry[1] > alpha)
-    return FilterOutcome(
-        alpha_used=alpha,
-        included=ScoredResponseSet(included),
-        excluded=ScoredResponseSet(excluded),
-    )
+    return _partition(scored, [score <= alpha for _, score in scored], alpha)
 
 
 def _keep_lowest(scored: ScoredResponseSet, kept: int) -> FilterOutcome:
@@ -51,15 +57,10 @@ def _keep_lowest(scored: ScoredResponseSet, kept: int) -> FilterOutcome:
 
     The tolerance charged is the largest kept score, or 0 when none is kept.
     """
-    order = sorted(range(len(scored)), key=lambda i: (scored.entries[i][1], i))
-    chosen = set(order[:kept])
-    included = tuple(entry for i, entry in enumerate(scored.entries) if i in chosen)
-    excluded = tuple(entry for i, entry in enumerate(scored.entries) if i not in chosen)
-    return FilterOutcome(
-        alpha_used=max((score for _, score in included), default=0.0),
-        included=ScoredResponseSet(included),
-        excluded=ScoredResponseSet(excluded),
-    )
+    scores = scored.scores
+    chosen = set(sorted(range(len(scores)), key=lambda i: (scores[i], i))[:kept])
+    keep = [i in chosen for i in range(len(scores))]
+    return _partition(scored, keep, max((scores[i] for i in chosen), default=0.0))
 
 
 def max_constrained_alpha(scored: ScoredResponseSet, alpha_max: float) -> FilterOutcome:

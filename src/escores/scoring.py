@@ -19,6 +19,10 @@ components of the smallest one.  The p-score is the usual rank statistic
 (1 + #{f <= fstar_i}) / (n + 1); its randomized variant breaks ties with
 a uniform draw and recovers the plain p-score at u = 1.  Naive scores
 invert the transformed estimate directly and use no calibration at all.
+
+The uniform draws come from one SplitMix64 finalizer, ``_mix``: it both
+absorbs the seed and split index into a prompt's starting state and
+turns that state into the prompt's stream.
 """
 
 from __future__ import annotations
@@ -137,18 +141,12 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 
 
-def _mix_int(z: int) -> int:
-    """The SplitMix64 finalizer on a Python int in [0, 2**64)."""
-    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
     """The SplitMix64 finalizer on a uint64 array; products wrap mod 2**64.
 
-    Every operand is uint64: a numpy uint64 scalar warns on overflow, and
-    a uint64 mixed with an int64 promotes to float64.
+    Every operand is uint64: a numpy uint64 scalar warns on overflow (so
+    ``_absorb`` mixes one-element arrays), and a uint64 mixed with an
+    int64 promotes to float64.
     """
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
@@ -158,7 +156,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
 def _absorb(state: int, value: int) -> int:
     """Mix ``value``'s 64-bit words into ``state``, low word first (at least one)."""
     while True:
-        state = _mix_int(state ^ (value & _MASK64))
+        state = int(_mix(np.array([state ^ (value & _MASK64)], dtype=np.uint64))[0])
         value >>= 64
         if not value:
             return state

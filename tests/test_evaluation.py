@@ -1081,6 +1081,22 @@ def test_equivalence_trials_catch_a_wrong_rank_count(monkeypatch) -> None:
     assert run_equivalence_trials(300, seed=0).failures > 0
 
 
+def test_equivalence_trials_catch_a_wrong_ceiling(monkeypatch) -> None:
+    """The check takes its order-statistic index from the fraction strategy's ceiling.
+
+    A floor where ceil((1 - alpha)(n + 1)) is meant moves the threshold
+    down one calibration value whenever the product is not an integer;
+    the trials must then report failures.
+    """
+    import escores.evaluation
+
+    def floor_target(fraction, size):
+        return fraction.numerator * size // fraction.denominator
+
+    monkeypatch.setattr(escores.evaluation, "inclusion_target", floor_target)
+    assert run_equivalence_trials(300, seed=0).failures > 0
+
+
 def test_run_equivalence_trials_small_batch() -> None:
     trials = run_equivalence_trials(30, seed=0, n_max=12, grid_points=6)
     assert trials.n_instances == 30
