@@ -14,17 +14,20 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from escores import (
     FTransform,
     PreparedDataset,
+    ScoreKind,
     parse_dataset,
     uniform_block,
     write_dataset,
 )
 from escores.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run_command
+from escores.evaluation import score_prompts
 
 import oracles
 from helpers import (
@@ -241,6 +244,87 @@ def test_score_jsonl_output_and_determinism(dataset: Path, calibration: Path, ca
     assert moved != out  # the seed moves the randomized draws
     code3, wide, _ = run(capsys, *argv[:-1], str(2**64 + 5))
     assert code3 == EXIT_OK and wide != out  # a seed's words above 64 bits count too
+
+
+def test_score_writes_infinite_scores_as_json_dumps_does(tmp_path: Path, capsys) -> None:
+    # the erring response has estimate 0: e1, e3, naive1 and naive3 are +inf
+    test = tmp_path / "test.jsonl"
+    test.write_text(
+        '{"id": "t-1", "sub_responses": ["a", "b"], "first_error_index": 2, '
+        '"oracle_conditionals": [1.0, 0.0]}\n',
+        encoding="utf-8",
+    )
+    cal = tmp_path / "cal.jsonl"
+    cal.write_text(
+        '{"id": "c-1", "sub_responses": ["a"], "first_error_index": 1, '
+        '"oracle_conditionals": [0.5]}\n',
+        encoding="utf-8",
+    )
+    argv = ("score", str(test), "--calibration", str(cal), "--scores", "all")
+    code, out, err = run(capsys, *argv, "--jsonl")
+    assert code == EXIT_OK and err == ""
+    assert out == (
+        '{"id": "t-1", "responses": [[1], [1, 2]], "labels": [1, 0], "scores": '
+        '{"e1": [0.75, Infinity], "e2": [0.5, 1.5], "e3": [0.5, Infinity], '
+        '"e-combined": [0.5625, 4.5], "p": [0.5, 1.0], '
+        '"p-randomized": [0.15310912858353226, 0.627467701455158], '
+        '"naive1": [1.0, Infinity], "naive2": [0.0, 1.0], "naive3": [0.0, Infinity]}}\n'
+    )
+    assert out == json.dumps(json.loads(out)) + "\n"
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines() == [
+        "prompt  response  label    e1    e2   e3   e-combined  p    p-randomized  naive1  naive2  naive3",
+        "t-1     1         correct  0.75  0.5  0.5  0.5625      0.5  0.153109      1       0       0",
+        "t-1     1,2       error    inf   1.5  inf  4.5         1    0.627468      inf     1       inf",
+    ]
+
+
+def test_score_output_over_many_prompts_matches_record_by_record_formatting(
+    tmp_path: Path, capsys
+) -> None:
+    """Both output forms, past any block boundary, against one record at a time."""
+    rng = random.Random(20)
+    instances = []
+    for i in range(1100):
+        k = rng.randint(1, 4)
+        conditionals = [rng.choice((0.0, 1.0, rng.random())) for _ in range(k)]
+        first_error = rng.choice((None, rng.randint(1, k)))
+        instances.append(make_instance(f"é-{i}" if i % 7 == 0 else f"t-{i}", conditionals, first_error))
+    test = write_dataset(instances, tmp_path / "test.jsonl")
+    cal = write_dataset(
+        [make_instance(f"c-{i}", [rng.random(), rng.random()], rng.choice((None, 1, 2))) for i in range(50)],
+        tmp_path / "cal.jsonl",
+    )
+    kinds = ("e1", "e2", "e3", "e-combined", "p", "p-randomized", "naive1", "naive2", "naive3")
+    prep = PreparedDataset(parse_dataset(test))
+    scores = score_prompts(
+        prep, np.arange(prep.n_prompts), [ScoreKind.parse(k) for k in kinds],
+        PreparedDataset(parse_dataset(cal)).fstar, master_seed=3,
+    )
+    records, rows = [], [("prompt", "response", "label", *kinds)]
+    for i, (pid, responses) in enumerate(zip(prep.prompt_ids, prep.responses)):
+        lo, hi = prep.offsets[i], prep.offsets[i + 1]
+        labels = prep.labels_flat[lo:hi].tolist()
+        per_kind = {name: values[lo:hi].tolist() for name, values in scores.items()}
+        records.append(json.dumps({
+            "id": pid, "responses": [list(r.indices) for r in responses],
+            "labels": labels, "scores": per_kind,
+        }) + "\n")
+        for j, (response, label) in enumerate(zip(responses, labels)):
+            cells = ("inf" if v[j] == math.inf else format(v[j], ".6g") for v in per_kind.values())
+            rows.append((pid, ",".join(map(str, response.indices)), ("error", "correct")[label], *cells))
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    table = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows)
+    assert "Infinity" in "".join(records) and "\\u00e9" in records[0]
+
+    argv = ("score", str(test), "--calibration", str(cal), "--scores", "all", "--seed", "3")
+    code, out, err = run(capsys, *argv, "--jsonl")
+    assert code == EXIT_OK and err == ""
+    assert out == "".join(records)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert out == table
 
 
 def test_score_warns_on_prompt_ids_shared_with_calibration(

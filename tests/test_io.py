@@ -214,6 +214,155 @@ def test_parse_warns_once_per_unknown_field(tmp_path: Path) -> None:
     assert sum("'notes'" in m for m in messages) == 1
 
 
+# One fault per file, on line 3 after two good records, with the exact
+# message every reader of the file must give.  A record with two faults
+# reports the first one checked.
+_GOOD = (
+    '{"id": "p-1", "sub_responses": ["a", "b"], "first_error_index": 2, '
+    '"oracle_conditionals": [0.9, 0.4]}',
+    '{"id": "p-2", "sub_responses": ["a"], "first_error_index": null, '
+    '"oracle_conditionals": [0.75]}',
+)
+_SINGULAR_GOOD = (
+    '{"id": "s-1", "response": "a", "correct": true, "oracle_estimate": 0.9}',
+    '{"id": "s-2", "response": "b", "correct": false, "oracle_estimate": 0.2}',
+)
+
+
+def _prefix(conditionals: str, first_error: str = "null", prompt_id: str = "p-3") -> str:
+    steps = ", ".join('"s"' for _ in conditionals.split(","))
+    return (
+        f'{{"id": "{prompt_id}", "sub_responses": [{steps}], '
+        f'"first_error_index": {first_error}, "oracle_conditionals": [{conditionals}]}}'
+    )
+
+
+FAULTS = {
+    "bad-utf8": (_GOOD, b'{"id": "p-\xff3"}', DatasetParseError,
+                 "not valid UTF-8: byte 0xff at character 11"),
+    "bad-json": (_GOOD, '{"id": "p-3", ', DatasetParseError,
+                 "invalid JSON: Expecting property name enclosed in double quotes: "
+                 "line 2 column 1 (char 15)"),
+    "not-an-object": (_GOOD, "[1, 2]", DatasetParseError, "each line must be a JSON object"),
+    "neither-schema": (_GOOD, '{"id": "p-3"}', DatasetValidationError,
+                       "record has neither 'sub_responses' (prefix schema) nor 'response' "
+                       "(singular schema)"),
+    "both-schemas": (_GOOD, '{"id": "p-3", "sub_responses": ["a"], "response": "a"}',
+                     DatasetValidationError,
+                     "record mixes 'sub_responses' and 'response' fields"),
+    "missing-id": (_GOOD, '{"sub_responses": ["a"], "oracle_conditionals": [0.5]}',
+                   DatasetValidationError, "missing required field 'id'"),
+    "empty-id": (_GOOD, _prefix("0.5", prompt_id=""), DatasetValidationError,
+                 "'id' must be a non-empty string"),
+    "missing-field": (_GOOD, '{"id": "p-3", "sub_responses": ["a"], "first_error_index": null}',
+                      DatasetValidationError, "missing required field 'oracle_conditionals'"),
+    "wrong-type": (_GOOD, '{"id": "p-3", "sub_responses": "a", "oracle_conditionals": [0.5]}',
+                   DatasetValidationError, "'sub_responses' must be a non-empty list of strings"),
+    "first-error-bool": (_GOOD, _prefix("0.5", "true"), DatasetValidationError,
+                         "'first_error_index' must be an integer or null"),
+    "conditionals-short": (_GOOD,
+                           '{"id": "p-3", "sub_responses": ["a", "b"], '
+                           '"oracle_conditionals": [0.5]}',
+                           DatasetValidationError,
+                           "'oracle_conditionals' must be a list with one entry per "
+                           "sub-response (expected 2)"),
+    # every value's type is checked before any value's range
+    "range-then-type": (_GOOD, _prefix('1.5, "x"'), DatasetValidationError,
+                        "'oracle_conditionals[1]' must be a number"),
+    "conditional-bool": (_GOOD, _prefix("true"), DatasetValidationError,
+                         "'oracle_conditionals[0]' must be a number"),
+    "conditional-huge-int": (_GOOD, _prefix("1" + "0" * 400), DatasetValidationError,
+                             "'oracle_conditionals[0]' is too large for a float"),
+    "nan": (_GOOD, _prefix("NaN"), DatasetValidationError,
+            "conditional estimate for step 1 must not be NaN"),
+    "infinity": (_GOOD, _prefix("Infinity"), DatasetValidationError,
+                 "conditional estimate for step 1 must be <= 1, got inf"),
+    "negative": (_GOOD, _prefix("0.5, -0.25"), DatasetValidationError,
+                 "conditional estimate for step 2 must be >= 0, got -0.25"),
+    "above-one": (_GOOD, _prefix("1.5"), DatasetValidationError,
+                  "conditional estimate for step 1 must be <= 1, got 1.5"),
+    "first-error-out-of-range": (_GOOD, _prefix("0.5", "3"), DatasetValidationError,
+                                 "first_error_index 3 out of range 1..1"),
+    "first-error-and-value": (_GOOD, _prefix("1.5", "3"), DatasetValidationError,
+                              "first_error_index 3 out of range 1..1"),
+    "duplicate-id": (_GOOD, _prefix("0.5", prompt_id="p-1"), DatasetValidationError,
+                     "duplicate id 'p-1' (first seen on line 1)"),
+    "mixed-schemas": (_GOOD,
+                      '{"id": "p-3", "response": "a", "correct": true, "oracle_estimate": 0.5}',
+                      DatasetValidationError,
+                      "mixed schemas: expected a prefix record, found a singular record"),
+    "singular-correct-string": (_SINGULAR_GOOD,
+                                '{"id": "s-3", "response": "a", "correct": "yes", '
+                                '"oracle_estimate": 0.5}',
+                                DatasetValidationError, "'correct' must be true or false"),
+    "singular-missing-estimate": (_SINGULAR_GOOD, '{"id": "s-3", "response": "a", "correct": true}',
+                                  DatasetValidationError,
+                                  "missing required field 'oracle_estimate'"),
+    "singular-response-list": (_SINGULAR_GOOD,
+                               '{"id": "s-3", "response": ["a"], "correct": true, '
+                               '"oracle_estimate": 0.5}',
+                               DatasetValidationError, "'response' must be a string"),
+    "singular-above-one": (_SINGULAR_GOOD,
+                           '{"id": "s-3", "response": "a", "correct": true, '
+                           '"oracle_estimate": 1.5}',
+                           DatasetValidationError, "response estimate must be <= 1, got 1.5"),
+    "singular-estimate-string": (_SINGULAR_GOOD,
+                                 '{"id": "s-3", "response": "a", "correct": true, '
+                                 '"oracle_estimate": "0.5"}',
+                                 DatasetValidationError, "'oracle_estimate' must be a number"),
+    "singular-mixed": (_SINGULAR_GOOD, _GOOD[0], DatasetValidationError,
+                       "mixed schemas: expected a singular record, found a prefix record"),
+}
+
+
+def _write_bytes(path: Path, lines) -> Path:
+    path.write_bytes(b"".join(
+        (line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" for line in lines
+    ))
+    return path
+
+
+def _every_reader(capsys, path: Path, good: Path) -> list[tuple[int, str]]:
+    """Exit code and stderr of ingest, score (as test, then calibration) and evaluate."""
+    results = []
+    for argv in (
+        ("ingest", str(path)),
+        ("score", str(path), "--calibration", str(good)),
+        ("score", str(good), "--calibration", str(path)),
+        ("evaluate", str(path), "--splits", "2", "--grid", "0.5,1"),
+    ):
+        code = run_command(list(argv))
+        results.append((code, capsys.readouterr().err))
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_every_reader_reports_a_fault_alike(name: str, tmp_path: Path, capsys) -> None:
+    good_lines, bad, error, message = FAULTS[name]
+    path = _write_bytes(tmp_path / "data.jsonl", (*good_lines, bad))
+    with pytest.raises(error) as caught:
+        parse_dataset(path)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"data.jsonl:3: {message}"
+    good = _write_bytes(tmp_path / "good.jsonl", [_prefix("0.3", "1", "c-1"), _prefix("0.3", prompt_id="c-2")])
+    expected = (EXIT_USAGE, f"validation error: data.jsonl:3: {message}\n")
+    assert _every_reader(capsys, path, good) == [expected] * 4
+
+
+def test_every_reader_warns_once_per_unknown_field_before_a_fault(tmp_path: Path, capsys) -> None:
+    extra = [line[:-1] + ', "model": "m"}' for line in _GOOD]
+    extra[1] = extra[1][:-1] + ', "notes": "n"}'
+    path = _write_bytes(tmp_path / "data.jsonl", (*extra, _prefix("1.5", "3")))
+    good = _write_bytes(tmp_path / "good.jsonl", [_prefix("0.3", "1", "c-1"), _prefix("0.3", prompt_id="c-2")])
+    expected = (
+        EXIT_USAGE,
+        "warning: data.jsonl:1: ignoring unknown field 'model' (reported once per field)\n"
+        "warning: data.jsonl:2: ignoring unknown field 'notes' (reported once per field)\n"
+        "validation error: data.jsonl:3: first_error_index 3 out of range 1..1\n",
+    )
+    assert _every_reader(capsys, path, good) == [expected] * 4
+
+
 # ---------------------------------------------------------------------------
 # writing datasets
 # ---------------------------------------------------------------------------
