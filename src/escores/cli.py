@@ -49,9 +49,9 @@ from .io import (
     DatasetValidationError,
     _fmt_score,
     _load_json,
+    _read_columns,
     emit_csv,
     emit_svg_curves,
-    parse_dataset,
     parse_grid,
     write_dataset,
 )
@@ -67,6 +67,7 @@ from .synthetic import (
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
 from .estimation import build_calibration_summary  # noqa: F401
+from .io import parse_dataset  # noqa: F401
 from .response_sets import build_permutation_set, label_response_set  # noqa: F401
 from .scoring import score_response_set  # noqa: F401
 
@@ -113,10 +114,6 @@ def _parse_policy(
     return PermutationPolicy(PermutationMode.EXPLICIT_LIST, explicit=explicit)
 
 
-def _dataset_shape(instances) -> str:
-    return "prefix" if instances[0].estimates.conditionals is not None else "singular"
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -138,33 +135,96 @@ def _warn_infinite_maxima(cal: PreparedDataset, kinds: Sequence[ScoreKind]) -> N
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    instances = parse_dataset(args.path)
-    steps = [len(inst.generated) for inst in instances]
-    with_errors = sum(
-        1 for inst in instances if inst.generated.first_error_index is not None
-    )
-    print(f"ok: {len(instances)} {_dataset_shape(instances)} records from {args.path}")
-    print(f"steps per record: min {min(steps)}, max {max(steps)}")
-    print(f"records with errors: {with_errors} of {len(instances)}")
+    columns = _read_columns(args.path)
+    n = len(columns.ids)
+    print(f"ok: {n} {columns.schema} records from {args.path}")
+    print(f"steps per record: min {columns.steps.min()}, max {columns.steps.max()}")
+    print(f"records with errors: {np.count_nonzero(columns.first_errors)} of {n}")
     return EXIT_OK
+
+
+# Prompts per write of score's output: each write is one bounded block
+# of lines, not one call per line nor the whole output joined.
+_WRITE_BLOCK = 512
+
+
+def _write_score_jsonl(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
+    """One JSON object per prompt, byte for byte ``json.dumps`` of its record.
+
+    Each block of prompts formats every column once: ``repr`` of a
+    float list is ``json.dumps``'s, bar the tokens of non-finite floats.
+    """
+    line = '{"id": %s, "responses": %s, "labels": %s, "scores": {%s}}'
+    fields = ", ".join(f"{json.dumps(name)}: %s" for name in scores)
+    encoded: dict[int, str] = {}  # prompts of one step count share one tuple of responses
+    for first in range(0, test.n_prompts, _WRITE_BLOCK):
+        last = min(first + _WRITE_BLOCK, test.n_prompts)
+        offsets = (test.offsets[first : last + 1] - test.offsets[first]).tolist()
+        lo, hi = int(test.offsets[first]), int(test.offsets[last])
+        columns = []
+        for values in (test.labels_flat, *scores.values()):
+            block = values[lo:hi]
+            cells = block.tolist()
+            texts = [repr(cells[a:b]) for a, b in zip(offsets, offsets[1:])]
+            if not np.isfinite(block).all():
+                texts = [_json_non_finite(text) for text in texts]
+            columns.append(texts)
+        labels, *per_kind = columns
+        lines = []
+        for i, prompt in enumerate(range(first, last)):
+            responses = test.responses[prompt]
+            if id(responses) not in encoded:
+                encoded[id(responses)] = json.dumps([list(r.indices) for r in responses])
+            kinds = fields % tuple(column[i] for column in per_kind)
+            lines.append(
+                line % (json.dumps(test.prompt_ids[prompt]), encoded[id(responses)], labels[i], kinds)
+            )
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _json_non_finite(text: str) -> str:
+    """``repr``'s inf and nan tokens as ``json.dumps`` writes them."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
+def _write_score_table(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
+    """One row per response, each column padded to its widest cell."""
+    header = ("prompt", "response", "label", *scores)
+    encoded: dict[int, list[str]] = {}  # prompts of one step count share one tuple of responses
+    for responses in test.responses:
+        if id(responses) not in encoded:
+            encoded[id(responses)] = [",".join(map(str, r.indices)) for r in responses]
+    columns = [
+        [pid for pid, count in zip(test.prompt_ids, test.counts.tolist()) for _ in range(count)],
+        [cell for responses in test.responses for cell in encoded[id(responses)]],
+        [("error", "correct")[label] for label in test.labels_flat.tolist()],
+        *([_fmt_score(v) for v in values.tolist()] for values in scores.values()),
+    ]
+    padded = []
+    for name, cells in zip(header, columns):
+        width = max(len(name), *map(len, cells))
+        padded.append([name.ljust(width), *(cell.ljust(width) for cell in cells)])
+    rows = list(zip(*padded))
+    for first in range(0, len(rows), _WRITE_BLOCK):
+        block = rows[first : first + _WRITE_BLOCK]
+        sys.stdout.write("".join("  ".join(row).rstrip() + "\n" for row in block))
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
-    test_instances = parse_dataset(args.path)
-    cal_instances = parse_dataset(args.calibration)
-    test_shape, cal_shape = _dataset_shape(test_instances), _dataset_shape(cal_instances)
-    if test_shape != cal_shape:
+    test_columns = _read_columns(args.path)
+    cal_columns = _read_columns(args.calibration)
+    if test_columns.schema != cal_columns.schema:
         warnings.warn(
-            f"the test file holds {test_shape} records and the calibration file "
-            f"{cal_shape} records; this breaks the exchangeability that the scores' "
+            f"the test file holds {test_columns.schema} records and the calibration file "
+            f"{cal_columns.schema} records; this breaks the exchangeability that the scores' "
             "guarantee assumes"
         )
-    cal = PreparedDataset(cal_instances, policy)
-    del cal_instances  # only the prepared arrays are used below; keeps peak memory down
-    test = PreparedDataset(test_instances, policy)
-    del test_instances
+    cal = PreparedDataset(cal_columns, policy)
+    del cal_columns  # only the prepared arrays are used below; keeps peak memory down
+    test = PreparedDataset(test_columns, policy)
+    del test_columns
     shared = sorted(set(test.prompt_ids).intersection(cal.prompt_ids))
     if shared:
         warnings.warn(
@@ -178,33 +238,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     scores = score_prompts(
         test, np.arange(test.n_prompts), kinds, cal.fstar, master_seed=args.seed
     )
-
-    table: list[tuple[str, ...]] = []
-    for i, (pid, responses) in enumerate(zip(test.prompt_ids, test.responses)):
-        lo, hi = test.offsets[i], test.offsets[i + 1]
-        labels = test.labels_flat[lo:hi].tolist()
-        per_kind = {name: values[lo:hi].tolist() for name, values in scores.items()}
-        if args.jsonl:
-            record = {
-                "id": pid,
-                "responses": [list(r.indices) for r in responses],
-                "labels": labels,
-                "scores": per_kind,
-            }
-            print(json.dumps(record))
-            continue
-        for response, label, *row in zip(responses, labels, *per_kind.values()):
-            indices = ",".join(str(j) for j in response.indices)
-            table.append((pid, indices, "correct" if label == 1 else "error", *map(_fmt_score, row)))
-
-    if not args.jsonl:
-        header = ("prompt", "response", "label", *(k.name for k in kinds))
-        widths = [
-            max(len(header[c]), *(len(row[c]) for row in table)) if table else len(header[c])
-            for c in range(len(header))
-        ]
-        for line in (header, *table):
-            print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
+    (_write_score_jsonl if args.jsonl else _write_score_table)(test, scores)
     return EXIT_OK
 
 
@@ -226,7 +260,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     policy = _parse_policy(args.permutations, args.permutation_file)
     grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
     plan = SplitPlan(seed=args.seed, n_splits=args.splits, test_fraction=args.test_fraction)
-    prepared = PreparedDataset(parse_dataset(args.path), policy)
+    prepared = PreparedDataset(_read_columns(args.path), policy)
     # every prompt serves as calibration in some split
     _warn_infinite_maxima(prepared, kinds)
     report = evaluate_dataset(prepared, kinds, (grid,), plan)

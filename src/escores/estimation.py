@@ -127,13 +127,9 @@ def _chained_estimates(
     """Every source's estimate of every response, shape (sources, responses).
 
     A source's response-level estimate stands for all of its responses.
-    Otherwise the estimate of a response is the product of the
-    conditionals of its steps, left to right along its own ordering from
-    1.0.  The conditionals of the steps any response reads are gathered
-    once into a (sources, steps) table.  The responses of one length m
-    then cost m column gathers and m - 1 elementwise products over every
-    source at once, each product the float multiply of the scalar chain
-    in the scalar chain's order, so the results are bit-identical to it.
+    Otherwise the estimate of a response is the ``_chain`` of the
+    conditionals of its steps, gathered once into a (sources, steps)
+    table of the steps any response reads.
     """
     steps = list(dict.fromkeys(i for response in responses for i in response.indices))
     column = {step: j for j, step in enumerate(steps)}
@@ -149,19 +145,33 @@ def _chained_estimates(
         ).reshape(len(sources), len(steps))
     except KeyError as exc:
         raise InvalidInputError(f"no conditional estimate for step {exc.args[0]}") from None
-    out = np.empty((len(sources), len(responses)))
+    out = _chain(table, [[column[i] for i in response.indices] for response in responses])
+    fixed = [i for i, source in enumerate(sources) if source.response_estimate is not None]
+    if fixed:
+        out[fixed] = np.array([[sources[i].response_estimate] for i in fixed])
+    return out
+
+
+def _chain(table: np.ndarray, columns: Sequence[Sequence[int]]) -> np.ndarray:
+    """Chain-rule products of ``table``'s columns, shape (rows, len(columns)).
+
+    Entry (r, p) is the product of ``table[r, c]`` over c in
+    ``columns[p]``, left to right from the first factor.  The responses
+    of one length m cost m column gathers and m - 1 elementwise products
+    over every row at once, each product the float multiply of the
+    scalar chain in the scalar chain's order, so the results are
+    bit-identical to it.
+    """
+    out = np.empty((table.shape[0], len(columns)))
     by_length: dict[int, list[int]] = {}
-    for position, response in enumerate(responses):
-        by_length.setdefault(len(response.indices), []).append(position)
+    for position, cols in enumerate(columns):
+        by_length.setdefault(len(cols), []).append(position)
     for positions in by_length.values():
-        cols = np.array([[column[i] for i in responses[p].indices] for p in positions])
+        cols = np.array([columns[p] for p in positions])
         product = table[:, cols[:, 0]]
         for j in range(1, cols.shape[1]):
             product *= table[:, cols[:, j]]
         out[:, positions] = product
-    fixed = [i for i, source in enumerate(sources) if source.response_estimate is not None]
-    if fixed:
-        out[fixed] = np.array([[sources[i].response_estimate] for i in fixed])
     return out
 
 

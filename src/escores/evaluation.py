@@ -65,16 +65,21 @@ from .core import (
     as_ext_real,
 )
 from .estimation import (
-    EstimateSource,
     FTransform,
     PromptInstance,
-    _chained_estimates,
+    _chain,
     build_calibration_summary,
     masked_f_star,
     transform_values,
 )
 from .filtering import inclusion_target
-from .response_sets import IDENTITY_POLICY, PermutationPolicy, _label_table, build_permutation_set
+from .response_sets import (
+    IDENTITY_POLICY,
+    GeneratedResponse,
+    PermutationPolicy,
+    _label_table,
+    build_permutation_set,
+)
 from .scoring import ScoreFamily, ScoreKind, _exceedances, _prompt_key, _uniforms, kind_scores
 
 # Not called here any more, but kept as module attributes: the traced
@@ -297,16 +302,103 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 
+class _DatasetColumns:
+    """A dataset as flat columns, prompt after prompt: what ``PreparedDataset`` reads.
+
+    Prompt i has id ``ids[i]``, ``steps[i]`` steps and first error
+    ``first_errors[i]`` (0 when fully correct).  ``conditionals`` holds
+    every prompt's step conditionals in step order, ``steps[i]`` of
+    them per prompt.  ``estimates`` is None unless some prompt has a
+    response-level estimate; then it holds one per prompt, NaN where the
+    prompt chains its conditionals instead, and such a prompt's
+    conditionals are 1.0.  ``generated[k]`` is one generation of k
+    steps, the one the permutation policy expands, with the step counts
+    in the order they first appear.  ``texts`` holds each prompt's step
+    texts when the reader keeps them.  ``duplicate`` names a repeated
+    prompt id, the first one, when reading stopped at it.
+    """
+
+    def __init__(
+        self,
+        ids: list[str],
+        steps: np.ndarray,
+        first_errors: np.ndarray,
+        conditionals: np.ndarray,
+        estimates: np.ndarray | None,
+        generated: dict[int, GeneratedResponse],
+        texts: list[tuple[str, ...]] | None = None,
+        duplicate: str | None = None,
+    ) -> None:
+        self.ids = ids
+        self.steps = steps
+        self.first_errors = first_errors
+        self.conditionals = conditionals
+        self.estimates = estimates
+        self.generated = generated
+        self.texts = texts
+        self.duplicate = duplicate
+
+    @property
+    def schema(self) -> str:
+        """The record shape: "singular" when prompts carry response-level estimates."""
+        return "prefix" if self.estimates is None else "singular"
+
+    @classmethod
+    def of_instances(cls, instances: Iterable[PromptInstance]) -> "_DatasetColumns":
+        """The columns of validated prompt instances, read up to the first repeated id."""
+        ids: list[str] = []
+        steps: list[int] = []
+        first_errors: list[int] = []
+        conditionals: list[float] = []
+        estimates: list[float] = []
+        generated: dict[int, GeneratedResponse] = {}
+        seen: set[str] = set()
+        for inst in instances:
+            pid = inst.prompt_id
+            if pid in seen:
+                return cls._of_lists(ids, steps, first_errors, conditionals, estimates, generated, pid)
+            seen.add(pid)
+            k = len(inst.generated)
+            generated.setdefault(k, inst.generated)
+            ids.append(pid)
+            steps.append(k)
+            first_errors.append(inst.generated.first_error_index or 0)
+            source = inst.estimates
+            if source.response_estimate is None:
+                estimates.append(math.nan)
+                conditionals.extend(source.conditionals[i] for i in range(1, k + 1))
+            else:
+                estimates.append(source.response_estimate)
+                conditionals.extend([1.0] * k)
+        return cls._of_lists(ids, steps, first_errors, conditionals, estimates, generated)
+
+    @classmethod
+    def _of_lists(cls, ids, steps, first_errors, conditionals, estimates, generated, duplicate=None):
+        fixed = np.asarray(estimates, dtype=np.float64)
+        return cls(
+            ids,
+            np.asarray(steps, dtype=np.int64),
+            np.asarray(first_errors, dtype=np.int64),
+            np.asarray(conditionals, dtype=np.float64),
+            fixed if not np.isnan(fixed).all() else None,
+            generated,
+            duplicate=duplicate,
+        )
+
+
 class PreparedDataset:
     """Response sets, labels, estimates, transformed values and maxima, flattened.
 
-    A response set depends only on the step count k and the policy, so
-    construction builds it once per distinct k and labels it once per k
-    for every first-error step (``response_sets._label_table``); prompts
-    of the same size share one tuple of responses.  It chains the
-    estimates of all prompts of one k at once
-    (``estimation._chained_estimates``), then transforms every estimate
-    and takes every prompt's incorrect maxima in whole-array operations.
+    ``instances`` are prompt instances, or the columns that
+    ``io``'s reader validates straight from a file; instances are turned
+    into the same columns (``_DatasetColumns``), so one core prepares
+    both.  A response set depends only on the step count k and the
+    policy, so construction builds it once per distinct k and labels it
+    once per k for every first-error step (``response_sets._label_table``);
+    prompts of the same size share one tuple of responses.  It chains
+    the conditionals of all prompts of one k at once
+    (``estimation._chain``), then transforms every estimate and takes
+    every prompt's incorrect maxima in whole-array operations.
     Responses are stored prompt after prompt: prompt i owns
     ``offsets[i]:offsets[i+1]``.  Each prompt id is hashed once into
     ``prompt_keys`` (uint64), the key of its uniform stream.  Everything
@@ -315,48 +407,49 @@ class PreparedDataset:
 
     def __init__(
         self,
-        instances: Iterable[PromptInstance],
+        instances: "Iterable[PromptInstance] | _DatasetColumns",
         permutation_policy: PermutationPolicy | None = None,
     ) -> None:
         policy = permutation_policy if permutation_policy is not None else IDENTITY_POLICY
-        self.prompt_ids: list[str] = []
-        self.responses: list[tuple[Response, ...]] = []
-        sets: dict[int, tuple[Response, ...]] = {}
-        members: dict[int, list[int]] = {}  # k -> its prompts' positions
-        sources: list[EstimateSource] = []
-        first_errors: list[int] = []  # 0 for a fully correct prompt
-        seen_ids: set[str] = set()
-        for inst in instances:
-            pid = inst.prompt_id
-            if pid in seen_ids:
-                raise InvalidInputError(f"duplicate prompt id {pid!r} in dataset")
-            seen_ids.add(pid)
-            generated = inst.generated
-            k = len(generated)
-            if k not in sets:
-                sets[k] = tuple(build_permutation_set(generated, policy))
-                members[k] = []
-            members[k].append(len(self.prompt_ids))
-            sources.append(inst.estimates)
-            first_errors.append(generated.first_error_index or 0)
-            self.prompt_ids.append(pid)
-            self.responses.append(sets[k])
-        if not self.prompt_ids:
+        if isinstance(instances, _DatasetColumns):
+            columns = instances
+        else:
+            columns = _DatasetColumns.of_instances(instances)
+        # in the order the step counts first appear, so a policy that
+        # cannot expand one reports the first such prompt's
+        sets = {
+            k: tuple(build_permutation_set(generated, policy))
+            for k, generated in columns.generated.items()
+        }
+        if columns.duplicate is not None:
+            raise InvalidInputError(f"duplicate prompt id {columns.duplicate!r} in dataset")
+        if not columns.ids:
             raise InvalidInputError("cannot prepare an empty dataset")
 
+        steps = columns.steps
+        self.prompt_ids: list[str] = columns.ids
+        self.responses: list[tuple[Response, ...]] = [sets[k] for k in steps.tolist()]
         self.n_prompts = len(self.prompt_ids)
         self.prompt_keys = np.asarray([_prompt_key(pid) for pid in self.prompt_ids], dtype=np.uint64)
-        self.counts = np.asarray([len(r) for r in self.responses], dtype=np.int64)
+        set_size = np.zeros(max(sets) + 1, dtype=np.int64)
+        set_size[list(sets)] = [len(responses) for responses in sets.values()]
+        self.counts = set_size[steps]
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
         starts = self.offsets[:-1]
+        step_starts = np.cumsum(steps) - steps
         self.labels_flat = np.empty(self.offsets[-1], dtype=np.int8)
         self.estimates_flat = np.empty(self.offsets[-1], dtype=np.float64)
-        first_error = np.asarray(first_errors)
         for k, responses in sets.items():
-            rows = np.asarray(members[k])
+            rows = np.flatnonzero(steps == k)
             flat = starts[rows][:, None] + np.arange(len(responses))
-            self.estimates_flat[flat] = _chained_estimates([sources[i] for i in rows], responses)
-            self.labels_flat[flat] = _label_table(responses, k)[first_error[rows]]
+            table = columns.conditionals[step_starts[rows][:, None] + np.arange(k)]
+            steps_of = [[i - 1 for i in response.indices] for response in responses]
+            self.estimates_flat[flat] = _chain(table, steps_of)
+            self.labels_flat[flat] = _label_table(responses, k)[columns.first_errors[rows]]
+        if columns.estimates is not None:
+            fixed = np.repeat(columns.estimates, self.counts)
+            given = ~np.isnan(fixed)
+            self.estimates_flat[given] = fixed[given]
         self.f_flat = {t: transform_values(self.estimates_flat, t) for t in FTransform}
         incorrect = self.labels_flat == 0
         self.fstar = {t: masked_f_star(self.f_flat[t], incorrect, starts) for t in FTransform}

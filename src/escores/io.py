@@ -32,10 +32,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .core import EScoresError, InvalidInputError, Prompt
+import numpy as np
+
+from .core import EScoresError, InvalidInputError, Prompt, as_unit_interval
 from .estimation import EstimateSource, PromptInstance
-from .evaluation import EvaluationReport, Parameter, ReportRow
-from .response_sets import GeneratedResponse
+from .evaluation import EvaluationReport, Parameter, ReportRow, _DatasetColumns
+from .response_sets import GeneratedResponse, _check_first_error
 from .svg import Series, render_panel, slugify
 
 
@@ -126,9 +128,11 @@ def _load_json(text: str, where: str) -> object:
         raise DatasetParseError(f"{where}: {exc}") from exc
 
 
-def _parse_prefix_record(record: dict, where: str, warned: set) -> PromptInstance:
+def _read_prefix_record(record: dict, where: str, warned: set, conditionals: list) -> tuple:
+    """Check a prefix record and append its conditionals: (id, texts, first error)."""
     prompt_id = _record_id(record, where)
-    _warn_unknown(record, _PREFIX_KNOWN, where, warned)
+    if not record.keys() <= _PREFIX_KNOWN:
+        _warn_unknown(record, _PREFIX_KNOWN, where, warned)
 
     texts = _required(record, "sub_responses", where)
     if (
@@ -147,30 +151,39 @@ def _parse_prefix_record(record: dict, where: str, warned: set) -> PromptInstanc
                 f"{where}: 'first_error_index' must be an integer or null"
             )
 
-    conditionals = _required(record, "oracle_conditionals", where)
-    if not isinstance(conditionals, list) or len(conditionals) != len(texts):
+    values = _required(record, "oracle_conditionals", where)
+    if not isinstance(values, list) or len(values) != len(texts):
         raise DatasetValidationError(
             f"{where}: 'oracle_conditionals' must be a list with one entry "
             f"per sub-response (expected {len(texts)})"
         )
-    values = [
-        _as_number(v, f"'oracle_conditionals[{i}]'", where)
-        for i, v in enumerate(conditionals)
-    ]
-
+    # a float in (0, 1] is a value the checks below return unchanged;
+    # anything else (an int, a zero, a fault) takes them
+    checked = all(type(v) is float and 0.0 < v <= 1.0 for v in values)
+    if not checked:
+        values = [
+            _as_number(v, f"'oracle_conditionals[{i}]'", where)
+            for i, v in enumerate(values)
+        ]
     try:
-        generated = GeneratedResponse(Prompt(prompt_id), tuple(texts), first_error)
-        source = EstimateSource(
-            conditionals={i + 1: v for i, v in enumerate(values)}
-        )
-        return PromptInstance(generated=generated, estimates=source)
+        if first_error is not None:
+            _check_first_error(first_error, len(texts))
+        if not checked:
+            values = [
+                as_unit_interval(v, f"conditional estimate for step {i}")
+                for i, v in enumerate(values, start=1)
+            ]
     except InvalidInputError as exc:
         raise DatasetValidationError(f"{where}: {exc}") from exc
+    conditionals.extend(values)
+    return prompt_id, texts, first_error
 
 
-def _parse_singular_record(record: dict, where: str, warned: set) -> PromptInstance:
+def _read_singular_record(record: dict, where: str, warned: set, estimates: list) -> tuple:
+    """Check a singular record and append its estimate: (id, texts, first error)."""
     prompt_id = _record_id(record, where)
-    _warn_unknown(record, _SINGULAR_KNOWN, where, warned)
+    if not record.keys() <= _SINGULAR_KNOWN:
+        _warn_unknown(record, _SINGULAR_KNOWN, where, warned)
 
     text = _required(record, "response", where)
     if not isinstance(text, str):
@@ -183,29 +196,31 @@ def _parse_singular_record(record: dict, where: str, warned: set) -> PromptInsta
     estimate = _as_number(
         _required(record, "oracle_estimate", where), "'oracle_estimate'", where
     )
-
     try:
-        generated = GeneratedResponse(Prompt(prompt_id), (text,), None if correct else 1)
-        source = EstimateSource(response_estimate=estimate)
-        return PromptInstance(generated=generated, estimates=source)
+        estimates.append(as_unit_interval(estimate, "response estimate"))
     except InvalidInputError as exc:
         raise DatasetValidationError(f"{where}: {exc}") from exc
+    return prompt_id, [text], None if correct else 1
 
 
-def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
-    """Read a JSONL dataset into prompt instances.
+def _read_columns(path: "str | Path", keep_texts: bool = False) -> _DatasetColumns:
+    """Validate a JSONL dataset record by record into columns.
 
-    The first record's shape, prefix or singular, is the file's.  Blank
-    lines are skipped.  Raises :class:`DatasetParseError` for bytes that
-    are not UTF-8 or malformed JSON and :class:`DatasetValidationError`
-    for bad records (with line numbers), duplicate ids, mixed shapes, or
-    an empty file.
+    The one reader of dataset files, for ``parse_dataset`` and the CLI
+    alike; its faults are ``parse_dataset``'s.  It builds one
+    ``GeneratedResponse`` per distinct step count, and keeps the step
+    texts only when asked.
     """
     path = Path(path)
     source = path.name
     expected = None
 
-    instances: list[PromptInstance] = []
+    ids: list[str] = []
+    steps: list[int] = []
+    first_errors: list[int] = []
+    values: list[float] = []  # the conditionals, or one estimate per singular record
+    texts: list[tuple[str, ...]] | None = [] if keep_texts else None
+    generated: dict[int, GeneratedResponse] = {}
     seen: dict[str, int] = {}
     warned: set = set()
     with path.open(encoding="utf-8", errors="surrogateescape") as handle:
@@ -224,19 +239,66 @@ def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
                     f"{where}: mixed schemas: expected a {expected} record, "
                     f"found a {found} record"
                 )
-            parse_record = _parse_prefix_record if found == "prefix" else _parse_singular_record
-            instance = parse_record(record, where, warned)
+            read_record = _read_prefix_record if found == "prefix" else _read_singular_record
+            prompt_id, step_texts, first_error = read_record(record, where, warned, values)
 
-            if instance.prompt_id in seen:
+            if prompt_id in seen:
                 raise DatasetValidationError(
-                    f"{where}: duplicate id {instance.prompt_id!r} "
-                    f"(first seen on line {seen[instance.prompt_id]})"
+                    f"{where}: duplicate id {prompt_id!r} "
+                    f"(first seen on line {seen[prompt_id]})"
                 )
-            seen[instance.prompt_id] = lineno
-            instances.append(instance)
+            seen[prompt_id] = lineno
+            k = len(step_texts)
+            if k not in generated:
+                generated[k] = GeneratedResponse(Prompt(prompt_id), step_texts, first_error)
+            ids.append(prompt_id)
+            steps.append(k)
+            first_errors.append(first_error or 0)
+            if texts is not None:
+                texts.append(tuple(step_texts))
 
-    if not instances:
+    if not ids:
         raise DatasetValidationError(f"{source}: no records found")
+    flat = np.asarray(values, dtype=np.float64)
+    singular = expected == "singular"
+    return _DatasetColumns(
+        ids,
+        np.asarray(steps, dtype=np.int64),
+        np.asarray(first_errors, dtype=np.int64),
+        np.ones(len(ids)) if singular else flat,
+        flat if singular else None,
+        generated,
+        texts,
+    )
+
+
+def parse_dataset(path: "str | Path") -> tuple[PromptInstance, ...]:
+    """Read a JSONL dataset into prompt instances.
+
+    The first record's shape, prefix or singular, is the file's.  Blank
+    lines are skipped.  Raises :class:`DatasetParseError` for bytes that
+    are not UTF-8 or malformed JSON and :class:`DatasetValidationError`
+    for bad records (with line numbers), duplicate ids, mixed shapes, or
+    an empty file.
+    """
+    columns = _read_columns(path, keep_texts=True)
+    first_errors = columns.first_errors.tolist()
+    instances = []
+    if columns.estimates is not None:
+        for pid, texts, first_error, estimate in zip(
+            columns.ids, columns.texts, first_errors, columns.estimates.tolist()
+        ):
+            generated = GeneratedResponse(Prompt(pid), texts, first_error or None)
+            instances.append(PromptInstance(generated, EstimateSource(response_estimate=estimate)))
+        return tuple(instances)
+    conditionals = columns.conditionals.tolist()
+    start = 0
+    for pid, texts, first_error in zip(columns.ids, columns.texts, first_errors):
+        generated = GeneratedResponse(Prompt(pid), texts, first_error or None)
+        values = conditionals[start : start + len(texts)]
+        start += len(texts)
+        source = EstimateSource(conditionals={i: v for i, v in enumerate(values, start=1)})
+        instances.append(PromptInstance(generated, source))
     return tuple(instances)
 
 

@@ -60,14 +60,17 @@ class GeneratedResponse:
         if fei is not None:
             if not isinstance(fei, int) or isinstance(fei, bool):
                 raise InvalidInputError(f"first_error_index must be int or None, got {fei!r}")
-            if not 1 <= fei <= len(self.sub_responses):
-                shown = f" {fei}" if abs(fei) < 10**9 else ""  # a long integer is not echoed
-                raise InvalidInputError(
-                    f"first_error_index{shown} out of range 1..{len(self.sub_responses)}"
-                )
+            _check_first_error(fei, len(self.sub_responses))
 
     def __len__(self) -> int:
         return len(self.sub_responses)
+
+
+def _check_first_error(fei: int, k: int) -> None:
+    """Refuse a first-error step outside 1..k; a long integer is not echoed."""
+    if not 1 <= fei <= k:
+        shown = f" {fei}" if abs(fei) < 10**9 else ""
+        raise InvalidInputError(f"first_error_index{shown} out of range 1..{k}")
 
 
 class PermutationMode(enum.Enum):

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
+import random
 import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from escores import (
@@ -18,8 +21,11 @@ from escores import (
     DatasetValidationError,
     EstimateSource,
     EvaluationReport,
+    FTransform,
     InvalidInputError,
     Parameter,
+    PermutationMode,
+    PermutationPolicy,
     PreparedDataset,
     PromptInstance,
     ReportRow,
@@ -38,6 +44,7 @@ from escores import (
     write_dataset,
 )
 from escores.cli import EXIT_USAGE, run_command
+from escores.io import _read_columns
 
 from helpers import make_generated, make_instance
 
@@ -361,6 +368,76 @@ def test_every_reader_warns_once_per_unknown_field_before_a_fault(tmp_path: Path
         "validation error: data.jsonl:3: first_error_index 3 out of range 1..1\n",
     )
     assert _every_reader(capsys, path, good) == [expected] * 4
+
+
+def _random_dataset(rng: random.Random, schema: str, n: int) -> list[str]:
+    """JSONL lines whose values include the spellings 0, 1, 1.0 and -0.0."""
+    spellings = ("0", "1", "1.0", "-0.0", "0.5", "0.25")
+    lines = []
+    for i in range(n):
+        if schema == "singular":
+            value = rng.choice(spellings + (repr(rng.random()),))
+            correct = rng.choice(("true", "false"))
+            lines.append(
+                f'{{"id": "s-{i}", "response": "r", "correct": {correct}, "oracle_estimate": {value}}}'
+            )
+            continue
+        k = rng.randint(1, 4)
+        values = ", ".join(rng.choice(spellings + (repr(rng.random()),)) for _ in range(k))
+        first_error = rng.choice(("null", str(rng.randint(1, k))))
+        steps = ", ".join('"s"' for _ in range(k))
+        lines.append(
+            f'{{"id": "p-{i}", "sub_responses": [{steps}], '
+            f'"first_error_index": {first_error}, "oracle_conditionals": [{values}]}}'
+        )
+    return lines
+
+
+@pytest.mark.parametrize("schema", ["prefix", "singular"])
+@pytest.mark.parametrize("seed", range(4))
+def test_column_reader_prepares_what_parsed_instances_do(schema: str, seed: int, tmp_path: Path) -> None:
+    rng = random.Random(seed)
+    lines = _random_dataset(rng, schema, 60)
+    path = write_lines(tmp_path / "data.jsonl", *lines)
+    policies = [None] if schema == "singular" else [None, PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)]
+    for policy in policies:
+        columns = PreparedDataset(_read_columns(path), policy)
+        instances = PreparedDataset(parse_dataset(path), policy)
+        for name in ("estimates_flat", "labels_flat", "counts", "prompt_keys", "offsets"):
+            a, b = getattr(columns, name), getattr(instances, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for t in FTransform:
+            assert columns.f_flat[t].tobytes() == instances.f_flat[t].tobytes()
+            assert columns.fstar[t].tobytes() == instances.fstar[t].tobytes()
+        assert columns.prompt_ids == instances.prompt_ids == [json.loads(x)["id"] for x in lines]
+        assert columns.responses == instances.responses
+        # independently: each estimate is the left-to-right product of the
+        # steps' values, -0.0 read as 0.0; each label says the first error is absent
+        expected, labels = [], []
+        for line, responses in zip(lines, columns.responses):
+            record = json.loads(line)
+            if schema == "singular":
+                values, first_error = [record["oracle_estimate"]], None if record["correct"] else 1
+            else:
+                values, first_error = record["oracle_conditionals"], record["first_error_index"]
+            for response in responses:
+                expected.append(math.prod(abs(float(values[i - 1])) for i in response.indices))
+                labels.append(int(first_error not in response.indices))
+        assert columns.estimates_flat.tobytes() == np.asarray(expected).tobytes()
+        assert not np.signbit(columns.estimates_flat).any()
+        assert columns.labels_flat.tolist() == labels
+
+
+def test_prepared_instances_report_a_policy_fault_before_a_later_duplicate() -> None:
+    explicit = PermutationPolicy(PermutationMode.EXPLICIT_LIST, explicit=((2, 1),))
+    one_step = make_instance("a", [0.5])
+    two_steps = make_instance("b", [0.5, 0.5])
+    with pytest.raises(InvalidInputError, match=r"not a bijection on 1\.\.1"):
+        PreparedDataset([one_step, two_steps, one_step], explicit)
+    with pytest.raises(InvalidInputError, match="duplicate prompt id 'b' in dataset"):
+        PreparedDataset([two_steps, two_steps, one_step], explicit)
+    with pytest.raises(InvalidInputError, match="cannot prepare an empty dataset"):
+        PreparedDataset([])
 
 
 # ---------------------------------------------------------------------------
