@@ -96,17 +96,21 @@ from .scoring import uniform_block  # noqa: F401
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Seeded repeated-split design: how many splits, what test share."""
+    """Seeded repeated-split design: how many splits, what test share.
+
+    ``test_fraction`` is a number or a decimal string, read by
+    ``core.as_exact`` as ``plan_splits`` reads it.
+    """
 
     seed: int = 0
     n_splits: int = 100
-    test_fraction: float = 0.5
+    test_fraction: "float | str" = 0.5
 
     def __post_init__(self) -> None:
         _require_seed(self.seed)
         if not isinstance(self.n_splits, int) or self.n_splits < 1:
             raise InvalidInputError(f"n_splits must be >= 1, got {self.n_splits!r}")
-        if not 0.0 < self.test_fraction < 1.0:
+        if not 0 < as_exact(self.test_fraction, "test_fraction") < 1:
             raise InvalidInputError(
                 f"test_fraction must lie strictly between 0 and 1, got {self.test_fraction!r}"
             )

@@ -296,6 +296,20 @@ def test_split_plan_validation() -> None:
         SplitPlan(test_fraction=1.0)
 
 
+def test_split_plan_reads_the_test_fraction_as_an_exact_decimal() -> None:
+    # a decimal string is accepted, as plan_splits reads it
+    (split,) = plan_splits(SplitPlan(n_splits=1, test_fraction="0.3"), 10)
+    assert (len(split.test), len(split.calibration)) == (3, 7)
+    (split,) = plan_splits(SplitPlan(n_splits=1, test_fraction="1/3"), 9)
+    assert len(split.test) == 3
+    for bad in ("0.3x", None, [0.5], True, float("nan")):
+        with pytest.raises(InvalidInputError, match="test_fraction"):
+            SplitPlan(test_fraction=bad)
+    for outside in ("0", "1", "-0.5", 1):
+        with pytest.raises(InvalidInputError, match="strictly between 0 and 1"):
+            SplitPlan(test_fraction=outside)
+
+
 def test_plan_splits_partitions_and_reproduces() -> None:
     plan = SplitPlan(seed=3, n_splits=4, test_fraction=0.5)
     splits = plan_splits(plan, 5)
