@@ -357,10 +357,12 @@ class _DatasetColumns:
         estimates: list[float] = []
         generated: dict[int, GeneratedResponse] = {}
         seen: set[str] = set()
+        duplicate = None
         for inst in instances:
             pid = inst.prompt_id
             if pid in seen:
-                return cls._of_lists(ids, steps, first_errors, conditionals, estimates, generated, pid)
+                duplicate = pid
+                break
             seen.add(pid)
             k = len(inst.generated)
             generated.setdefault(k, inst.generated)
@@ -374,17 +376,13 @@ class _DatasetColumns:
             else:
                 estimates.append(source.response_estimate)
                 conditionals.extend([1.0] * k)
-        return cls._of_lists(ids, steps, first_errors, conditionals, estimates, generated)
-
-    @classmethod
-    def _of_lists(cls, ids, steps, first_errors, conditionals, estimates, generated, duplicate=None):
         fixed = np.asarray(estimates, dtype=np.float64)
         return cls(
             ids,
             np.asarray(steps, dtype=np.int64),
             np.asarray(first_errors, dtype=np.int64),
             np.asarray(conditionals, dtype=np.float64),
-            fixed if not np.isnan(fixed).all() else None,
+            None if np.isnan(fixed).all() else fixed,
             generated,
             duplicate=duplicate,
         )
