@@ -16,9 +16,14 @@ Datasets are JSON Lines.  Two record shapes are understood:
       {"id": "p-1", "response": "...", "correct": false,
        "oracle_estimate": 0.35}
 
-A file's first record fixes its shape; mixing shapes raises.  Reports are
-written as CSV (one row per score kind / strategy / parameter) and,
-optionally, as SVG curve panels.
+A file's first record fixes its shape; mixing shapes raises.  One
+reader, ``_read_columns``, checks each record once and appends it to
+columns (ids, step counts, first errors, flat conditionals or response
+estimates) that ``PreparedDataset`` prepares directly; the CLI reads
+through it, and ``parse_dataset`` builds its prompt instances from the
+same columns, so every fault has one message and one line number.
+Reports are written as CSV (one row per score kind / strategy /
+parameter) and, optionally, as SVG curve panels.
 """
 
 from __future__ import annotations
