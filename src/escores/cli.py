@@ -143,8 +143,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Prompts per write of score's output: each write is one bounded block
-# of lines, not one call per line nor the whole output joined.
+# Prompts per write, in both forms of score's output: each write is one
+# bounded block of lines, not one call per line nor the whole output joined.
 _WRITE_BLOCK = 512
 
 
@@ -200,14 +200,12 @@ def _write_score_table(test: PreparedDataset, scores: dict[str, np.ndarray]) -> 
         [("error", "correct")[label] for label in test.labels_flat.tolist()],
         *([_fmt_score(v) for v in values.tolist()] for values in scores.values()),
     ]
-    padded = []
-    for name, cells in zip(header, columns):
-        width = max(len(name), *map(len, cells))
-        padded.append([name.ljust(width), *(cell.ljust(width) for cell in cells)])
-    rows = list(zip(*padded))
-    for first in range(0, len(rows), _WRITE_BLOCK):
-        block = rows[first : first + _WRITE_BLOCK]
-        sys.stdout.write("".join("  ".join(row).rstrip() + "\n" for row in block))
+    row = "  ".join(f"{{:<{max(len(name), *map(len, cells))}}}" for name, cells in zip(header, columns))
+    sys.stdout.write(row.format(*header).rstrip() + "\n")
+    for first in range(0, test.n_prompts, _WRITE_BLOCK):
+        lo, hi = test.offsets[first], test.offsets[min(first + _WRITE_BLOCK, test.n_prompts)]
+        block = zip(*(cells[lo:hi] for cells in columns))
+        sys.stdout.write("".join(row.format(*cells).rstrip() + "\n" for cells in block))
 
 
 def _cmd_score(args: argparse.Namespace) -> int:

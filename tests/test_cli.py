@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,15 +20,19 @@ import pytest
 from hypothesis import given, settings
 
 from escores import (
+    ALL_SCORE_KINDS,
     FTransform,
     PreparedDataset,
     ScoreKind,
+    SyntheticConfig,
+    generate_dataset,
     parse_dataset,
     uniform_block,
     write_dataset,
 )
-from escores.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run_command
+from escores.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _write_score_table, run_command
 from escores.evaluation import score_prompts
+from escores.io import _fmt_score
 
 import oracles
 from helpers import (
@@ -327,6 +332,34 @@ def test_score_output_over_many_prompts_matches_record_by_record_formatting(
     assert out == table
 
 
+def test_score_table_holds_its_cells_once() -> None:
+    """The table writer's traced peak is a bounded multiple of one score column's cells.
+
+    It keeps one formatted cell per response and column, and pads and
+    joins only the block of prompts it is writing; a padded copy of every
+    cell, or every row held at once, would more than double the peak.
+    """
+    test = PreparedDataset(generate_dataset(SyntheticConfig(n_prompts=1000, seed=4)))
+    cal = PreparedDataset(generate_dataset(SyntheticConfig(n_prompts=200, seed=5)))
+    scores = score_prompts(test, np.arange(test.n_prompts), ALL_SCORE_KINDS, cal.fstar, master_seed=0)
+    one_column = sum(sys.getsizeof(_fmt_score(v)) + 8 for v in scores["e-combined"].tolist())
+
+    class Discard:
+        def write(self, text: str) -> int:
+            return len(text)
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            before = tracemalloc.get_traced_memory()[0]
+            _write_score_table(test, scores)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert test.offsets[-1] > 2500
+    assert peak < 16 * one_column, (test.offsets[-1], peak / one_column)
+
+
 def test_score_warns_on_prompt_ids_shared_with_calibration(
     dataset: Path, calibration: Path, capsys
 ) -> None:
@@ -400,8 +433,6 @@ def test_score_warns_on_infinite_calibration_maxima(
 
 def test_evaluate_warns_on_infinite_calibration_maxima(tmp_path: Path, capsys) -> None:
     """30 incorrect prompts whose every conditional is 1: evaluate warns as score does."""
-    from escores import SyntheticConfig, generate_dataset
-
     instances = list(generate_dataset(SyntheticConfig(n_prompts=400, seed=2)))
     incorrect = [i for i, inst in enumerate(instances) if inst.generated.first_error_index][:30]
     for i in incorrect:
@@ -713,8 +744,6 @@ def test_simulate_rejects_bad_trials_before_writing_emit(tmp_path: Path, capsys)
 
 
 def test_score_dies_quietly_when_stdout_closes_early(tmp_path: Path) -> None:
-    from escores import SyntheticConfig, generate_dataset
-
     big = write_dataset(
         generate_dataset(SyntheticConfig(n_prompts=2000, seed=4)),
         tmp_path / "big.jsonl",
