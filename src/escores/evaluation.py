@@ -402,9 +402,10 @@ class PreparedDataset:
     (``estimation._chain``), then transforms every estimate and takes
     every prompt's incorrect maxima in whole-array operations.
     Responses are stored prompt after prompt: prompt i owns
-    ``offsets[i]:offsets[i+1]``.  Each prompt id is hashed once into
-    ``prompt_keys`` (uint64), the key of its uniform stream.  Everything
-    split-dependent is left to ``evaluate_split``.
+    ``offsets[i]:offsets[i+1]``.  ``prompt_keys`` (uint64) holds each
+    prompt id's hash, the key of its uniform stream; it is computed on
+    first read, so only a run with a randomized kind hashes the ids.
+    Everything split-dependent is left to ``evaluate_split``.
     """
 
     def __init__(
@@ -432,7 +433,6 @@ class PreparedDataset:
         self.prompt_ids: list[str] = columns.ids
         self.responses: list[tuple[Response, ...]] = [sets[k] for k in steps.tolist()]
         self.n_prompts = len(self.prompt_ids)
-        self.prompt_keys = np.asarray([_prompt_key(pid) for pid in self.prompt_ids], dtype=np.uint64)
         set_size = np.zeros(max(sets) + 1, dtype=np.int64)
         set_size[list(sets)] = [len(responses) for responses in sets.values()]
         self.counts = set_size[steps]
@@ -455,6 +455,10 @@ class PreparedDataset:
         self.f_flat = {t: transform_values(self.estimates_flat, t) for t in FTransform}
         incorrect = self.labels_flat == 0
         self.fstar = {t: masked_f_star(self.f_flat[t], incorrect, starts) for t in FTransform}
+
+    @functools.cached_property
+    def prompt_keys(self) -> np.ndarray:
+        return np.asarray([_prompt_key(pid) for pid in self.prompt_ids], dtype=np.uint64)
 
     def gather(self, prompts: np.ndarray) -> np.ndarray:
         """Flat indices of the responses of ``prompts``, prompt after prompt."""
