@@ -7,6 +7,7 @@ import functools
 import math
 import operator
 import random
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -44,9 +45,7 @@ from escores import (
     calibration_f_star,
     evaluate_dataset,
     evaluate_split,
-    fractional_inclusion_alpha,
     label_response_set,
-    max_constrained_alpha,
     plan_splits,
     run_equivalence_trials,
     score_response_set,
@@ -68,6 +67,7 @@ from helpers import (
     oracle_fstars,
     oracle_prompt,
     oracle_scores,
+    prompt_records,
     split_records,
     worst_case,
 )
@@ -485,8 +485,8 @@ def random_dataset(seed: int, n_prompts: int = 8):
 
 
 def compose_split_by_hand(instances, split, kinds, grids, master_seed, split_index, policy=None):
-    """The same evaluation one prompt at a time: the public scoring and
-    filtering pieces, with the instance accounting of ``oracles.instance``."""
+    """The same evaluation one prompt at a time: the public scoring pieces,
+    with the filtering rules and instance accounting of ``oracles``."""
     from escores import IDENTITY_POLICY, build_permutation_set
 
     policy = policy or IDENTITY_POLICY
@@ -540,14 +540,12 @@ def compose_split_by_hand(instances, split, kinds, grids, master_seed, split_ind
         for grid in grids:
             for param in grid.parameters:
                 metrics = []
-                for (lab, sc), scored in zip(prompts, scored_sets):
+                for lab, sc in prompts:
                     if grid.strategy is Strategy.ALPHA_MAX:
-                        outcome = max_constrained_alpha(scored, float(param.value))
+                        # the budget as the sweep reads it, a float
+                        included, alpha_used = oracles.max_constrained(sc, float(param.value))
                     else:
-                        outcome = fractional_inclusion_alpha(scored, param.value)
-                    kept = set(outcome.included.responses)
-                    included = [j for j, (r, _) in enumerate(scored) if r in kept]
-                    alpha_used = outcome.alpha_used
+                        included, alpha_used = oracles.fractional(sc, param.value)
                     error, sd, _, prec, rec = oracles.instance(lab, sc, included, alpha_used)
                     metrics.append((sd, error, alpha_used, prec, rec))
                 means = [sum(float(v) for v in column) / len(metrics) for column in zip(*metrics)]
@@ -837,6 +835,82 @@ def test_evaluate_split_matches_oracle_composition(inputs, fractions, split_inde
                         assert oracles.matches(g, w), (mode, kind.name, label, what, g, w)
             worst = _exact_mean([oracles.instance(lab, s, [], 0)[2] for lab, s in zip(labels, sc)])
             assert oracles.matches(dict(result.worst_case)[kind.name], worst), (mode, kind.name)
+
+
+_LOO_KINDS = tuple(ScoreKind.parse(name) for name in ("e1", "e2", "e3", "e-combined", "p"))
+
+
+def _leave_one_out(records: list[dict]) -> tuple[dict, dict]:
+    """Each prompt's worst-case size distortion when held out against all the others.
+
+    Per kind: the exact values from the oracles, and the shipped
+    ``evaluate_split``'s over every leave-one-out ``SplitAssignment``.
+    """
+    exact: dict[str, list] = {kind.name: [] for kind in _LOO_KINDS}
+    for j, record in enumerate(records):
+        fstars = oracle_fstars(records[:j] + records[j + 1 :], oracles.prefix_set)
+        _, labels, estimates = oracle_prompt(record, oracles.prefix_set)
+        scored = [oracle_scores(o, fstars, 0) for o in estimates]
+        for name, values in exact.items():
+            values.append(oracles.instance(labels, [s[name] for s in scored], [], 0)[2])
+    prep = PreparedDataset([instance_of(r) for r in records])
+    everyone = range(len(records))
+    splits = [SplitAssignment(tuple(i for i in everyone if i != j), (j,)) for j in everyone]
+    results = [dict(evaluate_split(prep, split, _LOO_KINDS).worst_case) for split in splits]
+    return exact, {name: [result[name] for result in results] for name in exact}
+
+
+_ULPS = 8 * sys.float_info.epsilon
+
+
+@st.composite
+def _pooled_records(draw) -> list[dict]:
+    """Two to nine prefix records over dyadic conditionals and one free float."""
+    free = draw(st.floats(min_value=0.01, max_value=0.99))
+    groups = "abc"[: draw(st.integers(2, 3))]
+    return [r for prefix in groups for r in draw(prompt_records(prefix, free))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pooled_records())
+def test_leave_one_out_worst_case_averages_exactly_one(records) -> None:
+    """The guarantee's exact finite form, over every choice of one held-out prompt.
+
+    Held out against the other n of n + 1 prompts, a prompt's worst-case
+    size distortion under e_t is (n + 1) f*_t over the sum of all n + 1
+    maxima, and (n + 1)/K for each of K infinite maxima, 0 beside them.
+    So over the n + 1 choices it averages exactly 1, or 0 when every
+    maximum is 0.  e-combined's is at most the mean of the three, so at
+    most 1.  Exchangeability turns this average into the expectation the
+    guarantee bounds (Vovk & Wang, Ann. Statist. 2021; leave-one-out as
+    in Barber et al., "Predictive inference with the jackknife+", 2021).
+    Dyadic conditionals give zero maxima, ties, and estimates of 1, whose
+    maxima under transforms 2 and 3 are +inf.
+    """
+    exact, shipped = _leave_one_out(records)
+    n1 = len(records)
+    everyone = oracle_fstars(records, oracles.prefix_set)
+    for t, name in ((1, "e1"), (2, "e2"), (3, "e3")):
+        average = 1 if any(everyone[t]) else 0
+        assert sum(exact[name]) == average * n1, name
+        assert abs(math.fsum(shipped[name]) / n1 - average) <= _ULPS, (name, shipped[name])
+    assert sum(exact["e-combined"]) <= n1
+    assert math.fsum(shipped["e-combined"]) / n1 <= 1 + _ULPS, shipped["e-combined"]
+
+
+def test_p_breaks_the_leave_one_out_identity() -> None:
+    """Four prompts, each one erring step: held out, the k-th largest maximum
+    has p worst case 4/k, so p averages (4 + 2 + 4/3 + 1)/4 = 25/12, while
+    e1 and e2 (one maximum +inf) average 1."""
+    records = [
+        {"id": f"p{i}", "sub_responses": ["s"], "first_error_index": 1, "oracle_conditionals": [c]}
+        for i, c in enumerate((0.25, 0.5, 0.75, 1.0))
+    ]
+    exact, shipped = _leave_one_out(records)
+    assert sum(exact["p"]) / 4 == Fraction(25, 12)
+    assert math.fsum(shipped["p"]) / 4 == pytest.approx(25 / 12, rel=1e-15)
+    assert sum(exact["e1"]) / 4 == sum(exact["e2"]) / 4 == 1
+    assert shipped["e2"] == [0.0, 0.0, 0.0, 4.0]
 
 
 @settings(max_examples=50, deadline=None)
