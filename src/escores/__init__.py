@@ -5,172 +5,147 @@ held-out prompts so that filtering at any post-hoc tolerance keeps the
 expected retained-set error in check; includes rank (p-score) and naive
 baselines, filtering strategies, split-based evaluation, synthetic data
 generation, and JSONL/CSV/SVG plumbing.
+
+``import escores`` loads no submodule: each public name is imported
+from its home module on first access (PEP 562), so a program pays only
+for the modules it uses.
 """
 
 from __future__ import annotations
 
-from .core import (
-    CalibrationSummary,
-    ConfigurationError,
-    EScoresError,
-    InvalidInputError,
-    InvalidSplitError,
-    LabeledResponseSet,
-    Prompt,
-    Response,
-    ResponseSetSizeError,
-    ScoredResponseSet,
-    ext_sum,
-)
-from .estimation import (
-    EstimateSource,
-    FTransform,
-    PromptInstance,
-    aggregate_conditionals,
-    build_calibration_summary,
-    calibration_f_star,
-    transform_estimate,
-)
-from .evaluation import (
-    EquivalenceTrials,
-    EvaluationReport,
-    Parameter,
-    PreparedDataset,
-    ReportRow,
-    SplitAssignment,
-    SplitPlan,
-    SplitResult,
-    Strategy,
-    StrategyGrid,
-    WorstCaseRow,
-    aggregate_splits,
-    evaluate_dataset,
-    evaluate_split,
-    plan_splits,
-    run_equivalence_trials,
-    threshold_equivalence_check,
-)
-from .filtering import (
-    FilterOutcome,
-    filter_at_alpha,
-    fractional_inclusion_alpha,
-    max_constrained_alpha,
-)
-from .io import (
-    CSV_HEADER,
-    DatasetParseError,
-    DatasetValidationError,
-    emit_csv,
-    emit_svg_curves,
-    parse_dataset,
-    parse_grid,
-    write_dataset,
-)
-from .response_sets import (
-    IDENTITY_POLICY,
-    MAX_UNCAPPED_PERMUTATION_STEPS,
-    GeneratedResponse,
-    PermutationMode,
-    PermutationPolicy,
-    build_permutation_set,
-    build_prefix_set,
-    label_response_set,
-)
-from .scoring import (
-    ALL_SCORE_KINDS,
-    RandomDraw,
-    ScoreFamily,
-    ScoreKind,
-    combined_e_score,
-    e_score,
-    naive_score,
-    p_score,
-    p_score_randomized,
-    score_response_set,
-    uniform_block,
-    uniform_draw,
-)
-from .synthetic import (
-    MCEstimate,
-    SyntheticConfig,
-    evariable_statistic,
-    generate_dataset,
-    mc_evariable_check,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_SCORE_KINDS",
-    "CSV_HEADER",
-    "CalibrationSummary",
-    "ConfigurationError",
-    "DatasetParseError",
-    "DatasetValidationError",
-    "EScoresError",
-    "EquivalenceTrials",
-    "EstimateSource",
-    "EvaluationReport",
-    "FTransform",
-    "FilterOutcome",
-    "GeneratedResponse",
-    "IDENTITY_POLICY",
-    "InvalidInputError",
-    "InvalidSplitError",
-    "LabeledResponseSet",
-    "MAX_UNCAPPED_PERMUTATION_STEPS",
-    "MCEstimate",
-    "Parameter",
-    "PermutationMode",
-    "PermutationPolicy",
-    "PreparedDataset",
-    "Prompt",
-    "PromptInstance",
-    "RandomDraw",
-    "ReportRow",
-    "Response",
-    "ResponseSetSizeError",
-    "ScoreFamily",
-    "ScoreKind",
-    "ScoredResponseSet",
-    "SplitAssignment",
-    "SplitPlan",
-    "SplitResult",
-    "Strategy",
-    "StrategyGrid",
-    "SyntheticConfig",
-    "WorstCaseRow",
-    "aggregate_conditionals",
-    "aggregate_splits",
-    "build_calibration_summary",
-    "build_permutation_set",
-    "build_prefix_set",
-    "calibration_f_star",
-    "combined_e_score",
-    "e_score",
-    "emit_csv",
-    "emit_svg_curves",
-    "evaluate_dataset",
-    "evaluate_split",
-    "evariable_statistic",
-    "ext_sum",
-    "filter_at_alpha",
-    "fractional_inclusion_alpha",
-    "generate_dataset",
-    "label_response_set",
-    "max_constrained_alpha",
-    "mc_evariable_check",
-    "naive_score",
-    "p_score",
-    "p_score_randomized",
-    "parse_dataset",
-    "parse_grid",
-    "plan_splits",
-    "run_equivalence_trials",
-    "score_response_set",
-    "threshold_equivalence_check",
-    "transform_estimate",
-    "uniform_block",
-    "uniform_draw",
-    "write_dataset",
-]
+#: Every public name and the submodule that defines it.
+_EXPORTS: dict[str, str] = {
+    **dict.fromkeys(
+        (
+            "CalibrationSummary",
+            "ConfigurationError",
+            "DatasetParseError",
+            "DatasetValidationError",
+            "EScoresError",
+            "InvalidInputError",
+            "InvalidSplitError",
+            "LabeledResponseSet",
+            "Prompt",
+            "Response",
+            "ResponseSetSizeError",
+            "ScoredResponseSet",
+            "Strategy",
+            "ext_sum",
+        ),
+        "core",
+    ),
+    **dict.fromkeys(
+        (
+            "EstimateSource",
+            "FTransform",
+            "PromptInstance",
+            "aggregate_conditionals",
+            "build_calibration_summary",
+            "calibration_f_star",
+            "transform_estimate",
+        ),
+        "estimation",
+    ),
+    **dict.fromkeys(
+        (
+            "EquivalenceTrials",
+            "EvaluationReport",
+            "Parameter",
+            "PreparedDataset",
+            "ReportRow",
+            "SplitAssignment",
+            "SplitPlan",
+            "SplitResult",
+            "StrategyGrid",
+            "WorstCaseRow",
+            "aggregate_splits",
+            "evaluate_dataset",
+            "evaluate_split",
+            "plan_splits",
+            "run_equivalence_trials",
+            "threshold_equivalence_check",
+        ),
+        "evaluation",
+    ),
+    **dict.fromkeys(
+        (
+            "FilterOutcome",
+            "filter_at_alpha",
+            "fractional_inclusion_alpha",
+            "max_constrained_alpha",
+        ),
+        "filtering",
+    ),
+    **dict.fromkeys(
+        (
+            "CSV_HEADER",
+            "emit_csv",
+            "emit_svg_curves",
+            "parse_dataset",
+            "parse_grid",
+            "write_dataset",
+        ),
+        "io",
+    ),
+    **dict.fromkeys(
+        (
+            "IDENTITY_POLICY",
+            "MAX_UNCAPPED_PERMUTATION_STEPS",
+            "GeneratedResponse",
+            "PermutationMode",
+            "PermutationPolicy",
+            "build_permutation_set",
+            "build_prefix_set",
+            "label_response_set",
+        ),
+        "response_sets",
+    ),
+    **dict.fromkeys(
+        (
+            "ALL_SCORE_KINDS",
+            "RandomDraw",
+            "ScoreFamily",
+            "ScoreKind",
+            "combined_e_score",
+            "e_score",
+            "naive_score",
+            "p_score",
+            "p_score_randomized",
+            "score_response_set",
+            "uniform_block",
+            "uniform_draw",
+        ),
+        "scoring",
+    ),
+    **dict.fromkeys(
+        (
+            "MCEstimate",
+            "SyntheticConfig",
+            "evariable_statistic",
+            "generate_dataset",
+            "mc_evariable_check",
+        ),
+        "synthetic",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Import a public name from its home module on first access, then keep it here."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

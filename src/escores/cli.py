@@ -9,9 +9,14 @@ Five subcommands::
     escores equivalence --instances 1000
 
 Exit codes: 0 on success, 1 for runtime failures (a violated bound,
-an unwritable output), 2 for usage or validation problems (bad flags,
-missing or malformed inputs, impossible configurations).  ``--seed``
-pins all randomness, so repeated runs produce identical output.
+an unwritable output or a missing output directory), 2 for usage or
+validation problems (bad flags, missing or malformed inputs, impossible
+configurations).  ``--seed`` pins all randomness, so repeated runs
+produce identical output.
+
+The top level imports only the standard library and ``core``; each
+handler imports the modules its command runs, so ``simulate`` never
+loads the evaluation engine, the file readers or the SVG renderer.
 """
 
 from __future__ import annotations
@@ -22,61 +27,54 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     ConfigurationError,
+    DatasetParseError,
+    DatasetValidationError,
     EScoresError,
     InvalidInputError,
     InvalidSplitError,
     ResponseSetSizeError,
-)
-from .estimation import FTransform
-from .evaluation import (
-    EvaluationReport,
-    PreparedDataset,
-    SplitPlan,
     Strategy,
-    StrategyGrid,
-    evaluate_dataset,
-    run_equivalence_trials,
-    score_prompts,
-)
-from .io import (
-    DatasetParseError,
-    DatasetValidationError,
-    _fmt_score,
-    _load_json,
-    _read_columns,
-    emit_csv,
-    emit_svg_curves,
-    parse_grid,
-    write_dataset,
-)
-from .response_sets import IDENTITY_POLICY, PermutationMode, PermutationPolicy
-from .scoring import ALL_SCORE_KINDS, ScoreKind
-from .synthetic import (
-    SyntheticConfig,
-    generate_dataset,
-    mc_evariable_check,
-    require_trial_count,
 )
 
-# Not called here any more, but kept as module attributes: the traced
-# benchmark run (perfbench/tracing.py) rebinds these names by module.
-from .estimation import build_calibration_summary  # noqa: F401
-from .io import parse_dataset  # noqa: F401
-from .response_sets import build_permutation_set, label_response_set  # noqa: F401
-from .scoring import score_response_set  # noqa: F401
+if TYPE_CHECKING:  # pragma: no cover - each command imports what it runs
+    import numpy as np
+
+    from .evaluation import EvaluationReport, PreparedDataset
+    from .response_sets import PermutationPolicy
+    from .scoring import ScoreKind
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+#: Package names read from this module when first used.  The handlers
+#: call them as bound here, and the traced benchmark run
+#: (perfbench/tracing.py) rebinds them here, the ones no handler calls too.
+_DEFERRED = frozenset({
+    "build_calibration_summary", "build_permutation_set", "emit_csv", "emit_svg_curves",
+    "generate_dataset", "label_response_set", "mc_evariable_check", "parse_dataset",
+    "score_response_set", "write_dataset",
+})
+
+# this module, run as ``escores.cli`` or as ``__main__``: the handlers
+# call the deferred names through it, so a rebound name is the one called
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 def _parse_kinds(text: str) -> tuple[ScoreKind, ...]:
+    from .scoring import ALL_SCORE_KINDS, ScoreKind
+
     if text.strip() == "all":
         return ALL_SCORE_KINDS
     kinds: list[ScoreKind] = []
@@ -94,6 +92,9 @@ def _parse_kinds(text: str) -> tuple[ScoreKind, ...]:
 def _parse_policy(
     permutations: str, permutation_file: "str | None"
 ) -> PermutationPolicy:
+    from .io import _load_json
+    from .response_sets import IDENTITY_POLICY, PermutationMode, PermutationPolicy
+
     if permutations != "file":
         if permutation_file is not None:
             raise InvalidInputError(
@@ -123,6 +124,10 @@ def _warn_infinite_maxima(cal: PreparedDataset, kinds: Sequence[ScoreKind]) -> N
     """Warn when a kind reads transforms 2 or 3 and some calibration maximum is infinite."""
     if not {"e2", "e3", "e-combined"}.intersection(kind.name for kind in kinds):
         return
+    import numpy as np
+
+    from .estimation import FTransform
+
     # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
     infinite = int(np.count_nonzero(np.isinf(cal.fstar[FTransform.INVERSE_COMPLEMENT])))
     if infinite:
@@ -135,6 +140,10 @@ def _warn_infinite_maxima(cal: PreparedDataset, kinds: Sequence[ScoreKind]) -> N
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .io import _read_columns
+
     columns = _read_columns(args.path)
     n = len(columns.ids)
     print(f"ok: {n} {columns.schema} records from {args.path}")
@@ -154,6 +163,8 @@ def _write_score_jsonl(test: PreparedDataset, scores: dict[str, np.ndarray]) -> 
     Each block of prompts formats every column once: ``repr`` of a
     float list is ``json.dumps``'s, bar the tokens of non-finite floats.
     """
+    import numpy as np
+
     line = '{"id": %s, "responses": %s, "labels": %s, "scores": {%s}}'
     fields = ", ".join(f"{json.dumps(name)}: %s" for name in scores)
     encoded: dict[int, str] = {}  # prompts of one step count share one tuple of responses
@@ -189,6 +200,8 @@ def _json_non_finite(text: str) -> str:
 
 def _write_score_table(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
     """One row per response, each column padded to its widest cell."""
+    from .io import _fmt_score
+
     header = ("prompt", "response", "label", *scores)
     encoded: dict[int, list[str]] = {}  # prompts of one step count share one tuple of responses
     for responses in test.responses:
@@ -209,6 +222,11 @@ def _write_score_table(test: PreparedDataset, scores: dict[str, np.ndarray]) -> 
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .evaluation import PreparedDataset, score_prompts
+    from .io import _read_columns
+
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
     test_columns = _read_columns(args.path)
@@ -241,6 +259,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _print_report(report: EvaluationReport) -> None:
+    from .io import _fmt_score
+
     print(
         f"{report.n_splits} splits, {len(report.rows)} grid rows; "
         "worst-case size distortion per score kind:"
@@ -254,6 +274,9 @@ def _print_report(report: EvaluationReport) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import PreparedDataset, SplitPlan, StrategyGrid, evaluate_dataset
+    from .io import _read_columns, parse_grid
+
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
     grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
@@ -264,14 +287,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate_dataset(prepared, kinds, (grid,), plan)
     _print_report(report)
     if args.csv:
-        print(f"wrote {emit_csv(report, args.csv)}")
+        print(f"wrote {_this.emit_csv(report, args.csv)}")
     if args.svg_dir:
-        for path in emit_svg_curves(report, args.svg_dir):
+        for path in _this.emit_svg_curves(report, args.svg_dir):
             print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .estimation import FTransform
+    from .synthetic import SyntheticConfig, require_trial_count
+
     config = SyntheticConfig(
         n_prompts=args.prompts,
         max_steps=args.steps,
@@ -284,10 +310,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # command must leave no files behind
     require_trial_count(args.trials)
     if args.emit is not None:
-        instances = generate_dataset(config)
-        print(f"wrote {write_dataset(instances, args.emit, schema='prefix')}")
+        instances = _this.generate_dataset(config)
+        print(f"wrote {_this.write_dataset(instances, args.emit, schema='prefix')}")
 
-    estimate = mc_evariable_check(config, transform, args.trials)
+    estimate = _this.mc_evariable_check(config, transform, args.trials)
     mean, se = estimate.mean, estimate.std_error
     print(
         f"trials={estimate.n_trials} prompts={config.n_prompts} "
@@ -314,6 +340,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_equivalence(args: argparse.Namespace) -> int:
+    from .evaluation import run_equivalence_trials
+
     trials = run_equivalence_trials(
         args.instances, seed=args.seed, n_max=args.n_max, grid_points=args.grid_points
     )
@@ -467,6 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reads(args: argparse.Namespace, filename: "str | None") -> bool:
+    """Whether ``filename`` is a file the command reads, not one it writes."""
+    named = (getattr(args, name, None) for name in ("path", "calibration", "permutation_file"))
+    return filename is not None and Path(filename) in {Path(p) for p in named if p is not None}
+
+
 def run_command(argv: "Sequence[str] | None" = None) -> int:
     """Parse and run one command, mapping failures to exit codes."""
     parser = build_parser()
@@ -483,9 +517,6 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = show
             return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (
         DatasetParseError,
         DatasetValidationError,
@@ -506,6 +537,9 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_RUNTIME
     except OSError as exc:
+        if isinstance(exc, FileNotFoundError) and _reads(args, exc.filename):
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -22,6 +22,7 @@ each supplies only its value check and its name for the messages.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +52,21 @@ class InvalidSplitError(EScoresError):
 
 class ResponseSetSizeError(EScoresError):
     """An all-permutation response set would be combinatorially huge."""
+
+
+class DatasetParseError(EScoresError):
+    """A dataset line is not valid JSON or not a JSON object."""
+
+
+class DatasetValidationError(EScoresError):
+    """A dataset record is structurally valid JSON but semantically wrong."""
+
+
+class Strategy(enum.Enum):
+    """The post-hoc tolerance rules of ``filtering`` that a grid sweeps."""
+
+    ALPHA_MAX = "alpha-max"
+    FRACTION = "fraction"
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,26 @@ def masked_f_star(
     return np.maximum.reduceat(masked, starts)
 
 
+def _e_values(
+    f: np.ndarray,
+    others_sum: "float | np.ndarray",
+    n: "int | np.ndarray",
+    infinite_others: "int | np.ndarray" = 0,
+) -> np.ndarray:
+    """The e-value (n + 1) * f / (f + others_sum) of f against n others.
+
+    The one e-value formula of the package: ``scoring``'s e-scores invert
+    it and ``synthetic``'s Monte Carlo check takes it of each group's
+    last entry against the rest.  Extended-real rules as in
+    ``scoring.kind_scores``; an infinite f against ``infinite_others``
+    infinite others has ratio 1/(infinite_others + 1).
+    """
+    with np.errstate(all="ignore"):
+        ratio = f / (f + others_sum)
+        limit = np.where(np.isinf(f), 1.0 / (infinite_others + 1), 0.0)
+        return (n + 1) * np.where(np.isnan(ratio), limit, ratio)
+
+
 def calibration_f_star(
     labeled: LabeledResponseSet, values: Mapping[Response, float]
 ) -> float:

@@ -44,7 +44,6 @@ value, for any alpha in [1/(n+1), 1].
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import warnings
@@ -60,6 +59,7 @@ from .core import (
     InvalidInputError,
     InvalidSplitError,
     Response,
+    Strategy,
     _require_seed,
     as_exact,
     as_ext_real,
@@ -155,11 +155,6 @@ def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
 # ---------------------------------------------------------------------------
 # strategies and report shapes
 # ---------------------------------------------------------------------------
-
-
-class Strategy(enum.Enum):
-    ALPHA_MAX = "alpha-max"
-    FRACTION = "fraction"
 
 
 @dataclass(frozen=True)
@@ -783,19 +778,25 @@ def _row_keys(
 
 
 def _ext_percentile(values: np.ndarray, q: float) -> float:
-    """``np.percentile`` of extended nonnegative reals, never ``inf - inf``.
+    """``np.percentile``'s default value of extended nonnegative reals, never ``inf - inf``.
 
-    Numpy interpolates linearly between the two neighbours of the
-    virtual index and reads nan when the upper one is +inf.  A weight of
-    0 takes the lower neighbour, and an infinite upper neighbour with a
-    positive weight gives +inf; between finite neighbours numpy's value
-    stands.
+    Numpy's linear method reads the virtual index (n - 1) * q/100 of the
+    sorted values and interpolates its two neighbours, reading nan when
+    the upper one is +inf.  Here equal neighbours give their value and an
+    infinite upper neighbour with a positive weight gives +inf; between
+    finite neighbours numpy's own ``_lerp`` arithmetic stands, bit for
+    bit.  Written out rather than called: ``np.percentile`` imports
+    ``numpy.ma`` on first use.
     """
-    lower = np.percentile(values, q, method="lower")
-    higher = np.percentile(values, q, method="higher")
+    ordered = np.sort(values).tolist()
+    index = (len(ordered) - 1) * (q / 100)
+    below = math.floor(index)
+    lower, higher = ordered[below], ordered[math.ceil(index)]
     if lower == higher or math.isinf(higher):
-        return float(higher)
-    return float(np.percentile(values, q))
+        return higher
+    weight = index - below
+    step = higher - lower
+    return lower + step * weight if weight < 0.5 else higher - step * (1 - weight)
 
 
 def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:

@@ -39,19 +39,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import EScoresError, InvalidInputError, Prompt, as_unit_interval
+from .core import (
+    DatasetParseError,
+    DatasetValidationError,
+    InvalidInputError,
+    Prompt,
+    as_unit_interval,
+)
 from .estimation import EstimateSource, PromptInstance
 from .evaluation import EvaluationReport, Parameter, ReportRow, _DatasetColumns
 from .response_sets import GeneratedResponse, _check_first_error
 from .svg import Series, render_panel, slugify
-
-
-class DatasetParseError(EScoresError):
-    """A dataset line is not valid JSON or not a JSON object."""
-
-
-class DatasetValidationError(EScoresError):
-    """A dataset record is structurally valid JSON but semantically wrong."""
 
 
 _PREFIX_KNOWN = {"id", "sub_responses", "first_error_index", "oracle_conditionals"}

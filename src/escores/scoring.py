@@ -45,7 +45,7 @@ from .core import (
     as_ext_real,
     as_unit_interval,
 )
-from .estimation import EstimateSource, FTransform, _chained_estimates, transform_values
+from .estimation import EstimateSource, FTransform, _chained_estimates, _e_values, transform_values
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
@@ -276,26 +276,6 @@ def _p_scores(f: np.ndarray, cal: CalibrationSummary, u: "np.ndarray | None" = N
     if u is None:
         return (1 + at_least) / (cal.n + 1)
     return (u * (1 + at_least - above) + above) / (cal.n + 1)
-
-
-def _e_values(
-    f: np.ndarray,
-    others_sum: "float | np.ndarray",
-    n: "int | np.ndarray",
-    infinite_others: "int | np.ndarray" = 0,
-) -> np.ndarray:
-    """The e-value (n + 1) * f / (f + others_sum) of f against n others.
-
-    The one e-value formula of the package: ``_e_scores`` inverts it and
-    ``synthetic``'s Monte Carlo check takes it of each group's last entry
-    against the rest.  Extended-real rules as in ``kind_scores``; an
-    infinite f against ``infinite_others`` infinite others has ratio
-    1/(infinite_others + 1).
-    """
-    with np.errstate(all="ignore"):
-        ratio = f / (f + others_sum)
-        limit = np.where(np.isinf(f), 1.0 / (infinite_others + 1), 0.0)
-        return (n + 1) * np.where(np.isnan(ratio), limit, ratio)
 
 
 def _e_scores(f: np.ndarray, cal: CalibrationSummary) -> np.ndarray:

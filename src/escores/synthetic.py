@@ -38,9 +38,15 @@ from typing import Sequence
 import numpy as np
 
 from .core import InvalidInputError, Prompt, _require_seed, as_ext_real
-from .estimation import EstimateSource, FTransform, PromptInstance, masked_f_star, transform_values
+from .estimation import (
+    EstimateSource,
+    FTransform,
+    PromptInstance,
+    _e_values,
+    masked_f_star,
+    transform_values,
+)
 from .response_sets import GeneratedResponse
-from .scoring import _e_values
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -743,6 +744,23 @@ def test_simulate_rejects_bad_trials_before_writing_emit(tmp_path: Path, capsys)
     assert not emitted.exists()
 
 
+def test_a_missing_output_directory_is_an_io_error(dataset: Path, tmp_path: Path, capsys) -> None:
+    """A missing input is a usage error; an output that cannot be created is an i/o failure."""
+    missing = tmp_path / "missing"
+    code, out, err = run(
+        capsys, "evaluate", str(dataset), "--splits", "2", "--grid", "0.5,1",
+        "--csv", str(missing / "report.csv"),
+    )
+    assert code == EXIT_RUNTIME
+    assert "worst-case size distortion" in out
+    assert err.splitlines()[-1].startswith("i/o error: ")
+
+    code, out, err = run(capsys, "simulate", "--trials", "100", "--emit", str(missing / "d.jsonl"))
+    assert code == EXIT_RUNTIME
+    assert err.splitlines() == [f"i/o error: [Errno 2] No such file or directory: {str(missing / 'd.jsonl')!r}"]
+    assert not missing.exists()
+
+
 def test_score_dies_quietly_when_stdout_closes_early(tmp_path: Path) -> None:
     big = write_dataset(
         generate_dataset(SyntheticConfig(n_prompts=2000, seed=4)),
@@ -820,6 +838,93 @@ def test_benchmark_tracing_finds_every_name_it_rebinds(
     for module, names in zip(modules, before):
         assert all(vars(module)[name] is value for name, value in names.items()), module
     assert evaluation.PreparedDataset.__init__ is init
+
+
+def test_benchmark_tracing_sees_the_names_the_handlers_call_late(
+    dataset: Path, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    """The handlers call the deferred names as bound on ``cli`` now, so their spans record."""
+    import escores
+    from escores import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    before = dict(vars(cli))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        simulated = run(
+            capsys, "simulate", "--trials", "100", "--prompts", "10", "--emit", str(tmp_path / "d.jsonl")
+        )
+        evaluated = run(
+            capsys, "evaluate", str(dataset), "--splits", "2", "--grid", "0.5,1", "--scores", "e1,p",
+            "--csv", str(tmp_path / "report.csv"), "--svg-dir", str(tmp_path / "svg"),
+        )
+    finally:
+        tracer.restore()
+    assert simulated[0] == EXIT_OK, simulated[2]
+    assert evaluated[0] == EXIT_OK, evaluated[2]
+    assert {
+        "synthetic.mc_evariable_check", "synthetic.generate_dataset", "io.write_dataset",
+        "io.emit_csv", "io.emit_svg_curves", "svg.render_panel",
+    } <= {span.name for span in tracer.spans}
+    assert tracer.counts["synthetic.mc_rows"] == 100 * 10
+    assert tracer.counts["svg.render_panel.calls"] == 2 * 3  # three panels per score kind
+    home = {name: getattr(escores, name) for name in cli._DEFERRED}
+    assert all(vars(cli)[name] is value for name, value in {**home, **before}.items())
+
+
+def _modules_after(*argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after one command, which must succeed."""
+    program = (
+        "import contextlib, io, json, sys\n"
+        "from escores.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run_command(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program, *argv], capture_output=True, text=True, timeout=120
+    )
+    code, modules = json.loads(done.stdout)
+    assert code == EXIT_OK, done.stderr
+    return set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs(dataset: Path) -> None:
+    simulate = _modules_after("simulate", "--trials", "100", "--prompts", "10")
+    assert {m for m in simulate if m.split(".")[0] == "escores"} == {
+        "escores", "escores.cli", "escores.core", "escores.estimation",
+        "escores.response_sets", "escores.synthetic",
+    }
+    # 3 splits put both quartiles between two means: the interpolating path
+    evaluate = _modules_after("evaluate", str(dataset), "--splits", "3", "--grid", "0.5,1")
+    assert "escores.evaluation" in evaluate
+    assert not {"escores.synthetic", "numpy.ma"} & evaluate
+
+    program = "import escores, sys; print([m for m in sys.modules if m.startswith('escores.')])"
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "[]", done.stderr
+
+
+def test_every_public_name_is_its_home_modules_object() -> None:
+    import escores
+    from escores import core, evaluation
+    from escores import io as escores_io
+
+    for name in escores.__all__:
+        value = getattr(escores, name)
+        home = f"escores.{escores._EXPORTS[name]}"
+        assert value is getattr(importlib.import_module(home), name), name
+        if isinstance(value, type) or callable(value):
+            assert value.__module__ == home, name
+    assert escores_io.DatasetParseError is core.DatasetParseError
+    assert escores_io.DatasetValidationError is core.DatasetValidationError
+    assert evaluation.Strategy is core.Strategy
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        escores.nonexistent  # noqa: B018
+    assert dir(escores) == escores.__all__
 
 
 # ---------------------------------------------------------------------------

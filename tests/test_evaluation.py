@@ -1029,6 +1029,22 @@ def test_worst_case_quartiles_of_infinite_means(means, q25, q75) -> None:
     assert (row.mean, row.q25, row.q75) == (math.inf, q25, q75)
 
 
+def test_ext_percentile_matches_np_percentile() -> None:
+    """Bit for bit ``np.percentile``'s linear value, with its inf rules, over ties, zeros and +inf."""
+    rng = random.Random(22)
+    for _ in range(1000):
+        pool = [0.0, math.inf] + [rng.random() * 10.0 ** rng.randint(-3, 6) for _ in range(5)]
+        values = np.asarray(
+            [rng.choice(pool) if rng.random() < 0.5 else rng.random() * 7 for _ in range(rng.randint(1, 120))]
+        )
+        for q in (25, 75, 0, 10, 33.3, 50, 66.7, 90, 100):
+            lower = np.percentile(values, q, method="lower")
+            higher = np.percentile(values, q, method="higher")
+            want = higher if lower == higher or math.isinf(higher) else np.percentile(values, q)
+            got = evaluation._ext_percentile(values, q)
+            assert type(got) is float and got == want, (values.tolist(), q)
+
+
 def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> None:
     keys = (("e1", "alpha-max", "0.5"), ("e1", "alpha-max", "1"))
     source = np.asarray([[math.inf, 1.0, 0.0, 1.0, 0.5], [0.5, 1.0, 1.0, 0.5, 1.0]])
@@ -1101,7 +1117,7 @@ def test_evaluate_dataset_memory_per_split_is_its_means() -> None:
         finally:
             tracemalloc.stop()
 
-    peak(10)  # first calls import lazily (np.percentile: numpy.ma), which no split holds
+    peak(10)  # first calls import lazily (numpy.random), which no split holds
     growth = peak(40) - peak(10)
     assert growth < 2 * 30 * rows * 5 * 8, (growth, rows)
 
