@@ -27,7 +27,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import (
     ConfigurationError,
@@ -152,24 +152,41 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Prompts per write, in both forms of score's output: each write is one
+# Responses per write, in both forms of score's output: each write is one
 # bounded block of lines, not one call per line nor the whole output joined.
 _WRITE_BLOCK = 512
+
+
+def _write_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The ``(first, last)`` prompt ranges of score's writes, in order.
+
+    Each range holds the most prompts whose responses fit in
+    ``_WRITE_BLOCK``, and always at least one prompt, so a prompt whose
+    set is larger than a block is written alone.
+    """
+    import numpy as np
+
+    first, n_prompts = 0, len(offsets) - 1
+    while first < n_prompts:
+        # the last prompt boundary at most one block past this one
+        last = int(np.searchsorted(offsets, offsets[first] + _WRITE_BLOCK, side="right")) - 1
+        last = max(last, first + 1)
+        yield first, last
+        first = last
 
 
 def _write_score_jsonl(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
     """One JSON object per prompt, byte for byte ``json.dumps`` of its record.
 
-    Each block of prompts formats every column once: ``repr`` of a
-    float list is ``json.dumps``'s, bar the tokens of non-finite floats.
+    Each block formats every column once: ``repr`` of a float list is
+    ``json.dumps``'s, bar the tokens of non-finite floats.
     """
     import numpy as np
 
     line = '{"id": %s, "responses": %s, "labels": %s, "scores": {%s}}'
     fields = ", ".join(f"{json.dumps(name)}: %s" for name in scores)
     encoded: dict[int, str] = {}  # prompts of one step count share one tuple of responses
-    for first in range(0, test.n_prompts, _WRITE_BLOCK):
-        last = min(first + _WRITE_BLOCK, test.n_prompts)
+    for first, last in _write_blocks(test.offsets):
         offsets = (test.offsets[first : last + 1] - test.offsets[first]).tolist()
         lo, hi = int(test.offsets[first]), int(test.offsets[last])
         columns = []
@@ -215,8 +232,8 @@ def _write_score_table(test: PreparedDataset, scores: dict[str, np.ndarray]) -> 
     ]
     row = "  ".join(f"{{:<{max(len(name), *map(len, cells))}}}" for name, cells in zip(header, columns))
     sys.stdout.write(row.format(*header).rstrip() + "\n")
-    for first in range(0, test.n_prompts, _WRITE_BLOCK):
-        lo, hi = test.offsets[first], test.offsets[min(first + _WRITE_BLOCK, test.n_prompts)]
+    for first, last in _write_blocks(test.offsets):
+        lo, hi = test.offsets[first], test.offsets[last]
         block = zip(*(cells[lo:hi] for cells in columns))
         sys.stdout.write("".join(row.format(*cells).rstrip() + "\n" for cells in block))
 

@@ -124,6 +124,26 @@ def _require_seed(seed: int) -> int:
     return seed
 
 
+def _require_prompt_id(value: object) -> str:
+    """Validate a prompt id: a nonempty string of valid Unicode.
+
+    A prompt's uniform draws are keyed by the SHA-256 of its id's UTF-8
+    bytes, which a lone surrogate does not have; only an id that is not
+    ASCII can hold one.
+    """
+    if not isinstance(value, str) or not value:
+        raise InvalidInputError("prompt id must be a nonempty string")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidInputError(
+                f"prompt id holds a lone surrogate U+{ord(value[exc.start]):04X} at "
+                f"character {exc.start + 1}; ids must be valid Unicode"
+            ) from None
+    return value
+
+
 def as_unit_interval(value: float, what: str = "estimate") -> float:
     """Validate a finite float in [0, 1] (oracle estimates, uniform draws)."""
     out = as_ext_real(value, what)
@@ -171,13 +191,12 @@ def as_unit_fraction(value: "float | str | Fraction", what: str = "fraction") ->
 
 @dataclass(frozen=True)
 class Prompt:
-    """A prompt identity: a nonempty id string."""
+    """A prompt identity: a nonempty id string of valid Unicode."""
 
     id: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise InvalidInputError("prompt id must be a nonempty string")
+        _require_prompt_id(self.id)
 
 
 @dataclass(frozen=True)

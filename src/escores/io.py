@@ -44,6 +44,7 @@ from .core import (
     DatasetValidationError,
     InvalidInputError,
     Prompt,
+    _require_prompt_id,
     as_unit_interval,
 )
 from .estimation import EstimateSource, PromptInstance
@@ -83,6 +84,11 @@ def _record_id(record: dict, where: str) -> str:
     value = _required(record, "id", where)
     if not isinstance(value, str) or not value:
         raise DatasetValidationError(f"{where}: 'id' must be a non-empty string")
+    if not value.isascii():  # only such an id can hold a lone surrogate
+        try:
+            _require_prompt_id(value)
+        except InvalidInputError as exc:
+            raise DatasetValidationError(f"{where}: {exc}") from None
     return value
 
 

@@ -28,7 +28,6 @@ turns that state into the prompt's stream.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -42,6 +41,7 @@ from .core import (
     Prompt,
     Response,
     ScoredResponseSet,
+    _require_prompt_id,
     as_ext_real,
     as_unit_interval,
 )
@@ -50,6 +50,16 @@ from .estimation import EstimateSource, FTransform, _chained_estimates, _e_value
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
 from .estimation import aggregate_conditionals, transform_estimate  # noqa: F401
+
+try:
+    # CPython's own SHA-256, as random.py takes its sha512: hashlib would
+    # load OpenSSL's libcrypto for this one digest
+    from _sha2 import sha256 as _sha256
+except ImportError:  # Python 3.10 and 3.11
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256 as _sha256
 
 
 class ScoreFamily(enum.Enum):
@@ -129,7 +139,7 @@ class RandomDraw:
 
 
 def _prompt_key(prompt_id: str) -> int:
-    digest = hashlib.sha256(prompt_id.encode("utf-8")).digest()
+    digest = _sha256(prompt_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -191,7 +201,7 @@ def uniform_block(master_seed: int, split_index: int, prompt_id: str, count: int
     arguments, so draws never depend on evaluation order across prompts
     or splits, and a shorter block is a prefix of a longer one.
     """
-    keys = np.asarray([_prompt_key(prompt_id)], dtype=np.uint64)
+    keys = np.asarray([_prompt_key(_require_prompt_id(prompt_id))], dtype=np.uint64)
     return _uniforms(master_seed, split_index, keys, np.asarray([count]))
 
 

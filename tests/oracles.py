@@ -243,6 +243,11 @@ def _words(n: int) -> list[int]:
             return words
 
 
+def prompt_key(prompt_id: str) -> int:
+    """The first 8 bytes of the sha256 of the id's UTF-8 bytes, big-endian."""
+    return int(hashlib.sha256(prompt_id.encode("utf-8")).hexdigest()[:16], 16)
+
+
 def uniform(seed: int, split: int, prompt_id: str, ordinal: int) -> Fraction:
     """Draw ``ordinal`` of the (seed, split, prompt) stream, exactly.
 
@@ -255,8 +260,7 @@ def uniform(seed: int, split: int, prompt_id: str, ordinal: int) -> Fraction:
     h = 0
     for word in _words(seed) + _words(split):
         h = _splitmix_finalize(h ^ word)
-    key = int(hashlib.sha256(prompt_id.encode("utf-8")).hexdigest()[:16], 16)
-    state = _splitmix_finalize(key ^ h)
+    state = _splitmix_finalize(prompt_key(prompt_id) ^ h)
     for _ in range(ordinal + 1):
         state = (state + 0x9E3779B97F4A7C15) % _TWO64
         out = _splitmix_finalize(state)

@@ -31,7 +31,15 @@ from escores import (
     uniform_block,
     write_dataset,
 )
-from escores.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _write_score_table, run_command
+from escores.cli import (
+    _WRITE_BLOCK,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    EXIT_USAGE,
+    _write_score_jsonl,
+    _write_score_table,
+    run_command,
+)
 from escores.evaluation import score_prompts
 from escores.io import _fmt_score
 
@@ -289,11 +297,15 @@ def test_score_writes_infinite_scores_as_json_dumps_does(tmp_path: Path, capsys)
 def test_score_output_over_many_prompts_matches_record_by_record_formatting(
     tmp_path: Path, capsys
 ) -> None:
-    """Both output forms, past any block boundary, against one record at a time."""
+    """Both output forms, past any block boundary, against one record at a time.
+
+    Prompt 600 has 6 steps: under ``--permutations all`` its 1,956
+    responses are more than one write block holds, so it is a block alone.
+    """
     rng = random.Random(20)
     instances = []
     for i in range(1100):
-        k = rng.randint(1, 4)
+        k = 6 if i == 600 else rng.randint(1, 4)
         conditionals = [rng.choice((0.0, 1.0, rng.random())) for _ in range(k)]
         first_error = rng.choice((None, rng.randint(1, k)))
         instances.append(make_instance(f"é-{i}" if i % 7 == 0 else f"t-{i}", conditionals, first_error))
@@ -303,34 +315,39 @@ def test_score_output_over_many_prompts_matches_record_by_record_formatting(
         tmp_path / "cal.jsonl",
     )
     kinds = ("e1", "e2", "e3", "e-combined", "p", "p-randomized", "naive1", "naive2", "naive3")
-    prep = PreparedDataset(parse_dataset(test))
-    scores = score_prompts(
-        prep, np.arange(prep.n_prompts), [ScoreKind.parse(k) for k in kinds],
-        PreparedDataset(parse_dataset(cal)).fstar, master_seed=3,
-    )
-    records, rows = [], [("prompt", "response", "label", *kinds)]
-    for i, (pid, responses) in enumerate(zip(prep.prompt_ids, prep.responses)):
-        lo, hi = prep.offsets[i], prep.offsets[i + 1]
-        labels = prep.labels_flat[lo:hi].tolist()
-        per_kind = {name: values[lo:hi].tolist() for name, values in scores.items()}
-        records.append(json.dumps({
-            "id": pid, "responses": [list(r.indices) for r in responses],
-            "labels": labels, "scores": per_kind,
-        }) + "\n")
-        for j, (response, label) in enumerate(zip(responses, labels)):
-            cells = ("inf" if v[j] == math.inf else format(v[j], ".6g") for v in per_kind.values())
-            rows.append((pid, ",".join(map(str, response.indices)), ("error", "correct")[label], *cells))
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    table = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows)
-    assert "Infinity" in "".join(records) and "\\u00e9" in records[0]
+    for permutations, (policy, _) in POLICIES.items():
+        prep = PreparedDataset(parse_dataset(test), policy)
+        assert int(np.diff(prep.offsets).max()) == (1956 if permutations == "all" else 6)
+        scores = score_prompts(
+            prep, np.arange(prep.n_prompts), [ScoreKind.parse(k) for k in kinds],
+            PreparedDataset(parse_dataset(cal), policy).fstar, master_seed=3,
+        )
+        records, rows = [], [("prompt", "response", "label", *kinds)]
+        for i, (pid, responses) in enumerate(zip(prep.prompt_ids, prep.responses)):
+            lo, hi = prep.offsets[i], prep.offsets[i + 1]
+            labels = prep.labels_flat[lo:hi].tolist()
+            per_kind = {name: values[lo:hi].tolist() for name, values in scores.items()}
+            records.append(json.dumps({
+                "id": pid, "responses": [list(r.indices) for r in responses],
+                "labels": labels, "scores": per_kind,
+            }) + "\n")
+            for j, (response, label) in enumerate(zip(responses, labels)):
+                cells = ("inf" if v[j] == math.inf else format(v[j], ".6g") for v in per_kind.values())
+                rows.append((pid, ",".join(map(str, response.indices)), ("error", "correct")[label], *cells))
+        widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+        table = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows)
+        assert "Infinity" in "".join(records) and "\\u00e9" in records[0]
 
-    argv = ("score", str(test), "--calibration", str(cal), "--scores", "all", "--seed", "3")
-    code, out, err = run(capsys, *argv, "--jsonl")
-    assert code == EXIT_OK and err == ""
-    assert out == "".join(records)
-    code, out, err = run(capsys, *argv)
-    assert code == EXIT_OK and err == ""
-    assert out == table
+        argv = (
+            "score", str(test), "--calibration", str(cal), "--scores", "all", "--seed", "3",
+            "--permutations", permutations,
+        )
+        code, out, err = run(capsys, *argv, "--jsonl")
+        assert code == EXIT_OK and err == ""
+        assert out == "".join(records)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert out == table
 
 
 def test_score_table_holds_its_cells_once() -> None:
@@ -344,6 +361,32 @@ def test_score_table_holds_its_cells_once() -> None:
     cal = PreparedDataset(generate_dataset(SyntheticConfig(n_prompts=200, seed=5)))
     scores = score_prompts(test, np.arange(test.n_prompts), ALL_SCORE_KINDS, cal.fstar, master_seed=0)
     one_column = sum(sys.getsizeof(_fmt_score(v)) + 8 for v in scores["e-combined"].tolist())
+    peak = _traced_peak(_write_score_table, test, scores)
+    assert test.offsets[-1] > 2500
+    assert peak < 16 * one_column, (test.offsets[-1], peak / one_column)
+
+
+def test_score_jsonl_holds_one_block_of_responses_at_a_time() -> None:
+    """The JSONL writer's traced peak is a bounded multiple of one block's cells.
+
+    Under ``--permutations all`` a 5-step prompt has 325 responses, so a
+    block of 512 prompts would grow with the sets; a block of 512
+    responses keeps the peak flat as the data grows tenfold.
+    """
+    policy = POLICIES["all"][0]
+    cal = PreparedDataset(generate_dataset(SyntheticConfig(n_prompts=50, seed=5)), policy)
+    for n_prompts in (30, 300):
+        test = PreparedDataset(generate_dataset(SyntheticConfig(n_prompts=n_prompts, seed=4)), policy)
+        scores = score_prompts(test, np.arange(test.n_prompts), ALL_SCORE_KINDS, cal.fstar, master_seed=0)
+        block = scores["e-combined"][:_WRITE_BLOCK].tolist()
+        one_block = sum(sys.getsizeof(repr(v)) + 8 for v in block)
+        peak = _traced_peak(_write_score_jsonl, test, scores)
+        assert test.offsets[-1] > 6 * _WRITE_BLOCK
+        assert peak < 16 * one_block, (test.offsets[-1], peak / one_block)
+
+
+def _traced_peak(writer, test: PreparedDataset, scores: dict) -> int:
+    """The traced memory peak of one of score's writers, above what it started with."""
 
     class Discard:
         def write(self, text: str) -> int:
@@ -353,12 +396,10 @@ def test_score_table_holds_its_cells_once() -> None:
     try:
         with contextlib.redirect_stdout(Discard()):
             before = tracemalloc.get_traced_memory()[0]
-            _write_score_table(test, scores)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            writer(test, scores)
+            return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert test.offsets[-1] > 2500
-    assert peak < 16 * one_column, (test.offsets[-1], peak / one_column)
 
 
 def test_score_warns_on_prompt_ids_shared_with_calibration(
@@ -892,7 +933,7 @@ def _modules_after(*argv: str) -> set[str]:
     return set(modules)
 
 
-def test_each_command_loads_only_the_modules_it_runs(dataset: Path) -> None:
+def test_each_command_loads_only_the_modules_it_runs(dataset: Path, calibration: Path) -> None:
     simulate = _modules_after("simulate", "--trials", "100", "--prompts", "10")
     assert {m for m in simulate if m.split(".")[0] == "escores"} == {
         "escores", "escores.cli", "escores.core", "escores.estimation",
@@ -902,6 +943,9 @@ def test_each_command_loads_only_the_modules_it_runs(dataset: Path) -> None:
     evaluate = _modules_after("evaluate", str(dataset), "--splits", "3", "--grid", "0.5,1")
     assert "escores.evaluation" in evaluate
     assert not {"escores.synthetic", "numpy.ma"} & evaluate
+    # the prompt keys' SHA-256 is CPython's own, not OpenSSL's
+    score = _modules_after("score", str(dataset), "--calibration", str(calibration), "--scores", "all", "--jsonl")
+    assert not {"_hashlib", "numpy.ma", "escores.synthetic"} & score
 
     program = "import escores, sys; print([m for m in sys.modules if m.startswith('escores.')])"
     done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)

@@ -81,6 +81,9 @@ def test_prompt_validation() -> None:
     assert Prompt("p-1").id == "p-1"
     with pytest.raises(InvalidInputError):
         Prompt("")
+    assert Prompt("é-\U0001F600").id == "é-\U0001F600"
+    with pytest.raises(InvalidInputError, match=r"lone surrogate U\+DC00 at character 3;"):
+        Prompt("é-\udc00")
 
 
 def test_response_identity_and_validation() -> None:

@@ -261,6 +261,10 @@ FAULTS = {
                    DatasetValidationError, "missing required field 'id'"),
     "empty-id": (_GOOD, _prefix("0.5", prompt_id=""), DatasetValidationError,
                  "'id' must be a non-empty string"),
+    # valid JSON and ASCII text, yet the id has no UTF-8 bytes to key its draws by
+    "lone-surrogate-id": (_GOOD, _prefix("0.5", prompt_id="p-\\ud800"), DatasetValidationError,
+                          "prompt id holds a lone surrogate U+D800 at character 3; "
+                          "ids must be valid Unicode"),
     "missing-field": (_GOOD, '{"id": "p-3", "sub_responses": ["a"], "first_error_index": null}',
                       DatasetValidationError, "missing required field 'oracle_conditionals'"),
     "wrong-type": (_GOOD, '{"id": "p-3", "sub_responses": "a", "oracle_conditionals": [0.5]}',

@@ -280,6 +280,28 @@ def test_uniform_block_prefix_consistency() -> None:
 
 
 
+KEYED_IDS = {
+    "ascii": "synthetic-000042",
+    "accented": "naïve café-7",
+    "cjk": "問題-三",
+    "astral": "\U0001F600-\U0001F9EA",
+    "long": "long-" * 2000,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEYED_IDS))
+def test_prompt_key_is_the_ids_sha256(kind: str) -> None:
+    prompt_id = KEYED_IDS[kind]
+    assert _prompt_key(prompt_id) == oracles.prompt_key(prompt_id)
+
+
+def test_uniform_block_refuses_an_id_without_utf8_bytes() -> None:
+    with pytest.raises(InvalidInputError, match=r"^prompt id holds a lone surrogate U\+D800 at character 2;"):
+        uniform_block(0, 0, "a\ud800", 1)
+    with pytest.raises(InvalidInputError, match="lone surrogate U\\+DFFF"):
+        uniform_draw(0, 0, "\udfff", 0)
+
+
 def test_uniform_seed_words_above_64_bits_count() -> None:
     """A seed's 64-bit words are absorbed one at a time; negative keys are refused."""
     high, low = uniform_block(2**64 + 7, 0, "p", 4), uniform_block(7, 0, "p", 4)
