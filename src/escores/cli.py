@@ -8,7 +8,8 @@ Five subcommands::
     escores simulate --trials 10000 --seed 1
     escores equivalence --instances 1000
 
-Exit codes: 0 on success, 1 for runtime failures (a violated bound,
+Each handler finishes or raises; ``run_command`` alone maps the outcome
+to the exit code: 0 on success, 1 for runtime failures (a failed check,
 an unwritable output or a missing output directory), 2 for usage or
 validation problems (bad flags, missing or malformed inputs, impossible
 configurations).  ``--seed`` pins all randomness, so repeated runs
@@ -139,7 +140,7 @@ def _warn_infinite_maxima(cal: PreparedDataset, kinds: Sequence[ScoreKind]) -> N
         )
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .io import _read_columns
@@ -149,7 +150,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(f"ok: {n} {columns.schema} records from {args.path}")
     print(f"steps per record: min {columns.steps.min()}, max {columns.steps.max()}")
     print(f"records with errors: {np.count_nonzero(columns.first_errors)} of {n}")
-    return EXIT_OK
 
 
 # Responses per write, in both forms of score's output: each write is one
@@ -238,7 +238,7 @@ def _write_score_table(test: PreparedDataset, scores: dict[str, np.ndarray]) -> 
         sys.stdout.write("".join(row.format(*cells).rstrip() + "\n" for cells in block))
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .evaluation import PreparedDataset, score_prompts
@@ -272,7 +272,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
         test, np.arange(test.n_prompts), kinds, cal.fstar, master_seed=args.seed
     )
     (_write_score_jsonl if args.jsonl else _write_score_table)(test, scores)
-    return EXIT_OK
 
 
 def _print_report(report: EvaluationReport) -> None:
@@ -290,7 +289,7 @@ def _print_report(report: EvaluationReport) -> None:
         )
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     from .evaluation import PreparedDataset, SplitPlan, StrategyGrid, evaluate_dataset
     from .io import _read_columns, parse_grid
 
@@ -308,10 +307,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.svg_dir:
         for path in _this.emit_svg_curves(report, args.svg_dir):
             print(f"wrote {path}")
-    return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     from .estimation import FTransform
     from .synthetic import SyntheticConfig, require_trial_count
 
@@ -345,18 +343,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"e-variable bound (mean <= 1 + 3*se): {'PASS' if upper_ok else 'FAIL'}")
     if strictly_positive:
         print(f"identity (|mean - 1| <= 3*se): {'PASS' if identity_ok else 'FAIL'}")
-    if upper_ok and identity_ok:
-        return EXIT_OK
     checks = (
         ("violates the e-variable bound", upper_ok),
         ("fails the identity check", identity_ok),
     )
     failed = " and ".join(check for check, ok in checks if not ok)
-    print(f"runtime error: Monte Carlo estimate {failed}", file=sys.stderr)
-    return EXIT_RUNTIME
+    if failed:
+        raise EScoresError(f"Monte Carlo estimate {failed}")
 
 
-def _cmd_equivalence(args: argparse.Namespace) -> int:
+def _cmd_equivalence(args: argparse.Namespace) -> None:
     from .evaluation import run_equivalence_trials
 
     trials = run_equivalence_trials(
@@ -366,13 +362,8 @@ def _cmd_equivalence(args: argparse.Namespace) -> int:
     print(
         f"instances={trials.n_instances} failures={trials.failures} -> {verdict}"
     )
-    if trials.all_equivalent:
-        return EXIT_OK
-    print(
-        "runtime error: rank-based and threshold-based filtering disagreed",
-        file=sys.stderr,
-    )
-    return EXIT_RUNTIME
+    if not trials.all_equivalent:
+        raise EScoresError("rank-based and threshold-based filtering disagreed")
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +524,8 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = show
-            return args.handler(args)
+            args.handler(args)
+        return EXIT_OK
     except (
         DatasetParseError,
         DatasetValidationError,
@@ -544,7 +536,7 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EScoresError as exc:
+    except EScoresError as exc:  # a failed check of simulate or equivalence
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except BrokenPipeError:

@@ -29,6 +29,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from decimal import Decimal
+
     from .estimation import FTransform
 
 INF = math.inf
@@ -156,17 +158,21 @@ def as_exact(value: "float | str | int | Fraction", what: str = "value") -> Frac
     """Coerce a number or a decimal string to the exact rational it spells.
 
     Strings are parsed as exact decimals or ratios ("0.1" -> 1/10,
-    "1/3").  Floats go through their shortest round-trip decimal
+    "1/3"); a decimal must be finite and fit a float.  Floats go through their shortest round-trip decimal
     representation, so 0.1 also means exactly 1/10 rather than the
     underlying binary value.  Bools are refused.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        if "/" not in value:  # a ratio has no exponent; a decimal's is checked first
+            return Fraction(_finite_decimal(value, what))
         try:
-            return Fraction(value)
+            exact = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"{what} must be a decimal string, got {value!r}") from exc
+        as_ext_real(abs(exact), what)  # a ratio above float range is refused as too large
+        return exact
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
@@ -174,6 +180,26 @@ def as_exact(value: "float | str | int | Fraction", what: str = "value") -> Frac
             raise InvalidInputError(f"{what} must be finite, got {value!r}")
         return Fraction(repr(float(value)))
     raise InvalidInputError(f"{what} must be a number or decimal string, got {value!r}")
+
+
+def _finite_decimal(text: str, what: str) -> Decimal:
+    """``text`` as a finite ``Decimal`` whose float neither overflows nor underflows to 0.
+
+    A ``Decimal`` only stores its exponent, so 1e999999999 is refused at
+    once, where ``Fraction`` would first build that power of ten.
+    """
+    from decimal import Decimal, InvalidOperation  # only decimal strings load it
+
+    try:
+        number = Decimal(text)
+    except InvalidOperation:
+        raise InvalidInputError(f"{what} must be a decimal string, got {text!r}") from None
+    if not number.is_finite():
+        raise InvalidInputError(f"{what} must be finite, got {text!r}")
+    as_float = float(number)
+    if math.isinf(as_float) or (as_float == 0 and not number.is_zero()):
+        raise InvalidInputError(f"{what} is too {'large' if as_float else 'small'} for a float")
+    return number
 
 
 def as_unit_fraction(value: "float | str | Fraction", what: str = "fraction") -> Fraction:

@@ -118,38 +118,26 @@ def aggregate_conditionals(source: EstimateSource, response: Response) -> float:
     mirroring a chain rule over its steps.  This is the one-response call
     of the array code that prepares whole datasets.
     """
-    return float(_chained_estimates((source,), (response,))[0, 0])
+    return float(_chained_estimates(source, (response,))[0])
 
 
-def _chained_estimates(
-    sources: Sequence[EstimateSource], responses: Sequence[Response]
-) -> np.ndarray:
-    """Every source's estimate of every response, shape (sources, responses).
+def _chained_estimates(source: EstimateSource, responses: Sequence[Response]) -> np.ndarray:
+    """The source's estimate of each of ``responses``, in order.
 
-    A source's response-level estimate stands for all of its responses.
-    Otherwise the estimate of a response is the ``_chain`` of the
-    conditionals of its steps, gathered once into a (sources, steps)
-    table of the steps any response reads.
+    A response-level estimate stands for every response.  Otherwise the
+    estimate of a response is the ``_chain`` of the conditionals of its
+    steps, gathered once into a one-row table of the steps any response
+    reads.
     """
+    if source.response_estimate is not None:
+        return np.full(len(responses), source.response_estimate)
     steps = list(dict.fromkeys(i for response in responses for i in response.indices))
     column = {step: j for j, step in enumerate(steps)}
     try:
-        # a source with a response estimate gets a row of 1.0, overwritten below
-        table = np.array(
-            [
-                1.0 if source.response_estimate is not None else source.conditionals[step]
-                for source in sources
-                for step in steps
-            ],
-            dtype=np.float64,
-        ).reshape(len(sources), len(steps))
+        row = np.array([[source.conditionals[step] for step in steps]], dtype=np.float64)
     except KeyError as exc:
         raise InvalidInputError(f"no conditional estimate for step {exc.args[0]}") from None
-    out = _chain(table, [[column[i] for i in response.indices] for response in responses])
-    fixed = [i for i, source in enumerate(sources) if source.response_estimate is not None]
-    if fixed:
-        out[fixed] = np.array([[sources[i].response_estimate] for i in fixed])
-    return out
+    return _chain(row, [[column[i] for i in response.indices] for response in responses])[0]
 
 
 def _chain(table: np.ndarray, columns: Sequence[Sequence[int]]) -> np.ndarray:

@@ -719,7 +719,7 @@ def evaluate_split(
 ) -> SplitResult:
     """Score and filter every test prompt against the calibration half.
 
-    Builds one calibration summary per needed transform, scores each
+    Builds the calibration summaries of all three transforms, scores each
     test prompt's full response set under every requested kind, and
     reports the means over test prompts that ``sweep`` yields at every
     strategy grid point.  Also reports the per-kind mean of

@@ -32,7 +32,6 @@ import csv
 import dataclasses
 import json
 import warnings
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -44,13 +43,15 @@ from .core import (
     DatasetValidationError,
     InvalidInputError,
     Prompt,
+    _finite_decimal,
     _require_prompt_id,
+    as_exact,
     as_unit_interval,
 )
 from .estimation import EstimateSource, PromptInstance
 from .evaluation import EvaluationReport, Parameter, ReportRow, _DatasetColumns
 from .response_sets import GeneratedResponse, _check_first_error
-from .svg import Series, render_panel, slugify
+from .svg import render_panel, slugify
 
 
 _PREFIX_KNOWN = {"id", "sub_responses", "first_error_index", "oracle_conditionals"}
@@ -427,7 +428,7 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
         strategies = dict.fromkeys(r.strategy for r in rows)
         for suffix, title, x_label, y_label, x_of, y_of, reference in _PANELS:
             series = [
-                Series(s, tuple((x_of(r), y_of(r)) for r in rows if r.strategy == s))
+                (s, [(x_of(r), y_of(r)) for r in rows if r.strategy == s])
                 for s in strategies
             ]
             target = out / f"{slugify(kind)}_{suffix}.svg"
@@ -437,20 +438,13 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     return written
 
 
-def _decimal_label(value: Decimal) -> str:
-    text = str(value.normalize())
-    if "E" in text or "e" in text:
-        text = format(value.normalize(), "f")
-    return text
-
-
 def parse_grid(text: str) -> tuple[Parameter, ...]:
     """Parse a parameter grid from ``start:stop:step`` or a comma list.
 
     Range endpoints and steps are decimal strings evaluated exactly, so
     ``0:1:0.01`` yields the 101 parameters 0, 0.01, ..., 1 with no
     floating-point drift.  Comma lists accept decimals or fractions
-    like ``1/3``.
+    like ``1/3``.  Every number must be finite and fit a float.
     """
     text = text.strip()
     if not text:
@@ -461,10 +455,10 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
             raise InvalidInputError(
                 f"grid ranges use start:stop:step, got {text!r}"
             )
-        try:
-            start, stop, step = (Decimal(p.strip()) for p in pieces)
-        except InvalidOperation as exc:
-            raise InvalidInputError(f"invalid grid range {text!r}: {exc}") from exc
+        start, stop, step = (
+            _finite_decimal(piece.strip(), f"grid {name}")
+            for name, piece in zip(("start", "stop", "step"), pieces)
+        )
         if step <= 0:
             raise InvalidInputError("grid step must be positive")
         if stop < start:
@@ -475,8 +469,7 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
             current = start + index * step
             if current > stop:
                 break
-            label = _decimal_label(current)
-            values.append(Parameter(label=label, value=Fraction(current)))
+            values.append(Parameter(format(current.normalize(), "f"), Fraction(current)))
             index += 1
         return tuple(values)
 
@@ -485,5 +478,5 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
         piece = piece.strip()
         if not piece:
             raise InvalidInputError(f"empty entry in grid list {text!r}")
-        values.append(Parameter.of(piece))
+        values.append(Parameter(piece, as_exact(piece, "grid value")))
     return tuple(values)

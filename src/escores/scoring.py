@@ -405,7 +405,7 @@ def score_response_set(
     response ordinal from (master_seed, split_index, prompt id).
     """
     summaries = _summaries_for(kind, cal)
-    estimate_of = _chained_estimates((estimates,), responses)[0]
+    estimate_of = _chained_estimates(estimates, responses)
     values = {t: transform_values(estimate_of, t) for t in FTransform}
     u = None
     rank_transform = FTransform.IDENTITY

@@ -7,7 +7,7 @@ nothing depends on fonts, clocks, or library versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .core import InvalidInputError
 
@@ -21,17 +21,11 @@ _MARGIN_TOP = 42
 _MARGIN_BOTTOM = 48
 
 
-@dataclass(frozen=True)
-class Series:
-    name: str
-    points: tuple[tuple[float, float], ...]
-
-
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _finite(points: "tuple[tuple[float, float], ...]") -> list[tuple[float, float]]:
+def _finite(points: "Sequence[tuple[float, float]]") -> list[tuple[float, float]]:
     return [
         (x, y)
         for x, y in points
@@ -41,7 +35,7 @@ def _finite(points: "tuple[tuple[float, float], ...]") -> list[tuple[float, floa
 
 def render_panel(
     title: str,
-    series: "list[Series] | tuple[Series, ...]",
+    series: "Sequence[tuple[str, Sequence[tuple[float, float]]]]",
     x_label: str,
     y_label: str,
     *,
@@ -49,15 +43,15 @@ def render_panel(
     identity_line: bool = False,
     fixed_range: tuple[float, float, float, float] | None = None,
 ) -> str:
-    """One SVG chart: polylines per series, optional reference geometry.
+    """One SVG chart: a polyline per ``(name, points)`` series, optional reference geometry.
 
     Non-finite points are dropped from the polylines; the subtitle notes
     how many.  ``fixed_range`` pins (x_min, x_max, y_min, y_max);
     otherwise ranges are padded data extents.
     """
-    finite = {s.name: _finite(s.points) for s in series}
-    dropped = sum(len(s.points) - len(finite[s.name]) for s in series)
-    all_pts = [pt for pts in finite.values() for pt in pts]
+    finite = [_finite(points) for _, points in series]
+    dropped = sum(len(points) - len(kept) for (_, points), kept in zip(series, finite))
+    all_pts = [pt for pts in finite for pt in pts]
 
     if fixed_range is not None:
         x_min, x_max, y_min, y_max = fixed_range
@@ -159,9 +153,8 @@ def render_panel(
                 f'y2="{_fmt(sy(hi))}" stroke="#808080" stroke-width="1" stroke-dasharray="6 4"/>'
             )
 
-    for index, s in enumerate(series):
+    for index, ((name, _), pts) in enumerate(zip(series, finite)):
         color = _PALETTE[index % len(_PALETTE)]
-        pts = finite[s.name]
         if pts:
             coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
             parts.append(
@@ -180,7 +173,7 @@ def render_panel(
         )
         parts.append(
             f'<text x="{lx + 23}" y="{ly}" font-family="sans-serif" font-size="11" '
-            f'fill="#202020">{s.name}</text>'
+            f'fill="#202020">{name}</text>'
         )
 
     parts.append("</svg>")

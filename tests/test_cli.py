@@ -745,6 +745,35 @@ def test_simulate_names_the_check_that_failed(capsys) -> None:
     assert err == "runtime error: Monte Carlo estimate fails the identity check\n"
 
 
+def test_simulate_fails_both_checks_through_run_command(capsys, monkeypatch) -> None:
+    from escores import cli
+    from escores.synthetic import MCEstimate
+
+    monkeypatch.setattr(
+        cli, "mc_evariable_check", lambda config, transform, n_trials: MCEstimate(1.5, 0.01, n_trials)
+    )
+    code, out, err = run(capsys, "simulate", "--trials", "100", "--correct-prob", "0")
+    assert code == EXIT_RUNTIME
+    assert "e-variable bound (mean <= 1 + 3*se): FAIL" in out
+    assert "identity (|mean - 1| <= 3*se): FAIL" in out
+    assert err == (
+        "runtime error: Monte Carlo estimate violates the e-variable bound "
+        "and fails the identity check\n"
+    )
+
+
+def test_equivalence_failure_is_a_runtime_error(capsys, monkeypatch) -> None:
+    import escores.evaluation as evaluation
+
+    monkeypatch.setattr(
+        evaluation, "run_equivalence_trials", lambda n, **_: evaluation.EquivalenceTrials(n, 1)
+    )
+    code, out, err = run(capsys, "equivalence", "--instances", "5")
+    assert code == EXIT_RUNTIME
+    assert "instances=5 failures=1 -> FAIL" in out
+    assert err == "runtime error: rank-based and threshold-based filtering disagreed\n"
+
+
 def test_simulate_emits_parseable_dataset(tmp_path: Path, capsys) -> None:
     emitted = tmp_path / "synthetic.jsonl"
     code, out, err = run(

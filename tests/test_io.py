@@ -7,6 +7,8 @@ import hashlib
 import json
 import math
 import random
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -636,10 +638,41 @@ def test_parse_grid_stop_inclusion() -> None:
     assert [p.label for p in parse_grid("0.5:0.5:0.1")] == ["0.5"]
 
 
-def test_parse_grid_rejects_bad_input() -> None:
-    for bad in ("", "0:1", "0:1:0", "1:0:0.1", "a:b:c", "0.1,,0.3", "x"):
+def test_parse_grid_rejects_bad_input(tmp_path: Path, capsys) -> None:
+    for bad in (
+        "", "0:1", "0:1:0", "1:0:0.1", "a:b:c", "0.1,,0.3", "x",
+        # numbers that are not finite or do not fit a float
+        "inf:inf:1", "nan:1:0.1", "0:1:inf", "0:1e999999999:1e999999998", "1e5000", "0.5,1e400",
+        "1" + "0" * 400 + "/1",
+    ):
         with pytest.raises(InvalidInputError):
             parse_grid(bad)
+    # these once looped without end or spun building a huge Fraction, so a child
+    # process reads them under a time limit
+    program = (
+        "from escores import InvalidInputError, SplitPlan\n"
+        "from escores.io import parse_grid\n"
+        "for bad in ('0:inf:1', '1e999999999', '1e-999999999', '0:1:1e-999999999'):\n"
+        "    try:\n"
+        "        parse_grid(bad)\n"
+        "    except InvalidInputError as exc:\n"
+        "        print(exc)\n"
+        "try:\n"
+        "    SplitPlan(test_fraction='1e999999999')\n"
+        "except InvalidInputError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines() == [
+        "grid stop must be finite, got 'inf'",
+        "grid value is too large for a float",
+        "grid value is too small for a float",
+        "grid step is too small for a float",
+        "test_fraction is too large for a float",
+    ], done.stderr
+    data = write_dataset([make_instance("g-1", [0.5]), make_instance("g-2", [0.7])], tmp_path / "d.jsonl")
+    assert run_command(["evaluate", str(data), "--grid", "inf:inf:1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "validation error: grid start must be finite, got 'inf'\n"
 
 
 def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:

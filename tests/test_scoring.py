@@ -429,6 +429,21 @@ def test_driver_naive_needs_no_calibration() -> None:
     assert scored.scores[1] == pytest.approx(2.5, rel=1e-12)
 
 
+def test_driver_response_estimate_stands_for_every_response() -> None:
+    """Steps without conditionals are no error when a response-level estimate is given."""
+    estimates = EstimateSource(conditionals={1: 0.9}, response_estimate=0.25)
+    responses = [Response((1,)), Response((2,)), Response((1, 3))]
+    scored = score_response_set(Prompt("r"), responses, estimates, ScoreKind.parse("naive1"))
+    assert scored.scores == (4.0, 4.0, 4.0)
+
+
+def test_driver_chains_each_response_over_its_own_steps() -> None:
+    estimates = EstimateSource(conditionals={1: 0.5, 2: 0.25, 3: 0.75})
+    responses = [Response((3,)), Response((2, 1)), Response((1, 3))]
+    scored = score_response_set(Prompt("c"), responses, estimates, ScoreKind.parse("naive1"))
+    assert scored.scores == (1 / 0.75, 1 / (0.25 * 0.5), 1 / (0.5 * 0.75))
+
+
 def test_score_response_set_reads_negative_zero_as_zero() -> None:
     """An estimate of -0.0 is 0: its reciprocal scores are +inf, never -inf."""
     estimates = EstimateSource(conditionals={1: -0.0})
