@@ -188,12 +188,23 @@ def _finite_decimal(text: str, what: str) -> Decimal:
     A ``Decimal`` only stores its exponent, so 1e999999999 is refused at
     once, where ``Fraction`` would first build that power of ten.
     """
-    from decimal import Decimal, InvalidOperation  # only decimal strings load it
+    # only decimal strings load it
+    from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow
 
     try:
         number = Decimal(text)
     except InvalidOperation:
-        raise InvalidInputError(f"{what} must be a decimal string, got {text!r}") from None
+        # Decimal refuses an exponent beyond its own range as it does a
+        # malformed string.  A context that traps nothing reads that exponent
+        # as an overflow or an underflow (a zero stays 0), and only a
+        # malformed string as NaN.
+        context = Context(traps=[])
+        number = context.create_decimal(text.strip())
+        if number.is_nan():
+            raise InvalidInputError(f"{what} must be a decimal string, got {text!r}") from None
+        if context.flags[Overflow] or context.flags[Underflow]:
+            size = "large" if context.flags[Overflow] else "small"
+            raise InvalidInputError(f"{what} is too {size} for a float") from None
     if not number.is_finite():
         raise InvalidInputError(f"{what} must be finite, got {text!r}")
     as_float = float(number)

@@ -463,14 +463,18 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
             raise InvalidInputError("grid step must be positive")
         if stop < start:
             raise InvalidInputError("grid stop must not precede start")
+        from decimal import MAX_PREC, Inexact, localcontext  # loaded with the endpoints' decimals
+
         values: list[Parameter] = []
         index = 0
-        while True:
-            current = start + index * step
-            if current > stop:
-                break
-            values.append(Parameter(format(current.normalize(), "f"), Fraction(current)))
-            index += 1
+        with localcontext() as exact:  # every digit kept, so no two points round together
+            exact.prec, exact.traps[Inexact] = MAX_PREC, True
+            while True:
+                current = start + index * step
+                if current > stop:
+                    break
+                values.append(Parameter(format(current.normalize(), "f"), Fraction(current)))
+                index += 1
         return tuple(values)
 
     values = []

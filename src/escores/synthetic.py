@@ -9,9 +9,10 @@ machinery produces anything from near-oracle to uninformative
 estimators.  Once an error occurs, every later step counts as erroneous
 for estimate purposes: a response containing the first error is wrong
 no matter how it continues.  The sampler draws the step counts and
-first errors first, then Beta conditionals only for the steps up to a
-given last step of each row, returned flat, one row's run after
-another.  ``generate_dataset`` draws through each prompt's step count.
+first errors first, then the Beta conditionals of the steps a caller
+reads: every correct cell in one draw, then every erroneous one in
+another, each in row order.  ``generate_dataset`` draws through each
+prompt's step count.
 
 ``mc_evariable_check`` estimates, over freshly sampled groups of m
 per-prompt maxima, the mean of the e-value m * last / sum of each
@@ -21,12 +22,13 @@ statistic is the scores' own e-value: it is computed by the function
 that ``e_score`` inverts, so a fault in that formula shows here as a
 failed check.  A prompt's maximum over its incorrect prefixes is its
 value at the first error, so the check draws each chain only through
-its first error (a fully correct prompt draws no conditional) and takes
-the transformed row product.  It works through the trials in fixed
-blocks of whole trials, each drawn from a stream of its own, so its
-memory is bounded by the block and not by the trial count or the step
-count: a block holds about 32,000 prompts and only their cells through
-each first error.
+its first error (a fully correct prompt draws no conditional): the
+correct cells before it and the one erroneous cell at it.  It multiplies
+each chain straight from the two draws and transforms the product.  It
+works through the trials in fixed blocks of whole trials, each drawn
+from a stream of its own, so its memory is bounded by the block and not
+by the trial count or the step count: a block holds about 32,000
+prompts and only their cells through each first error.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .estimation import (
     FTransform,
     PromptInstance,
     _e_values,
-    masked_f_star,
     transform_values,
 )
 from .response_sets import GeneratedResponse
@@ -85,51 +86,48 @@ def _sample_errors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized draws of step counts and first-error positions (0 = none)."""
     steps = rng.integers(1, cfg.max_steps + 1, size=n_rows)
-    fully_correct = rng.random(n_rows) < cfg.fully_correct_prob
+    erring = rng.random(n_rows) >= cfg.fully_correct_prob
 
     # Truncated geometric on {1..steps} by inverse CDF, per-row truncation.
     # log1p and expm1 keep a tiny p from rounding 1 - p to 1 (0/0 then).
     if cfg.error_position_p >= 1.0:
-        positions = np.ones(n_rows, dtype=np.int64)
-    else:
-        lq = math.log1p(-cfg.error_position_p)
-        u = rng.random(n_rows)
-        positions = np.ceil(np.log1p(u * np.expm1(steps * lq)) / lq).astype(np.int64)
-        positions = np.clip(positions, 1, steps)
-    return steps, np.where(fully_correct, 0, positions)
+        return steps, erring.astype(np.int64)
+    lq = math.log1p(-cfg.error_position_p)
+    u = rng.random(n_rows)
+    positions = np.ceil(np.log1p(u * np.expm1(steps * lq)) / lq).astype(np.int64)
+    return steps, np.clip(positions, 1, steps, out=positions) * erring
 
 
-def _sample_conditionals(
-    rng: np.random.Generator, cfg: SyntheticConfig, first_error: np.ndarray, last: np.ndarray
-) -> np.ndarray:
-    """Beta conditionals for the steps j <= ``last`` of each row, flat: row i owns ``last[i]`` cells.
+def _draw_cells(
+    rng: np.random.Generator, cfg: SyntheticConfig, n_correct: int, n_erroneous: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Beta conditionals: every correct cell in one draw, then every erroneous one in another.
 
-    The correct cells come in one draw, then the erroneous ones (at or
-    after the first error) in another, each in row order.
+    Each draw runs in row order, so row i's run follows row i - 1's in
+    both: its correct cells are its steps before the first error (all
+    its steps when it has none), its erroneous cells the first error and
+    every later step it reads.
     """
-    offsets = np.cumsum(last) - last
-    first_erroneous = offsets + np.where(first_error > 0, first_error - 1, last)
-    erroneous = np.arange(last.sum()) >= np.repeat(first_erroneous, last)
-    cells = np.empty(erroneous.size)
-    n_erroneous = np.count_nonzero(erroneous)
-    cells[~erroneous] = rng.beta(*cfg.beta_correct, size=erroneous.size - n_erroneous)
-    cells[erroneous] = rng.beta(*cfg.beta_incorrect, size=n_erroneous)
-    return cells
+    return rng.beta(*cfg.beta_correct, size=n_correct), rng.beta(*cfg.beta_incorrect, size=n_erroneous)
 
 
 def generate_dataset(cfg: SyntheticConfig) -> tuple[PromptInstance, ...]:
     """Draw a full synthetic dataset of prompt instances, deterministically."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     steps, first_error = _sample_errors(rng, cfg, cfg.n_prompts)
-    cells = _sample_conditionals(rng, cfg, first_error, steps).tolist()
-    instances, start = [], 0
-    for i, (k, fei) in enumerate(zip(steps.tolist(), first_error.tolist())):
+    n_correct = np.where(first_error > 0, first_error - 1, steps)
+    total_correct = int(n_correct.sum())
+    correct, erroneous = (
+        cells.tolist() for cells in _draw_cells(rng, cfg, total_correct, int(steps.sum()) - total_correct)
+    )
+    instances, ci, ei = [], 0, 0
+    for i, (k, fei, nc) in enumerate(zip(steps.tolist(), first_error.tolist(), n_correct.tolist())):
         generated = GeneratedResponse(
             Prompt(f"synthetic-{i:06d}"), tuple(f"step {j}" for j in range(1, k + 1)), fei or None
         )
-        source = EstimateSource(conditionals=dict(enumerate(cells[start:start + k], 1)))
-        instances.append(PromptInstance(generated, source))
-        start += k
+        cells = correct[ci:ci + nc] + erroneous[ei:ei + k - nc]
+        instances.append(PromptInstance(generated, EstimateSource(conditionals=dict(enumerate(cells, 1)))))
+        ci, ei = ci + nc, ei + k - nc
     return tuple(instances)
 
 
@@ -172,20 +170,46 @@ def require_trial_count(n_trials: int) -> int:
     return n_trials
 
 
-def _f_star_through_first_error(
-    cells: np.ndarray, first_error: np.ndarray, transform: FTransform
+def _f_star_at_first_error(
+    first_error: np.ndarray, correct: np.ndarray, erroneous: np.ndarray, transform: FTransform
 ) -> np.ndarray:
-    """Each row's f*: the transformed product of its cells through the first error (flat), or 0."""
-    erring = first_error > 0
-    products = np.ones(first_error.size)
-    products[erring] = np.multiply.reduceat(cells, (np.cumsum(first_error) - first_error)[erring])
-    return masked_f_star(transform_values(products, transform)[:, None], erring[:, None])
+    """Each row's f*: its transformed estimate at its first error, or 0 when it has none.
+
+    The cells are laid out as ``_draw_cells`` draws them through each
+    first error: an erring row has its run of first_error - 1 correct
+    cells and one erroneous cell.  Its product is taken left to right
+    over the run and then times the erroneous cell, the chained
+    estimate's own order, so it matches that estimate bit for bit.
+    ``erroneous`` is overwritten with the products.
+    """
+    erring = np.flatnonzero(first_error > 0)
+    runs = first_error[erring] - 1
+    long = np.flatnonzero(runs > 0)  # a run of 0 cells leaves the erroneous cell as it is
+    lengths = runs[long]
+    erroneous[long] *= np.multiply.reduceat(correct, np.cumsum(lengths) - lengths)
+    fstar = np.zeros(first_error.size)
+    fstar[erring] = transform_values(erroneous, transform)
+    return fstar
+
+
+def _draw_maxima(
+    rng: np.random.Generator, cfg: SyntheticConfig, transform: FTransform, n_rows: int
+) -> np.ndarray:
+    """The f* of ``n_rows`` fresh prompts, each drawn only through its first error.
+
+    A function of its own, so that one block's arrays are freed before
+    the next block draws.
+    """
+    _, first_error = _sample_errors(rng, cfg, n_rows)
+    n_erring = np.count_nonzero(first_error)
+    correct, erroneous = _draw_cells(rng, cfg, int(first_error.sum()) - n_erring, n_erring)
+    return _f_star_at_first_error(first_error, correct, erroneous, transform)
 
 
 # Monte Carlo rows drawn at once.  A block's working memory peaks at about
-# 2.4 MB at five steps and 3.1 MB at 200 (tracemalloc, odds transform,
-# 10,000 trials of 100 prompts): the per-row draws, 0.26 MB each as
-# float64, and the cells through each first error.
+# 2.4 MB at five steps and 2.7 MB at 200 (tracemalloc after a warm-up
+# call, odds transform, 10,000 trials of 100 prompts): the per-row draws,
+# 0.26 MB each as float64, and the cells through each first error.
 _BLOCK_ROWS = 1 << 15
 
 
@@ -197,11 +221,14 @@ def mc_evariable_check(
     Each trial draws cfg.n_prompts synthetic prompts, computes the
     per-prompt maximum transformed prefix value over incorrect prefixes
     (0 when the prompt is fully correct), and evaluates
-    ``evariable_statistic``.  Trials run in blocks of whole trials, about
-    ``_BLOCK_ROWS`` prompts each (one trial when a trial is larger), and
-    block b draws from child b of ``SeedSequence(cfg.seed, spawn_key=(1,))``
-    with the same distributions as ``generate_dataset``.  Memory is
-    bounded by the block; only the per-trial statistics span all trials.
+    ``evariable_statistic``.  That maximum is the transformed estimate at
+    the first error, which ``_f_star_at_first_error`` multiplies straight
+    from the block's two Beta draws.  Trials run in blocks of whole
+    trials, about ``_BLOCK_ROWS`` prompts each (one trial when a trial is
+    larger), and block b draws from child b of
+    ``SeedSequence(cfg.seed, spawn_key=(1,))`` with the same distributions
+    as ``generate_dataset``.  Memory is bounded by the block; only the
+    per-trial statistics span all trials.
     """
     n_trials = require_trial_count(n_trials)
     block_trials = max(1, _BLOCK_ROWS // cfg.n_prompts)
@@ -209,9 +236,7 @@ def mc_evariable_check(
     for b, start in enumerate(range(0, n_trials, block_trials)):
         trials = min(block_trials, n_trials - start)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, b)))
-        _, first_error = _sample_errors(rng, cfg, trials * cfg.n_prompts)
-        cells = _sample_conditionals(rng, cfg, first_error, first_error)
-        fstar = _f_star_through_first_error(cells, first_error, transform)
+        fstar = _draw_maxima(rng, cfg, transform, trials * cfg.n_prompts)
         stats[start:start + trials] = _evariable_rows(fstar.reshape(trials, cfg.n_prompts))
 
     mean = float(np.mean(stats))

@@ -625,6 +625,12 @@ def test_parse_grid_range_is_exact() -> None:
     assert grid[10].label == "0.1"
     assert grid[100].label == "1" and grid[100].value == 1
     assert [p.value for p in grid] == [Fraction(i, 100) for i in range(101)]
+    # past the 28 digits of Decimal's default context: nothing rounds, no point repeats
+    assert [p.label for p in parse_grid("0.12345678901234567890123456789:1:0.5")] == [
+        "0.12345678901234567890123456789", "0.62345678901234567890123456789",
+    ]
+    tiny = parse_grid("1:1.00000000000000000000000000001:0.00000000000000000000000000001")
+    assert [p.value for p in tiny] == [1, 1 + Fraction(1, 10**29)]
 
 
 def test_parse_grid_comma_list() -> None:
@@ -647,6 +653,18 @@ def test_parse_grid_rejects_bad_input(tmp_path: Path, capsys) -> None:
     ):
         with pytest.raises(InvalidInputError):
             parse_grid(bad)
+    # an exponent beyond Decimal's own range is as large or as small as a float's, not malformed
+    for bad, message in (
+        ("1e9999999999999999999999", "grid value is too large for a float"),
+        ("1e-9999999999999999999999", "grid value is too small for a float"),
+        ("0:1:1e-9999999999999999999999", "grid step is too small for a float"),
+        ("abc", "grid value must be a decimal string, got 'abc'"),
+    ):
+        with pytest.raises(InvalidInputError) as caught:
+            parse_grid(bad)
+        assert str(caught.value) == message
+    assert [p.value for p in parse_grid("0e9999999999999999999999")] == [0]
+    assert [p.value for p in parse_grid("0e999999999")] == [0]
     # these once looped without end or spun building a huge Fraction, so a child
     # process reads them under a time limit
     program = (

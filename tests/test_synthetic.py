@@ -97,31 +97,38 @@ def test_error_positions_spread_over_steps() -> None:
     assert any(p >= 4 for p in positions)
 
 
-def test_sampler_draws_only_the_cells_a_row_reads() -> None:
-    """Row i owns its ``last[i]`` cells, one row after another; the cells follow their Beta law.
+def test_sampler_draws_only_the_cells_a_row_reads(monkeypatch) -> None:
+    """Each caller draws the cells its rows read and no more; each cell follows its Beta law.
 
-    ``generate_dataset`` draws through each row's step count and the
-    Monte Carlo check through its first error, so a fully correct row
-    draws nothing there.  The correct and the erroneous cells have
+    ``generate_dataset`` reads every step of a prompt, the Monte Carlo
+    check only the steps through each first error, so a fully correct
+    row draws nothing there.  The correct and the erroneous cells have
     distinct Beta means, so a cell given the other law's draw, or a run
     shifted off its row, moves a sample mean by far more than the 4
     standard errors allowed.
     """
-    cfg = SyntheticConfig(max_steps=6, beta_correct=(3.0, 1.5), beta_incorrect=(1.0, 4.0))
-    for through_first_error in (False, True):
-        rng = np.random.default_rng(3)
-        steps, first_error = synthetic._sample_errors(rng, cfg, 20000)
-        last = first_error if through_first_error else steps
-        cells = synthetic._sample_conditionals(rng, cfg, first_error, last)
-        assert cells.shape == (last.sum(),)
-        row = np.repeat(np.arange(last.size), last)
-        step = np.arange(cells.size) - (np.cumsum(last) - last)[row] + 1
-        erroneous = (first_error[row] > 0) & (step >= first_error[row])
-        laws = ((cells[~erroneous], cfg.beta_correct), (cells[erroneous], cfg.beta_incorrect))
-        for values, (a, b) in laws:
-            assert np.all((values >= 0.0) & (values <= 1.0))
-            se = values.std(ddof=1) / math.sqrt(values.size)
-            assert abs(values.mean() - a / (a + b)) <= 4.0 * se, (values.mean(), a / (a + b), se)
+    cfg = SyntheticConfig(
+        n_prompts=4000, max_steps=6, beta_correct=(3.0, 1.5), beta_incorrect=(1.0, 4.0)
+    )
+    laws = {cfg.beta_correct: [], cfg.beta_incorrect: []}
+    for inst in generate_dataset(cfg):
+        fei = inst.generated.first_error_index
+        for j, value in inst.estimates.conditionals.items():
+            laws[cfg.beta_incorrect if fei is not None and j >= fei else cfg.beta_correct].append(value)
+    for (a, b), values in laws.items():
+        values = np.asarray(values)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - a / (a + b)) <= 4.0 * se, (values.mean(), a / (a + b), se)
+
+    seen = []
+    sample_errors, draw_cells = synthetic._sample_errors, synthetic._draw_cells
+    monkeypatch.setattr(synthetic, "_sample_errors", lambda *a: seen.append(sample_errors(*a)) or seen[-1])
+    monkeypatch.setattr(synthetic, "_draw_cells", lambda *a: seen.append(a[2:]) or draw_cells(*a))
+    mc_evariable_check(SyntheticConfig(max_steps=6, seed=3), FTransform.ODDS, 100)
+    (_, first_error), drawn = seen
+    erring = first_error[first_error > 0]
+    assert drawn == ((erring - 1).sum(), erring.size)
 
 
 def test_tiny_error_position_p_spreads_errors_near_uniformly() -> None:
@@ -317,18 +324,20 @@ def test_f_star_is_the_transformed_product_through_the_first_error(block, transf
     """The maximum over a chain's incorrect prefixes is its value at the first error, bit for bit.
 
     The prefix rule masks j >= first error over the transformed cumprod;
-    the check's rule takes each erring row's product of its cells through
-    the first error, flat, with one reduceat.  Estimates never grow along
-    a chain of conditionals in [0, 1] and every transform is increasing,
-    so both give the same f*.
+    the check's rule multiplies each erring row's run of correct cells
+    with one reduceat and then its erroneous cell, straight from the two
+    flat draws.  Estimates never grow along a chain of conditionals in
+    [0, 1] and every transform is increasing, so both give the same f*.
     """
     conditionals, first_error = block
     step_index = np.arange(1, conditionals.shape[1] + 1)[None, :]
     incorrect = (first_error[:, None] > 0) & (step_index >= first_error[:, None])
     by_prefix = masked_f_star(transform_values(np.cumprod(conditionals, axis=1), transform), incorrect)
 
-    cells = conditionals[step_index <= first_error[:, None]]  # row-major: each row's run in turn
-    by_row = synthetic._f_star_through_first_error(cells, first_error, transform)
+    # row-major: each erring row's run of correct cells in turn, then each one's erroneous cell
+    correct = conditionals[step_index < first_error[:, None]]
+    erroneous = conditionals[step_index == first_error[:, None]]
+    by_row = synthetic._f_star_at_first_error(first_error, correct, erroneous, transform)
     assert by_row.view(np.uint64).tolist() == by_prefix.view(np.uint64).tolist()
 
 
@@ -345,7 +354,7 @@ def _reference_mc(cfg: SyntheticConfig, transform: FTransform, n_trials: int, bl
         trials = min(block_trials, n_trials - b * block_trials)
         rng = np.random.default_rng(stream)
         steps, first_error = synthetic._sample_errors(rng, cfg, trials * cfg.n_prompts)
-        cells = synthetic._sample_conditionals(rng, cfg, first_error, first_error)
+        cells = _flat_cells(rng, cfg, first_error, first_error)
         offsets = np.cumsum(first_error) - first_error
         maxima = []
         for row in range(trials * cfg.n_prompts):
@@ -384,3 +393,86 @@ def test_mc_check_blocks_match_scalar_reference(
     assert est.n_trials == n_trials
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.std_error == pytest.approx(se, rel=1e-9)
+    assert (est.mean, est.std_error) == _flat_layout_mc(cfg, transform, n_trials)
+
+
+def _flat_errors(rng: np.random.Generator, cfg: SyntheticConfig, n_rows: int):
+    """Step counts and first errors (0 = none), drawn as the sampler first drew them."""
+    steps = rng.integers(1, cfg.max_steps + 1, size=n_rows)
+    fully_correct = rng.random(n_rows) < cfg.fully_correct_prob
+    if cfg.error_position_p >= 1.0:
+        positions = np.ones(n_rows, dtype=np.int64)
+    else:
+        lq = math.log1p(-cfg.error_position_p)
+        u = rng.random(n_rows)
+        positions = np.ceil(np.log1p(u * np.expm1(steps * lq)) / lq).astype(np.int64)
+        positions = np.clip(positions, 1, steps)
+    return steps, np.where(fully_correct, 0, positions)
+
+
+def _flat_cells(rng: np.random.Generator, cfg: SyntheticConfig, first_error, last) -> np.ndarray:
+    """The cells j <= ``last`` of each row in one flat array, row i's run after row i - 1's.
+
+    A per-cell mask marks the erroneous cells (at or after the first
+    error); the correct ones take the first Beta draw in order, the
+    erroneous ones the second.
+    """
+    offsets = np.cumsum(last) - last
+    first_erroneous = offsets + np.where(first_error > 0, first_error - 1, last)
+    erroneous = np.arange(last.sum()) >= np.repeat(first_erroneous, last)
+    cells = np.empty(erroneous.size)
+    n_erroneous = np.count_nonzero(erroneous)
+    cells[~erroneous] = rng.beta(*cfg.beta_correct, size=erroneous.size - n_erroneous)
+    cells[erroneous] = rng.beta(*cfg.beta_incorrect, size=n_erroneous)
+    return cells
+
+
+def _flat_layout_mc(cfg: SyntheticConfig, transform: FTransform, n_trials: int) -> tuple[float, float]:
+    """The check's mean and SE with each block's cells laid out flat, through each first error."""
+    block_trials = max(1, synthetic._BLOCK_ROWS // cfg.n_prompts)
+    stats = np.empty(n_trials)
+    for b, start in enumerate(range(0, n_trials, block_trials)):
+        trials = min(block_trials, n_trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, b)))
+        _, first_error = _flat_errors(rng, cfg, trials * cfg.n_prompts)
+        cells = _flat_cells(rng, cfg, first_error, first_error)
+        erring = first_error > 0
+        products = np.ones(first_error.size)
+        products[erring] = np.multiply.reduceat(cells, (np.cumsum(first_error) - first_error)[erring])
+        fstar = masked_f_star(transform_values(products, transform)[:, None], erring[:, None])
+        stats[start:start + trials] = synthetic._evariable_rows(fstar.reshape(trials, cfg.n_prompts))
+    return float(np.mean(stats)), float(np.std(stats, ddof=1) / math.sqrt(n_trials))
+
+
+@pytest.mark.parametrize("max_steps", [1, 4, 200])
+@pytest.mark.parametrize("error_p", [1.0, 0.3, 1e-17])
+@pytest.mark.parametrize("correct_prob", [0.0, 0.3, 1.0])
+def test_samplers_match_the_flat_layout_exactly(max_steps, error_p, correct_prob) -> None:
+    """Same stream, same products: the check's mean and SE and the dataset's cells, to the bit.
+
+    The reference lays each block's cells out flat with a per-cell mask
+    and multiplies each row's run through its first error with one
+    reduceat, the check's first form; the dataset reference reads each
+    prompt's run through its step count from the same layout.
+    """
+    cfg = SyntheticConfig(
+        n_prompts=20, max_steps=max_steps, seed=5,
+        error_position_p=error_p, fully_correct_prob=correct_prob,
+    )
+    for transform in FTransform:
+        est = mc_evariable_check(cfg, transform, 150)
+        assert (est.mean, est.std_error) == _flat_layout_mc(cfg, transform, 150), transform
+
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    steps, first_error = _flat_errors(rng, cfg, cfg.n_prompts)
+    cells = _flat_cells(rng, cfg, first_error, steps).tolist()
+    ends = np.cumsum(steps).tolist()
+    expected = [
+        (fei or None, cells[end - k:end]) for k, fei, end in zip(steps.tolist(), first_error.tolist(), ends)
+    ]
+    got = [
+        (inst.generated.first_error_index, list(inst.estimates.conditionals.values()))
+        for inst in generate_dataset(cfg)
+    ]
+    assert got == expected
+
