@@ -351,9 +351,21 @@ class CalibrationSummary:
     _n_infinite: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = tuple(as_ext_real(v, "calibration value") for v in self.per_prompt_fstar)
+        self._freeze(tuple(as_ext_real(v, "calibration value") for v in self.per_prompt_fstar))
+
+    def _freeze(self, values: tuple[float, ...]) -> None:
         total, infinite = _sum_checked(values)
         object.__setattr__(self, "per_prompt_fstar", values)
         object.__setattr__(self, "fstar_sum", total)
         object.__setattr__(self, "n", len(values))
         object.__setattr__(self, "_n_infinite", infinite)
+
+    @classmethod
+    def _of_checked(
+        cls, values: tuple[float, ...], transform: "FTransform | None" = None
+    ) -> "CalibrationSummary":
+        """The summary of floats that ``as_ext_real`` returns unchanged, not checked again."""
+        summary = object.__new__(cls)
+        object.__setattr__(summary, "transform", transform)
+        summary._freeze(values)
+        return summary

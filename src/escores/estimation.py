@@ -30,6 +30,7 @@ from .core import (
     InvalidInputError,
     LabeledResponseSet,
     Response,
+    as_ext_real,
     as_unit_interval,
 )
 from .response_sets import GeneratedResponse
@@ -239,3 +240,18 @@ def build_calibration_summary(
 ) -> CalibrationSummary:
     """Freeze per-prompt maxima into a summary, which computes their sum once."""
     return CalibrationSummary(tuple(per_prompt_fstar), transform)
+
+
+def _summary_of_array(values: np.ndarray, transform: FTransform | None = None) -> CalibrationSummary:
+    """``build_calibration_summary`` of an array of maxima, checked by array operations.
+
+    The first NaN or negative value raises the message that the
+    per-value check gives it, and the summary equals the one
+    ``build_calibration_summary`` builds from the same values.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.isnan(values) | (values < 0.0)
+    if bad.any():
+        as_ext_real(values[np.argmax(bad)].item(), "calibration value")  # raises
+    # abs, as the per-value check: -0.0 becomes 0.0
+    return CalibrationSummary._of_checked(tuple(np.abs(values).tolist()), transform)

@@ -8,6 +8,14 @@ too.  The instance accounting is written once, in ``sweep`` and
 prompts, and ``sweep`` yields its means over test prompts itself.  Tests
 hold both to the exact rational oracles.
 
+``evaluate_dataset`` draws split i's shuffle from its seed when it
+reaches split i, the shuffle ``plan_splits`` returns for it, and hands
+the two halves as index arrays to the core of ``evaluate_split``, which
+skips the checks that a shuffle cannot fail; so a run holds one split's
+indices at a time, not every split's.  Each split builds only the
+calibration summaries its kinds read, from the prepared maxima, checked
+as arrays (``estimation._summary_of_array``).
+
 ``sweep`` sorts each prompt's responses once by (score, position), so a
 filtering strategy only picks how many of them each prompt keeps.  Per
 strategy grid it builds one table of the five metrics for every count a
@@ -68,19 +76,28 @@ from .estimation import (
     FTransform,
     PromptInstance,
     _chain,
+    _summary_of_array,
     build_calibration_summary,
     masked_f_star,
     transform_values,
 )
 from .filtering import inclusion_target
+from .io import _DatasetColumns
 from .response_sets import (
     IDENTITY_POLICY,
-    GeneratedResponse,
     PermutationPolicy,
     _label_table,
     build_permutation_set,
 )
-from .scoring import ScoreFamily, ScoreKind, _exceedances, _prompt_key, _uniforms, kind_scores
+from .scoring import (
+    ScoreFamily,
+    ScoreKind,
+    _exceedances,
+    _prompt_key,
+    _summary_transforms,
+    _uniforms,
+    kind_scores,
+)
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
@@ -124,15 +141,8 @@ class SplitAssignment:
     test: tuple[int, ...]
 
 
-def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
-    """Seeded shuffles of the prompt indices, one per split.
-
-    The test half takes floor(test_fraction * n) prompts, with the
-    fraction read by ``core.as_exact`` as the decimal it spells, as grid
-    parameters and inclusion fractions are: 0.29 of 100 prompts is 29.
-    At the default even split an odd prompt goes to calibration.  Either
-    half ending up empty is an error.
-    """
+def _test_size(plan: SplitPlan, n_prompts: int) -> int:
+    """The test half's size, floor(test_fraction * n); refuses a split with an empty half."""
     if n_prompts < 2:
         raise InvalidSplitError(f"need at least 2 prompts to split, got {n_prompts}")
     n_test = math.floor(as_exact(plan.test_fraction, "test_fraction") * n_prompts)
@@ -140,13 +150,32 @@ def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
         raise InvalidSplitError(
             f"test_fraction={plan.test_fraction} on {n_prompts} prompts leaves an empty half"
         )
+    return n_test
+
+
+def _split_order(seed: int, split_index: int, n_prompts: int) -> np.ndarray:
+    """Split ``split_index``'s seeded shuffle of the prompt indices: test half first."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, split_index)))
+    return rng.permutation(n_prompts)
+
+
+def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
+    """Seeded shuffles of the prompt indices, one per split.
+
+    The test half takes floor(test_fraction * n) prompts, with the
+    fraction read by ``core.as_exact`` as the decimal it spells, as grid
+    parameters and inclusion fractions are: 0.29 of 100 prompts is 29.
+    At the default even split an odd prompt goes to calibration.  Either
+    half ending up empty is an error.  ``evaluate_dataset`` draws the
+    same shuffles one split at a time.
+    """
+    n_test = _test_size(plan, n_prompts)
     out = []
     for i in range(plan.n_splits):
-        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(0, i)))
-        perm = rng.permutation(n_prompts)
+        order = _split_order(plan.seed, i, n_prompts)
         out.append(
             SplitAssignment(
-                calibration=tuple(perm[n_test:].tolist()), test=tuple(perm[:n_test].tolist())
+                calibration=tuple(order[n_test:].tolist()), test=tuple(order[:n_test].tolist())
             )
         )
     return tuple(out)
@@ -301,88 +330,6 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 
-class _DatasetColumns:
-    """A dataset as flat columns, prompt after prompt: what ``PreparedDataset`` reads.
-
-    Prompt i has id ``ids[i]``, ``steps[i]`` steps and first error
-    ``first_errors[i]`` (0 when fully correct).  ``conditionals`` holds
-    every prompt's step conditionals in step order, ``steps[i]`` of
-    them per prompt.  ``estimates`` is None unless some prompt has a
-    response-level estimate; then it holds one per prompt, NaN where the
-    prompt chains its conditionals instead, and such a prompt's
-    conditionals are 1.0.  ``generated[k]`` is one generation of k
-    steps, the one the permutation policy expands, with the step counts
-    in the order they first appear.  ``texts`` holds each prompt's step
-    texts when the reader keeps them.  ``duplicate`` names a repeated
-    prompt id, the first one, when reading stopped at it.
-    """
-
-    def __init__(
-        self,
-        ids: list[str],
-        steps: np.ndarray,
-        first_errors: np.ndarray,
-        conditionals: np.ndarray,
-        estimates: np.ndarray | None,
-        generated: dict[int, GeneratedResponse],
-        texts: list[tuple[str, ...]] | None = None,
-        duplicate: str | None = None,
-    ) -> None:
-        self.ids = ids
-        self.steps = steps
-        self.first_errors = first_errors
-        self.conditionals = conditionals
-        self.estimates = estimates
-        self.generated = generated
-        self.texts = texts
-        self.duplicate = duplicate
-
-    @property
-    def schema(self) -> str:
-        """The record shape: "singular" when prompts carry response-level estimates."""
-        return "prefix" if self.estimates is None else "singular"
-
-    @classmethod
-    def of_instances(cls, instances: Iterable[PromptInstance]) -> "_DatasetColumns":
-        """The columns of validated prompt instances, read up to the first repeated id."""
-        ids: list[str] = []
-        steps: list[int] = []
-        first_errors: list[int] = []
-        conditionals: list[float] = []
-        estimates: list[float] = []
-        generated: dict[int, GeneratedResponse] = {}
-        seen: set[str] = set()
-        duplicate = None
-        for inst in instances:
-            pid = inst.prompt_id
-            if pid in seen:
-                duplicate = pid
-                break
-            seen.add(pid)
-            k = len(inst.generated)
-            generated.setdefault(k, inst.generated)
-            ids.append(pid)
-            steps.append(k)
-            first_errors.append(inst.generated.first_error_index or 0)
-            source = inst.estimates
-            if source.response_estimate is None:
-                estimates.append(math.nan)
-                conditionals.extend(source.conditionals[i] for i in range(1, k + 1))
-            else:
-                estimates.append(source.response_estimate)
-                conditionals.extend([1.0] * k)
-        fixed = np.asarray(estimates, dtype=np.float64)
-        return cls(
-            ids,
-            np.asarray(steps, dtype=np.int64),
-            np.asarray(first_errors, dtype=np.int64),
-            np.asarray(conditionals, dtype=np.float64),
-            None if np.isnan(fixed).all() else fixed,
-            generated,
-            duplicate=duplicate,
-        )
-
-
 class PreparedDataset:
     """Response sets, labels, estimates, transformed values and maxima, flattened.
 
@@ -474,21 +421,29 @@ def score_prompts(
     """Score every response of ``prompts`` under each kind, prompt after prompt.
 
     ``cal_fstar[t]`` holds the calibration prompts' maxima under
-    transform t; each transform's maxima become one ``CalibrationSummary``,
-    the only thing ``kind_scores`` reads of the calibration half (p kinds
-    rank against the identity one).  Randomized p-scores take one uniform
-    per response from a single ``scoring._uniforms`` call over the
-    prompts' keys, so each prompt's draws equal its own ``uniform_block``
-    whatever prompts are scored with it and in whatever order.
+    transform t; the maxima of each transform the kinds read become one
+    ``CalibrationSummary`` (``estimation._summary_of_array``), the only
+    thing ``kind_scores`` reads of the calibration half, and the p kinds
+    rank against one sorted copy of the identity maxima.  Randomized
+    p-scores take one uniform per response from a single
+    ``scoring._uniforms`` call over the prompts' keys, so each prompt's
+    draws equal its own ``uniform_block`` whatever prompts are scored
+    with it and in whatever order.
     """
     _require_seed(master_seed)
-    summaries = {t: build_calibration_summary(cal_fstar[t].tolist(), t) for t in FTransform}
+    read = _summary_transforms(kinds)
+    summaries = {t: _summary_of_array(cal_fstar[t], t) for t in read}
+    ranked = None
+    if any(kind.family in (ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED) for kind in kinds):
+        ranked = np.sort(np.asarray(cal_fstar[FTransform.IDENTITY], dtype=np.float64))
+    if any(kind.family is ScoreFamily.NAIVE for kind in kinds):
+        read.add(FTransform.IDENTITY)
     gather = prep.gather(prompts)
-    values = {t: prep.f_flat[t][gather] for t in FTransform}
+    values = {t: prep.f_flat[t][gather] for t in read}
     u = None
     if any(kind.family is ScoreFamily.P_SCORE_RANDOMIZED for kind in kinds):
         u = _uniforms(master_seed, split_index, prep.prompt_keys[prompts], prep.counts[prompts])
-    return {kind.name: kind_scores(kind, values, summaries, u) for kind in kinds}
+    return {kind.name: kind_scores(kind, values, summaries, u, ranked=ranked) for kind in kinds}
 
 
 def worst_cases(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -719,11 +674,12 @@ def evaluate_split(
 ) -> SplitResult:
     """Score and filter every test prompt against the calibration half.
 
-    Builds the calibration summaries of all three transforms, scores each
-    test prompt's full response set under every requested kind, and
+    Builds the calibration summaries the requested kinds read, scores
+    each test prompt's full response set under every requested kind, and
     reports the means over test prompts that ``sweep`` yields at every
     strategy grid point.  Also reports the per-kind mean of
-    ``worst_cases``, which needs no strategy at all.
+    ``worst_cases``, which needs no strategy at all.  The split's halves
+    must be nonempty, in range and disjoint.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -737,8 +693,19 @@ def evaluate_split(
         raise InvalidInputError("split indices out of range for this dataset")
     if np.bincount(all_idx).max() > 1:  # after the range check: bincount refuses negatives
         raise InvalidInputError("split halves overlap or repeat indices")
+    return _evaluate_split(dataset, cal_idx, test_idx, kinds, strategy_grids, master_seed, split_index)
 
-    n = int(cal_idx.size)
+
+def _evaluate_split(
+    dataset: PreparedDataset,
+    cal_idx: np.ndarray,
+    test_idx: np.ndarray,
+    kinds: tuple[ScoreKind, ...],
+    strategy_grids: Sequence[StrategyGrid],
+    master_seed: int,
+    split_index: int,
+) -> SplitResult:
+    """``evaluate_split`` of halves known to be nonempty, in range and disjoint, for some kinds."""
     cal_fstar = {t: dataset.fstar[t][cal_idx] for t in FTransform}
     scores_of = score_prompts(
         dataset, test_idx, kinds, cal_fstar, master_seed=master_seed, split_index=split_index
@@ -746,7 +713,6 @@ def evaluate_split(
 
     counts = dataset.counts[test_idx]
     correct = dataset.labels_flat[dataset.gather(test_idx)].astype(bool)
-    n_test = int(test_idx.size)
     plans = _grid_plans(counts, strategy_grids)
     blocks = [np.empty((0, len(_MEAN_FIELDS)))]  # without grids, no rows
     wc: list[tuple[str, float]] = []
@@ -759,7 +725,11 @@ def evaluate_split(
         tuple((g.strategy.value, tuple(p.label for p in g.parameters)) for g in strategy_grids),
     )
     return SplitResult(
-        keys=keys, means=np.concatenate(blocks), worst_case=tuple(wc), n_test=n_test, n_cal=n
+        keys=keys,
+        means=np.concatenate(blocks),
+        worst_case=tuple(wc),
+        n_test=int(test_idx.size),
+        n_cal=int(cal_idx.size),
     )
 
 
@@ -862,13 +832,16 @@ def evaluate_dataset(
 ) -> EvaluationReport:
     """Run every planned split and aggregate; fully determined by the seeds.
 
+    The splits are ``plan_splits``'s, each drawn as an index array when
+    its turn comes, so memory does not grow with the number of splits.
     No e-score or p-score can go below 1/(n_cal + 1), so those kinds keep
     nothing at an alpha-max grid point under that floor; such points
     draw one warning.
     """
     kinds = tuple(kinds)
-    splits = plan_splits(plan, dataset.n_prompts)
-    n_cal = len(splits[0].calibration)
+    n_prompts = dataset.n_prompts
+    n_test = _test_size(plan, n_prompts)
+    n_cal = n_prompts - n_test
     floored = [kind.name for kind in kinds if kind.family in _FLOORED_FAMILIES]
     below = [
         param
@@ -884,10 +857,16 @@ def evaluate_dataset(
             "these kinds keep nothing there",
             stacklevel=2,
         )
-    results = [
-        evaluate_split(dataset, split, kinds, strategy_grids, master_seed=plan.seed, split_index=i)
-        for i, split in enumerate(splits)
-    ]
+    if not kinds:
+        raise InvalidInputError("need at least one score kind")
+    results = []
+    for i in range(plan.n_splits):
+        order = _split_order(plan.seed, i, n_prompts)
+        results.append(
+            _evaluate_split(
+                dataset, order[n_test:], order[:n_test], kinds, strategy_grids, plan.seed, i
+            )
+        )
     return aggregate_splits(results)
 
 

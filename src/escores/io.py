@@ -28,13 +28,13 @@ parameter) and, optionally, as SVG curve panels.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import json
+import math
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .core import (
     as_unit_interval,
 )
 from .estimation import EstimateSource, PromptInstance
-from .evaluation import EvaluationReport, Parameter, ReportRow, _DatasetColumns
 from .response_sets import GeneratedResponse, _check_first_error
-from .svg import render_panel, slugify
+
+if TYPE_CHECKING:  # pragma: no cover - the emitters and parse_grid import what they run
+    from .evaluation import EvaluationReport, Parameter
 
 
 _PREFIX_KNOWN = {"id", "sub_responses", "first_error_index", "oracle_conditionals"}
@@ -213,6 +214,88 @@ def _read_singular_record(record: dict, where: str, warned: set, estimates: list
     return prompt_id, [text], None if correct else 1
 
 
+class _DatasetColumns:
+    """A dataset as flat columns, prompt after prompt: what ``PreparedDataset`` reads.
+
+    Prompt i has id ``ids[i]``, ``steps[i]`` steps and first error
+    ``first_errors[i]`` (0 when fully correct).  ``conditionals`` holds
+    every prompt's step conditionals in step order, ``steps[i]`` of
+    them per prompt.  ``estimates`` is None unless some prompt has a
+    response-level estimate; then it holds one per prompt, NaN where the
+    prompt chains its conditionals instead, and such a prompt's
+    conditionals are 1.0.  ``generated[k]`` is one generation of k
+    steps, the one the permutation policy expands, with the step counts
+    in the order they first appear.  ``texts`` holds each prompt's step
+    texts when the reader keeps them.  ``duplicate`` names a repeated
+    prompt id, the first one, when reading stopped at it.
+    """
+
+    def __init__(
+        self,
+        ids: list[str],
+        steps: np.ndarray,
+        first_errors: np.ndarray,
+        conditionals: np.ndarray,
+        estimates: np.ndarray | None,
+        generated: dict[int, GeneratedResponse],
+        texts: list[tuple[str, ...]] | None = None,
+        duplicate: str | None = None,
+    ) -> None:
+        self.ids = ids
+        self.steps = steps
+        self.first_errors = first_errors
+        self.conditionals = conditionals
+        self.estimates = estimates
+        self.generated = generated
+        self.texts = texts
+        self.duplicate = duplicate
+
+    @property
+    def schema(self) -> str:
+        """The record shape: "singular" when prompts carry response-level estimates."""
+        return "prefix" if self.estimates is None else "singular"
+
+    @classmethod
+    def of_instances(cls, instances: Iterable[PromptInstance]) -> "_DatasetColumns":
+        """The columns of validated prompt instances, read up to the first repeated id."""
+        ids: list[str] = []
+        steps: list[int] = []
+        first_errors: list[int] = []
+        conditionals: list[float] = []
+        estimates: list[float] = []
+        generated: dict[int, GeneratedResponse] = {}
+        seen: set[str] = set()
+        duplicate = None
+        for inst in instances:
+            pid = inst.prompt_id
+            if pid in seen:
+                duplicate = pid
+                break
+            seen.add(pid)
+            k = len(inst.generated)
+            generated.setdefault(k, inst.generated)
+            ids.append(pid)
+            steps.append(k)
+            first_errors.append(inst.generated.first_error_index or 0)
+            source = inst.estimates
+            if source.response_estimate is None:
+                estimates.append(math.nan)
+                conditionals.extend(source.conditionals[i] for i in range(1, k + 1))
+            else:
+                estimates.append(source.response_estimate)
+                conditionals.extend([1.0] * k)
+        fixed = np.asarray(estimates, dtype=np.float64)
+        return cls(
+            ids,
+            np.asarray(steps, dtype=np.int64),
+            np.asarray(first_errors, dtype=np.int64),
+            np.asarray(conditionals, dtype=np.float64),
+            None if np.isnan(fixed).all() else fixed,
+            generated,
+            duplicate=duplicate,
+        )
+
+
 def _read_columns(path: "str | Path", keep_texts: bool = False) -> _DatasetColumns:
     """Validate a JSONL dataset record by record into columns.
 
@@ -367,8 +450,13 @@ def write_dataset(
     return path
 
 
-#: The CSV columns: one per ``ReportRow`` field, in field order.
-CSV_HEADER = tuple(field.name for field in dataclasses.fields(ReportRow))
+#: The CSV columns: one per ``ReportRow`` field, in field order.  Spelled
+#: out, so that reading a dataset does not load the evaluation engine; a
+#: test holds it to the fields.
+CSV_HEADER = (
+    "score_kind", "strategy", "parameter", "mean_size_distortion", "mean_error", "mean_alpha",
+    "mean_precision", "mean_recall", "n_test", "n_cal", "n_splits",
+)
 
 
 def _fmt_score(value: float) -> str:
@@ -380,6 +468,8 @@ def _fmt_score(value: float) -> str:
 
 def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
     """Write one CSV row per report row, numbers at six significant digits."""
+    import csv
+
     if not report.rows:
         raise InvalidInputError("report has no rows to write")
     path = Path(path)
@@ -421,6 +511,9 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
         raise InvalidInputError("report has no rows to plot")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # this module's attributes, so the renderer loads only here, and a
+    # name rebound on this module (the traced benchmark run's) is the one called
+    this = sys.modules[__name__]
 
     written: list[Path] = []
     for kind in dict.fromkeys(row.score_kind for row in report.rows):
@@ -431,8 +524,8 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
                 (s, [(x_of(r), y_of(r)) for r in rows if r.strategy == s])
                 for s in strategies
             ]
-            target = out / f"{slugify(kind)}_{suffix}.svg"
-            content = render_panel(f"{kind}: {title}", series, x_label, y_label, **reference)
+            target = out / f"{this.slugify(kind)}_{suffix}.svg"
+            content = this.render_panel(f"{kind}: {title}", series, x_label, y_label, **reference)
             target.write_text(content, encoding="utf-8")
             written.append(target)
     return written
@@ -446,6 +539,8 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
     floating-point drift.  Comma lists accept decimals or fractions
     like ``1/3``.  Every number must be finite and fit a float.
     """
+    from .evaluation import Parameter
+
     text = text.strip()
     if not text:
         raise InvalidInputError("empty parameter grid")
@@ -484,3 +579,13 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
             raise InvalidInputError(f"empty entry in grid list {text!r}")
         values.append(Parameter(piece, as_exact(piece, "grid value")))
     return tuple(values)
+
+
+def __getattr__(name: str) -> object:
+    """The SVG renderer's names, loaded when first read (PEP 562)."""
+    if name not in ("render_panel", "slugify"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import svg
+
+    value = globals()[name] = getattr(svg, name)
+    return value

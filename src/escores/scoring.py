@@ -223,6 +223,23 @@ def uniform_draw(
 # ---------------------------------------------------------------------------
 
 
+def _summary_transforms(kinds: Sequence[ScoreKind]) -> set[FTransform]:
+    """The transforms whose summaries ``kind_scores`` reads for ``kinds``.
+
+    The p kinds read their default ``rank_transform``, the identity.
+    """
+    read: set[FTransform] = set()
+    for kind in kinds:
+        if kind.family is ScoreFamily.E_SCORE:
+            assert kind.transform is not None
+            read.add(kind.transform)
+        elif kind.family is ScoreFamily.E_SCORE_COMBINED:
+            read.update(FTransform)
+        elif kind.family is not ScoreFamily.NAIVE:
+            read.add(FTransform.IDENTITY)
+    return read
+
+
 def kind_scores(
     kind: ScoreKind,
     values: Mapping[FTransform, np.ndarray],
@@ -230,6 +247,7 @@ def kind_scores(
     u: np.ndarray | None = None,
     *,
     rank_transform: FTransform = FTransform.IDENTITY,
+    ranked: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score an array of responses under one kind; every score formula lives here.
 
@@ -237,7 +255,8 @@ def kind_scores(
     ``values[IDENTITY]`` holds their estimates, which the naive kinds
     read.  An e kind reads only the sum and count of ``summaries[t]``.
     The p kinds rank ``values[rank_transform]`` against the maxima of
-    ``summaries[rank_transform]`` through ``_p_scores``; the
+    ``summaries[rank_transform]`` through ``_p_scores``, or against
+    ``ranked``, those maxima sorted, when the caller has them; the
     randomized one breaks ties with ``u``, one uniform per response.
 
     Arithmetic is IEEE on the extended nonnegative reals, under the
@@ -257,32 +276,41 @@ def kind_scores(
     if kind.family is ScoreFamily.E_SCORE_COMBINED:
         return _combined_scores([_e_scores(values[t], summaries[t]) for t in FTransform])
     if kind.family is ScoreFamily.P_SCORE:
-        return _p_scores(values[rank_transform], summaries[rank_transform])
+        return _p_scores(values[rank_transform], summaries[rank_transform], ranked=ranked)
     assert u is not None
-    return _p_scores(values[rank_transform], summaries[rank_transform], u)
+    return _p_scores(values[rank_transform], summaries[rank_transform], u, ranked)
 
 
-def _exceedances(ordered: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """#{v >= f} and #{v > f} for each entry of ``f``, over ``ordered`` (ascending).
+def _exceedances(
+    ordered: np.ndarray, f: np.ndarray, strict: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """#{v >= f} for each entry of ``f`` over ``ordered`` (ascending), and #{v > f} when ``strict``.
 
     The one rank count of the package: ``_p_scores`` and
-    ``evaluation.threshold_equivalence_check`` both read it.
+    ``evaluation.threshold_equivalence_check`` both read it.  Only the
+    tie-randomized p-score needs the strict count; without ``strict``
+    the second entry is None.
     """
     n = ordered.size
-    return (
-        n - np.searchsorted(ordered, f, side="left"),
-        n - np.searchsorted(ordered, f, side="right"),
-    )
+    at_least = n - np.searchsorted(ordered, f, side="left")
+    return at_least, (n - np.searchsorted(ordered, f, side="right") if strict else None)
 
 
-def _p_scores(f: np.ndarray, cal: CalibrationSummary, u: "np.ndarray | None" = None) -> np.ndarray:
+def _p_scores(
+    f: np.ndarray,
+    cal: CalibrationSummary,
+    u: "np.ndarray | None" = None,
+    ranked: "np.ndarray | None" = None,
+) -> np.ndarray:
     """The p-score of each entry of ``f``, tie-randomized by ``u`` when given.
 
-    The one p formula of the package: it reads each of the summary's n
-    maxima once and ranks ``f`` among them through ``_exceedances``.
+    The one p formula of the package: it ranks ``f`` through
+    ``_exceedances`` among the summary's n maxima, read once each and
+    sorted, or among ``ranked`` when given, the same maxima sorted.
     """
-    ordered = np.sort(np.fromiter(cal.per_prompt_fstar, np.float64, cal.n))
-    at_least, above = _exceedances(ordered, f)
+    if ranked is None:
+        ranked = np.sort(np.fromiter(cal.per_prompt_fstar, np.float64, cal.n))
+    at_least, above = _exceedances(ranked, f, strict=u is not None)
     if u is None:
         return (1 + at_least) / (cal.n + 1)
     return (u * (1 + at_least - above) + above) / (cal.n + 1)

@@ -981,6 +981,14 @@ def test_each_command_loads_only_the_modules_it_runs(dataset: Path, calibration:
     assert done.stdout.strip() == "[]", done.stderr
 
 
+def test_ingest_loads_neither_the_engine_nor_the_emitters(dataset: Path) -> None:
+    """The reader lives in ``io``, whose emitters import what they run."""
+    ingest = _modules_after("ingest", str(dataset))
+    assert "escores.io" in ingest
+    engine = {"escores.evaluation", "escores.scoring", "escores.filtering", "escores.svg", "csv"}
+    assert not engine & ingest
+
+
 def test_every_public_name_is_its_home_modules_object() -> None:
     import escores
     from escores import core, evaluation

@@ -1122,6 +1122,118 @@ def test_evaluate_dataset_memory_per_split_is_its_means() -> None:
     assert growth < 2 * 30 * rows * 5 * 8, (growth, rows)
 
 
+def _planned_then_aggregated(prep, kinds, grids, plan):
+    """``evaluate_dataset`` through the public pieces: plan, evaluate each split, aggregate."""
+    splits = plan_splits(plan, prep.n_prompts)
+    return aggregate_splits(
+        [
+            evaluate_split(prep, split, kinds, grids, master_seed=plan.seed, split_index=i)
+            for i, split in enumerate(splits)
+        ]
+    )
+
+
+def _assert_reports_equal(got, want) -> None:
+    assert got.n_splits == want.n_splits
+    for rows, expected in ((got.rows, want.rows), (got.worst_case, want.worst_case)):
+        assert len(rows) == len(expected)
+        for row, other in zip(rows, expected):
+            for field in dataclasses.fields(row):
+                assert getattr(row, field.name) == getattr(other, field.name), (row, other)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("test_fraction", ["0.5", "0.29", "1/3"])
+def test_evaluate_dataset_equals_planned_splits_evaluated_one_by_one(
+    strategy, policy, test_fraction
+) -> None:
+    """``evaluate_dataset`` draws each split when it reaches it and fills the
+    aggregate's arrays as it goes; every field of every row must equal the
+    public path's, at an odd prompt count and with ties and infinite values."""
+    prep = PreparedDataset(random_dataset(21, n_prompts=17), POLICIES[policy][0])
+    grids = (StrategyGrid(strategy, parse_grid("0:1:0.05")),)
+    plan = SplitPlan(seed=4, n_splits=7, test_fraction=test_fraction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # grid points below 1/(n_cal + 1)
+        got = evaluate_dataset(prep, ALL_SCORE_KINDS, grids, plan)
+        want = _planned_then_aggregated(prep, ALL_SCORE_KINDS, grids, plan)
+    assert {row.n_test for row in got.rows} == {math.floor(Fraction(test_fraction) * 17)}
+    _assert_reports_equal(got, want)
+
+
+def test_evaluate_dataset_refuses_what_the_public_pieces_refuse() -> None:
+    kinds = (ScoreKind.parse("p"),)
+    plan = SplitPlan(n_splits=2, test_fraction="0.1")
+    for n_prompts in (1, 5):  # too few to split; an empty test half
+        small = PreparedDataset(random_dataset(3, n_prompts=n_prompts))
+        with pytest.raises(InvalidSplitError) as planned:
+            plan_splits(plan, small.n_prompts)
+        with pytest.raises(InvalidSplitError) as evaluated:
+            evaluate_dataset(small, kinds, (), plan)
+        assert str(evaluated.value) == str(planned.value)
+    prep = PreparedDataset(random_dataset(3, n_prompts=5))
+    split = plan_splits(SplitPlan(n_splits=1), prep.n_prompts)[0]
+    with pytest.raises(InvalidInputError) as one:
+        evaluate_split(prep, split, ())
+    with pytest.raises(InvalidInputError) as every:
+        evaluate_dataset(prep, (), (), SplitPlan(n_splits=1))
+    assert str(every.value) == str(one.value) == "need at least one score kind"
+
+
+def test_evaluate_dataset_memory_does_not_grow_with_prompts_times_splits() -> None:
+    """Splits are drawn one at a time, so 48 more splits of 2,001 prompts add
+    only their ``SplitResult``s (about 700 bytes each with 2 kinds and one
+    grid point), and the small tuples that the interpreter's free lists
+    keep and tracemalloc still counts: 33-37 KB in all on CPython 3.11.
+    The bound is 64 KB.  Planning every split up front held about 36
+    bytes per prompt per split, 3.5 MB here.
+
+    Every prompt has three steps, so each split's temporaries have one size
+    and the peak differs only by what the splits leave behind.
+    """
+    rnd = random.Random(11)
+    prep = PreparedDataset(
+        [
+            make_instance(f"p{i}", [rnd.random() for _ in range(3)], rnd.choice([None, 1, 2, 3]))
+            for i in range(2001)
+        ]
+    )
+    kinds = (ScoreKind.parse("e-combined"), ScoreKind.parse("p"))
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),)),)
+
+    def peak(n_splits: int) -> int:
+        tracemalloc.start()
+        try:
+            evaluate_dataset(prep, kinds, grids, SplitPlan(seed=1, n_splits=n_splits))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first calls import lazily (numpy.random), which no split holds
+    growth = peak(50) - peak(2)
+    assert growth < 64 * 1024, growth
+
+
+def test_score_prompts_refuses_a_bad_maximum_with_the_summary_message() -> None:
+    """The maxima are checked as arrays, with the per-value check's message
+    for the first bad one, and a -0.0 is read as 0.0, as one by one."""
+    prep = PreparedDataset(random_dataset(5, n_prompts=6))
+    prompts = np.arange(prep.n_prompts)
+    for bad in ([0.5, math.nan, -1.0], [0.5, -1.0, math.nan], [-0.25, 0.0], [math.nan]):
+        with pytest.raises(InvalidInputError) as one_by_one:
+            build_calibration_summary(bad, FTransform.IDENTITY)
+        cal_fstar = {t: np.asarray(bad) for t in FTransform}
+        with pytest.raises(InvalidInputError) as as_arrays:
+            score_prompts(prep, prompts, ALL_SCORE_KINDS, cal_fstar)
+        assert str(as_arrays.value) == str(one_by_one.value)
+    values = np.asarray([-0.0, 0.0, 0.5, math.inf, 2.0])
+    summary = evaluation._summary_of_array(values, FTransform.ODDS)
+    assert summary == build_calibration_summary(values.tolist(), FTransform.ODDS)
+    assert summary._n_infinite == 1
+    assert [math.copysign(1.0, v) for v in summary.per_prompt_fstar] == [1.0] * 5
+
+
 # ---------------------------------------------------------------------------
 # p-score filtering vs. the order-statistic threshold
 # ---------------------------------------------------------------------------

@@ -515,6 +515,13 @@ def small_report() -> EvaluationReport:
     )
 
 
+def test_csv_header_is_the_report_row_fields_in_order() -> None:
+    """``io`` spells the header out, so reading a dataset never loads ``evaluation``."""
+    import dataclasses
+
+    assert CSV_HEADER == tuple(field.name for field in dataclasses.fields(ReportRow))
+
+
 def test_emit_csv_exact_shape(tmp_path: Path) -> None:
     path = emit_csv(small_report(), tmp_path / "report.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
