@@ -25,11 +25,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from decimal import Decimal
+    from fractions import Fraction
 
     from .estimation import FTransform
 
@@ -162,6 +162,8 @@ def as_exact(value: "float | str | int | Fraction", what: str = "value") -> Frac
     representation, so 0.1 also means exactly 1/10 rather than the
     underlying binary value.  Bools are refused.
     """
+    from fractions import Fraction  # loads decimal: only commands that read exact numbers pay
+
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):

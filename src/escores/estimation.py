@@ -238,20 +238,17 @@ def calibration_f_star(
 def build_calibration_summary(
     per_prompt_fstar: Iterable[float], transform: FTransform | None = None
 ) -> CalibrationSummary:
-    """Freeze per-prompt maxima into a summary, which computes their sum once."""
-    return CalibrationSummary(tuple(per_prompt_fstar), transform)
+    """Freeze per-prompt maxima into a summary, which computes their sum once.
 
-
-def _summary_of_array(values: np.ndarray, transform: FTransform | None = None) -> CalibrationSummary:
-    """``build_calibration_summary`` of an array of maxima, checked by array operations.
-
-    The first NaN or negative value raises the message that the
-    per-value check gives it, and the summary equals the one
-    ``build_calibration_summary`` builds from the same values.
+    A one-dimensional float64 array is checked by array operations: its
+    first NaN or negative value raises the message that the per-value
+    check gives it, and -0.0 reads as 0.0, so the summary equals the one
+    built value by value.  Any other input is read once, value by value.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = per_prompt_fstar
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1):
+        return CalibrationSummary(tuple(values), transform)
     bad = np.isnan(values) | (values < 0.0)
     if bad.any():
         as_ext_real(values[np.argmax(bad)].item(), "calibration value")  # raises
-    # abs, as the per-value check: -0.0 becomes 0.0
     return CalibrationSummary._of_checked(tuple(np.abs(values).tolist()), transform)

@@ -8,13 +8,12 @@ too.  The instance accounting is written once, in ``sweep`` and
 prompts, and ``sweep`` yields its means over test prompts itself.  Tests
 hold both to the exact rational oracles.
 
-``evaluate_dataset`` draws split i's shuffle from its seed when it
-reaches split i, the shuffle ``plan_splits`` returns for it, and hands
-the two halves as index arrays to the core of ``evaluate_split``, which
-skips the checks that a shuffle cannot fail; so a run holds one split's
-indices at a time, not every split's.  Each split builds only the
-calibration summaries its kinds read, from the prepared maxima, checked
-as arrays (``estimation._summary_of_array``).
+``evaluate_dataset`` runs ``evaluate_split`` on each of ``plan_splits``'s
+splits, drawing split i's shuffle from its seed only when it reaches
+split i, so a run holds one split's indices at a time, not every
+split's.  Each split builds only the calibration summaries its kinds
+read, by ``build_calibration_summary`` of the prepared float64 maxima,
+which it checks as arrays.
 
 ``sweep`` sorts each prompt's responses once by (score, position), so a
 filtering strategy only picks how many of them each prompt keeps.  Per
@@ -76,7 +75,6 @@ from .estimation import (
     FTransform,
     PromptInstance,
     _chain,
-    _summary_of_array,
     build_calibration_summary,
     masked_f_star,
     transform_values,
@@ -153,10 +151,14 @@ def _test_size(plan: SplitPlan, n_prompts: int) -> int:
     return n_test
 
 
-def _split_order(seed: int, split_index: int, n_prompts: int) -> np.ndarray:
-    """Split ``split_index``'s seeded shuffle of the prompt indices: test half first."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, split_index)))
-    return rng.permutation(n_prompts)
+def _draw_splits(plan: SplitPlan, n_prompts: int, n_test: int) -> Iterator[SplitAssignment]:
+    """Each split of ``plan`` in turn, its shuffle drawn only when it is reached."""
+    for i in range(plan.n_splits):
+        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(0, i)))
+        order = rng.permutation(n_prompts)  # test half first
+        yield SplitAssignment(
+            calibration=tuple(order[n_test:].tolist()), test=tuple(order[:n_test].tolist())
+        )
 
 
 def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
@@ -166,19 +168,10 @@ def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
     fraction read by ``core.as_exact`` as the decimal it spells, as grid
     parameters and inclusion fractions are: 0.29 of 100 prompts is 29.
     At the default even split an odd prompt goes to calibration.  Either
-    half ending up empty is an error.  ``evaluate_dataset`` draws the
-    same shuffles one split at a time.
+    half ending up empty is an error.  ``evaluate_dataset`` runs the
+    same splits, each drawn when it reaches it.
     """
-    n_test = _test_size(plan, n_prompts)
-    out = []
-    for i in range(plan.n_splits):
-        order = _split_order(plan.seed, i, n_prompts)
-        out.append(
-            SplitAssignment(
-                calibration=tuple(order[n_test:].tolist()), test=tuple(order[:n_test].tolist())
-            )
-        )
-    return tuple(out)
+    return tuple(_draw_splits(plan, n_prompts, _test_size(plan, n_prompts)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +213,13 @@ class StrategyGrid:
             raise InvalidInputError("a strategy grid needs at least one parameter")
         if self.strategy is Strategy.FRACTION and any(p.value > 1 for p in params):
             raise InvalidInputError("inclusion fractions cannot exceed 1")
-        for param in params:
-            if param.value > 1:
-                warnings.warn(
-                    f"strategy parameter {param.label} exceeds 1; "
-                    "rank-based scores never do, so they would retain everything",
-                    stacklevel=3,
-                )
+        above = [param.label for param in params if param.value > 1]
+        if above:
+            warnings.warn(
+                f"{len(above)} strategy parameter(s) exceed 1 (first {above[0]}); "
+                "rank-based scores never do, so they would retain everything",
+                stacklevel=3,
+            )
 
 
 @dataclass(frozen=True)
@@ -422,9 +415,8 @@ def score_prompts(
 
     ``cal_fstar[t]`` holds the calibration prompts' maxima under
     transform t; the maxima of each transform the kinds read become one
-    ``CalibrationSummary`` (``estimation._summary_of_array``), the only
-    thing ``kind_scores`` reads of the calibration half, and the p kinds
-    rank against one sorted copy of the identity maxima.  Randomized
+    ``CalibrationSummary`` (``build_calibration_summary``), the only
+    thing ``kind_scores`` reads of the calibration half.  Randomized
     p-scores take one uniform per response from a single
     ``scoring._uniforms`` call over the prompts' keys, so each prompt's
     draws equal its own ``uniform_block`` whatever prompts are scored
@@ -432,10 +424,7 @@ def score_prompts(
     """
     _require_seed(master_seed)
     read = _summary_transforms(kinds)
-    summaries = {t: _summary_of_array(cal_fstar[t], t) for t in read}
-    ranked = None
-    if any(kind.family in (ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED) for kind in kinds):
-        ranked = np.sort(np.asarray(cal_fstar[FTransform.IDENTITY], dtype=np.float64))
+    summaries = {t: build_calibration_summary(cal_fstar[t], t) for t in read}
     if any(kind.family is ScoreFamily.NAIVE for kind in kinds):
         read.add(FTransform.IDENTITY)
     gather = prep.gather(prompts)
@@ -443,7 +432,7 @@ def score_prompts(
     u = None
     if any(kind.family is ScoreFamily.P_SCORE_RANDOMIZED for kind in kinds):
         u = _uniforms(master_seed, split_index, prep.prompt_keys[prompts], prep.counts[prompts])
-    return {kind.name: kind_scores(kind, values, summaries, u, ranked=ranked) for kind in kinds}
+    return {kind.name: kind_scores(kind, values, summaries, u) for kind in kinds}
 
 
 def worst_cases(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -693,19 +682,7 @@ def evaluate_split(
         raise InvalidInputError("split indices out of range for this dataset")
     if np.bincount(all_idx).max() > 1:  # after the range check: bincount refuses negatives
         raise InvalidInputError("split halves overlap or repeat indices")
-    return _evaluate_split(dataset, cal_idx, test_idx, kinds, strategy_grids, master_seed, split_index)
 
-
-def _evaluate_split(
-    dataset: PreparedDataset,
-    cal_idx: np.ndarray,
-    test_idx: np.ndarray,
-    kinds: tuple[ScoreKind, ...],
-    strategy_grids: Sequence[StrategyGrid],
-    master_seed: int,
-    split_index: int,
-) -> SplitResult:
-    """``evaluate_split`` of halves known to be nonempty, in range and disjoint, for some kinds."""
     cal_fstar = {t: dataset.fstar[t][cal_idx] for t in FTransform}
     scores_of = score_prompts(
         dataset, test_idx, kinds, cal_fstar, master_seed=master_seed, split_index=split_index
@@ -832,11 +809,11 @@ def evaluate_dataset(
 ) -> EvaluationReport:
     """Run every planned split and aggregate; fully determined by the seeds.
 
-    The splits are ``plan_splits``'s, each drawn as an index array when
-    its turn comes, so memory does not grow with the number of splits.
-    No e-score or p-score can go below 1/(n_cal + 1), so those kinds keep
-    nothing at an alpha-max grid point under that floor; such points
-    draw one warning.
+    Runs ``evaluate_split`` on each of ``plan_splits``'s splits, drawn
+    only when its turn comes, so memory does not grow with the number of
+    splits.  No e-score or p-score can go below 1/(n_cal + 1), so those
+    kinds keep nothing at an alpha-max grid point under that floor; such
+    points draw one warning.
     """
     kinds = tuple(kinds)
     n_prompts = dataset.n_prompts
@@ -857,16 +834,10 @@ def evaluate_dataset(
             "these kinds keep nothing there",
             stacklevel=2,
         )
-    if not kinds:
-        raise InvalidInputError("need at least one score kind")
-    results = []
-    for i in range(plan.n_splits):
-        order = _split_order(plan.seed, i, n_prompts)
-        results.append(
-            _evaluate_split(
-                dataset, order[n_test:], order[:n_test], kinds, strategy_grids, plan.seed, i
-            )
-        )
+    results = [
+        evaluate_split(dataset, split, kinds, strategy_grids, master_seed=plan.seed, split_index=i)
+        for i, split in enumerate(_draw_splits(plan, n_prompts, n_test))
+    ]
     return aggregate_splits(results)
 
 

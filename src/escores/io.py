@@ -32,7 +32,6 @@ import json
 import math
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -488,7 +487,7 @@ def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
 # labels, the x and y of a report row, and the reference geometry.
 _PANELS = (
     ("size_distortion", "size distortion", "parameter", "mean size distortion",
-     lambda r: float(Fraction(r.parameter)), lambda r: r.mean_size_distortion,
+     lambda r: float(as_exact(r.parameter)), lambda r: r.mean_size_distortion,
      {"reference_y": 1.0}),
     ("error_vs_alpha", "realized error", "mean level used", "mean error",
      lambda r: r.mean_alpha, lambda r: r.mean_error, {"identity_line": True}),
@@ -559,6 +558,7 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
         if stop < start:
             raise InvalidInputError("grid stop must not precede start")
         from decimal import MAX_PREC, Inexact, localcontext  # loaded with the endpoints' decimals
+        from fractions import Fraction
 
         values: list[Parameter] = []
         index = 0

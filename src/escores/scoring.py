@@ -247,7 +247,6 @@ def kind_scores(
     u: np.ndarray | None = None,
     *,
     rank_transform: FTransform = FTransform.IDENTITY,
-    ranked: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score an array of responses under one kind; every score formula lives here.
 
@@ -255,9 +254,8 @@ def kind_scores(
     ``values[IDENTITY]`` holds their estimates, which the naive kinds
     read.  An e kind reads only the sum and count of ``summaries[t]``.
     The p kinds rank ``values[rank_transform]`` against the maxima of
-    ``summaries[rank_transform]`` through ``_p_scores``, or against
-    ``ranked``, those maxima sorted, when the caller has them; the
-    randomized one breaks ties with ``u``, one uniform per response.
+    ``summaries[rank_transform]`` through ``_p_scores``; the randomized
+    one breaks ties with ``u``, one uniform per response.
 
     Arithmetic is IEEE on the extended nonnegative reals, under the
     conventions of ``core``: a/0 = +inf for a > 0, 0/0 = 0,
@@ -276,9 +274,9 @@ def kind_scores(
     if kind.family is ScoreFamily.E_SCORE_COMBINED:
         return _combined_scores([_e_scores(values[t], summaries[t]) for t in FTransform])
     if kind.family is ScoreFamily.P_SCORE:
-        return _p_scores(values[rank_transform], summaries[rank_transform], ranked=ranked)
+        return _p_scores(values[rank_transform], summaries[rank_transform])
     assert u is not None
-    return _p_scores(values[rank_transform], summaries[rank_transform], u, ranked)
+    return _p_scores(values[rank_transform], summaries[rank_transform], u)
 
 
 def _exceedances(
@@ -296,20 +294,14 @@ def _exceedances(
     return at_least, (n - np.searchsorted(ordered, f, side="right") if strict else None)
 
 
-def _p_scores(
-    f: np.ndarray,
-    cal: CalibrationSummary,
-    u: "np.ndarray | None" = None,
-    ranked: "np.ndarray | None" = None,
-) -> np.ndarray:
+def _p_scores(f: np.ndarray, cal: CalibrationSummary, u: "np.ndarray | None" = None) -> np.ndarray:
     """The p-score of each entry of ``f``, tie-randomized by ``u`` when given.
 
     The one p formula of the package: it ranks ``f`` through
     ``_exceedances`` among the summary's n maxima, read once each and
-    sorted, or among ``ranked`` when given, the same maxima sorted.
+    sorted.
     """
-    if ranked is None:
-        ranked = np.sort(np.fromiter(cal.per_prompt_fstar, np.float64, cal.n))
+    ranked = np.sort(np.fromiter(cal.per_prompt_fstar, np.float64, cal.n))
     at_least, above = _exceedances(ranked, f, strict=u is not None)
     if u is None:
         return (1 + at_least) / (cal.n + 1)

@@ -8,6 +8,7 @@ import importlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -517,8 +518,8 @@ def test_library_warnings_print_as_one_line(dataset: Path, tmp_path: Path, capsy
     code, _, err = run(capsys, "evaluate", str(dataset), "--grid", "0,2", "--splits", "2")
     assert code == EXIT_OK
     assert err == (
-        "warning: strategy parameter 2 exceeds 1; rank-based scores never do, so they "
-        "would retain everything\n"
+        "warning: 1 strategy parameter(s) exceed 1 (first 2); rank-based scores never do, "
+        "so they would retain everything\n"
         "warning: 1 alpha-max grid point(s) lie below 1/4, the smallest score that e1, "
         "e2, e3, e-combined, p can take with 3 calibration prompts; these kinds keep "
         "nothing there\n"
@@ -862,6 +863,53 @@ def test_score_dies_quietly_when_stdout_closes_early(tmp_path: Path) -> None:
     assert err == b""
 
 
+def test_score_dies_quietly_on_a_closed_stdout_in_process(
+    dataset: Path, calibration: Path, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    """``run_command``'s broken-pipe branch: exit 1, nothing on stderr, stdout sent to devnull."""
+
+    class ClosedPipe(io.StringIO):
+        def __init__(self, fd: int) -> None:
+            super().__init__()
+            self.fd = fd
+
+        def write(self, text: str) -> int:
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self) -> int:
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+        code = run_command(["score", str(dataset), "--calibration", str(calibration)])
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert (code, capsys.readouterr().err) == (EXIT_RUNTIME, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "{data}", "--scores", "e1,,p"], "empty entry in score list 'e1,,p'"),
+        (["evaluate", "{data}", "--grid", "1/0"], "grid value must be a decimal string, got '1/0'"),
+        (
+            ["score", "{data}", "--calibration", "{data}", "--permutations", "file",
+             "--permutation-file", "{perms}"],
+            "{perms}: expected a JSON array of index arrays",
+        ),
+    ],
+    ids=["empty-score-entry", "zero-denominator-grid", "flat-permutation-file"],
+)
+def test_malformed_options_are_one_validation_error(
+    argv, message, dataset: Path, tmp_path: Path, capsys
+) -> None:
+    perms = tmp_path / "perms.json"
+    perms.write_text("[1,2]", encoding="utf-8")
+    names = {"data": dataset, "perms": perms}
+    argv = [a.format(**names) for a in argv]
+    assert error_line(capsys, *argv) == f"validation error: {message.format(**names)}\n"
+
+
 def test_equivalence_passes(capsys) -> None:
     code, out, err = run(
         capsys, "equivalence", "--instances", "45", "--n-max", "15", "--grid-points", "6"
@@ -905,6 +953,12 @@ def test_benchmark_tracing_finds_every_name_it_rebinds(
         span.name for span in tracer.spans
     }
     assert tracer.counts["response_sets.build_permutation_set.calls"] == 3  # steps 1, 2, 3
+    # evaluate runs each split, and builds each summary, through the public names:
+    # e-combined reads all 3 transforms, in each of 2 splits of 3 calibration prompts
+    assert tracer.counts["evaluation.evaluate_split.calls"] == 2
+    assert tracer.counts["estimation.build_calibration_summary.calls"] == 3 * 2
+    assert tracer.counts["estimation.calibration_values"] == 3 * 2 * 3
+    assert tracer.counts["evaluation.grid_cells"] > 0
     for module, names in zip(modules, before):
         assert all(vars(module)[name] is value for name, value in names.items()), module
     assert evaluation.PreparedDataset.__init__ is init
@@ -968,6 +1022,8 @@ def test_each_command_loads_only_the_modules_it_runs(dataset: Path, calibration:
         "escores", "escores.cli", "escores.core", "escores.estimation",
         "escores.response_sets", "escores.synthetic",
     }
+    # only exact numbers (grids, fractions, the SVG x values) load these
+    assert not {"fractions", "decimal"} & simulate
     # 3 splits put both quartiles between two means: the interpolating path
     evaluate = _modules_after("evaluate", str(dataset), "--splits", "3", "--grid", "0.5,1")
     assert "escores.evaluation" in evaluate
@@ -985,7 +1041,10 @@ def test_ingest_loads_neither_the_engine_nor_the_emitters(dataset: Path) -> None
     """The reader lives in ``io``, whose emitters import what they run."""
     ingest = _modules_after("ingest", str(dataset))
     assert "escores.io" in ingest
-    engine = {"escores.evaluation", "escores.scoring", "escores.filtering", "escores.svg", "csv"}
+    engine = {
+        "escores.evaluation", "escores.scoring", "escores.filtering", "escores.svg", "csv",
+        "fractions", "decimal",
+    }
     assert not engine & ingest
 
 

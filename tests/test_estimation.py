@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from escores import (
+    CalibrationSummary,
     EstimateSource,
     FTransform,
     InvalidInputError,
@@ -185,3 +188,25 @@ def test_summary_sum_matches_ext_sum(values: list[float]) -> None:
     summary = build_calibration_summary(values)
     assert summary.fstar_sum == ext_sum(values)
     assert summary.n == len(values)
+
+
+def test_only_a_float64_vector_takes_the_array_check() -> None:
+    """Other arrays are read value by value, with the per-value messages and summary."""
+    good = [0.0, 0.5, math.inf, 2.0]
+    with mock.patch.object(
+        CalibrationSummary, "_of_checked", wraps=CalibrationSummary._of_checked
+    ) as array_path:
+        assert build_calibration_summary(np.asarray(good)) == build_calibration_summary(good)
+        assert array_path.call_count == 1
+        for dtype in (np.float32, object):
+            array = np.asarray(good, dtype=dtype)
+            assert build_calibration_summary(array) == build_calibration_summary(good)
+            for bad in ([0.5, math.nan], [0.5, -1.5], [-0.25, math.nan]):
+                with pytest.raises(InvalidInputError) as one_by_one:
+                    build_calibration_summary(bad)
+                with pytest.raises(InvalidInputError) as as_array:
+                    build_calibration_summary(np.asarray(bad, dtype=dtype))
+                assert str(as_array.value) == str(one_by_one.value), dtype
+        with pytest.raises(InvalidInputError, match="calibration value must be a number, got 'x'"):
+            build_calibration_summary(np.asarray([0.5, "x"], dtype=object))
+        assert array_path.call_count == 1

@@ -128,13 +128,24 @@ def test_sweep_error_case() -> None:
     assert recall == 1.0
 
 
+def test_strategy_grid_warns_once_for_all_its_parameters_above_one() -> None:
+    params = tuple(Parameter.of(v) for v in ("0.5", "1.5", "1", "2", "3/2"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        StrategyGrid(Strategy.ALPHA_MAX, params)
+    assert [str(w.message) for w in caught] == [
+        "3 strategy parameter(s) exceed 1 (first 1.5); rank-based scores never do, "
+        "so they would retain everything"
+    ]
+
+
 def test_sweep_edge_conventions() -> None:
     size_distortion, error, _, precision, recall = alpha_max_instance([0, 0], [3.0, 4.0], 0.5)
     assert error == 0
     assert precision == 1.0  # empty selection
     assert recall == 1.0  # nothing correct to recall
     assert size_distortion == 0.0
-    with pytest.warns(UserWarning, match="exceeds 1"):
+    with pytest.warns(UserWarning, match="exceed 1"):
         size_distortion, error, _, _, _ = alpha_max_instance([0, 0], [3.0, 4.0], 3)
     assert error == 1
     assert size_distortion == pytest.approx(1 / 3.0)
@@ -177,7 +188,7 @@ def test_sweep_means_equal_np_mean_of_one_prompt_sweeps(
     # unsorted grids that repeat a value; alpha-max also passes every finite score
     alphas = data.draw(st.permutations(alphas + alphas[:1] + [above_one]))
     fractions = data.draw(st.permutations(fractions + fractions[:1]))
-    with pytest.warns(UserWarning, match="exceeds 1"):
+    with pytest.warns(UserWarning, match="exceed 1"):
         alpha_grid = StrategyGrid(Strategy.ALPHA_MAX, tuple(Parameter.of(a) for a in alphas))
     grids = (alpha_grid, StrategyGrid(Strategy.FRACTION, tuple(Parameter.of(f) for f in fractions)))
 
@@ -1228,7 +1239,7 @@ def test_score_prompts_refuses_a_bad_maximum_with_the_summary_message() -> None:
             score_prompts(prep, prompts, ALL_SCORE_KINDS, cal_fstar)
         assert str(as_arrays.value) == str(one_by_one.value)
     values = np.asarray([-0.0, 0.0, 0.5, math.inf, 2.0])
-    summary = evaluation._summary_of_array(values, FTransform.ODDS)
+    summary = evaluation.build_calibration_summary(values, FTransform.ODDS)
     assert summary == build_calibration_summary(values.tolist(), FTransform.ODDS)
     assert summary._n_infinite == 1
     assert [math.copysign(1.0, v) for v in summary.per_prompt_fstar] == [1.0] * 5

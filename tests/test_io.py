@@ -709,7 +709,7 @@ def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:
     two = PreparedDataset([make_instance("v-1", [0.5]), make_instance("v-2", [0.7])])
     with pytest.raises(InvalidInputError, match="score kind"):
         evaluate_split(two, split, ())
-    with pytest.warns(UserWarning, match="exceeds 1"):
+    with pytest.warns(UserWarning, match="exceed 1"):
         StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.1"), Parameter.of("2")))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
