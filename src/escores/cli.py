@@ -123,12 +123,13 @@ def _parse_policy(
 
 def _warn_infinite_maxima(cal: PreparedDataset, kinds: Sequence[ScoreKind]) -> None:
     """Warn when a kind reads transforms 2 or 3 and some calibration maximum is infinite."""
-    if not {"e2", "e3", "e-combined"}.intersection(kind.name for kind in kinds):
-        return
     import numpy as np
 
     from .estimation import FTransform
+    from .scoring import _summary_transforms
 
+    if not _summary_transforms(kinds) - {FTransform.IDENTITY}:
+        return
     # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
     infinite = int(np.count_nonzero(np.isinf(cal.fstar[FTransform.INVERSE_COMPLEMENT])))
     if infinite:
@@ -543,7 +544,8 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
         # the reader (say, `head`) closed stdout early; die quietly, and
         # point the fd at devnull so the interpreter's exit flush cannot
         # raise a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_RUNTIME
     except OSError as exc:
         if isinstance(exc, FileNotFoundError) and _reads(args, exc.filename):

@@ -530,6 +530,13 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     return written
 
 
+#: The most points a ``start:stop:step`` grid may hold: the 1e-5 grid on
+#: [0, 1].  At this cap the parsed grid holds about 27 MB, each score
+#: kind adds about 60 MB of report rows and sweep, and each split 4 MB
+#: more per kind until the splits are aggregated.
+_MAX_GRID_POINTS = 100_001
+
+
 def parse_grid(text: str) -> tuple[Parameter, ...]:
     """Parse a parameter grid from ``start:stop:step`` or a comma list.
 
@@ -557,22 +564,21 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
             raise InvalidInputError("grid step must be positive")
         if stop < start:
             raise InvalidInputError("grid stop must not precede start")
-        from decimal import MAX_PREC, Inexact, localcontext  # loaded with the endpoints' decimals
+        from decimal import MAX_PREC, Decimal, Inexact, localcontext  # loaded with the endpoints' decimals
         from fractions import Fraction
 
-        values: list[Parameter] = []
-        index = 0
         with localcontext() as exact:  # every digit kept, so no two points round together
             exact.prec, exact.traps[Inexact] = MAX_PREC, True
-            while True:
-                current = start + index * step
-                if current > stop:
-                    break
-                values.append(Parameter(format(current.normalize(), "f"), Fraction(current)))
-                index += 1
-        return tuple(values)
+            count = int((stop - start) // step) + 1  # // floors: both operands are >= 0
+            if count > _MAX_GRID_POINTS:
+                shown = f"{count:,}" if count < 10**15 else f"{Decimal(count):.2e}"
+                raise InvalidInputError(
+                    f"grid {text!r} has {shown} points, more than the cap of {_MAX_GRID_POINTS:,}"
+                )
+            points = (start + index * step for index in range(count))
+            return tuple(Parameter(format(p.normalize(), "f"), Fraction(p)) for p in points)
 
-    values = []
+    values: list[Parameter] = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:

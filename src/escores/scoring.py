@@ -86,30 +86,19 @@ class ScoreKind:
 
     @property
     def name(self) -> str:
-        if self.family is ScoreFamily.E_SCORE:
-            assert self.transform is not None
-            return f"e{self.transform.option}"
-        if self.family is ScoreFamily.NAIVE:
-            assert self.transform is not None
-            return f"naive{self.transform.option}"
-        return self.family.value
+        return self.family.value + ("" if self.transform is None else str(self.transform.option))
 
     @classmethod
     def parse(cls, name: str) -> "ScoreKind":
+        """The member of ``ALL_SCORE_KINDS`` that ``name`` (or its alias) names."""
         text = name.strip().lower()
         aliases = {"p-rand": "p-randomized", "prand": "p-randomized", "e-comb": "e-combined"}
         text = aliases.get(text, text)
-        if text in ("e1", "e2", "e3"):
-            return cls(ScoreFamily.E_SCORE, FTransform.from_option(int(text[1])))
-        if text in ("naive1", "naive2", "naive3"):
-            return cls(ScoreFamily.NAIVE, FTransform.from_option(int(text[5])))
-        for family in (ScoreFamily.E_SCORE_COMBINED, ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED):
-            if text == family.value:
-                return cls(family)
-        raise InvalidInputError(
-            f"unknown score kind {name!r}; expected one of e1, e2, e3, e-combined, "
-            f"p, p-randomized, naive1, naive2, naive3"
-        )
+        for kind in ALL_SCORE_KINDS:
+            if kind.name == text:
+                return kind
+        expected = ", ".join(kind.name for kind in ALL_SCORE_KINDS)
+        raise InvalidInputError(f"unknown score kind {name!r}; expected one of {expected}")
 
 
 #: Every scoreable kind, in report order.

@@ -37,6 +37,7 @@ from escores.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    _warn_infinite_maxima,
     _write_score_jsonl,
     _write_score_table,
     run_command,
@@ -474,6 +475,18 @@ def test_score_warns_on_infinite_calibration_maxima(
     assert code == EXIT_OK and err == ""
 
 
+@pytest.mark.parametrize("kind", ALL_SCORE_KINDS, ids=lambda kind: kind.name)
+def test_infinite_maxima_warn_exactly_the_kinds_that_read_transforms_2_and_3(kind) -> None:
+    # c-1's incorrect first prefix has estimate exactly 1: f* = +inf under transforms 2, 3
+    cal = PreparedDataset(
+        [make_instance("c-1", [1.0, 0.5], first_error_index=1), make_instance("c-2", [0.9])]
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _warn_infinite_maxima(cal, (kind,))
+    assert len(caught) == (kind.name in ("e2", "e3", "e-combined"))
+
+
 def test_evaluate_warns_on_infinite_calibration_maxima(tmp_path: Path, capsys) -> None:
     """30 incorrect prompts whose every conditional is 1: evaluate warns as score does."""
     instances = list(generate_dataset(SyntheticConfig(n_prompts=400, seed=2)))
@@ -866,7 +879,8 @@ def test_score_dies_quietly_when_stdout_closes_early(tmp_path: Path) -> None:
 def test_score_dies_quietly_on_a_closed_stdout_in_process(
     dataset: Path, calibration: Path, tmp_path: Path, capsys, monkeypatch
 ) -> None:
-    """``run_command``'s broken-pipe branch: exit 1, nothing on stderr, stdout sent to devnull."""
+    """``run_command``'s broken-pipe branch: exit 1, nothing on stderr, stdout sent to
+    devnull, and no descriptor left open however often it runs."""
 
     class ClosedPipe(io.StringIO):
         def __init__(self, fd: int) -> None:
@@ -880,11 +894,15 @@ def test_score_dies_quietly_on_a_closed_stdout_in_process(
             return self.fd
 
     with open(tmp_path / "stdout", "w") as target:
-        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
-        code = run_command(["score", str(dataset), "--calibration", str(calibration)])
-        monkeypatch.undo()
+        before = len(os.listdir("/dev/fd"))
+        for _ in range(5):
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+            code = run_command(["score", str(dataset), "--calibration", str(calibration)])
+            monkeypatch.undo()
+            assert (code, capsys.readouterr().err) == (EXIT_RUNTIME, "")
         assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
-    assert (code, capsys.readouterr().err) == (EXIT_RUNTIME, "")
+        # the branch closes the devnull descriptor it opens for its dup2
+        assert len(os.listdir("/dev/fd")) == before
 
 
 @pytest.mark.parametrize(

@@ -700,6 +700,28 @@ def test_parse_grid_rejects_bad_input(tmp_path: Path, capsys) -> None:
     assert capsys.readouterr().err == "validation error: grid start must be finite, got 'inf'\n"
 
 
+@pytest.mark.parametrize(
+    "grid, count",
+    [("0:1:1e-9", "1,000,000,001"), ("1:2:1e-30", "1.00e+30"), ("0:100001:1", "100,002")],
+)
+def test_parse_grid_refuses_a_grid_past_the_cap_before_anything_is_read(
+    grid: str, count: str, tmp_path: Path, capsys
+) -> None:
+    """The points are counted before one is built, and before the dataset is read."""
+    report = tmp_path / "report.csv"
+    argv = ["evaluate", str(tmp_path / "absent.jsonl"), "--grid", grid, "--csv", str(report)]
+    assert run_command(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"validation error: grid {grid!r} has {count} points, more than the cap of 100,001\n"
+    )
+    assert not report.exists()
+
+
+def test_parse_grid_builds_a_grid_at_the_cap() -> None:
+    grid = parse_grid("0:100000:1")
+    assert len(grid) == 100_001 and grid[-1].label == "100000"
+
+
 def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:
     """Each check once made up front for an evaluation run, at its owner."""
     # a missing input is a usage error of the command

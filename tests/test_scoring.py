@@ -60,15 +60,25 @@ def test_score_kind_names_and_parse_round_trip() -> None:
         "naive2",
         "naive3",
     ]
-    for kind in ALL_SCORE_KINDS:
-        assert ScoreKind.parse(kind.name) == kind
-    assert ScoreKind.parse("p-rand") == ScoreKind(ScoreFamily.P_SCORE_RANDOMIZED)
-    with pytest.raises(InvalidInputError):
-        ScoreKind.parse("e4")
+    with pytest.raises(InvalidInputError) as caught:
+        ScoreKind.parse(" E4 ")
+    assert str(caught.value) == (
+        "unknown score kind ' E4 '; expected one of e1, e2, e3, e-combined, "
+        "p, p-randomized, naive1, naive2, naive3"
+    )
     with pytest.raises(InvalidInputError):
         ScoreKind(ScoreFamily.E_SCORE)  # transform required
     with pytest.raises(InvalidInputError):
         ScoreKind(ScoreFamily.P_SCORE, FTransform.IDENTITY)  # and forbidden here
+
+
+@pytest.mark.parametrize(
+    "text, index",
+    [(kind.name, i) for i, kind in enumerate(ALL_SCORE_KINDS)]
+    + [(" P-Rand ", 5), ("prand", 5), ("E-COMB", 3)],
+)
+def test_parse_returns_the_table_member(text: str, index: int) -> None:
+    assert ScoreKind.parse(text) is ALL_SCORE_KINDS[index]
 
 
 # ---------------------------------------------------------------------------
