@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from decimal import Decimal
     from fractions import Fraction
+
+    import numpy as np
 
     from .estimation import FTransform
 
@@ -124,6 +127,34 @@ def _require_seed(seed: int) -> int:
     if not isinstance(seed, int) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative int, got {seed!r}")
     return seed
+
+
+def _seeded_rng(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    """numpy's default generator on ``SeedSequence(seed, spawn_key=spawn_key)``.
+
+    ``numpy.random`` imports ``secrets`` for its ``randbits`` alone, and
+    ``secrets`` loads OpenSSL through ``hmac``.  So the first call, when
+    neither is loaded yet, imports ``numpy.random`` with a stand-in
+    ``secrets`` holding only that function, ``SystemRandom().getrandbits``
+    as in ``secrets`` itself, and removes the stand-in afterwards: a later
+    ``import secrets`` gets the real module.
+    """
+    _require_seed(seed)
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        import random
+        import types
+
+        stand_in = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits
+        sys.modules["secrets"] = stand_in
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            if sys.modules.get("secrets") is stand_in:
+                del sys.modules["secrets"]
+    import numpy as np
+
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
 def _require_prompt_id(value: object) -> str:

@@ -68,6 +68,7 @@ from .core import (
     Response,
     Strategy,
     _require_seed,
+    _seeded_rng,
     as_exact,
     as_ext_real,
 )
@@ -154,8 +155,7 @@ def _test_size(plan: SplitPlan, n_prompts: int) -> int:
 def _draw_splits(plan: SplitPlan, n_prompts: int, n_test: int) -> Iterator[SplitAssignment]:
     """Each split of ``plan`` in turn, its shuffle drawn only when it is reached."""
     for i in range(plan.n_splits):
-        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(0, i)))
-        order = rng.permutation(n_prompts)  # test half first
+        order = _seeded_rng(plan.seed, (0, i)).permutation(n_prompts)  # test half first
         yield SplitAssignment(
             calibration=tuple(order[n_test:].tolist()), test=tuple(order[:n_test].tolist())
         )
@@ -914,7 +914,7 @@ def run_equivalence_trials(
     """
     if n_instances < 1 or grid_points < 4 or n_max < 1:
         raise InvalidInputError("need n_instances >= 1, grid_points >= 4, n_max >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(_require_seed(seed), spawn_key=(2,)))
+    rng = _seeded_rng(seed, (2,))
     failures = 0
     for i in range(n_instances):
         n = int(rng.integers(1, n_max + 1))

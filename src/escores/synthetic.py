@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, Prompt, _require_seed, as_ext_real
+from .core import InvalidInputError, Prompt, _require_seed, _seeded_rng, as_ext_real
 from .estimation import (
     EstimateSource,
     FTransform,
@@ -113,7 +113,7 @@ def _draw_cells(
 
 def generate_dataset(cfg: SyntheticConfig) -> tuple[PromptInstance, ...]:
     """Draw a full synthetic dataset of prompt instances, deterministically."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    rng = _seeded_rng(cfg.seed, (0,))
     steps, first_error = _sample_errors(rng, cfg, cfg.n_prompts)
     n_correct = np.where(first_error > 0, first_error - 1, steps)
     total_correct = int(n_correct.sum())
@@ -235,8 +235,7 @@ def mc_evariable_check(
     stats = np.empty(n_trials)
     for b, start in enumerate(range(0, n_trials, block_trials)):
         trials = min(block_trials, n_trials - start)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, b)))
-        fstar = _draw_maxima(rng, cfg, transform, trials * cfg.n_prompts)
+        fstar = _draw_maxima(_seeded_rng(cfg.seed, (1, b)), cfg, transform, trials * cfg.n_prompts)
         stats[start:start + trials] = _evariable_rows(fstar.reshape(trials, cfg.n_prompts))
 
     mean = float(np.mean(stats))

@@ -1042,10 +1042,15 @@ def test_each_command_loads_only_the_modules_it_runs(dataset: Path, calibration:
     }
     # only exact numbers (grids, fractions, the SVG x values) load these
     assert not {"fractions", "decimal"} & simulate
+    # numpy.random is imported without secrets, whose hmac loads OpenSSL
+    openssl = {"secrets", "hmac", "hashlib", "_hashlib"}
+    assert not openssl & simulate
     # 3 splits put both quartiles between two means: the interpolating path
     evaluate = _modules_after("evaluate", str(dataset), "--splits", "3", "--grid", "0.5,1")
     assert "escores.evaluation" in evaluate
     assert not {"escores.synthetic", "numpy.ma"} & evaluate
+    assert not openssl & evaluate
+    assert not openssl & _modules_after("equivalence", "--instances", "5")
     # the prompt keys' SHA-256 is CPython's own, not OpenSSL's
     score = _modules_after("score", str(dataset), "--calibration", str(calibration), "--scores", "all", "--jsonl")
     assert not {"_hashlib", "numpy.ma", "escores.synthetic"} & score

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +20,10 @@ from escores import (
     Prompt,
     Response,
     ScoredResponseSet,
+    SyntheticConfig,
     ext_sum,
+    generate_dataset,
+    write_dataset,
 )
 from escores.core import as_ext_real, as_label, as_unit_fraction, as_unit_interval
 
@@ -158,3 +165,65 @@ def test_extended_sums_validate_each_value_once(monkeypatch) -> None:
     assert len(calls) == 3
     assert ext_sum([1.0, 2.0, 0.5]) == 3.5
     assert len(calls) == 6
+
+
+# ---------------------------------------------------------------------------
+# seeded generators: numpy.random loaded without secrets and OpenSSL
+# ---------------------------------------------------------------------------
+
+
+def _fresh_stdout(program: str, *argv: str) -> bytes:
+    """What ``program`` prints in a fresh interpreter, which must exit 0."""
+    done = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+@pytest.mark.parametrize("first_call", ["generate_dataset", "evaluate_dataset"])
+def test_the_secrets_stand_in_lives_only_through_numpys_import(tmp_path, first_call) -> None:
+    path = write_dataset(generate_dataset(SyntheticConfig(n_prompts=6, seed=1)), tmp_path / "d.jsonl")
+    program = (
+        "import json, sys\n"
+        "from escores import PreparedDataset, ScoreKind, SplitPlan, SyntheticConfig\n"
+        "from escores import evaluate_dataset, generate_dataset, parse_dataset\n"
+        "if sys.argv[1] == 'generate_dataset':\n"
+        "    generate_dataset(SyntheticConfig(n_prompts=6))\n"
+        "else:\n"
+        "    dataset = PreparedDataset(parse_dataset(sys.argv[2]))\n"
+        "    evaluate_dataset(dataset, [ScoreKind.parse('e1')], plan=SplitPlan(n_splits=2))\n"
+        "loaded = [m for m in ('secrets', 'hmac', 'hashlib', '_hashlib') if m in sys.modules]\n"
+        "import secrets\n"
+        "import numpy as np\n"
+        "entropy = np.random.SeedSequence().entropy\n"
+        "print(json.dumps([loaded, hasattr(secrets, 'token_hex'), isinstance(entropy, int)]))\n"
+    )
+    loaded, real_secrets, int_entropy = json.loads(_fresh_stdout(program, first_call, str(path)))
+    assert loaded == []
+    assert real_secrets  # the stand-in is gone: a later import finds the real module
+    assert int_entropy  # an unseeded SeedSequence still draws its entropy
+
+
+def test_both_import_paths_of_numpy_random_draw_the_same_streams() -> None:
+    """With ``secrets`` loaded first, numpy.random is imported as usual;
+    without it, through the stand-in.  Every stream must be the same; the
+    Monte Carlo check's 40,000 rows take two blocks, two streams."""
+    program = (
+        "import pickle, sys\n"
+        "if sys.argv[1] == 'secrets-first':\n"
+        "    import secrets\n"
+        "from escores import FTransform, SplitPlan, SyntheticConfig\n"
+        "from escores import generate_dataset, mc_evariable_check, plan_splits\n"
+        "cfg = SyntheticConfig(n_prompts=12, max_steps=4, seed=3)\n"
+        "splits = [plan_splits(SplitPlan(seed=s, n_splits=3), 9) for s in (0, 7, 2**64 + 5)]\n"
+        "dataset = [\n"
+        "    (i.generated, i.estimates.response_estimate, dict(i.estimates.conditionals))\n"
+        "    for i in generate_dataset(cfg)\n"
+        "]\n"
+        "mc = mc_evariable_check(SyntheticConfig(n_prompts=400, seed=3), FTransform.IDENTITY, 100)\n"
+        "out = (splits, dataset, (mc.mean, mc.std_error), '_hashlib' in sys.modules)\n"
+        "sys.stdout.buffer.write(pickle.dumps(out))\n"
+    )
+    *stand_in, stand_in_ssl = pickle.loads(_fresh_stdout(program, "stand-in"))
+    *ordinary, ordinary_ssl = pickle.loads(_fresh_stdout(program, "secrets-first"))
+    assert (stand_in_ssl, ordinary_ssl) == (False, True)  # each took the path it names
+    assert stand_in == ordinary
