@@ -16,15 +16,17 @@ read, by ``build_calibration_summary`` of the prepared float64 maxima,
 which it checks as arrays.
 
 ``sweep`` sorts each prompt's responses once by (score, position), so a
-filtering strategy only picks how many of them each prompt keeps.  Per
-strategy grid it builds one table of the five metrics for every count a
-strategy can reach, and a grid point costs one column pick per prompt
-and one mean over the picked columns, not a pass over every response;
-the picks and means run a bounded block of grid points at a time.
-What depends only on the grid and the set sizes is planned once per
-split for every kind.  The means are bit-identical to ``np.mean`` over
-per-prompt arrays; the ``sweep`` docstring gives the rule that keeps
-them so.
+filtering strategy only picks how many of them each prompt keeps.
+Alpha-max builds one table of the five metrics for every count 0..k of
+every prompt, and a grid point costs one column pick per prompt and one
+mean over the picked columns, not a pass over every response.
+Fraction's counts depend only on the set sizes, so it works out the
+metrics of each distinct row of counts along the grid once and repeats
+that row for the grid points it stands for.  Both run a bounded block
+of rows at a time.  What depends only on the grid and the set sizes is
+planned once per split for every kind.  The means are bit-identical to
+``np.mean`` over per-prompt arrays; the ``sweep`` docstring gives the
+rule that keeps them so.
 
 A split's result stays in arrays until the report: ``SplitResult``
 holds one key per row and one read-only (rows, 5) float64 array of
@@ -446,11 +448,12 @@ def worst_cases(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> 
         return 1.0 / np.minimum.reduceat(np.where(correct, np.inf, scores), starts)
 
 
-# A sweep gathers the metrics of a block of grid points at a time, at
-# most this many (point, prompt) cells (one point when there are more
-# prompts), so that its memory does not grow with the grid: a full block
-# is a 64 KB int64 index and a 320 KB gather.  Twice this ran no faster
-# and raised evaluate-perm's peak RSS.
+# A sweep works out the metrics of a block of rows at a time, at most
+# this many (row, prompt) cells (one row when there are more prompts), so
+# that its memory does not grow with the grid: a full block is a 64 KB
+# int64 index, of table columns (alpha-max) or of keep counts (fraction),
+# and 320 KB of metrics.  Twice this ran no faster and raised
+# evaluate-perm's peak RSS.
 _BLOCK_CELLS = 1 << 13
 
 
@@ -473,66 +476,49 @@ def _sort_within_prompts(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _GridPlan:
     """What sweeping one grid needs that the scores do not change.
 
-    Prompt i owns the table columns ``base[i]:base[i] + widths[i]``, led
-    by its keep-nothing column, and ``kept`` holds every column's keep
-    count.  Alpha-max has a column for every keep count 0..k and walks
-    the grid in the order ``walk``; ``lookup`` holds the float values in
-    that order.  Fraction has no walk: the j-th column of prompt i keeps
-    ``ranks[rank_start[i] + j]``, and ``lookup[p, size_of[i]]`` is the
-    column, within prompt i's run, of grid point p; ``size_of[i]``
-    numbers prompt i's set size among the distinct ones.  (A plain
-    class: a dataclass costs every command about a millisecond of
-    import.)
+    Alpha-max gives prompt i the table columns ``base[i]:base[i] +
+    widths[i]``, one for every keep count 0..k, and ``kept`` holds each
+    column's count; it walks the grid in the order ``walk``, and
+    ``lookup`` holds the float values in that order.  Fraction has
+    neither table nor walk: ``rows`` holds the distinct rows of keep
+    counts per distinct set size, row r standing for the next
+    ``runs[r]`` grid points, and ``size_of[i]`` numbers prompt i's set
+    size among the distinct ones.  (A plain class: a dataclass costs
+    every command about a millisecond of import.)
     """
 
     def __init__(
-        self,
-        grid: StrategyGrid,
-        widths: np.ndarray,
-        walk: np.ndarray | None,
-        lookup: np.ndarray,
-        ranks: np.ndarray | None = None,
-        rank_start: np.ndarray | None = None,
-        size_of: np.ndarray | None = None,
+        self, grid: StrategyGrid, counts: np.ndarray, sizes: np.ndarray, size_of: np.ndarray
     ) -> None:
         self.grid = grid
-        self.widths = widths
-        self.base = np.cumsum(widths) - widths
-        self.walk = walk
-        self.lookup = lookup
-        self.size_of = size_of
-        at = np.arange(widths.sum()) - np.repeat(self.base, widths)
-        self.kept = at if ranks is None else ranks[at + np.repeat(rank_start, widths)]
+        if grid.strategy is Strategy.ALPHA_MAX:
+            values = np.asarray([float(p.value) for p in grid.parameters])
+            self.walk = np.argsort(values, kind="stable")
+            self.lookup = values[self.walk]
+            self.widths = counts + 1
+            self.base = np.cumsum(self.widths) - self.widths
+            self.kept = np.arange(self.widths.sum()) - np.repeat(self.base, self.widths)
+        else:
+            # The target depends only on the size, so a grid point's row
+            # changes only where some ceil(v * size) does.
+            size_list = sizes.tolist()
+            targets = np.fromiter(
+                (inclusion_target(p.value, k) for p in grid.parameters for k in size_list), np.int64
+            ).reshape(-1, len(size_list))
+            new = np.flatnonzero(np.diff(targets, axis=0, prepend=-1).any(axis=1))
+            self.walk = None
+            self.rows = targets[new]
+            self.runs = np.diff(new, append=len(targets))
+            self.size_of = size_of
 
 
 def _grid_plans(counts: np.ndarray, strategy_grids: Sequence[StrategyGrid]) -> list[_GridPlan]:
     """Each grid's plan for prompts of these sizes."""
-    # bincount and a set, not np.unique: the first call of each of its
-    # paths (hashed, or sorted for return_inverse) adds 0.4-0.9 MB of peak RSS
+    # bincount, not np.unique: the first call of each of its paths
+    # (hashed, or sorted for return_inverse) adds 0.4-0.9 MB of peak RSS
     sizes = np.flatnonzero(np.bincount(counts))
     size_of = np.searchsorted(sizes, counts)
-    plans = []
-    for grid in strategy_grids:
-        if grid.strategy is Strategy.ALPHA_MAX:
-            values = np.asarray([float(p.value) for p in grid.parameters])
-            walk = np.argsort(values, kind="stable")
-            plans.append(_GridPlan(grid, counts + 1, walk, values[walk]))
-        else:
-            # The target depends only on the size: per distinct size, the
-            # ranks some grid point keeps, after rank 0 (keep nothing).
-            targets = [
-                np.fromiter((inclusion_target(p.value, k) for p in grid.parameters), np.int64)
-                for k in sizes.tolist()
-            ]
-            ranks = [np.asarray(sorted({0, *t.tolist()})) for t in targets]
-            lookup = np.stack([np.searchsorted(r, t) for r, t in zip(ranks, targets)], axis=1)
-            span = np.asarray([r.size for r in ranks])
-            rank_start = (np.cumsum(span) - span)[size_of]
-            ranks_flat = np.concatenate(ranks)
-            plans.append(
-                _GridPlan(grid, span[size_of], None, lookup, ranks_flat, rank_start, size_of)
-            )
-    return plans
+    return [_GridPlan(grid, counts, sizes, size_of) for grid in strategy_grids]
 
 
 def _sweep(
@@ -554,35 +540,41 @@ def _sweep(
     correct_total = correct_cum[starts + counts] - correct_cum[starts]
     per_block = max(1, _BLOCK_CELLS // n)
 
-    def metric_table(plan: _GridPlan) -> np.ndarray:
-        """Metrics of keeping each column's count of its prompt's sorted responses."""
-        kept = plan.kept
-        table = np.empty((5, kept.size))
+    def metrics(kept: np.ndarray, first: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """(5, *kept.shape) metrics of keeping ``kept`` sorted responses from ``first`` on."""
+        table = np.empty((5, *kept.shape))
         size_distortion, error, alpha_used, precision, recall = table
-        # Each row is written as soon as it can be, so few temporaries live at once.
-        first = np.repeat(starts, plan.widths)
-        ends = first + kept
-        correct_kept = correct_cum[ends] - correct_cum[first]
-        del first
+        # Rows are written in place, so few temporaries live at once: each
+        # takes its value where that is defined, and its default elsewhere.
+        last = first + kept
+        correct_kept = correct_cum[last]
+        correct_kept -= correct_cum[first]
         error[:] = kept > correct_kept  # an incorrect response is kept
-        alpha_used[:] = np.where(kept > 0, sorted_scores[ends - 1], 0.0)
-        del ends
+        last -= 1
+        np.take(sorted_scores, last, out=alpha_used)
+        del last
+        alpha_used[kept == 0] = 0.0
+        size_distortion[:] = 0.0
         with np.errstate(divide="ignore"):
-            size_distortion[:] = np.where(error, 1.0 / alpha_used, 0.0)
-        precision[:] = np.where(kept > 0, correct_kept / np.maximum(kept, 1), 1.0)
-        total = np.repeat(correct_total, plan.widths)
-        recall[:] = np.where(total > 0, correct_kept / np.maximum(total, 1), 1.0)
+            np.divide(1.0, alpha_used, out=size_distortion, where=error > 0)
+        precision[:] = 1.0
+        np.divide(correct_kept, kept, out=precision, where=kept > 0)
+        recall[:] = 1.0
+        np.divide(correct_kept, total, out=recall, where=total > 0)
         return table
 
-    def means_of(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # per row of cols, the bits of np.mean over the prompts: see sweep's docstring
-        return (np.take(table, cols, axis=1).sum(axis=2) / n).T
+    def means_of(block: np.ndarray) -> np.ndarray:
+        # per row of a (5, rows, prompts) block, the bits of np.mean over
+        # the prompts: see sweep's docstring
+        return (block.sum(axis=2) / n).T
 
     for plan in plans:
-        points = len(plan.grid.parameters)
-        means = np.empty((points, 5))
-        table = metric_table(plan)
         if plan.walk is not None:
+            points = len(plan.grid.parameters)
+            means = np.empty((points, 5))
+            table = metrics(
+                plan.kept, np.repeat(starts, plan.widths), np.repeat(correct_total, plan.widths)
+            )
             # Walk step i passes the responses scoring at most lookup[i],
             # and moves each prompt's column on by as many as it passes
             # of that prompt's, so a tie group passes whole.  Keys sorted
@@ -600,11 +592,13 @@ def _sweep(
                 for row in block:  # running sums down the block; np.cumsum(axis=0) is slower
                     row += cols
                     cols = row
-                means[plan.walk[b:e]] = means_of(table, block)
+                means[plan.walk[b:e]] = means_of(np.take(table, block, axis=1))
         else:
-            for b in range(0, points, per_block):
-                block = plan.base + np.take(plan.lookup[b : b + per_block], plan.size_of, axis=1)
-                means[b : b + per_block] = means_of(table, block)
+            rows = np.empty((len(plan.runs), 5))
+            for b in range(0, len(rows), per_block):
+                kept = np.take(plan.rows[b : b + per_block], plan.size_of, axis=1)
+                rows[b : b + per_block] = means_of(metrics(kept, starts, correct_total))
+            means = np.repeat(rows, plan.runs, axis=0)
         yield plan.grid, means
 
 
@@ -624,28 +618,28 @@ def sweep(
     position) and charges the largest kept score; keeping nothing
     charges 0.
 
-    The table is float64 of shape (5, columns): a column holds the five
-    metrics of keeping one prompt's sorted responses up to some count,
-    computed with the per-prompt expressions, and each prompt owns a run
-    of columns led by its keep-nothing column.  Alpha-max has a column
-    for every count 0..k; walking the grid upward by value, each
-    response passed moves its prompt one column on, so a tie group
-    passes whole.  Fraction keeps ``inclusion_target(v, k)``, which
-    depends only on the set size k, so its columns are the ranks some
-    grid value asks for at each k.
+    One function computes the five metrics of keeping a count of a
+    prompt's sorted responses, with the per-prompt expressions, for both
+    strategies.  Alpha-max builds a float64 table of shape (5, columns)
+    with a column for every count 0..k of every prompt; walking the grid
+    upward by value, each response passed moves its prompt one column
+    on, so a tie group passes whole.  Fraction keeps
+    ``inclusion_target(v, k)``, which depends only on the set size k and
+    changes only at multiples of 1/k, so it computes the metrics of each
+    distinct row of keep counts along the grid straight from the counts
+    and repeats each row's means for the grid points it stands for.
 
-    Grid points are taken in blocks of at most ``_BLOCK_CELLS`` (point,
-    prompt) cells, or of one point when there are more prompts, so
-    memory does not grow with the grid.  A block's columns form a
-    (points, prompts) index, and its means are
-    ``np.take(table, cols, axis=1).sum(axis=2) / n``.  The gather must be
-    C-contiguous along the prompt axis: each of its rows is then summed
-    pairwise, as ``np.mean`` sums a 1-D array before dividing by the
-    count, so every mean is bit-identical to ``np.mean`` over the
-    prompts.  ``np.take`` returns C order whatever the index's layout,
-    but fancy indexing such as ``table[m][cols]`` follows the index, and
-    a column-major index such as ``lookup[b:e][:, size_of]`` then sums
-    each mean in another order, which moves last bits.
+    Rows are taken in blocks of at most ``_BLOCK_CELLS`` (row, prompt)
+    cells, or of one row when there are more prompts, so memory does not
+    grow with the grid.  A block's metrics form a (5, rows, prompts)
+    array, gathered from the table for alpha-max, and its means are
+    ``block.sum(axis=2) / n``.  The block must be C-contiguous along the
+    prompt axis: each of its rows is then summed pairwise, as
+    ``np.mean`` sums a 1-D array before dividing by the count, so every
+    mean is bit-identical to ``np.mean`` over the prompts.  ``np.take``
+    returns C order whatever the index's layout, but fancy indexing such
+    as ``table[m][cols]`` follows the index, and a column-major index
+    then sums each mean in another order, which moves last bits.
     """
     for grid, means in _sweep(scores, correct, counts, _grid_plans(counts, strategy_grids)):
         for param, row in zip(grid.parameters, means.tolist()):

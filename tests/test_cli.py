@@ -915,15 +915,21 @@ def test_score_dies_quietly_on_a_closed_stdout_in_process(
              "--permutation-file", "{perms}"],
             "{perms}: expected a JSON array of index arrays",
         ),
+        (
+            ["evaluate", "{data}", "--permutations", "file", "--permutation-file", "{empty}"],
+            "explicit permutation list must be nonempty",
+        ),
     ],
-    ids=["empty-score-entry", "zero-denominator-grid", "flat-permutation-file"],
+    ids=["empty-score-entry", "zero-denominator-grid", "flat-permutation-file", "empty-permutation-file"],
 )
 def test_malformed_options_are_one_validation_error(
     argv, message, dataset: Path, tmp_path: Path, capsys
 ) -> None:
     perms = tmp_path / "perms.json"
     perms.write_text("[1,2]", encoding="utf-8")
-    names = {"data": dataset, "perms": perms}
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]", encoding="utf-8")
+    names = {"data": dataset, "perms": perms, "empty": empty}
     argv = [a.format(**names) for a in argv]
     assert error_line(capsys, *argv) == f"validation error: {message.format(**names)}\n"
 

@@ -15,6 +15,7 @@ from escores import (
     EstimateSource,
     FTransform,
     InvalidInputError,
+    PromptInstance,
     Response,
     aggregate_conditionals,
     build_calibration_summary,
@@ -67,6 +68,10 @@ def test_estimate_source_validation() -> None:
         EstimateSource(conditionals={1: 1.5})
     with pytest.raises(InvalidInputError):
         EstimateSource(response_estimate=-0.1)
+    with pytest.raises(InvalidInputError, match="keys must be ints >= 1"):
+        EstimateSource(conditionals={0: 0.5})
+    with pytest.raises(InvalidInputError, match=r"missing conditional estimates for steps \[2\]"):
+        PromptInstance(make_generated("p", 2), EstimateSource(conditionals={1: 0.5}))
 
 
 def test_transform_examples() -> None:
@@ -97,6 +102,8 @@ def test_transform_rejects_out_of_range() -> None:
             transform_estimate(1.2, t)
         with pytest.raises(InvalidInputError):
             transform_estimate(-0.2, t)
+    with pytest.raises(InvalidInputError, match="unknown transform"):
+        transform_estimate(0.5, 2)
 
 
 @given(est=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

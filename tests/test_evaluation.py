@@ -245,29 +245,71 @@ def _sweep_case(seed: int, n_prompts: int, max_size: int):
 
 
 def test_sweep_across_gather_blocks_equals_np_mean_and_the_oracles() -> None:
-    """101-point grids over 200 prompts: several gather blocks, pairwise sums past 128."""
-    scores, correct, counts = _sweep_case(17, 200, 6)
-    points = parse_grid("0:1:0.01")
-    assert len(counts) * len(points) >= 2 * evaluation._BLOCK_CELLS
-    # an unsorted alpha-max grid, so the walk order crosses blocks too
-    shuffled = tuple(points[i] for i in np.random.default_rng(3).permutation(len(points)))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, shuffled), StrategyGrid(Strategy.FRACTION, points))
-    rows = list(sweep(scores, correct, counts, grids))
+    """Sweeps over 200 prompts in several gather blocks, pairwise sums past 128.
 
-    bounds = list(zip(np.cumsum(counts) - counts, np.cumsum(counts)))
-    per_prompt = [
-        [means for _, _, means in sweep(scores[a:b], correct[a:b], np.asarray([b - a]), grids)]
-        for a, b in bounds
-    ]
-    assert [(g, p) for g, p, _ in rows] == [(g, p) for g in grids for p in g.parameters]
-    labels = [[int(c) for c in correct[a:b]] for a, b in bounds]
-    by_score = [scores[a:b].tolist() for a, b in bounds]
-    exact = {grid: _oracle_rows(labels, by_score, grid) for grid in grids}
-    for j, (grid, param, means) in enumerate(rows):
-        expected = tuple(float(np.mean([one[j][m] for one in per_prompt])) for m in range(5))
-        assert means == expected, (grid.strategy, param)
-        want = exact[grid][param.label]
-        assert all(oracles.matches(g, w) for g, w in zip(means, want)), (param, means, want)
+    101-point grids over sets of up to 6 responses, the alpha-max one
+    unsorted so its walk order crosses blocks too; and a 1,001-point
+    fraction grid over sets of up to 64, whose distinct rows of keep
+    counts fill several blocks before they are repeated.  The oracles,
+    slow on sets of 64, check every 25th point of the fine grid.
+    """
+    points = parse_grid("0:1:0.01")
+    shuffled = tuple(points[i] for i in np.random.default_rng(3).permutation(len(points)))
+    fine = StrategyGrid(Strategy.FRACTION, parse_grid("0:1:0.001"))
+    large_sets = _sweep_case(19, 200, 64)
+    assert 200 * len(points) >= 2 * evaluation._BLOCK_CELLS
+    (plan,) = evaluation._grid_plans(large_sets[2], (fine,))
+    assert 200 * len(plan.rows) >= 2 * evaluation._BLOCK_CELLS
+    assert len(plan.rows) < len(fine.parameters) and max(plan.runs) > 1
+    cases = (
+        (
+            _sweep_case(17, 200, 6),
+            (StrategyGrid(Strategy.ALPHA_MAX, shuffled), StrategyGrid(Strategy.FRACTION, points)),
+            1,
+        ),
+        (large_sets, (fine,), 25),
+    )
+
+    for (scores, correct, counts), grids, stride in cases:
+        rows = list(sweep(scores, correct, counts, grids))
+        bounds = list(zip(np.cumsum(counts) - counts, np.cumsum(counts)))
+        per_prompt = [
+            [means for _, _, means in sweep(scores[a:b], correct[a:b], np.asarray([b - a]), grids)]
+            for a, b in bounds
+        ]
+        assert [(g, p) for g, p, _ in rows] == [(g, p) for g in grids for p in g.parameters]
+        labels = [[int(c) for c in correct[a:b]] for a, b in bounds]
+        by_score = [scores[a:b].tolist() for a, b in bounds]
+        exact = {
+            grid: _oracle_rows(labels, by_score, StrategyGrid(grid.strategy, grid.parameters[::stride]))
+            for grid in grids
+        }
+        for j, (grid, param, means) in enumerate(rows):
+            expected = tuple(float(np.mean([one[j][m] for one in per_prompt])) for m in range(5))
+            assert means == expected, (grid.strategy, param)
+            if param.label in exact[grid]:
+                want = exact[grid][param.label]
+                assert all(oracles.matches(g, w) for g, w in zip(means, want)), (param, means, want)
+
+
+def test_fraction_sweep_evaluates_only_its_distinct_rows() -> None:
+    """ceil(v * k) changes only at multiples of 1/k: 10,001 points over sizes 1-5 are 11 rows.
+
+    One row for v = 0, and one for each of the ten intervals that
+    0 < 1/5 < 1/4 < 1/3 < 2/5 < 1/2 < 3/5 < 2/3 < 3/4 < 4/5 < 1 bound.
+    """
+    counts = np.asarray([1, 2, 3, 4, 5, 3, 1])
+    grid = StrategyGrid(Strategy.FRACTION, parse_grid("0:1:0.0001"))
+    (plan,) = evaluation._grid_plans(counts, (grid,))
+    assert len(plan.rows) == 11 and plan.runs.sum() == len(grid.parameters) == 10_001
+    assert plan.rows.tolist()[:3] == [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 2]]
+    assert plan.rows.tolist()[-1] == [1, 2, 3, 4, 5]
+    # the sweep's means repeat each distinct row over its run of points
+    scores = np.arange(counts.sum()) / 16
+    correct = np.arange(counts.sum()) % 3 == 0
+    (_, means), = evaluation._sweep(scores, correct, counts, [plan])
+    changes = 1 + np.flatnonzero((means[1:] != means[:-1]).any(axis=1))
+    assert np.array_equal(changes, np.cumsum(plan.runs)[:-1])
 
 
 def test_sweep_memory_does_not_grow_with_the_grid() -> None:
@@ -1066,6 +1108,7 @@ def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> Non
     same = SplitResult(keys=keys, means=result.means, worst_case=(("e1", 2.0),), n_test=2, n_cal=3)
     assert same == result
     assert SplitResult(keys=keys, means=source, worst_case=(("e1", 2.0),), n_test=2, n_cal=3) != result
+    assert (result == keys) is False
     with pytest.raises(InvalidInputError, match="do not fit"):
         SplitResult(keys=keys[:1], means=source, worst_case=(), n_test=2, n_cal=3)
 
@@ -1076,6 +1119,13 @@ def test_aggregate_splits_rejects_mismatched_grids() -> None:
     a = evaluate_split(dataset, SplitAssignment((0,), (1,)), (ScoreKind.parse("e1"),), grids)
     b = evaluate_split(dataset, SplitAssignment((0,), (1,)), (ScoreKind.parse("p"),), grids)
     with pytest.raises(ConfigurationError):
+        aggregate_splits([a, b])
+    # no grid: the keys agree, the score kinds do not
+    a, b = (
+        evaluate_split(dataset, SplitAssignment((0,), (1,)), (ScoreKind.parse(name),))
+        for name in ("e1", "p")
+    )
+    with pytest.raises(ConfigurationError, match="different score kinds"):
         aggregate_splits([a, b])
     with pytest.raises(InvalidInputError):
         aggregate_splits([])

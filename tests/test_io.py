@@ -47,6 +47,7 @@ from escores import (
 )
 from escores.cli import EXIT_USAGE, run_command
 from escores.io import _read_columns
+from escores.svg import slugify
 
 from helpers import make_generated, make_instance
 
@@ -221,6 +222,12 @@ def test_parse_warns_once_per_unknown_field(tmp_path: Path) -> None:
     messages = [str(w.message) for w in caught]
     assert sum("'model'" in m for m in messages) == 1
     assert sum("'notes'" in m for m in messages) == 1
+    singular = write_lines(
+        tmp_path / "singular.jsonl",
+        '{"id": "s-1", "response": "a", "correct": true, "oracle_estimate": 0.9, "model": "m"}',
+    )
+    with pytest.warns(UserWarning, match="ignoring unknown field 'model'"):
+        assert len(parse_dataset(singular)) == 1
 
 
 # One fault per file, on line 3 after two good records, with the exact
@@ -476,6 +483,8 @@ def test_write_rejects_unrepresentable_instances(tmp_path: Path) -> None:
     two_step = make_instance("p", [0.5, 0.5])
     with pytest.raises(InvalidInputError, match="singular"):
         write_dataset([two_step], tmp_path / "x.jsonl", schema="singular")
+    with pytest.raises(InvalidInputError, match="no whole-response estimate"):
+        write_dataset([make_instance("p", [0.5])], tmp_path / "x.jsonl", schema="singular")
     response_level = PromptInstance(
         make_generated("p", 1), EstimateSource(response_estimate=0.5)
     )
@@ -617,6 +626,8 @@ def test_emit_svg_two_strategy_panels_match_golden_hash(tmp_path: Path) -> None:
 def test_emit_svg_refuses_empty_report(tmp_path: Path) -> None:
     with pytest.raises(InvalidInputError):
         emit_svg_curves(EvaluationReport((), (), 1), tmp_path / "plots")
+    with pytest.raises(InvalidInputError, match="cannot build a file name"):
+        slugify("")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ def test_generated_response_validation() -> None:
         make_generated("p", 3, first_error_index=4)
     with pytest.raises(InvalidInputError):
         make_generated("p", 3, first_error_index=0)
+    with pytest.raises(InvalidInputError, match="must be int or None"):
+        make_generated("p", 3, first_error_index=True)
     with pytest.raises(InvalidInputError):
         GeneratedResponse(Prompt("p"), ())
     for not_texts in ("abc", ["a", 2]):
@@ -95,6 +97,10 @@ def test_permutation_set_blowup_guard() -> None:
 
 
 def test_policy_validation() -> None:
+    with pytest.raises(InvalidInputError, match="must be a PermutationMode"):
+        PermutationPolicy("identity_only")
+    with pytest.raises(InvalidInputError, match="must be nonempty"):
+        PermutationPolicy(PermutationMode.EXPLICIT_LIST, explicit=())
     with pytest.raises(InvalidInputError):
         PermutationPolicy(PermutationMode.EXPLICIT_LIST)  # missing list
     with pytest.raises(InvalidInputError):

@@ -233,6 +233,8 @@ def test_scores_reject_nan_and_negative_inputs() -> None:
             e_score(bad, cal)
         with pytest.raises(InvalidInputError):
             p_score(bad, cal)
+    with pytest.raises(InvalidInputError, match="unknown transform"):
+        naive_score(0.5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +281,8 @@ def test_uniform_draws_are_reproducible_and_keyed() -> None:
     assert uniform_draw(7, 3, "prompt-b", 2).u != a.u
     assert uniform_draw(8, 3, "prompt-a", 2).u != a.u
     assert uniform_draw(7, 4, "prompt-a", 2).u != a.u
+    with pytest.raises(InvalidInputError, match="ordinal must be >= 0"):
+        uniform_draw(7, 3, "prompt-a", -1)
 
 
 def test_uniform_block_prefix_consistency() -> None:
