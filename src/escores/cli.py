@@ -28,7 +28,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .core import (
     ConfigurationError,
@@ -44,6 +44,7 @@ from .core import (
 if TYPE_CHECKING:  # pragma: no cover - each command imports what it runs
     import numpy as np
 
+    from .estimation import FTransform
     from .evaluation import EvaluationReport, PreparedDataset
     from .response_sets import PermutationPolicy
     from .scoring import ScoreKind
@@ -121,8 +122,14 @@ def _parse_policy(
 # ---------------------------------------------------------------------------
 
 
-def _warn_infinite_maxima(cal: PreparedDataset, kinds: Sequence[ScoreKind]) -> None:
-    """Warn when a kind reads transforms 2 or 3 and some calibration maximum is infinite."""
+def _warn_infinite_maxima(
+    fstar: Mapping[FTransform, np.ndarray], kinds: Sequence[ScoreKind]
+) -> None:
+    """Warn when a kind reads transforms 2 or 3 and some calibration maximum is infinite.
+
+    ``fstar`` holds the calibration prompts' maxima per transform, as a
+    ``PreparedDataset`` does.
+    """
     import numpy as np
 
     from .estimation import FTransform
@@ -131,7 +138,7 @@ def _warn_infinite_maxima(cal: PreparedDataset, kinds: Sequence[ScoreKind]) -> N
     if not _summary_transforms(kinds) - {FTransform.IDENTITY}:
         return
     # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
-    infinite = int(np.count_nonzero(np.isinf(cal.fstar[FTransform.INVERSE_COMPLEMENT])))
+    infinite = int(np.count_nonzero(np.isinf(fstar[FTransform.INVERSE_COMPLEMENT])))
     if infinite:
         warnings.warn(
             f"{infinite} calibration prompt(s) have an incorrect response with "
@@ -255,11 +262,15 @@ def _cmd_score(args: argparse.Namespace) -> None:
             f"{cal_columns.schema} records; this breaks the exchangeability that the scores' "
             "guarantee assumes"
         )
+    # Scoring reads only the calibration prompts' ids and maxima, so the
+    # rest of the calibration set goes before the test set is prepared.
     cal = PreparedDataset(cal_columns, policy)
-    del cal_columns  # only the prepared arrays are used below; keeps peak memory down
+    del cal_columns
+    cal_ids, cal_fstar = cal.prompt_ids, cal.fstar
+    del cal
     test = PreparedDataset(test_columns, policy)
     del test_columns
-    shared = sorted(set(test.prompt_ids).intersection(cal.prompt_ids))
+    shared = sorted(set(test.prompt_ids).intersection(cal_ids))
     if shared:
         warnings.warn(
             f"{len(shared)} prompt id(s) in both the test and the calibration "
@@ -267,10 +278,10 @@ def _cmd_score(args: argparse.Namespace) -> None:
             "scores' guarantee assumes"
         )
 
-    _warn_infinite_maxima(cal, kinds)
+    _warn_infinite_maxima(cal_fstar, kinds)
 
     scores = score_prompts(
-        test, np.arange(test.n_prompts), kinds, cal.fstar, master_seed=args.seed
+        test, np.arange(test.n_prompts), kinds, cal_fstar, master_seed=args.seed
     )
     (_write_score_jsonl if args.jsonl else _write_score_table)(test, scores)
 
@@ -300,7 +311,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     plan = SplitPlan(seed=args.seed, n_splits=args.splits, test_fraction=args.test_fraction)
     prepared = PreparedDataset(_read_columns(args.path), policy)
     # every prompt serves as calibration in some split
-    _warn_infinite_maxima(prepared, kinds)
+    _warn_infinite_maxima(prepared.fstar, kinds)
     report = evaluate_dataset(prepared, kinds, (grid,), plan)
     _print_report(report)
     if args.csv:

@@ -11,9 +11,12 @@ hold both to the exact rational oracles.
 ``evaluate_dataset`` runs ``evaluate_split`` on each of ``plan_splits``'s
 splits, drawing split i's shuffle from its seed only when it reaches
 split i, so a run holds one split's indices at a time, not every
-split's.  Each split builds only the calibration summaries its kinds
-read, by ``build_calibration_summary`` of the prepared float64 maxima,
-which it checks as arrays.
+split's.  A ``PreparedDataset`` holds each response's estimate and
+label and each prompt's maxima f* under every transform, not the
+transformed values, which only the test half of a split reads.  Each
+split builds only the calibration summaries its kinds read, by
+``build_calibration_summary`` of the prepared float64 maxima, which it
+checks as arrays, and transforms only its test responses' estimates.
 
 ``sweep`` sorts each prompt's responses once by (score, position), so a
 filtering strategy only picks how many of them each prompt keeps.
@@ -24,9 +27,10 @@ Fraction's counts depend only on the set sizes, so it works out the
 metrics of each distinct row of counts along the grid once and repeats
 that row for the grid points it stands for.  Both run a bounded block
 of rows at a time.  What depends only on the grid and the set sizes is
-planned once per split for every kind.  The means are bit-identical to
-``np.mean`` over per-prompt arrays; the ``sweep`` docstring gives the
-rule that keeps them so.
+planned once per split for every kind, from fraction's keep counts per
+set size, which each grid works out once for all the splits of a run.
+The means are bit-identical to ``np.mean`` over per-prompt arrays; the
+``sweep`` docstring gives the rule that keeps them so.
 
 A split's result stays in arrays until the report: ``SplitResult``
 holds one key per row and one read-only (rows, 5) float64 array of
@@ -211,6 +215,8 @@ class StrategyGrid:
     def __post_init__(self) -> None:
         params = tuple(Parameter.of(p) for p in self.parameters)
         object.__setattr__(self, "parameters", params)
+        # not a field, so == and hash ignore it: see _inclusion_targets
+        object.__setattr__(self, "_targets_of_size", {})
         if not params:
             raise InvalidInputError("a strategy grid needs at least one parameter")
         if self.strategy is Strategy.FRACTION and any(p.value > 1 for p in params):
@@ -222,6 +228,21 @@ class StrategyGrid:
                 "rank-based scores never do, so they would retain everything",
                 stacklevel=3,
             )
+
+    def _inclusion_targets(self, size: int) -> np.ndarray:
+        """``inclusion_target(v, size)`` at each parameter v, read-only.
+
+        Computed once per size and kept on the grid, so the splits of a
+        run share it: one exact-integer call per grid point.
+        """
+        targets = self._targets_of_size.get(size)
+        if targets is None:
+            targets = np.fromiter(
+                (inclusion_target(p.value, size) for p in self.parameters), np.int64
+            )
+            targets.flags.writeable = False
+            self._targets_of_size[size] = targets
+        return targets
 
 
 @dataclass(frozen=True)
@@ -326,7 +347,7 @@ class EvaluationReport:
 
 
 class PreparedDataset:
-    """Response sets, labels, estimates, transformed values and maxima, flattened.
+    """Response sets, labels, estimates and per-prompt maxima, flattened.
 
     ``instances`` are prompt instances, or the columns that
     ``io``'s reader validates straight from a file; instances are turned
@@ -336,9 +357,12 @@ class PreparedDataset:
     once per k for every first-error step (``response_sets._label_table``);
     prompts of the same size share one tuple of responses.  It chains
     the conditionals of all prompts of one k at once
-    (``estimation._chain``), then transforms every estimate and takes
-    every prompt's incorrect maxima in whole-array operations.
-    Responses are stored prompt after prompt: prompt i owns
+    (``estimation._chain``), then takes every prompt's incorrect maxima
+    ``fstar`` under each transform in whole-array operations.  It keeps
+    no transformed values: ``score_prompts`` transforms the estimates it
+    gathers, with the same bits, as every transform is elementwise.  So
+    a prepared response holds 9 bytes, its float64 estimate and int8
+    label.  Responses are stored prompt after prompt: prompt i owns
     ``offsets[i]:offsets[i+1]``.  ``prompt_keys`` (uint64) holds each
     prompt id's hash, the key of its uniform stream; it is computed on
     first read, so only a run with a randomized kind hashes the ids.
@@ -389,9 +413,12 @@ class PreparedDataset:
             fixed = np.repeat(columns.estimates, self.counts)
             given = ~np.isnan(fixed)
             self.estimates_flat[given] = fixed[given]
-        self.f_flat = {t: transform_values(self.estimates_flat, t) for t in FTransform}
         incorrect = self.labels_flat == 0
-        self.fstar = {t: masked_f_star(self.f_flat[t], incorrect, starts) for t in FTransform}
+        # each transform's values live only while its maxima are taken
+        self.fstar = {
+            t: masked_f_star(transform_values(self.estimates_flat, t), incorrect, starts)
+            for t in FTransform
+        }
 
     @functools.cached_property
     def prompt_keys(self) -> np.ndarray:
@@ -418,19 +445,20 @@ def score_prompts(
     ``cal_fstar[t]`` holds the calibration prompts' maxima under
     transform t; the maxima of each transform the kinds read become one
     ``CalibrationSummary`` (``build_calibration_summary``), the only
-    thing ``kind_scores`` reads of the calibration half.  Randomized
-    p-scores take one uniform per response from a single
-    ``scoring._uniforms`` call over the prompts' keys, so each prompt's
-    draws equal its own ``uniform_block`` whatever prompts are scored
-    with it and in whatever order.
+    thing ``kind_scores`` reads of the calibration half.  The prompts'
+    estimates are gathered once and transformed only under the
+    transforms the kinds read.  Randomized p-scores take one uniform per
+    response from a single ``scoring._uniforms`` call over the prompts'
+    keys, so each prompt's draws equal its own ``uniform_block``
+    whatever prompts are scored with it and in whatever order.
     """
     _require_seed(master_seed)
     read = _summary_transforms(kinds)
     summaries = {t: build_calibration_summary(cal_fstar[t], t) for t in read}
     if any(kind.family is ScoreFamily.NAIVE for kind in kinds):
         read.add(FTransform.IDENTITY)
-    gather = prep.gather(prompts)
-    values = {t: prep.f_flat[t][gather] for t in read}
+    estimates = prep.estimates_flat[prep.gather(prompts)]
+    values = {t: transform_values(estimates, t) for t in read}
     u = None
     if any(kind.family is ScoreFamily.P_SCORE_RANDOMIZED for kind in kinds):
         u = _uniforms(master_seed, split_index, prep.prompt_keys[prompts], prep.counts[prompts])
@@ -501,10 +529,7 @@ class _GridPlan:
         else:
             # The target depends only on the size, so a grid point's row
             # changes only where some ceil(v * size) does.
-            size_list = sizes.tolist()
-            targets = np.fromiter(
-                (inclusion_target(p.value, k) for p in grid.parameters for k in size_list), np.int64
-            ).reshape(-1, len(size_list))
+            targets = np.stack([grid._inclusion_targets(k) for k in sizes.tolist()], axis=1)
             new = np.flatnonzero(np.diff(targets, axis=0, prepend=-1).any(axis=1))
             self.walk = None
             self.rows = targets[new]

@@ -7,7 +7,8 @@ reports and enforces the contract:
 1. the exchangeable-rank statistic has Monte Carlo mean 1 within noise;
 2. every e-score variant (and the reciprocal-estimate baseline) keeps
    the mean worst-case size distortion at or below 1;
-3. both rank-based scores break that bound decisively;
+3. both rank-based scores break that bound decisively, in the mean and
+   in the median over splits;
 4. rank-based filtering agrees exactly with order-statistic thresholding
    on randomized instances, ties included;
 5. with informative estimators the combined e-score's mean error never
@@ -149,15 +150,25 @@ def test_02_e_scores_meet_distortion_bound(distortion_runs):
     _report(2, ok, f"{' '.join(parts)} runtime={elapsed:.1f}s")
 
 
+# A p-randomized worst case can be (n + 1)/u for a uniform u, which has
+# no finite mean, so the mean over splits follows the smallest draws of
+# the seed.  The median over splits does not: it must exceed the bound
+# of 1 by this margin.  At split and master seeds 0-39 the rank kinds'
+# medians lay at 6.6-8.9 and those of e1-e3 and e-combined at 0.98-1.01,
+# with no split of theirs above 1.22.
+_MEDIAN_MARGIN = 1.0
+
+
 def test_03_rank_scores_violate_distortion_bound(distortion_runs):
     per_kind, _ = distortion_runs
     parts = []
     ok = True
     for name in ("p", "p-randomized"):
         mean, se = _mean_se(per_kind[name])
-        ok = ok and mean > 1.0 + 3.0 * se
-        parts.append(f"{name}={mean:.2f}±{se:.2f}")
-    _report(3, ok, " ".join(parts))
+        median = statistics.median(per_kind[name])
+        ok = ok and mean > 1.0 + 3.0 * se and median > 1.0 + _MEDIAN_MARGIN
+        parts.append(f"{name}={mean:.2f}±{se:.2f} median={median:.2f}")
+    _report(3, ok, f"{' '.join(parts)}; mean > 1+3se, median > {1.0 + _MEDIAN_MARGIN:g}")
 
 
 # --- 4: rank filtering vs order-statistic thresholds ---------------------------

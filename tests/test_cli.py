@@ -42,6 +42,7 @@ from escores.cli import (
     _write_score_table,
     run_command,
 )
+from escores.estimation import transform_values
 from escores.evaluation import score_prompts
 from escores.io import _fmt_score
 
@@ -483,7 +484,7 @@ def test_infinite_maxima_warn_exactly_the_kinds_that_read_transforms_2_and_3(kin
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _warn_infinite_maxima(cal, (kind,))
+        _warn_infinite_maxima(cal.fstar, (kind,))
     assert len(caught) == (kind.name in ("e2", "e3", "e-combined"))
 
 
@@ -1118,8 +1119,9 @@ def test_score_matches_oracle_composition(inputs) -> None:
             prep = PreparedDataset(parse_dataset(cal_path), policy)
             flat = [o for record in cal_records for o in oracle_prompt(record, enumerate_set)[2]]
             for transform in FTransform:
-                assert len(prep.f_flat[transform]) == len(flat)
-                for got, o in zip(prep.f_flat[transform], flat):
+                values = transform_values(prep.estimates_flat, transform)
+                assert len(values) == len(flat)
+                for got, o in zip(values, flat):
                     assert oracles.matches(float(got), oracles.transform(o, transform.option)), mode
                 for got, want in zip(prep.fstar[transform], fstars[transform.option]):
                     assert oracles.matches(float(got), want), mode

@@ -38,6 +38,7 @@ from escores import (
     SplitResult,
     Strategy,
     StrategyGrid,
+    SyntheticConfig,
     aggregate_conditionals,
     aggregate_splits,
     build_calibration_summary,
@@ -45,6 +46,7 @@ from escores import (
     calibration_f_star,
     evaluate_dataset,
     evaluate_split,
+    generate_dataset,
     label_response_set,
     plan_splits,
     run_equivalence_trials,
@@ -57,7 +59,7 @@ from escores import (
 import oracles
 from escores import evaluation
 from escores.evaluation import score_prompts, sweep, worst_cases
-from escores.io import parse_grid
+from escores.io import _DatasetColumns, parse_grid
 from helpers import (
     POLICIES,
     alpha_max_instance,
@@ -310,6 +312,32 @@ def test_fraction_sweep_evaluates_only_its_distinct_rows() -> None:
     (_, means), = evaluation._sweep(scores, correct, counts, [plan])
     changes = 1 + np.flatnonzero((means[1:] != means[:-1]).any(axis=1))
     assert np.array_equal(changes, np.cumsum(plan.runs)[:-1])
+
+
+def test_fraction_grid_computes_its_keep_counts_once_per_run(monkeypatch) -> None:
+    """The splits of a run share each set size's ceil(v * k) over the grid.
+
+    The grid keeps them for its splits, and stays equal, with an equal
+    hash, to a grid of the same points that swept nothing.
+    """
+    sizes, original = [], evaluation.inclusion_target
+
+    def counted(fraction, size):
+        sizes.append(size)
+        return original(fraction, size)
+
+    monkeypatch.setattr(evaluation, "inclusion_target", counted)
+    points = parse_grid("0:1:0.01")
+    grid, fresh = (StrategyGrid(Strategy.FRACTION, points) for _ in range(2))
+    prep = PreparedDataset(random_dataset(11, n_prompts=40))
+    kinds = (ScoreKind.parse("e1"),)
+    report = evaluate_dataset(prep, kinds, (grid,), SplitPlan(seed=0, n_splits=4))
+    assert len(set(sizes)) > 1
+    assert all(sizes.count(k) == len(points) for k in set(sizes))
+    assert grid == fresh and hash(grid) == hash(fresh)
+    sizes.clear()
+    assert report == evaluate_dataset(prep, kinds, (grid,), SplitPlan(seed=0, n_splits=4))
+    assert sizes == []
 
 
 def test_sweep_memory_does_not_grow_with_the_grid() -> None:
@@ -713,6 +741,30 @@ def test_prepared_dataset_rejects_duplicates_and_empty() -> None:
     inst = make_instance("dup", [0.5])
     with pytest.raises(InvalidInputError):
         PreparedDataset([inst, make_instance("dup", [0.7])])
+
+
+def test_prepared_dataset_holds_nine_bytes_per_response() -> None:
+    """A prepared response keeps its float64 estimate and int8 label, no transformed copy.
+
+    On 1,000 prompts' permutation sets (85,986 responses) the dataset
+    retains about 10.1 bytes per response, its per-prompt arrays and
+    shared response sets included.  The bound, 12 bytes per response
+    plus 128 per prompt, fails if a float64 copy of the responses'
+    values under transform 2 or 3 is kept (18 bytes and more).
+    """
+    config = SyntheticConfig(n_prompts=1000, seed=3)
+    columns = _DatasetColumns.of_instances(generate_dataset(config))
+    policy = PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prep = PreparedDataset(columns, policy)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    responses = int(prep.offsets[-1])
+    assert responses > 80 * prep.n_prompts
+    assert retained <= 12 * responses + 128 * prep.n_prompts, (retained, responses)
 
 
 # Exact 0 and 1, the smallest subnormal and a larger one, next to arbitrary values.
