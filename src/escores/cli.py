@@ -290,7 +290,7 @@ def _print_report(report: EvaluationReport) -> None:
     from .io import _fmt_score
 
     print(
-        f"{report.n_splits} splits, {len(report.rows)} grid rows; "
+        f"{report.n_splits} splits, {len(report.keys)} grid rows; "
         "worst-case size distortion per score kind:"
     )
     print(f"{'score_kind':<14} {'mean':>10} {'q25':>10} {'q75':>10}")
@@ -305,6 +305,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     from .evaluation import PreparedDataset, SplitPlan, StrategyGrid, evaluate_dataset
     from .io import _read_columns, parse_grid
 
+    if args.csv and _reads(args, args.csv):
+        raise InvalidInputError(f"--csv {args.csv} names a file that evaluate reads")
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
     grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
@@ -516,9 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _reads(args: argparse.Namespace, filename: "str | None") -> bool:
-    """Whether ``filename`` is a file the command reads, not one it writes."""
+    """Whether ``filename`` is a file the command reads, as spelled or as the same existing file."""
     named = (getattr(args, name, None) for name in ("path", "calibration", "permutation_file"))
-    return filename is not None and Path(filename) in {Path(p) for p in named if p is not None}
+    return filename is not None and any(
+        Path(read) == Path(filename)
+        or os.path.exists(read) and os.path.exists(filename) and os.path.samefile(read, filename)
+        for read in named if read is not None
+    )
 
 
 def run_command(argv: "Sequence[str] | None" = None) -> int:

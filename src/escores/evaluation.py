@@ -32,12 +32,12 @@ set size, which each grid works out once for all the splits of a run.
 The means are bit-identical to ``np.mean`` over per-prompt arrays; the
 ``sweep`` docstring gives the rule that keeps them so.
 
-A split's result stays in arrays until the report: ``SplitResult``
-holds one key per row and one read-only (rows, 5) float64 array of
-means, in ``_MEAN_FIELDS`` order, and its ``rows`` are a view built on
-demand.  ``aggregate_splits`` stacks the splits' arrays with the split
-axis last and C-contiguous, so each mean over splits has ``np.mean``'s
-bits, and builds the report's ``ReportRow``s once.
+Results stay in arrays through the report: ``SplitResult`` and
+``EvaluationReport`` each hold one key per row and one read-only
+(rows, 5) float64 array of means, in ``_MEAN_FIELDS`` order, and build
+their ``ReportRow``s only when ``rows`` is read.  ``aggregate_splits``
+stacks the splits' arrays with the split axis last and C-contiguous, so
+each mean over splits has ``np.mean``'s bits.
 
 Size distortion for an instance is the error indicator divided by the
 tolerance actually used, under extended-real division (no error at zero
@@ -275,22 +275,18 @@ _MEAN_FIELDS = tuple(f.name for f in fields(ReportRow) if f.name.startswith("mea
 
 
 @dataclass(frozen=True, eq=False)
-class SplitResult:
-    """One split's means over its test prompts, one row per grid point.
+class _KeyedMeans:
+    """A table of means: one key per row, the rows' means in one array.
 
     Row j is the grid point ``keys[j]``, a ``(score_kind, strategy,
     parameter label)``, and ``means[j]`` holds its five means in
     ``_MEAN_FIELDS`` order: ``means`` is a read-only (len(keys), 5)
-    float64 array.  ``rows`` is a view of the two as ``ReportRow``s with
-    ``n_splits=1``, built on each access.  ``worst_case`` pairs each
-    score kind with its mean worst-case distortion.
+    float64 copy.  ``rows`` is a view of the two as ``ReportRow``s,
+    built on each read.
     """
 
     keys: tuple[tuple[str, str, str], ...]
     means: np.ndarray
-    worst_case: tuple[tuple[str, float], ...]
-    n_test: int
-    n_cal: int
 
     def __post_init__(self) -> None:
         means = np.array(self.means, dtype=np.float64)
@@ -303,28 +299,35 @@ class SplitResult:
 
     @property
     def rows(self) -> tuple[ReportRow, ...]:
-        """``keys`` and ``means`` as ``ReportRow``s of one split."""
+        """``keys`` and ``means`` as ``ReportRow``s; a ``SplitResult``'s have ``n_splits=1``."""
         return tuple(
-            ReportRow(*key, *row, self.n_test, self.n_cal, 1)
+            ReportRow(*key, *row, self.n_test, self.n_cal, getattr(self, "n_splits", 1))
             for key, row in zip(self.keys, self.means.tolist())
         )
 
     def __eq__(self, other: object) -> bool:
         # not the dataclass one: its == of two arrays has no single truth value
-        if not isinstance(other, SplitResult):
+        if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.keys == other.keys
-            and np.array_equal(self.means, other.means)
-            and self.worst_case == other.worst_case
-            and (self.n_test, self.n_cal) == (other.n_test, other.n_cal)
+        return np.array_equal(self.means, other.means) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "means"
         )
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    rows: tuple[ReportRow, ...]
+@dataclass(frozen=True, eq=False)
+class SplitResult(_KeyedMeans):
+    """One split's means; ``worst_case`` pairs each score kind with its mean worst case."""
+
+    worst_case: tuple[tuple[str, float], ...]
+    n_test: int
+    n_cal: int
+
+
+@dataclass(frozen=True, eq=False)
+class EvaluationReport(_KeyedMeans):
     worst_case: tuple[WorstCaseRow, ...]
+    n_test: int
+    n_cal: int
     n_splits: int
 
     def find_rows(self, score_kind: str, strategy: str | None = None) -> tuple[ReportRow, ...]:
@@ -798,10 +801,6 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
         block = np.empty((e - b, len(_MEAN_FIELDS), n_splits))
         stacked = np.stack([res.means[b:e] for res in results], axis=-1, out=block)
         row_means[b:e] = stacked.mean(axis=-1)
-    rows = [
-        ReportRow(*key, *row, first.n_test, first.n_cal, n_splits)
-        for key, row in zip(first.keys, row_means.tolist())
-    ]
     wc_rows = []
     for pos, name in enumerate(wc_key):
         means = np.asarray([res.worst_case[pos][1] for res in results], dtype=np.float64)
@@ -814,7 +813,9 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
                 n_splits=n_splits,
             )
         )
-    return EvaluationReport(rows=tuple(rows), worst_case=tuple(wc_rows), n_splits=n_splits)
+    return EvaluationReport(
+        first.keys, row_means, tuple(wc_rows), first.n_test, first.n_cal, n_splits
+    )
 
 
 _FLOORED_FAMILIES = (ScoreFamily.E_SCORE, ScoreFamily.E_SCORE_COMBINED, ScoreFamily.P_SCORE)

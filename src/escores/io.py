@@ -460,26 +460,27 @@ CSV_HEADER = (
 
 def _fmt_score(value: float) -> str:
     """Six significant digits, +inf as "inf": CSV cells and the CLI's tables."""
-    if value == float("inf"):
-        return "inf"
     return format(value, ".6g")
 
 
 def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
     """Write one CSV row per report row, numbers at six significant digits."""
     import csv
+    from itertools import repeat
 
-    if not report.rows:
+    if not report.keys:
         raise InvalidInputError("report has no rows to write")
     path = Path(path)
+    block = 4096  # rows whose means are boxed at a time, so memory does not grow with the grid
+    # n_test, n_cal and n_splits repeat on every row, as the strings csv makes of ints
+    tail = [repeat(str(n)) for n in (report.n_test, report.n_cal, report.n_splits)]
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in report.rows:
-            writer.writerow(
-                _fmt_score(getattr(row, name)) if name.startswith("mean_") else getattr(row, name)
-                for name in CSV_HEADER
-            )
+        for b in range(0, len(report.keys), block):
+            # a block's columns, zipped into rows: the three key fields, the five means, the tail
+            means = [map(_fmt_score, column) for column in report.means[b : b + block].T.tolist()]
+            writer.writerows(zip(*zip(*report.keys[b : b + block]), *means, *tail))
     return path
 
 
@@ -506,7 +507,7 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     and precision against recall, one series per strategy.  Returns
     the written paths.
     """
-    if not report.rows:
+    if not report.keys:
         raise InvalidInputError("report has no rows to plot")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -514,9 +515,11 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     # name rebound on this module (the traced benchmark run's) is the one called
     this = sys.modules[__name__]
 
+    by_kind: dict[str, list] = {}
+    for row in report.rows:
+        by_kind.setdefault(row.score_kind, []).append(row)
     written: list[Path] = []
-    for kind in dict.fromkeys(row.score_kind for row in report.rows):
-        rows = [r for r in report.rows if r.score_kind == kind]
+    for kind, rows in by_kind.items():
         strategies = dict.fromkeys(r.strategy for r in rows)
         for suffix, title, x_label, y_label, x_of, y_of, reference in _PANELS:
             series = [
@@ -532,8 +535,8 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
 
 #: The most points a ``start:stop:step`` grid may hold: the 1e-5 grid on
 #: [0, 1].  At this cap the parsed grid holds about 27 MB, each score
-#: kind adds about 60 MB of report rows and sweep, and each split 4 MB
-#: more per kind until the splits are aggregated.
+#: kind adds about 18 MB of means and sweep, and each split 4 MB more
+#: per kind until the splits are aggregated.
 _MAX_GRID_POINTS = 100_001
 
 

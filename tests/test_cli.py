@@ -602,6 +602,29 @@ def test_evaluate_writes_csv_and_svg(dataset: Path, tmp_path: Path, capsys) -> N
     ]
 
 
+def test_evaluate_refuses_a_csv_over_a_file_it_reads(tmp_path: Path, capsys, monkeypatch) -> None:
+    """``--csv`` naming the dataset or the permutation file, as spelled or as
+    another name of the same file, is one validation error before anything
+    is read or written, and the file keeps its bytes."""
+    data = write_dataset(
+        [make_instance(f"t-{i}", [0.9, 0.4 + 0.1 * i], 2 if i % 2 else None) for i in range(4)],
+        tmp_path / "two.jsonl",
+    )
+    perms = tmp_path / "perms.json"
+    perms.write_text("[[1, 2], [2, 1]]", encoding="utf-8")
+    os.link(data, tmp_path / "link.jsonl")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = {path: path.read_bytes() for path in (data, perms)}
+    argv = ["evaluate", str(data), "--permutations", "file", "--permutation-file", str(perms)]
+    code, out, err = run(capsys, *argv, "--grid", "0.5,1", "--splits", "2", "--csv", "r.csv")
+    assert (code, err) == (EXIT_OK, "") and "wrote r.csv" in out, err
+    for target in (str(data), "two.jsonl", "sub/../two.jsonl", "link.jsonl", "./perms.json"):
+        err = error_line(capsys, *argv, "--csv", target)
+        assert err == f"validation error: --csv {target} names a file that evaluate reads\n"
+        assert {path: path.read_bytes() for path in before} == before
+
+
 def test_evaluate_fraction_strategy(dataset: Path, capsys) -> None:
     code, out, err = run(
         capsys,

@@ -23,6 +23,7 @@ from escores import (
     IDENTITY_POLICY,
     ConfigurationError,
     EstimateSource,
+    EvaluationReport,
     FTransform,
     InvalidInputError,
     InvalidSplitError,
@@ -31,6 +32,7 @@ from escores import (
     PermutationPolicy,
     PreparedDataset,
     PromptInstance,
+    ReportRow,
     ScoreKind,
     ALL_SCORE_KINDS,
     SplitAssignment,
@@ -54,6 +56,7 @@ from escores import (
     threshold_equivalence_check,
     transform_estimate,
     uniform_block,
+    WorstCaseRow,
 )
 
 import oracles
@@ -1151,18 +1154,31 @@ def test_ext_percentile_matches_np_percentile() -> None:
 
 
 def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> None:
+    """So does a report: both keep their means as one read-only array."""
     keys = (("e1", "alpha-max", "0.5"), ("e1", "alpha-max", "1"))
-    source = np.asarray([[math.inf, 1.0, 0.0, 1.0, 0.5], [0.5, 1.0, 1.0, 0.5, 1.0]])
-    result = SplitResult(keys=keys, means=source, worst_case=(("e1", 2.0),), n_test=2, n_cal=3)
-    source[0, 0] = 0.0
-    assert result.means[0, 0] == math.inf and not result.means.flags.writeable
-    assert result.rows[0].mean_size_distortion == math.inf and result.rows[1].n_splits == 1
-    same = SplitResult(keys=keys, means=result.means, worst_case=(("e1", 2.0),), n_test=2, n_cal=3)
-    assert same == result
-    assert SplitResult(keys=keys, means=source, worst_case=(("e1", 2.0),), n_test=2, n_cal=3) != result
-    assert (result == keys) is False
-    with pytest.raises(InvalidInputError, match="do not fit"):
-        SplitResult(keys=keys[:1], means=source, worst_case=(), n_test=2, n_cal=3)
+    for cls, rest in (
+        (SplitResult, dict(worst_case=(("e1", 2.0),), n_test=2, n_cal=3)),
+        (
+            EvaluationReport,
+            dict(worst_case=(WorstCaseRow("e1", 2.0, 1.0, 3.0, 4),), n_test=2, n_cal=3, n_splits=4),
+        ),
+    ):
+        source = np.asarray([[math.inf, 1.0, 0.0, 1.0, 0.5], [0.5, 1.0, 1.0, 0.5, 1.0]])
+        result = cls(keys=keys, means=source, **rest)
+        source[0, 0] = 0.0
+        assert result.means[0, 0] == math.inf and not result.means.flags.writeable
+        assert result.rows[0].mean_size_distortion == math.inf
+        n_splits = rest.get("n_splits", 1)
+        assert result.rows[1] == ReportRow(*keys[1], 0.5, 1.0, 1.0, 0.5, 1.0, 2, 3, n_splits)
+        same = cls(keys=keys, means=result.means, **rest)
+        assert (same == result) is True and (same != result) is False
+        other = cls(keys=keys, means=source, **rest)
+        assert (other == result) is False and (other != result) is True
+        assert (result == keys) is False
+        with pytest.raises(InvalidInputError, match="do not fit"):
+            cls(keys=keys[:1], means=source, **rest)
+    split = SplitResult(keys, result.means, (("e1", 2.0),), 2, 3)
+    assert (split == result) is False and (split != result) is True  # a split is not a report
 
 
 def test_aggregate_splits_rejects_mismatched_grids() -> None:
@@ -1233,6 +1249,31 @@ def test_evaluate_dataset_memory_per_split_is_its_means() -> None:
     peak(10)  # first calls import lazily (numpy.random), which no split holds
     growth = peak(40) - peak(10)
     assert growth < 2 * 30 * rows * 5 * 8, (growth, rows)
+
+
+def test_aggregate_splits_retains_its_means_per_report_row() -> None:
+    """A report keeps the splits' shared keys and one (rows, 5) float64 array
+    of means: 40 bytes per row, bounded here at 48.  One ``ReportRow`` per
+    row, as reports were built before, retained about 296."""
+    prep = PreparedDataset(random_dataset(7, n_prompts=40))
+    kinds = (ScoreKind.parse("e1"), ScoreKind.parse("p"))
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001")),)
+    splits = plan_splits(SplitPlan(seed=1, n_splits=3), prep.n_prompts)
+    results = [
+        evaluate_split(prep, split, kinds, grids, master_seed=1, split_index=i)
+        for i, split in enumerate(splits)
+    ]
+    aggregate_splits(results)  # the first call's lazy imports are not the report's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = aggregate_splits(results)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = len(report.keys)
+    assert rows == 2 * 10_001 and report.keys is results[0].keys
+    assert retained <= 48 * rows, retained / rows
 
 
 def _planned_then_aggregated(prep, kinds, grids, plan):

@@ -500,26 +500,12 @@ def test_write_rejects_unrepresentable_instances(tmp_path: Path) -> None:
 
 
 def small_report() -> EvaluationReport:
-    row = dict(
-        strategy="alpha-max",
-        parameter="0.1",
-        mean_error=0.125,
-        mean_precision=1.0,
-        mean_recall=0.875,
+    return EvaluationReport(
+        keys=(("e1", "alpha-max", "0.1"), ("p", "alpha-max", "0.1")),
+        means=[[1.0 / 3.0, 0.125, 0.0625, 1.0, 0.875], [math.inf, 0.125, 0.1, 1.0, 0.875]],
+        worst_case=(WorstCaseRow("e1", 1.5, 1.0, 2.0, 2),),
         n_test=4,
         n_cal=4,
-        n_splits=2,
-    )
-    return EvaluationReport(
-        rows=(
-            ReportRow(
-                score_kind="e1", mean_size_distortion=1.0 / 3.0, mean_alpha=0.0625, **row
-            ),
-            ReportRow(
-                score_kind="p", mean_size_distortion=math.inf, mean_alpha=0.1, **row
-            ),
-        ),
-        worst_case=(WorstCaseRow("e1", 1.5, 1.0, 2.0, 2),),
         n_splits=2,
     )
 
@@ -546,7 +532,9 @@ def test_emit_csv_exact_shape(tmp_path: Path) -> None:
 
 
 def test_emit_csv_refuses_empty_report(tmp_path: Path) -> None:
-    empty = EvaluationReport(rows=(), worst_case=(), n_splits=1)
+    empty = EvaluationReport(
+        keys=(), means=np.empty((0, 5)), worst_case=(), n_test=1, n_cal=1, n_splits=1
+    )
     with pytest.raises(InvalidInputError):
         emit_csv(empty, tmp_path / "report.csv")
 
@@ -625,7 +613,7 @@ def test_emit_svg_two_strategy_panels_match_golden_hash(tmp_path: Path) -> None:
 
 def test_emit_svg_refuses_empty_report(tmp_path: Path) -> None:
     with pytest.raises(InvalidInputError):
-        emit_svg_curves(EvaluationReport((), (), 1), tmp_path / "plots")
+        emit_svg_curves(EvaluationReport((), np.empty((0, 5)), (), 1, 1, 1), tmp_path / "plots")
     with pytest.raises(InvalidInputError, match="cannot build a file name"):
         slugify("")
 
