@@ -39,6 +39,7 @@ from .core import (
     InvalidSplitError,
     ResponseSetSizeError,
     Strategy,
+    _require_seed,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - each command imports what it runs
@@ -133,9 +134,8 @@ def _warn_infinite_maxima(
     import numpy as np
 
     from .estimation import FTransform
-    from .scoring import _summary_transforms
 
-    if not _summary_transforms(kinds) - {FTransform.IDENTITY}:
+    if not any(kind.summary_transforms - {FTransform.IDENTITY} for kind in kinds):
         return
     # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
     infinite = int(np.count_nonzero(np.isinf(fstar[FTransform.INVERSE_COMPLEMENT])))
@@ -252,6 +252,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
     from .evaluation import PreparedDataset, score_prompts
     from .io import _read_columns
 
+    _require_seed(args.seed)
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
     test_columns = _read_columns(args.path)

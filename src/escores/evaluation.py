@@ -99,7 +99,6 @@ from .scoring import (
     ScoreKind,
     _exceedances,
     _prompt_key,
-    _summary_transforms,
     _uniforms,
     kind_scores,
 )
@@ -456,7 +455,7 @@ def score_prompts(
     whatever prompts are scored with it and in whatever order.
     """
     _require_seed(master_seed)
-    read = _summary_transforms(kinds)
+    read = set().union(*(kind.summary_transforms for kind in kinds))
     summaries = {t: build_calibration_summary(cal_fstar[t], t) for t in read}
     if any(kind.family is ScoreFamily.NAIVE for kind in kinds):
         read.add(FTransform.IDENTITY)
@@ -840,13 +839,9 @@ def evaluate_dataset(
     n_test = _test_size(plan, n_prompts)
     n_cal = n_prompts - n_test
     floored = [kind.name for kind in kinds if kind.family in _FLOORED_FAMILIES]
-    below = [
-        param
-        for grid in strategy_grids
-        if grid.strategy is Strategy.ALPHA_MAX
-        for param in grid.parameters
-        if param.value < Fraction(1, n_cal + 1)
-    ]
+    floor = Fraction(1, n_cal + 1)
+    alpha_max = [grid for grid in strategy_grids if grid.strategy is Strategy.ALPHA_MAX]
+    below = [param for grid in alpha_max for param in grid.parameters if param.value < floor]
     if floored and below:
         warnings.warn(
             f"{len(below)} alpha-max grid point(s) lie below 1/{n_cal + 1}, the smallest "

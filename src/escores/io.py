@@ -485,16 +485,14 @@ def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
 
 
 # The panels drawn per score kind: file suffix, title, x and y axis
-# labels, the x and y of a report row, and the reference geometry.
+# labels, the ``CSV_HEADER`` columns of x and y, and the reference geometry.
 _PANELS = (
     ("size_distortion", "size distortion", "parameter", "mean size distortion",
-     lambda r: float(as_exact(r.parameter)), lambda r: r.mean_size_distortion,
-     {"reference_y": 1.0}),
+     "parameter", "mean_size_distortion", {"reference_y": 1.0}),
     ("error_vs_alpha", "realized error", "mean level used", "mean error",
-     lambda r: r.mean_alpha, lambda r: r.mean_error, {"identity_line": True}),
+     "mean_alpha", "mean_error", {"identity_line": True}),
     ("precision_recall", "precision vs recall", "mean recall", "mean precision",
-     lambda r: r.mean_recall, lambda r: r.mean_precision,
-     {"fixed_range": (-0.02, 1.02, -0.02, 1.02)}),
+     "mean_recall", "mean_precision", {"fixed_range": (-0.02, 1.02, -0.02, 1.02)}),
 )
 
 
@@ -515,16 +513,23 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     # name rebound on this module (the traced benchmark run's) is the one called
     this = sys.modules[__name__]
 
-    by_kind: dict[str, list] = {}
-    for row in report.rows:
-        by_kind.setdefault(row.score_kind, []).append(row)
+    # row indices by kind, then by strategy, in the order they first appear
+    groups: dict[str, dict[str, list[int]]] = {}
+    for j, (kind, strategy, _) in enumerate(report.keys):
+        groups.setdefault(kind, {}).setdefault(strategy, []).append(j)
+    # each distinct grid label parsed once
+    parameter = {label: float(as_exact(label)) for label in dict.fromkeys(k[2] for k in report.keys)}
+
+    def column(name: str, rows: list[int]) -> list[float]:
+        if name == "parameter":
+            return [parameter[report.keys[j][2]] for j in rows]
+        return report.means[rows, CSV_HEADER.index(name) - 3].tolist()
+
     written: list[Path] = []
-    for kind, rows in by_kind.items():
-        strategies = dict.fromkeys(r.strategy for r in rows)
-        for suffix, title, x_label, y_label, x_of, y_of, reference in _PANELS:
+    for kind, strategies in groups.items():
+        for suffix, title, x_label, y_label, x, y, reference in _PANELS:
             series = [
-                (s, [(x_of(r), y_of(r)) for r in rows if r.strategy == s])
-                for s in strategies
+                (s, list(zip(column(x, rows), column(y, rows)))) for s, rows in strategies.items()
             ]
             target = out / f"{this.slugify(kind)}_{suffix}.svg"
             content = this.render_panel(f"{kind}: {title}", series, x_label, y_label, **reference)

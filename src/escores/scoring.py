@@ -85,6 +85,18 @@ class ScoreKind:
             raise InvalidInputError(f"{self.family.value} scores take no transform option")
 
     @property
+    def summary_transforms(self) -> frozenset[FTransform]:
+        """The transforms whose calibration summaries ``kind_scores`` reads for this kind.
+
+        The p kinds read their default ``rank_transform``, the identity.
+        """
+        if self.family is ScoreFamily.E_SCORE:
+            return frozenset({self.transform})
+        if self.family is ScoreFamily.E_SCORE_COMBINED:
+            return frozenset(FTransform)
+        return frozenset() if self.family is ScoreFamily.NAIVE else frozenset({FTransform.IDENTITY})
+
+    @property
     def name(self) -> str:
         return self.family.value + ("" if self.transform is None else str(self.transform.option))
 
@@ -210,23 +222,6 @@ def uniform_draw(
 # ---------------------------------------------------------------------------
 # the scores themselves
 # ---------------------------------------------------------------------------
-
-
-def _summary_transforms(kinds: Sequence[ScoreKind]) -> set[FTransform]:
-    """The transforms whose summaries ``kind_scores`` reads for ``kinds``.
-
-    The p kinds read their default ``rank_transform``, the identity.
-    """
-    read: set[FTransform] = set()
-    for kind in kinds:
-        if kind.family is ScoreFamily.E_SCORE:
-            assert kind.transform is not None
-            read.add(kind.transform)
-        elif kind.family is ScoreFamily.E_SCORE_COMBINED:
-            read.update(FTransform)
-        elif kind.family is not ScoreFamily.NAIVE:
-            read.add(FTransform.IDENTITY)
-    return read
 
 
 def kind_scores(

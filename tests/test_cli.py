@@ -651,11 +651,16 @@ def test_evaluate_fraction_strategy(dataset: Path, capsys) -> None:
         ["evaluate", "{data}", "--splits", "2"],
         ["simulate", "--trials", "100"],
         ["equivalence", "--instances", "5"],
+        ["score", "MISSING.jsonl", "--calibration", "MISSING.jsonl"],
+        ["evaluate", "MISSING.jsonl"],
     ],
-    ids=["score-e1", "score-p-randomized", "evaluate", "simulate", "equivalence"],
+    ids=[
+        "score-e1", "score-p-randomized", "evaluate", "simulate", "equivalence",
+        "score-missing-files", "evaluate-missing-file",
+    ],
 )
 def test_negative_seed_is_a_validation_error(argv, dataset: Path, calibration: Path, capsys) -> None:
-    """Every seeded command refuses --seed -1 alike, whatever it would draw."""
+    """Every seeded command refuses --seed -1 alike, whatever it would draw, before it reads."""
     argv = [a.format(data=dataset, cal=calibration) for a in argv]
     code, out, err = run(capsys, *argv, "--seed", "-1")
     assert (code, out, err) == (

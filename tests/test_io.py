@@ -46,6 +46,7 @@ from escores import (
     write_dataset,
 )
 from escores.cli import EXIT_USAGE, run_command
+from escores.core import as_exact
 from escores.io import _read_columns
 from escores.svg import slugify
 
@@ -609,6 +610,55 @@ def test_emit_svg_two_strategy_panels_match_golden_hash(tmp_path: Path) -> None:
     assert text.count(">alpha-max</text>") == text.count(">fraction</text>") == 6
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "c038b32428418dc46256bffd76f4742a3c10623a84119921160abf429aa20f5d"
+
+
+def test_emit_svg_groups_interleaved_keys_in_first_appearance_order(tmp_path: Path) -> None:
+    # kinds and strategies interleave and labels repeat across strategies: each
+    # kind's panels are drawn in the order the kinds first appear, one series per
+    # strategy in the order it first appears, its points in report order
+    keys = (
+        ("p", "fraction", "0.5"), ("e1", "alpha-max", "0.5"), ("p", "alpha-max", "1/4"),
+        ("e1", "fraction", "0.25"), ("p", "fraction", "0.1"), ("e1", "alpha-max", "0.1"),
+        ("p", "alpha-max", "0.5"), ("e1", "fraction", "1"), ("p", "fraction", "1"),
+        ("e1", "alpha-max", "1"), ("e1", "fraction", "0.5"), ("p", "alpha-max", "0.1"),
+    )
+    means = [
+        [0.5 + (j % 4) / 3, 0.05 * j, 0.01 + 0.04 * j, 1 - 0.03 * j, 0.4 + 0.05 * j]
+        for j in range(len(keys))
+    ]
+    means[4][0] = math.inf
+    report = EvaluationReport(keys, means, (), n_test=6, n_cal=6, n_splits=3)
+    paths = emit_svg_curves(report, tmp_path / "plots")
+    assert [p.name for p in paths] == [
+        f"{kind}_{panel}.svg"
+        for kind in ("p", "e1")
+        for panel in ("size_distortion", "error_vs_alpha", "precision_recall")
+    ]
+    text = "".join(p.read_text(encoding="utf-8") for p in paths)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "5ec3fe5380a73ddf8683c17a53b22dc49d703569843a5b05906b66c2173388c4"
+
+
+def test_emit_svg_builds_no_rows_and_parses_each_label_once(tmp_path: Path, monkeypatch) -> None:
+    import escores.evaluation
+    import escores.io
+
+    instances = [
+        make_instance(f"g-{i}", [0.2 + 0.15 * i], first_error_index=1 if i % 2 else None)
+        for i in range(6)
+    ]
+    grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.01"))
+    kinds = (ScoreKind.parse("p-randomized"), ScoreKind.parse("naive1"))  # neither floored
+    report = evaluate_dataset(PreparedDataset(instances), kinds, (grid,), SplitPlan(seed=0, n_splits=2))
+    assert len(report.keys) == 2 * 101
+    rows, parsed = [], []
+    monkeypatch.setattr(
+        escores.evaluation, "ReportRow", lambda *a: rows.append(a) or ReportRow(*a)
+    )
+    monkeypatch.setattr(escores.io, "as_exact", lambda *a: parsed.append(a) or as_exact(*a))
+    assert len(emit_svg_curves(report, tmp_path / "plots")) == 6
+    assert rows == []
+    assert sorted(label for label, *_ in parsed) == sorted(p.label for p in grid.parameters)
 
 
 def test_emit_svg_refuses_empty_report(tmp_path: Path) -> None:

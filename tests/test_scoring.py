@@ -32,7 +32,8 @@ from escores import (
 )
 
 import oracles
-from escores.scoring import _prompt_key, _uniforms
+from escores.estimation import transform_values
+from escores.scoring import _prompt_key, _uniforms, kind_scores
 
 finite_values = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 ext_values = st.one_of(finite_values, st.just(math.inf))
@@ -79,6 +80,32 @@ def test_score_kind_names_and_parse_round_trip() -> None:
 )
 def test_parse_returns_the_table_member(text: str, index: int) -> None:
     assert ScoreKind.parse(text) is ALL_SCORE_KINDS[index]
+
+
+_READS = {
+    "e1": {FTransform.IDENTITY},
+    "e2": {FTransform.INVERSE_COMPLEMENT},
+    "e3": {FTransform.ODDS},
+    "e-combined": set(FTransform),
+    "p": {FTransform.IDENTITY},
+    "p-randomized": {FTransform.IDENTITY},
+    "naive1": set(),
+    "naive2": set(),
+    "naive3": set(),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_SCORE_KINDS, ids=lambda kind: kind.name)
+def test_score_kind_states_the_summaries_it_reads(kind: ScoreKind) -> None:
+    assert kind.summary_transforms == _READS[kind.name]
+    # and kind_scores needs no other summary
+    values = {t: transform_values(np.array([0.2, 0.5, 0.9]), t) for t in FTransform}
+    summaries = {
+        t: build_calibration_summary(transform_values(np.array([0.6]), t), t)
+        for t in kind.summary_transforms
+    }
+    scores = kind_scores(kind, values, summaries, np.full(3, 0.5))
+    assert scores.shape == (3,)
 
 
 # ---------------------------------------------------------------------------
