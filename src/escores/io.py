@@ -523,7 +523,7 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     def column(name: str, rows: list[int]) -> list[float]:
         if name == "parameter":
             return [parameter[report.keys[j][2]] for j in rows]
-        return report.means[rows, CSV_HEADER.index(name) - 3].tolist()
+        return report.means[rows, CSV_HEADER.index(name) - 3].tolist()  # means follow 3 key columns
 
     written: list[Path] = []
     for kind, strategies in groups.items():
