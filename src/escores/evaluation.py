@@ -20,22 +20,28 @@ checks as arrays, and transforms only its test responses' estimates.
 
 ``sweep`` sorts each prompt's responses once by (score, position), so a
 filtering strategy only picks how many of them each prompt keeps.
-Alpha-max builds one table of the five metrics for every count 0..k of
-every prompt, and a grid point costs one column pick per prompt and one
-mean over the picked columns, not a pass over every response.
-Fraction's counts depend only on the set sizes, so it works out the
-metrics of each distinct row of counts along the grid once and repeats
-that row for the grid points it stands for.  Both run a bounded block
-of rows at a time.  What depends only on the grid and the set sizes is
-planned once per split for every kind, from fraction's keep counts per
-set size, which each grid works out once for all the splits of a run.
-The means are bit-identical to ``np.mean`` over per-prompt arrays; the
-``sweep`` docstring gives the rule that keeps them so.
+Both strategies work out the metrics of each distinct row of keep
+counts along the grid once, a bounded block of rows at a time, and
+repeat that row for the grid points it stands for.  Alpha-max builds
+one table of the five metrics for every count 0..k of every prompt and
+walks the grid by value; a row costs one column pick per prompt and one
+mean over the picked columns, and only the walk steps that some
+response passes start a new row, so a grid costs by its live steps,
+at most one per distinct test score, not by its points.  Its error
+mean is counted, not gathered: a prompt errs from the row of its
+smallest incorrect score on.  Fraction's counts depend only on the set
+sizes.  What depends only on the grid and the set sizes is planned once
+per split for every kind, from the alpha-max walk order and fraction's
+keep counts per set size, which each grid works out once for all the
+splits of a run.  The means are bit-identical to ``np.mean`` over
+per-prompt arrays; the ``sweep`` docstring gives the rules that keep
+them so.
 
 Results stay in arrays through the report: ``SplitResult`` and
 ``EvaluationReport`` each hold one key per row and one read-only
 (rows, 5) float64 array of means, in ``_MEAN_FIELDS`` order, and build
-their ``ReportRow``s only when ``rows`` is read.  ``aggregate_splits``
+their ``ReportRow``s only when ``rows`` is read.  A split's sweeps fill
+its array in place, and the array is kept, not copied.  ``aggregate_splits``
 stacks the splits' arrays with the split axis last and C-contiguous, so
 each mean over splits has ``np.mean``'s bits.
 
@@ -243,6 +249,19 @@ class StrategyGrid:
             self._targets_of_size[size] = targets
         return targets
 
+    @functools.cached_property
+    def _walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alpha-max's walk: the parameters' positions by value, and the values in that order.
+
+        Read-only and kept on the grid (not a field, so == and hash
+        ignore it), so the splits of a run share it.
+        """
+        values = np.asarray([float(p.value) for p in self.parameters])
+        walk = np.argsort(values, kind="stable")
+        lookup = values[walk]
+        walk.flags.writeable = lookup.flags.writeable = False
+        return walk, lookup
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -280,20 +299,30 @@ class _KeyedMeans:
     Row j is the grid point ``keys[j]``, a ``(score_kind, strategy,
     parameter label)``, and ``means[j]`` holds its five means in
     ``_MEAN_FIELDS`` order: ``means`` is a read-only (len(keys), 5)
-    float64 copy.  ``rows`` is a view of the two as ``ReportRow``s,
-    built on each read.
+    float64 array.  A read-only C-contiguous float64 array is kept as
+    given, as ``evaluate_split`` and ``aggregate_splits`` build them, so
+    a table the size of a fine grid is not copied; anything else is
+    copied.  ``rows`` is a view of the two as ``ReportRow``s, built on
+    each read.
     """
 
     keys: tuple[tuple[str, str, str], ...]
     means: np.ndarray
 
     def __post_init__(self) -> None:
-        means = np.array(self.means, dtype=np.float64)
+        means = self.means
+        if not (
+            isinstance(means, np.ndarray)
+            and means.dtype == np.float64
+            and means.flags.c_contiguous
+            and not means.flags.writeable
+        ):
+            means = np.array(means, dtype=np.float64)
+            means.flags.writeable = False
         if means.shape != (len(self.keys), len(_MEAN_FIELDS)):
             raise InvalidInputError(
                 f"means of shape {means.shape} do not fit {len(self.keys)} keys"
             )
-        means.flags.writeable = False
         object.__setattr__(self, "means", means)
 
     @property
@@ -467,15 +496,20 @@ def score_prompts(
     return {kind.name: kind_scores(kind, values, summaries, u) for kind in kinds}
 
 
-def worst_cases(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per prompt, 1 over its smallest incorrect score, or 0 when it has none.
+def smallest_incorrect(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per prompt, its smallest incorrect score, or +inf when it has none.
 
     ``scores`` and ``correct`` (bool) hold every response, prompt after
     prompt; prompt i owns the next ``counts[i]`` of them.
     """
     starts = np.cumsum(counts) - counts
+    return np.minimum.reduceat(np.where(correct, np.inf, scores), starts)
+
+
+def worst_cases(smallest: np.ndarray) -> np.ndarray:
+    """Per prompt, 1 over its ``smallest_incorrect`` score: 0 when it has none."""
     with np.errstate(divide="ignore"):
-        return 1.0 / np.minimum.reduceat(np.where(correct, np.inf, scores), starts)
+        return 1.0 / smallest
 
 
 # A sweep works out the metrics of a block of rows at a time, at most
@@ -522,9 +556,7 @@ class _GridPlan:
     ) -> None:
         self.grid = grid
         if grid.strategy is Strategy.ALPHA_MAX:
-            values = np.asarray([float(p.value) for p in grid.parameters])
-            self.walk = np.argsort(values, kind="stable")
-            self.lookup = values[self.walk]
+            self.walk, self.lookup = grid._walk
             self.widths = counts + 1
             self.base = np.cumsum(self.widths) - self.widths
             self.kept = np.arange(self.widths.sum()) - np.repeat(self.base, self.widths)
@@ -552,9 +584,14 @@ def _sweep(
     scores: np.ndarray,
     correct: np.ndarray,
     counts: np.ndarray,
+    smallest: np.ndarray,
     plans: Sequence[_GridPlan],
-) -> Iterator[tuple[StrategyGrid, np.ndarray]]:
-    """``sweep`` over ``_grid_plans(counts, ...)``: each grid with its (points, 5) means."""
+    out: np.ndarray,
+) -> None:
+    """``sweep`` over ``_grid_plans(counts, ...)``, into ``out``: the plans' (points, 5) means in turn.
+
+    ``smallest`` is ``smallest_incorrect`` of the same responses.
+    """
     n = counts.size
     starts = np.cumsum(counts) - counts
     order = _sort_within_prompts(scores, counts)
@@ -566,67 +603,87 @@ def _sweep(
     correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
     correct_total = correct_cum[starts + counts] - correct_cum[starts]
     per_block = max(1, _BLOCK_CELLS // n)
+    gathered = [0, 2, 3, 4]  # every metric but the error, which alpha-max counts
 
     def metrics(kept: np.ndarray, first: np.ndarray, total: np.ndarray) -> np.ndarray:
         """(5, *kept.shape) metrics of keeping ``kept`` sorted responses from ``first`` on."""
         table = np.empty((5, *kept.shape))
         size_distortion, error, alpha_used, precision, recall = table
         # Rows are written in place, so few temporaries live at once: each
-        # takes its value where that is defined, and its default elsewhere.
+        # is divided everywhere, then takes its default where the divide
+        # is not defined.
         last = first + kept
         correct_kept = correct_cum[last]
         correct_kept -= correct_cum[first]
-        error[:] = kept > correct_kept  # an incorrect response is kept
+        np.greater(kept, correct_kept, out=error)  # an incorrect response is kept
         last -= 1
         np.take(sorted_scores, last, out=alpha_used)
         del last
-        alpha_used[kept == 0] = 0.0
-        size_distortion[:] = 0.0
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, alpha_used, out=size_distortion, where=error > 0)
-        precision[:] = 1.0
-        np.divide(correct_kept, kept, out=precision, where=kept > 0)
-        recall[:] = 1.0
-        np.divide(correct_kept, total, out=recall, where=total > 0)
+        empty = kept == 0
+        alpha_used[empty] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(1.0, alpha_used, out=size_distortion)
+            np.divide(correct_kept, kept, out=precision)
+            np.divide(correct_kept, total, out=recall)
+        size_distortion[error == 0] = 0.0
+        precision[empty] = 1.0
+        recall[..., total == 0] = 1.0  # total is per prompt, the last axis
         return table
 
     def means_of(block: np.ndarray) -> np.ndarray:
-        # per row of a (5, rows, prompts) block, the bits of np.mean over
-        # the prompts: see sweep's docstring
+        # per row of a (fields, rows, prompts) block, the bits of np.mean
+        # over the prompts: see sweep's docstring
         return (block.sum(axis=2) / n).T
 
+    done = 0
     for plan in plans:
+        points = len(plan.grid.parameters)
+        means = out[done : done + points]
+        done += points
         if plan.walk is not None:
-            points = len(plan.grid.parameters)
-            means = np.empty((points, 5))
             table = metrics(
                 plan.kept, np.repeat(starts, plan.widths), np.repeat(correct_total, plan.widths)
-            )
-            # Walk step i passes the responses scoring at most lookup[i],
-            # and moves each prompt's column on by as many as it passes
-            # of that prompt's, so a tie group passes whole.  Keys sorted
-            # by (step, prompt) count the passes of a block of steps with
-            # one bincount; a response no step passes has step = points.
+            )[gathered]
+            # Walk step i passes the responses scoring at most lookup[i]
+            # (a response no step passes has step = points), and moves
+            # each prompt's column on by as many as it passes of that
+            # prompt's, so a tie group passes whole.  A step is live when
+            # it passes some response.  Compact row r holds the columns
+            # after the first r live steps, row 0 those of keeping
+            # nothing.  row_of maps each step to its row, and step =
+            # points to one past the last row.
             steps = np.searchsorted(plan.lookup, scores, side="left")
-            keys = np.sort(steps * n + np.repeat(np.arange(n), counts))
+            live = np.bincount(steps, minlength=points + 1)[:points] > 0
+            row_of = np.cumsum(np.append(live, True))
+            n_rows = int(row_of[-1])
+            compact = np.empty((n_rows, 5))
+            # A prompt errs from the row of its smallest incorrect score
+            # on, and a sum of 0/1 values is an exact count: counting the
+            # prompts that err by each row gives np.mean's bits.
+            first_errors = row_of[np.searchsorted(plan.lookup, smallest, side="left")]
+            errs = np.bincount(first_errors, minlength=n_rows + 1)[:n_rows]
+            compact[:, 1] = np.cumsum(errs) / n
+            # Keys sorted by (row, prompt) count the passes of a block of
+            # rows with one bincount.
+            keys = np.sort(row_of[steps] * n + np.repeat(np.arange(n), counts))
             del steps
             cols = plan.base
-            for b in range(0, points, per_block):
-                e = min(b + per_block, points)
+            for b in range(0, n_rows, per_block):
+                e = min(b + per_block, n_rows)
                 lo, hi = np.searchsorted(keys, (b * n, e * n))
                 passed = np.bincount(keys[lo:hi] - b * n, minlength=(e - b) * n)
                 block = passed.reshape(e - b, n)
                 for row in block:  # running sums down the block; np.cumsum(axis=0) is slower
                     row += cols
                     cols = row
-                means[plan.walk[b:e]] = means_of(np.take(table, block, axis=1))
+                compact[b:e, gathered] = means_of(np.take(table, block, axis=1))
+            means[plan.walk] = compact[row_of[:points]]
         else:
             rows = np.empty((len(plan.runs), 5))
             for b in range(0, len(rows), per_block):
                 kept = np.take(plan.rows[b : b + per_block], plan.size_of, axis=1)
                 rows[b : b + per_block] = means_of(metrics(kept, starts, correct_total))
-            means = np.repeat(rows, plan.runs, axis=0)
-        yield plan.grid, means
+            means[:] = np.repeat(rows, plan.runs, axis=0)
 
 
 def sweep(
@@ -647,18 +704,23 @@ def sweep(
 
     One function computes the five metrics of keeping a count of a
     prompt's sorted responses, with the per-prompt expressions, for both
-    strategies.  Alpha-max builds a float64 table of shape (5, columns)
-    with a column for every count 0..k of every prompt; walking the grid
-    upward by value, each response passed moves its prompt one column
-    on, so a tie group passes whole.  Fraction keeps
+    strategies, and both compute each distinct row of keep counts along
+    the grid once and repeat its means for the grid points it stands
+    for.  Alpha-max builds a float64 table of shape (4, columns), every
+    metric but the error, with a column for every count 0..k of every
+    prompt.  Walking the grid upward by value, each response passed
+    moves its prompt one column on, so a tie group passes whole.  A
+    walk step that passes some response is live; compact row r holds the
+    columns after the first r live steps, row 0 those of keeping
+    nothing, so a grid gathers at most one row per distinct test score,
+    plus one, however fine it is.  Fraction keeps
     ``inclusion_target(v, k)``, which depends only on the set size k and
-    changes only at multiples of 1/k, so it computes the metrics of each
-    distinct row of keep counts along the grid straight from the counts
-    and repeats each row's means for the grid points it stands for.
+    changes only at multiples of 1/k, so it computes the metrics of its
+    distinct rows straight from the counts.
 
     Rows are taken in blocks of at most ``_BLOCK_CELLS`` (row, prompt)
     cells, or of one row when there are more prompts, so memory does not
-    grow with the grid.  A block's metrics form a (5, rows, prompts)
+    grow with the grid.  A block's metrics form a (fields, rows, prompts)
     array, gathered from the table for alpha-max, and its means are
     ``block.sum(axis=2) / n``.  The block must be C-contiguous along the
     prompt axis: each of its rows is then summed pairwise, as
@@ -667,10 +729,20 @@ def sweep(
     returns C order whatever the index's layout, but fancy indexing such
     as ``table[m][cols]`` follows the index, and a column-major index
     then sums each mean in another order, which moves last bits.
+
+    Alpha-max's error mean needs no gather.  A prompt errs exactly when
+    it keeps its smallest incorrect score, that is from that score's
+    row on, so the mean at row r is the count of prompts whose first
+    error row is at most r, over n.  A pairwise sum of 0/1 float64
+    values is a sum of integers below 2**53, exact in every order, so
+    it equals that count and the quotient has ``np.mean``'s bits.
     """
-    for grid, means in _sweep(scores, correct, counts, _grid_plans(counts, strategy_grids)):
-        for param, row in zip(grid.parameters, means.tolist()):
-            yield grid, param, tuple(row)
+    pairs = [(grid, param) for grid in strategy_grids for param in grid.parameters]
+    means = np.empty((len(pairs), len(_MEAN_FIELDS)))
+    smallest = smallest_incorrect(scores, correct, counts)
+    _sweep(scores, correct, counts, smallest, _grid_plans(counts, strategy_grids), means)
+    for (grid, param), row in zip(pairs, means.tolist()):
+        yield grid, param, tuple(row)
 
 
 def evaluate_split(
@@ -712,19 +784,22 @@ def evaluate_split(
     counts = dataset.counts[test_idx]
     correct = dataset.labels_flat[dataset.gather(test_idx)].astype(bool)
     plans = _grid_plans(counts, strategy_grids)
-    blocks = [np.empty((0, len(_MEAN_FIELDS)))]  # without grids, no rows
+    points = sum(len(grid.parameters) for grid in strategy_grids)
+    means = np.empty((len(kinds) * points, len(_MEAN_FIELDS)))
     wc: list[tuple[str, float]] = []
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         scores = scores_of[kind.name]
-        wc.append((kind.name, float(np.mean(worst_cases(scores, correct, counts)))))
-        blocks.extend(means for _, means in _sweep(scores, correct, counts, plans))
+        smallest = smallest_incorrect(scores, correct, counts)
+        wc.append((kind.name, float(np.mean(worst_cases(smallest)))))
+        _sweep(scores, correct, counts, smallest, plans, means[i * points : (i + 1) * points])
+    means.flags.writeable = False
     keys = _row_keys(
         tuple(kind.name for kind in kinds),
         tuple((g.strategy.value, tuple(p.label for p in g.parameters)) for g in strategy_grids),
     )
     return SplitResult(
         keys=keys,
-        means=np.concatenate(blocks),
+        means=means,
         worst_case=tuple(wc),
         n_test=int(test_idx.size),
         n_cal=int(cal_idx.size),
@@ -800,6 +875,7 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
         block = np.empty((e - b, len(_MEAN_FIELDS), n_splits))
         stacked = np.stack([res.means[b:e] for res in results], axis=-1, out=block)
         row_means[b:e] = stacked.mean(axis=-1)
+    row_means.flags.writeable = False
     wc_rows = []
     for pos, name in enumerate(wc_key):
         means = np.asarray([res.worst_case[pos][1] for res in results], dtype=np.float64)

@@ -539,9 +539,10 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
 
 
 #: The most points a ``start:stop:step`` grid may hold: the 1e-5 grid on
-#: [0, 1].  At this cap the parsed grid holds about 27 MB, each score
-#: kind adds about 18 MB of means and sweep, and each split 4 MB more
-#: per kind until the splits are aggregated.
+#: [0, 1].  At this cap the parsed grid holds about 27 MB, and each score
+#: kind about 15 MB: 4 MB of means per split until the splits are
+#: aggregated, 4 MB of the report's means and 7 MB of row keys.  The
+#: sweep itself costs by the grid's live steps, not its points.
 _MAX_GRID_POINTS = 100_001
 
 

@@ -20,7 +20,7 @@ from escores import (
     Strategy,
     StrategyGrid,
 )
-from escores.evaluation import sweep, worst_cases
+from escores.evaluation import smallest_incorrect, sweep, worst_cases
 
 import oracles
 
@@ -54,7 +54,8 @@ def alpha_max_instance(labels, scores, alpha) -> tuple:
 def worst_case(labels, scores) -> float:
     """``worst_cases`` of one prompt."""
     scores = np.asarray(scores, dtype=np.float64)
-    return worst_cases(scores, np.asarray(labels, dtype=bool), np.asarray([len(labels)]))[0].item()
+    smallest = smallest_incorrect(scores, np.asarray(labels, dtype=bool), np.asarray([len(labels)]))
+    return worst_cases(smallest)[0].item()
 
 
 def make_generated(prompt_id: str, k: int, first_error_index=None) -> GeneratedResponse:

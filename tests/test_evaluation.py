@@ -61,7 +61,7 @@ from escores import (
 
 import oracles
 from escores import evaluation
-from escores.evaluation import score_prompts, sweep, worst_cases
+from escores.evaluation import score_prompts, smallest_incorrect, sweep, worst_cases
 from escores.io import _DatasetColumns, parse_grid
 from helpers import (
     POLICIES,
@@ -92,11 +92,13 @@ def test_worst_cases_examples() -> None:
 
     # three prompts in the flat layout: the example above, no incorrect
     # response (nothing to distort), an incorrect response with score 0
-    got = worst_cases(
+    smallest = smallest_incorrect(
         np.asarray([4.95, 6.01, 6.28, 0.1, 0.2, 0.0]),
         np.asarray([0, 0, 0, 1, 1, 0], dtype=bool),
         np.asarray([3, 2, 1]),
     )
+    assert smallest.tolist() == [4.95, math.inf, 0.0]
+    got = worst_cases(smallest)
     assert got[0] == pytest.approx(1 / 4.95, rel=1e-12)
     assert got[1] == 0.0
     assert got[2] == math.inf
@@ -312,7 +314,9 @@ def test_fraction_sweep_evaluates_only_its_distinct_rows() -> None:
     # the sweep's means repeat each distinct row over its run of points
     scores = np.arange(counts.sum()) / 16
     correct = np.arange(counts.sum()) % 3 == 0
-    (_, means), = evaluation._sweep(scores, correct, counts, [plan])
+    means = np.empty((len(grid.parameters), 5))
+    smallest = smallest_incorrect(scores, correct, counts)
+    evaluation._sweep(scores, correct, counts, smallest, [plan], means)
     changes = 1 + np.flatnonzero((means[1:] != means[:-1]).any(axis=1))
     assert np.array_equal(changes, np.cumsum(plan.runs)[:-1])
 
@@ -362,6 +366,168 @@ def test_sweep_memory_does_not_grow_with_the_grid() -> None:
     finally:
         tracemalloc.stop()
     assert peak < one_array / 4, (peak, one_array)
+
+
+def _np_mean_alpha_max_rows(scores, correct, counts, values):
+    """Per grid value, ``np.mean`` over prompts of each prompt's five alpha-max metrics.
+
+    Each prompt's metrics come straight from ``scores <= v``, for about
+    a million (grid value, response) cells at a time, with no sorting,
+    walk or table.
+    """
+    starts = np.cumsum(counts) - counts
+    total = np.add.reduceat(correct, starts, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    rows = []
+    for chunk in np.array_split(values, -(-len(values) * scores.size // 10**6)):
+        keep = scores <= chunk[:, None]
+        kept = np.add.reduceat(keep, starts, axis=1, dtype=np.int64)
+        correct_kept = np.add.reduceat(keep & correct, starts, axis=1, dtype=np.int64)
+        alpha = np.maximum.reduceat(np.where(keep, scores, 0.0), starts, axis=1)
+        error = (kept > correct_kept).astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            metrics = (
+                np.where(error > 0, 1.0 / alpha, 0.0),
+                error,
+                alpha,
+                np.where(kept > 0, correct_kept / kept, 1.0),
+                np.where(total > 0, correct_kept / total, 1.0),
+            )
+        rows.extend(zip(*([float(np.mean(row)) for row in m] for m in metrics)))
+    return rows
+
+
+def _assert_same_rows(got, want) -> None:
+    """``got == want``, naming the first rows that differ rather than diffing 10,001 of them."""
+    assert len(got) == len(want)
+    differ = [(i, got[i], want[i]) for i in range(len(got)) if got[i] != want[i]]
+    assert not differ, (len(differ), differ[:3])
+
+
+def _special_alpha_grid(floor: Fraction) -> tuple[Parameter, ...]:
+    """Unsorted, with repeated points, points above 1 and points below ``floor``."""
+    labels = ["0.5", "0", "1/3", "0.5", "2", "1.5", "0.25", "1", "0", "3/4", "1/3", "0.001"]
+    labels += [str(floor / 2), str(floor / 3), str(floor), "1/7", "2"]
+    return tuple(Parameter.of(label) for label in labels)
+
+
+def _scored_split(seed: int, n_prompts: int, kinds):
+    """Real scores of a split's test half: p ties across prompts, p-randomized breaks them."""
+    prep = PreparedDataset(random_dataset(seed, n_prompts=n_prompts))
+    cal, test = np.arange(n_prompts // 2), np.arange(n_prompts // 2, n_prompts)
+    scores_of = score_prompts(
+        prep, test, kinds, {t: prep.fstar[t][cal] for t in FTransform}, master_seed=seed
+    )
+    counts = prep.counts[test]
+    correct = prep.labels_flat[prep.gather(test)].astype(bool)
+    return scores_of, correct, counts, len(cal)
+
+
+def _tied_prompts(seed: int, n_prompts: int, floor: float):
+    """Prompts of 1-4 responses over a small pool of scores, so ties fill prompts and cross them.
+
+    The pool holds 0, multiples of ``floor``, values above 1 and +inf;
+    every fifth prompt is all correct and every seventh all incorrect.
+    """
+    rng = np.random.default_rng(seed)
+    pool = np.asarray([0.0, floor, 2 * floor, 0.25, 1 / 3, 0.5, 1.0, 1.5, math.inf])
+    counts = rng.integers(1, 5, n_prompts)
+    scores = pool[rng.integers(0, len(pool), counts.sum())]
+    owner = np.repeat(np.arange(n_prompts), counts)
+    correct = (rng.random(counts.sum()) < 0.5) | (owner % 5 == 0)
+    correct &= owner % 7 != 0
+    return scores, correct, counts
+
+
+def test_alpha_max_sweep_equals_np_mean_at_every_grid_point() -> None:
+    """Alpha-max means equal a direct per-grid-point ``np.mean``, bit for bit.
+
+    On a 10,001-point grid and on an unsorted grid that repeats points
+    and has points above 1 and below 1/(n+1); for p, p-randomized, e1
+    and naive2 scores of a real split (e1 and naive2 on the second grid
+    only, to save time) and for prompts with ties inside and across
+    them, +inf scores, and prompts with no incorrect or no correct
+    response.  Each sweep of the fine grid spans several gather blocks.
+    """
+    kinds = tuple(ScoreKind.parse(k) for k in ("p", "p-randomized", "e1", "naive2"))
+    scores_of, correct, counts, n_cal = _scored_split(23, 600, kinds)
+    floor = Fraction(1, n_cal + 1)
+    tied = _tied_prompts(29, 1200, float(floor))
+    assert np.isinf(tied[0]).any()
+    assert len(set(scores_of["p"].tolist())) < scores_of["p"].size  # p ties
+    for _, ok, c in ((None, correct, counts), tied):
+        per_prompt = np.add.reduceat(ok, np.cumsum(c) - c, dtype=np.int64)
+        assert (per_prompt == 0).any() and (per_prompt == c).any()
+    with pytest.warns(UserWarning, match="exceed 1"):
+        special = StrategyGrid(Strategy.ALPHA_MAX, _special_alpha_grid(floor))
+    fine = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001"))
+    cases = [
+        ((scores_of[kind.name], correct, counts), grids)
+        for kind, grids in zip(kinds, ((fine, special), (fine, special), (special,), (special,)))
+    ]
+    cases.append((tied, (fine, special)))
+    for (scores, ok, c), grids in cases:
+        for grid in grids:
+            (plan,) = evaluation._grid_plans(c, (grid,))
+            rows = np.unique(np.searchsorted(plan.lookup, scores)).size  # live steps + 1, or more
+            assert grid is special or rows > evaluation._BLOCK_CELLS // c.size, (rows, c.size)
+            got = [means for _, _, means in sweep(scores, ok, c, (grid,))]
+            values = [float(p.value) for p in grid.parameters]
+            _assert_same_rows(got, _np_mean_alpha_max_rows(scores, ok, c, values))
+
+
+def test_alpha_max_sweep_gathers_one_row_per_live_step() -> None:
+    """A 10,001-point alpha-max grid over five distinct scores of at most 1 gathers 6 rows.
+
+    One row per walk step that some response passes, and one for
+    keeping nothing; the error is counted, not gathered, and each
+    gathered row stands for the grid points up to the next live step.
+    """
+    counts = np.asarray([3, 1, 4, 2, 5, 3])
+    pool = np.asarray([0.5, 1 / 3, 1.5, 0.0, 1.0, 0.25, 0.5, math.inf])
+    scores = pool[np.arange(counts.sum()) % len(pool)]
+    correct = np.arange(counts.sum()) % 3 == 0
+    grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001"))
+    (plan,) = evaluation._grid_plans(counts, (grid,))
+    gathered = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def take(a, indices, axis=None, out=None):
+            if axis == 1:
+                gathered.append(np.shape(indices))
+            return np.take(a, indices, axis=axis, out=out)
+
+    means = np.empty((len(grid.parameters), 5))
+    smallest = smallest_incorrect(scores, correct, counts)
+    with mock.patch.object(evaluation, "np", CountingNumpy()):
+        evaluation._sweep(scores, correct, counts, smallest, [plan], means)
+    live_steps = 5  # 0, 0.25, 1/3, 0.5 and 1 fall on five grid points
+    assert sum(shape[0] for shape in gathered) == live_steps + 1
+    assert all(shape[1:] == (counts.size,) for shape in gathered)
+    changes = 1 + np.flatnonzero((means[1:] != means[:-1]).any(axis=1))
+    assert changes.tolist() == [2500, 3334, 5000, 10000]
+    _assert_same_rows(
+        list(map(tuple, means.tolist())),
+        _np_mean_alpha_max_rows(scores, correct, counts, [float(p.value) for p in grid.parameters]),
+    )
+
+
+def test_strategy_grid_keeps_its_alpha_max_walk() -> None:
+    """The walk order and its values are built once per grid, for all splits, and read-only."""
+    with pytest.warns(UserWarning, match="exceed 1"):
+        grid, fresh = (StrategyGrid(Strategy.ALPHA_MAX, _special_alpha_grid(Fraction(1, 7))) for _ in range(2))
+    counts = np.asarray([2, 3])
+    first, second = (evaluation._grid_plans(counts, (grid,))[0] for _ in range(2))
+    assert first.walk is second.walk and first.lookup is second.lookup
+    assert not first.walk.flags.writeable and not first.lookup.flags.writeable
+    values = [float(p.value) for p in grid.parameters]
+    assert first.lookup.tolist() == sorted(values)
+    assert [values[i] for i in first.walk] == sorted(values)
+    assert grid == fresh and hash(grid) == hash(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -1171,6 +1337,7 @@ def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> Non
         n_splits = rest.get("n_splits", 1)
         assert result.rows[1] == ReportRow(*keys[1], 0.5, 1.0, 1.0, 0.5, 1.0, 2, 3, n_splits)
         same = cls(keys=keys, means=result.means, **rest)
+        assert same.means is result.means  # read-only already: kept, not copied
         assert (same == result) is True and (same != result) is False
         other = cls(keys=keys, means=source, **rest)
         assert (other == result) is False and (other != result) is True
@@ -1221,6 +1388,39 @@ def test_evaluate_dataset_end_to_end_determinism() -> None:
     assert all(row.n_test == 3 and row.n_cal == 3 for row in first.rows)
     shifted = evaluate_dataset(dataset, kinds, grids, SplitPlan(seed=3, n_splits=5))
     assert shifted != first
+
+
+def test_split_and_report_fill_their_means_in_place() -> None:
+    """``evaluate_split`` and ``aggregate_splits`` peak near the means they keep.
+
+    Each fills one (rows, 5) array that the result keeps without a
+    copy.  Per-grid blocks, their concatenation and a copy in the
+    result, alive together, peaked at 3.1 times the kept means for a
+    split here and 2.0 times for a report.
+    """
+    prep = PreparedDataset(random_dataset(7, n_prompts=40))
+    kinds = tuple(ScoreKind.parse(k) for k in ("e1", "p", "naive1"))
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001")),)
+    (split,) = plan_splits(SplitPlan(seed=1, n_splits=1), prep.n_prompts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # grid points below 1/(n_cal + 1)
+        evaluate_split(prep, split, kinds, grids)  # builds the cached keys and imports lazily
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    result, peak = traced(lambda: evaluate_split(prep, split, kinds, grids))
+    assert result.means.shape == (3 * 10_001, 5) and not result.means.flags.writeable
+    assert peak < 2 * result.means.nbytes, peak / result.means.nbytes
+    report, peak = traced(lambda: aggregate_splits([result, result]))
+    assert np.array_equal(report.means, result.means)
+    assert peak < 1.5 * report.means.nbytes, peak / report.means.nbytes
 
 
 def test_evaluate_dataset_memory_per_split_is_its_means() -> None:
