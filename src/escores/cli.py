@@ -8,12 +8,22 @@ Five subcommands::
     escores simulate --trials 10000 --seed 1
     escores equivalence --instances 1000
 
-Each handler finishes or raises; ``run_command`` alone maps the outcome
+Each handler finishes or raises; ``run_command`` maps the outcome
 to the exit code: 0 on success, 1 for runtime failures (a failed check,
 an unwritable output or a missing output directory), 2 for usage or
 validation problems (bad flags, missing or malformed inputs, impossible
 configurations).  ``--seed`` pins all randomness, so repeated runs
 produce identical output.
+
+``run_command`` is the in-process entry, and it leaves the interpreter as
+it found it.  ``main``, the console script and ``python -m escores.cli``,
+runs one command per process.  It runs ``run_command`` with the cyclic
+garbage collector off and freezes the heap before exit, so that shutdown
+does not collect every module, class and function once more: no command
+makes a reference cycle beyond the few of argparse's parser, so
+reference counting alone frees what a run drops.  It also flushes stdout
+itself, so a failed write at exit is mapped as one mid-run is: a reader
+gone by then is a quiet exit 1, any other failure an ``i/o error:`` line.
 
 The top level imports only the standard library and ``core``; each
 handler imports the modules its command runs, so ``simulate`` never
@@ -23,6 +33,7 @@ loads the evaluation engine, the file readers or the SVG renderer.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -306,8 +317,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     from .evaluation import PreparedDataset, SplitPlan, StrategyGrid, evaluate_dataset
     from .io import _read_columns, parse_grid
 
-    if args.csv and _reads(args, args.csv):
-        raise InvalidInputError(f"--csv {args.csv} names a file that evaluate reads")
+    for option, target in (("--csv", args.csv), ("--svg-dir", args.svg_dir)):
+        if _reads(args, target):
+            raise InvalidInputError(f"{option} {target} names a file that evaluate reads")
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
     grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
@@ -559,12 +571,7 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except BrokenPipeError:
-        # the reader (say, `head`) closed stdout early; die quietly, and
-        # point the fd at devnull so the interpreter's exit flush cannot
-        # raise a second time
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return EXIT_RUNTIME
+        return _drop_stdout()
     except OSError as exc:
         if isinstance(exc, FileNotFoundError) and _reads(args, exc.filename):
             print(f"usage error: {exc}", file=sys.stderr)
@@ -573,8 +580,33 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
         return EXIT_RUNTIME
 
 
+def _drop_stdout() -> int:
+    """Send stdout to devnull after a failed write; the exit code is 1.
+
+    A reader that closed stdout early (say, `head`) ends the run quietly,
+    and the interpreter's exit flush cannot raise a second time.
+    """
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return EXIT_RUNTIME
+
+
 def main() -> None:
-    raise SystemExit(run_command())
+    """Run one command in a process of its own, without the cyclic collector.
+
+    Interpreter shutdown collects even with the collector off; the freeze
+    is what lets it skip that pass.
+    """
+    gc.disable()
+    code = run_command()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # as run_command maps it; a failure already mapped keeps its code
+        if not isinstance(exc, BrokenPipeError):
+            print(f"i/o error: {exc}", file=sys.stderr)
+        code = max(code, _drop_stdout())
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

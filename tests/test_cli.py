@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -40,6 +41,7 @@ from escores.cli import (
     _warn_infinite_maxima,
     _write_score_jsonl,
     _write_score_table,
+    build_parser,
     run_command,
 )
 from escores.estimation import transform_values
@@ -625,6 +627,29 @@ def test_evaluate_refuses_a_csv_over_a_file_it_reads(tmp_path: Path, capsys, mon
         assert {path: path.read_bytes() for path in before} == before
 
 
+def test_evaluate_refuses_an_svg_dir_over_a_file_it_reads(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    """``--svg-dir`` naming a file that evaluate reads is refused as ``--csv`` is:
+    one validation error with nothing read, not an i/o error after every split."""
+    data = write_dataset(
+        [make_instance(f"t-{i}", [0.9, 0.4 + 0.1 * i], 2 if i % 2 else None) for i in range(4)],
+        tmp_path / "two.jsonl",
+    )
+    os.link(data, tmp_path / "link.jsonl")
+    monkeypatch.chdir(tmp_path)
+    before = data.read_bytes()
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr("escores.io._read_columns", unread)
+    for target in (str(data), "two.jsonl", "./two.jsonl", "link.jsonl"):
+        err = error_line(capsys, "evaluate", str(data), "--splits", "2", "--svg-dir", target)
+        assert err == f"validation error: --svg-dir {target} names a file that evaluate reads\n"
+        assert data.read_bytes() == before
+
+
 def test_evaluate_fraction_strategy(dataset: Path, capsys) -> None:
     code, out, err = run(
         capsys,
@@ -932,6 +957,51 @@ def test_score_dies_quietly_on_a_closed_stdout_in_process(
         assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
         # the branch closes the devnull descriptor it opens for its dup2
         assert len(os.listdir("/dev/fd")) == before
+
+
+def _console(argv, **kwargs) -> subprocess.CompletedProcess:
+    """One command through ``main``: ``python -m escores.cli`` in a fresh interpreter,
+    from any directory, its stdout block-buffered as on a pipe or a file."""
+    package = str(Path(sys.modules["escores"].__file__).parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "escores.cli", *argv], env=env, timeout=120, **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evaluate", "{data}", "--splits", "2", "--grid", "0.5,1"),
+        ("simulate", "--trials", "100", "--prompts", "10"),
+    ],
+    ids=["evaluate", "simulate"],
+)
+def test_console_script_exits_quietly_into_a_pipe_closed_before_its_exit_flush(
+    argv, dataset: Path
+) -> None:
+    """With stdout buffered, a short output first reaches the pipe at ``main``'s
+    own flush, which takes ``run_command``'s quiet branch: exit 1, nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _console([arg.format(data=dataset) for arg in argv], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (EXIT_RUNTIME, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_console_script_reports_a_failed_exit_flush_as_an_io_error() -> None:
+    with open("/dev/full", "w") as full:
+        done = _console(
+            ["simulate", "--trials", "100", "--prompts", "10"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert (done.returncode, done.stderr) == (
+        EXIT_RUNTIME, "i/o error: [Errno 28] No space left on device\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1277,3 +1347,110 @@ def test_cli_outputs_match_golden_hashes(tmp_path: Path, capsys) -> None:
         got[svg_dir.name] = "".join(p.read_text(encoding="utf-8") for p in files)
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in got.items()}
     assert digests == GOLDEN
+
+
+def test_console_script_matches_run_command(tmp_path: Path, capsys, monkeypatch) -> None:
+    """``python -m escores.cli``, which runs through ``main``, gives each golden
+    command the stdout, stderr, exit code and written files of ``run_command``
+    in process, a validation error and a failed check included."""
+    rnd = random.Random(20261018)
+    data = write_dataset(_golden_instances("g", 60, rnd), tmp_path / "data.jsonl")
+    cal = write_dataset(_golden_instances("c", 40, rnd), tmp_path / "cal.jsonl")
+    score = ("score", str(data), "--calibration", str(cal), "--scores", "all", "--seed", "3")
+    commands = {
+        "ingest": ("ingest", str(data)),
+        "score": score,
+        "score.jsonl": (*score, "--jsonl"),
+        "evaluate": (
+            "evaluate", str(data), "--seed", "3", "--scores", "all", "--grid", "0:1:0.05",
+            "--splits", "3", "--csv", "report.csv", "--svg-dir", "svg",
+        ),
+        "simulate": (
+            "simulate", "--prompts", "30", "--steps", "4", "--trials", "100", "--seed", "5",
+            "--emit", "simulate.jsonl",
+        ),
+        "validation": ("evaluate", str(data), "--grid", "1/0"),
+        "failed-check": (
+            "simulate", "--prompts", "2000", "--trials", "100", "--seed", "7", "--steps", "8",
+        ),
+    }
+
+    def files(directory: Path) -> dict:
+        return {
+            str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()
+        }
+
+    codes = {}
+    for name, argv in commands.items():
+        here, there = tmp_path / f"{name}-run", tmp_path / f"{name}-console"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        in_process = (*run(capsys, *argv), files(here))
+        done = _console(argv, cwd=there, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr, files(there)) == in_process, name
+        codes[name] = done.returncode
+    assert codes == {
+        **dict.fromkeys(commands, EXIT_OK), "validation": EXIT_USAGE, "failed-check": EXIT_RUNTIME,
+    }
+
+
+def test_main_runs_without_the_collector_and_freezes_the_heap_before_exit(dataset: Path) -> None:
+    program = (
+        "import atexit, gc, sys\n"
+        "from escores.cli import main\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "main()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program, "ingest", str(dataset)], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OK, "False True\n")
+
+
+def _cycles_of(call) -> int:
+    """The objects that ``call`` leaves in reference cycles, which only the collector frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+    finally:
+        found = gc.collect()
+        gc.enable()
+    return found
+
+
+def test_commands_make_no_cycles_beyond_their_parsers(
+    dataset: Path, calibration: Path, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    """``main`` runs with the collector off, so a command must leave nothing for it:
+    each run leaves exactly the cycles that parsing its argv leaves, however many
+    splits it runs."""
+    monkeypatch.chdir(tmp_path)
+    score = ("score", str(dataset), "--calibration", str(calibration), "--scores", "all")
+    commands = [
+        ("ingest", str(dataset)),
+        score,
+        (*score, "--jsonl"),
+        ("evaluate", str(dataset), "--splits", "2", "--csv", "r.csv", "--svg-dir", "svg"),
+        ("evaluate", str(dataset), "--splits", "20", "--csv", "r.csv", "--svg-dir", "svg"),
+        ("evaluate", str(dataset), "--permutations", "all", "--strategy", "fraction", "--splits", "2"),
+        ("simulate", "--trials", "100", "--prompts", "10"),
+        ("simulate", "--trials", "100", "--prompts", "10", "--emit", "d.jsonl"),
+        ("equivalence", "--instances", "5"),
+        ("evaluate", str(dataset), "--grid", "1/0"),  # a validation error
+    ]
+    cycles = {}
+    for argv in commands:
+        run_command(argv)  # imports and first-use caches are not the run's garbage
+        cycles[argv] = _cycles_of(lambda: run_command(argv))
+        assert cycles[argv] == _cycles_of(lambda: build_parser().parse_args(argv)), argv
+    capsys.readouterr()
+    assert cycles[commands[3]] == cycles[commands[4]]
+
+
+def test_run_command_leaves_the_collector_as_it_found_it(dataset: Path, capsys) -> None:
+    assert run(capsys, "ingest", str(dataset))[0] == EXIT_OK
+    assert gc.isenabled() and gc.get_freeze_count() == 0
