@@ -51,23 +51,18 @@ _EXPORTS: dict[str, str] = {
         "estimation",
     ),
     **dict.fromkeys(
+        ("EquivalenceTrials", "run_equivalence_trials", "threshold_equivalence_check"),
+        "equivalence",
+    ),
+    **dict.fromkeys(
         (
-            "EquivalenceTrials",
-            "EvaluationReport",
-            "Parameter",
             "PreparedDataset",
-            "ReportRow",
             "SplitAssignment",
             "SplitPlan",
-            "SplitResult",
-            "StrategyGrid",
-            "WorstCaseRow",
             "aggregate_splits",
             "evaluate_dataset",
             "evaluate_split",
             "plan_splits",
-            "run_equivalence_trials",
-            "threshold_equivalence_check",
         ),
         "evaluation",
     ),
@@ -120,6 +115,17 @@ _EXPORTS: dict[str, str] = {
             "uniform_draw",
         ),
         "scoring",
+    ),
+    **dict.fromkeys(
+        (
+            "EvaluationReport",
+            "Parameter",
+            "ReportRow",
+            "StrategyGrid",
+            "SplitResult",
+            "WorstCaseRow",
+        ),
+        "sweep",
     ),
     **dict.fromkeys(
         (

@@ -27,7 +27,8 @@ gone by then is a quiet exit 1, any other failure an ``i/o error:`` line.
 
 The top level imports only the standard library and ``core``; each
 handler imports the modules its command runs, so ``simulate`` never
-loads the evaluation engine, the file readers or the SVG renderer.
+loads the evaluation engine, the file readers or the SVG renderer, and
+``score`` loads neither the grid sweep nor the equivalence trials.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover - each command imports what it runs
     import numpy as np
 
     from .estimation import FTransform
-    from .evaluation import EvaluationReport, PreparedDataset
+    from .evaluation import PreparedDataset
     from .response_sets import PermutationPolicy
     from .scoring import ScoreKind
+    from .sweep import EvaluationReport
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -197,35 +199,46 @@ def _write_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
 def _write_score_jsonl(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
     """One JSON object per prompt, byte for byte ``json.dumps`` of its record.
 
-    Each block formats every column once: ``repr`` of a float list is
-    ``json.dumps``'s, bar the tokens of non-finite floats.
+    Each response set has one line template: a head with the id and one
+    ``%r`` per label, then a tail with one ``%r`` per score in each kind's
+    list, so a line is one ``%``.  ``%r`` of a float is the cell that
+    ``repr`` of a float list writes, and ``json.dumps`` too, bar the
+    tokens of non-finite floats: those are rewritten in the tail only, so
+    an id keeps its bytes.  A block's prompts of one response set take
+    their scores from one gather and one ``tolist()``.
     """
     import numpy as np
 
-    line = '{"id": %s, "responses": %s, "labels": %s, "scores": {%s}}'
-    fields = ", ".join(f"{json.dumps(name)}: %s" for name in scores)
-    encoded: dict[int, str] = {}  # prompts of one step count share one tuple of responses
+    names = [json.dumps(name) for name in scores]
+    # (line, head, tail) per response set: prompts of one step count share one tuple
+    templates: dict[int, tuple[str, str, str]] = {}
     for first, last in _write_blocks(test.offsets):
-        offsets = (test.offsets[first : last + 1] - test.offsets[first]).tolist()
         lo, hi = int(test.offsets[first]), int(test.offsets[last])
-        columns = []
-        for values in (test.labels_flat, *scores.values()):
-            block = values[lo:hi]
-            cells = block.tolist()
-            texts = [repr(cells[a:b]) for a, b in zip(offsets, offsets[1:])]
-            if not np.isfinite(block).all():
-                texts = [_json_non_finite(text) for text in texts]
-            columns.append(texts)
-        labels, *per_kind = columns
-        lines = []
-        for i, prompt in enumerate(range(first, last)):
-            responses = test.responses[prompt]
-            if id(responses) not in encoded:
-                encoded[id(responses)] = json.dumps([list(r.indices) for r in responses])
-            kinds = fields % tuple(column[i] for column in per_kind)
-            lines.append(
-                line % (json.dumps(test.prompt_ids[prompt]), encoded[id(responses)], labels[i], kinds)
-            )
+        starts = test.offsets[first:last] - lo
+        labels = test.labels_flat[lo:hi]
+        block = np.stack([values[lo:hi] for values in scores.values()])  # (kinds, responses)
+        members: dict[int, list[int]] = {}
+        for i, responses in enumerate(test.responses[first:last]):
+            members.setdefault(id(responses), []).append(i)
+        lines = [""] * (last - first)
+        for key, rows in members.items():
+            responses = test.responses[first + rows[0]]
+            if key not in templates:
+                cells = ", ".join(["%r"] * len(responses))
+                encoded = json.dumps([list(r.indices) for r in responses])
+                head = f'{{"id": %s, "responses": {encoded}, "labels": [{cells}], "scores": {{'
+                tail = ", ".join(f"{name}: [{cells}]" for name in names) + "}}"
+                templates[key] = head + tail, head, tail
+            line, head, tail = templates[key]
+            at = starts[rows][:, None] + np.arange(len(responses))
+            values = block[:, at].transpose(1, 0, 2).reshape(len(rows), -1)
+            finite = bool(np.isfinite(values).all())
+            ids = (json.dumps(test.prompt_ids[first + i]) for i in rows)
+            for i, pid, label, score in zip(rows, ids, labels[at].tolist(), values.tolist()):
+                if finite:
+                    lines[i] = line % (pid, *label, *score)
+                else:
+                    lines[i] = head % (pid, *label) + _json_non_finite(tail % tuple(score))
         sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -314,12 +327,23 @@ def _print_report(report: EvaluationReport) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
-    from .evaluation import PreparedDataset, SplitPlan, StrategyGrid, evaluate_dataset
+    from .evaluation import PreparedDataset, SplitPlan, evaluate_dataset
     from .io import _read_columns, parse_grid
+    from .sweep import StrategyGrid
 
     for option, target in (("--csv", args.csv), ("--svg-dir", args.svg_dir)):
         if _reads(args, target):
             raise InvalidInputError(f"{option} {target} names a file that evaluate reads")
+    # refused before the first split, not after the last; a missing
+    # directory stays the i/o error that writing into it raises
+    if args.csv:
+        parent = os.path.dirname(args.csv) or "."
+        if os.path.isdir(args.csv):
+            raise InvalidInputError(f"--csv {args.csv} is a directory")
+        if os.path.exists(parent) and not os.path.isdir(parent):
+            raise InvalidInputError(f"--csv {args.csv}: {parent} is not a directory")
+    if args.svg_dir and os.path.exists(args.svg_dir) and not os.path.isdir(args.svg_dir):
+        raise InvalidInputError(f"--svg-dir {args.svg_dir} exists and is not a directory")
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
     grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
@@ -380,7 +404,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def _cmd_equivalence(args: argparse.Namespace) -> None:
-    from .evaluation import run_equivalence_trials
+    from .equivalence import run_equivalence_trials
 
     trials = run_equivalence_trials(
         args.instances, seed=args.seed, n_max=args.n_max, grid_points=args.grid_points

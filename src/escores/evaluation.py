@@ -1,64 +1,26 @@
-"""Split-based evaluation: size distortion, precision/recall, equivalences.
+"""Split-based evaluation: prepared datasets, splits and their scores.
+
+A ``PreparedDataset`` holds each response's estimate and label and each
+prompt's maxima f* under every transform, not the transformed values.
+``score_prompts`` scores every response of some prompts against the
+calibration maxima of others, through ``scoring.kind_scores``, the code
+the per-response scores call too: ``score`` runs it on a whole test
+file, and ``evaluate_split`` on each split's test half.  Each call
+builds only the calibration summaries its kinds read, by
+``build_calibration_summary`` of the prepared float64 maxima, which it
+checks as arrays, and transforms only its prompts' estimates.
 
 ``evaluate_split`` scores a whole calibration/test split at once with
-flat numpy arrays, so that hundred-split sweeps stay fast.  Its scores
-come from ``scoring.kind_scores``, the code the per-response scores call
-too.  The instance accounting is written once, in ``sweep`` and
-``worst_cases``; ``evaluate_split`` averages the worst cases over test
-prompts, and ``sweep`` yields its means over test prompts itself.  Tests
-hold both to the exact rational oracles.
-
-``evaluate_dataset`` runs ``evaluate_split`` on each of ``plan_splits``'s
-splits, drawing split i's shuffle from its seed only when it reaches
-split i, so a run holds one split's indices at a time, not every
-split's.  A ``PreparedDataset`` holds each response's estimate and
-label and each prompt's maxima f* under every transform, not the
-transformed values, which only the test half of a split reads.  Each
-split builds only the calibration summaries its kinds read, by
-``build_calibration_summary`` of the prepared float64 maxima, which it
-checks as arrays, and transforms only its test responses' estimates.
-
-``sweep`` sorts each prompt's responses once by (score, position), so a
-filtering strategy only picks how many of them each prompt keeps.
-Both strategies work out the metrics of each distinct row of keep
-counts along the grid once, a bounded block of rows at a time, and
-repeat that row for the grid points it stands for.  Alpha-max builds
-one table of the five metrics for every count 0..k of every prompt and
-walks the grid by value; a row costs one column pick per prompt and one
-mean over the picked columns, and only the walk steps that some
-response passes start a new row, so a grid costs by its live steps,
-at most one per distinct test score, not by its points.  Its error
-mean is counted, not gathered: a prompt errs from the row of its
-smallest incorrect score on.  Fraction's counts depend only on the set
-sizes.  What depends only on the grid and the set sizes is planned once
-per split for every kind, from the alpha-max walk order and fraction's
-keep counts per set size, which each grid works out once for all the
-splits of a run.  The means are bit-identical to ``np.mean`` over
-per-prompt arrays; the ``sweep`` docstring gives the rules that keep
-them so.
-
-Results stay in arrays through the report: ``SplitResult`` and
-``EvaluationReport`` each hold one key per row and one read-only
-(rows, 5) float64 array of means, in ``_MEAN_FIELDS`` order, and build
-their ``ReportRow``s only when ``rows`` is read.  A split's sweeps fill
-its array in place, and the array is kept, not copied.  ``aggregate_splits``
-stacks the splits' arrays with the split axis last and C-contiguous, so
-each mean over splits has ``np.mean``'s bits.
-
-Size distortion for an instance is the error indicator divided by the
-tolerance actually used, under extended-real division (no error at zero
-tolerance costs nothing; an error at zero tolerance is an infinite
-violation).  Precision is the correct share of what was kept (1 for an
-empty selection); recall is the kept share of what was correct (1 when
-nothing was correct to begin with).  The worst-case distortion of a
-score kind on an instance is the reciprocal of the smallest score among
-its incorrect responses: the distortion an adversary could realize by
-tuning the tolerance, and 0 when the instance has no incorrect response.
-
-``threshold_equivalence_check`` verifies, in exact rational arithmetic,
-that filtering by p-score at level alpha keeps precisely the responses
-whose value exceeds the ceil((1-alpha)(n+1))-th smallest calibration
-value, for any alpha in [1/(n+1), 1].
+flat numpy arrays, so that hundred-split sweeps stay fast, and averages
+the per-prompt worst cases over test prompts.  ``evaluate_dataset`` runs
+it on each of ``plan_splits``'s splits, drawing split i's shuffle from
+its seed only when it reaches split i, so a run holds one split's
+indices at a time, not every split's, and ``aggregate_splits`` averages
+the splits.  The grid sweep and the report types are in ``sweep``, which
+``evaluate_split`` and ``aggregate_splits`` import when they are called,
+so ``score`` loads neither it nor ``filtering``, ``fractions`` or
+``decimal``.  The p-score / threshold equivalence trials are in
+``equivalence``.
 """
 
 from __future__ import annotations
@@ -66,14 +28,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
-    CalibrationSummary,
     ConfigurationError,
     InvalidInputError,
     InvalidSplitError,
@@ -82,7 +42,6 @@ from .core import (
     _require_seed,
     _seeded_rng,
     as_exact,
-    as_ext_real,
 )
 from .estimation import (
     FTransform,
@@ -92,7 +51,6 @@ from .estimation import (
     masked_f_star,
     transform_values,
 )
-from .filtering import inclusion_target
 from .io import _DatasetColumns
 from .response_sets import (
     IDENTITY_POLICY,
@@ -103,11 +61,13 @@ from .response_sets import (
 from .scoring import (
     ScoreFamily,
     ScoreKind,
-    _exceedances,
     _prompt_key,
     _uniforms,
     kind_scores,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the split functions import the sweep when called
+    from .sweep import EvaluationReport, SplitResult, StrategyGrid
 
 # Not called here any more, but kept as module attributes: the traced
 # benchmark run (perfbench/tracing.py) rebinds these names by module.
@@ -183,193 +143,6 @@ def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
     same splits, each drawn when it reaches it.
     """
     return tuple(_draw_splits(plan, n_prompts, _test_size(plan, n_prompts)))
-
-
-# ---------------------------------------------------------------------------
-# strategies and report shapes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Parameter:
-    """One grid point: an exact rational value plus its display label."""
-
-    label: str
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise InvalidInputError(f"parameter must be >= 0, got {self.value}")
-
-    @classmethod
-    def of(cls, value: "float | str | int | Fraction") -> "Parameter":
-        """Exact value by ``core.as_exact``; the label is the value as written."""
-        if isinstance(value, Parameter):
-            return value
-        exact = as_exact(value, "parameter")
-        return cls(value.strip() if isinstance(value, str) else str(value), exact)
-
-
-@dataclass(frozen=True)
-class StrategyGrid:
-    """A filtering strategy with the parameter grid to sweep."""
-
-    strategy: Strategy
-    parameters: tuple[Parameter, ...]
-
-    def __post_init__(self) -> None:
-        params = tuple(Parameter.of(p) for p in self.parameters)
-        object.__setattr__(self, "parameters", params)
-        # not a field, so == and hash ignore it: see _inclusion_targets
-        object.__setattr__(self, "_targets_of_size", {})
-        if not params:
-            raise InvalidInputError("a strategy grid needs at least one parameter")
-        if self.strategy is Strategy.FRACTION and any(p.value > 1 for p in params):
-            raise InvalidInputError("inclusion fractions cannot exceed 1")
-        above = [param.label for param in params if param.value > 1]
-        if above:
-            warnings.warn(
-                f"{len(above)} strategy parameter(s) exceed 1 (first {above[0]}); "
-                "rank-based scores never do, so they would retain everything",
-                stacklevel=3,
-            )
-
-    def _inclusion_targets(self, size: int) -> np.ndarray:
-        """``inclusion_target(v, size)`` at each parameter v, read-only.
-
-        Computed once per size and kept on the grid, so the splits of a
-        run share it: one exact-integer call per grid point.
-        """
-        targets = self._targets_of_size.get(size)
-        if targets is None:
-            targets = np.fromiter(
-                (inclusion_target(p.value, size) for p in self.parameters), np.int64
-            )
-            targets.flags.writeable = False
-            self._targets_of_size[size] = targets
-        return targets
-
-    @functools.cached_property
-    def _walk(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alpha-max's walk: the parameters' positions by value, and the values in that order.
-
-        Read-only and kept on the grid (not a field, so == and hash
-        ignore it), so the splits of a run share it.
-        """
-        values = np.asarray([float(p.value) for p in self.parameters])
-        walk = np.argsort(values, kind="stable")
-        lookup = values[walk]
-        walk.flags.writeable = lookup.flags.writeable = False
-        return walk, lookup
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    score_kind: str
-    strategy: str
-    parameter: str
-    mean_size_distortion: float
-    mean_error: float
-    mean_alpha: float
-    mean_precision: float
-    mean_recall: float
-    n_test: int
-    n_cal: int
-    n_splits: int
-
-
-@dataclass(frozen=True)
-class WorstCaseRow:
-    """Across-split distribution of the per-split mean worst-case distortion."""
-
-    score_kind: str
-    mean: float
-    q25: float
-    q75: float
-    n_splits: int
-
-
-_MEAN_FIELDS = tuple(f.name for f in fields(ReportRow) if f.name.startswith("mean_"))
-
-
-@dataclass(frozen=True, eq=False)
-class _KeyedMeans:
-    """A table of means: one key per row, the rows' means in one array.
-
-    Row j is the grid point ``keys[j]``, a ``(score_kind, strategy,
-    parameter label)``, and ``means[j]`` holds its five means in
-    ``_MEAN_FIELDS`` order: ``means`` is a read-only (len(keys), 5)
-    float64 array.  A read-only C-contiguous float64 array is kept as
-    given, as ``evaluate_split`` and ``aggregate_splits`` build them, so
-    a table the size of a fine grid is not copied; anything else is
-    copied.  ``rows`` is a view of the two as ``ReportRow``s, built on
-    each read.
-    """
-
-    keys: tuple[tuple[str, str, str], ...]
-    means: np.ndarray
-
-    def __post_init__(self) -> None:
-        means = self.means
-        if not (
-            isinstance(means, np.ndarray)
-            and means.dtype == np.float64
-            and means.flags.c_contiguous
-            and not means.flags.writeable
-        ):
-            means = np.array(means, dtype=np.float64)
-            means.flags.writeable = False
-        if means.shape != (len(self.keys), len(_MEAN_FIELDS)):
-            raise InvalidInputError(
-                f"means of shape {means.shape} do not fit {len(self.keys)} keys"
-            )
-        object.__setattr__(self, "means", means)
-
-    @property
-    def rows(self) -> tuple[ReportRow, ...]:
-        """``keys`` and ``means`` as ``ReportRow``s; a ``SplitResult``'s have ``n_splits=1``."""
-        return tuple(
-            ReportRow(*key, *row, self.n_test, self.n_cal, getattr(self, "n_splits", 1))
-            for key, row in zip(self.keys, self.means.tolist())
-        )
-
-    def __eq__(self, other: object) -> bool:
-        # not the dataclass one: its == of two arrays has no single truth value
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.means, other.means) and all(
-            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "means"
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class SplitResult(_KeyedMeans):
-    """One split's means; ``worst_case`` pairs each score kind with its mean worst case."""
-
-    worst_case: tuple[tuple[str, float], ...]
-    n_test: int
-    n_cal: int
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluationReport(_KeyedMeans):
-    worst_case: tuple[WorstCaseRow, ...]
-    n_test: int
-    n_cal: int
-    n_splits: int
-
-    def find_rows(self, score_kind: str, strategy: str | None = None) -> tuple[ReportRow, ...]:
-        return tuple(
-            row
-            for row in self.rows
-            if row.score_kind == score_kind and (strategy is None or row.strategy == strategy)
-        )
-
-    def find_worst_case(self, score_kind: str) -> WorstCaseRow:
-        for row in self.worst_case:
-            if row.score_kind == score_kind:
-                return row
-        raise InvalidInputError(f"no worst-case row for score kind {score_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -496,254 +269,6 @@ def score_prompts(
     return {kind.name: kind_scores(kind, values, summaries, u) for kind in kinds}
 
 
-def smallest_incorrect(scores: np.ndarray, correct: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per prompt, its smallest incorrect score, or +inf when it has none.
-
-    ``scores`` and ``correct`` (bool) hold every response, prompt after
-    prompt; prompt i owns the next ``counts[i]`` of them.
-    """
-    starts = np.cumsum(counts) - counts
-    return np.minimum.reduceat(np.where(correct, np.inf, scores), starts)
-
-
-def worst_cases(smallest: np.ndarray) -> np.ndarray:
-    """Per prompt, 1 over its ``smallest_incorrect`` score: 0 when it has none."""
-    with np.errstate(divide="ignore"):
-        return 1.0 / smallest
-
-
-# A sweep works out the metrics of a block of rows at a time, at most
-# this many (row, prompt) cells (one row when there are more prompts), so
-# that its memory does not grow with the grid: a full block is a 64 KB
-# int64 index, of table columns (alpha-max) or of keep counts (fraction),
-# and 320 KB of metrics.  Twice this ran no faster and raised
-# evaluate-perm's peak RSS.
-_BLOCK_CELLS = 1 << 13
-
-
-def _sort_within_prompts(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat positions of each prompt's responses by (score, position).
-
-    The order of ``np.lexsort((scores, owner))``, from one stable
-    row-wise argsort per set size over the prompts of that size, laid
-    out as a (prompts, size) matrix.
-    """
-    starts = np.cumsum(counts) - counts
-    order = np.empty(scores.size, dtype=np.int64)
-    for k in np.flatnonzero(np.bincount(counts)).tolist():
-        first = starts[counts == k][:, None]
-        flat = first + np.arange(k)
-        order[flat] = first + np.argsort(scores[flat], axis=1, kind="stable")
-    return order
-
-
-class _GridPlan:
-    """What sweeping one grid needs that the scores do not change.
-
-    Alpha-max gives prompt i the table columns ``base[i]:base[i] +
-    widths[i]``, one for every keep count 0..k, and ``kept`` holds each
-    column's count; it walks the grid in the order ``walk``, and
-    ``lookup`` holds the float values in that order.  Fraction has
-    neither table nor walk: ``rows`` holds the distinct rows of keep
-    counts per distinct set size, row r standing for the next
-    ``runs[r]`` grid points, and ``size_of[i]`` numbers prompt i's set
-    size among the distinct ones.  (A plain class: a dataclass costs
-    every command about a millisecond of import.)
-    """
-
-    def __init__(
-        self, grid: StrategyGrid, counts: np.ndarray, sizes: np.ndarray, size_of: np.ndarray
-    ) -> None:
-        self.grid = grid
-        if grid.strategy is Strategy.ALPHA_MAX:
-            self.walk, self.lookup = grid._walk
-            self.widths = counts + 1
-            self.base = np.cumsum(self.widths) - self.widths
-            self.kept = np.arange(self.widths.sum()) - np.repeat(self.base, self.widths)
-        else:
-            # The target depends only on the size, so a grid point's row
-            # changes only where some ceil(v * size) does.
-            targets = np.stack([grid._inclusion_targets(k) for k in sizes.tolist()], axis=1)
-            new = np.flatnonzero(np.diff(targets, axis=0, prepend=-1).any(axis=1))
-            self.walk = None
-            self.rows = targets[new]
-            self.runs = np.diff(new, append=len(targets))
-            self.size_of = size_of
-
-
-def _grid_plans(counts: np.ndarray, strategy_grids: Sequence[StrategyGrid]) -> list[_GridPlan]:
-    """Each grid's plan for prompts of these sizes."""
-    # bincount, not np.unique: the first call of each of its paths
-    # (hashed, or sorted for return_inverse) adds 0.4-0.9 MB of peak RSS
-    sizes = np.flatnonzero(np.bincount(counts))
-    size_of = np.searchsorted(sizes, counts)
-    return [_GridPlan(grid, counts, sizes, size_of) for grid in strategy_grids]
-
-
-def _sweep(
-    scores: np.ndarray,
-    correct: np.ndarray,
-    counts: np.ndarray,
-    smallest: np.ndarray,
-    plans: Sequence[_GridPlan],
-    out: np.ndarray,
-) -> None:
-    """``sweep`` over ``_grid_plans(counts, ...)``, into ``out``: the plans' (points, 5) means in turn.
-
-    ``smallest`` is ``smallest_incorrect`` of the same responses.
-    """
-    n = counts.size
-    starts = np.cumsum(counts) - counts
-    order = _sort_within_prompts(scores, counts)
-    sorted_scores = scores[order]
-    sorted_correct = correct[order]
-    del order
-    # With a leading 0, correct_cum[end] - correct_cum[start] counts the
-    # correct ones among the sorted responses start:end.
-    correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
-    correct_total = correct_cum[starts + counts] - correct_cum[starts]
-    per_block = max(1, _BLOCK_CELLS // n)
-    gathered = [0, 2, 3, 4]  # every metric but the error, which alpha-max counts
-
-    def metrics(kept: np.ndarray, first: np.ndarray, total: np.ndarray) -> np.ndarray:
-        """(5, *kept.shape) metrics of keeping ``kept`` sorted responses from ``first`` on."""
-        table = np.empty((5, *kept.shape))
-        size_distortion, error, alpha_used, precision, recall = table
-        # Rows are written in place, so few temporaries live at once: each
-        # is divided everywhere, then takes its default where the divide
-        # is not defined.
-        last = first + kept
-        correct_kept = correct_cum[last]
-        correct_kept -= correct_cum[first]
-        np.greater(kept, correct_kept, out=error)  # an incorrect response is kept
-        last -= 1
-        np.take(sorted_scores, last, out=alpha_used)
-        del last
-        empty = kept == 0
-        alpha_used[empty] = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(1.0, alpha_used, out=size_distortion)
-            np.divide(correct_kept, kept, out=precision)
-            np.divide(correct_kept, total, out=recall)
-        size_distortion[error == 0] = 0.0
-        precision[empty] = 1.0
-        recall[..., total == 0] = 1.0  # total is per prompt, the last axis
-        return table
-
-    def means_of(block: np.ndarray) -> np.ndarray:
-        # per row of a (fields, rows, prompts) block, the bits of np.mean
-        # over the prompts: see sweep's docstring
-        return (block.sum(axis=2) / n).T
-
-    done = 0
-    for plan in plans:
-        points = len(plan.grid.parameters)
-        means = out[done : done + points]
-        done += points
-        if plan.walk is not None:
-            table = metrics(
-                plan.kept, np.repeat(starts, plan.widths), np.repeat(correct_total, plan.widths)
-            )[gathered]
-            # Walk step i passes the responses scoring at most lookup[i]
-            # (a response no step passes has step = points), and moves
-            # each prompt's column on by as many as it passes of that
-            # prompt's, so a tie group passes whole.  A step is live when
-            # it passes some response.  Compact row r holds the columns
-            # after the first r live steps, row 0 those of keeping
-            # nothing.  row_of maps each step to its row, and step =
-            # points to one past the last row.
-            steps = np.searchsorted(plan.lookup, scores, side="left")
-            live = np.bincount(steps, minlength=points + 1)[:points] > 0
-            row_of = np.cumsum(np.append(live, True))
-            n_rows = int(row_of[-1])
-            compact = np.empty((n_rows, 5))
-            # A prompt errs from the row of its smallest incorrect score
-            # on, and a sum of 0/1 values is an exact count: counting the
-            # prompts that err by each row gives np.mean's bits.
-            first_errors = row_of[np.searchsorted(plan.lookup, smallest, side="left")]
-            errs = np.bincount(first_errors, minlength=n_rows + 1)[:n_rows]
-            compact[:, 1] = np.cumsum(errs) / n
-            # Keys sorted by (row, prompt) count the passes of a block of
-            # rows with one bincount.
-            keys = np.sort(row_of[steps] * n + np.repeat(np.arange(n), counts))
-            del steps
-            cols = plan.base
-            for b in range(0, n_rows, per_block):
-                e = min(b + per_block, n_rows)
-                lo, hi = np.searchsorted(keys, (b * n, e * n))
-                passed = np.bincount(keys[lo:hi] - b * n, minlength=(e - b) * n)
-                block = passed.reshape(e - b, n)
-                for row in block:  # running sums down the block; np.cumsum(axis=0) is slower
-                    row += cols
-                    cols = row
-                compact[b:e, gathered] = means_of(np.take(table, block, axis=1))
-            means[plan.walk] = compact[row_of[:points]]
-        else:
-            rows = np.empty((len(plan.runs), 5))
-            for b in range(0, len(rows), per_block):
-                kept = np.take(plan.rows[b : b + per_block], plan.size_of, axis=1)
-                rows[b : b + per_block] = means_of(metrics(kept, starts, correct_total))
-            means[:] = np.repeat(rows, plan.runs, axis=0)
-
-
-def sweep(
-    scores: np.ndarray,
-    correct: np.ndarray,
-    counts: np.ndarray,
-    strategy_grids: Sequence[StrategyGrid],
-) -> Iterator[tuple[StrategyGrid, Parameter, tuple[float, ...]]]:
-    """Filter every prompt at every grid point; yield the means over prompts.
-
-    Takes the flat layout of ``worst_cases``.  Yields ``(grid, parameter,
-    (size_distortion, error, alpha_used, precision, recall))``, each the
-    mean over prompts, in grid order.  Alpha-max keeps the responses
-    scoring at most the parameter and charges the largest of them;
-    fraction keeps the ceil(parameter * size) lowest by (score,
-    position) and charges the largest kept score; keeping nothing
-    charges 0.
-
-    One function computes the five metrics of keeping a count of a
-    prompt's sorted responses, with the per-prompt expressions, for both
-    strategies, and both compute each distinct row of keep counts along
-    the grid once and repeat its means for the grid points it stands
-    for.  Alpha-max builds a float64 table of shape (4, columns), every
-    metric but the error, with a column for every count 0..k of every
-    prompt.  Walking the grid upward by value, each response passed
-    moves its prompt one column on, so a tie group passes whole.  A
-    walk step that passes some response is live; compact row r holds the
-    columns after the first r live steps, row 0 those of keeping
-    nothing, so a grid gathers at most one row per distinct test score,
-    plus one, however fine it is.  Fraction keeps
-    ``inclusion_target(v, k)``, which depends only on the set size k and
-    changes only at multiples of 1/k, so it computes the metrics of its
-    distinct rows straight from the counts.
-
-    Rows are taken in blocks of at most ``_BLOCK_CELLS`` (row, prompt)
-    cells, or of one row when there are more prompts, so memory does not
-    grow with the grid.  A block's metrics form a (fields, rows, prompts)
-    array, gathered from the table for alpha-max, and its means are
-    ``block.sum(axis=2) / n``.  The block must be C-contiguous along the
-    prompt axis: each of its rows is then summed pairwise, as
-    ``np.mean`` sums a 1-D array before dividing by the count, so every
-    mean is bit-identical to ``np.mean`` over the prompts.  ``np.take``
-    returns C order whatever the index's layout, but fancy indexing such
-    as ``table[m][cols]`` follows the index, and a column-major index
-    then sums each mean in another order, which moves last bits.
-
-    Alpha-max's error mean needs no gather.  A prompt errs exactly when
-    it keeps its smallest incorrect score, that is from that score's
-    row on, so the mean at row r is the count of prompts whose first
-    error row is at most r, over n.  A pairwise sum of 0/1 float64
-    values is a sum of integers below 2**53, exact in every order, so
-    it equals that count and the quotient has ``np.mean``'s bits.
-    """
-    pairs = [(grid, param) for grid in strategy_grids for param in grid.parameters]
-    means = np.empty((len(pairs), len(_MEAN_FIELDS)))
-    smallest = smallest_incorrect(scores, correct, counts)
-    _sweep(scores, correct, counts, smallest, _grid_plans(counts, strategy_grids), means)
-    for (grid, param), row in zip(pairs, means.tolist()):
-        yield grid, param, tuple(row)
-
 
 def evaluate_split(
     dataset: PreparedDataset,
@@ -763,6 +288,16 @@ def evaluate_split(
     ``worst_cases``, which needs no strategy at all.  The split's halves
     must be nonempty, in range and disjoint.
     """
+    from .sweep import (
+        _MEAN_FIELDS,
+        SplitResult,
+        _grid_plans,
+        _row_keys,
+        _sweep,
+        smallest_incorrect,
+        worst_cases,
+    )
+
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidInputError("need at least one score kind")
@@ -806,42 +341,6 @@ def evaluate_split(
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _row_keys(
-    names: tuple[str, ...], grids: tuple[tuple[str, tuple[str, ...]], ...]
-) -> tuple[tuple[str, str, str], ...]:
-    """``(score_kind, strategy, parameter label)`` per row, kinds outermost.
-
-    Cached, so that the splits of a run share one tuple: a tuple of
-    tuples per split would weigh more than the split's means.
-    """
-    return tuple(
-        (name, strategy, label) for name in names for strategy, labels in grids for label in labels
-    )
-
-
-def _ext_percentile(values: np.ndarray, q: float) -> float:
-    """``np.percentile``'s default value of extended nonnegative reals, never ``inf - inf``.
-
-    Numpy's linear method reads the virtual index (n - 1) * q/100 of the
-    sorted values and interpolates its two neighbours, reading nan when
-    the upper one is +inf.  Here equal neighbours give their value and an
-    infinite upper neighbour with a positive weight gives +inf; between
-    finite neighbours numpy's own ``_lerp`` arithmetic stands, bit for
-    bit.  Written out rather than called: ``np.percentile`` imports
-    ``numpy.ma`` on first use.
-    """
-    ordered = np.sort(values).tolist()
-    index = (len(ordered) - 1) * (q / 100)
-    below = math.floor(index)
-    lower, higher = ordered[below], ordered[math.ceil(index)]
-    if lower == higher or math.isinf(higher):
-        return higher
-    weight = index - below
-    step = higher - lower
-    return lower + step * weight if weight < 0.5 else higher - step * (1 - weight)
-
-
 def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
     """Average the splits' means row by row; summarize worst cases.
 
@@ -849,6 +348,8 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
     parameters in the same order).  Worst-case rows carry the mean and
     the 25th/75th percentiles of the per-split means.
     """
+    from .sweep import _BLOCK_CELLS, _MEAN_FIELDS, EvaluationReport, WorstCaseRow, _ext_percentile
+
     results = tuple(results)
     if not results:
         raise InvalidInputError("cannot aggregate zero split results")
@@ -900,7 +401,7 @@ def evaluate_dataset(
     dataset: PreparedDataset,
     kinds: Sequence[ScoreKind],
     strategy_grids: Sequence[StrategyGrid] = (),
-    plan: SplitPlan = SplitPlan(),
+    plan: SplitPlan | None = None,
 ) -> EvaluationReport:
     """Run every planned split and aggregate; fully determined by the seeds.
 
@@ -908,8 +409,13 @@ def evaluate_dataset(
     only when its turn comes, so memory does not grow with the number of
     splits.  No e-score or p-score can go below 1/(n_cal + 1), so those
     kinds keep nothing at an alpha-max grid point under that floor; such
-    points draw one warning.
+    points draw one warning.  ``plan`` defaults to ``SplitPlan()``, built
+    per call, so that importing this module reads no exact number.
     """
+    from fractions import Fraction
+
+    if plan is None:
+        plan = SplitPlan()
     kinds = tuple(kinds)
     n_prompts = dataset.n_prompts
     n_test = _test_size(plan, n_prompts)
@@ -930,107 +436,3 @@ def evaluate_dataset(
         for i, split in enumerate(_draw_splits(plan, n_prompts, n_test))
     ]
     return aggregate_splits(results)
-
-
-# ---------------------------------------------------------------------------
-# p-score / fixed-threshold equivalence
-# ---------------------------------------------------------------------------
-
-
-def threshold_equivalence_check(
-    f_test_values: Sequence[float],
-    cal: CalibrationSummary,
-    alpha_grid: Sequence["float | Fraction"],
-) -> bool:
-    """Does p-score filtering match the order-statistic threshold rule?
-
-    For each alpha, inclusion by p-score (p <= alpha, compared in exact
-    rational arithmetic) must equal inclusion by value (f strictly above
-    the ceil((1-alpha)(n+1))-th smallest calibration value, or above
-    nothing when that index is 0).  The p side takes #{v >= f} from
-    ``scoring._exceedances``, the rank count the p kinds score with, and
-    the threshold side reads the same sorted maxima.  Each alpha goes
-    through ``core.as_exact``, so floats mean their shortest decimal.
-    Alphas below 1/(n+1) cannot include anything under the p-score rule
-    and are rejected as out of range.
-    """
-    n = cal.n
-    ordered = np.sort(np.asarray(cal.per_prompt_fstar, dtype=np.float64))
-    lo = Fraction(1, n + 1)
-    tests = [as_ext_real(f, "test value") for f in f_test_values]
-    at_least = _exceedances(ordered, np.asarray(tests, dtype=np.float64))[0].tolist()
-
-    for alpha in alpha_grid:
-        exact = as_exact(alpha, "alpha")
-        if not lo <= exact <= 1:
-            raise InvalidInputError(
-                f"alpha {alpha!r} outside [1/(n+1), 1] = [{lo}, 1] for n={n}"
-            )
-        k = inclusion_target(1 - exact, n + 1)
-        tau = ordered[k - 1] if k >= 1 else None
-        for f, count in zip(tests, at_least):
-            by_p = Fraction(1 + count, n + 1) <= exact
-            by_threshold = True if tau is None else f > tau
-            if by_p != by_threshold:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class EquivalenceTrials:
-    """Outcome of a batch of randomized equivalence checks."""
-
-    n_instances: int
-    failures: int
-
-    @property
-    def all_equivalent(self) -> bool:
-        return self.failures == 0
-
-
-def run_equivalence_trials(
-    n_instances: int,
-    *,
-    seed: int = 0,
-    n_max: int = 50,
-    grid_points: int = 20,
-) -> EquivalenceTrials:
-    """Randomized instances for the threshold equivalence, ties included.
-
-    Instances rotate through three value styles: continuous values, a
-    coarse grid that forces heavy ties, and test values copied from the
-    calibration values themselves (plus the extremes 0 and +inf).  Each
-    instance checks a grid of exact rationals spanning [1/(n+1), 1],
-    with two extra grid points derived from random floats.
-    """
-    if n_instances < 1 or grid_points < 4 or n_max < 1:
-        raise InvalidInputError("need n_instances >= 1, grid_points >= 4, n_max >= 1")
-    rng = _seeded_rng(seed, (2,))
-    failures = 0
-    for i in range(n_instances):
-        n = int(rng.integers(1, n_max + 1))
-        style = i % 3
-        if style == 0:
-            cal_values = rng.random(n) * 10.0
-            f_tests = list(rng.random(8) * 10.0)
-        elif style == 1:
-            coarse = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-            cal_values = rng.choice(coarse, n)
-            f_tests = list(rng.choice(coarse, 8))
-        else:
-            cal_values = np.round(rng.random(n), 1)
-            picks = rng.integers(0, n, 4)
-            f_tests = [float(cal_values[p]) for p in picks] + [0.0, math.inf]
-        cal = build_calibration_summary(float(v) for v in cal_values)
-
-        lo = Fraction(1, n + 1)
-        span = 1 - lo
-        grid: list[Fraction] = [lo, Fraction(1)]
-        for j in range(grid_points - 4):
-            grid.append(lo + span * Fraction(j + 1, grid_points - 3))
-        grid.append(lo + span * Fraction(float(rng.random())))
-        grid.append(lo + span * Fraction(float(rng.random())))
-
-        if not threshold_equivalence_check(f_tests, cal, grid):
-            failures += 1
-    return EquivalenceTrials(n_instances=n_instances, failures=failures)

@@ -51,7 +51,7 @@ from .estimation import EstimateSource, PromptInstance
 from .response_sets import GeneratedResponse, _check_first_error
 
 if TYPE_CHECKING:  # pragma: no cover - the emitters and parse_grid import what they run
-    from .evaluation import EvaluationReport, Parameter
+    from .sweep import EvaluationReport, Parameter
 
 
 _PREFIX_KNOWN = {"id", "sub_responses", "first_error_index", "oracle_conditionals"}
@@ -450,8 +450,8 @@ def write_dataset(
 
 
 #: The CSV columns: one per ``ReportRow`` field, in field order.  Spelled
-#: out, so that reading a dataset does not load the evaluation engine; a
-#: test holds it to the fields.
+#: out, so that reading a dataset does not load ``sweep``, the report
+#: types' module; a test holds it to the fields.
 CSV_HEADER = (
     "score_kind", "strategy", "parameter", "mean_size_distortion", "mean_error", "mean_alpha",
     "mean_precision", "mean_recall", "n_test", "n_cal", "n_splits",
@@ -554,7 +554,7 @@ def parse_grid(text: str) -> tuple[Parameter, ...]:
     floating-point drift.  Comma lists accept decimals or fractions
     like ``1/3``.  Every number must be finite and fit a float.
     """
-    from .evaluation import Parameter
+    from .sweep import Parameter
 
     text = text.strip()
     if not text:

@@ -269,7 +269,7 @@ def _exceedances(
     """#{v >= f} for each entry of ``f`` over ``ordered`` (ascending), and #{v > f} when ``strict``.
 
     The one rank count of the package: ``_p_scores`` and
-    ``evaluation.threshold_equivalence_check`` both read it.  Only the
+    ``equivalence.threshold_equivalence_check`` both read it.  Only the
     tie-randomized p-score needs the strict count; without ``strict``
     the second entry is None.
     """

@@ -20,7 +20,7 @@ from escores import (
     Strategy,
     StrategyGrid,
 )
-from escores.evaluation import smallest_incorrect, sweep, worst_cases
+from escores.sweep import smallest_incorrect, sweep, worst_cases
 
 import oracles
 

@@ -299,6 +299,61 @@ def test_score_writes_infinite_scores_as_json_dumps_does(tmp_path: Path, capsys)
     ]
 
 
+@pytest.mark.parametrize("permutations", sorted(POLICIES))
+def test_score_jsonl_keeps_ids_that_look_like_tokens_or_templates(
+    permutations: str, tmp_path: Path, capsys
+) -> None:
+    """Each line is ``json.dumps`` of its record, whatever the id spells.
+
+    An id such as ``inf-1`` or ``nan`` must survive the rewrite of the
+    scores' non-finite tokens, and an id holding ``%`` the line template,
+    on lines with infinite scores and on lines without.  Prompts of one
+    step count share a template, within a block and across blocks.
+    """
+    rng = random.Random(36)
+    # one-step prompts whose step errs with estimate 0: e1, e3, naive1 and naive3 are +inf
+    infinite = ("inf-1", "nan", "a%sb", "100%%")
+    finite = ("%r%d", "x\\u%", "Infinity%s", "%(id)s")
+    instances = [make_instance(pid, [0.0], 1) for pid in infinite]
+    instances += [make_instance(pid, [0.5] * (2 + i % 3), None) for i, pid in enumerate(finite)]
+    for i in range(300):
+        k = rng.randint(1, 4)
+        conditionals = [rng.uniform(0.05, 0.95) for _ in range(k)]
+        instances.append(make_instance(f"t-{i}", conditionals, rng.choice((None, rng.randint(1, k)))))
+    rng.shuffle(instances)
+    test = write_dataset(instances, tmp_path / "test.jsonl")
+    cal = write_dataset(
+        [make_instance(f"c-{i}", [rng.random(), rng.random()], rng.choice((None, 1, 2))) for i in range(20)],
+        tmp_path / "cal.jsonl",
+    )
+    policy = POLICIES[permutations][0]
+    prep = PreparedDataset(parse_dataset(test), policy)
+    scores = score_prompts(
+        prep, np.arange(prep.n_prompts), ALL_SCORE_KINDS,
+        PreparedDataset(parse_dataset(cal), policy).fstar, master_seed=2,
+    )
+    records = []
+    for i, (pid, responses) in enumerate(zip(prep.prompt_ids, prep.responses)):
+        lo, hi = prep.offsets[i], prep.offsets[i + 1]
+        records.append(json.dumps({
+            "id": pid, "responses": [list(r.indices) for r in responses],
+            "labels": prep.labels_flat[lo:hi].tolist(),
+            "scores": {name: values[lo:hi].tolist() for name, values in scores.items()},
+        }) + "\n")
+    assert prep.offsets[-1] > _WRITE_BLOCK
+    for pid in infinite + finite:
+        (record,) = (r for r in records if r.startswith(f'{{"id": {json.dumps(pid)}, '))
+        assert ("Infinity" in record.split('"scores"')[1]) is (pid in infinite), record
+
+    code, out, err = run(
+        capsys, "score", str(test), "--calibration", str(cal), "--scores", "all", "--seed", "2",
+        "--permutations", permutations, "--jsonl",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines(keepends=True) == records
+    assert [json.loads(line)["id"] for line in out.splitlines()] == prep.prompt_ids
+
+
 def test_score_output_over_many_prompts_matches_record_by_record_formatting(
     tmp_path: Path, capsys
 ) -> None:
@@ -650,6 +705,47 @@ def test_evaluate_refuses_an_svg_dir_over_a_file_it_reads(
         assert data.read_bytes() == before
 
 
+def test_evaluate_refuses_an_unusable_output_path_before_reading(
+    dataset: Path, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    """A ``--csv`` that is a directory or under a file, and a ``--svg-dir`` that
+    is a file, are one validation error each, with nothing read or written,
+    not an i/o error after every split."""
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "notes.txt").write_text("kept\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr("escores.io._read_columns", unread)
+    argv = ("evaluate", str(dataset), "--splits", "2", "--grid", "0.5,1")
+    for option, target, reason in (
+        ("--csv", "adir", "--csv adir is a directory"),
+        ("--csv", "adir/", "--csv adir/ is a directory"),
+        ("--csv", "notes.txt/r.csv", "--csv notes.txt/r.csv: notes.txt is not a directory"),
+        ("--svg-dir", "notes.txt", "--svg-dir notes.txt exists and is not a directory"),
+    ):
+        code, out, err = run(capsys, *argv, option, target)
+        assert (code, out, err) == (EXIT_USAGE, "", f"validation error: {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "data.jsonl", "notes.txt"]
+    assert not any((tmp_path / "adir").iterdir())
+    assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_evaluate_writes_into_existing_and_new_output_directories(
+    dataset: Path, tmp_path: Path, capsys
+) -> None:
+    """What the refusals leave alone: a --csv in an existing directory, and
+    a --svg-dir that exists as a directory or is yet to be made."""
+    (tmp_path / "out").mkdir()
+    argv = ("evaluate", str(dataset), "--splits", "2", "--grid", "0.5,1", "--scores", "e1")
+    for svg_dir in (tmp_path / "out", tmp_path / "new" / "plots"):
+        code, out, err = run(capsys, *argv, "--csv", str(tmp_path / "out" / "r.csv"), "--svg-dir", str(svg_dir))
+        assert (code, err) == (EXIT_OK, ""), err
+        assert f"wrote {tmp_path / 'out' / 'r.csv'}" in out and len(list(svg_dir.glob("*.svg"))) == 3
+
+
 def test_evaluate_fraction_strategy(dataset: Path, capsys) -> None:
     code, out, err = run(
         capsys,
@@ -831,10 +927,10 @@ def test_simulate_fails_both_checks_through_run_command(capsys, monkeypatch) -> 
 
 
 def test_equivalence_failure_is_a_runtime_error(capsys, monkeypatch) -> None:
-    import escores.evaluation as evaluation
+    import escores.equivalence as equivalence
 
     monkeypatch.setattr(
-        evaluation, "run_equivalence_trials", lambda n, **_: evaluation.EquivalenceTrials(n, 1)
+        equivalence, "run_equivalence_trials", lambda n, **_: equivalence.EquivalenceTrials(n, 1)
     )
     code, out, err = run(capsys, "equivalence", "--instances", "5")
     assert code == EXIT_RUNTIME
@@ -1087,6 +1183,42 @@ def test_benchmark_tracing_finds_every_name_it_rebinds(
     assert evaluation.PreparedDataset.__init__ is init
 
 
+def test_benchmark_tracing_sees_score(
+    dataset: Path, calibration: Path, capsys, monkeypatch
+) -> None:
+    """``score`` prepares and scores through the names the traced run wraps on
+    ``evaluation``, so the score workload's per-layer metrics stay live."""
+    import escores.evaluation as evaluation
+    import escores.io as escores_io
+    import escores.scoring as scoring
+    from escores import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    modules = (cli, evaluation, escores_io, scoring)
+    before = [dict(vars(module)) for module in modules]
+    init = evaluation.PreparedDataset.__init__
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        code, out, err = run(
+            capsys, "score", str(dataset), "--calibration", str(calibration),
+            "--scores", "e-combined,p", "--jsonl",
+        )
+    finally:
+        tracer.restore()
+    assert code == EXIT_OK, err
+    assert len(out.splitlines()) == 6
+    # the calibration set, then the test set
+    assert [span.name for span in tracer.spans].count("evaluation.PreparedDataset") == 2
+    # one summary per transform that e-combined and p read, for the one calibration set
+    assert tracer.counts["estimation.build_calibration_summary.calls"] == 3
+    for module, names in zip(modules, before):
+        assert all(vars(module)[name] is value for name, value in names.items()), module
+    assert evaluation.PreparedDataset.__init__ is init
+
+
 def test_benchmark_tracing_sees_the_names_the_handlers_call_late(
     dataset: Path, tmp_path: Path, capsys, monkeypatch
 ) -> None:
@@ -1152,13 +1284,25 @@ def test_each_command_loads_only_the_modules_it_runs(dataset: Path, calibration:
     assert not openssl & simulate
     # 3 splits put both quartiles between two means: the interpolating path
     evaluate = _modules_after("evaluate", str(dataset), "--splits", "3", "--grid", "0.5,1")
-    assert "escores.evaluation" in evaluate
-    assert not {"escores.synthetic", "numpy.ma"} & evaluate
+    assert {"escores.evaluation", "escores.sweep"} <= evaluate
+    assert not {"escores.synthetic", "escores.equivalence", "numpy.ma"} & evaluate
     assert not openssl & evaluate
-    assert not openssl & _modules_after("equivalence", "--instances", "5")
-    # the prompt keys' SHA-256 is CPython's own, not OpenSSL's
-    score = _modules_after("score", str(dataset), "--calibration", str(calibration), "--scores", "all", "--jsonl")
-    assert not {"_hashlib", "numpy.ma", "escores.synthetic"} & score
+    equivalence = _modules_after("equivalence", "--instances", "5")
+    assert "escores.equivalence" in equivalence
+    assert not {"escores.sweep", "escores.evaluation"} & equivalence
+    assert not openssl & equivalence
+    # score prepares and scores: no sweep, report type, trial or exact number
+    unused = {
+        "escores.sweep", "escores.equivalence", "escores.filtering", "escores.svg",
+        "fractions", "decimal", "csv",
+    }
+    for form in ("--jsonl", None):
+        argv = ("score", str(dataset), "--calibration", str(calibration), "--scores", "all", form)
+        score = _modules_after(*filter(None, argv))
+        assert "escores.evaluation" in score
+        assert not unused & score, form
+        # the prompt keys' SHA-256 is CPython's own, not OpenSSL's
+        assert not {"_hashlib", "numpy.ma", "escores.synthetic"} & score
 
     program = "import escores, sys; print([m for m in sys.modules if m.startswith('escores.')])"
     done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)

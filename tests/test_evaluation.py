@@ -60,8 +60,10 @@ from escores import (
 )
 
 import oracles
+import escores.sweep as grid_sweep
 from escores import evaluation
-from escores.evaluation import score_prompts, smallest_incorrect, sweep, worst_cases
+from escores.evaluation import score_prompts
+from escores.sweep import smallest_incorrect, sweep, worst_cases
 from escores.io import _DatasetColumns, parse_grid
 from helpers import (
     POLICIES,
@@ -239,7 +241,7 @@ def test_within_prompt_order_is_lexsort(counts, data) -> None:
         )
     )
     owner = np.repeat(np.arange(counts.size), counts)
-    got = evaluation._sort_within_prompts(scores, counts)
+    got = grid_sweep._sort_within_prompts(scores, counts)
     assert np.array_equal(got, np.lexsort((scores, owner)))
 
 
@@ -264,9 +266,9 @@ def test_sweep_across_gather_blocks_equals_np_mean_and_the_oracles() -> None:
     shuffled = tuple(points[i] for i in np.random.default_rng(3).permutation(len(points)))
     fine = StrategyGrid(Strategy.FRACTION, parse_grid("0:1:0.001"))
     large_sets = _sweep_case(19, 200, 64)
-    assert 200 * len(points) >= 2 * evaluation._BLOCK_CELLS
-    (plan,) = evaluation._grid_plans(large_sets[2], (fine,))
-    assert 200 * len(plan.rows) >= 2 * evaluation._BLOCK_CELLS
+    assert 200 * len(points) >= 2 * grid_sweep._BLOCK_CELLS
+    (plan,) = grid_sweep._grid_plans(large_sets[2], (fine,))
+    assert 200 * len(plan.rows) >= 2 * grid_sweep._BLOCK_CELLS
     assert len(plan.rows) < len(fine.parameters) and max(plan.runs) > 1
     cases = (
         (
@@ -307,7 +309,7 @@ def test_fraction_sweep_evaluates_only_its_distinct_rows() -> None:
     """
     counts = np.asarray([1, 2, 3, 4, 5, 3, 1])
     grid = StrategyGrid(Strategy.FRACTION, parse_grid("0:1:0.0001"))
-    (plan,) = evaluation._grid_plans(counts, (grid,))
+    (plan,) = grid_sweep._grid_plans(counts, (grid,))
     assert len(plan.rows) == 11 and plan.runs.sum() == len(grid.parameters) == 10_001
     assert plan.rows.tolist()[:3] == [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 2]]
     assert plan.rows.tolist()[-1] == [1, 2, 3, 4, 5]
@@ -316,7 +318,7 @@ def test_fraction_sweep_evaluates_only_its_distinct_rows() -> None:
     correct = np.arange(counts.sum()) % 3 == 0
     means = np.empty((len(grid.parameters), 5))
     smallest = smallest_incorrect(scores, correct, counts)
-    evaluation._sweep(scores, correct, counts, smallest, [plan], means)
+    grid_sweep._sweep(scores, correct, counts, smallest, [plan], means)
     changes = 1 + np.flatnonzero((means[1:] != means[:-1]).any(axis=1))
     assert np.array_equal(changes, np.cumsum(plan.runs)[:-1])
 
@@ -327,13 +329,13 @@ def test_fraction_grid_computes_its_keep_counts_once_per_run(monkeypatch) -> Non
     The grid keeps them for its splits, and stays equal, with an equal
     hash, to a grid of the same points that swept nothing.
     """
-    sizes, original = [], evaluation.inclusion_target
+    sizes, original = [], grid_sweep.inclusion_target
 
     def counted(fraction, size):
         sizes.append(size)
         return original(fraction, size)
 
-    monkeypatch.setattr(evaluation, "inclusion_target", counted)
+    monkeypatch.setattr(grid_sweep, "inclusion_target", counted)
     points = parse_grid("0:1:0.01")
     grid, fresh = (StrategyGrid(Strategy.FRACTION, points) for _ in range(2))
     prep = PreparedDataset(random_dataset(11, n_prompts=40))
@@ -468,9 +470,9 @@ def test_alpha_max_sweep_equals_np_mean_at_every_grid_point() -> None:
     cases.append((tied, (fine, special)))
     for (scores, ok, c), grids in cases:
         for grid in grids:
-            (plan,) = evaluation._grid_plans(c, (grid,))
+            (plan,) = grid_sweep._grid_plans(c, (grid,))
             rows = np.unique(np.searchsorted(plan.lookup, scores)).size  # live steps + 1, or more
-            assert grid is special or rows > evaluation._BLOCK_CELLS // c.size, (rows, c.size)
+            assert grid is special or rows > grid_sweep._BLOCK_CELLS // c.size, (rows, c.size)
             got = [means for _, _, means in sweep(scores, ok, c, (grid,))]
             values = [float(p.value) for p in grid.parameters]
             _assert_same_rows(got, _np_mean_alpha_max_rows(scores, ok, c, values))
@@ -488,7 +490,7 @@ def test_alpha_max_sweep_gathers_one_row_per_live_step() -> None:
     scores = pool[np.arange(counts.sum()) % len(pool)]
     correct = np.arange(counts.sum()) % 3 == 0
     grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001"))
-    (plan,) = evaluation._grid_plans(counts, (grid,))
+    (plan,) = grid_sweep._grid_plans(counts, (grid,))
     gathered = []
 
     class CountingNumpy:
@@ -503,8 +505,8 @@ def test_alpha_max_sweep_gathers_one_row_per_live_step() -> None:
 
     means = np.empty((len(grid.parameters), 5))
     smallest = smallest_incorrect(scores, correct, counts)
-    with mock.patch.object(evaluation, "np", CountingNumpy()):
-        evaluation._sweep(scores, correct, counts, smallest, [plan], means)
+    with mock.patch.object(grid_sweep, "np", CountingNumpy()):
+        grid_sweep._sweep(scores, correct, counts, smallest, [plan], means)
     live_steps = 5  # 0, 0.25, 1/3, 0.5 and 1 fall on five grid points
     assert sum(shape[0] for shape in gathered) == live_steps + 1
     assert all(shape[1:] == (counts.size,) for shape in gathered)
@@ -521,7 +523,7 @@ def test_strategy_grid_keeps_its_alpha_max_walk() -> None:
     with pytest.warns(UserWarning, match="exceed 1"):
         grid, fresh = (StrategyGrid(Strategy.ALPHA_MAX, _special_alpha_grid(Fraction(1, 7))) for _ in range(2))
     counts = np.asarray([2, 3])
-    first, second = (evaluation._grid_plans(counts, (grid,))[0] for _ in range(2))
+    first, second = (grid_sweep._grid_plans(counts, (grid,))[0] for _ in range(2))
     assert first.walk is second.walk and first.lookup is second.lookup
     assert not first.walk.flags.writeable and not first.lookup.flags.writeable
     values = [float(p.value) for p in grid.parameters]
@@ -1315,7 +1317,7 @@ def test_ext_percentile_matches_np_percentile() -> None:
             lower = np.percentile(values, q, method="lower")
             higher = np.percentile(values, q, method="higher")
             want = higher if lower == higher or math.isinf(higher) else np.percentile(values, q)
-            got = evaluation._ext_percentile(values, q)
+            got = grid_sweep._ext_percentile(values, q)
             assert type(got) is float and got == want, (values.tolist(), q)
 
 
@@ -1638,7 +1640,7 @@ def test_equivalence_trials_catch_a_wrong_rank_count(monkeypatch) -> None:
     Counting #{v > f} where #{v >= f} is meant drops the ties from every
     p-score; the trials, which force ties, must then report failures.
     """
-    import escores.evaluation
+    import escores.equivalence
     import escores.scoring
 
     def above_only(ordered, f):
@@ -1646,7 +1648,7 @@ def test_equivalence_trials_catch_a_wrong_rank_count(monkeypatch) -> None:
         right = n - np.searchsorted(ordered, f, side="right")
         return right, right
 
-    for module in (escores.scoring, escores.evaluation):
+    for module in (escores.scoring, escores.equivalence):
         monkeypatch.setattr(module, "_exceedances", above_only)
     assert run_equivalence_trials(300, seed=0).failures > 0
 
@@ -1658,12 +1660,12 @@ def test_equivalence_trials_catch_a_wrong_ceiling(monkeypatch) -> None:
     down one calibration value whenever the product is not an integer;
     the trials must then report failures.
     """
-    import escores.evaluation
+    import escores.equivalence
 
     def floor_target(fraction, size):
         return fraction.numerator * size // fraction.denominator
 
-    monkeypatch.setattr(escores.evaluation, "inclusion_target", floor_target)
+    monkeypatch.setattr(escores.equivalence, "inclusion_target", floor_target)
     assert run_equivalence_trials(300, seed=0).failures > 0
 
 

@@ -640,8 +640,8 @@ def test_emit_svg_groups_interleaved_keys_in_first_appearance_order(tmp_path: Pa
 
 
 def test_emit_svg_builds_no_rows_and_parses_each_label_once(tmp_path: Path, monkeypatch) -> None:
-    import escores.evaluation
     import escores.io
+    import escores.sweep
 
     instances = [
         make_instance(f"g-{i}", [0.2 + 0.15 * i], first_error_index=1 if i % 2 else None)
@@ -653,7 +653,7 @@ def test_emit_svg_builds_no_rows_and_parses_each_label_once(tmp_path: Path, monk
     assert len(report.keys) == 2 * 101
     rows, parsed = [], []
     monkeypatch.setattr(
-        escores.evaluation, "ReportRow", lambda *a: rows.append(a) or ReportRow(*a)
+        escores.sweep, "ReportRow", lambda *a: rows.append(a) or ReportRow(*a)
     )
     monkeypatch.setattr(escores.io, "as_exact", lambda *a: parsed.append(a) or as_exact(*a))
     assert len(emit_svg_curves(report, tmp_path / "plots")) == 6
