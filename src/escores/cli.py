@@ -315,7 +315,7 @@ def _print_report(report: EvaluationReport) -> None:
     from .io import _fmt_score
 
     print(
-        f"{report.n_splits} splits, {len(report.keys)} grid rows; "
+        f"{report.n_splits} splits, {len(report.means)} grid rows; "
         "worst-case size distortion per score kind:"
     )
     print(f"{'score_kind':<14} {'mean':>10} {'q25':>10} {'q75':>10}")
@@ -331,17 +331,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     from .io import _read_columns, parse_grid
     from .sweep import StrategyGrid
 
+    # refused before the first split, not after the last; a missing
+    # directory stays the i/o error that writing into it raises
     for option, target in (("--csv", args.csv), ("--svg-dir", args.svg_dir)):
         if _reads(args, target):
             raise InvalidInputError(f"{option} {target} names a file that evaluate reads")
-    # refused before the first split, not after the last; a missing
-    # directory stays the i/o error that writing into it raises
-    if args.csv:
-        parent = os.path.dirname(args.csv) or "."
-        if os.path.isdir(args.csv):
-            raise InvalidInputError(f"--csv {args.csv} is a directory")
-        if os.path.exists(parent) and not os.path.isdir(parent):
-            raise InvalidInputError(f"--csv {args.csv}: {parent} is not a directory")
+        ancestor = next((p for p in Path(target or ".").parents if p.exists()), Path("."))
+        if not ancestor.is_dir():
+            raise InvalidInputError(f"{option} {target}: {ancestor} is not a directory")
+    if args.csv and os.path.isdir(args.csv):
+        raise InvalidInputError(f"--csv {args.csv} is a directory")
     if args.svg_dir and os.path.exists(args.svg_dir) and not os.path.isdir(args.svg_dir):
         raise InvalidInputError(f"--svg-dir {args.svg_dir} exists and is not a directory")
     kinds = _parse_kinds(args.scores)

@@ -285,22 +285,17 @@ def evaluate_split(
     each test prompt's full response set under every requested kind, and
     reports the means over test prompts that ``sweep`` yields at every
     strategy grid point.  Also reports the per-kind mean of
-    ``worst_cases``, which needs no strategy at all.  The split's halves
-    must be nonempty, in range and disjoint.
+    ``worst_cases``, which needs no strategy at all.  The halves must be
+    nonempty, in range and disjoint, and no kind may be listed twice.
     """
-    from .sweep import (
-        _MEAN_FIELDS,
-        SplitResult,
-        _grid_plans,
-        _row_keys,
-        _sweep,
-        smallest_incorrect,
-        worst_cases,
-    )
+    from .sweep import _MEAN_FIELDS, SplitResult, _grid_plans, _sweep, smallest_incorrect, worst_cases
 
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidInputError("need at least one score kind")
+    names = tuple(kind.name for kind in kinds)
+    if twice := [name for i, name in enumerate(names) if name in names[:i]]:
+        raise InvalidInputError(f"score kind {twice[0]!r} listed twice")
     cal_idx = np.asarray(split.calibration, dtype=np.int64)
     test_idx = np.asarray(split.test, dtype=np.int64)
     if cal_idx.size == 0 or test_idx.size == 0:
@@ -328,12 +323,9 @@ def evaluate_split(
         wc.append((kind.name, float(np.mean(worst_cases(smallest)))))
         _sweep(scores, correct, counts, smallest, plans, means[i * points : (i + 1) * points])
     means.flags.writeable = False
-    keys = _row_keys(
-        tuple(kind.name for kind in kinds),
-        tuple((g.strategy.value, tuple(p.label for p in g.parameters)) for g in strategy_grids),
-    )
     return SplitResult(
-        keys=keys,
+        kinds=names,
+        grids=tuple(strategy_grids),
         means=means,
         worst_case=tuple(wc),
         n_test=int(test_idx.size),
@@ -344,8 +336,8 @@ def evaluate_split(
 def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
     """Average the splits' means row by row; summarize worst cases.
 
-    All splits must share the same keys (same kinds, strategies, and
-    parameters in the same order).  Worst-case rows carry the mean and
+    All splits must share the same score kinds and grids, in the same
+    order, and the same half sizes.  Worst-case rows carry the mean and
     the 25th/75th percentiles of the per-split means.
     """
     from .sweep import _BLOCK_CELLS, _MEAN_FIELDS, EvaluationReport, WorstCaseRow, _ext_percentile
@@ -354,17 +346,16 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
     if not results:
         raise InvalidInputError("cannot aggregate zero split results")
     first = results[0]
-    wc_key = [name for name, _ in first.worst_case]
     for res in results[1:]:
-        if res.keys != first.keys:
-            raise ConfigurationError("split results were computed over different grids")
-        if [name for name, _ in res.worst_case] != wc_key:
+        if res.kinds != first.kinds:
             raise ConfigurationError("split results cover different score kinds")
+        if res.grids != first.grids:
+            raise ConfigurationError("split results were computed over different grids")
         if res.n_test != first.n_test or res.n_cal != first.n_cal:
             raise ConfigurationError("split results have inconsistent half sizes")
 
     n_splits = len(results)
-    n_rows = len(first.keys)
+    n_rows = len(first.means)
     row_means = np.empty((n_rows, len(_MEAN_FIELDS)))
     # Stacked a block of rows at a time, so that aggregating holds a
     # bounded copy of the splits' means.  Along the last axis of a
@@ -378,7 +369,7 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
         row_means[b:e] = stacked.mean(axis=-1)
     row_means.flags.writeable = False
     wc_rows = []
-    for pos, name in enumerate(wc_key):
+    for pos, (name, _) in enumerate(first.worst_case):
         means = np.asarray([res.worst_case[pos][1] for res in results], dtype=np.float64)
         wc_rows.append(
             WorstCaseRow(
@@ -390,7 +381,7 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
             )
         )
     return EvaluationReport(
-        first.keys, row_means, tuple(wc_rows), first.n_test, first.n_cal, n_splits
+        first.kinds, first.grids, row_means, tuple(wc_rows), first.n_test, first.n_cal, n_splits
     )
 
 

@@ -32,6 +32,7 @@ import json
 import math
 import sys
 import warnings
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -51,7 +52,7 @@ from .estimation import EstimateSource, PromptInstance
 from .response_sets import GeneratedResponse, _check_first_error
 
 if TYPE_CHECKING:  # pragma: no cover - the emitters and parse_grid import what they run
-    from .sweep import EvaluationReport, Parameter
+    from .sweep import EvaluationReport, Parameter, StrategyGrid
 
 
 _PREFIX_KNOWN = {"id", "sub_responses", "first_error_index", "oracle_conditionals"}
@@ -466,9 +467,8 @@ def _fmt_score(value: float) -> str:
 def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
     """Write one CSV row per report row, numbers at six significant digits."""
     import csv
-    from itertools import repeat
 
-    if not report.keys:
+    if not len(report.means):
         raise InvalidInputError("report has no rows to write")
     path = Path(path)
     block = 4096  # rows whose means are boxed at a time, so memory does not grow with the grid
@@ -477,10 +477,13 @@ def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for b in range(0, len(report.keys), block):
-            # a block's columns, zipped into rows: the three key fields, the five means, the tail
-            means = [map(_fmt_score, column) for column in report.means[b : b + block].T.tolist()]
-            writer.writerows(zip(*zip(*report.keys[b : b + block]), *means, *tail))
+        for kind, grid, means in report._blocks():
+            strategy = grid.strategy.value
+            for b in range(0, len(means), block):
+                # a block's columns, zipped into rows: the three key fields, the five means, the tail
+                labels = (param.label for param in grid.parameters[b : b + block])
+                columns = [map(_fmt_score, column) for column in means[b : b + block].T.tolist()]
+                writer.writerows(zip(repeat(kind), repeat(strategy), labels, *columns, *tail))
     return path
 
 
@@ -505,7 +508,7 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     and precision against recall, one series per strategy.  Returns
     the written paths.
     """
-    if not report.keys:
+    if not len(report.means):
         raise InvalidInputError("report has no rows to plot")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -513,24 +516,20 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
     # name rebound on this module (the traced benchmark run's) is the one called
     this = sys.modules[__name__]
 
-    # row indices by kind, then by strategy, in the order they first appear
-    groups: dict[str, dict[str, list[int]]] = {}
-    for j, (kind, strategy, _) in enumerate(report.keys):
-        groups.setdefault(kind, {}).setdefault(strategy, []).append(j)
-    # each distinct grid label parsed once
-    parameter = {label: float(as_exact(label)) for label in dict.fromkeys(k[2] for k in report.keys)}
-
-    def column(name: str, rows: list[int]) -> list[float]:
-        if name == "parameter":
-            return [parameter[report.keys[j][2]] for j in rows]
-        return report.means[rows, CSV_HEADER.index(name) - 3].tolist()  # means follow 3 key columns
+    def column(name: str, grid: StrategyGrid, means: np.ndarray) -> list[float]:
+        values = grid._values if name == "parameter" else means[:, CSV_HEADER.index(name) - 3]
+        return values.tolist()  # the grid's own values, or a mean column after the 3 key columns
 
     written: list[Path] = []
-    for kind, strategies in groups.items():
+    for kind, blocks in groupby(report._blocks(), key=lambda block: block[0]):
+        blocks = list(blocks)
         for suffix, title, x_label, y_label, x, y, reference in _PANELS:
-            series = [
-                (s, list(zip(column(x, rows), column(y, rows)))) for s, rows in strategies.items()
-            ]
+            # a series per strategy, in first-appearance order, of its grids' points in grid order
+            merged: dict[str, list[tuple[float, float]]] = {}
+            for _, grid, means in blocks:
+                points = zip(column(x, grid, means), column(y, grid, means))
+                merged.setdefault(grid.strategy.value, []).extend(points)
+            series = list(merged.items())
             target = out / f"{this.slugify(kind)}_{suffix}.svg"
             content = this.render_panel(f"{kind}: {title}", series, x_label, y_label, **reference)
             target.write_text(content, encoding="utf-8")
@@ -540,9 +539,9 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
 
 #: The most points a ``start:stop:step`` grid may hold: the 1e-5 grid on
 #: [0, 1].  At this cap the parsed grid holds about 27 MB, and each score
-#: kind about 15 MB: 4 MB of means per split until the splits are
-#: aggregated, 4 MB of the report's means and 7 MB of row keys.  The
-#: sweep itself costs by the grid's live steps, not its points.
+#: kind about 8 MB: 4 MB of means per split until the splits are
+#: aggregated and 4 MB of the report's means, which keeps no key per row.
+#: The sweep itself costs by the grid's live steps, not its points.
 _MAX_GRID_POINTS = 100_001
 
 

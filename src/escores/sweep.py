@@ -30,10 +30,10 @@ per-prompt arrays; the ``sweep`` docstring gives the rules that keep
 them so.
 
 Results stay in arrays through the report: ``SplitResult`` and
-``EvaluationReport`` each hold one key per row and one read-only
-(rows, 5) float64 array of means, in ``_MEAN_FIELDS`` order, and build
-their ``ReportRow``s only when ``rows`` is read.  A split's sweeps fill
-its array in place, and the array is kept, not copied.
+``EvaluationReport`` each hold their kinds, their grids and one
+read-only (rows, 5) float64 array of means, one block of rows per kind
+and grid, and build row keys and ``ReportRow``s only when read.  A
+split's sweeps fill its array in place, and the array is kept, not copied.
 ``evaluation.aggregate_splits`` stacks the splits' arrays with the split
 axis last and C-contiguous, so each mean over splits has ``np.mean``'s
 bits.
@@ -129,15 +129,21 @@ class StrategyGrid:
         return targets
 
     @functools.cached_property
+    def _values(self) -> np.ndarray:
+        """The parameters' exact values as float64, read-only and kept on the grid."""
+        values = np.asarray([float(p.value) for p in self.parameters])
+        values.flags.writeable = False
+        return values
+
+    @functools.cached_property
     def _walk(self) -> tuple[np.ndarray, np.ndarray]:
         """Alpha-max's walk: the parameters' positions by value, and the values in that order.
 
         Read-only and kept on the grid (not a field, so == and hash
         ignore it), so the splits of a run share it.
         """
-        values = np.asarray([float(p.value) for p in self.parameters])
-        walk = np.argsort(values, kind="stable")
-        lookup = values[walk]
+        walk = np.argsort(self._values, kind="stable")
+        lookup = self._values[walk]
         walk.flags.writeable = lookup.flags.writeable = False
         return walk, lookup
 
@@ -173,19 +179,19 @@ _MEAN_FIELDS = tuple(f.name for f in fields(ReportRow) if f.name.startswith("mea
 
 @dataclass(frozen=True, eq=False)
 class _KeyedMeans:
-    """A table of means: one key per row, the rows' means in one array.
+    """A table of means in blocks: one block per score kind and grid.
 
-    Row j is the grid point ``keys[j]``, a ``(score_kind, strategy,
-    parameter label)``, and ``means[j]`` holds its five means in
-    ``_MEAN_FIELDS`` order: ``means`` is a read-only (len(keys), 5)
-    float64 array.  A read-only C-contiguous float64 array is kept as
-    given, as ``evaluate_split`` and ``aggregate_splits`` build them, so
-    a table the size of a fine grid is not copied; anything else is
-    copied.  ``rows`` is a view of the two as ``ReportRow``s, built on
-    each read.
+    The rows are the points of each of ``grids`` in turn under each of
+    ``kinds``, kinds outermost, and ``means`` holds their five means in
+    ``_MEAN_FIELDS`` order, a read-only (rows, 5) float64 array.  A
+    read-only C-contiguous float64 array is kept as given, as
+    ``evaluate_split`` and ``aggregate_splits`` build them, so a table
+    the size of a fine grid is not copied; anything else is copied.
+    ``keys`` and ``rows`` are views of the blocks, built on each read.
     """
 
-    keys: tuple[tuple[str, str, str], ...]
+    kinds: tuple[str, ...]
+    grids: tuple[StrategyGrid, ...]
     means: np.ndarray
 
     def __post_init__(self) -> None:
@@ -198,18 +204,40 @@ class _KeyedMeans:
         ):
             means = np.array(means, dtype=np.float64)
             means.flags.writeable = False
-        if means.shape != (len(self.keys), len(_MEAN_FIELDS)):
+        points = sum(len(grid.parameters) for grid in self.grids)
+        if means.shape != (len(self.kinds) * points, len(_MEAN_FIELDS)):
             raise InvalidInputError(
-                f"means of shape {means.shape} do not fit {len(self.keys)} keys"
+                f"means of shape {means.shape} do not fit {len(self.kinds)} kinds of {points} points"
             )
         object.__setattr__(self, "means", means)
 
+    def _blocks(self) -> Iterator[tuple[str, StrategyGrid, np.ndarray]]:
+        """``(kind, grid, its means)`` per block, in row order; nothing else reads the layout."""
+        start = 0
+        for kind in self.kinds:
+            for grid in self.grids:
+                stop = start + len(grid.parameters)
+                yield kind, grid, self.means[start:stop]
+                start = stop
+
+    @property
+    def keys(self) -> tuple[tuple[str, str, str], ...]:
+        """``(score_kind, strategy, parameter label)`` per row."""
+        blocks = self._blocks()
+        return tuple((k, g.strategy.value, p.label) for k, g, _ in blocks for p in g.parameters)
+
     @property
     def rows(self) -> tuple[ReportRow, ...]:
-        """``keys`` and ``means`` as ``ReportRow``s; a ``SplitResult``'s have ``n_splits=1``."""
+        """The rows as ``ReportRow``s; a ``SplitResult``'s have ``n_splits=1``."""
+        return self._rows(None, None)
+
+    def _rows(self, score_kind: str | None, strategy: str | None) -> tuple[ReportRow, ...]:
+        tail = (self.n_test, self.n_cal, getattr(self, "n_splits", 1))
         return tuple(
-            ReportRow(*key, *row, self.n_test, self.n_cal, getattr(self, "n_splits", 1))
-            for key, row in zip(self.keys, self.means.tolist())
+            ReportRow(kind, grid.strategy.value, param.label, *row, *tail)
+            for kind, grid, means in self._blocks()
+            if score_kind in (None, kind) and strategy in (None, grid.strategy.value)
+            for param, row in zip(grid.parameters, means.tolist())
         )
 
     def __eq__(self, other: object) -> bool:
@@ -238,11 +266,7 @@ class EvaluationReport(_KeyedMeans):
     n_splits: int
 
     def find_rows(self, score_kind: str, strategy: str | None = None) -> tuple[ReportRow, ...]:
-        return tuple(
-            row
-            for row in self.rows
-            if row.score_kind == score_kind and (strategy is None or row.strategy == strategy)
-        )
+        return self._rows(score_kind, strategy)
 
     def find_worst_case(self, score_kind: str) -> WorstCaseRow:
         for row in self.worst_case:
@@ -503,20 +527,6 @@ def sweep(
     _sweep(scores, correct, counts, smallest, _grid_plans(counts, strategy_grids), means)
     for (grid, param), row in zip(pairs, means.tolist()):
         yield grid, param, tuple(row)
-
-
-@functools.lru_cache(maxsize=8)
-def _row_keys(
-    names: tuple[str, ...], grids: tuple[tuple[str, tuple[str, ...]], ...]
-) -> tuple[tuple[str, str, str], ...]:
-    """``(score_kind, strategy, parameter label)`` per row, kinds outermost.
-
-    Cached, so that the splits of a run share one tuple: a tuple of
-    tuples per split would weigh more than the split's means.
-    """
-    return tuple(
-        (name, strategy, label) for name in names for strategy, labels in grids for label in labels
-    )
 
 
 def _ext_percentile(values: np.ndarray, q: float) -> float:

@@ -709,8 +709,8 @@ def test_evaluate_refuses_an_unusable_output_path_before_reading(
     dataset: Path, tmp_path: Path, capsys, monkeypatch
 ) -> None:
     """A ``--csv`` that is a directory or under a file, and a ``--svg-dir`` that
-    is a file, are one validation error each, with nothing read or written,
-    not an i/o error after every split."""
+    is a file or under one, are one validation error each, with nothing read
+    or written, not an i/o error after every split."""
     (tmp_path / "adir").mkdir()
     (tmp_path / "notes.txt").write_text("kept\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -725,6 +725,8 @@ def test_evaluate_refuses_an_unusable_output_path_before_reading(
         ("--csv", "adir/", "--csv adir/ is a directory"),
         ("--csv", "notes.txt/r.csv", "--csv notes.txt/r.csv: notes.txt is not a directory"),
         ("--svg-dir", "notes.txt", "--svg-dir notes.txt exists and is not a directory"),
+        ("--svg-dir", "notes.txt/plots", "--svg-dir notes.txt/plots: notes.txt is not a directory"),
+        ("--svg-dir", "notes.txt/a/plots", "--svg-dir notes.txt/a/plots: notes.txt is not a directory"),
     ):
         code, out, err = run(capsys, *argv, option, target)
         assert (code, out, err) == (EXIT_USAGE, "", f"validation error: {reason}\n")

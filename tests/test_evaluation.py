@@ -1298,7 +1298,10 @@ def test_aggregate_splits_equals_field_by_field_np_mean(seed: int, n_splits: int
 def test_worst_case_quartiles_of_infinite_means(means, q25, q75) -> None:
     # an incorrect response scoring 0 makes a split's worst-case mean +inf
     results = [
-        SplitResult(keys=(), means=np.empty((0, 5)), worst_case=(("naive2", m),), n_test=1, n_cal=1)
+        SplitResult(
+            kinds=("naive2",), grids=(), means=np.empty((0, 5)), worst_case=(("naive2", m),),
+            n_test=1, n_cal=1,
+        )
         for m in means
     ]
     row = aggregate_splits(results).find_worst_case("naive2")
@@ -1323,7 +1326,8 @@ def test_ext_percentile_matches_np_percentile() -> None:
 
 def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> None:
     """So does a report: both keep their means as one read-only array."""
-    keys = (("e1", "alpha-max", "0.5"), ("e1", "alpha-max", "1"))
+    kinds = ("e1",)
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"), Parameter.of("1"))),)
     for cls, rest in (
         (SplitResult, dict(worst_case=(("e1", 2.0),), n_test=2, n_cal=3)),
         (
@@ -1332,21 +1336,22 @@ def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> Non
         ),
     ):
         source = np.asarray([[math.inf, 1.0, 0.0, 1.0, 0.5], [0.5, 1.0, 1.0, 0.5, 1.0]])
-        result = cls(keys=keys, means=source, **rest)
+        result = cls(kinds=kinds, grids=grids, means=source, **rest)
         source[0, 0] = 0.0
         assert result.means[0, 0] == math.inf and not result.means.flags.writeable
         assert result.rows[0].mean_size_distortion == math.inf
         n_splits = rest.get("n_splits", 1)
-        assert result.rows[1] == ReportRow(*keys[1], 0.5, 1.0, 1.0, 0.5, 1.0, 2, 3, n_splits)
-        same = cls(keys=keys, means=result.means, **rest)
+        assert result.keys == (("e1", "alpha-max", "0.5"), ("e1", "alpha-max", "1"))
+        assert result.rows[1] == ReportRow("e1", "alpha-max", "1", 0.5, 1.0, 1.0, 0.5, 1.0, 2, 3, n_splits)
+        same = cls(kinds=kinds, grids=grids, means=result.means, **rest)
         assert same.means is result.means  # read-only already: kept, not copied
         assert (same == result) is True and (same != result) is False
-        other = cls(keys=keys, means=source, **rest)
+        other = cls(kinds=kinds, grids=grids, means=source, **rest)
         assert (other == result) is False and (other != result) is True
-        assert (result == keys) is False
+        assert (result == result.keys) is False
         with pytest.raises(InvalidInputError, match="do not fit"):
-            cls(keys=keys[:1], means=source, **rest)
-    split = SplitResult(keys, result.means, (("e1", 2.0),), 2, 3)
+            cls(kinds=("e1", "p"), grids=grids, means=source, **rest)
+    split = SplitResult(kinds, grids, result.means, (("e1", 2.0),), 2, 3)
     assert (split == result) is False and (split != result) is True  # a split is not a report
 
 
@@ -1366,6 +1371,43 @@ def test_aggregate_splits_rejects_mismatched_grids() -> None:
         aggregate_splits([a, b])
     with pytest.raises(InvalidInputError):
         aggregate_splits([])
+
+
+def test_evaluate_split_refuses_a_score_kind_listed_twice() -> None:
+    """With the CLI's wording; a grid listed twice stays allowed, its rows repeated."""
+    dataset = two_prompt_dataset()
+    split = SplitAssignment((0,), (1,))
+    e1, p = ScoreKind.parse("e1"), ScoreKind.parse("p")
+    grid = StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),))
+    for kinds, name in (((e1, e1), "e1"), ((p, e1, ScoreKind.parse("p")), "p")):
+        with pytest.raises(InvalidInputError, match=f"^score kind '{name}' listed twice$"):
+            evaluate_split(dataset, split, kinds, (grid,))
+    with pytest.raises(InvalidInputError, match="listed twice"):
+        evaluate_dataset(dataset, (e1, e1), (grid,), SplitPlan(n_splits=1))
+    result = evaluate_split(dataset, split, (e1,), (grid, grid))
+    assert result.keys == (("e1", "alpha-max", "0.5"),) * 2
+    assert np.array_equal(result.means[0], result.means[1])
+
+
+def test_first_split_holds_no_per_row_keys() -> None:
+    """A split retains its means and no object per row: under 1.2 times the
+    means.  One cached (kind, strategy, label) tuple per row took about 72
+    bytes against the row's 40 bytes of means."""
+    prep = PreparedDataset(random_dataset(7, n_prompts=40))
+    kinds = tuple(ScoreKind.parse(k) for k in ("e1", "p", "naive1"))
+    (split,) = plan_splits(SplitPlan(seed=1, n_splits=1), prep.n_prompts)
+    evaluate_split(prep, split, kinds, (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.5")),))
+    grids = (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001")),)
+    grids[0]._walk  # the grid's own cache, which every split of a run shares, is not the split's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = evaluate_split(prep, split, kinds, grids)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.means.shape == (3 * 10_001, 5)
+    assert retained < 1.2 * result.means.nbytes, retained / result.means.nbytes
 
 
 def test_aggregate_splits_rejects_mismatched_half_sizes() -> None:
@@ -1406,7 +1448,7 @@ def test_split_and_report_fill_their_means_in_place() -> None:
     (split,) = plan_splits(SplitPlan(seed=1, n_splits=1), prep.n_prompts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # grid points below 1/(n_cal + 1)
-        evaluate_split(prep, split, kinds, grids)  # builds the cached keys and imports lazily
+        evaluate_split(prep, split, kinds, grids)  # imports lazily
 
     def traced(run):
         tracemalloc.start()
@@ -1454,9 +1496,9 @@ def test_evaluate_dataset_memory_per_split_is_its_means() -> None:
 
 
 def test_aggregate_splits_retains_its_means_per_report_row() -> None:
-    """A report keeps the splits' shared keys and one (rows, 5) float64 array
-    of means: 40 bytes per row, bounded here at 48.  One ``ReportRow`` per
-    row, as reports were built before, retained about 296."""
+    """A report keeps the splits' shared kinds and grids and one (rows, 5)
+    float64 array of means: 40 bytes per row, bounded here at 48.  One
+    ``ReportRow`` per row, as reports were built before, retained about 296."""
     prep = PreparedDataset(random_dataset(7, n_prompts=40))
     kinds = (ScoreKind.parse("e1"), ScoreKind.parse("p"))
     grids = (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001")),)
@@ -1473,8 +1515,8 @@ def test_aggregate_splits_retains_its_means_per_report_row() -> None:
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    rows = len(report.keys)
-    assert rows == 2 * 10_001 and report.keys is results[0].keys
+    rows = len(report.means)
+    assert rows == 2 * 10_001 and report.grids is results[0].grids
     assert retained <= 48 * rows, retained / rows
 
 

@@ -47,7 +47,7 @@ from escores import (
 )
 from escores.cli import EXIT_USAGE, run_command
 from escores.core import as_exact
-from escores.io import _read_columns
+from escores.io import _fmt_score, _read_columns
 from escores.svg import slugify
 
 from helpers import make_generated, make_instance
@@ -502,7 +502,8 @@ def test_write_rejects_unrepresentable_instances(tmp_path: Path) -> None:
 
 def small_report() -> EvaluationReport:
     return EvaluationReport(
-        keys=(("e1", "alpha-max", "0.1"), ("p", "alpha-max", "0.1")),
+        kinds=("e1", "p"),
+        grids=(StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.1"),)),),
         means=[[1.0 / 3.0, 0.125, 0.0625, 1.0, 0.875], [math.inf, 0.125, 0.1, 1.0, 0.875]],
         worst_case=(WorstCaseRow("e1", 1.5, 1.0, 2.0, 2),),
         n_test=4,
@@ -534,7 +535,7 @@ def test_emit_csv_exact_shape(tmp_path: Path) -> None:
 
 def test_emit_csv_refuses_empty_report(tmp_path: Path) -> None:
     empty = EvaluationReport(
-        keys=(), means=np.empty((0, 5)), worst_case=(), n_test=1, n_cal=1, n_splits=1
+        kinds=("e1",), grids=(), means=np.empty((0, 5)), worst_case=(), n_test=1, n_cal=1, n_splits=1
     )
     with pytest.raises(InvalidInputError):
         emit_csv(empty, tmp_path / "report.csv")
@@ -552,6 +553,43 @@ def test_emit_csv_one_line_per_grid_point(tmp_path: Path) -> None:
     path = emit_csv(report, tmp_path / "grid.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 102  # header plus one row per grid point
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [
+        (("alpha-max", "0:1:0.05"),),
+        (("fraction", "0,1/3,0.5,1"), ("alpha-max", "0.05,1/3,0.5")),
+        (("alpha-max", "0:1:0.25"), ("fraction", "1/3,0.1,1"), ("alpha-max", "1/3,0.9")),
+    ],
+)
+def test_emit_csv_writes_the_report_rows(grids, tmp_path: Path) -> None:
+    """The CSV is ``csv.writer`` over the header and ``report.rows``, means at six digits."""
+    instances = [
+        make_instance(
+            f"c-{i}",
+            [0.95 - 0.1 * (i % 5), 0.6 + 0.05 * (i % 7)][: 1 + i % 2],
+            first_error_index=None if i % 3 == 0 else 1,
+        )
+        for i in range(12)
+    ]
+    kinds = tuple(ScoreKind.parse(k) for k in ("e-combined", "p", "naive1"))
+    strategy_grids = tuple(StrategyGrid(Strategy(s), parse_grid(text)) for s, text in grids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the p floor at low alpha-max points
+        report = evaluate_dataset(
+            PreparedDataset(instances), kinds, strategy_grids, SplitPlan(seed=4, n_splits=3)
+        )
+    path = emit_csv(report, tmp_path / "report.csv")
+    want = tmp_path / "want.csv"
+    with want.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for row in report.rows:
+            cells = [getattr(row, name) for name in CSV_HEADER]
+            writer.writerow(cells[:3] + [_fmt_score(v) for v in cells[3:8]] + cells[8:])
+    assert path.read_bytes() == want.read_bytes()
+    assert len(report.rows) == len(kinds) * sum(len(g.parameters) for g in strategy_grids)
 
 
 # ---------------------------------------------------------------------------
@@ -612,22 +650,22 @@ def test_emit_svg_two_strategy_panels_match_golden_hash(tmp_path: Path) -> None:
     assert digest == "c038b32428418dc46256bffd76f4742a3c10623a84119921160abf429aa20f5d"
 
 
-def test_emit_svg_groups_interleaved_keys_in_first_appearance_order(tmp_path: Path) -> None:
-    # kinds and strategies interleave and labels repeat across strategies: each
-    # kind's panels are drawn in the order the kinds first appear, one series per
-    # strategy in the order it first appears, its points in report order
-    keys = (
-        ("p", "fraction", "0.5"), ("e1", "alpha-max", "0.5"), ("p", "alpha-max", "1/4"),
-        ("e1", "fraction", "0.25"), ("p", "fraction", "0.1"), ("e1", "alpha-max", "0.1"),
-        ("p", "alpha-max", "0.5"), ("e1", "fraction", "1"), ("p", "fraction", "1"),
-        ("e1", "alpha-max", "1"), ("e1", "fraction", "0.5"), ("p", "alpha-max", "0.1"),
+def test_emit_svg_merges_the_grids_of_a_strategy_in_first_appearance_order(tmp_path: Path) -> None:
+    # each kind's panels in kind order, one series per strategy in the order it
+    # first appears among the grids, the points of its grids in grid order; a
+    # label repeats across grids, and "1/4" and "0.25" are one value.  The digest
+    # is the one these rows gave when a report held one key per row.
+    grids = (
+        StrategyGrid(Strategy.FRACTION, parse_grid("0.5,0.1,1")),
+        StrategyGrid(Strategy.ALPHA_MAX, parse_grid("1/4,0.5,0.1")),
+        StrategyGrid(Strategy.FRACTION, parse_grid("0.25,0.5")),
     )
     means = [
         [0.5 + (j % 4) / 3, 0.05 * j, 0.01 + 0.04 * j, 1 - 0.03 * j, 0.4 + 0.05 * j]
-        for j in range(len(keys))
+        for j in range(2 * 8)
     ]
     means[4][0] = math.inf
-    report = EvaluationReport(keys, means, (), n_test=6, n_cal=6, n_splits=3)
+    report = EvaluationReport(("p", "e1"), grids, means, (), n_test=6, n_cal=6, n_splits=3)
     paths = emit_svg_curves(report, tmp_path / "plots")
     assert [p.name for p in paths] == [
         f"{kind}_{panel}.svg"
@@ -635,11 +673,12 @@ def test_emit_svg_groups_interleaved_keys_in_first_appearance_order(tmp_path: Pa
         for panel in ("size_distortion", "error_vs_alpha", "precision_recall")
     ]
     text = "".join(p.read_text(encoding="utf-8") for p in paths)
+    assert text.count(">fraction</text>") == text.count(">alpha-max</text>") == 6
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "5ec3fe5380a73ddf8683c17a53b22dc49d703569843a5b05906b66c2173388c4"
+    assert digest == "3dc25bc660b6eb80e45084135a491ca2d474b4230440784e549fbfb477f300bc"
 
 
-def test_emit_svg_builds_no_rows_and_parses_each_label_once(tmp_path: Path, monkeypatch) -> None:
+def test_emit_svg_builds_no_rows_and_parses_no_label(tmp_path: Path, monkeypatch) -> None:
     import escores.io
     import escores.sweep
 
@@ -650,20 +689,19 @@ def test_emit_svg_builds_no_rows_and_parses_each_label_once(tmp_path: Path, monk
     grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.01"))
     kinds = (ScoreKind.parse("p-randomized"), ScoreKind.parse("naive1"))  # neither floored
     report = evaluate_dataset(PreparedDataset(instances), kinds, (grid,), SplitPlan(seed=0, n_splits=2))
-    assert len(report.keys) == 2 * 101
+    assert len(report.means) == 2 * 101
     rows, parsed = [], []
     monkeypatch.setattr(
         escores.sweep, "ReportRow", lambda *a: rows.append(a) or ReportRow(*a)
     )
     monkeypatch.setattr(escores.io, "as_exact", lambda *a: parsed.append(a) or as_exact(*a))
     assert len(emit_svg_curves(report, tmp_path / "plots")) == 6
-    assert rows == []
-    assert sorted(label for label, *_ in parsed) == sorted(p.label for p in grid.parameters)
+    assert rows == [] and parsed == []
 
 
 def test_emit_svg_refuses_empty_report(tmp_path: Path) -> None:
     with pytest.raises(InvalidInputError):
-        emit_svg_curves(EvaluationReport((), np.empty((0, 5)), (), 1, 1, 1), tmp_path / "plots")
+        emit_svg_curves(EvaluationReport((), (), np.empty((0, 5)), (), 1, 1, 1), tmp_path / "plots")
     with pytest.raises(InvalidInputError, match="cannot build a file name"):
         slugify("")
 
