@@ -81,7 +81,6 @@ _EXPORTS: dict[str, str] = {
             "emit_csv",
             "emit_svg_curves",
             "parse_dataset",
-            "parse_grid",
             "write_dataset",
         ),
         "io",
@@ -119,11 +118,11 @@ _EXPORTS: dict[str, str] = {
     **dict.fromkeys(
         (
             "EvaluationReport",
-            "Parameter",
             "ReportRow",
             "StrategyGrid",
             "SplitResult",
             "WorstCaseRow",
+            "parse_grid",
         ),
         "sweep",
     ),

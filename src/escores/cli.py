@@ -328,8 +328,8 @@ def _print_report(report: EvaluationReport) -> None:
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     from .evaluation import PreparedDataset, SplitPlan, evaluate_dataset
-    from .io import _read_columns, parse_grid
-    from .sweep import StrategyGrid
+    from .io import _read_columns
+    from .sweep import parse_grid
 
     # refused before the first split, not after the last; a missing
     # directory stays the i/o error that writing into it raises
@@ -345,7 +345,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         raise InvalidInputError(f"--svg-dir {args.svg_dir} exists and is not a directory")
     kinds = _parse_kinds(args.scores)
     policy = _parse_policy(args.permutations, args.permutation_file)
-    grid = StrategyGrid(strategy=Strategy(args.strategy), parameters=parse_grid(args.grid))
+    grid = parse_grid(args.grid, Strategy(args.strategy))
     plan = SplitPlan(seed=args.seed, n_splits=args.splits, test_fraction=args.test_fraction)
     prepared = PreparedDataset(_read_columns(args.path), policy)
     # every prompt serves as calibration in some split

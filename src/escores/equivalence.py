@@ -52,7 +52,8 @@ def threshold_equivalence_check(
             raise InvalidInputError(
                 f"alpha {alpha!r} outside [1/(n+1), 1] = [{lo}, 1] for n={n}"
             )
-        k = inclusion_target(1 - exact, n + 1)
+        rest = 1 - exact
+        k = inclusion_target(rest.numerator, rest.denominator, n + 1)
         tau = ordered[k - 1] if k >= 1 else None
         for f, count in zip(tests, at_least):
             by_p = Fraction(1 + count, n + 1) <= exact

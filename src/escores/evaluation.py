@@ -403,8 +403,6 @@ def evaluate_dataset(
     points draw one warning.  ``plan`` defaults to ``SplitPlan()``, built
     per call, so that importing this module reads no exact number.
     """
-    from fractions import Fraction
-
     if plan is None:
         plan = SplitPlan()
     kinds = tuple(kinds)
@@ -412,12 +410,11 @@ def evaluate_dataset(
     n_test = _test_size(plan, n_prompts)
     n_cal = n_prompts - n_test
     floored = [kind.name for kind in kinds if kind.family in _FLOORED_FAMILIES]
-    floor = Fraction(1, n_cal + 1)
     alpha_max = [grid for grid in strategy_grids if grid.strategy is Strategy.ALPHA_MAX]
-    below = [param for grid in alpha_max for param in grid.parameters if param.value < floor]
+    below = sum(n * (n_cal + 1) < grid.denominator for grid in alpha_max for n in grid.numerators)
     if floored and below:
         warnings.warn(
-            f"{len(below)} alpha-max grid point(s) lie below 1/{n_cal + 1}, the smallest "
+            f"{below} alpha-max grid point(s) lie below 1/{n_cal + 1}, the smallest "
             f"score that {', '.join(floored)} can take with {n_cal} calibration prompts; "
             "these kinds keep nothing there",
             stacklevel=2,

@@ -82,9 +82,9 @@ def max_constrained_alpha(scored: ScoredResponseSet, alpha_max: float) -> Filter
     return replace(kept, alpha_used=max(kept.included.scores, default=0.0))
 
 
-def inclusion_target(fraction: Fraction, size: int) -> int:
-    """ceil(fraction * size), the count the fractional strategy keeps, in exact integers."""
-    return -(-fraction.numerator * size // fraction.denominator)
+def inclusion_target(numerator: int, denominator: int, size: int) -> int:
+    """ceil(numerator / denominator * size), the count the fractional strategy keeps, in exact integers."""
+    return -(-numerator * size // denominator)
 
 
 def fractional_inclusion_alpha(
@@ -103,4 +103,4 @@ def fractional_inclusion_alpha(
     size = len(scored)
     if size == 0:
         raise InvalidInputError("cannot filter an empty scored set")
-    return _keep_lowest(scored, inclusion_target(fraction, size))
+    return _keep_lowest(scored, inclusion_target(fraction.numerator, fraction.denominator, size))

@@ -43,16 +43,14 @@ from .core import (
     DatasetValidationError,
     InvalidInputError,
     Prompt,
-    _finite_decimal,
     _require_prompt_id,
-    as_exact,
     as_unit_interval,
 )
 from .estimation import EstimateSource, PromptInstance
 from .response_sets import GeneratedResponse, _check_first_error
 
-if TYPE_CHECKING:  # pragma: no cover - the emitters and parse_grid import what they run
-    from .sweep import EvaluationReport, Parameter, StrategyGrid
+if TYPE_CHECKING:  # pragma: no cover - the emitters import what they run
+    from .sweep import EvaluationReport, StrategyGrid
 
 
 _PREFIX_KNOWN = {"id", "sub_responses", "first_error_index", "oracle_conditionals"}
@@ -481,7 +479,7 @@ def emit_csv(report: EvaluationReport, path: "str | Path") -> Path:
             strategy = grid.strategy.value
             for b in range(0, len(means), block):
                 # a block's columns, zipped into rows: the three key fields, the five means, the tail
-                labels = (param.label for param in grid.parameters[b : b + block])
+                labels = grid.parameters[b : b + block]
                 columns = [map(_fmt_score, column) for column in means[b : b + block].T.tolist()]
                 writer.writerows(zip(repeat(kind), repeat(strategy), labels, *columns, *tail))
     return path
@@ -535,64 +533,6 @@ def emit_svg_curves(report: EvaluationReport, out_dir: "str | Path") -> list[Pat
             target.write_text(content, encoding="utf-8")
             written.append(target)
     return written
-
-
-#: The most points a ``start:stop:step`` grid may hold: the 1e-5 grid on
-#: [0, 1].  At this cap the parsed grid holds about 27 MB, and each score
-#: kind about 8 MB: 4 MB of means per split until the splits are
-#: aggregated and 4 MB of the report's means, which keeps no key per row.
-#: The sweep itself costs by the grid's live steps, not its points.
-_MAX_GRID_POINTS = 100_001
-
-
-def parse_grid(text: str) -> tuple[Parameter, ...]:
-    """Parse a parameter grid from ``start:stop:step`` or a comma list.
-
-    Range endpoints and steps are decimal strings evaluated exactly, so
-    ``0:1:0.01`` yields the 101 parameters 0, 0.01, ..., 1 with no
-    floating-point drift.  Comma lists accept decimals or fractions
-    like ``1/3``.  Every number must be finite and fit a float.
-    """
-    from .sweep import Parameter
-
-    text = text.strip()
-    if not text:
-        raise InvalidInputError("empty parameter grid")
-    if ":" in text:
-        pieces = text.split(":")
-        if len(pieces) != 3:
-            raise InvalidInputError(
-                f"grid ranges use start:stop:step, got {text!r}"
-            )
-        start, stop, step = (
-            _finite_decimal(piece.strip(), f"grid {name}")
-            for name, piece in zip(("start", "stop", "step"), pieces)
-        )
-        if step <= 0:
-            raise InvalidInputError("grid step must be positive")
-        if stop < start:
-            raise InvalidInputError("grid stop must not precede start")
-        from decimal import MAX_PREC, Decimal, Inexact, localcontext  # loaded with the endpoints' decimals
-        from fractions import Fraction
-
-        with localcontext() as exact:  # every digit kept, so no two points round together
-            exact.prec, exact.traps[Inexact] = MAX_PREC, True
-            count = int((stop - start) // step) + 1  # // floors: both operands are >= 0
-            if count > _MAX_GRID_POINTS:
-                shown = f"{count:,}" if count < 10**15 else f"{Decimal(count):.2e}"
-                raise InvalidInputError(
-                    f"grid {text!r} has {shown} points, more than the cap of {_MAX_GRID_POINTS:,}"
-                )
-            points = (start + index * step for index in range(count))
-            return tuple(Parameter(format(p.normalize(), "f"), Fraction(p)) for p in points)
-
-    values: list[Parameter] = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise InvalidInputError(f"empty entry in grid list {text!r}")
-        values.append(Parameter(piece, as_exact(piece, "grid value")))
-    return tuple(values)
 
 
 def __getattr__(name: str) -> object:

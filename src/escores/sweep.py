@@ -1,11 +1,13 @@
 """Strategy grids, the grid sweep and the report types of ``evaluate``.
 
-A ``StrategyGrid`` is a filtering strategy with the exact parameters to
-sweep.  ``sweep`` filters every test prompt of a split at every grid
-point and yields the means over prompts, and ``worst_cases`` gives each
-prompt's worst-case distortion.  The instance accounting is written
-once, in these two; ``evaluation.evaluate_split`` averages the worst
-cases over test prompts.  Tests hold both to the exact rational oracles.
+A ``StrategyGrid`` is a filtering strategy with the grid to sweep, each
+point a label and an int numerator over the grid's one denominator;
+``parse_grid`` builds it from ``--grid`` text with no object per point.
+``sweep`` filters every test prompt of a split at every grid point and
+yields the means over prompts, and ``worst_cases`` gives each prompt's
+worst-case distortion.  The instance accounting is written once, in
+these two; ``evaluation.evaluate_split`` averages the worst cases over
+test prompts.  Tests hold both to the exact rational oracles.
 Only ``evaluate`` runs this module: ``evaluation``'s split functions
 import it when they are called, so ``score``, which prepares and scores
 but sweeps nothing, loads neither it nor ``filtering``.
@@ -55,12 +57,14 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, Strategy, as_exact
+from .core import InvalidInputError, Strategy, _finite_decimal, as_exact
 from .filtering import inclusion_target
 
 
@@ -70,82 +74,134 @@ from .filtering import inclusion_target
 
 
 @dataclass(frozen=True)
-class Parameter:
-    """One grid point: an exact rational value plus its display label."""
-
-    label: str
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise InvalidInputError(f"parameter must be >= 0, got {self.value}")
-
-    @classmethod
-    def of(cls, value: "float | str | int | Fraction") -> "Parameter":
-        """Exact value by ``core.as_exact``; the label is the value as written."""
-        if isinstance(value, Parameter):
-            return value
-        exact = as_exact(value, "parameter")
-        return cls(value.strip() if isinstance(value, str) else str(value), exact)
-
-
-@dataclass(frozen=True)
 class StrategyGrid:
-    """A filtering strategy with the parameter grid to sweep."""
+    """A filtering strategy with the grid to sweep, validated here and nowhere else.
+
+    Point i is ``parameters[i]``, its label as written, and exactly
+    ``numerators[i] / denominator`` in lowest terms.  Only this module
+    reads that form; ``parse_grid`` and ``of`` build it.
+    """
 
     strategy: Strategy
-    parameters: tuple[Parameter, ...]
+    parameters: tuple[str, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self) -> None:
-        params = tuple(Parameter.of(p) for p in self.parameters)
-        object.__setattr__(self, "parameters", params)
-        # not a field, so == and hash ignore it: see _inclusion_targets
-        object.__setattr__(self, "_targets_of_size", {})
-        if not params:
+        labels, numerators, denominator = tuple(self.parameters), tuple(self.numerators), self.denominator
+        if not labels:
             raise InvalidInputError("a strategy grid needs at least one parameter")
-        if self.strategy is Strategy.FRACTION and any(p.value > 1 for p in params):
-            raise InvalidInputError("inclusion fractions cannot exceed 1")
-        above = [param.label for param in params if param.value > 1]
-        if above:
+        ints = {*map(type, numerators), type(denominator)}
+        if len(labels) != len(numerators) or {*map(type, labels)} != {str} or ints != {int}:
+            raise InvalidInputError("a strategy grid needs a str label and an int numerator per point")
+        if denominator < 1:
+            raise InvalidInputError(f"a strategy grid's denominator must be >= 1, got {denominator}")
+        if min(numerators) < 0:
+            first = next(n for n in numerators if n < 0)
+            raise InvalidInputError(f"parameter must be >= 0, got {Fraction(first, denominator)}")
+        common = math.gcd(denominator, *numerators)
+        if common > 1:
+            numerators, denominator = tuple(n // common for n in numerators), denominator // common
+        state = dict(parameters=labels, numerators=numerators, denominator=denominator)
+        vars(self).update(state, _targets_of_size={})  # frozen; a cache, not a field: == and hash skip it
+        if max(numerators) > denominator:
+            if self.strategy is Strategy.FRACTION:
+                raise InvalidInputError("inclusion fractions cannot exceed 1")
+            above = [label for label, n in zip(labels, numerators) if n > denominator]
             warnings.warn(
                 f"{len(above)} strategy parameter(s) exceed 1 (first {above[0]}); "
                 "rank-based scores never do, so they would retain everything",
                 stacklevel=3,
             )
 
-    def _inclusion_targets(self, size: int) -> np.ndarray:
-        """``inclusion_target(v, size)`` at each parameter v, read-only.
+    @classmethod
+    def of(cls, strategy: Strategy, values: Sequence[float | str | int | Fraction]) -> StrategyGrid:
+        """The grid of these values, each exact by ``core.as_exact`` and labelled as written."""
+        exact = [as_exact(value, "grid value") for value in values]
+        denominator = math.lcm(*(x.denominator for x in exact))
+        labels = tuple(v.strip() if isinstance(v, str) else str(v) for v in values)
+        numerators = tuple(x.numerator * (denominator // x.denominator) for x in exact)
+        return cls(strategy, labels, numerators, denominator)
 
-        Computed once per size and kept on the grid, so the splits of a
-        run share it: one exact-integer call per grid point.
-        """
+    def _inclusion_targets(self, size: int) -> np.ndarray:
+        """``inclusion_target`` of each point at ``size``, read-only, kept for the run's splits."""
         targets = self._targets_of_size.get(size)
         if targets is None:
-            targets = np.fromiter(
-                (inclusion_target(p.value, size) for p in self.parameters), np.int64
-            )
+            d = self.denominator
+            targets = np.fromiter((inclusion_target(n, d, size) for n in self.numerators), np.int64)
             targets.flags.writeable = False
             self._targets_of_size[size] = targets
         return targets
 
     @functools.cached_property
     def _values(self) -> np.ndarray:
-        """The parameters' exact values as float64, read-only and kept on the grid."""
-        values = np.asarray([float(p.value) for p in self.parameters])
+        """The points as float64, read-only and kept on the grid: int division rounds correctly."""
+        d = self.denominator
+        values = np.fromiter((n / d for n in self.numerators), np.float64, len(self.numerators))
         values.flags.writeable = False
         return values
 
     @functools.cached_property
     def _walk(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alpha-max's walk: the parameters' positions by value, and the values in that order.
-
-        Read-only and kept on the grid (not a field, so == and hash
-        ignore it), so the splits of a run share it.
-        """
+        """Alpha-max's walk, read-only, for all splits: the points' order by value, and the values."""
         walk = np.argsort(self._values, kind="stable")
         lookup = self._values[walk]
         walk.flags.writeable = lookup.flags.writeable = False
         return walk, lookup
+
+
+#: The most points a ``start:stop:step`` grid may hold: the 1e-5 grid on
+#: [0, 1].  At this cap the grid holds about 13 MB with its float values
+#: and walk, and each score kind about 8 MB of means (4 MB per split until
+#: aggregated, 4 MB in the report); the sweep costs by live steps, not points.
+_MAX_GRID_POINTS = 100_001
+
+
+def parse_grid(text: str, strategy: Strategy) -> StrategyGrid:
+    """``strategy``'s grid from ``start:stop:step`` or a comma list.
+
+    A range's decimal ends are read exactly, so ``0:1:0.01`` is the 101
+    points 0, 0.01, ..., 1 with no drift, labelled in plain decimal notation
+    and counted before one is built.  A comma list of decimals or ratios like
+    ``1/3`` goes through ``StrategyGrid.of``.  Every number must fit a float.
+    """
+    text = text.strip()
+    if not text:
+        raise InvalidInputError("empty parameter grid")
+    pieces = [piece.strip() for piece in text.split(":" if ":" in text else ",")]
+    if ":" not in text:
+        if "" in pieces:
+            raise InvalidInputError(f"empty entry in grid list {text!r}")
+        return StrategyGrid.of(strategy, pieces)
+    if len(pieces) != 3:
+        raise InvalidInputError(f"grid ranges use start:stop:step, got {text!r}")
+    ends = [_finite_decimal(end, f"grid {name}") for name, end in zip(("start", "stop", "step"), pieces)]
+    if ends[2] <= 0:
+        raise InvalidInputError("grid step must be positive")
+    if ends[1] < ends[0]:
+        raise InvalidInputError("grid stop must not precede start")
+    # Each end as an int count of 10**-places, places the most decimal places
+    # of a nonzero end: a zero such as 0e-999999999 asks for no digits.
+    places = max([0] + [-number.as_tuple().exponent for number in ends if number])
+    if places > 4300:  # a label goes through int -> str, which CPython caps at 4,300 digits
+        raise InvalidInputError("grid ends have more than 4,300 decimal places")
+    scale = 10**places
+    start, stop, step = (p * (scale // q) for p, q in map(Decimal.as_integer_ratio, ends))
+    count = (stop - start) // step + 1
+    if count > _MAX_GRID_POINTS:
+        shown = f"{count:,}" if count < 10**15 else f"{Decimal(count):.2e}"
+        raise InvalidInputError(
+            f"grid {text!r} has {shown} points, more than the cap of {_MAX_GRID_POINTS:,}"
+        )
+    points = range(start, start + count * step, step)
+    # (whole, part) = divmod(n, 10**places), written out with the trailing
+    # zeros stripped; a negative point is refused by the grid, label unread
+    digits = f"%d.%0{places}d"
+    labels = tuple(
+        (digits % split).rstrip("0") if split[1] else str(split[0])
+        for split in map(divmod, points, repeat(scale))
+    )
+    return StrategyGrid(strategy, labels, tuple(points), scale)
 
 
 @dataclass(frozen=True)
@@ -210,6 +266,10 @@ class _KeyedMeans:
                 f"means of shape {means.shape} do not fit {len(self.kinds)} kinds of {points} points"
             )
         object.__setattr__(self, "means", means)
+        # a split's worst cases are (kind, mean) pairs, a report's WorstCaseRows
+        names = tuple(c[0] if isinstance(c, tuple) else c.score_kind for c in self.worst_case)
+        if names != self.kinds:
+            raise InvalidInputError(f"worst cases of {names} do not match the score kinds {self.kinds}")
 
     def _blocks(self) -> Iterator[tuple[str, StrategyGrid, np.ndarray]]:
         """``(kind, grid, its means)`` per block, in row order; nothing else reads the layout."""
@@ -224,7 +284,7 @@ class _KeyedMeans:
     def keys(self) -> tuple[tuple[str, str, str], ...]:
         """``(score_kind, strategy, parameter label)`` per row."""
         blocks = self._blocks()
-        return tuple((k, g.strategy.value, p.label) for k, g, _ in blocks for p in g.parameters)
+        return tuple((k, g.strategy.value, label) for k, g, _ in blocks for label in g.parameters)
 
     @property
     def rows(self) -> tuple[ReportRow, ...]:
@@ -234,10 +294,10 @@ class _KeyedMeans:
     def _rows(self, score_kind: str | None, strategy: str | None) -> tuple[ReportRow, ...]:
         tail = (self.n_test, self.n_cal, getattr(self, "n_splits", 1))
         return tuple(
-            ReportRow(kind, grid.strategy.value, param.label, *row, *tail)
+            ReportRow(kind, grid.strategy.value, label, *row, *tail)
             for kind, grid, means in self._blocks()
             if score_kind in (None, kind) and strategy in (None, grid.strategy.value)
-            for param, row in zip(grid.parameters, means.tolist())
+            for label, row in zip(grid.parameters, means.tolist())
         )
 
     def __eq__(self, other: object) -> bool:
@@ -475,10 +535,10 @@ def sweep(
     correct: np.ndarray,
     counts: np.ndarray,
     strategy_grids: Sequence[StrategyGrid],
-) -> Iterator[tuple[StrategyGrid, Parameter, tuple[float, ...]]]:
+) -> Iterator[tuple[StrategyGrid, str, tuple[float, ...]]]:
     """Filter every prompt at every grid point; yield the means over prompts.
 
-    Takes the flat layout of ``worst_cases``.  Yields ``(grid, parameter,
+    Takes the flat layout of ``worst_cases``.  Yields ``(grid, label,
     (size_distortion, error, alpha_used, precision, recall))``, each the
     mean over prompts, in grid order.  Alpha-max keeps the responses
     scoring at most the parameter and charges the largest of them;
@@ -521,12 +581,12 @@ def sweep(
     values is a sum of integers below 2**53, exact in every order, so
     it equals that count and the quotient has ``np.mean``'s bits.
     """
-    pairs = [(grid, param) for grid in strategy_grids for param in grid.parameters]
+    pairs = [(grid, label) for grid in strategy_grids for label in grid.parameters]
     means = np.empty((len(pairs), len(_MEAN_FIELDS)))
     smallest = smallest_incorrect(scores, correct, counts)
     _sweep(scores, correct, counts, smallest, _grid_plans(counts, strategy_grids), means)
-    for (grid, param), row in zip(pairs, means.tolist()):
-        yield grid, param, tuple(row)
+    for (grid, label), row in zip(pairs, means.tolist()):
+        yield grid, label, tuple(row)
 
 
 def _ext_percentile(values: np.ndarray, q: float) -> float:

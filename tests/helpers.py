@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -10,7 +12,6 @@ from escores import (
     EstimateSource,
     GeneratedResponse,
     LabeledResponseSet,
-    Parameter,
     PermutationMode,
     PermutationPolicy,
     Prompt,
@@ -23,6 +24,11 @@ from escores import (
 from escores.sweep import smallest_incorrect, sweep, worst_cases
 
 import oracles
+
+
+def grid_points(grid: StrategyGrid) -> list[tuple[str, Fraction]]:
+    """Each point of ``grid`` as (label, exact value)."""
+    return [(label, Fraction(n, grid.denominator)) for label, n in zip(grid.parameters, grid.numerators)]
 
 
 def make_scored(scores) -> ScoredResponseSet:
@@ -41,7 +47,7 @@ def make_labeled(labels) -> LabeledResponseSet:
 
 def alpha_max_instance(labels, scores, alpha) -> tuple:
     """``sweep``'s (size distortion, error, alpha_used, precision, recall) of one prompt."""
-    grid = StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of(alpha),))
+    grid = StrategyGrid.of(Strategy.ALPHA_MAX, [alpha])
     [(_, _, means)] = sweep(
         np.asarray(scores, dtype=np.float64),
         np.asarray(labels, dtype=bool),

@@ -44,7 +44,6 @@ from escores import (
     ScoreKind,
     SplitPlan,
     Strategy,
-    StrategyGrid,
     SyntheticConfig,
     aggregate_conditionals,
     build_calibration_summary,
@@ -204,7 +203,7 @@ def trend_runs():
     prepared = PreparedDataset(generate_dataset(config))
     splits = plan_splits(SplitPlan(seed=0, n_splits=60), config.n_prompts)
     kinds = (ScoreKind.parse("e-combined"), ScoreKind.parse("p"))
-    grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.01"))
+    grid = parse_grid("0:1:0.01", Strategy.ALPHA_MAX)
     errors: dict[tuple[str, str], list[float]] = {}
     alphas: dict[tuple[str, str], list[float]] = {}
     for index, split in enumerate(splits):
@@ -215,8 +214,7 @@ def trend_runs():
             key = (row.score_kind, row.parameter)
             errors.setdefault(key, []).append(row.mean_error)
             alphas.setdefault(key, []).append(row.mean_alpha)
-    labels = [parameter.label for parameter in grid.parameters]
-    return errors, alphas, labels
+    return errors, alphas, grid.parameters
 
 
 def _trend_violations(errors, alphas, labels, kind: str) -> int:
@@ -460,12 +458,12 @@ def _battery(tmp_path) -> list[tuple[str, bool]]:
         make_instance("battery-csv-3", [0.7]),
         make_instance("battery-csv-4", [0.2], first_error_index=1),
     ]
-    grid_params = parse_grid("0:1:0.01")
-    expected_lines = 1 + sum(1 for _ in grid_params)
+    grid = parse_grid("0:1:0.01", Strategy.ALPHA_MAX)
+    expected_lines = 1 + len(grid.parameters)
     report = evaluate_dataset(
         PreparedDataset(instances),
         (ScoreKind.parse("p"),),
-        (StrategyGrid(Strategy.ALPHA_MAX, grid_params),),
+        (grid,),
         SplitPlan(seed=0, n_splits=2),
     )
     path = emit_csv(report, tmp_path / "battery.csv")

@@ -27,7 +27,6 @@ from escores import (
     FTransform,
     InvalidInputError,
     InvalidSplitError,
-    Parameter,
     PermutationMode,
     PermutationPolicy,
     PreparedDataset,
@@ -64,10 +63,13 @@ import escores.sweep as grid_sweep
 from escores import evaluation
 from escores.evaluation import score_prompts
 from escores.sweep import smallest_incorrect, sweep, worst_cases
-from escores.io import _DatasetColumns, parse_grid
+from escores.core import as_exact
+from escores.io import _DatasetColumns
+from escores.sweep import parse_grid
 from helpers import (
     POLICIES,
     alpha_max_instance,
+    grid_points,
     instance_of,
     make_generated,
     make_instance,
@@ -138,10 +140,9 @@ def test_sweep_error_case() -> None:
 
 
 def test_strategy_grid_warns_once_for_all_its_parameters_above_one() -> None:
-    params = tuple(Parameter.of(v) for v in ("0.5", "1.5", "1", "2", "3/2"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        StrategyGrid(Strategy.ALPHA_MAX, params)
+        StrategyGrid.of(Strategy.ALPHA_MAX, ("0.5", "1.5", "1", "2", "3/2"))
     assert [str(w.message) for w in caught] == [
         "3 strategy parameter(s) exceed 1 (first 1.5); rank-based scores never do, "
         "so they would retain everything"
@@ -198,8 +199,8 @@ def test_sweep_means_equal_np_mean_of_one_prompt_sweeps(
     alphas = data.draw(st.permutations(alphas + alphas[:1] + [above_one]))
     fractions = data.draw(st.permutations(fractions + fractions[:1]))
     with pytest.warns(UserWarning, match="exceed 1"):
-        alpha_grid = StrategyGrid(Strategy.ALPHA_MAX, tuple(Parameter.of(a) for a in alphas))
-    grids = (alpha_grid, StrategyGrid(Strategy.FRACTION, tuple(Parameter.of(f) for f in fractions)))
+        alpha_grid = StrategyGrid.of(Strategy.ALPHA_MAX, alphas)
+    grids = (alpha_grid, StrategyGrid.of(Strategy.FRACTION, fractions))
 
     flat = [entry for prompt in prompts for entry in prompt]
     scores = np.asarray([s for s, _ in flat])
@@ -215,11 +216,11 @@ def test_sweep_means_equal_np_mean_of_one_prompt_sweeps(
     labels = [[int(c) for _, c in prompt] for prompt in prompts]
     by_score = [[s for s, _ in prompt] for prompt in prompts]
     exact = {grid: _oracle_rows(labels, by_score, grid) for grid in grids}
-    for j, (grid, param, means) in enumerate(rows):
+    for j, (grid, label, means) in enumerate(rows):
         expected = tuple(float(np.mean([one[j][m] for one in per_prompt])) for m in range(5))
         assert means == expected
-        want = exact[grid][param.label]
-        assert all(oracles.matches(g, w) for g, w in zip(means, want)), (param, means, want)
+        want = exact[grid][label]
+        assert all(oracles.matches(g, w) for g, w in zip(means, want)), (label, means, want)
 
 
 # Heavy ties, both zeros and +inf; set sizes of prefix sets and of
@@ -262,18 +263,19 @@ def test_sweep_across_gather_blocks_equals_np_mean_and_the_oracles() -> None:
     counts fill several blocks before they are repeated.  The oracles,
     slow on sets of 64, check every 25th point of the fine grid.
     """
-    points = parse_grid("0:1:0.01")
-    shuffled = tuple(points[i] for i in np.random.default_rng(3).permutation(len(points)))
-    fine = StrategyGrid(Strategy.FRACTION, parse_grid("0:1:0.001"))
+    points = parse_grid("0:1:0.01", Strategy.FRACTION)
+    order = np.random.default_rng(3).permutation(len(points.parameters))
+    shuffled = [points.parameters[i] for i in order]
+    fine = parse_grid("0:1:0.001", Strategy.FRACTION)
     large_sets = _sweep_case(19, 200, 64)
-    assert 200 * len(points) >= 2 * grid_sweep._BLOCK_CELLS
+    assert 200 * len(order) >= 2 * grid_sweep._BLOCK_CELLS
     (plan,) = grid_sweep._grid_plans(large_sets[2], (fine,))
     assert 200 * len(plan.rows) >= 2 * grid_sweep._BLOCK_CELLS
     assert len(plan.rows) < len(fine.parameters) and max(plan.runs) > 1
     cases = (
         (
             _sweep_case(17, 200, 6),
-            (StrategyGrid(Strategy.ALPHA_MAX, shuffled), StrategyGrid(Strategy.FRACTION, points)),
+            (StrategyGrid.of(Strategy.ALPHA_MAX, shuffled), points),
             1,
         ),
         (large_sets, (fine,), 25),
@@ -290,15 +292,15 @@ def test_sweep_across_gather_blocks_equals_np_mean_and_the_oracles() -> None:
         labels = [[int(c) for c in correct[a:b]] for a, b in bounds]
         by_score = [scores[a:b].tolist() for a, b in bounds]
         exact = {
-            grid: _oracle_rows(labels, by_score, StrategyGrid(grid.strategy, grid.parameters[::stride]))
+            grid: _oracle_rows(labels, by_score, StrategyGrid.of(grid.strategy, grid.parameters[::stride]))
             for grid in grids
         }
-        for j, (grid, param, means) in enumerate(rows):
+        for j, (grid, label, means) in enumerate(rows):
             expected = tuple(float(np.mean([one[j][m] for one in per_prompt])) for m in range(5))
-            assert means == expected, (grid.strategy, param)
-            if param.label in exact[grid]:
-                want = exact[grid][param.label]
-                assert all(oracles.matches(g, w) for g, w in zip(means, want)), (param, means, want)
+            assert means == expected, (grid.strategy, label)
+            if label in exact[grid]:
+                want = exact[grid][label]
+                assert all(oracles.matches(g, w) for g, w in zip(means, want)), (label, means, want)
 
 
 def test_fraction_sweep_evaluates_only_its_distinct_rows() -> None:
@@ -308,7 +310,7 @@ def test_fraction_sweep_evaluates_only_its_distinct_rows() -> None:
     0 < 1/5 < 1/4 < 1/3 < 2/5 < 1/2 < 3/5 < 2/3 < 3/4 < 4/5 < 1 bound.
     """
     counts = np.asarray([1, 2, 3, 4, 5, 3, 1])
-    grid = StrategyGrid(Strategy.FRACTION, parse_grid("0:1:0.0001"))
+    grid = parse_grid("0:1:0.0001", Strategy.FRACTION)
     (plan,) = grid_sweep._grid_plans(counts, (grid,))
     assert len(plan.rows) == 11 and plan.runs.sum() == len(grid.parameters) == 10_001
     assert plan.rows.tolist()[:3] == [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 2]]
@@ -331,18 +333,17 @@ def test_fraction_grid_computes_its_keep_counts_once_per_run(monkeypatch) -> Non
     """
     sizes, original = [], grid_sweep.inclusion_target
 
-    def counted(fraction, size):
+    def counted(numerator, denominator, size):
         sizes.append(size)
-        return original(fraction, size)
+        return original(numerator, denominator, size)
 
     monkeypatch.setattr(grid_sweep, "inclusion_target", counted)
-    points = parse_grid("0:1:0.01")
-    grid, fresh = (StrategyGrid(Strategy.FRACTION, points) for _ in range(2))
+    grid, fresh = (parse_grid("0:1:0.01", Strategy.FRACTION) for _ in range(2))
     prep = PreparedDataset(random_dataset(11, n_prompts=40))
     kinds = (ScoreKind.parse("e1"),)
     report = evaluate_dataset(prep, kinds, (grid,), SplitPlan(seed=0, n_splits=4))
     assert len(set(sizes)) > 1
-    assert all(sizes.count(k) == len(points) for k in set(sizes))
+    assert all(sizes.count(k) == len(grid.parameters) for k in set(sizes))
     assert grid == fresh and hash(grid) == hash(fresh)
     sizes.clear()
     assert report == evaluate_dataset(prep, kinds, (grid,), SplitPlan(seed=0, n_splits=4))
@@ -356,9 +357,8 @@ def test_sweep_memory_does_not_grow_with_the_grid() -> None:
     point; the (point, prompt) work goes through bounded gather blocks.
     """
     scores, correct, counts = _sweep_case(5, 400, 5)
-    points = parse_grid("0:1:0.0001")
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, points), StrategyGrid(Strategy.FRACTION, points))
-    one_array = len(points) * len(counts) * 8
+    grids = tuple(parse_grid("0:1:0.0001", strategy) for strategy in Strategy)
+    one_array = len(grids[0].parameters) * len(counts) * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -406,11 +406,11 @@ def _assert_same_rows(got, want) -> None:
     assert not differ, (len(differ), differ[:3])
 
 
-def _special_alpha_grid(floor: Fraction) -> tuple[Parameter, ...]:
+def _special_alpha_grid(floor: Fraction) -> StrategyGrid:
     """Unsorted, with repeated points, points above 1 and points below ``floor``."""
     labels = ["0.5", "0", "1/3", "0.5", "2", "1.5", "0.25", "1", "0", "3/4", "1/3", "0.001"]
     labels += [str(floor / 2), str(floor / 3), str(floor), "1/7", "2"]
-    return tuple(Parameter.of(label) for label in labels)
+    return StrategyGrid.of(Strategy.ALPHA_MAX, labels)
 
 
 def _scored_split(seed: int, n_prompts: int, kinds):
@@ -461,8 +461,8 @@ def test_alpha_max_sweep_equals_np_mean_at_every_grid_point() -> None:
         per_prompt = np.add.reduceat(ok, np.cumsum(c) - c, dtype=np.int64)
         assert (per_prompt == 0).any() and (per_prompt == c).any()
     with pytest.warns(UserWarning, match="exceed 1"):
-        special = StrategyGrid(Strategy.ALPHA_MAX, _special_alpha_grid(floor))
-    fine = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001"))
+        special = _special_alpha_grid(floor)
+    fine = parse_grid("0:1:0.0001", Strategy.ALPHA_MAX)
     cases = [
         ((scores_of[kind.name], correct, counts), grids)
         for kind, grids in zip(kinds, ((fine, special), (fine, special), (special,), (special,)))
@@ -474,7 +474,7 @@ def test_alpha_max_sweep_equals_np_mean_at_every_grid_point() -> None:
             rows = np.unique(np.searchsorted(plan.lookup, scores)).size  # live steps + 1, or more
             assert grid is special or rows > grid_sweep._BLOCK_CELLS // c.size, (rows, c.size)
             got = [means for _, _, means in sweep(scores, ok, c, (grid,))]
-            values = [float(p.value) for p in grid.parameters]
+            values = [float(value) for _, value in grid_points(grid)]
             _assert_same_rows(got, _np_mean_alpha_max_rows(scores, ok, c, values))
 
 
@@ -489,7 +489,7 @@ def test_alpha_max_sweep_gathers_one_row_per_live_step() -> None:
     pool = np.asarray([0.5, 1 / 3, 1.5, 0.0, 1.0, 0.25, 0.5, math.inf])
     scores = pool[np.arange(counts.sum()) % len(pool)]
     correct = np.arange(counts.sum()) % 3 == 0
-    grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001"))
+    grid = parse_grid("0:1:0.0001", Strategy.ALPHA_MAX)
     (plan,) = grid_sweep._grid_plans(counts, (grid,))
     gathered = []
 
@@ -514,19 +514,19 @@ def test_alpha_max_sweep_gathers_one_row_per_live_step() -> None:
     assert changes.tolist() == [2500, 3334, 5000, 10000]
     _assert_same_rows(
         list(map(tuple, means.tolist())),
-        _np_mean_alpha_max_rows(scores, correct, counts, [float(p.value) for p in grid.parameters]),
+        _np_mean_alpha_max_rows(scores, correct, counts, [float(v) for _, v in grid_points(grid)]),
     )
 
 
 def test_strategy_grid_keeps_its_alpha_max_walk() -> None:
     """The walk order and its values are built once per grid, for all splits, and read-only."""
     with pytest.warns(UserWarning, match="exceed 1"):
-        grid, fresh = (StrategyGrid(Strategy.ALPHA_MAX, _special_alpha_grid(Fraction(1, 7))) for _ in range(2))
+        grid, fresh = (_special_alpha_grid(Fraction(1, 7)) for _ in range(2))
     counts = np.asarray([2, 3])
     first, second = (grid_sweep._grid_plans(counts, (grid,))[0] for _ in range(2))
     assert first.walk is second.walk and first.lookup is second.lookup
     assert not first.walk.flags.writeable and not first.lookup.flags.writeable
-    values = [float(p.value) for p in grid.parameters]
+    values = [float(value) for _, value in grid_points(grid)]
     assert first.lookup.tolist() == sorted(values)
     assert [values[i] for i in first.walk] == sorted(values)
     assert grid == fresh and hash(grid) == hash(fresh)
@@ -599,27 +599,154 @@ def test_plan_splits_size_the_test_half_by_the_exact_decimal() -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_parameter_of_is_exact() -> None:
-    p = Parameter.of("0.3")
-    assert p.label == "0.3" and p.value == Fraction(3, 10)
-    assert Parameter.of(0.3).value == Fraction(3, 10)  # via repr, not binary float
-    assert Parameter.of(1).value == Fraction(1)
-    assert Parameter.of(Fraction(2, 5)).value == Fraction(2, 5)
-    with pytest.raises(InvalidInputError):
-        Parameter.of(math.inf)
-    with pytest.raises(InvalidInputError):
-        Parameter.of("zero")
-    with pytest.raises(InvalidInputError):
-        Parameter.of(-0.5)
+def test_strategy_grid_of_is_exact() -> None:
+    grid = StrategyGrid.of(Strategy.FRACTION, [" 0.3 ", 0.3, 1, Fraction(2, 5), "1/3", "0.10"])
+    assert grid.parameters == ("0.3", "0.3", "1", "2/5", "1/3", "0.10")  # as written, stripped
+    # floats via repr, not binary float; over the lcm of the denominators
+    values = [Fraction(3, 10), Fraction(3, 10), 1, Fraction(2, 5), Fraction(1, 3), Fraction(1, 10)]
+    assert grid_points(grid) == list(zip(grid.parameters, values))
+    assert grid.denominator == 30 and grid.numerators == (9, 9, 30, 12, 10, 3)
+    for bad, message in (
+        (math.inf, "grid value must be finite, got inf"),
+        ("zero", "grid value must be a decimal string, got 'zero'"),
+        (-0.5, "parameter must be >= 0, got -1/2"),
+    ):
+        with pytest.raises(InvalidInputError) as caught:
+            StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5", bad])
+        assert str(caught.value) == message
 
 
 def test_strategy_grid_validation() -> None:
-    grid = StrategyGrid(Strategy.FRACTION, (Parameter.of("0.5"), Parameter.of(1)))
-    assert [p.label for p in grid.parameters] == ["0.5", "1"]
-    with pytest.raises(InvalidInputError):
-        StrategyGrid(Strategy.FRACTION, (Parameter.of("1.5"),))
-    with pytest.raises(InvalidInputError):
-        StrategyGrid(Strategy.ALPHA_MAX, ())
+    grid = StrategyGrid.of(Strategy.FRACTION, ["0.5", 1])
+    assert grid.parameters == ("0.5", "1")
+    with pytest.raises(InvalidInputError, match="cannot exceed 1"):
+        StrategyGrid.of(Strategy.FRACTION, ["1.5"])
+    with pytest.raises(InvalidInputError, match="at least one parameter"):
+        StrategyGrid.of(Strategy.ALPHA_MAX, ())
+    # the fields themselves: one label and one int per point, a positive int
+    # denominator, no negative point (named as an exact value), lowest terms
+    for labels, numerators, denominator, message in (
+        (("0.5",), (1, 2), 2, "a str label and an int numerator per point"),
+        (("0.5",), (0.5,), 1, "a str label and an int numerator per point"),
+        ((0.5,), (1,), 2, "a str label and an int numerator per point"),
+        (("0.5",), (1,), 2.0, "a str label and an int numerator per point"),
+        (("0.5",), (True,), 2, "a str label and an int numerator per point"),
+        (("0.5",), (1,), 0, "denominator must be >= 1, got 0"),
+        (("0", "-1/2", "-1"), (0, -2, -4), 4, "parameter must be >= 0, got -1/2"),
+    ):
+        with pytest.raises(InvalidInputError) as caught:
+            StrategyGrid(Strategy.ALPHA_MAX, labels, numerators, denominator)
+        assert message in str(caught.value)
+    reduced = StrategyGrid(Strategy.ALPHA_MAX, ["0", "0.5", "1"], [0, 50, 100], 100)
+    assert (reduced.numerators, reduced.denominator) == ((0, 1, 2), 2)
+    listed, ranged = (parse_grid(text, Strategy.ALPHA_MAX) for text in ("0,0.5,1", "0:1:0.5"))
+    assert reduced == listed == ranged and hash(reduced) == hash(listed) == hash(ranged)
+
+
+def _decimal_grid(text: str) -> list[tuple[str, Fraction]]:
+    """(label, exact value) per point, as grids were built before they held integers.
+
+    The reference for ``parse_grid``: a range sums ``Decimal``s with every
+    digit kept and labels each ``format(p.normalize(), "f")``; a comma
+    list reads each value with ``as_exact`` and keeps it as written.
+    """
+    from decimal import MAX_PREC, Decimal, Inexact, localcontext
+
+    if ":" not in text:
+        return [(piece.strip(), as_exact(piece.strip())) for piece in text.split(",")]
+    start, stop, step = (Decimal(piece) for piece in text.split(":"))
+    with localcontext() as exact:
+        exact.prec, exact.traps[Inexact] = MAX_PREC, True
+        count = int((stop - start) // step) + 1
+        points = [start + index * step for index in range(count)]
+        return [(format(p.normalize(), "f"), Fraction(p)) for p in points]
+
+
+def _assert_grid_is_the_decimal_grid(text: str) -> None:
+    """Labels, exact values, float bits, floor counts and keep counts all agree."""
+    want = _decimal_grid(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # points above 1
+        grid = parse_grid(text, Strategy.ALPHA_MAX)
+    assert grid_points(grid) == want, text
+    exact = [value for _, value in want]
+    floats = np.asarray([float(value) for value in exact])
+    assert np.array_equal(grid._values.view(np.int64), floats.view(np.int64)), text
+    for m in (1, 9, 10**6):
+        # evaluate_dataset's floor expression, with m calibration prompts
+        below = sum(n * (m + 1) < grid.denominator for n in grid.numerators)
+        assert below == sum(value < Fraction(1, m + 1) for value in exact), (text, m)
+    if max(exact) <= 1:  # a fraction grid too
+        fraction = parse_grid(text, Strategy.FRACTION)
+        for size in (1, 3, 64, 1000):
+            targets = [math.ceil(value * size) for value in exact]
+            assert fraction._inclusion_targets(size).tolist() == targets, (text, size)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0:1:0.00001",  # the cap
+        "0.1:0.3:0.1",
+        "0:1e-4:0.00005",
+        "0:1:0.3",  # the stop is not on a step
+        "0:1e3:1e2",  # a positive exponent, written out in full
+        "1e-300:2e-300:1e-301",
+        "0.12345678901234567890123456789:1:0.5",
+        "1:1.00000000000000000000000000001:0.00000000000000000000000000001",
+        "0.000:2.50:0.250",
+        "0,1/3,0.5,0.9,1",
+        "1/3, 1e-3 ,0.10",
+        "0.10,1e-3,2/6,1E+0,0.5e1",
+    ],
+)
+def test_parse_grid_equals_the_decimal_grid(text: str) -> None:
+    _assert_grid_is_the_decimal_grid(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.builds("{}e{}".format, st.integers(0, 10**30), st.integers(-60, 5)),
+    step=st.builds("{}e{}".format, st.integers(1, 10**6), st.integers(-60, 3)),
+    count=st.integers(0, 40),
+    eighths=st.integers(0, 7),
+)
+def test_parse_grid_range_equals_the_decimal_grid(start: str, step: str, count: int, eighths: int) -> None:
+    """Random decimal ranges; the stop overshoots the last step by eighths of a step."""
+    from decimal import MAX_PREC, Decimal, Inexact, localcontext
+
+    with localcontext() as exact:
+        exact.prec, exact.traps[Inexact] = MAX_PREC, True
+        stop = Decimal(start) + Decimal(step) * (count + Decimal(eighths) / 8)
+    _assert_grid_is_the_decimal_grid(f"{start}:{stop}:{step}")
+
+
+def test_a_grid_at_the_cap_retains_under_160_bytes_a_point() -> None:
+    """A label and an int per point, plus the float values and the walk: no object per point."""
+    parse_grid("0:1:0.5", Strategy.ALPHA_MAX)._walk  # first calls import lazily
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid = parse_grid("0:1:0.00001", Strategy.ALPHA_MAX)
+        grid._walk
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(grid.parameters) < 160, retained / len(grid.parameters)
+
+
+def test_results_refuse_worst_cases_not_named_by_their_kinds() -> None:
+    """A worst case per kind, in the kinds' order, or the result is refused."""
+    empty = dict(grids=(), means=np.empty((0, 5)), n_test=1, n_cal=1)
+    cases = ((("e1",), ("p",)), (("e1", "p"), ("e1",)), (("e1", "p"), ("p", "e1")), ((), ("p",)))
+    for kinds, names in cases:
+        with pytest.raises(InvalidInputError, match="do not match the score kinds"):
+            SplitResult(kinds=kinds, worst_case=tuple((name, 1.0) for name in names), **empty)
+        rows = tuple(WorstCaseRow(name, 1.0, 1.0, 1.0, 1) for name in names)
+        with pytest.raises(InvalidInputError, match="do not match the score kinds"):
+            EvaluationReport(kinds=kinds, worst_case=rows, n_splits=1, **empty)
+    split = SplitResult(kinds=("e1", "p"), worst_case=(("e1", 1.0), ("p", 2.0)), **empty)
+    assert [row.score_kind for row in aggregate_splits([split]).worst_case] == ["e1", "p"]
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +764,8 @@ def test_evaluate_split_two_prompts_clean_test_half() -> None:
     dataset = two_prompt_dataset()
     split = SplitAssignment(calibration=(0,), test=(1,))
     grids = (
-        StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"), Parameter.of(1))),
-        StrategyGrid(Strategy.FRACTION, (Parameter.of("0.5"),)),
+        StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5", 1]),
+        StrategyGrid.of(Strategy.FRACTION, ["0.5"]),
     )
     kinds = (ScoreKind.parse("e1"), ScoreKind.parse("p"))
     result = evaluate_split(dataset, split, kinds, grids)
@@ -676,7 +803,7 @@ def test_evaluate_split_two_prompts_clean_test_half() -> None:
 def test_evaluate_split_two_prompts_errorful_test_half() -> None:
     dataset = two_prompt_dataset()
     split = SplitAssignment(calibration=(1,), test=(0,))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),)),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5"]),)
     result = evaluate_split(dataset, split, (ScoreKind.parse("e1"),), grids)
 
     # calibration prompt is fully correct: f* = 0, so every positive f
@@ -712,7 +839,7 @@ def test_evaluate_split_is_bitwise_deterministic() -> None:
     dataset = two_prompt_dataset()
     split = SplitAssignment(calibration=(0,), test=(1,))
     kinds = (ScoreKind.parse("p-randomized"), ScoreKind.parse("e-combined"))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.9"),)),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.9"]),)
     a = evaluate_split(dataset, split, kinds, grids, master_seed=7, split_index=3)
     b = evaluate_split(dataset, split, kinds, grids, master_seed=7, split_index=3)
     assert a == b
@@ -790,18 +917,18 @@ def compose_split_by_hand(instances, split, kinds, grids, master_seed, split_ind
             float(oracles.instance(lab, sc, [], 0)[2]) for lab, sc in prompts
         ) / len(prompts)
         for grid in grids:
-            for param in grid.parameters:
+            for label, value in grid_points(grid):
                 metrics = []
                 for lab, sc in prompts:
                     if grid.strategy is Strategy.ALPHA_MAX:
                         # the budget as the sweep reads it, a float
-                        included, alpha_used = oracles.max_constrained(sc, float(param.value))
+                        included, alpha_used = oracles.max_constrained(sc, float(value))
                     else:
-                        included, alpha_used = oracles.fractional(sc, param.value)
+                        included, alpha_used = oracles.fractional(sc, value)
                     error, sd, _, prec, rec = oracles.instance(lab, sc, included, alpha_used)
                     metrics.append((sd, error, alpha_used, prec, rec))
                 means = [sum(float(v) for v in column) / len(metrics) for column in zip(*metrics)]
-                rows[(kind.name, grid.strategy.value, param.label)] = dict(
+                rows[(kind.name, grid.strategy.value, label)] = dict(
                     zip(("sd", "err", "alpha", "prec", "rec"), means)
                 )
     return rows, worst
@@ -812,8 +939,8 @@ def test_engine_matches_per_prompt_composition(seed: int) -> None:
     instances = random_dataset(seed)
     split = SplitAssignment(calibration=(0, 2, 4, 6), test=(1, 3, 5, 7))
     grids = (
-        StrategyGrid(Strategy.ALPHA_MAX, tuple(Parameter.of(v) for v in ("0.05", "0.5", "1"))),
-        StrategyGrid(Strategy.FRACTION, tuple(Parameter.of(v) for v in ("0", "0.3", "1"))),
+        StrategyGrid.of(Strategy.ALPHA_MAX, ("0.05", "0.5", "1")),
+        StrategyGrid.of(Strategy.FRACTION, ("0", "0.3", "1")),
     )
     result = evaluate_split(
         PreparedDataset(instances), split, ALL_SCORE_KINDS, grids, master_seed=seed, split_index=2
@@ -839,7 +966,7 @@ def test_engine_matches_composition_under_permutation_policy() -> None:
     instances = random_dataset(11, n_prompts=6)
     policy = PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)
     split = SplitAssignment(calibration=(0, 1, 2), test=(3, 4, 5))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),)),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5"]),)
     kinds = (ScoreKind.parse("e-combined"), ScoreKind.parse("p"))
     prep = PreparedDataset(instances, policy)
     result = evaluate_split(prep, split, kinds, grids, master_seed=0, split_index=0)
@@ -863,7 +990,7 @@ def test_fraction_targets_near_one_are_exact() -> None:
     prep = PreparedDataset(instances, PermutationPolicy(PermutationMode.ALL_PERMUTATIONS))
     split = SplitAssignment(calibration=(0, 1, 2), test=(3, 4, 5))
     for near_one in ("0.999999999999999999", "0.9999999999999999999"):
-        grid = StrategyGrid(Strategy.FRACTION, (Parameter.of(near_one), Parameter.of(1)))
+        grid = StrategyGrid.of(Strategy.FRACTION, [near_one, 1])
         near, one = evaluate_split(prep, split, (ScoreKind.parse("e-combined"),), (grid,)).rows
         assert dataclasses.replace(near, parameter="1") == one
 
@@ -1024,13 +1151,13 @@ def _oracle_rows(labels, scores, grid: StrategyGrid) -> dict[str, list]:
     # many parameters keep the same responses, so cache by what is kept
     metrics: dict = {}
     means: dict = {}
-    for param in grid.parameters:
+    for label, value in grid_points(grid):
         keys = []
         for i, (lab, sc) in enumerate(zip(labels, scores)):
             if grid.strategy is Strategy.ALPHA_MAX:
-                included, alpha_used = oracles.max_constrained(sc, float(param.value))
+                included, alpha_used = oracles.max_constrained(sc, float(value))
             else:
-                included, alpha_used = oracles.fractional(sc, param.value)
+                included, alpha_used = oracles.fractional(sc, value)
             key = (i, tuple(included), alpha_used)
             if key not in metrics:
                 error, sd, _, precision, recall = oracles.instance(lab, sc, included, alpha_used)
@@ -1039,7 +1166,7 @@ def _oracle_rows(labels, scores, grid: StrategyGrid) -> dict[str, list]:
         keys = tuple(keys)
         if keys not in means:
             means[keys] = [_exact_mean(column) for column in zip(*(metrics[k] for k in keys))]
-        out[param.label] = means[keys]
+        out[label] = means[keys]
     return out
 
 
@@ -1057,7 +1184,7 @@ def test_evaluate_split_matches_oracle_composition(inputs, fractions, split_inde
         calibration=tuple(range(n_test, len(instances))), test=tuple(range(n_test))
     )
     lambdas = sorted({Fraction(0), Fraction(1), *fractions})
-    fraction_grid = StrategyGrid(Strategy.FRACTION, tuple(Parameter.of(v) for v in lambdas))
+    fraction_grid = StrategyGrid.of(Strategy.FRACTION, lambdas)
     metrics = ("size_distortion", "error", "alpha", "precision", "recall")
     for mode, (policy, enumerate_set) in POLICIES.items():
         prep = PreparedDataset(instances, policy)
@@ -1092,7 +1219,7 @@ def test_evaluate_split_matches_oracle_composition(inputs, fractions, split_inde
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # alpha-max parameters above 1
                 grids = (
-                    StrategyGrid(Strategy.ALPHA_MAX, tuple(Parameter.of(a) for a in sorted(alphas))),
+                    StrategyGrid.of(Strategy.ALPHA_MAX, sorted(alphas)),
                     fraction_grid,
                 )
                 result = evaluate_split(
@@ -1228,7 +1355,7 @@ def test_uniform_draws_match_oracle_and_ignore_order_and_subset(
 def test_aggregate_splits_averages_rows() -> None:
     dataset = two_prompt_dataset()
     kinds = (ScoreKind.parse("e1"),)
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),)),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5"]),)
     a = evaluate_split(dataset, SplitAssignment((0,), (1,)), kinds, grids)
     b = evaluate_split(dataset, SplitAssignment((1,), (0,)), kinds, grids)
     report = aggregate_splits([a, b])
@@ -1272,8 +1399,7 @@ def test_aggregate_splits_equals_field_by_field_np_mean(seed: int, n_splits: int
     """Bit for bit, +inf included: 12 splits take np.mean's unrolled pairwise sum."""
     prep = PreparedDataset(random_dataset(seed, n_prompts=24))
     kinds = tuple(ScoreKind.parse(k) for k in ("e1", "e-combined", "p", "p-randomized", "naive2"))
-    points = parse_grid("0:1:0.05")
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, points), StrategyGrid(Strategy.FRACTION, points))
+    grids = tuple(parse_grid("0:1:0.05", strategy) for strategy in Strategy)
     results = [
         evaluate_split(prep, split, kinds, grids, master_seed=seed, split_index=i)
         for i, split in enumerate(plan_splits(SplitPlan(seed=seed, n_splits=n_splits), 24))
@@ -1327,7 +1453,7 @@ def test_ext_percentile_matches_np_percentile() -> None:
 def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> None:
     """So does a report: both keep their means as one read-only array."""
     kinds = ("e1",)
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"), Parameter.of("1"))),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5", "1"]),)
     for cls, rest in (
         (SplitResult, dict(worst_case=(("e1", 2.0),), n_test=2, n_cal=3)),
         (
@@ -1357,7 +1483,7 @@ def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> Non
 
 def test_aggregate_splits_rejects_mismatched_grids() -> None:
     dataset = two_prompt_dataset()
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),)),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5"]),)
     a = evaluate_split(dataset, SplitAssignment((0,), (1,)), (ScoreKind.parse("e1"),), grids)
     b = evaluate_split(dataset, SplitAssignment((0,), (1,)), (ScoreKind.parse("p"),), grids)
     with pytest.raises(ConfigurationError):
@@ -1378,7 +1504,7 @@ def test_evaluate_split_refuses_a_score_kind_listed_twice() -> None:
     dataset = two_prompt_dataset()
     split = SplitAssignment((0,), (1,))
     e1, p = ScoreKind.parse("e1"), ScoreKind.parse("p")
-    grid = StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),))
+    grid = StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5"])
     for kinds, name in (((e1, e1), "e1"), ((p, e1, ScoreKind.parse("p")), "p")):
         with pytest.raises(InvalidInputError, match=f"^score kind '{name}' listed twice$"):
             evaluate_split(dataset, split, kinds, (grid,))
@@ -1396,8 +1522,8 @@ def test_first_split_holds_no_per_row_keys() -> None:
     prep = PreparedDataset(random_dataset(7, n_prompts=40))
     kinds = tuple(ScoreKind.parse(k) for k in ("e1", "p", "naive1"))
     (split,) = plan_splits(SplitPlan(seed=1, n_splits=1), prep.n_prompts)
-    evaluate_split(prep, split, kinds, (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.5")),))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001")),)
+    evaluate_split(prep, split, kinds, (parse_grid("0:1:0.5", Strategy.ALPHA_MAX),))
+    grids = (parse_grid("0:1:0.0001", Strategy.ALPHA_MAX),)
     grids[0]._walk  # the grid's own cache, which every split of a run shares, is not the split's
     tracemalloc.start()
     try:
@@ -1422,7 +1548,7 @@ def test_aggregate_splits_rejects_mismatched_half_sizes() -> None:
 def test_evaluate_dataset_end_to_end_determinism() -> None:
     dataset = PreparedDataset(random_dataset(9, n_prompts=6))
     kinds = (ScoreKind.parse("e-combined"), ScoreKind.parse("p-randomized"))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.3"),)),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.3"]),)
     plan = SplitPlan(seed=2, n_splits=5)
     first = evaluate_dataset(dataset, kinds, grids, plan)
     second = evaluate_dataset(dataset, kinds, grids, plan)
@@ -1444,7 +1570,7 @@ def test_split_and_report_fill_their_means_in_place() -> None:
     """
     prep = PreparedDataset(random_dataset(7, n_prompts=40))
     kinds = tuple(ScoreKind.parse(k) for k in ("e1", "p", "naive1"))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001")),)
+    grids = (parse_grid("0:1:0.0001", Strategy.ALPHA_MAX),)
     (split,) = plan_splits(SplitPlan(seed=1, n_splits=1), prep.n_prompts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # grid points below 1/(n_cal + 1)
@@ -1476,9 +1602,8 @@ def test_evaluate_dataset_memory_per_split_is_its_means() -> None:
     """
     prep = PreparedDataset(random_dataset(7, n_prompts=40))
     kinds = tuple(ScoreKind.parse(k) for k in ("e1", "e-combined", "p"))
-    points = parse_grid("0:1:0.01")
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, points), StrategyGrid(Strategy.FRACTION, points))
-    rows = len(kinds) * 2 * len(points)
+    grids = tuple(parse_grid("0:1:0.01", strategy) for strategy in Strategy)
+    rows = len(kinds) * 2 * len(grids[0].parameters)
 
     def peak(n_splits: int) -> int:
         tracemalloc.start()
@@ -1501,7 +1626,7 @@ def test_aggregate_splits_retains_its_means_per_report_row() -> None:
     ``ReportRow`` per row, as reports were built before, retained about 296."""
     prep = PreparedDataset(random_dataset(7, n_prompts=40))
     kinds = (ScoreKind.parse("e1"), ScoreKind.parse("p"))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.0001")),)
+    grids = (parse_grid("0:1:0.0001", Strategy.ALPHA_MAX),)
     splits = plan_splits(SplitPlan(seed=1, n_splits=3), prep.n_prompts)
     results = [
         evaluate_split(prep, split, kinds, grids, master_seed=1, split_index=i)
@@ -1550,7 +1675,7 @@ def test_evaluate_dataset_equals_planned_splits_evaluated_one_by_one(
     aggregate's arrays as it goes; every field of every row must equal the
     public path's, at an odd prompt count and with ties and infinite values."""
     prep = PreparedDataset(random_dataset(21, n_prompts=17), POLICIES[policy][0])
-    grids = (StrategyGrid(strategy, parse_grid("0:1:0.05")),)
+    grids = (parse_grid("0:1:0.05", strategy),)
     plan = SplitPlan(seed=4, n_splits=7, test_fraction=test_fraction)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # grid points below 1/(n_cal + 1)
@@ -1598,7 +1723,7 @@ def test_evaluate_dataset_memory_does_not_grow_with_prompts_times_splits() -> No
         ]
     )
     kinds = (ScoreKind.parse("e-combined"), ScoreKind.parse("p"))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.5"),)),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5"]),)
 
     def peak(n_splits: int) -> int:
         tracemalloc.start()
@@ -1704,8 +1829,8 @@ def test_equivalence_trials_catch_a_wrong_ceiling(monkeypatch) -> None:
     """
     import escores.equivalence
 
-    def floor_target(fraction, size):
-        return fraction.numerator * size // fraction.denominator
+    def floor_target(numerator, denominator, size):
+        return numerator * size // denominator
 
     monkeypatch.setattr(escores.equivalence, "inclusion_target", floor_target)
     assert run_equivalence_trials(300, seed=0).failures > 0

@@ -25,7 +25,6 @@ from escores import (
     EvaluationReport,
     FTransform,
     InvalidInputError,
-    Parameter,
     PermutationMode,
     PermutationPolicy,
     PreparedDataset,
@@ -50,7 +49,7 @@ from escores.core import as_exact
 from escores.io import _fmt_score, _read_columns
 from escores.svg import slugify
 
-from helpers import make_generated, make_instance
+from helpers import grid_points, make_generated, make_instance
 
 
 def write_lines(path: Path, *lines: str) -> Path:
@@ -503,9 +502,9 @@ def test_write_rejects_unrepresentable_instances(tmp_path: Path) -> None:
 def small_report() -> EvaluationReport:
     return EvaluationReport(
         kinds=("e1", "p"),
-        grids=(StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.1"),)),),
+        grids=(StrategyGrid.of(Strategy.ALPHA_MAX, ["0.1"]),),
         means=[[1.0 / 3.0, 0.125, 0.0625, 1.0, 0.875], [math.inf, 0.125, 0.1, 1.0, 0.875]],
-        worst_case=(WorstCaseRow("e1", 1.5, 1.0, 2.0, 2),),
+        worst_case=(WorstCaseRow("e1", 1.5, 1.0, 2.0, 2), WorstCaseRow("p", 2.0, 1.0, 3.0, 2)),
         n_test=4,
         n_cal=4,
         n_splits=2,
@@ -535,7 +534,7 @@ def test_emit_csv_exact_shape(tmp_path: Path) -> None:
 
 def test_emit_csv_refuses_empty_report(tmp_path: Path) -> None:
     empty = EvaluationReport(
-        kinds=("e1",), grids=(), means=np.empty((0, 5)), worst_case=(), n_test=1, n_cal=1, n_splits=1
+        kinds=(), grids=(), means=np.empty((0, 5)), worst_case=(), n_test=1, n_cal=1, n_splits=1
     )
     with pytest.raises(InvalidInputError):
         emit_csv(empty, tmp_path / "report.csv")
@@ -546,7 +545,7 @@ def test_emit_csv_one_line_per_grid_point(tmp_path: Path) -> None:
         make_instance(f"g-{i}", [0.2 + 0.15 * i], first_error_index=1 if i % 2 else None)
         for i in range(4)
     ]
-    grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.01"))
+    grid = parse_grid("0:1:0.01", Strategy.ALPHA_MAX)
     report = evaluate_dataset(
         PreparedDataset(instances), (ScoreKind.parse("p"),), (grid,), SplitPlan(seed=0, n_splits=2)
     )
@@ -574,7 +573,7 @@ def test_emit_csv_writes_the_report_rows(grids, tmp_path: Path) -> None:
         for i in range(12)
     ]
     kinds = tuple(ScoreKind.parse(k) for k in ("e-combined", "p", "naive1"))
-    strategy_grids = tuple(StrategyGrid(Strategy(s), parse_grid(text)) for s, text in grids)
+    strategy_grids = tuple(parse_grid(text, Strategy(s)) for s, text in grids)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the p floor at low alpha-max points
         report = evaluate_dataset(
@@ -632,8 +631,8 @@ def test_emit_svg_two_strategy_panels_match_golden_hash(tmp_path: Path) -> None:
         first_error = None if i % 4 == 0 else 1 + i % k
         instances.append(make_instance(f"s-{i}", conditionals, first_error_index=first_error))
     grids = (
-        StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.125")),
-        StrategyGrid(Strategy.FRACTION, parse_grid("0,1/3,0.5,0.9,1")),
+        parse_grid("0:1:0.125", Strategy.ALPHA_MAX),
+        parse_grid("0,1/3,0.5,0.9,1", Strategy.FRACTION),
     )
     kinds = (ScoreKind.parse("e-combined"), ScoreKind.parse("p"))
     with warnings.catch_warnings():
@@ -656,16 +655,17 @@ def test_emit_svg_merges_the_grids_of_a_strategy_in_first_appearance_order(tmp_p
     # label repeats across grids, and "1/4" and "0.25" are one value.  The digest
     # is the one these rows gave when a report held one key per row.
     grids = (
-        StrategyGrid(Strategy.FRACTION, parse_grid("0.5,0.1,1")),
-        StrategyGrid(Strategy.ALPHA_MAX, parse_grid("1/4,0.5,0.1")),
-        StrategyGrid(Strategy.FRACTION, parse_grid("0.25,0.5")),
+        parse_grid("0.5,0.1,1", Strategy.FRACTION),
+        parse_grid("1/4,0.5,0.1", Strategy.ALPHA_MAX),
+        parse_grid("0.25,0.5", Strategy.FRACTION),
     )
     means = [
         [0.5 + (j % 4) / 3, 0.05 * j, 0.01 + 0.04 * j, 1 - 0.03 * j, 0.4 + 0.05 * j]
         for j in range(2 * 8)
     ]
     means[4][0] = math.inf
-    report = EvaluationReport(("p", "e1"), grids, means, (), n_test=6, n_cal=6, n_splits=3)
+    worst = tuple(WorstCaseRow(kind, 1.0, 0.5, 1.5, 3) for kind in ("p", "e1"))
+    report = EvaluationReport(("p", "e1"), grids, means, worst, n_test=6, n_cal=6, n_splits=3)
     paths = emit_svg_curves(report, tmp_path / "plots")
     assert [p.name for p in paths] == [
         f"{kind}_{panel}.svg"
@@ -686,7 +686,7 @@ def test_emit_svg_builds_no_rows_and_parses_no_label(tmp_path: Path, monkeypatch
         make_instance(f"g-{i}", [0.2 + 0.15 * i], first_error_index=1 if i % 2 else None)
         for i in range(6)
     ]
-    grid = StrategyGrid(Strategy.ALPHA_MAX, parse_grid("0:1:0.01"))
+    grid = parse_grid("0:1:0.01", Strategy.ALPHA_MAX)
     kinds = (ScoreKind.parse("p-randomized"), ScoreKind.parse("naive1"))  # neither floored
     report = evaluate_dataset(PreparedDataset(instances), kinds, (grid,), SplitPlan(seed=0, n_splits=2))
     assert len(report.means) == 2 * 101
@@ -694,7 +694,7 @@ def test_emit_svg_builds_no_rows_and_parses_no_label(tmp_path: Path, monkeypatch
     monkeypatch.setattr(
         escores.sweep, "ReportRow", lambda *a: rows.append(a) or ReportRow(*a)
     )
-    monkeypatch.setattr(escores.io, "as_exact", lambda *a: parsed.append(a) or as_exact(*a))
+    monkeypatch.setattr(escores.sweep, "as_exact", lambda *a: parsed.append(a) or as_exact(*a))
     assert len(emit_svg_curves(report, tmp_path / "plots")) == 6
     assert rows == [] and parsed == []
 
@@ -711,31 +711,37 @@ def test_emit_svg_refuses_empty_report(tmp_path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _points(text: str) -> list[tuple[str, Fraction]]:
+    """(label, exact value) per point of the alpha-max grid ``text``."""
+    return grid_points(parse_grid(text, Strategy.ALPHA_MAX))
+
+
 def test_parse_grid_range_is_exact() -> None:
-    grid = parse_grid("0:1:0.01")
+    grid = _points("0:1:0.01")
     assert len(grid) == 101
-    assert grid[0].label == "0" and grid[0].value == 0
-    assert grid[1].label == "0.01" and grid[1].value == Fraction(1, 100)
-    assert grid[10].label == "0.1"
-    assert grid[100].label == "1" and grid[100].value == 1
-    assert [p.value for p in grid] == [Fraction(i, 100) for i in range(101)]
+    assert grid[0] == ("0", 0)
+    assert grid[1] == ("0.01", Fraction(1, 100))
+    assert grid[10][0] == "0.1"
+    assert grid[100] == ("1", 1)
+    assert [value for _, value in grid] == [Fraction(i, 100) for i in range(101)]
     # past the 28 digits of Decimal's default context: nothing rounds, no point repeats
-    assert [p.label for p in parse_grid("0.12345678901234567890123456789:1:0.5")] == [
+    assert [label for label, _ in _points("0.12345678901234567890123456789:1:0.5")] == [
         "0.12345678901234567890123456789", "0.62345678901234567890123456789",
     ]
-    tiny = parse_grid("1:1.00000000000000000000000000001:0.00000000000000000000000000001")
-    assert [p.value for p in tiny] == [1, 1 + Fraction(1, 10**29)]
+    with pytest.warns(UserWarning, match="exceed 1"):
+        tiny = _points("1:1.00000000000000000000000000001:0.00000000000000000000000000001")
+    assert [value for _, value in tiny] == [1, 1 + Fraction(1, 10**29)]
 
 
 def test_parse_grid_comma_list() -> None:
-    grid = parse_grid("0.05, 1/3 ,1")
-    assert [p.value for p in grid] == [Fraction(1, 20), Fraction(1, 3), Fraction(1)]
-    assert grid[1].label == "1/3"
+    grid = _points("0.05, 1/3 ,1")
+    assert [value for _, value in grid] == [Fraction(1, 20), Fraction(1, 3), Fraction(1)]
+    assert grid[1][0] == "1/3"
 
 
 def test_parse_grid_stop_inclusion() -> None:
-    assert [p.label for p in parse_grid("0:0.5:0.2")] == ["0", "0.2", "0.4"]
-    assert [p.label for p in parse_grid("0.5:0.5:0.1")] == ["0.5"]
+    assert [label for label, _ in _points("0:0.5:0.2")] == ["0", "0.2", "0.4"]
+    assert [label for label, _ in _points("0.5:0.5:0.1")] == ["0.5"]
 
 
 def test_parse_grid_rejects_bad_input(tmp_path: Path, capsys) -> None:
@@ -746,33 +752,35 @@ def test_parse_grid_rejects_bad_input(tmp_path: Path, capsys) -> None:
         "1" + "0" * 400 + "/1",
     ):
         with pytest.raises(InvalidInputError):
-            parse_grid(bad)
+            parse_grid(bad, Strategy.ALPHA_MAX)
     # an exponent beyond Decimal's own range is as large or as small as a float's, not malformed
     for bad, message in (
         ("1e9999999999999999999999", "grid value is too large for a float"),
         ("1e-9999999999999999999999", "grid value is too small for a float"),
         ("0:1:1e-9999999999999999999999", "grid step is too small for a float"),
         ("abc", "grid value must be a decimal string, got 'abc'"),
+        # a label is written through int -> str, which CPython caps at 4,300 digits
+        ("1:2:1." + "0" * 4300 + "1", "grid ends have more than 4,300 decimal places"),
     ):
         with pytest.raises(InvalidInputError) as caught:
-            parse_grid(bad)
+            parse_grid(bad, Strategy.ALPHA_MAX)
         assert str(caught.value) == message
-    assert [p.value for p in parse_grid("0e9999999999999999999999")] == [0]
-    assert [p.value for p in parse_grid("0e999999999")] == [0]
-    # these once looped without end or spun building a huge Fraction, so a child
-    # process reads them under a time limit
+    assert _points("0e9999999999999999999999") == [("0e9999999999999999999999", 0)]
+    assert _points("0e999999999") == [("0e999999999", 0)]
+    # these once looped without end, spun building a huge Fraction or summed a
+    # billion-digit Decimal, so a child process reads them under a time limit
     program = (
-        "from escores import InvalidInputError, SplitPlan\n"
-        "from escores.io import parse_grid\n"
+        "from escores import InvalidInputError, SplitPlan, Strategy, parse_grid\n"
         "for bad in ('0:inf:1', '1e999999999', '1e-999999999', '0:1:1e-999999999'):\n"
         "    try:\n"
-        "        parse_grid(bad)\n"
+        "        parse_grid(bad, Strategy.ALPHA_MAX)\n"
         "    except InvalidInputError as exc:\n"
         "        print(exc)\n"
         "try:\n"
         "    SplitPlan(test_fraction='1e999999999')\n"
         "except InvalidInputError as exc:\n"
         "    print(exc)\n"
+        "print(*parse_grid('0e-999999999:1:1', Strategy.ALPHA_MAX).parameters)\n"
     )
     done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=60)
     assert done.stdout.splitlines() == [
@@ -781,6 +789,7 @@ def test_parse_grid_rejects_bad_input(tmp_path: Path, capsys) -> None:
         "grid value is too small for a float",
         "grid step is too small for a float",
         "test_fraction is too large for a float",
+        "0 1",
     ], done.stderr
     data = write_dataset([make_instance("g-1", [0.5]), make_instance("g-2", [0.7])], tmp_path / "d.jsonl")
     assert run_command(["evaluate", str(data), "--grid", "inf:inf:1"]) == EXIT_USAGE
@@ -805,8 +814,9 @@ def test_parse_grid_refuses_a_grid_past_the_cap_before_anything_is_read(
 
 
 def test_parse_grid_builds_a_grid_at_the_cap() -> None:
-    grid = parse_grid("0:100000:1")
-    assert len(grid) == 100_001 and grid[-1].label == "100000"
+    with pytest.warns(UserWarning, match="exceed 1"):
+        grid = parse_grid("0:100000:1", Strategy.ALPHA_MAX)
+    assert len(grid.parameters) == 100_001 and grid.parameters[-1] == "100000"
 
 
 def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:
@@ -819,7 +829,7 @@ def test_evaluate_input_validation(tmp_path: Path, capsys) -> None:
     with pytest.raises(InvalidInputError, match="score kind"):
         evaluate_split(two, split, ())
     with pytest.warns(UserWarning, match="exceed 1"):
-        StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.1"), Parameter.of("2")))
+        StrategyGrid.of(Strategy.ALPHA_MAX, ["0.1", "2"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.1"), Parameter.of("1")))
+        StrategyGrid.of(Strategy.ALPHA_MAX, ["0.1", "1"])

@@ -18,7 +18,6 @@ from escores import (
     FTransform,
     InvalidInputError,
     PreparedDataset,
-    Parameter,
     ScoreKind,
     SplitAssignment,
     Strategy,
@@ -189,7 +188,7 @@ def test_near_oracle_estimator_separates_cleanly() -> None:
     )
     prep = PreparedDataset(generate_dataset(cfg))
     split = SplitAssignment(calibration=tuple(range(30)), test=tuple(range(30, 60)))
-    grids = (StrategyGrid(Strategy.ALPHA_MAX, (Parameter.of("0.2"),)),)
+    grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.2"]),)
     result = evaluate_split(prep, split, (ScoreKind.parse("e-combined"),), grids)
     row = result.rows[0]
     assert row.mean_error <= 0.05
