@@ -8,7 +8,10 @@ generation, and JSONL/CSV/SVG plumbing.
 
 ``import escores`` loads no submodule: each public name is imported
 from its home module on first access (PEP 562), so a program pays only
-for the modules it uses.
+for the modules it uses.  The one-response reference forms (``e_score``,
+``score_response_set``, the labeled and scored response sets, the
+filtering strategies over one scored set, ...) live in ``scalar``,
+which only this table loads: no command runs them.
 """
 
 from __future__ import annotations
@@ -28,26 +31,16 @@ _EXPORTS: dict[str, str] = {
             "EScoresError",
             "InvalidInputError",
             "InvalidSplitError",
-            "LabeledResponseSet",
             "Prompt",
             "Response",
             "ResponseSetSizeError",
-            "ScoredResponseSet",
             "Strategy",
             "ext_sum",
         ),
         "core",
     ),
     **dict.fromkeys(
-        (
-            "EstimateSource",
-            "FTransform",
-            "PromptInstance",
-            "aggregate_conditionals",
-            "build_calibration_summary",
-            "calibration_f_star",
-            "transform_estimate",
-        ),
+        ("FTransform", "build_calibration_summary"),
         "estimation",
     ),
     **dict.fromkeys(
@@ -55,29 +48,14 @@ _EXPORTS: dict[str, str] = {
         "equivalence",
     ),
     **dict.fromkeys(
-        (
-            "PreparedDataset",
-            "SplitAssignment",
-            "SplitPlan",
-            "aggregate_splits",
-            "evaluate_dataset",
-            "evaluate_split",
-            "plan_splits",
-        ),
+        ("PreparedDataset", "aggregate_splits", "evaluate_dataset", "evaluate_split"),
         "evaluation",
     ),
     **dict.fromkeys(
         (
-            "FilterOutcome",
-            "filter_at_alpha",
-            "fractional_inclusion_alpha",
-            "max_constrained_alpha",
-        ),
-        "filtering",
-    ),
-    **dict.fromkeys(
-        (
             "CSV_HEADER",
+            "EstimateSource",
+            "PromptInstance",
             "emit_csv",
             "emit_svg_curves",
             "parse_dataset",
@@ -94,35 +72,45 @@ _EXPORTS: dict[str, str] = {
             "PermutationPolicy",
             "build_permutation_set",
             "build_prefix_set",
-            "label_response_set",
         ),
         "response_sets",
     ),
     **dict.fromkeys(
         (
-            "ALL_SCORE_KINDS",
+            "FilterOutcome",
+            "LabeledResponseSet",
             "RandomDraw",
-            "ScoreFamily",
-            "ScoreKind",
+            "ScoredResponseSet",
+            "aggregate_conditionals",
+            "calibration_f_star",
             "combined_e_score",
             "e_score",
+            "filter_at_alpha",
+            "fractional_inclusion_alpha",
+            "label_response_set",
+            "max_constrained_alpha",
             "naive_score",
             "p_score",
             "p_score_randomized",
             "score_response_set",
+            "transform_estimate",
             "uniform_block",
             "uniform_draw",
         ),
-        "scoring",
+        "scalar",
     ),
+    **dict.fromkeys(("ALL_SCORE_KINDS", "ScoreFamily", "ScoreKind"), "scoring"),
     **dict.fromkeys(
         (
             "EvaluationReport",
             "ReportRow",
+            "SplitAssignment",
+            "SplitPlan",
             "StrategyGrid",
             "SplitResult",
             "WorstCaseRow",
             "parse_grid",
+            "plan_splits",
         ),
         "sweep",
     ),

@@ -26,21 +26,23 @@ itself, so a failed write at exit is mapped as one mid-run is: a reader
 gone by then is a quiet exit 1, any other failure an ``i/o error:`` line.
 
 The top level imports only the standard library and ``core``; each
-handler imports the modules its command runs, so ``simulate`` never
-loads the evaluation engine, the file readers or the SVG renderer, and
-``score`` loads neither the grid sweep nor the equivalence trials.
+handler imports the modules its command runs.  So ``simulate`` loads
+neither the evaluation engine, the dataset reader, the response sets
+nor the SVG renderer (``--emit`` loads the dataset writer, ``io``, to
+write); ``score`` and ``ingest`` load neither the grid sweep, the
+equivalence trials nor ``io``'s dataset writer and report emitters; and
+no command loads ``scalar``, the one-response reference forms.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     ConfigurationError,
@@ -51,16 +53,13 @@ from .core import (
     InvalidSplitError,
     ResponseSetSizeError,
     Strategy,
+    _fmt_score,
+    _from_package,
     _require_seed,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - each command imports what it runs
-    import numpy as np
-
-    from .estimation import FTransform
-    from .evaluation import PreparedDataset
     from .response_sets import PermutationPolicy
-    from .scoring import ScoreKind
     from .sweep import EvaluationReport
 
 EXIT_OK = 0
@@ -81,34 +80,13 @@ _DEFERRED = frozenset({
 _this = sys.modules[__name__]
 
 
-def __getattr__(name: str) -> object:
-    if name not in _DEFERRED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(sys.modules[__package__], name)
-    return value
-
-
-def _parse_kinds(text: str) -> tuple[ScoreKind, ...]:
-    from .scoring import ALL_SCORE_KINDS, ScoreKind
-
-    if text.strip() == "all":
-        return ALL_SCORE_KINDS
-    kinds: list[ScoreKind] = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise InvalidInputError(f"empty entry in score list {text!r}")
-        kind = ScoreKind.parse(piece)
-        if kind in kinds:
-            raise InvalidInputError(f"score kind {kind.name!r} listed twice")
-        kinds.append(kind)
-    return tuple(kinds)
+__getattr__ = _from_package(globals(), _DEFERRED)
 
 
 def _parse_policy(
     permutations: str, permutation_file: "str | None"
 ) -> PermutationPolicy:
-    from .io import _load_json
+    from .reader import _load_json
     from .response_sets import IDENTITY_POLICY, PermutationMode, PermutationPolicy
 
     if permutations != "file":
@@ -136,35 +114,10 @@ def _parse_policy(
 # ---------------------------------------------------------------------------
 
 
-def _warn_infinite_maxima(
-    fstar: Mapping[FTransform, np.ndarray], kinds: Sequence[ScoreKind]
-) -> None:
-    """Warn when a kind reads transforms 2 or 3 and some calibration maximum is infinite.
-
-    ``fstar`` holds the calibration prompts' maxima per transform, as a
-    ``PreparedDataset`` does.
-    """
-    import numpy as np
-
-    from .estimation import FTransform
-
-    if not any(kind.summary_transforms - {FTransform.IDENTITY} for kind in kinds):
-        return
-    # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
-    infinite = int(np.count_nonzero(np.isinf(fstar[FTransform.INVERSE_COMPLEMENT])))
-    if infinite:
-        warnings.warn(
-            f"{infinite} calibration prompt(s) have an incorrect response with "
-            "estimate 1, so their maxima under transforms 2 and 3 are infinite; every "
-            "e2 and e3 score of a test response with estimate below 1 is then +inf, "
-            "and e-combined reduces to 3 x e1"
-        )
-
-
 def _cmd_ingest(args: argparse.Namespace) -> None:
     import numpy as np
 
-    from .io import _read_columns
+    from .reader import _read_columns
 
     columns = _read_columns(args.path)
     n = len(columns.ids)
@@ -173,108 +126,18 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
     print(f"records with errors: {np.count_nonzero(columns.first_errors)} of {n}")
 
 
-# Responses per write, in both forms of score's output: each write is one
-# bounded block of lines, not one call per line nor the whole output joined.
-_WRITE_BLOCK = 512
-
-
-def _write_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
-    """The ``(first, last)`` prompt ranges of score's writes, in order.
-
-    Each range holds the most prompts whose responses fit in
-    ``_WRITE_BLOCK``, and always at least one prompt, so a prompt whose
-    set is larger than a block is written alone.
-    """
-    import numpy as np
-
-    first, n_prompts = 0, len(offsets) - 1
-    while first < n_prompts:
-        # the last prompt boundary at most one block past this one
-        last = int(np.searchsorted(offsets, offsets[first] + _WRITE_BLOCK, side="right")) - 1
-        last = max(last, first + 1)
-        yield first, last
-        first = last
-
-
-def _write_score_jsonl(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
-    """One JSON object per prompt, byte for byte ``json.dumps`` of its record.
-
-    Each response set has one line template: a head with the id and one
-    ``%r`` per label, then a tail with one ``%r`` per score in each kind's
-    list, so a line is one ``%``.  ``%r`` of a float is the cell that
-    ``repr`` of a float list writes, and ``json.dumps`` too, bar the
-    tokens of non-finite floats: those are rewritten in the tail only, so
-    an id keeps its bytes.  A block's prompts of one response set take
-    their scores from one gather and one ``tolist()``.
-    """
-    import numpy as np
-
-    names = [json.dumps(name) for name in scores]
-    # (line, head, tail) per response set: prompts of one step count share one tuple
-    templates: dict[int, tuple[str, str, str]] = {}
-    for first, last in _write_blocks(test.offsets):
-        lo, hi = int(test.offsets[first]), int(test.offsets[last])
-        starts = test.offsets[first:last] - lo
-        labels = test.labels_flat[lo:hi]
-        block = np.stack([values[lo:hi] for values in scores.values()])  # (kinds, responses)
-        members: dict[int, list[int]] = {}
-        for i, responses in enumerate(test.responses[first:last]):
-            members.setdefault(id(responses), []).append(i)
-        lines = [""] * (last - first)
-        for key, rows in members.items():
-            responses = test.responses[first + rows[0]]
-            if key not in templates:
-                cells = ", ".join(["%r"] * len(responses))
-                encoded = json.dumps([list(r.indices) for r in responses])
-                head = f'{{"id": %s, "responses": {encoded}, "labels": [{cells}], "scores": {{'
-                tail = ", ".join(f"{name}: [{cells}]" for name in names) + "}}"
-                templates[key] = head + tail, head, tail
-            line, head, tail = templates[key]
-            at = starts[rows][:, None] + np.arange(len(responses))
-            values = block[:, at].transpose(1, 0, 2).reshape(len(rows), -1)
-            finite = bool(np.isfinite(values).all())
-            ids = (json.dumps(test.prompt_ids[first + i]) for i in rows)
-            for i, pid, label, score in zip(rows, ids, labels[at].tolist(), values.tolist()):
-                if finite:
-                    lines[i] = line % (pid, *label, *score)
-                else:
-                    lines[i] = head % (pid, *label) + _json_non_finite(tail % tuple(score))
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _json_non_finite(text: str) -> str:
-    """``repr``'s inf and nan tokens as ``json.dumps`` writes them."""
-    return text.replace("inf", "Infinity").replace("nan", "NaN")
-
-
-def _write_score_table(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
-    """One row per response, each column padded to its widest cell."""
-    from .io import _fmt_score
-
-    header = ("prompt", "response", "label", *scores)
-    encoded: dict[int, list[str]] = {}  # prompts of one step count share one tuple of responses
-    for responses in test.responses:
-        if id(responses) not in encoded:
-            encoded[id(responses)] = [",".join(map(str, r.indices)) for r in responses]
-    columns = [
-        [pid for pid, count in zip(test.prompt_ids, test.counts.tolist()) for _ in range(count)],
-        [cell for responses in test.responses for cell in encoded[id(responses)]],
-        [("error", "correct")[label] for label in test.labels_flat.tolist()],
-        *([_fmt_score(v) for v in values.tolist()] for values in scores.values()),
-    ]
-    row = "  ".join(f"{{:<{max(len(name), *map(len, cells))}}}" for name, cells in zip(header, columns))
-    sys.stdout.write(row.format(*header).rstrip() + "\n")
-    for first, last in _write_blocks(test.offsets):
-        lo, hi = test.offsets[first], test.offsets[last]
-        block = zip(*(cells[lo:hi] for cells in columns))
-        sys.stdout.write("".join(row.format(*cells).rstrip() + "\n" for cells in block))
-
-
 def _cmd_score(args: argparse.Namespace) -> None:
     import numpy as np
 
-    from .evaluation import PreparedDataset, score_prompts
-    from .io import _read_columns
+    from .evaluation import (
+        PreparedDataset,
+        _warn_infinite_maxima,
+        _write_score_jsonl,
+        _write_score_table,
+        score_prompts,
+    )
+    from .reader import _read_columns
+    from .scoring import _parse_kinds
 
     _require_seed(args.seed)
     kinds = _parse_kinds(args.scores)
@@ -312,8 +175,6 @@ def _cmd_score(args: argparse.Namespace) -> None:
 
 
 def _print_report(report: EvaluationReport) -> None:
-    from .io import _fmt_score
-
     print(
         f"{report.n_splits} splits, {len(report.means)} grid rows; "
         "worst-case size distortion per score kind:"
@@ -327,9 +188,10 @@ def _print_report(report: EvaluationReport) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
-    from .evaluation import PreparedDataset, SplitPlan, evaluate_dataset
-    from .io import _read_columns
-    from .sweep import parse_grid
+    from .evaluation import PreparedDataset, _warn_infinite_maxima, evaluate_dataset
+    from .reader import _read_columns
+    from .scoring import _parse_kinds
+    from .sweep import SplitPlan, parse_grid
 
     # refused before the first split, not after the last; a missing
     # directory stays the i/o error that writing into it raises

@@ -15,9 +15,10 @@ where the guarantee needs at most 1.  The count k is taken once, when a
 
 Container types are frozen dataclasses over tuples.  They validate
 their invariants at construction time and are immutable afterwards, so
-instances can be shared freely across threads.  The labeled and scored
-response sets share one checked entry container, ``_ResponseEntries``;
-each supplies only its value check and its name for the messages.
+instances can be shared freely across threads.  Every command loads
+this module, so it holds only what several of them read; the labeled
+and scored response sets, which only the scalar forms build, are in
+``scalar``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from decimal import Decimal
@@ -68,7 +70,7 @@ class DatasetValidationError(EScoresError):
 
 
 class Strategy(enum.Enum):
-    """The post-hoc tolerance rules of ``filtering`` that a grid sweeps."""
+    """The post-hoc tolerance rules that a grid sweeps (``scalar`` filters one scored set by them)."""
 
     ALPHA_MAX = "alpha-max"
     FRACTION = "fraction"
@@ -111,15 +113,6 @@ def ext_sum(values: Iterable[float]) -> float:
 # ---------------------------------------------------------------------------
 # scalar validators for the narrow value types used throughout
 # ---------------------------------------------------------------------------
-
-
-def as_label(value: int, what: str = "label") -> int:
-    """Validate a correctness label: 1 means correct, 0 means incorrect."""
-    if isinstance(value, bool):
-        return int(value)
-    if not isinstance(value, int) or value not in (0, 1):
-        raise InvalidInputError(f"{what} must be 0 or 1, got {value!r}")
-    return value
 
 
 def _require_seed(seed: int) -> int:
@@ -246,12 +239,44 @@ def _finite_decimal(text: str, what: str) -> Decimal:
     return number
 
 
-def as_unit_fraction(value: "float | str | Fraction", what: str = "fraction") -> Fraction:
-    """Coerce an inclusion fraction to an exact rational in [0, 1] (see ``as_exact``)."""
-    frac = as_exact(value, what)
-    if not (0 <= frac <= 1):
-        raise InvalidInputError(f"{what} must lie in [0, 1], got {frac}")
-    return frac
+def inclusion_target(numerator: int, denominator: int, size: int) -> int:
+    """ceil(numerator / denominator * size), the count the fractional strategy keeps, in exact integers."""
+    return -(-numerator * size // denominator)
+
+
+def _fmt_score(value: float) -> str:
+    """Six significant digits, +inf as "inf": CSV cells and the CLI's tables."""
+    return format(value, ".6g")
+
+
+def _from_package(namespace: dict, names: frozenset[str]) -> Callable[[str], object]:
+    """A module's PEP 562 ``__getattr__``: each of ``names`` read from the package on first use.
+
+    The name is then kept in ``namespace``, the module's globals, so the
+    module holds it as if imported, without loading its home module
+    until something asks for it.
+    """
+
+    def __getattr__(name: str) -> object:
+        if name not in names:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(sys.modules[__package__], name)
+        return value
+
+    return __getattr__
+
+
+def _warn(message: str) -> None:
+    """A ``UserWarning`` that names the first caller outside this package.
+
+    However deep in the package the warning is raised, and whichever
+    public function was called, ``warnings.warn`` then reports the
+    caller's own file and line.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 # ---------------------------------------------------------------------------
@@ -292,77 +317,6 @@ class Response:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-class _ResponseEntries:
-    """Pairwise-distinct responses, each paired with a value.
-
-    The one entry check of the response-set containers: each value goes
-    through the subclass's ``_check``, then every response must be a
-    ``Response`` and appear once in the set that ``_set_name`` names.
-    """
-
-    entries: tuple
-    _set_name: ClassVar[str]
-
-    def __post_init__(self) -> None:
-        entries = tuple((resp, self._check(value)) for resp, value in self.entries)
-        object.__setattr__(self, "entries", entries)
-        seen = set()
-        for resp, _ in entries:
-            if not isinstance(resp, Response):
-                raise InvalidInputError(f"expected Response, got {resp!r}")
-            if resp in seen:
-                raise InvalidInputError(
-                    f"duplicate response in {self._set_name} set: {resp.indices}"
-                )
-            seen.add(resp)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.entries)
-
-    @property
-    def responses(self) -> tuple[Response, ...]:
-        return tuple(resp for resp, _ in self.entries)
-
-
-@dataclass(frozen=True)
-class LabeledResponseSet(_ResponseEntries):
-    """Pairwise-distinct responses, each tagged 1 (correct) or 0 (incorrect)."""
-
-    entries: tuple[tuple[Response, int], ...]
-    _set_name: ClassVar[str] = "labeled"
-
-    def _check(self, value: int) -> int:
-        return as_label(value)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(lab for _, lab in self.entries)
-
-    def incorrect_responses(self) -> tuple[Response, ...]:
-        return tuple(resp for resp, lab in self.entries if lab == 0)
-
-    def correct_count(self) -> int:
-        return sum(lab for _, lab in self.entries)
-
-
-@dataclass(frozen=True)
-class ScoredResponseSet(_ResponseEntries):
-    """Pairwise-distinct responses, each carrying an extended-real score."""
-
-    entries: tuple[tuple[Response, float], ...]
-    _set_name: ClassVar[str] = "scored"
-
-    def _check(self, value: float) -> float:
-        return as_ext_real(value, "score")
-
-    @property
-    def scores(self) -> tuple[float, ...]:
-        return tuple(score for _, score in self.entries)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CalibrationSummary, InvalidInputError, _seeded_rng, as_exact, as_ext_real
+from .core import (
+    CalibrationSummary,
+    InvalidInputError,
+    _seeded_rng,
+    as_exact,
+    as_ext_real,
+    inclusion_target,
+)
 from .estimation import build_calibration_summary
-from .filtering import inclusion_target
 from .scoring import _exceedances
 
 

@@ -14,26 +14,21 @@ calibration prompt the summary statistic is the maximum transformed
 value over its incorrect responses (0 when every response is correct);
 summing those per-prompt maxima once makes later e-scoring O(1) per
 test response.
+
+Everything here works on arrays of many responses at once.  The
+one-response forms (``aggregate_conditionals``, ``transform_estimate``,
+``calibration_f_star``) are in ``scalar`` and call these, and a file's
+per-prompt estimates, ``EstimateSource``, are in ``io``.
 """
 
 from __future__ import annotations
 
 import enum
-import types
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (
-    CalibrationSummary,
-    InvalidInputError,
-    LabeledResponseSet,
-    Response,
-    as_ext_real,
-    as_unit_interval,
-)
-from .response_sets import GeneratedResponse
+from .core import CalibrationSummary, InvalidInputError, as_ext_real
 
 
 class FTransform(enum.Enum):
@@ -53,92 +48,6 @@ class FTransform(enum.Enum):
             return cls(option)
         except ValueError:
             raise InvalidInputError(f"transform option must be 1, 2, or 3, got {option!r}") from None
-
-
-@dataclass(frozen=True)
-class EstimateSource:
-    """Oracle estimates for one prompt's responses.
-
-    Either a single response-level estimate (singular data: one response
-    per prompt), or per-sub-response conditionals keyed by original step
-    index, aggregated multiplicatively per response.  When both are
-    present the response-level estimate takes precedence.
-    """
-
-    conditionals: Mapping[int, float] | None = None
-    response_estimate: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.conditionals is None and self.response_estimate is None:
-            raise InvalidInputError("an estimate source needs conditionals or a response estimate")
-        if self.conditionals is not None:
-            checked: dict[int, float] = {}
-            for idx, value in dict(self.conditionals).items():
-                if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
-                    raise InvalidInputError(f"conditional keys must be ints >= 1, got {idx!r}")
-                checked[idx] = as_unit_interval(value, f"conditional estimate for step {idx}")
-            object.__setattr__(self, "conditionals", types.MappingProxyType(checked))
-        if self.response_estimate is not None:
-            object.__setattr__(
-                self,
-                "response_estimate",
-                as_unit_interval(self.response_estimate, "response estimate"),
-            )
-
-
-@dataclass(frozen=True)
-class PromptInstance:
-    """A generated response paired with its oracle estimates."""
-
-    generated: GeneratedResponse
-    estimates: EstimateSource
-
-    def __post_init__(self) -> None:
-        if self.estimates.response_estimate is None:
-            assert self.estimates.conditionals is not None
-            missing = [
-                i for i in range(1, len(self.generated) + 1)
-                if i not in self.estimates.conditionals
-            ]
-            if missing:
-                raise InvalidInputError(
-                    f"prompt {self.generated.prompt.id!r}: missing conditional estimates "
-                    f"for steps {missing}"
-                )
-
-    @property
-    def prompt_id(self) -> str:
-        return self.generated.prompt.id
-
-
-def aggregate_conditionals(source: EstimateSource, response: Response) -> float:
-    """Estimate that ``response`` is correct, from the source's level.
-
-    Response-level sources return their stored estimate directly.
-    Sub-response conditionals multiply along the response's own ordering,
-    mirroring a chain rule over its steps.  This is the one-response call
-    of the array code that prepares whole datasets.
-    """
-    return float(_chained_estimates(source, (response,))[0])
-
-
-def _chained_estimates(source: EstimateSource, responses: Sequence[Response]) -> np.ndarray:
-    """The source's estimate of each of ``responses``, in order.
-
-    A response-level estimate stands for every response.  Otherwise the
-    estimate of a response is the ``_chain`` of the conditionals of its
-    steps, gathered once into a one-row table of the steps any response
-    reads.
-    """
-    if source.response_estimate is not None:
-        return np.full(len(responses), source.response_estimate)
-    steps = list(dict.fromkeys(i for response in responses for i in response.indices))
-    column = {step: j for j, step in enumerate(steps)}
-    try:
-        row = np.array([[source.conditionals[step] for step in steps]], dtype=np.float64)
-    except KeyError as exc:
-        raise InvalidInputError(f"no conditional estimate for step {exc.args[0]}") from None
-    return _chain(row, [[column[i] for i in response.indices] for response in responses])[0]
 
 
 def _chain(table: np.ndarray, columns: Sequence[Sequence[int]]) -> np.ndarray:
@@ -181,11 +90,6 @@ def transform_values(estimates: np.ndarray, transform: FTransform) -> np.ndarray
     raise InvalidInputError(f"unknown transform {transform!r}")
 
 
-def transform_estimate(estimate: float, transform: FTransform) -> float:
-    """Apply one of the three monotone transforms to an estimate in [0, 1]."""
-    return float(transform_values(np.float64(as_unit_interval(estimate)), transform))
-
-
 def masked_f_star(
     values: np.ndarray, incorrect: np.ndarray, starts: np.ndarray | None = None
 ) -> np.ndarray:
@@ -218,21 +122,6 @@ def _e_values(
         ratio = f / (f + others_sum)
         limit = np.where(np.isinf(f), 1.0 / (infinite_others + 1), 0.0)
         return (n + 1) * np.where(np.isnan(ratio), limit, ratio)
-
-
-def calibration_f_star(
-    labeled: LabeledResponseSet, values: Mapping[Response, float]
-) -> float:
-    """Maximum transformed value over the incorrect responses; 0 when none.
-
-    Every labeled response must have a value.  The result does not
-    depend on the order of the labeled set.
-    """
-    for resp in labeled.responses:
-        if resp not in values:
-            raise InvalidInputError(f"no value supplied for response {resp.indices}")
-    row = np.asarray([values[resp] for resp in labeled.responses], dtype=np.float64)
-    return float(masked_f_star(row, np.asarray(labeled.labels) == 0))
 
 
 def build_calibration_summary(

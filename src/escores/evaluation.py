@@ -1,34 +1,34 @@
-"""Split-based evaluation: prepared datasets, splits and their scores.
+"""Prepared datasets, their scores, and the split-based evaluation.
 
 A ``PreparedDataset`` holds each response's estimate and label and each
 prompt's maxima f* under every transform, not the transformed values.
 ``score_prompts`` scores every response of some prompts against the
 calibration maxima of others, through ``scoring.kind_scores``, the code
-the per-response scores call too: ``score`` runs it on a whole test
-file, and ``evaluate_split`` on each split's test half.  Each call
-builds only the calibration summaries its kinds read, by
-``build_calibration_summary`` of the prepared float64 maxima, which it
-checks as arrays, and transforms only its prompts' estimates.
+the per-response scores of ``scalar`` call too: ``score`` runs it on a
+whole test file and writes the scores in one of its two text forms (the
+end of this module), and ``evaluate_split`` runs it on each split's test
+half.  Each call builds only the calibration summaries its kinds read,
+by ``build_calibration_summary`` of the prepared float64 maxima, which
+it checks as arrays, and transforms only its prompts' estimates.
 
 ``evaluate_split`` scores a whole calibration/test split at once with
 flat numpy arrays, so that hundred-split sweeps stay fast, and averages
 the per-prompt worst cases over test prompts.  ``evaluate_dataset`` runs
-it on each of ``plan_splits``'s splits, drawing split i's shuffle from
-its seed only when it reaches split i, so a run holds one split's
-indices at a time, not every split's, and ``aggregate_splits`` averages
-the splits.  The grid sweep and the report types are in ``sweep``, which
-``evaluate_split`` and ``aggregate_splits`` import when they are called,
-so ``score`` loads neither it nor ``filtering``, ``fractions`` or
-``decimal``.  The p-score / threshold equivalence trials are in
-``equivalence``.
+it on each split of a ``SplitPlan``, drawing split i's shuffle from its
+seed only when it reaches split i, so a run holds one split's indices at
+a time, not every split's, and ``aggregate_splits`` averages the splits.
+The split plans, the grid sweep and the report types are in ``sweep``,
+which these three import when they are called, so ``score`` loads
+neither it nor ``fractions`` or ``decimal``.  Only ``score`` and
+``evaluate`` load this module.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import json
+import sys
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -39,19 +39,18 @@ from .core import (
     InvalidSplitError,
     Response,
     Strategy,
+    _fmt_score,
+    _from_package,
     _require_seed,
-    _seeded_rng,
-    as_exact,
 )
 from .estimation import (
     FTransform,
-    PromptInstance,
     _chain,
     build_calibration_summary,
     masked_f_star,
     transform_values,
 )
-from .io import _DatasetColumns
+from .reader import _DatasetColumns
 from .response_sets import (
     IDENTITY_POLICY,
     PermutationPolicy,
@@ -67,82 +66,20 @@ from .scoring import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - the split functions import the sweep when called
-    from .sweep import EvaluationReport, SplitResult, StrategyGrid
+    from .io import PromptInstance
+    from .sweep import EvaluationReport, SplitAssignment, SplitPlan, SplitResult, StrategyGrid
 
-# Not called here any more, but kept as module attributes: the traced
-# benchmark run (perfbench/tracing.py) rebinds these names by module.
-from .estimation import aggregate_conditionals, calibration_f_star, transform_estimate  # noqa: F401
-from .response_sets import label_response_set  # noqa: F401
-from .scoring import uniform_block  # noqa: F401
-
-
-# ---------------------------------------------------------------------------
-# split planning
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Seeded repeated-split design: how many splits, what test share.
-
-    ``test_fraction`` is a number or a decimal string, read by
-    ``core.as_exact`` as ``plan_splits`` reads it.
-    """
-
-    seed: int = 0
-    n_splits: int = 100
-    test_fraction: "float | str" = 0.5
-
-    def __post_init__(self) -> None:
-        _require_seed(self.seed)
-        if not isinstance(self.n_splits, int) or self.n_splits < 1:
-            raise InvalidInputError(f"n_splits must be >= 1, got {self.n_splits!r}")
-        if not 0 < as_exact(self.test_fraction, "test_fraction") < 1:
-            raise InvalidInputError(
-                f"test_fraction must lie strictly between 0 and 1, got {self.test_fraction!r}"
-            )
+#: Names that nothing here calls, but that the traced benchmark run
+#: (perfbench/tracing.py) rebinds on this module: the scalar forms, and
+#: ``sweep``'s split planner.  Read from the package when first asked for
+#: (PEP 562), so no command loads them for this module.
+_DEFERRED = frozenset({
+    "aggregate_conditionals", "calibration_f_star", "label_response_set", "plan_splits",
+    "transform_estimate", "uniform_block",
+})
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    """Index sets for one split; indices refer to dataset order."""
-
-    calibration: tuple[int, ...]
-    test: tuple[int, ...]
-
-
-def _test_size(plan: SplitPlan, n_prompts: int) -> int:
-    """The test half's size, floor(test_fraction * n); refuses a split with an empty half."""
-    if n_prompts < 2:
-        raise InvalidSplitError(f"need at least 2 prompts to split, got {n_prompts}")
-    n_test = math.floor(as_exact(plan.test_fraction, "test_fraction") * n_prompts)
-    if not 1 <= n_test <= n_prompts - 1:
-        raise InvalidSplitError(
-            f"test_fraction={plan.test_fraction} on {n_prompts} prompts leaves an empty half"
-        )
-    return n_test
-
-
-def _draw_splits(plan: SplitPlan, n_prompts: int, n_test: int) -> Iterator[SplitAssignment]:
-    """Each split of ``plan`` in turn, its shuffle drawn only when it is reached."""
-    for i in range(plan.n_splits):
-        order = _seeded_rng(plan.seed, (0, i)).permutation(n_prompts)  # test half first
-        yield SplitAssignment(
-            calibration=tuple(order[n_test:].tolist()), test=tuple(order[:n_test].tolist())
-        )
-
-
-def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
-    """Seeded shuffles of the prompt indices, one per split.
-
-    The test half takes floor(test_fraction * n) prompts, with the
-    fraction read by ``core.as_exact`` as the decimal it spells, as grid
-    parameters and inclusion fractions are: 0.29 of 100 prompts is 29.
-    At the default even split an odd prompt goes to calibration.  Either
-    half ending up empty is an error.  ``evaluate_dataset`` runs the
-    same splits, each drawn when it reaches it.
-    """
-    return tuple(_draw_splits(plan, n_prompts, _test_size(plan, n_prompts)))
+__getattr__ = _from_package(globals(), _DEFERRED)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +91,10 @@ class PreparedDataset:
     """Response sets, labels, estimates and per-prompt maxima, flattened.
 
     ``instances`` are prompt instances, or the columns that
-    ``io``'s reader validates straight from a file; instances are turned
-    into the same columns (``_DatasetColumns``), so one core prepares
-    both.  A response set depends only on the step count k and the
-    policy, so construction builds it once per distinct k and labels it
+    ``reader._read_columns`` validates straight from a file; instances
+    are turned into the same columns (``io._columns_of``), so one core
+    prepares both.  A response set depends only on the step count k and
+    the policy, so construction builds it once per distinct k and labels it
     once per k for every first-error step (``response_sets._label_table``);
     prompts of the same size share one tuple of responses.  It chains
     the conditionals of all prompts of one k at once
@@ -182,7 +119,9 @@ class PreparedDataset:
         if isinstance(instances, _DatasetColumns):
             columns = instances
         else:
-            columns = _DatasetColumns.of_instances(instances)
+            from .io import _columns_of
+
+            columns = _columns_of(instances)
         # in the order the step counts first appear, so a policy that
         # cannot expand one reports the first such prompt's
         sets = {
@@ -269,6 +208,26 @@ def score_prompts(
     return {kind.name: kind_scores(kind, values, summaries, u) for kind in kinds}
 
 
+def _warn_infinite_maxima(
+    fstar: Mapping[FTransform, np.ndarray], kinds: Sequence[ScoreKind]
+) -> None:
+    """Warn when a kind reads transforms 2 or 3 and some calibration maximum is infinite.
+
+    ``fstar`` holds the calibration prompts' maxima per transform, as a
+    ``PreparedDataset`` does.
+    """
+    if not any(kind.summary_transforms - {FTransform.IDENTITY} for kind in kinds):
+        return
+    # an incorrect calibration estimate of 1 has value +inf under transforms 2 and 3
+    infinite = int(np.count_nonzero(np.isinf(fstar[FTransform.INVERSE_COMPLEMENT])))
+    if infinite:
+        warnings.warn(
+            f"{infinite} calibration prompt(s) have an incorrect response with "
+            "estimate 1, so their maxima under transforms 2 and 3 are infinite; every "
+            "e2 and e3 score of a test response with estimate below 1 is then +inf, "
+            "and e-combined reduces to 3 x e1"
+        )
+
 
 def evaluate_split(
     dataset: PreparedDataset,
@@ -288,7 +247,14 @@ def evaluate_split(
     ``worst_cases``, which needs no strategy at all.  The halves must be
     nonempty, in range and disjoint, and no kind may be listed twice.
     """
-    from .sweep import _MEAN_FIELDS, SplitResult, _grid_plans, _sweep, smallest_incorrect, worst_cases
+    from .sweep import (
+        _MEAN_FIELDS,
+        SplitResult,
+        _grid_plans,
+        _sweep_kinds,
+        smallest_incorrect,
+        worst_cases,
+    )
 
     kinds = tuple(kinds)
     if not kinds:
@@ -313,15 +279,16 @@ def evaluate_split(
 
     counts = dataset.counts[test_idx]
     correct = dataset.labels_flat[dataset.gather(test_idx)].astype(bool)
-    plans = _grid_plans(counts, strategy_grids)
     points = sum(len(grid.parameters) for grid in strategy_grids)
     means = np.empty((len(kinds) * points, len(_MEAN_FIELDS)))
     wc: list[tuple[str, float]] = []
+    sweeps = []
     for i, kind in enumerate(kinds):
         scores = scores_of[kind.name]
         smallest = smallest_incorrect(scores, correct, counts)
         wc.append((kind.name, float(np.mean(worst_cases(smallest)))))
-        _sweep(scores, correct, counts, smallest, plans, means[i * points : (i + 1) * points])
+        sweeps.append((scores, smallest, means[i * points : (i + 1) * points]))
+    _sweep_kinds(sweeps, correct, counts, _grid_plans(counts, strategy_grids))
     means.flags.writeable = False
     return SplitResult(
         kinds=names,
@@ -403,6 +370,8 @@ def evaluate_dataset(
     points draw one warning.  ``plan`` defaults to ``SplitPlan()``, built
     per call, so that importing this module reads no exact number.
     """
+    from .sweep import SplitPlan, _draw_splits, _test_size
+
     if plan is None:
         plan = SplitPlan()
     kinds = tuple(kinds)
@@ -424,3 +393,99 @@ def evaluate_dataset(
         for i, split in enumerate(_draw_splits(plan, n_prompts, n_test))
     ]
     return aggregate_splits(results)
+
+
+# ---------------------------------------------------------------------------
+# score's output: a prepared test set's scores as JSONL or as a table
+# ---------------------------------------------------------------------------
+
+
+# Responses per write, in both forms of score's output: each write is one
+# bounded block of lines, not one call per line nor the whole output joined.
+_WRITE_BLOCK = 512
+
+
+def _write_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The ``(first, last)`` prompt ranges of score's writes, in order.
+
+    Each range holds the most prompts whose responses fit in
+    ``_WRITE_BLOCK``, and always at least one prompt, so a prompt whose
+    set is larger than a block is written alone.
+    """
+    first, n_prompts = 0, len(offsets) - 1
+    while first < n_prompts:
+        # the last prompt boundary at most one block past this one
+        last = int(np.searchsorted(offsets, offsets[first] + _WRITE_BLOCK, side="right")) - 1
+        last = max(last, first + 1)
+        yield first, last
+        first = last
+
+
+def _write_score_jsonl(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
+    """One JSON object per prompt, byte for byte ``json.dumps`` of its record.
+
+    Each response set has one line template: a head with the id and one
+    ``%r`` per label, then a tail with one ``%r`` per score in each kind's
+    list, so a line is one ``%``.  ``%r`` of a float is the cell that
+    ``repr`` of a float list writes, and ``json.dumps`` too, bar the
+    tokens of non-finite floats: those are rewritten in the tail only, so
+    an id keeps its bytes.  A block's prompts of one response set take
+    their scores from one gather and one ``tolist()``.
+    """
+    names = [json.dumps(name) for name in scores]
+    # (line, head, tail) per response set: prompts of one step count share one tuple
+    templates: dict[int, tuple[str, str, str]] = {}
+    for first, last in _write_blocks(test.offsets):
+        lo, hi = int(test.offsets[first]), int(test.offsets[last])
+        starts = test.offsets[first:last] - lo
+        labels = test.labels_flat[lo:hi]
+        block = np.stack([values[lo:hi] for values in scores.values()])  # (kinds, responses)
+        members: dict[int, list[int]] = {}
+        for i, responses in enumerate(test.responses[first:last]):
+            members.setdefault(id(responses), []).append(i)
+        lines = [""] * (last - first)
+        for key, rows in members.items():
+            responses = test.responses[first + rows[0]]
+            if key not in templates:
+                cells = ", ".join(["%r"] * len(responses))
+                encoded = json.dumps([list(r.indices) for r in responses])
+                head = f'{{"id": %s, "responses": {encoded}, "labels": [{cells}], "scores": {{'
+                tail = ", ".join(f"{name}: [{cells}]" for name in names) + "}}"
+                templates[key] = head + tail, head, tail
+            line, head, tail = templates[key]
+            at = starts[rows][:, None] + np.arange(len(responses))
+            values = block[:, at].transpose(1, 0, 2).reshape(len(rows), -1)
+            finite = bool(np.isfinite(values).all())
+            ids = (json.dumps(test.prompt_ids[first + i]) for i in rows)
+            for i, pid, label, score in zip(rows, ids, labels[at].tolist(), values.tolist()):
+                if finite:
+                    lines[i] = line % (pid, *label, *score)
+                else:
+                    lines[i] = head % (pid, *label) + _json_non_finite(tail % tuple(score))
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _json_non_finite(text: str) -> str:
+    """``repr``'s inf and nan tokens as ``json.dumps`` writes them."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
+def _write_score_table(test: PreparedDataset, scores: dict[str, np.ndarray]) -> None:
+    """One row per response, each column padded to its widest cell."""
+    header = ("prompt", "response", "label", *scores)
+    encoded: dict[int, list[str]] = {}  # prompts of one step count share one tuple of responses
+    for responses in test.responses:
+        if id(responses) not in encoded:
+            encoded[id(responses)] = [",".join(map(str, r.indices)) for r in responses]
+    columns = [
+        [pid for pid, count in zip(test.prompt_ids, test.counts.tolist()) for _ in range(count)],
+        [cell for responses in test.responses for cell in encoded[id(responses)]],
+        [("error", "correct")[label] for label in test.labels_flat.tolist()],
+        *([_fmt_score(v) for v in values.tolist()] for values in scores.values()),
+    ]
+    row = "  ".join(f"{{:<{max(len(name), *map(len, cells))}}}" for name, cells in zip(header, columns))
+    sys.stdout.write(row.format(*header).rstrip() + "\n")
+    for first, last in _write_blocks(test.offsets):
+        lo, hi = test.offsets[first], test.offsets[last]
+        block = zip(*(cells[lo:hi] for cells in columns))
+        sys.stdout.write("".join(row.format(*cells).rstrip() + "\n" for cells in block))

@@ -7,6 +7,8 @@ optionally every prefix of every reordering of the sequence.  A derived
 response is incorrect exactly when it contains the first-error step,
 which makes labels monotone along the identity prefix chain: once a
 prefix turns incorrect, every longer prefix stays incorrect.
+``_label_table`` labels a set under every first-error step at once;
+``scalar.label_response_set`` is its one-generation form.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    InvalidInputError,
-    LabeledResponseSet,
-    Prompt,
-    Response,
-    ResponseSetSizeError,
-)
+from .core import InvalidInputError, Prompt, Response, ResponseSetSizeError
 
 # Enumerating all permutations is refused beyond this many steps.
 MAX_UNCAPPED_PERMUTATION_STEPS = 8
@@ -184,17 +180,3 @@ def _label_table(responses: "tuple[Response, ...]", k: int) -> np.ndarray:
     table = np.ones((k + 1, len(responses)), dtype=np.int8)
     table[steps, owners] = 0
     return table
-
-
-def label_response_set(
-    generated: GeneratedResponse, responses: "list[Response] | tuple[Response, ...]"
-) -> LabeledResponseSet:
-    """Label each response 0 (incorrect) iff it contains the first-error step.
-
-    A fully correct generation labels everything 1.  Responses must draw
-    their indices from the generation's steps.  The one-row call of
-    ``_label_table``.
-    """
-    responses = tuple(responses)
-    labels = _label_table(responses, len(generated))[generated.first_error_index or 0]
-    return LabeledResponseSet(tuple(zip(responses, labels.tolist())))

@@ -8,10 +8,10 @@ the e-value
     (n + 1) * f / (f + S),
 
 computed under the extended-real rules that ``kind_scores`` states, the
-one array implementation of every score here; the per-response
-functions validate their input and call it.  The e-score of a response
-whose value ties the calibration maxima still certifies the advertised error
-rate, which is what makes post-hoc tolerance selection sound.
+one array implementation of every score; the per-response functions of
+``scalar`` validate their input and call it.  The e-score of a response
+whose value ties the calibration maxima still certifies the advertised
+error rate, which is what makes post-hoc tolerance selection sound.
 
 The combined e-score averages the reciprocals of the per-transform
 e-scores and inverts the mean, staying within a factor of the number of
@@ -34,22 +34,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    CalibrationSummary,
-    ConfigurationError,
-    InvalidInputError,
-    Prompt,
-    Response,
-    ScoredResponseSet,
-    _require_prompt_id,
-    as_ext_real,
-    as_unit_interval,
-)
-from .estimation import EstimateSource, FTransform, _chained_estimates, _e_values, transform_values
-
-# Not called here any more, but kept as module attributes: the traced
-# benchmark run (perfbench/tracing.py) rebinds these names by module.
-from .estimation import aggregate_conditionals, transform_estimate  # noqa: F401
+from .core import CalibrationSummary, InvalidInputError, _from_package
+from .estimation import FTransform, _e_values
 
 try:
     # CPython's own SHA-256, as random.py takes its sha512: hashlib would
@@ -127,16 +113,20 @@ ALL_SCORE_KINDS: tuple[ScoreKind, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RandomDraw:
-    """A uniform tie-breaking draw plus the derivation path that produced it."""
-
-    u: float
-    seed_path: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        as_unit_interval(self.u, "uniform draw")
-        object.__setattr__(self, "seed_path", tuple(self.seed_path))
+def _parse_kinds(text: str) -> tuple[ScoreKind, ...]:
+    """The kinds of a comma list of ``ScoreKind.parse`` names, or "all": ``--scores``."""
+    if text.strip() == "all":
+        return ALL_SCORE_KINDS
+    kinds: list[ScoreKind] = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            raise InvalidInputError(f"empty entry in score list {text!r}")
+        kind = ScoreKind.parse(piece)
+        if kind in kinds:
+            raise InvalidInputError(f"score kind {kind.name!r} listed twice")
+        kinds.append(kind)
+    return tuple(kinds)
 
 
 def _prompt_key(prompt_id: str) -> int:
@@ -193,30 +183,6 @@ def _uniforms(master_seed: int, split_index: int, keys: np.ndarray, counts: np.n
     ordinals = (np.arange(states.size, dtype=np.int64) - firsts + 1).astype(np.uint64)
     bits = _mix(states + ordinals * np.uint64(_GAMMA)) >> np.uint64(11)
     return bits.astype(np.float64) * 2.0**-53
-
-
-def uniform_block(master_seed: int, split_index: int, prompt_id: str, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of the (seed, split, prompt) stream.
-
-    The one-prompt view of ``_uniforms``: a pure function of its
-    arguments, so draws never depend on evaluation order across prompts
-    or splits, and a shorter block is a prefix of a longer one.
-    """
-    keys = np.asarray([_prompt_key(_require_prompt_id(prompt_id))], dtype=np.uint64)
-    return _uniforms(master_seed, split_index, keys, np.asarray([count]))
-
-
-def uniform_draw(
-    master_seed: int, split_index: int, prompt_id: str, response_ordinal: int
-) -> RandomDraw:
-    """Deterministic uniform draw for one (split, prompt, response) triple."""
-    if response_ordinal < 0:
-        raise InvalidInputError("response ordinal must be >= 0")
-    block = uniform_block(master_seed, split_index, prompt_id, response_ordinal + 1)
-    return RandomDraw(
-        u=float(block[response_ordinal]),
-        seed_path=(master_seed, split_index, _prompt_key(prompt_id), response_ordinal),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,105 +283,8 @@ def _naive_scores(estimates: np.ndarray, transform: FTransform) -> np.ndarray:
     raise InvalidInputError(f"unknown transform {transform!r}")
 
 
-def e_score(f_test: float, cal: CalibrationSummary) -> float:
-    """Reciprocal e-value of a test response's transformed value.
-
-    Touches only the summary's precomputed sum and count, never the
-    per-prompt list, so each call is O(1) once the summary exists.
-    Monotone nonincreasing in f_test, with range [1/(n+1), +inf].
-    """
-    return float(_e_scores(np.float64(as_ext_real(f_test, "test value")), cal))
-
-
-def combined_e_score(components: Sequence[float]) -> float:
-    """Invert the mean reciprocal of several e-scores.
-
-    The reciprocals are e-values, and an average of e-values is again an
-    e-value, so the combination keeps the same guarantee while letting
-    any single small component dominate: the result is at most
-    len(components) times the smallest component.
-    """
-    if len(components) == 0:
-        raise InvalidInputError("cannot combine zero e-scores")
-    return float(_combined_scores(np.asarray([as_ext_real(s, "e-score") for s in components])))
-
-
-def p_score(f_test: float, cal: CalibrationSummary) -> float:
-    """Rank of f_test among the calibration maxima, as a conformal p-value.
-
-    Counts weak exceedances with exact float comparison (ties at +inf
-    count), reading each per-prompt maximum once: Theta(n) per call.
-    Range [1/(n+1), 1].  ``kind_scores`` reads the maxima once for many
-    responses at a time.
-    """
-    return float(_p_scores(np.float64(as_ext_real(f_test, "test value")), cal))
-
-
-def p_score_randomized(f_test: float, cal: CalibrationSummary, draw: RandomDraw) -> float:
-    """Tie-randomized p-score; u = 1 recovers the plain p-score exactly."""
-    return float(_p_scores(np.float64(as_ext_real(f_test, "test value")), cal, np.float64(draw.u)))
-
-
-def naive_score(estimate: float, transform: FTransform) -> float:
-    """Reciprocal transformed estimate, with no calibration correction."""
-    return float(_naive_scores(np.float64(as_unit_interval(estimate)), transform))
-
-
-def _require_summary(
-    cal: object, transform: FTransform | None, kind: ScoreKind
-) -> CalibrationSummary:
-    if not isinstance(cal, CalibrationSummary):
-        raise ConfigurationError(
-            f"score kind {kind.name!r} needs a single calibration summary, got {type(cal).__name__}"
-        )
-    if transform is not None and cal.transform is not None and cal.transform is not transform:
-        raise ConfigurationError(
-            f"score kind {kind.name!r} wants transform {transform.name} but the summary "
-            f"was built with {cal.transform.name}"
-        )
-    return cal
-
-
-def _summaries_for(kind: ScoreKind, cal: object) -> dict[FTransform, CalibrationSummary]:
-    """The validated summaries ``kind`` reads from ``cal``, keyed by transform."""
-    if kind.family is ScoreFamily.NAIVE:
-        return {}
-    if kind.family is not ScoreFamily.E_SCORE_COMBINED:
-        summary = _require_summary(cal, kind.transform, kind)
-        return {kind.transform or summary.transform or FTransform.IDENTITY: summary}
-    if not isinstance(cal, Mapping) or any(t not in cal for t in FTransform):
-        raise ConfigurationError(
-            "the combined e-score needs a mapping of all three transforms to summaries"
-        )
-    return {t: _require_summary(cal[t], t, kind) for t in FTransform}
-
-
-def score_response_set(
-    prompt: Prompt,
-    responses: Sequence[Response],
-    estimates: EstimateSource,
-    kind: ScoreKind,
-    cal: "CalibrationSummary | Mapping[FTransform, CalibrationSummary] | None" = None,
-    *,
-    master_seed: int = 0,
-    split_index: int = 0,
-) -> ScoredResponseSet:
-    """Score every response of one prompt under a single score kind.
-
-    ``cal`` is a single summary for e/p kinds, a mapping from all three
-    transforms to summaries for the combined kind, and unused for naive
-    kinds.  p kinds rank the values under the summary's own transform
-    (identity when untagged).  Randomized p-scores draw their uniform per
-    response ordinal from (master_seed, split_index, prompt id).
-    """
-    summaries = _summaries_for(kind, cal)
-    estimate_of = _chained_estimates(estimates, responses)
-    values = {t: transform_values(estimate_of, t) for t in FTransform}
-    u = None
-    rank_transform = FTransform.IDENTITY
-    if kind.family in (ScoreFamily.P_SCORE, ScoreFamily.P_SCORE_RANDOMIZED):
-        (rank_transform,) = summaries
-    if kind.family is ScoreFamily.P_SCORE_RANDOMIZED:
-        u = uniform_block(master_seed, split_index, prompt.id, len(responses))
-    scores = kind_scores(kind, values, summaries, u, rank_transform=rank_transform)
-    return ScoredResponseSet(tuple(zip(tuple(responses), scores.tolist())))
+#: Names of ``scalar`` that nothing here calls, but that the traced
+#: benchmark run (perfbench/tracing.py) rebinds on this module: read from
+#: the package when first asked for (PEP 562), so no command loads them.
+_DEFERRED = frozenset({"aggregate_conditionals", "transform_estimate", "uniform_block"})
+__getattr__ = _from_package(globals(), _DEFERRED)

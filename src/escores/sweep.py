@@ -1,16 +1,18 @@
-"""Strategy grids, the grid sweep and the report types of ``evaluate``.
+"""Split plans, strategy grids, the grid sweep and the report types of ``evaluate``.
 
-A ``StrategyGrid`` is a filtering strategy with the grid to sweep, each
-point a label and an int numerator over the grid's one denominator;
-``parse_grid`` builds it from ``--grid`` text with no object per point.
-``sweep`` filters every test prompt of a split at every grid point and
-yields the means over prompts, and ``worst_cases`` gives each prompt's
-worst-case distortion.  The instance accounting is written once, in
-these two; ``evaluation.evaluate_split`` averages the worst cases over
-test prompts.  Tests hold both to the exact rational oracles.
-Only ``evaluate`` runs this module: ``evaluation``'s split functions
-import it when they are called, so ``score``, which prepares and scores
-but sweeps nothing, loads neither it nor ``filtering``.
+A ``SplitPlan`` fixes the seeded repeated splits, each a
+``SplitAssignment`` of prompt indices.  A ``StrategyGrid`` is a
+filtering strategy with the grid to sweep, each point a label and an
+int numerator over the grid's one denominator; ``parse_grid`` builds it
+from ``--grid`` text with no object per point.  ``sweep`` filters every
+test prompt of a split at every grid point and yields the means over
+prompts, and ``worst_cases`` gives each prompt's worst-case distortion.
+The instance accounting is written once, in these two;
+``evaluation.evaluate_split`` averages the worst cases over test
+prompts.  Tests hold both to the exact rational oracles.  Only
+``evaluate`` runs this module: ``evaluation``'s split functions import
+it when they are called, so ``score``, which prepares and scores but
+sweeps nothing, does not load it.
 
 ``sweep`` sorts each prompt's responses once by (score, position), so a
 filtering strategy only picks how many of them each prompt keeps.
@@ -27,9 +29,10 @@ smallest incorrect score on.  Fraction's counts depend only on the set
 sizes.  What depends only on the grid and the set sizes is planned once
 per split for every kind, from the alpha-max walk order and fraction's
 keep counts per set size, which each grid works out once for all the
-splits of a run.  The means are bit-identical to ``np.mean`` over
-per-prompt arrays; the ``sweep`` docstring gives the rules that keep
-them so.
+splits of a run; what depends on the split's labels but not on the
+scores is worked out once per split too.  The means are bit-identical
+to ``np.mean`` over per-prompt arrays; the ``sweep`` docstring gives the
+rules that keep them so.
 
 Results stay in arrays through the report: ``SplitResult`` and
 ``EvaluationReport`` each hold their kinds, their grids and one
@@ -55,17 +58,94 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, Strategy, _finite_decimal, as_exact
-from .filtering import inclusion_target
+from .core import (
+    InvalidInputError,
+    InvalidSplitError,
+    Strategy,
+    _finite_decimal,
+    _require_seed,
+    _seeded_rng,
+    _warn,
+    as_exact,
+    inclusion_target,
+)
+
+
+# ---------------------------------------------------------------------------
+# split planning
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SplitPlan:
+    """Seeded repeated-split design: how many splits, what test share.
+
+    ``test_fraction`` is a number or a decimal string, read by
+    ``core.as_exact`` as ``plan_splits`` reads it.
+    """
+
+    seed: int = 0
+    n_splits: int = 100
+    test_fraction: "float | str" = 0.5
+
+    def __post_init__(self) -> None:
+        _require_seed(self.seed)
+        if not isinstance(self.n_splits, int) or self.n_splits < 1:
+            raise InvalidInputError(f"n_splits must be >= 1, got {self.n_splits!r}")
+        if not 0 < as_exact(self.test_fraction, "test_fraction") < 1:
+            raise InvalidInputError(
+                f"test_fraction must lie strictly between 0 and 1, got {self.test_fraction!r}"
+            )
+
+
+@dataclass(frozen=True)
+class SplitAssignment:
+    """Index sets for one split; indices refer to dataset order."""
+
+    calibration: tuple[int, ...]
+    test: tuple[int, ...]
+
+
+def _test_size(plan: SplitPlan, n_prompts: int) -> int:
+    """The test half's size, floor(test_fraction * n); refuses a split with an empty half."""
+    if n_prompts < 2:
+        raise InvalidSplitError(f"need at least 2 prompts to split, got {n_prompts}")
+    n_test = math.floor(as_exact(plan.test_fraction, "test_fraction") * n_prompts)
+    if not 1 <= n_test <= n_prompts - 1:
+        raise InvalidSplitError(
+            f"test_fraction={plan.test_fraction} on {n_prompts} prompts leaves an empty half"
+        )
+    return n_test
+
+
+def _draw_splits(plan: SplitPlan, n_prompts: int, n_test: int) -> Iterator[SplitAssignment]:
+    """Each split of ``plan`` in turn, its shuffle drawn only when it is reached."""
+    for i in range(plan.n_splits):
+        order = _seeded_rng(plan.seed, (0, i)).permutation(n_prompts)  # test half first
+        yield SplitAssignment(
+            calibration=tuple(order[n_test:].tolist()), test=tuple(order[:n_test].tolist())
+        )
+
+
+def plan_splits(plan: SplitPlan, n_prompts: int) -> tuple[SplitAssignment, ...]:
+    """Seeded shuffles of the prompt indices, one per split.
+
+    The test half takes floor(test_fraction * n) prompts, with the
+    fraction read by ``core.as_exact`` as the decimal it spells, as grid
+    parameters and inclusion fractions are: 0.29 of 100 prompts is 29.
+    At the default even split an odd prompt goes to calibration.  Either
+    half ending up empty is an error.  ``evaluation.evaluate_dataset``
+    runs the same splits, each drawn when it reaches it.
+    """
+    return tuple(_draw_splits(plan, n_prompts, _test_size(plan, n_prompts)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +188,9 @@ class StrategyGrid:
             if self.strategy is Strategy.FRACTION:
                 raise InvalidInputError("inclusion fractions cannot exceed 1")
             above = [label for label, n in zip(labels, numerators) if n > denominator]
-            warnings.warn(
+            _warn(
                 f"{len(above)} strategy parameter(s) exceed 1 (first {above[0]}); "
-                "rank-based scores never do, so they would retain everything",
-                stacklevel=3,
+                "rank-based scores never do, so they would retain everything"
             )
 
     @classmethod
@@ -365,17 +444,22 @@ def worst_cases(smallest: np.ndarray) -> np.ndarray:
 _BLOCK_CELLS = 1 << 13
 
 
-def _sort_within_prompts(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _size_rows(counts: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Per distinct set size k, ``(k, the first flat position of each prompt of size k)``, a column."""
+    starts = np.cumsum(counts) - counts
+    return [(k, starts[counts == k][:, None]) for k in np.flatnonzero(np.bincount(counts)).tolist()]
+
+
+def _sort_within_prompts(scores: np.ndarray, size_rows: list[tuple[int, np.ndarray]]) -> np.ndarray:
     """Flat positions of each prompt's responses by (score, position).
 
     The order of ``np.lexsort((scores, owner))``, from one stable
     row-wise argsort per set size over the prompts of that size, laid
-    out as a (prompts, size) matrix.
+    out as a (prompts, size) matrix; ``size_rows`` is ``_size_rows`` of
+    the set sizes.
     """
-    starts = np.cumsum(counts) - counts
     order = np.empty(scores.size, dtype=np.int64)
-    for k in np.flatnonzero(np.bincount(counts)).tolist():
-        first = starts[counts == k][:, None]
+    for k, first in size_rows:
         flat = first + np.arange(k)
         order[flat] = first + np.argsort(scores[flat], axis=1, kind="stable")
     return order
@@ -386,7 +470,9 @@ class _GridPlan:
 
     Alpha-max gives prompt i the table columns ``base[i]:base[i] +
     widths[i]``, one for every keep count 0..k, and ``kept`` holds each
-    column's count; it walks the grid in the order ``walk``, and
+    column's count: the column keeps the sorted responses ``first`` up
+    to ``end``, whose last is ``last``, and ``empty`` marks the columns
+    that keep nothing.  It walks the grid in the order ``walk``, and
     ``lookup`` holds the float values in that order.  Fraction has
     neither table nor walk: ``rows`` holds the distinct rows of keep
     counts per distinct set size, row r standing for the next
@@ -396,7 +482,12 @@ class _GridPlan:
     """
 
     def __init__(
-        self, grid: StrategyGrid, counts: np.ndarray, sizes: np.ndarray, size_of: np.ndarray
+        self,
+        grid: StrategyGrid,
+        counts: np.ndarray,
+        starts: np.ndarray,
+        sizes: np.ndarray,
+        size_of: np.ndarray,
     ) -> None:
         self.grid = grid
         if grid.strategy is Strategy.ALPHA_MAX:
@@ -404,6 +495,10 @@ class _GridPlan:
             self.widths = counts + 1
             self.base = np.cumsum(self.widths) - self.widths
             self.kept = np.arange(self.widths.sum()) - np.repeat(self.base, self.widths)
+            self.first = np.repeat(starts, self.widths)
+            self.end = self.first + self.kept
+            self.last = self.end - 1
+            self.empty = self.kept == 0
         else:
             # The target depends only on the size, so a grid point's row
             # changes only where some ceil(v * size) does.
@@ -416,12 +511,51 @@ class _GridPlan:
 
 
 def _grid_plans(counts: np.ndarray, strategy_grids: Sequence[StrategyGrid]) -> list[_GridPlan]:
-    """Each grid's plan for prompts of these sizes."""
+    """Each grid's plan for prompts of these sizes: built once per split, for every kind."""
     # bincount, not np.unique: the first call of each of its paths
     # (hashed, or sorted for return_inverse) adds 0.4-0.9 MB of peak RSS
     sizes = np.flatnonzero(np.bincount(counts))
     size_of = np.searchsorted(sizes, counts)
-    return [_GridPlan(grid, counts, sizes, size_of) for grid in strategy_grids]
+    starts = np.cumsum(counts) - counts
+    return [_GridPlan(grid, counts, starts, sizes, size_of) for grid in strategy_grids]
+
+
+def _metrics(
+    sorted_scores: np.ndarray,
+    correct_cum: np.ndarray,
+    first: np.ndarray,
+    end: np.ndarray,
+    last: np.ndarray,
+    kept: np.ndarray,
+    empty: np.ndarray,
+    total: np.ndarray,
+    no_correct: np.ndarray,
+) -> np.ndarray:
+    """(5, *kept.shape) metrics of keeping ``kept`` sorted responses, ``first`` up to ``end``.
+
+    ``last`` is ``end - 1`` and ``empty`` marks ``kept == 0``; ``total``
+    is the prompt's count of correct responses and ``no_correct`` marks
+    a zero one.  With a leading 0, ``correct_cum[end] - correct_cum[first]``
+    counts the correct ones among the sorted responses ``first:end``.
+    """
+    table = np.empty((5, *kept.shape))
+    size_distortion, error, alpha_used, precision, recall = table
+    # Rows are written in place, so few temporaries live at once: each
+    # is divided everywhere, then takes its default where the divide
+    # is not defined.
+    correct_kept = correct_cum[end]
+    correct_kept -= correct_cum[first]
+    np.greater(kept, correct_kept, out=error)  # an incorrect response is kept
+    np.take(sorted_scores, last, out=alpha_used)
+    alpha_used[empty] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0, alpha_used, out=size_distortion)
+        np.divide(correct_kept, kept, out=precision)
+        np.divide(correct_kept, total, out=recall)
+    size_distortion[error == 0] = 0.0
+    precision[empty] = 1.0
+    recall[..., no_correct] = 1.0  # no_correct is per prompt, the last axis
+    return table
 
 
 def _sweep(
@@ -432,102 +566,107 @@ def _sweep(
     plans: Sequence[_GridPlan],
     out: np.ndarray,
 ) -> None:
-    """``sweep`` over ``_grid_plans(counts, ...)``, into ``out``: the plans' (points, 5) means in turn.
+    """``sweep`` of one kind over ``_grid_plans(counts, ...)``, into ``out``.
 
     ``smallest`` is ``smallest_incorrect`` of the same responses.
     """
+    _sweep_kinds(((scores, smallest, out),), correct, counts, plans)
+
+
+def _sweep_kinds(
+    kinds: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    correct: np.ndarray,
+    counts: np.ndarray,
+    plans: Sequence[_GridPlan],
+) -> None:
+    """``sweep`` of several kinds' scores of the same responses, over ``_grid_plans(counts, ...)``.
+
+    Each kind is ``(scores, smallest, out)``: ``smallest`` is
+    ``smallest_incorrect`` of the scores, and ``out`` takes the plans'
+    (points, 5) means in turn.  What does not depend on the scores (the
+    rows of each set size, each response's prompt, the correct totals
+    and the alpha-max columns') is worked out once for all the kinds.
+    """
     n = counts.size
     starts = np.cumsum(counts) - counts
-    order = _sort_within_prompts(scores, counts)
-    sorted_scores = scores[order]
-    sorted_correct = correct[order]
-    del order
-    # With a leading 0, correct_cum[end] - correct_cum[start] counts the
-    # correct ones among the sorted responses start:end.
-    correct_cum = np.concatenate(([0], np.cumsum(sorted_correct)))
-    correct_total = correct_cum[starts + counts] - correct_cum[starts]
+    size_rows = _size_rows(counts)
+    # each response's prompt, which only alpha-max's walk reads
+    owner = np.repeat(np.arange(n), counts) if any(plan.walk is not None for plan in plans) else None
+    correct_total = np.add.reduceat(correct, starts, dtype=np.int64)
+    no_correct = correct_total == 0
+    # each alpha-max column's prompt total, and where it is 0
+    column_totals = [
+        (total, total == 0)
+        for total in (np.repeat(correct_total, plan.widths) for plan in plans if plan.walk is not None)
+    ]
     per_block = max(1, _BLOCK_CELLS // n)
     gathered = [0, 2, 3, 4]  # every metric but the error, which alpha-max counts
-
-    def metrics(kept: np.ndarray, first: np.ndarray, total: np.ndarray) -> np.ndarray:
-        """(5, *kept.shape) metrics of keeping ``kept`` sorted responses from ``first`` on."""
-        table = np.empty((5, *kept.shape))
-        size_distortion, error, alpha_used, precision, recall = table
-        # Rows are written in place, so few temporaries live at once: each
-        # is divided everywhere, then takes its default where the divide
-        # is not defined.
-        last = first + kept
-        correct_kept = correct_cum[last]
-        correct_kept -= correct_cum[first]
-        np.greater(kept, correct_kept, out=error)  # an incorrect response is kept
-        last -= 1
-        np.take(sorted_scores, last, out=alpha_used)
-        del last
-        empty = kept == 0
-        alpha_used[empty] = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(1.0, alpha_used, out=size_distortion)
-            np.divide(correct_kept, kept, out=precision)
-            np.divide(correct_kept, total, out=recall)
-        size_distortion[error == 0] = 0.0
-        precision[empty] = 1.0
-        recall[..., total == 0] = 1.0  # total is per prompt, the last axis
-        return table
 
     def means_of(block: np.ndarray) -> np.ndarray:
         # per row of a (fields, rows, prompts) block, the bits of np.mean
         # over the prompts: see sweep's docstring
         return (block.sum(axis=2) / n).T
 
-    done = 0
-    for plan in plans:
-        points = len(plan.grid.parameters)
-        means = out[done : done + points]
-        done += points
-        if plan.walk is not None:
-            table = metrics(
-                plan.kept, np.repeat(starts, plan.widths), np.repeat(correct_total, plan.widths)
-            )[gathered]
-            # Walk step i passes the responses scoring at most lookup[i]
-            # (a response no step passes has step = points), and moves
-            # each prompt's column on by as many as it passes of that
-            # prompt's, so a tie group passes whole.  A step is live when
-            # it passes some response.  Compact row r holds the columns
-            # after the first r live steps, row 0 those of keeping
-            # nothing.  row_of maps each step to its row, and step =
-            # points to one past the last row.
-            steps = np.searchsorted(plan.lookup, scores, side="left")
-            live = np.bincount(steps, minlength=points + 1)[:points] > 0
-            row_of = np.cumsum(np.append(live, True))
-            n_rows = int(row_of[-1])
-            compact = np.empty((n_rows, 5))
-            # A prompt errs from the row of its smallest incorrect score
-            # on, and a sum of 0/1 values is an exact count: counting the
-            # prompts that err by each row gives np.mean's bits.
-            first_errors = row_of[np.searchsorted(plan.lookup, smallest, side="left")]
-            errs = np.bincount(first_errors, minlength=n_rows + 1)[:n_rows]
-            compact[:, 1] = np.cumsum(errs) / n
-            # Keys sorted by (row, prompt) count the passes of a block of
-            # rows with one bincount.
-            keys = np.sort(row_of[steps] * n + np.repeat(np.arange(n), counts))
-            del steps
-            cols = plan.base
-            for b in range(0, n_rows, per_block):
-                e = min(b + per_block, n_rows)
-                lo, hi = np.searchsorted(keys, (b * n, e * n))
-                passed = np.bincount(keys[lo:hi] - b * n, minlength=(e - b) * n)
-                block = passed.reshape(e - b, n)
-                for row in block:  # running sums down the block; np.cumsum(axis=0) is slower
-                    row += cols
-                    cols = row
-                compact[b:e, gathered] = means_of(np.take(table, block, axis=1))
-            means[plan.walk] = compact[row_of[:points]]
-        else:
-            rows = np.empty((len(plan.runs), 5))
-            for b in range(0, len(rows), per_block):
-                kept = np.take(plan.rows[b : b + per_block], plan.size_of, axis=1)
-                rows[b : b + per_block] = means_of(metrics(kept, starts, correct_total))
-            means[:] = np.repeat(rows, plan.runs, axis=0)
+    for scores, smallest, out in kinds:
+        order = _sort_within_prompts(scores, size_rows)
+        sorted_scores = scores[order]
+        correct_cum = np.concatenate(([0], np.cumsum(correct[order])))
+        del order
+        done = 0
+        totals = iter(column_totals)
+        for plan in plans:
+            points = len(plan.grid.parameters)
+            means = out[done : done + points]
+            done += points
+            if plan.walk is not None:
+                geometry = (plan.first, plan.end, plan.last, plan.kept, plan.empty)
+                table = _metrics(sorted_scores, correct_cum, *geometry, *next(totals))[gathered]
+                # Walk step i passes the responses scoring at most lookup[i]
+                # (a response no step passes has step = points), and moves
+                # each prompt's column on by as many as it passes of that
+                # prompt's, so a tie group passes whole.  A step is live when
+                # it passes some response.  Compact row r holds the columns
+                # after the first r live steps, row 0 those of keeping
+                # nothing.  row_of maps each step to its row, and step =
+                # points to one past the last row.
+                steps = np.searchsorted(plan.lookup, scores, side="left")
+                live = np.bincount(steps, minlength=points + 1)[:points] > 0
+                row_of = np.cumsum(np.append(live, True))
+                n_rows = int(row_of[-1])
+                compact = np.empty((n_rows, 5))
+                # A prompt errs from the row of its smallest incorrect score
+                # on, and a sum of 0/1 values is an exact count: counting the
+                # prompts that err by each row gives np.mean's bits.
+                first_errors = row_of[np.searchsorted(plan.lookup, smallest, side="left")]
+                errs = np.bincount(first_errors, minlength=n_rows + 1)[:n_rows]
+                compact[:, 1] = np.cumsum(errs) / n
+                # Keys sorted by (row, prompt) count the passes of a block of
+                # rows with one bincount; one search bounds every block's keys.
+                keys = np.sort(row_of[steps] * n + owner)
+                del steps
+                edges = np.append(np.arange(0, n_rows, per_block), n_rows)
+                bounds = np.searchsorted(keys, edges * n).tolist()
+                edges = edges.tolist()
+                cols = plan.base
+                for b, e, lo, hi in zip(edges, edges[1:], bounds, bounds[1:]):
+                    passed = np.bincount(keys[lo:hi] - b * n, minlength=(e - b) * n)
+                    block = passed.reshape(e - b, n)
+                    for row in block:  # running sums down the block; np.cumsum(axis=0) is slower
+                        row += cols
+                        cols = row
+                    compact[b:e, gathered] = means_of(np.take(table, block, axis=1))
+                means[plan.walk] = compact[row_of[:points]]
+            else:
+                rows = np.empty((len(plan.runs), 5))
+                for b in range(0, len(rows), per_block):
+                    kept = np.take(plan.rows[b : b + per_block], plan.size_of, axis=1)
+                    end = starts + kept
+                    table = _metrics(
+                        sorted_scores, correct_cum, starts, end, end - 1, kept, kept == 0,
+                        correct_total, no_correct,
+                    )
+                    rows[b : b + per_block] = means_of(table)
+                means[:] = np.repeat(rows, plan.runs, axis=0)
 
 
 def sweep(

@@ -35,19 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .core import InvalidInputError, Prompt, _require_seed, _seeded_rng, as_ext_real
-from .estimation import (
-    EstimateSource,
-    FTransform,
-    PromptInstance,
-    _e_values,
-    transform_values,
-)
-from .response_sets import GeneratedResponse
+from .estimation import FTransform, _e_values, transform_values
+
+if TYPE_CHECKING:  # pragma: no cover - generate_dataset imports the dataset types it builds
+    from .io import PromptInstance
 
 
 @dataclass(frozen=True)
@@ -113,6 +109,9 @@ def _draw_cells(
 
 def generate_dataset(cfg: SyntheticConfig) -> tuple[PromptInstance, ...]:
     """Draw a full synthetic dataset of prompt instances, deterministically."""
+    from .io import EstimateSource, PromptInstance
+    from .response_sets import GeneratedResponse
+
     rng = _seeded_rng(cfg.seed, (0,))
     steps, first_error = _sample_errors(rng, cfg, cfg.n_prompts)
     n_correct = np.where(first_error > 0, first_error - 1, steps)

@@ -33,20 +33,16 @@ from escores import (
     uniform_block,
     write_dataset,
 )
-from escores.cli import (
+from escores.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, run_command
+from escores.core import _fmt_score
+from escores.estimation import transform_values
+from escores.evaluation import (
     _WRITE_BLOCK,
-    EXIT_OK,
-    EXIT_RUNTIME,
-    EXIT_USAGE,
     _warn_infinite_maxima,
     _write_score_jsonl,
     _write_score_table,
-    build_parser,
-    run_command,
+    score_prompts,
 )
-from escores.estimation import transform_values
-from escores.evaluation import score_prompts
-from escores.io import _fmt_score
 
 import oracles
 from helpers import (
@@ -698,7 +694,7 @@ def test_evaluate_refuses_an_svg_dir_over_a_file_it_reads(
     def unread(path):
         raise AssertionError(f"{path} was read")
 
-    monkeypatch.setattr("escores.io._read_columns", unread)
+    monkeypatch.setattr("escores.reader._read_columns", unread)
     for target in (str(data), "two.jsonl", "./two.jsonl", "link.jsonl"):
         err = error_line(capsys, "evaluate", str(data), "--splits", "2", "--svg-dir", target)
         assert err == f"validation error: --svg-dir {target} names a file that evaluate reads\n"
@@ -718,7 +714,7 @@ def test_evaluate_refuses_an_unusable_output_path_before_reading(
     def unread(path):
         raise AssertionError(f"{path} was read")
 
-    monkeypatch.setattr("escores.io._read_columns", unread)
+    monkeypatch.setattr("escores.reader._read_columns", unread)
     argv = ("evaluate", str(dataset), "--splits", "2", "--grid", "0.5,1")
     for option, target, reason in (
         ("--csv", "adir", "--csv adir is a directory"),
@@ -1274,34 +1270,42 @@ def _modules_after(*argv: str) -> set[str]:
 
 
 def test_each_command_loads_only_the_modules_it_runs(dataset: Path, calibration: Path) -> None:
+    # the scalar reference forms are for library callers: no command loads them
+    scalar = "escores.scalar"
     simulate = _modules_after("simulate", "--trials", "100", "--prompts", "10")
     assert {m for m in simulate if m.split(".")[0] == "escores"} == {
-        "escores", "escores.cli", "escores.core", "escores.estimation",
-        "escores.response_sets", "escores.synthetic",
+        "escores", "escores.cli", "escores.core", "escores.estimation", "escores.synthetic",
     }
     # only exact numbers (grids, fractions, the SVG x values) load these
     assert not {"fractions", "decimal"} & simulate
     # numpy.random is imported without secrets, whose hmac loads OpenSSL
     openssl = {"secrets", "hmac", "hashlib", "_hashlib"}
     assert not openssl & simulate
+    # --emit writes a dataset: the generator's types and the writer load then
+    emit = str(dataset.with_name("emitted.jsonl"))
+    emitted = _modules_after("simulate", "--trials", "100", "--prompts", "10", "--emit", emit)
+    assert {"escores.io", "escores.response_sets"} <= emitted
+    assert not {scalar, "escores.evaluation", "escores.svg"} & emitted
     # 3 splits put both quartiles between two means: the interpolating path
     evaluate = _modules_after("evaluate", str(dataset), "--splits", "3", "--grid", "0.5,1")
-    assert {"escores.evaluation", "escores.sweep"} <= evaluate
-    assert not {"escores.synthetic", "escores.equivalence", "numpy.ma"} & evaluate
+    assert {"escores.evaluation", "escores.sweep", "escores.reader"} <= evaluate
+    # evaluate writes no file here, so neither the writers nor the emitters load
+    assert not {"escores.synthetic", "escores.equivalence", "escores.io", scalar, "numpy.ma"} & evaluate
     assert not openssl & evaluate
     equivalence = _modules_after("equivalence", "--instances", "5")
     assert "escores.equivalence" in equivalence
-    assert not {"escores.sweep", "escores.evaluation"} & equivalence
+    assert not {"escores.sweep", "escores.evaluation", scalar} & equivalence
     assert not openssl & equivalence
-    # score prepares and scores: no sweep, report type, trial or exact number
+    # score prepares and scores: no sweep, report type, trial, writer, emitter,
+    # scalar form or exact number
     unused = {
-        "escores.sweep", "escores.equivalence", "escores.filtering", "escores.svg",
+        "escores.sweep", "escores.equivalence", "escores.io", "escores.svg", scalar,
         "fractions", "decimal", "csv",
     }
     for form in ("--jsonl", None):
         argv = ("score", str(dataset), "--calibration", str(calibration), "--scores", "all", form)
         score = _modules_after(*filter(None, argv))
-        assert "escores.evaluation" in score
+        assert {"escores.evaluation", "escores.reader"} <= score
         assert not unused & score, form
         # the prompt keys' SHA-256 is CPython's own, not OpenSSL's
         assert not {"_hashlib", "numpy.ma", "escores.synthetic"} & score
@@ -1312,14 +1316,66 @@ def test_each_command_loads_only_the_modules_it_runs(dataset: Path, calibration:
 
 
 def test_ingest_loads_neither_the_engine_nor_the_emitters(dataset: Path) -> None:
-    """The reader lives in ``io``, whose emitters import what they run."""
+    """The reader lives in ``reader``, apart from ``io``'s writers and emitters."""
     ingest = _modules_after("ingest", str(dataset))
-    assert "escores.io" in ingest
+    assert "escores.reader" in ingest
     engine = {
-        "escores.evaluation", "escores.scoring", "escores.filtering", "escores.svg", "csv",
-        "fractions", "decimal",
+        "escores.evaluation", "escores.scoring", "escores.io", "escores.scalar", "escores.svg",
+        "csv", "fractions", "decimal",
     }
     assert not engine & ingest
+
+
+def _dataclasses_after(*argv: str) -> list[str]:
+    """The package's dataclasses that a fresh interpreter processes for one command."""
+    program = (
+        "import contextlib, dataclasses, io, json, sys\n"
+        "seen, process = [], dataclasses._process_class\n"
+        "def counted(cls, *args, **kwargs):\n"
+        "    seen.append(f'{cls.__module__}.{cls.__qualname__}')\n"
+        "    return process(cls, *args, **kwargs)\n"
+        "dataclasses._process_class = counted\n"
+        "from escores.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run_command(sys.argv[1:])\n"
+        "print(json.dumps([code, [name for name in seen if name.startswith('escores.')]]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program, *argv], capture_output=True, text=True, timeout=120
+    )
+    code, names = json.loads(done.stdout)
+    assert code == EXIT_OK, done.stderr
+    return sorted(names)
+
+
+def test_each_command_processes_only_the_dataclasses_it_builds(
+    dataset: Path, calibration: Path
+) -> None:
+    """Processing a dataclass costs start-up time whether or not one is built.
+
+    The response-set containers of the scalar forms, the dataset files'
+    prompt instances and the split plans are off the paths that do not
+    build them.
+    """
+    shared = ["escores.core.CalibrationSummary", "escores.core.Prompt", "escores.core.Response"]
+    response_sets = ["escores.response_sets.GeneratedResponse", "escores.response_sets.PermutationPolicy"]
+    assert _dataclasses_after("ingest", str(dataset)) == sorted(shared + response_sets)
+    assert _dataclasses_after(
+        "score", str(dataset), "--calibration", str(calibration), "--scores", "all", "--jsonl"
+    ) == sorted([*shared, *response_sets, "escores.scoring.ScoreKind"])
+    assert _dataclasses_after("simulate", "--trials", "100", "--prompts", "10") == sorted(
+        [*shared, "escores.synthetic.MCEstimate", "escores.synthetic.SyntheticConfig"]
+    )
+    sweep = [
+        f"escores.sweep.{name}"
+        for name in (
+            "EvaluationReport", "ReportRow", "SplitAssignment", "SplitPlan", "SplitResult",
+            "StrategyGrid", "WorstCaseRow", "_KeyedMeans",
+        )
+    ]
+    assert _dataclasses_after("evaluate", str(dataset), "--splits", "2", "--grid", "0.5,1") == sorted(
+        [*shared, *response_sets, "escores.scoring.ScoreKind", *sweep]
+    )
 
 
 def test_every_public_name_is_its_home_modules_object() -> None:

@@ -25,7 +25,8 @@ from escores import (
     generate_dataset,
     write_dataset,
 )
-from escores.core import as_ext_real, as_label, as_unit_fraction, as_unit_interval
+from escores.core import as_ext_real, as_unit_interval
+from escores.scalar import as_label, as_unit_fraction
 
 from helpers import make_labeled, make_scored
 

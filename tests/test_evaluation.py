@@ -64,7 +64,7 @@ from escores import evaluation
 from escores.evaluation import score_prompts
 from escores.sweep import smallest_incorrect, sweep, worst_cases
 from escores.core import as_exact
-from escores.io import _DatasetColumns
+from escores.io import _columns_of
 from escores.sweep import parse_grid
 from helpers import (
     POLICIES,
@@ -147,6 +147,22 @@ def test_strategy_grid_warns_once_for_all_its_parameters_above_one() -> None:
         "3 strategy parameter(s) exceed 1 (first 1.5); rank-based scores never do, "
         "so they would retain everything"
     ]
+
+
+def test_grid_warning_names_the_callers_own_line() -> None:
+    """However the grid is built, the "exceed 1" warning points at the line that built it."""
+    builders = (
+        lambda: parse_grid("0:2:1", Strategy.ALPHA_MAX),
+        lambda: StrategyGrid.of(Strategy.ALPHA_MAX, ("0.5", "2")),
+        lambda: StrategyGrid(Strategy.ALPHA_MAX, ("2",), (2,), 1),
+    )
+    for build in builders:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build()
+        assert [(w.filename, w.lineno) for w in caught] == [
+            (__file__, build.__code__.co_firstlineno)
+        ], [str(w.message) for w in caught]
 
 
 def test_sweep_edge_conventions() -> None:
@@ -242,7 +258,7 @@ def test_within_prompt_order_is_lexsort(counts, data) -> None:
         )
     )
     owner = np.repeat(np.arange(counts.size), counts)
-    got = grid_sweep._sort_within_prompts(scores, counts)
+    got = grid_sweep._sort_within_prompts(scores, grid_sweep._size_rows(counts))
     assert np.array_equal(got, np.lexsort((scores, owner)))
 
 
@@ -1051,7 +1067,7 @@ def test_prepared_dataset_holds_nine_bytes_per_response() -> None:
     values under transform 2 or 3 is kept (18 bytes and more).
     """
     config = SyntheticConfig(n_prompts=1000, seed=3)
-    columns = _DatasetColumns.of_instances(generate_dataset(config))
+    columns = _columns_of(generate_dataset(config))
     policy = PermutationPolicy(PermutationMode.ALL_PERMUTATIONS)
     tracemalloc.start()
     try:

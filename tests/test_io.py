@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -228,6 +229,19 @@ def test_parse_warns_once_per_unknown_field(tmp_path: Path) -> None:
     )
     with pytest.warns(UserWarning, match="ignoring unknown field 'model'"):
         assert len(parse_dataset(singular)) == 1
+
+
+def test_unknown_field_warning_names_the_callers_own_line(tmp_path: Path) -> None:
+    path = write_lines(
+        tmp_path / "extra.jsonl",
+        '{"id": "p-1", "sub_responses": ["a"], "first_error_index": null, '
+        '"oracle_conditionals": [0.5], "model": "m"}',
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        parse_dataset(path)
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
 
 # One fault per file, on line 3 after two good records, with the exact
