@@ -107,7 +107,6 @@ _EXPORTS: dict[str, str] = {
             "SplitAssignment",
             "SplitPlan",
             "StrategyGrid",
-            "SplitResult",
             "WorstCaseRow",
             "parse_grid",
             "plan_splits",

@@ -196,6 +196,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     # refused before the first split, not after the last; a missing
     # directory stays the i/o error that writing into it raises
     for option, target in (("--csv", args.csv), ("--svg-dir", args.svg_dir)):
+        if target == "":  # names no file: refused, not read as "not given"
+            raise InvalidInputError(f"{option} is an empty path")
         if _reads(args, target):
             raise InvalidInputError(f"{option} {target} names a file that evaluate reads")
         ancestor = next((p for p in Path(target or ".").parents if p.exists()), Path("."))
@@ -236,6 +238,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     # validate every input before --emit writes anything: a rejected
     # command must leave no files behind
     require_trial_count(args.trials)
+    if args.emit == "":
+        raise InvalidInputError("--emit is an empty path")
     if args.emit is not None:
         instances = _this.generate_dataset(config)
         print(f"wrote {_this.write_dataset(instances, args.emit, schema='prefix')}")

@@ -182,30 +182,35 @@ def as_exact(value: "float | str | int | Fraction", what: str = "value") -> Frac
     """Coerce a number or a decimal string to the exact rational it spells.
 
     Strings are parsed as exact decimals or ratios ("0.1" -> 1/10,
-    "1/3"); a decimal must be finite and fit a float.  Floats go through their shortest round-trip decimal
+    "1/3").  Floats go through their shortest round-trip decimal
     representation, so 0.1 also means exactly 1/10 rather than the
-    underlying binary value.  Bools are refused.
+    underlying binary value.  Bools are refused.  Every form must be
+    finite and fit a float: a value whose float overflows is too large,
+    and a nonzero one whose float is 0 too small.
     """
     from fractions import Fraction  # loads decimal: only commands that read exact numbers pay
 
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
+        exact = value
+    elif isinstance(value, str):
         if "/" not in value:  # a ratio has no exponent; a decimal's is checked first
             return Fraction(_finite_decimal(value, what))
         try:
             exact = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"{what} must be a decimal string, got {value!r}") from exc
-        as_ext_real(abs(exact), what)  # a ratio above float range is refused as too large
-        return exact
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, float):
+    elif isinstance(value, int) and not isinstance(value, bool):
+        exact = Fraction(value)
+    elif isinstance(value, float):
         if math.isnan(value) or math.isinf(value):
             raise InvalidInputError(f"{what} must be finite, got {value!r}")
         return Fraction(repr(float(value)))
-    raise InvalidInputError(f"{what} must be a number or decimal string, got {value!r}")
+    else:
+        raise InvalidInputError(f"{what} must be a number or decimal string, got {value!r}")
+    # as_ext_real refuses a float overflow as too large, its digits not echoed
+    if exact and not as_ext_real(abs(exact), what):
+        raise InvalidInputError(f"{what} is too small for a float")
+    return exact
 
 
 def _finite_decimal(text: str, what: str) -> Decimal:

@@ -12,15 +12,17 @@ by ``build_calibration_summary`` of the prepared float64 maxima, which
 it checks as arrays, and transforms only its prompts' estimates.
 
 ``evaluate_split`` scores a whole calibration/test split at once with
-flat numpy arrays, so that hundred-split sweeps stay fast, and averages
-the per-prompt worst cases over test prompts.  ``evaluate_dataset`` runs
-it on each split of a ``SplitPlan``, drawing split i's shuffle from its
-seed only when it reaches split i, so a run holds one split's indices at
-a time, not every split's, and ``aggregate_splits`` averages the splits.
-The split plans, the grid sweep and the report types are in ``sweep``,
-which these three import when they are called, so ``score`` loads
-neither it nor ``fractions`` or ``decimal``.  Only ``score`` and
-``evaluate`` load this module.
+flat numpy arrays, so that hundred-split sweeps stay fast, and hands the
+scores to ``sweep``, which sweeps them and writes the one-split
+``EvaluationReport`` in its block layout; nothing here reads that
+layout or a grid's points.  ``evaluate_dataset`` runs it on each split
+of a ``SplitPlan``, drawing split i's shuffle from its seed only when it
+reaches split i, so a run holds one split's indices at a time, not
+every split's, and ``aggregate_splits`` averages the one-split reports
+block of rows by block of rows.  The split plans, the grid sweep and
+the report type are in ``sweep``, which these three import when they
+are called, so ``score`` loads neither it nor ``fractions`` or
+``decimal``.  Only ``score`` and ``evaluate`` load this module.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .scoring import (
 
 if TYPE_CHECKING:  # pragma: no cover - the split functions import the sweep when called
     from .io import PromptInstance
-    from .sweep import EvaluationReport, SplitAssignment, SplitPlan, SplitResult, StrategyGrid
+    from .sweep import EvaluationReport, SplitAssignment, SplitPlan, StrategyGrid
 
 #: Names that nothing here calls, but that the traced benchmark run
 #: (perfbench/tracing.py) rebinds on this module: the scalar forms, and
@@ -237,24 +239,19 @@ def evaluate_split(
     *,
     master_seed: int = 0,
     split_index: int = 0,
-) -> SplitResult:
-    """Score and filter every test prompt against the calibration half.
+) -> EvaluationReport:
+    """Score and filter every test prompt against the calibration half: a one-split report.
 
     Builds the calibration summaries the requested kinds read, scores
     each test prompt's full response set under every requested kind, and
     reports the means over test prompts that ``sweep`` yields at every
-    strategy grid point.  Also reports the per-kind mean of
-    ``worst_cases``, which needs no strategy at all.  The halves must be
-    nonempty, in range and disjoint, and no kind may be listed twice.
+    strategy grid point, with each kind's mean worst case over test
+    prompts, which needs no strategy at all.  The report has
+    ``n_splits=1``, and each worst-case row's quartiles equal its mean.
+    The halves must be nonempty, in range and disjoint, and no kind may
+    be listed twice.
     """
-    from .sweep import (
-        _MEAN_FIELDS,
-        SplitResult,
-        _grid_plans,
-        _sweep_kinds,
-        smallest_incorrect,
-        worst_cases,
-    )
+    from .sweep import _split_report
 
     kinds = tuple(kinds)
     if not kinds:
@@ -276,36 +273,17 @@ def evaluate_split(
     scores_of = score_prompts(
         dataset, test_idx, kinds, cal_fstar, master_seed=master_seed, split_index=split_index
     )
-
-    counts = dataset.counts[test_idx]
     correct = dataset.labels_flat[dataset.gather(test_idx)].astype(bool)
-    points = sum(len(grid.parameters) for grid in strategy_grids)
-    means = np.empty((len(kinds) * points, len(_MEAN_FIELDS)))
-    wc: list[tuple[str, float]] = []
-    sweeps = []
-    for i, kind in enumerate(kinds):
-        scores = scores_of[kind.name]
-        smallest = smallest_incorrect(scores, correct, counts)
-        wc.append((kind.name, float(np.mean(worst_cases(smallest)))))
-        sweeps.append((scores, smallest, means[i * points : (i + 1) * points]))
-    _sweep_kinds(sweeps, correct, counts, _grid_plans(counts, strategy_grids))
-    means.flags.writeable = False
-    return SplitResult(
-        kinds=names,
-        grids=tuple(strategy_grids),
-        means=means,
-        worst_case=tuple(wc),
-        n_test=int(test_idx.size),
-        n_cal=int(cal_idx.size),
-    )
+    return _split_report(scores_of, correct, dataset.counts[test_idx], strategy_grids, int(cal_idx.size))
 
 
-def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
-    """Average the splits' means row by row; summarize worst cases.
+def aggregate_splits(results: Sequence[EvaluationReport]) -> EvaluationReport:
+    """Average one-split reports' means row by row; summarize worst cases.
 
-    All splits must share the same score kinds and grids, in the same
-    order, and the same half sizes.  Worst-case rows carry the mean and
-    the 25th/75th percentiles of the per-split means.
+    Each report must be of one split, as ``evaluate_split`` returns, and
+    all must share the same score kinds and grids, in the same order,
+    and the same half sizes.  Worst-case rows carry the mean and the
+    25th/75th percentiles of the per-split means.
     """
     from .sweep import _BLOCK_CELLS, _MEAN_FIELDS, EvaluationReport, WorstCaseRow, _ext_percentile
 
@@ -313,7 +291,9 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
     if not results:
         raise InvalidInputError("cannot aggregate zero split results")
     first = results[0]
-    for res in results[1:]:
+    for res in results:
+        if res.n_splits != 1:
+            raise ConfigurationError(f"only one-split reports aggregate, got one of {res.n_splits} splits")
         if res.kinds != first.kinds:
             raise ConfigurationError("split results cover different score kinds")
         if res.grids != first.grids:
@@ -336,8 +316,8 @@ def aggregate_splits(results: Sequence[SplitResult]) -> EvaluationReport:
         row_means[b:e] = stacked.mean(axis=-1)
     row_means.flags.writeable = False
     wc_rows = []
-    for pos, (name, _) in enumerate(first.worst_case):
-        means = np.asarray([res.worst_case[pos][1] for res in results], dtype=np.float64)
+    for pos, name in enumerate(first.kinds):
+        means = np.asarray([res.worst_case[pos].mean for res in results], dtype=np.float64)
         wc_rows.append(
             WorstCaseRow(
                 score_kind=name,
@@ -380,7 +360,7 @@ def evaluate_dataset(
     n_cal = n_prompts - n_test
     floored = [kind.name for kind in kinds if kind.family in _FLOORED_FAMILIES]
     alpha_max = [grid for grid in strategy_grids if grid.strategy is Strategy.ALPHA_MAX]
-    below = sum(n * (n_cal + 1) < grid.denominator for grid in alpha_max for n in grid.numerators)
+    below = sum(grid._count_below(n_cal + 1) for grid in alpha_max)
     if floored and below:
         warnings.warn(
             f"{below} alpha-max grid point(s) lie below 1/{n_cal + 1}, the smallest "

@@ -7,9 +7,8 @@ int numerator over the grid's one denominator; ``parse_grid`` builds it
 from ``--grid`` text with no object per point.  ``sweep`` filters every
 test prompt of a split at every grid point and yields the means over
 prompts, and ``worst_cases`` gives each prompt's worst-case distortion.
-The instance accounting is written once, in these two;
-``evaluation.evaluate_split`` averages the worst cases over test
-prompts.  Tests hold both to the exact rational oracles.  Only
+The instance accounting is written once, in these two, and tests hold
+both to the exact rational oracles.  Only
 ``evaluate`` runs this module: ``evaluation``'s split functions import
 it when they are called, so ``score``, which prepares and scores but
 sweeps nothing, does not load it.
@@ -34,14 +33,17 @@ scores is worked out once per split too.  The means are bit-identical
 to ``np.mean`` over per-prompt arrays; the ``sweep`` docstring gives the
 rules that keep them so.
 
-Results stay in arrays through the report: ``SplitResult`` and
-``EvaluationReport`` each hold their kinds, their grids and one
-read-only (rows, 5) float64 array of means, one block of rows per kind
-and grid, and build row keys and ``ReportRow``s only when read.  A
-split's sweeps fill its array in place, and the array is kept, not copied.
-``evaluation.aggregate_splits`` stacks the splits' arrays with the split
-axis last and C-contiguous, so each mean over splits has ``np.mean``'s
-bits.
+Results stay in arrays through the report.  One type holds a split's
+result and a run's: an ``EvaluationReport`` holds its kinds, its grids
+and one read-only (rows, 5) float64 array of means, one block of rows
+per kind and grid, and builds row keys and ``ReportRow``s only when
+read.  ``_split_report``, which ``evaluation.evaluate_split`` calls with
+a split's scores, is the one writer of that block layout: the split's
+sweeps fill its array in place, the array is kept, not copied, and
+each kind's worst case is averaged over test prompts.  Such a report
+has ``n_splits=1``.  ``evaluation.aggregate_splits`` stacks one-split
+reports' arrays with the split axis last and C-contiguous, so each mean
+over splits has ``np.mean``'s bits.
 
 Size distortion for an instance is the error indicator divided by the
 tolerance actually used, under extended-real division (no error at zero
@@ -202,6 +204,10 @@ class StrategyGrid:
         numerators = tuple(x.numerator * (denominator // x.denominator) for x in exact)
         return cls(strategy, labels, numerators, denominator)
 
+    def _count_below(self, m: int) -> int:
+        """How many points lie below 1/m, counted in exact integers."""
+        return sum(n * m < self.denominator for n in self.numerators)
+
     def _inclusion_targets(self, size: int) -> np.ndarray:
         """``inclusion_target`` of each point at ``size``, read-only, kept for the run's splits."""
         targets = self._targets_of_size.get(size)
@@ -313,21 +319,27 @@ _MEAN_FIELDS = tuple(f.name for f in fields(ReportRow) if f.name.startswith("mea
 
 
 @dataclass(frozen=True, eq=False)
-class _KeyedMeans:
-    """A table of means in blocks: one block per score kind and grid.
+class EvaluationReport:
+    """Means over splits in blocks, one per score kind and grid, and each kind's worst case.
 
     The rows are the points of each of ``grids`` in turn under each of
     ``kinds``, kinds outermost, and ``means`` holds their five means in
     ``_MEAN_FIELDS`` order, a read-only (rows, 5) float64 array.  A
     read-only C-contiguous float64 array is kept as given, as
-    ``evaluate_split`` and ``aggregate_splits`` build them, so a table
-    the size of a fine grid is not copied; anything else is copied.
-    ``keys`` and ``rows`` are views of the blocks, built on each read.
+    ``_split_report`` and ``evaluation.aggregate_splits`` build them, so
+    a table the size of a fine grid is not copied; anything else is
+    copied.  ``keys`` and ``rows`` are views of the blocks, built on each
+    read.  One split's report has ``n_splits=1`` and worst-case rows
+    whose quartiles equal their mean.
     """
 
     kinds: tuple[str, ...]
     grids: tuple[StrategyGrid, ...]
     means: np.ndarray
+    worst_case: tuple[WorstCaseRow, ...]
+    n_test: int
+    n_cal: int
+    n_splits: int
 
     def __post_init__(self) -> None:
         means = self.means
@@ -345,13 +357,12 @@ class _KeyedMeans:
                 f"means of shape {means.shape} do not fit {len(self.kinds)} kinds of {points} points"
             )
         object.__setattr__(self, "means", means)
-        # a split's worst cases are (kind, mean) pairs, a report's WorstCaseRows
-        names = tuple(c[0] if isinstance(c, tuple) else c.score_kind for c in self.worst_case)
+        names = tuple(row.score_kind for row in self.worst_case)
         if names != self.kinds:
             raise InvalidInputError(f"worst cases of {names} do not match the score kinds {self.kinds}")
 
     def _blocks(self) -> Iterator[tuple[str, StrategyGrid, np.ndarray]]:
-        """``(kind, grid, its means)`` per block, in row order; nothing else reads the layout."""
+        """``(kind, grid, its means)`` per block, in row order; ``_split_report`` writes the layout."""
         start = 0
         for kind in self.kinds:
             for grid in self.grids:
@@ -367,17 +378,25 @@ class _KeyedMeans:
 
     @property
     def rows(self) -> tuple[ReportRow, ...]:
-        """The rows as ``ReportRow``s; a ``SplitResult``'s have ``n_splits=1``."""
         return self._rows(None, None)
 
+    def find_rows(self, score_kind: str, strategy: str | None = None) -> tuple[ReportRow, ...]:
+        return self._rows(score_kind, strategy)
+
     def _rows(self, score_kind: str | None, strategy: str | None) -> tuple[ReportRow, ...]:
-        tail = (self.n_test, self.n_cal, getattr(self, "n_splits", 1))
+        tail = (self.n_test, self.n_cal, self.n_splits)
         return tuple(
             ReportRow(kind, grid.strategy.value, label, *row, *tail)
             for kind, grid, means in self._blocks()
             if score_kind in (None, kind) and strategy in (None, grid.strategy.value)
             for label, row in zip(grid.parameters, means.tolist())
         )
+
+    def find_worst_case(self, score_kind: str) -> WorstCaseRow:
+        for row in self.worst_case:
+            if row.score_kind == score_kind:
+                return row
+        raise InvalidInputError(f"no worst-case row for score kind {score_kind!r}")
 
     def __eq__(self, other: object) -> bool:
         # not the dataclass one: its == of two arrays has no single truth value
@@ -386,32 +405,6 @@ class _KeyedMeans:
         return np.array_equal(self.means, other.means) and all(
             getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "means"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class SplitResult(_KeyedMeans):
-    """One split's means; ``worst_case`` pairs each score kind with its mean worst case."""
-
-    worst_case: tuple[tuple[str, float], ...]
-    n_test: int
-    n_cal: int
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluationReport(_KeyedMeans):
-    worst_case: tuple[WorstCaseRow, ...]
-    n_test: int
-    n_cal: int
-    n_splits: int
-
-    def find_rows(self, score_kind: str, strategy: str | None = None) -> tuple[ReportRow, ...]:
-        return self._rows(score_kind, strategy)
-
-    def find_worst_case(self, score_kind: str) -> WorstCaseRow:
-        for row in self.worst_case:
-            if row.score_kind == score_kind:
-                return row
-        raise InvalidInputError(f"no worst-case row for score kind {score_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -558,34 +551,41 @@ def _metrics(
     return table
 
 
-def _sweep(
-    scores: np.ndarray,
+def _split_report(
+    scores_of: dict[str, np.ndarray],
     correct: np.ndarray,
     counts: np.ndarray,
-    smallest: np.ndarray,
-    plans: Sequence[_GridPlan],
-    out: np.ndarray,
-) -> None:
-    """``sweep`` of one kind over ``_grid_plans(counts, ...)``, into ``out``.
+    strategy_grids: Sequence[StrategyGrid],
+    n_cal: int,
+) -> EvaluationReport:
+    """One split's report: each kind's scores, by name, swept over every grid.
 
-    ``smallest`` is ``smallest_incorrect`` of the same responses.
+    Writes the means in ``EvaluationReport``'s block layout, kinds
+    outermost, one block per grid, and the mean worst case of each kind.
     """
-    _sweep_kinds(((scores, smallest, out),), correct, counts, plans)
+    grids = tuple(strategy_grids)
+    points = sum(len(grid.parameters) for grid in grids)
+    means = np.empty((len(scores_of) * points, len(_MEAN_FIELDS)))
+    outs = (means[i * points : (i + 1) * points] for i in range(len(scores_of)))
+    worst = _sweep_kinds(zip(scores_of.values(), outs), correct, counts, _grid_plans(counts, grids))
+    means.flags.writeable = False
+    rows = tuple(WorstCaseRow(name, w, w, w, 1) for name, w in zip(scores_of, worst))
+    return EvaluationReport(tuple(scores_of), grids, means, rows, counts.size, n_cal, 1)
 
 
 def _sweep_kinds(
-    kinds: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    kinds: Iterable[tuple[np.ndarray, np.ndarray]],
     correct: np.ndarray,
     counts: np.ndarray,
     plans: Sequence[_GridPlan],
-) -> None:
+) -> list[float]:
     """``sweep`` of several kinds' scores of the same responses, over ``_grid_plans(counts, ...)``.
 
-    Each kind is ``(scores, smallest, out)``: ``smallest`` is
-    ``smallest_incorrect`` of the scores, and ``out`` takes the plans'
-    (points, 5) means in turn.  What does not depend on the scores (the
-    rows of each set size, each response's prompt, the correct totals
-    and the alpha-max columns') is worked out once for all the kinds.
+    Each kind is ``(scores, out)``: ``out`` takes the plans' (points, 5)
+    means in turn.  Returns each kind's mean over prompts of
+    ``worst_cases``.  What does not depend on the scores (the rows of
+    each set size, each response's prompt, the correct totals and the
+    alpha-max columns') is worked out once for all the kinds.
     """
     n = counts.size
     starts = np.cumsum(counts) - counts
@@ -607,7 +607,10 @@ def _sweep_kinds(
         # over the prompts: see sweep's docstring
         return (block.sum(axis=2) / n).T
 
-    for scores, smallest, out in kinds:
+    worst = []
+    for scores, out in kinds:
+        smallest = smallest_incorrect(scores, correct, counts)
+        worst.append(float(np.mean(worst_cases(smallest))))
         order = _sort_within_prompts(scores, size_rows)
         sorted_scores = scores[order]
         correct_cum = np.concatenate(([0], np.cumsum(correct[order])))
@@ -667,6 +670,7 @@ def _sweep_kinds(
                     )
                     rows[b : b + per_block] = means_of(table)
                 means[:] = np.repeat(rows, plan.runs, axis=0)
+    return worst
 
 
 def sweep(
@@ -722,8 +726,7 @@ def sweep(
     """
     pairs = [(grid, label) for grid in strategy_grids for label in grid.parameters]
     means = np.empty((len(pairs), len(_MEAN_FIELDS)))
-    smallest = smallest_incorrect(scores, correct, counts)
-    _sweep(scores, correct, counts, smallest, _grid_plans(counts, strategy_grids), means)
+    _sweep_kinds([(scores, means)], correct, counts, _grid_plans(counts, strategy_grids))
     for (grid, label), row in zip(pairs, means.tolist()):
         yield grid, label, tuple(row)
 

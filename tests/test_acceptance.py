@@ -133,8 +133,8 @@ def distortion_runs():
     per_kind: dict[str, list[float]] = {name: [] for name in DISTORTION_KINDS}
     for index, split in enumerate(splits):
         result = evaluate_split(prepared, split, kinds, master_seed=0, split_index=index)
-        for name, value in result.worst_case:
-            per_kind[name].append(value)
+        for row in result.worst_case:
+            per_kind[row.score_kind].append(row.mean)
     return per_kind, time.perf_counter() - started
 
 

@@ -704,9 +704,10 @@ def test_evaluate_refuses_an_svg_dir_over_a_file_it_reads(
 def test_evaluate_refuses_an_unusable_output_path_before_reading(
     dataset: Path, tmp_path: Path, capsys, monkeypatch
 ) -> None:
-    """A ``--csv`` that is a directory or under a file, and a ``--svg-dir`` that
-    is a file or under one, are one validation error each, with nothing read
-    or written, not an i/o error after every split."""
+    """A ``--csv`` that is a directory or under a file, a ``--svg-dir`` that
+    is a file or under one, and an empty one of either are one validation
+    error each, with nothing read or written, not an i/o error after every
+    split or a run that writes nothing."""
     (tmp_path / "adir").mkdir()
     (tmp_path / "notes.txt").write_text("kept\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -723,12 +724,27 @@ def test_evaluate_refuses_an_unusable_output_path_before_reading(
         ("--svg-dir", "notes.txt", "--svg-dir notes.txt exists and is not a directory"),
         ("--svg-dir", "notes.txt/plots", "--svg-dir notes.txt/plots: notes.txt is not a directory"),
         ("--svg-dir", "notes.txt/a/plots", "--svg-dir notes.txt/a/plots: notes.txt is not a directory"),
+        ("--csv", "", "--csv is an empty path"),
+        ("--svg-dir", "", "--svg-dir is an empty path"),
     ):
         code, out, err = run(capsys, *argv, option, target)
         assert (code, out, err) == (EXIT_USAGE, "", f"validation error: {reason}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "data.jsonl", "notes.txt"]
     assert not any((tmp_path / "adir").iterdir())
     assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_simulate_refuses_an_empty_emit_path_before_generating(tmp_path: Path, capsys, monkeypatch) -> None:
+    """An empty ``--emit`` names no file: one validation error, not an i/o error once the dataset is generated."""
+    monkeypatch.chdir(tmp_path)
+
+    def ungenerated(config):
+        raise AssertionError("the dataset was generated")
+
+    monkeypatch.setattr("escores.cli.generate_dataset", ungenerated)
+    code, out, err = run(capsys, "simulate", "--prompts", "40", "--trials", "100", "--emit", "")
+    assert (code, out, err) == (EXIT_USAGE, "", "validation error: --emit is an empty path\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_evaluate_writes_into_existing_and_new_output_directories(
@@ -1369,8 +1385,8 @@ def test_each_command_processes_only_the_dataclasses_it_builds(
     sweep = [
         f"escores.sweep.{name}"
         for name in (
-            "EvaluationReport", "ReportRow", "SplitAssignment", "SplitPlan", "SplitResult",
-            "StrategyGrid", "WorstCaseRow", "_KeyedMeans",
+            "EvaluationReport", "ReportRow", "SplitAssignment", "SplitPlan", "StrategyGrid",
+            "WorstCaseRow",
         )
     ]
     assert _dataclasses_after("evaluate", str(dataset), "--splits", "2", "--grid", "0.5,1") == sorted(

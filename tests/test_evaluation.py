@@ -36,7 +36,6 @@ from escores import (
     ALL_SCORE_KINDS,
     SplitAssignment,
     SplitPlan,
-    SplitResult,
     Strategy,
     StrategyGrid,
     SyntheticConfig,
@@ -335,8 +334,7 @@ def test_fraction_sweep_evaluates_only_its_distinct_rows() -> None:
     scores = np.arange(counts.sum()) / 16
     correct = np.arange(counts.sum()) % 3 == 0
     means = np.empty((len(grid.parameters), 5))
-    smallest = smallest_incorrect(scores, correct, counts)
-    grid_sweep._sweep(scores, correct, counts, smallest, [plan], means)
+    grid_sweep._sweep_kinds([(scores, means)], correct, counts, [plan])
     changes = 1 + np.flatnonzero((means[1:] != means[:-1]).any(axis=1))
     assert np.array_equal(changes, np.cumsum(plan.runs)[:-1])
 
@@ -520,9 +518,8 @@ def test_alpha_max_sweep_gathers_one_row_per_live_step() -> None:
             return np.take(a, indices, axis=axis, out=out)
 
     means = np.empty((len(grid.parameters), 5))
-    smallest = smallest_incorrect(scores, correct, counts)
     with mock.patch.object(grid_sweep, "np", CountingNumpy()):
-        grid_sweep._sweep(scores, correct, counts, smallest, [plan], means)
+        grid_sweep._sweep_kinds([(scores, means)], correct, counts, [plan])
     live_steps = 5  # 0, 0.25, 1/3, 0.5 and 1 fall on five grid points
     assert sum(shape[0] for shape in gathered) == live_steps + 1
     assert all(shape[1:] == (counts.size,) for shape in gathered)
@@ -626,6 +623,12 @@ def test_strategy_grid_of_is_exact() -> None:
         (math.inf, "grid value must be finite, got inf"),
         ("zero", "grid value must be a decimal string, got 'zero'"),
         (-0.5, "parameter must be >= 0, got -1/2"),
+        # every form is held to float range, as a decimal string is
+        (10**400, "grid value is too large for a float"),
+        (Fraction(10**400, 3), "grid value is too large for a float"),
+        (Fraction(1, 10**400), "grid value is too small for a float"),
+        ("1/1" + "0" * 400, "grid value is too small for a float"),
+        ("1" + "0" * 400 + "/3", "grid value is too large for a float"),
     ):
         with pytest.raises(InvalidInputError) as caught:
             StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5", bad])
@@ -756,12 +759,11 @@ def test_results_refuse_worst_cases_not_named_by_their_kinds() -> None:
     empty = dict(grids=(), means=np.empty((0, 5)), n_test=1, n_cal=1)
     cases = ((("e1",), ("p",)), (("e1", "p"), ("e1",)), (("e1", "p"), ("p", "e1")), ((), ("p",)))
     for kinds, names in cases:
-        with pytest.raises(InvalidInputError, match="do not match the score kinds"):
-            SplitResult(kinds=kinds, worst_case=tuple((name, 1.0) for name in names), **empty)
         rows = tuple(WorstCaseRow(name, 1.0, 1.0, 1.0, 1) for name in names)
         with pytest.raises(InvalidInputError, match="do not match the score kinds"):
             EvaluationReport(kinds=kinds, worst_case=rows, n_splits=1, **empty)
-    split = SplitResult(kinds=("e1", "p"), worst_case=(("e1", 1.0), ("p", 2.0)), **empty)
+    rows = (WorstCaseRow("e1", 1.0, 1.0, 1.0, 1), WorstCaseRow("p", 2.0, 2.0, 2.0, 1))
+    split = EvaluationReport(kinds=("e1", "p"), worst_case=rows, n_splits=1, **empty)
     assert [row.score_kind for row in aggregate_splits([split]).worst_case] == ["e1", "p"]
 
 
@@ -812,8 +814,8 @@ def test_evaluate_split_two_prompts_clean_test_half() -> None:
     assert frac.mean_recall == 0.5
 
     # the test prompt has no incorrect responses, so nothing can distort
-    assert dict(result.worst_case)["e1"] == 0.0
-    assert dict(result.worst_case)["p"] == 0.0
+    assert result.find_worst_case("e1").mean == 0.0
+    assert result.find_worst_case("p").mean == 0.0
 
 
 def test_evaluate_split_two_prompts_errorful_test_half() -> None:
@@ -833,7 +835,7 @@ def test_evaluate_split_two_prompts_errorful_test_half() -> None:
     assert row.mean_size_distortion == pytest.approx(2.0)
     assert row.mean_precision == 0.5
     assert row.mean_recall == 1.0
-    assert dict(result.worst_case)["e1"] == pytest.approx(2.0)
+    assert result.find_worst_case("e1").mean == pytest.approx(2.0)
 
 
 def test_evaluate_split_validates_split_indices() -> None:
@@ -964,9 +966,9 @@ def test_engine_matches_per_prompt_composition(seed: int) -> None:
     rows, worst = compose_split_by_hand(
         instances, split, ALL_SCORE_KINDS, grids, master_seed=seed, split_index=2
     )
-    assert dict(result.worst_case).keys() == worst.keys()
-    for name, value in result.worst_case:
-        assert value == pytest.approx(worst[name], rel=1e-9, abs=1e-12), name
+    assert {row.score_kind: row.mean for row in result.worst_case}.keys() == worst.keys()
+    for row in result.worst_case:
+        assert row.mean == pytest.approx(worst[row.score_kind], rel=1e-9, abs=1e-12), row.score_kind
     assert len(result.rows) == len(rows)
     for row in result.rows:
         expected = rows[(row.score_kind, row.strategy, row.parameter)]
@@ -989,8 +991,8 @@ def test_engine_matches_composition_under_permutation_policy() -> None:
     rows, worst = compose_split_by_hand(
         instances, split, kinds, grids, master_seed=0, split_index=0, policy=policy
     )
-    for name, value in result.worst_case:
-        assert value == pytest.approx(worst[name], rel=1e-9, abs=1e-12)
+    for row in result.worst_case:
+        assert row.mean == pytest.approx(worst[row.score_kind], rel=1e-9, abs=1e-12)
     for row in result.rows:
         expected = rows[(row.score_kind, row.strategy, row.parameter)]
         assert row.mean_alpha == pytest.approx(expected["alpha"], rel=1e-9, abs=1e-12)
@@ -1253,7 +1255,7 @@ def test_evaluate_split_matches_oracle_composition(inputs, fractions, split_inde
                     for g, w, what in zip(got, want, metrics):
                         assert oracles.matches(g, w), (mode, kind.name, label, what, g, w)
             worst = _exact_mean([oracles.instance(lab, s, [], 0)[2] for lab, s in zip(labels, sc)])
-            assert oracles.matches(dict(result.worst_case)[kind.name], worst), (mode, kind.name)
+            assert oracles.matches(result.find_worst_case(kind.name).mean, worst), (mode, kind.name)
 
 
 _LOO_KINDS = tuple(ScoreKind.parse(name) for name in ("e1", "e2", "e3", "e-combined", "p"))
@@ -1275,7 +1277,10 @@ def _leave_one_out(records: list[dict]) -> tuple[dict, dict]:
     prep = PreparedDataset([instance_of(r) for r in records])
     everyone = range(len(records))
     splits = [SplitAssignment(tuple(i for i in everyone if i != j), (j,)) for j in everyone]
-    results = [dict(evaluate_split(prep, split, _LOO_KINDS).worst_case) for split in splits]
+    results = [
+        {row.score_kind: row.mean for row in evaluate_split(prep, split, _LOO_KINDS).worst_case}
+        for split in splits
+    ]
     return exact, {name: [result[name] for result in results] for name in exact}
 
 
@@ -1385,12 +1390,43 @@ def test_aggregate_splits_averages_rows() -> None:
         (a.rows[0].mean_alpha + b.rows[0].mean_alpha) / 2
     )
     wc = report.find_worst_case("e1")
-    values = [dict(a.worst_case)["e1"], dict(b.worst_case)["e1"]]
+    values = [a.find_worst_case("e1").mean, b.find_worst_case("e1").mean]
     assert wc.mean == pytest.approx(sum(values) / 2)
     assert min(values) <= wc.q25 <= wc.q75 <= max(values)
     with pytest.raises(InvalidInputError):
         report.find_worst_case("naive1")
     assert report.find_rows("e1", "alpha-max") == (row,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_prompts=st.integers(2, 12),
+    strategy=st.sampled_from(list(Strategy)),
+    names=st.lists(st.sampled_from([kind.name for kind in ALL_SCORE_KINDS]), min_size=1, unique=True),
+    grid=st.sampled_from(["0:1:0.05", "0,1/3,0.5,1", "0.25"]),
+)
+def test_a_split_is_a_one_split_report_that_aggregates_to_itself(
+    seed, n_prompts, strategy, names, grid
+) -> None:
+    """``evaluate_split`` returns the report of one split, so aggregating it alone changes no bit."""
+    prep = PreparedDataset(random_dataset(seed, n_prompts=n_prompts))
+    kinds = tuple(ScoreKind.parse(name) for name in dict.fromkeys(["p-randomized", *names]))
+    (split,) = plan_splits(SplitPlan(seed=seed, n_splits=1), n_prompts)
+    result = evaluate_split(prep, split, kinds, (parse_grid(grid, strategy),), master_seed=seed)
+    assert type(result) is EvaluationReport and result.n_splits == 1
+    assert all(row.mean == row.q25 == row.q75 and row.n_splits == 1 for row in result.worst_case)
+    assert aggregate_splits([result]) == result
+
+
+def test_aggregate_splits_refuses_a_report_of_more_than_one_split() -> None:
+    dataset = two_prompt_dataset()
+    kinds = (ScoreKind.parse("e1"),)
+    one = evaluate_split(dataset, SplitAssignment((0,), (1,)), kinds)
+    two = aggregate_splits([one, evaluate_split(dataset, SplitAssignment((1,), (0,)), kinds)])
+    for results in ([two], [one, two]):
+        with pytest.raises(ConfigurationError, match="only one-split reports aggregate, got one of 2 splits"):
+            aggregate_splits(results)
 
 
 _MEAN_FIELDS = ("mean_size_distortion", "mean_error", "mean_alpha", "mean_precision", "mean_recall")
@@ -1440,9 +1476,9 @@ def test_aggregate_splits_equals_field_by_field_np_mean(seed: int, n_splits: int
 def test_worst_case_quartiles_of_infinite_means(means, q25, q75) -> None:
     # an incorrect response scoring 0 makes a split's worst-case mean +inf
     results = [
-        SplitResult(
-            kinds=("naive2",), grids=(), means=np.empty((0, 5)), worst_case=(("naive2", m),),
-            n_test=1, n_cal=1,
+        EvaluationReport(
+            kinds=("naive2",), grids=(), means=np.empty((0, 5)),
+            worst_case=(WorstCaseRow("naive2", m, m, m, 1),), n_test=1, n_cal=1, n_splits=1,
         )
         for m in means
     ]
@@ -1467,34 +1503,31 @@ def test_ext_percentile_matches_np_percentile() -> None:
 
 
 def test_split_result_holds_a_read_only_copy_of_means_that_fit_its_keys() -> None:
-    """So does a report: both keep their means as one read-only array."""
+    """A one-split report and a report of several splits keep their means as one read-only array."""
     kinds = ("e1",)
     grids = (StrategyGrid.of(Strategy.ALPHA_MAX, ["0.5", "1"]),)
-    for cls, rest in (
-        (SplitResult, dict(worst_case=(("e1", 2.0),), n_test=2, n_cal=3)),
-        (
-            EvaluationReport,
-            dict(worst_case=(WorstCaseRow("e1", 2.0, 1.0, 3.0, 4),), n_test=2, n_cal=3, n_splits=4),
-        ),
+    for rest in (
+        dict(worst_case=(WorstCaseRow("e1", 2.0, 2.0, 2.0, 1),), n_test=2, n_cal=3, n_splits=1),
+        dict(worst_case=(WorstCaseRow("e1", 2.0, 1.0, 3.0, 4),), n_test=2, n_cal=3, n_splits=4),
     ):
         source = np.asarray([[math.inf, 1.0, 0.0, 1.0, 0.5], [0.5, 1.0, 1.0, 0.5, 1.0]])
-        result = cls(kinds=kinds, grids=grids, means=source, **rest)
+        result = EvaluationReport(kinds=kinds, grids=grids, means=source, **rest)
         source[0, 0] = 0.0
         assert result.means[0, 0] == math.inf and not result.means.flags.writeable
         assert result.rows[0].mean_size_distortion == math.inf
-        n_splits = rest.get("n_splits", 1)
+        n_splits = rest["n_splits"]
         assert result.keys == (("e1", "alpha-max", "0.5"), ("e1", "alpha-max", "1"))
         assert result.rows[1] == ReportRow("e1", "alpha-max", "1", 0.5, 1.0, 1.0, 0.5, 1.0, 2, 3, n_splits)
-        same = cls(kinds=kinds, grids=grids, means=result.means, **rest)
+        same = EvaluationReport(kinds=kinds, grids=grids, means=result.means, **rest)
         assert same.means is result.means  # read-only already: kept, not copied
         assert (same == result) is True and (same != result) is False
-        other = cls(kinds=kinds, grids=grids, means=source, **rest)
+        other = EvaluationReport(kinds=kinds, grids=grids, means=source, **rest)
         assert (other == result) is False and (other != result) is True
         assert (result == result.keys) is False
         with pytest.raises(InvalidInputError, match="do not fit"):
-            cls(kinds=("e1", "p"), grids=grids, means=source, **rest)
-    split = SplitResult(kinds, grids, result.means, (("e1", 2.0),), 2, 3)
-    assert (split == result) is False and (split != result) is True  # a split is not a report
+            EvaluationReport(kinds=("e1", "p"), grids=grids, means=source, **rest)
+    split = EvaluationReport(kinds, grids, result.means, (WorstCaseRow("e1", 2.0, 2.0, 2.0, 1),), 2, 3, 1)
+    assert (split == result) is False and (split != result) is True  # one split's report is not four's
 
 
 def test_aggregate_splits_rejects_mismatched_grids() -> None:
@@ -1722,7 +1755,7 @@ def test_evaluate_dataset_refuses_what_the_public_pieces_refuse() -> None:
 
 def test_evaluate_dataset_memory_does_not_grow_with_prompts_times_splits() -> None:
     """Splits are drawn one at a time, so 48 more splits of 2,001 prompts add
-    only their ``SplitResult``s (about 700 bytes each with 2 kinds and one
+    only their one-split reports (about 700 bytes each with 2 kinds and one
     grid point), and the small tuples that the interpreter's free lists
     keep and tracemalloc still counts: 33-37 KB in all on CPython 3.11.
     The bound is 64 KB.  Planning every split up front held about 36

@@ -773,6 +773,9 @@ def test_parse_grid_rejects_bad_input(tmp_path: Path, capsys) -> None:
         ("1e-9999999999999999999999", "grid value is too small for a float"),
         ("0:1:1e-9999999999999999999999", "grid step is too small for a float"),
         ("abc", "grid value must be a decimal string, got 'abc'"),
+        # a ratio is held to float range as a decimal is
+        ("0.5,1/1" + "0" * 400, "grid value is too small for a float"),
+        ("0.5,1" + "0" * 400 + "/1", "grid value is too large for a float"),
         # a label is written through int -> str, which CPython caps at 4,300 digits
         ("1:2:1." + "0" * 4300 + "1", "grid ends have more than 4,300 decimal places"),
     ):
